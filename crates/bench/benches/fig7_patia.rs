@@ -16,7 +16,7 @@ fn crowd_run(adaptive: bool, ticks: u64) -> (u64, usize) {
     let mut gen = RequestGen::new(vec![AtomId(123), AtomId(153)], 1.1, 4.0, 7).with_crowd(crowd);
     let mut lat: Vec<u64> = Vec::new();
     for t in 1..=ticks {
-        lat.extend(s.tick(&gen.tick(t), 64.0).latencies);
+        lat.extend(s.tick(&gen.tick(t), 64.0).latencies.iter());
     }
     lat.sort_unstable();
     let p99 = lat.get(lat.len().saturating_sub(1) * 99 / 100).copied().unwrap_or(0);

@@ -54,7 +54,7 @@ fn main() {
         for t in 1..=1500 {
             let st = s.tick(&gen.tick(t), 64.0);
             switches += st.migrations.len();
-            lat.extend(st.latencies);
+            lat.extend(st.latencies.iter());
         }
         lat.sort_unstable();
         let p99 = lat.get((lat.len().saturating_sub(1)) * 99 / 100).copied().unwrap_or(0);

@@ -241,10 +241,10 @@ impl EventEngine {
     /// Fold one tick's stats into the run totals.
     fn absorb(&mut self, stats: &TickStats) {
         self.totals.arrivals += stats.arrivals as u64;
-        self.totals.completed += stats.latencies.len() as u64;
-        for &l in &stats.latencies {
-            self.totals.latency_sum += l;
-            self.totals.latency_max = self.totals.latency_max.max(l);
+        for &(latency, count) in stats.latencies.runs() {
+            self.totals.completed += count;
+            self.totals.latency_sum += latency * count;
+            self.totals.latency_max = self.totals.latency_max.max(latency);
         }
         self.totals.dropped += stats.faults.dropped;
         self.totals.degraded += stats.faults.degraded;
@@ -327,6 +327,16 @@ mod tests {
             engine_stats.push(e.run_tick(t, 500.0));
         }
         assert_eq!(legacy_stats, engine_stats);
+        // And once more with each tick's requests arriving as one cohort:
+        // completions are recorded as merged runs, so the record is the
+        // same whether a cohort completes whole or request by request.
+        let mut e = engine(400);
+        let mut cohort_stats = Vec::new();
+        for t in 1..=200 {
+            e.enqueue_arrivals(t, vec![(AtomId(123), reqs_at(t).len() as u64)]);
+            cohort_stats.push(e.run_tick(t, 500.0));
+        }
+        assert_eq!(legacy_stats, cohort_stats);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use compkit::monitor::Monitor;
 use obs::{ObsHandle, Primitive};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 use ubinet::device::{Device, DeviceKind};
 use ubinet::link::{BandwidthProfile, Link, LinkKind};
 use ubinet::net::Network;
@@ -162,6 +163,68 @@ pub struct SwitchEvent {
     pub to: String,
 }
 
+/// A tick's completion latencies, run-length encoded: `(latency, count)`
+/// runs in completion order, adjacent equal latencies merged. A batch of
+/// `n` identical requests completes as one run, so a tick's record costs
+/// O(distinct adjacent latencies), not O(requests) — and because the
+/// merge is canonical, the same completions recorded one request at a
+/// time or a cohort at a time compare equal.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LatencyRuns {
+    runs: Vec<(u64, u64)>,
+}
+
+impl LatencyRuns {
+    /// Record `count` completions of `latency` ticks each.
+    pub fn push(&mut self, latency: u64, count: u64) {
+        if count == 0 {
+            return;
+        }
+        match self.runs.last_mut() {
+            Some((last, n)) if *last == latency => *n += count,
+            _ => self.runs.push((latency, count)),
+        }
+    }
+
+    /// How many requests completed (the sum of the run counts).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.runs.iter().map(|&(_, count)| count as usize).sum()
+    }
+
+    /// Whether no request completed.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// The `(latency, count)` runs, in completion order.
+    #[must_use]
+    pub fn runs(&self) -> &[(u64, u64)] {
+        &self.runs
+    }
+
+    /// Every completion's latency, one item per request, in completion
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.runs.iter().flat_map(|&(latency, count)| std::iter::repeat_n(latency, count as usize))
+    }
+
+    /// The p-th percentile (`p` in 0..=1) of the latencies — the value at
+    /// rank `round((len - 1) * p)` of the sorted expansion.
+    #[must_use]
+    pub fn percentile(&self, p: f64) -> Option<u64> {
+        let rank = (self.len().checked_sub(1)? as f64 * p).round() as u64;
+        let mut sorted = self.runs.clone();
+        sorted.sort_unstable();
+        let mut below = 0;
+        sorted.into_iter().find_map(|(latency, count)| {
+            below += count;
+            (rank < below).then_some(latency)
+        })
+    }
+}
+
 /// Per-tick observable results.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TickStats {
@@ -170,7 +233,7 @@ pub struct TickStats {
     /// Requests that arrived.
     pub arrivals: usize,
     /// Requests completed, with their latencies in ticks.
-    pub latencies: Vec<u64>,
+    pub latencies: LatencyRuns,
     /// SWITCH events performed this tick.
     pub migrations: Vec<SwitchEvent>,
     /// Per-node utilisation after processing.
@@ -185,13 +248,7 @@ impl TickStats {
     /// The p-th latency percentile of this tick's completions.
     #[must_use]
     pub fn latency_percentile(&self, p: f64) -> Option<u64> {
-        if self.latencies.is_empty() {
-            return None;
-        }
-        let mut v = self.latencies.clone();
-        v.sort_unstable();
-        let idx = ((v.len() - 1) as f64 * p).round() as usize;
-        Some(v[idx])
+        self.latencies.percentile(p)
     }
 }
 
@@ -239,12 +296,27 @@ pub enum SwitchPolicy {
     Query,
 }
 
+/// One fleet node's names, spelled out once at construction so a tick
+/// formats nothing: the device name, the monitor (and registry gauge) its
+/// utilisation is recorded under, and the gauge constraint 455 reads.
+#[derive(Debug)]
+struct NodeKeys {
+    name: String,
+    cpu: String,
+    util: String,
+}
+
 /// The Patia server.
 #[derive(Debug)]
 pub struct PatiaServer {
     net: Network,
+    /// The fleet as of construction, in name order — the nodes the gauge
+    /// board has monitors for and the supervisor watches.
+    nodes: Vec<NodeKeys>,
     atoms: AtomStore,
-    constraints: Vec<AtomConstraint>,
+    /// Shared so the adaptation pass can walk them while it mutates the
+    /// server.
+    constraints: Rc<[AtomConstraint]>,
     /// Agents per atom: one initially; SWITCH may *spread* the service
     /// over more nodes during a flash crowd ("dynamically spread its
     /// processing (e.g. to non-Webserver machines like a typing-pools'
@@ -294,19 +366,26 @@ impl PatiaServer {
         config: ServerConfig,
     ) -> Self {
         let mut board = GaugeBoard::new();
-        let names: Vec<String> = net.devices().map(|d| d.name.clone()).collect();
-        for n in &names {
-            board.add_monitor(Monitor::new(&format!("cpu:{n}"), 16));
+        let nodes: Vec<NodeKeys> = net
+            .devices()
+            .map(|d| NodeKeys {
+                name: d.name.clone(),
+                cpu: format!("cpu:{}", d.name),
+                util: format!("util:{}", d.name),
+            })
+            .collect();
+        for n in &nodes {
+            board.add_monitor(Monitor::new(&n.cpu, 16));
             board.add_gauge(Gauge {
-                name: format!("util:{n}"),
-                monitor: format!("cpu:{n}"),
+                name: n.util.clone(),
+                monitor: n.cpu.clone(),
                 kind: GaugeKind::Latest,
             });
             // The paper's trend analysis: a rising slope anticipates
             // saturation before it happens.
             board.add_gauge(Gauge {
-                name: format!("util_trend:{n}"),
-                monitor: format!("cpu:{n}"),
+                name: format!("util_trend:{}", n.name),
+                monitor: n.cpu.clone(),
                 kind: GaugeKind::Slope(8),
             });
         }
@@ -327,11 +406,13 @@ impl PatiaServer {
                 agents.insert(id, vec![ServiceAgent::new(id, &home)]);
             }
         }
-        let supervisor = Supervisor::new(SuperviseConfig::default(), names);
+        let supervisor =
+            Supervisor::new(SuperviseConfig::default(), nodes.iter().map(|n| n.name.clone()));
         Self {
             net,
+            nodes,
             atoms,
-            constraints,
+            constraints: constraints.into(),
             agents,
             board,
             config,
@@ -648,7 +729,7 @@ impl PatiaServer {
     pub fn select_version(&self, atom: AtomId, bandwidth_kbps: f64) -> Option<u32> {
         let a = self.atoms.get(atom)?;
         if self.config.adaptive {
-            for c in &self.constraints {
+            for c in self.constraints.iter() {
                 if c.atom != atom {
                     continue;
                 }
@@ -717,9 +798,6 @@ impl PatiaServer {
         let arrivals: u64 = batches.iter().map(|&(_, n)| n).sum();
         let mut stats =
             TickStats { tick: now, arrivals: arrivals as usize, ..TickStats::default() };
-        // Completion groups `(latency, count)` in completion order — folded
-        // into the latency histogram in one grouped update per run.
-        let mut completions: Vec<(u64, u64)> = Vec::new();
         let obs = self.obs.clone();
         let tick_span = obs.as_ref().map(|o| o.borrow_mut().begin("patia", format!("tick:{now}")));
 
@@ -795,23 +873,21 @@ impl PatiaServer {
         // 2. Process: each node's capacity is shared among its agents.
         //    Dead nodes have zero capacity; injected CPU pressure shrinks
         //    the effective budget, which is what the gauges then see.
-        let node_names: Vec<String> = self.net.devices().map(|d| d.name.clone()).collect();
-        for node in &node_names {
-            let capacity = self.effective_capacity(node).max(0.0) as u64;
-            let mut local: Vec<(AtomId, usize)> = self
-                .agents
-                .iter()
-                .flat_map(|(id, v)| {
-                    v.iter()
-                        .enumerate()
-                        .filter(|(_, a)| &a.node == node)
-                        .map(|(i, _)| (*id, i))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            local.sort_unstable();
+        //    One pass over the agents groups them by the node they sit on,
+        //    in (atom, index) order per node; an agent on a node outside
+        //    the fleet is served by nobody.
+        let mut resident: Vec<Vec<(AtomId, usize)>> = vec![Vec::new(); self.nodes.len()];
+        for (id, agents) in &self.agents {
+            for (i, a) in agents.iter().enumerate() {
+                if let Some(n) = self.node_index(&a.node) {
+                    resident[n].push((*id, i));
+                }
+            }
+        }
+        for (n, local) in resident.iter().enumerate() {
+            let capacity = self.effective_capacity(&self.nodes[n].name).max(0.0) as u64;
             if local.is_empty() {
-                self.record_util(node, 0.0, now);
+                self.record_util(n, 0.0, now);
                 continue;
             }
             let demand: u64 = local.iter().map(|(id, i)| self.agents[id][*i].queued_work()).sum();
@@ -829,9 +905,7 @@ impl PatiaServer {
                 };
                 let mut served = 0u64;
                 for (arrived, k) in agent.step_grouped(share) {
-                    let latency = now - arrived;
-                    stats.latencies.extend(std::iter::repeat_n(latency, k as usize));
-                    completions.push((latency, k));
+                    stats.latencies.push(now - arrived, k);
                     served += k;
                 }
                 if let Some(o) = &obs {
@@ -841,9 +915,9 @@ impl PatiaServer {
                 }
             }
             let util = if capacity == 0 { 1.0 } else { (demand as f64 / capacity as f64).min(1.0) };
-            self.record_util(node, util, now);
-            stats.utilisation.insert(node.clone(), util);
-            if let Some(d) = self.net.device_mut(node) {
+            self.record_util(n, util, now);
+            stats.utilisation.insert(self.nodes[n].name.clone(), util);
+            if let Some(d) = self.net.device_mut(&self.nodes[n].name) {
                 d.load = util;
             }
         }
@@ -862,9 +936,8 @@ impl PatiaServer {
         //    32 ticks, deterministic), and the atom serves degraded until
         //    the switch lands or the pressure subsides.
         if self.config.adaptive {
-            let gauges = self.board.snapshot();
-            let constraints = self.constraints.clone();
-            for c in &constraints {
+            let constraints = Rc::clone(&self.constraints);
+            for c in constraints.iter() {
                 let ConstraintLogic::SwitchOnCpu { threshold, candidates } = &c.logic else {
                     continue;
                 };
@@ -874,7 +947,10 @@ impl PatiaServer {
                     .iter()
                     .enumerate()
                     .map(|(i, a)| {
-                        (i, gauges.get(&format!("util:{}", a.node)).copied().unwrap_or(0.0))
+                        let util = self
+                            .node_index(&a.node)
+                            .and_then(|n| self.board.gauge_value(&self.nodes[n].util));
+                        (i, util.unwrap_or(0.0))
                     })
                     .max_by(|(_, x), (_, y)| x.total_cmp(y))
                 else {
@@ -1013,7 +1089,8 @@ impl PatiaServer {
             o.metrics.counter_add("patia.switch.failed", stats.faults.failed_switches);
             o.metrics.counter_add("patia.switch.retries", stats.faults.switch_retries);
             o.metrics.counter_add("patia.switch.evacuations", stats.faults.evacuations);
-            for &(latency, k) in &completions {
+            // One grouped histogram update per run of equal latencies.
+            for &(latency, k) in stats.latencies.runs() {
                 o.metrics.observe_n("patia.latency_ticks", latency, k);
             }
             if let Some(span) = tick_span {
@@ -1030,13 +1107,19 @@ impl PatiaServer {
         stats
     }
 
-    fn record_util(&mut self, node: &str, util: f64, now: u64) {
+    /// The index in `nodes` of the fleet node called `name`.
+    fn node_index(&self, name: &str) -> Option<usize> {
+        self.nodes.binary_search_by(|n| n.name.as_str().cmp(name)).ok()
+    }
+
+    fn record_util(&mut self, node: usize, util: f64, now: u64) {
+        let monitor = &self.nodes[node].cpu;
         if let Some(obs) = &self.obs {
             // Armed: publish to the registry under the monitor's own name;
             // the board ingests it from there after the node loop.
-            obs.borrow_mut().metrics.gauge_set(&format!("cpu:{node}"), util);
+            obs.borrow_mut().metrics.gauge_set(monitor, util);
         } else {
-            self.board.record(&format!("cpu:{node}"), now, util);
+            self.board.record(monitor, now, util);
         }
     }
 
@@ -1118,7 +1201,7 @@ impl PatiaServer {
                 .get(atom)
                 .map(|a| a.holders().iter().map(|s| (*s).to_owned()).collect())
                 .unwrap_or_default();
-            for c in &self.constraints {
+            for c in self.constraints.iter() {
                 if c.atom != atom {
                     continue;
                 }
@@ -1243,7 +1326,7 @@ mod tests {
             // because its victims never complete).
             for t in 1..=1500 {
                 let reqs = gen.tick(t);
-                lat.extend(s.tick(&reqs, 500.0).latencies);
+                lat.extend(s.tick(&reqs, 500.0).latencies.iter());
             }
             lat.sort_unstable();
             if lat.is_empty() {
@@ -1285,6 +1368,45 @@ mod tests {
         let st = s.tick(&[AtomId(153), AtomId(153)], 64.0);
         let per_atom = st.versions_served.get(&AtomId(153)).unwrap();
         assert_eq!(per_atom.values().sum::<u64>(), 2);
+    }
+
+    #[test]
+    fn latency_runs_merge_adjacent_equals_and_count_every_request() {
+        let mut runs = LatencyRuns::default();
+        assert!(runs.is_empty());
+        assert_eq!(runs.percentile(0.5), None);
+        for (latency, count) in [(3, 2), (3, 5), (1, 1), (3, 1), (7, 0), (3, 4)] {
+            runs.push(latency, count);
+        }
+        assert_eq!(runs.runs(), [(3, 7), (1, 1), (3, 5)], "only neighbours merge; zero adds none");
+        assert_eq!(runs.len(), 13);
+        assert_eq!(runs.iter().collect::<Vec<_>>(), [3, 3, 3, 3, 3, 3, 3, 1, 3, 3, 3, 3, 3]);
+        // One request at a time or a cohort at a time: the same record.
+        let mut singly = LatencyRuns::default();
+        for latency in runs.iter() {
+            singly.push(latency, 1);
+        }
+        assert_eq!(singly, runs);
+    }
+
+    #[test]
+    fn latency_percentile_is_the_percentile_of_the_expanded_vector() {
+        adm_rng::run_cases(0x1a7, 64, |rng| {
+            let mut stats = TickStats::default();
+            for _ in 0..rng.index(12) {
+                stats.latencies.push(rng.below(6), rng.below(40));
+            }
+            let mut expanded: Vec<u64> = stats.latencies.iter().collect();
+            assert_eq!(expanded.len(), stats.latencies.len());
+            let counted: u64 = stats.latencies.runs().iter().map(|&(_, n)| n).sum();
+            assert_eq!(counted as usize, stats.latencies.len());
+            expanded.sort_unstable();
+            for p in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+                let want = (!expanded.is_empty())
+                    .then(|| expanded[((expanded.len() - 1) as f64 * p).round() as usize]);
+                assert_eq!(stats.latency_percentile(p), want, "p={p} of {expanded:?}");
+            }
+        });
     }
 
     #[test]

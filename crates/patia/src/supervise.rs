@@ -8,7 +8,8 @@
 //! flat devices). The [`Supervisor`] closes that gap:
 //!
 //! * a **failure detector** sends one heartbeat per tick from a vantage
-//!   node to every peer ([`Network::heartbeat`]); a peer missing
+//!   node to every peer (the verdicts of [`Network::heartbeat`], read off
+//!   one [`Network::components`] labelling per round); a peer missing
 //!   [`SuperviseConfig::suspect_after`] consecutive beats is *suspected*
 //!   — deliberately unable to distinguish death from partition, which is
 //!   the fundamental ambiguity of asynchronous failure detection;
@@ -192,33 +193,61 @@ impl Supervisor {
         }
     }
 
-    /// The vantage the beats are sent from: the alive device that can
-    /// currently reach the most alive peers, ties broken by name order —
-    /// a deterministic stand-in for "the healthiest observer". `None`
-    /// when the whole fleet is dead.
-    #[must_use]
-    pub fn vantage(&self, net: &Network) -> Option<String> {
-        let mut winner: Option<(&str, usize)> = None;
-        for from in self.peers.keys() {
-            if !net.device(from).is_some_and(|d| d.alive) {
-                continue;
-            }
-            let reach = self.peers.keys().filter(|to| net.heartbeat(from, to)).count();
-            if winner.is_none_or(|(_, w)| reach > w) {
-                winner = Some((from, reach));
+    /// Each watched peer's component in `net` as it stands, in peer-name
+    /// order (`None`: dead, or not a device), and the component the
+    /// round's beats are sent from: the one holding the most watched
+    /// peers, on a tie the one whose first watched peer sorts first. One
+    /// component labelling answers every probe of the round: a beat
+    /// between two peers lands exactly when both are alive and share a
+    /// label.
+    fn survey(&self, net: &Network) -> (Vec<Option<u32>>, Option<u32>) {
+        let components = net.components();
+        let labels: Vec<Option<u32>> = self
+            .peers
+            .keys()
+            .map(|peer| net.id_of(peer).and_then(|id| components.label(id)))
+            .collect();
+        let mut watched = vec![0usize; components.count()];
+        for &label in labels.iter().flatten() {
+            watched[label as usize] += 1;
+        }
+        let mut vantage: Option<u32> = None;
+        for &label in labels.iter().flatten() {
+            if vantage.is_none_or(|best| watched[label as usize] > watched[best as usize]) {
+                vantage = Some(label);
             }
         }
-        winner.map(|(n, _)| n.to_owned())
+        (labels, vantage)
+    }
+
+    /// The vantage the beats are sent from: the alive device that can
+    /// currently reach the most alive peers — the first watched peer of
+    /// the component holding the most watched peers — ties broken by name
+    /// order: a deterministic stand-in for "the healthiest observer".
+    /// `None` when the whole fleet is dead.
+    #[must_use]
+    pub fn vantage(&self, net: &Network) -> Option<String> {
+        let (labels, vantage) = self.survey(net);
+        let first = labels.iter().position(|&label| label.is_some() && label == vantage)?;
+        self.peers.keys().nth(first).cloned()
     }
 
     /// One heartbeat round at tick `now`: probe every peer from the
     /// vantage and advance detector, circuit, and restart state. Returns
-    /// the observable events in peer-name order.
+    /// the observable events in peer-name order. The round costs one
+    /// component labelling — O(devices + links) — however many peers are
+    /// watched.
     pub fn beat(&mut self, net: &Network, now: u64) -> Vec<SupervisionEvent> {
-        let Some(vantage) = self.vantage(net) else { return Vec::new() };
+        let (labels, Some(vantage)) = self.survey(net) else { return Vec::new() };
+        self.advance(labels.iter().map(|&label| label == Some(vantage)), now)
+    }
+
+    /// Advance every peer's detector, circuit, and restart state by one
+    /// round, given whether each peer's beat landed (in peer-name order).
+    fn advance(&mut self, landed: impl Iterator<Item = bool>, now: u64) -> Vec<SupervisionEvent> {
         let mut events = Vec::new();
-        for (peer, h) in &mut self.peers {
-            if net.heartbeat(&vantage, peer) {
+        for ((peer, h), landed) in self.peers.iter_mut().zip(landed) {
+            if landed {
                 h.missed = 0;
                 if h.suspected {
                     h.suspected = false;
@@ -409,6 +438,96 @@ mod tests {
             net.device_mut(name).unwrap().alive = false;
         }
         assert_eq!(s.vantage(&net), None, "a dead fleet has no vantage");
+    }
+
+    /// The definition `vantage` stands in for, one probe per ordered pair
+    /// of peers: the alive peer whose heartbeats reach the most peers,
+    /// first in name order on ties.
+    fn vantage_by_probing(s: &Supervisor, net: &Network) -> Option<String> {
+        let mut winner: Option<(&str, usize)> = None;
+        for from in s.peers.keys() {
+            if !net.device(from).is_some_and(|d| d.alive) {
+                continue;
+            }
+            let reach = s.peers.keys().filter(|to| net.heartbeat(from, to)).count();
+            if winner.is_none_or(|(_, w)| reach > w) {
+                winner = Some((from, reach));
+            }
+        }
+        winner.map(|(n, _)| n.to_owned())
+    }
+
+    /// A heartbeat round by the definition: one probe per peer from the
+    /// probed vantage.
+    fn beat_by_probing(s: &mut Supervisor, net: &Network, now: u64) -> Vec<SupervisionEvent> {
+        let Some(vantage) = vantage_by_probing(s, net) else { return Vec::new() };
+        let landed: Vec<bool> = s.peers.keys().map(|peer| net.heartbeat(&vantage, peer)).collect();
+        s.advance(landed.into_iter(), now)
+    }
+
+    #[test]
+    fn an_even_island_split_keeps_the_vantage_first_in_name_order() {
+        let mut net = net();
+        net.add_device(Device::new("d", DeviceKind::Server));
+        net.add_link(Link::new("c", "d", LinkKind::Wired, BandwidthProfile::Constant(100.0), 1));
+        let mut s =
+            Supervisor::new(SuperviseConfig::default(), ["a", "b", "c", "d"].map(str::to_owned));
+        let mut probing = s.clone();
+        net.partition(&["c".to_owned(), "d".to_owned()]);
+        assert_eq!(s.vantage(&net).as_deref(), Some("a"), "two against two: name order decides");
+        assert_eq!(s.vantage(&net), vantage_by_probing(&s, &net));
+        for now in 1..=3 {
+            assert_eq!(s.beat(&net, now), beat_by_probing(&mut probing, &net, now));
+        }
+        assert!(s.suspected("c") && s.suspected("d"), "the far island goes quiet");
+        assert!(!s.suspected("a") && !s.suspected("b"));
+        net.device_mut("a").unwrap().alive = false;
+        assert_eq!(s.vantage(&net).as_deref(), Some("c"), "one against two: the larger side");
+        assert_eq!(s.vantage(&net), vantage_by_probing(&s, &net));
+    }
+
+    #[test]
+    fn labelled_rounds_equal_probed_rounds_on_random_fleets_under_faults() {
+        let mut events_seen = 0;
+        adm_rng::run_cases(0x5e1, 40, |rng| {
+            let n = rng.index(23) + 2;
+            let names: Vec<String> = (0..n).map(|i| format!("n{i}")).collect();
+            let pick = |rng: &mut adm_rng::Pcg32| names[rng.index(n)].as_str();
+            let mut net = Network::new();
+            for name in &names {
+                net.add_device(Device::new(name, DeviceKind::Server));
+            }
+            for _ in 0..rng.index(2 * n) {
+                let (a, b) = (pick(rng), pick(rng));
+                net.add_link(Link::new(a, b, LinkKind::Wired, BandwidthProfile::Constant(1.0), 1));
+            }
+            // Watch a subset: beats may cross devices nobody watches, and
+            // one watched name is not a device at all.
+            let watched = names.iter().filter(|_| rng.chance(0.7)).cloned();
+            let mut s =
+                Supervisor::new(SuperviseConfig::default(), watched.chain(["ghost".to_owned()]));
+            let mut probing = s.clone();
+            for now in 1..=24 {
+                let island: Vec<String> = (0..rng.index(n)).map(|_| pick(rng).to_owned()).collect();
+                match rng.index(6) {
+                    0 => net.device_mut(pick(rng)).unwrap().alive = false,
+                    1 => net.device_mut(pick(rng)).unwrap().alive = true,
+                    2 => {
+                        let up = rng.chance(0.5);
+                        net.set_link_up(pick(rng), pick(rng), up);
+                    }
+                    3 => drop(net.partition(&island)),
+                    4 => drop(net.heal(&island)),
+                    _ => {}
+                }
+                assert_eq!(s.vantage(&net), vantage_by_probing(&s, &net), "tick {now}");
+                let events = s.beat(&net, now);
+                assert_eq!(events, beat_by_probing(&mut probing, &net, now), "tick {now}");
+                events_seen += events.len();
+                assert_eq!(s.peers(), probing.peers(), "tick {now}");
+            }
+        });
+        assert!(events_seen > 100, "the fault sequences must move the detector ({events_seen})");
     }
 
     #[test]

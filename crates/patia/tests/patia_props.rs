@@ -24,7 +24,7 @@ fn run_server(adaptive: bool, seed: u64, multiplier: f64, ticks: u64) -> (usize,
         // Stop the workload early so queues can drain.
         let reqs = if t <= ticks / 2 { gen.tick(t) } else { Vec::new() };
         arrived += reqs.len();
-        lat.extend(s.tick(&reqs, 64.0).latencies);
+        lat.extend(s.tick(&reqs, 64.0).latencies.iter());
     }
     (arrived, lat.len(), lat)
 }

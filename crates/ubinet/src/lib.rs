@@ -9,7 +9,8 @@
 //!
 //! * [`device`] — devices with capacity, load, battery and dock state;
 //! * [`link`] — wired/wireless links with time-varying bandwidth profiles;
-//! * [`net`] — the topology: transfer-time estimation and hop distances;
+//! * [`net`] — the topology, indexed by dense device ids: transfer-time
+//!   estimation, hop distances and connected components;
 //! * [`select`] — the paper's `BEST` (capacity × idleness) and `NEAREST`
 //!   (hop distance) device functions;
 //! * [`sim`] — the event queue driving undocks, load changes, bandwidth

@@ -2,7 +2,7 @@
 
 use crate::device::Device;
 use crate::link::Link;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Topology errors.
@@ -31,10 +31,56 @@ impl fmt::Display for NetError {
 impl std::error::Error for NetError {}
 
 /// The environment's topology.
+///
+/// Devices live in a name-sorted vector, so a device's *id* is its rank in
+/// name order, and `ids` interns each name to that id; every link with
+/// both endpoints present appears in the per-device adjacency lists as
+/// `(neighbour id, link index)`, in link insertion order. Both are pure
+/// structure: liveness (`alive`, `up`) is read from the devices and links
+/// at walk time, so nothing here needs invalidating when a node dies or a
+/// link flaps.
 #[derive(Debug, Clone, Default)]
 pub struct Network {
-    devices: BTreeMap<String, Device>,
+    devices: Vec<Device>,
+    ids: BTreeMap<String, usize>,
     links: Vec<Link>,
+    adjacency: Vec<Vec<(usize, usize)>>,
+}
+
+/// One step of [`Network::walk`]: `device` was first reached from `parent`
+/// over `link`, `hops` links away from the walk's start.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    device: usize,
+    parent: usize,
+    link: usize,
+    hops: u32,
+}
+
+/// One labelling of the alive devices by connected component — the answer
+/// to "which alive devices share a live component?" for one instant of the
+/// network's `alive`/`up` state. Labels count up from zero in the name
+/// order of each component's first member.
+#[derive(Debug, Clone)]
+pub struct Components {
+    /// Per device id; `None` for dead devices.
+    labels: Vec<Option<u32>>,
+    count: u32,
+}
+
+impl Components {
+    /// The component of device `id`: `None` when the device is dead (or
+    /// `id` names no device).
+    #[must_use]
+    pub fn label(&self, id: usize) -> Option<u32> {
+        self.labels.get(id).copied().flatten()
+    }
+
+    /// How many components the alive devices form.
+    #[must_use]
+    pub fn count(&self) -> usize {
+        self.count as usize
+    }
 }
 
 impl Network {
@@ -44,34 +90,69 @@ impl Network {
         Self::default()
     }
 
-    /// Add a device (replacing any with the same name).
+    /// Add a device. A device with the same name is replaced in place and
+    /// keeps its id and its links; a new name shifts the ids after it, so
+    /// the name index and the adjacency are rebuilt (links added before
+    /// their endpoints come alive here).
     pub fn add_device(&mut self, d: Device) {
-        self.devices.insert(d.name.clone(), d);
+        if let Some(&id) = self.ids.get(&d.name) {
+            self.devices[id] = d;
+            return;
+        }
+        let rank = self.devices.partition_point(|have| have.name < d.name);
+        self.devices.insert(rank, d);
+        self.ids = self.devices.iter().enumerate().map(|(id, d)| (d.name.clone(), id)).collect();
+        self.adjacency = vec![Vec::new(); self.devices.len()];
+        for link in 0..self.links.len() {
+            self.index_link(link);
+        }
     }
 
     /// Add a link.
     pub fn add_link(&mut self, l: Link) {
         self.links.push(l);
+        self.index_link(self.links.len() - 1);
+    }
+
+    /// Enter link `link` into the adjacency of both endpoints, if both are
+    /// devices. A self-loop joins nothing and is left out.
+    fn index_link(&mut self, link: usize) {
+        let l = &self.links[link];
+        if let (Some(a), Some(b)) = (self.id_of(&l.a), self.id_of(&l.b)) {
+            if a != b {
+                self.adjacency[a].push((b, link));
+                self.adjacency[b].push((a, link));
+            }
+        }
+    }
+
+    /// A device's id: its rank among the devices in name order. Ids are
+    /// stable until a device with a new name is added.
+    #[must_use]
+    pub fn id_of(&self, name: &str) -> Option<usize> {
+        self.ids.get(name).copied()
     }
 
     /// Look up a device.
     #[must_use]
     pub fn device(&self, name: &str) -> Option<&Device> {
-        self.devices.get(name)
+        self.id_of(name).map(|id| &self.devices[id])
     }
 
     /// Mutable device access.
     pub fn device_mut(&mut self, name: &str) -> Option<&mut Device> {
-        self.devices.get_mut(name)
+        self.id_of(name).map(|id| &mut self.devices[id])
     }
 
-    /// All devices.
+    /// All devices, in name (= id) order.
     pub fn devices(&self) -> impl Iterator<Item = &Device> {
-        self.devices.values()
+        self.devices.iter()
     }
 
-    /// Mutable access to all links (e.g. to take a dock link down).
-    pub fn links_mut(&mut self) -> &mut Vec<Link> {
+    /// Mutable access to the links' state (e.g. to take a dock link down).
+    /// A slice: links can be toggled and retuned, not added or removed
+    /// behind the adjacency's back.
+    pub fn links_mut(&mut self) -> &mut [Link] {
         &mut self.links
     }
 
@@ -137,13 +218,71 @@ impl Network {
         changed
     }
 
-    /// Live neighbours of a device (links up, endpoint alive).
-    fn neighbours<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-        self.links
-            .iter()
-            .filter(move |l| l.up && l.touches(name))
-            .map(move |l| if l.a == name { l.b.as_str() } else { l.a.as_str() })
-            .filter(|n| self.devices.get(*n).is_some_and(|d| d.alive))
+    /// The crate's one graph walk: breadth-first from `start` over up
+    /// links into alive devices not yet marked in `seen`, taking each
+    /// device's links in insertion order. `visit` is called once per newly
+    /// reached device (never for `start` itself, whose liveness is the
+    /// caller's business); returning `true` stops the walk.
+    fn walk(&self, start: usize, seen: &mut [bool], mut visit: impl FnMut(Hop) -> bool) {
+        seen[start] = true;
+        let mut frontier = vec![(start, 0u32)];
+        let mut head = 0;
+        while let Some(&(parent, hops)) = frontier.get(head) {
+            head += 1;
+            for &(device, link) in &self.adjacency[parent] {
+                if seen[device] || !self.links[link].up || !self.devices[device].alive {
+                    continue;
+                }
+                seen[device] = true;
+                if visit(Hop { device, parent, link, hops: hops + 1 }) {
+                    return;
+                }
+                frontier.push((device, hops + 1));
+            }
+        }
+    }
+
+    /// Resolve both endpoints of a query, or name the one that is unknown.
+    fn endpoints(&self, from: &str, to: &str) -> Result<(usize, usize), NetError> {
+        let id = |n: &str| self.id_of(n).ok_or_else(|| NetError::UnknownDevice(n.to_owned()));
+        Ok((id(from)?, id(to)?))
+    }
+
+    /// Label the alive devices by connected component: one sweep of
+    /// [`walk`](Self::walk) per component, O(devices + links) in all,
+    /// computed from the `alive`/`up` state as it is right now.
+    #[must_use]
+    pub fn components(&self) -> Components {
+        let mut labels = vec![None; self.devices.len()];
+        let mut seen = vec![false; self.devices.len()];
+        let mut count = 0;
+        for id in 0..self.devices.len() {
+            if seen[id] || !self.devices[id].alive {
+                continue;
+            }
+            labels[id] = Some(count);
+            self.walk(id, &mut seen, |hop| {
+                labels[hop.device] = Some(count);
+                false
+            });
+            count += 1;
+        }
+        Components { labels, count }
+    }
+
+    /// Hops from `src` to `dst` over live links and devices.
+    fn hops(&self, src: usize, dst: usize) -> Option<u32> {
+        if src == dst {
+            return Some(0);
+        }
+        let mut found = None;
+        self.walk(src, &mut vec![false; self.devices.len()], |hop| {
+            if hop.device == dst {
+                found = Some(hop.hops);
+            }
+            found.is_some()
+        });
+        found
     }
 
     /// BFS hop distance over live links and devices.
@@ -151,30 +290,9 @@ impl Network {
     /// # Errors
     /// [`NetError`] on unknown names or unreachable endpoints.
     pub fn hop_distance(&self, from: &str, to: &str) -> Result<u32, NetError> {
-        for n in [from, to] {
-            if !self.devices.contains_key(n) {
-                return Err(NetError::UnknownDevice(n.to_owned()));
-            }
-        }
-        if from == to {
-            return Ok(0);
-        }
-        let mut dist: BTreeMap<&str, u32> = BTreeMap::new();
-        dist.insert(from, 0);
-        let mut q = VecDeque::from([from]);
-        while let Some(cur) = q.pop_front() {
-            let d = dist[cur];
-            for n in self.neighbours(cur) {
-                if !dist.contains_key(n) {
-                    if n == to {
-                        return Ok(d + 1);
-                    }
-                    dist.insert(n, d + 1);
-                    q.push_back(n);
-                }
-            }
-        }
-        Err(NetError::Unreachable { from: from.to_owned(), to: to.to_owned() })
+        let (src, dst) = self.endpoints(from, to)?;
+        self.hops(src, dst)
+            .ok_or_else(|| NetError::Unreachable { from: from.to_owned(), to: to.to_owned() })
     }
 
     /// Whether a heartbeat sent `from` → `to` would land: both devices
@@ -184,55 +302,37 @@ impl Network {
     /// one, which is exactly the ambiguity a detector must tolerate.
     #[must_use]
     pub fn heartbeat(&self, from: &str, to: &str) -> bool {
-        let both_alive = [from, to].iter().all(|n| self.devices.get(*n).is_some_and(|d| d.alive));
-        both_alive && (from == to || self.hop_distance(from, to).is_ok())
+        let (Some(src), Some(dst)) = (self.id_of(from), self.id_of(to)) else { return false };
+        self.devices[src].alive && self.devices[dst].alive && self.hops(src, dst).is_some()
     }
 
-    /// The live path (as link indices) with the fewest hops, and its
-    /// bottleneck bandwidth and total latency at `tick`.
+    /// The live path with the fewest hops: its bottleneck bandwidth and
+    /// total latency at `tick`. Between parallel links the walk takes the
+    /// first `up` one in insertion order.
     ///
     /// # Errors
     /// [`NetError`] on unknown/unreachable endpoints.
     pub fn path_metrics(&self, from: &str, to: &str, tick: u64) -> Result<(f64, u64), NetError> {
-        for n in [from, to] {
-            if !self.devices.contains_key(n) {
-                return Err(NetError::UnknownDevice(n.to_owned()));
-            }
-        }
-        if from == to {
+        let (src, dst) = self.endpoints(from, to)?;
+        if src == dst {
             return Ok((f64::INFINITY, 0));
         }
-        // BFS storing parents.
-        let mut parent: BTreeMap<&str, &str> = BTreeMap::new();
-        let mut q = VecDeque::from([from]);
-        parent.insert(from, from);
-        'bfs: while let Some(cur) = q.pop_front() {
-            for n in self.neighbours(cur) {
-                if !parent.contains_key(n) {
-                    parent.insert(n, cur);
-                    if n == to {
-                        break 'bfs;
-                    }
-                    q.push_back(n);
-                }
-            }
-        }
-        if !parent.contains_key(to) {
-            return Err(NetError::Unreachable { from: from.to_owned(), to: to.to_owned() });
-        }
+        // Per device: the (parent, link) it was first reached over.
+        let mut via = vec![None; self.devices.len()];
+        self.walk(src, &mut vec![false; self.devices.len()], |hop| {
+            via[hop.device] = Some((hop.parent, hop.link));
+            hop.device == dst
+        });
         let mut bw = f64::INFINITY;
         let mut lat = 0u64;
-        let mut cur = to;
-        while cur != from {
-            let prev = parent[cur];
-            let link = self
-                .links
-                .iter()
-                .find(|l| l.up && l.connects(prev, cur))
-                .expect("parent edge exists");
-            bw = bw.min(link.bandwidth_at(tick));
-            lat += link.latency;
-            cur = prev;
+        let mut cur = dst;
+        while cur != src {
+            let Some((parent, link)) = via[cur] else {
+                return Err(NetError::Unreachable { from: from.to_owned(), to: to.to_owned() });
+            };
+            bw = bw.min(self.links[link].bandwidth_at(tick));
+            lat += self.links[link].latency;
+            cur = parent;
         }
         Ok((bw, lat))
     }
@@ -371,6 +471,63 @@ mod tests {
         let (bw, lat) = n.path_metrics("sensor", "pda", 0).unwrap();
         assert_eq!(bw, 50.0, "sensor link is the bottleneck");
         assert_eq!(lat, 3);
+    }
+
+    #[test]
+    fn parallel_links_resolve_to_the_first_up_one_in_insertion_order() {
+        let mut n = Network::new();
+        n.add_device(Device::new("a", DeviceKind::Server));
+        n.add_device(Device::new("b", DeviceKind::Server));
+        for (bw, lat) in [(10.0, 7), (20.0, 5), (30.0, 3)] {
+            n.add_link(Link::new("a", "b", LinkKind::Wired, BandwidthProfile::Constant(bw), lat));
+        }
+        assert_eq!(n.path_metrics("a", "b", 0).unwrap(), (10.0, 7));
+        assert_eq!(n.path_metrics("b", "a", 0).unwrap(), (10.0, 7), "either direction");
+        n.links_mut()[0].up = false;
+        assert_eq!(n.path_metrics("a", "b", 0).unwrap(), (20.0, 5), "a down link is passed over");
+        n.links_mut()[0].up = true;
+        assert_eq!(n.path_metrics("a", "b", 0).unwrap(), (10.0, 7));
+    }
+
+    #[test]
+    fn late_and_replaced_devices_keep_the_index_in_step() {
+        let link = |a: &str, b: &str| {
+            Link::new(a, b, LinkKind::Wired, BandwidthProfile::Constant(100.0), 1)
+        };
+        // Built out of order: links first, the hub that joins them last,
+        // under a name that sorts before every other device.
+        let mut n = Network::new();
+        n.add_link(link("m", "hub"));
+        n.add_device(Device::new("m", DeviceKind::Server));
+        n.add_device(Device::new("z", DeviceKind::Server));
+        n.add_link(link("hub", "z"));
+        assert!(n.hop_distance("m", "z").is_err(), "the hub is not there yet");
+        n.add_device(Device::new("hub", DeviceKind::Server));
+        // Replaced mid-run: same id, same links, new state.
+        let id = n.id_of("m");
+        let mut dead = Device::new("m", DeviceKind::Laptop);
+        dead.alive = false;
+        n.add_device(dead);
+        assert_eq!(n.id_of("m"), id);
+
+        let mut fresh = Network::new();
+        for d in n.devices() {
+            fresh.add_device(d.clone());
+        }
+        for l in n.links() {
+            fresh.add_link(l.clone());
+        }
+        let names = ["hub", "m", "z"];
+        for a in names {
+            for b in names {
+                assert_eq!(n.hop_distance(a, b), fresh.hop_distance(a, b), "{a} -> {b}");
+                assert_eq!(n.heartbeat(a, b), fresh.heartbeat(a, b), "{a} -> {b}");
+            }
+        }
+        assert_eq!(n.hop_distance("hub", "z"), Ok(1));
+        assert!(!n.heartbeat("hub", "m"), "the replacement arrived dead");
+        n.add_device(Device::new("m", DeviceKind::Server));
+        assert_eq!(n.hop_distance("m", "z"), Ok(2), "and its links survived both replacements");
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Network properties: hop-distance symmetry and triangle inequality over
-//! random topologies, transfer-time monotonicity, and BEST consistency.
-//!
-//! Randomised suites are opt-in: `cargo test -p ubinet --features slow-props`.
-#![cfg(feature = "slow-props")]
+//! Network properties. Tier-1: component labels against the pairwise
+//! definition of reachability, on random topologies under random fault
+//! sequences. Opt-in (`cargo test -p ubinet --features slow-props`):
+//! hop-distance symmetry and triangle inequality, transfer-time
+//! monotonicity, and BEST consistency.
 
 use adm_rng::{run_cases, Pcg32};
 use ubinet::device::{Device, DeviceKind};
 use ubinet::link::{BandwidthProfile, Link, LinkKind};
 use ubinet::net::Network;
+#[cfg(feature = "slow-props")]
 use ubinet::select::best;
 
 fn network(n_devices: usize, edges: &[(usize, usize)], loads: &[f64]) -> Network {
@@ -36,6 +37,7 @@ fn edges(rng: &mut Pcg32, n: usize, lo: usize, hi: usize) -> Vec<(usize, usize)>
 
 /// d(x, y) == d(y, x), and d obeys the triangle inequality wherever
 /// all three distances exist.
+#[cfg(feature = "slow-props")]
 #[test]
 fn hop_distance_is_a_metric() {
     run_cases(0xe71, 64, |rng| {
@@ -66,6 +68,7 @@ fn hop_distance_is_a_metric() {
 }
 
 /// Transfer time is monotone in payload size.
+#[cfg(feature = "slow-props")]
 #[test]
 fn transfer_time_monotone_in_size() {
     run_cases(0xe72, 128, |rng| {
@@ -89,6 +92,7 @@ fn transfer_time_monotone_in_size() {
 
 /// BEST always returns the candidate with maximal available capacity,
 /// and never a dead device.
+#[cfg(feature = "slow-props")]
 #[test]
 fn best_is_argmax_of_available_capacity() {
     run_cases(0xe73, 256, |rng| {
@@ -113,6 +117,77 @@ fn best_is_argmax_of_available_capacity() {
                     assert!(net.device(n).unwrap().available_capacity() <= 0.0);
                 }
             }
+        }
+    });
+}
+
+/// The pairwise definition the component labels stand in for, kept as a
+/// reference walk of its own: `b` is in the result when `a` and `b` are
+/// alive and some path of up links through alive devices joins them.
+/// Reads only the public link and device state — none of the network's
+/// index.
+fn reachable_by_definition(net: &Network, a: &str) -> Vec<String> {
+    let alive = |n: &str| net.device(n).is_some_and(|d| d.alive);
+    if !alive(a) {
+        return Vec::new();
+    }
+    let mut reached = vec![a.to_owned()];
+    let mut next = 0;
+    while next < reached.len() {
+        let cur = reached[next].clone();
+        next += 1;
+        for l in net.links().iter().filter(|l| l.up && l.touches(&cur)) {
+            let other = if l.a == cur { &l.b } else { &l.a };
+            if alive(other) && !reached.contains(other) {
+                reached.push(other.clone());
+            }
+        }
+    }
+    reached
+}
+
+/// After every step of a random kill / revive / link-flap / partition /
+/// heal sequence, two devices share a component label exactly when the
+/// pairwise definition connects them, dead devices carry no label, labels
+/// count up in name order of each component's first member, and
+/// `heartbeat` agrees with both.
+#[test]
+fn component_labels_match_pairwise_reachability_under_faults() {
+    run_cases(0xe74, 48, |rng| {
+        let n = rng.index(23) + 2;
+        let edges = edges(rng, n, 0, 2 * n);
+        let mut net = network(n, &edges, &vec![0.0; n]);
+        // Names out of numeric order ("d10" < "d2"), ids in name order.
+        let mut names: Vec<String> = (0..n).map(|i| format!("d{i}")).collect();
+        names.sort();
+        let pick = |rng: &mut Pcg32| format!("d{}", rng.index(n));
+        for _ in 0..12 {
+            let island: Vec<String> = (0..rng.index(n)).map(|_| pick(rng)).collect();
+            match rng.index(5) {
+                0 => net.device_mut(&pick(rng)).unwrap().alive = false,
+                1 => net.device_mut(&pick(rng)).unwrap().alive = true,
+                2 => drop(net.set_link_up(&pick(rng), &pick(rng), rng.chance(0.5))),
+                3 => drop(net.partition(&island)),
+                _ => drop(net.heal(&island)),
+            }
+            let components = net.components();
+            let label = |name: &str| components.label(net.id_of(name).unwrap());
+            let mut fresh = 0;
+            for (i, a) in names.iter().enumerate() {
+                assert_eq!(net.id_of(a), Some(i), "ids are ranks in name order");
+                assert_eq!(label(a).is_some(), net.device(a).unwrap().alive, "{a}");
+                if let Some(l) = label(a) {
+                    assert!(l <= fresh, "{a}: labels count up in name order");
+                    fresh = fresh.max(l + 1);
+                }
+                let reached = reachable_by_definition(&net, a);
+                for b in &names {
+                    let same = label(a).is_some() && label(a) == label(b);
+                    assert_eq!(same, reached.contains(b), "{a} ~ {b}");
+                    assert_eq!(same, net.heartbeat(a, b), "{a} -> {b}");
+                }
+            }
+            assert_eq!(components.count(), fresh as usize);
         }
     });
 }

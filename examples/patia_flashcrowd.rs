@@ -23,7 +23,7 @@ fn run(adaptive: bool) -> (Vec<u64>, usize, usize) {
         let reqs = gen.tick(t);
         let stats = server.tick(&reqs, 64.0);
         switches += stats.migrations.len();
-        latencies.extend(stats.latencies);
+        latencies.extend(stats.latencies.iter());
     }
     let agents = server.agents(AtomId(123)).len();
     (latencies, switches, agents)

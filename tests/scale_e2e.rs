@@ -15,7 +15,7 @@ fn budget_secs() -> u64 {
     if cfg!(debug_assertions) {
         300
     } else {
-        30
+        5
     }
 }
 

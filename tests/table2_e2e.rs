@@ -95,7 +95,7 @@ fn constraint_455_switches_under_flash_crowd_and_bounds_latency() {
         for t in 1..=1500 {
             let st = s.tick(&gen.tick(t), 64.0);
             switches += st.migrations.len();
-            lat.extend(st.latencies);
+            lat.extend(st.latencies.iter());
         }
         lat.sort_unstable();
         let p99 = lat[lat.len().saturating_sub(1) * 99 / 100];
