@@ -270,13 +270,14 @@ fn binding_edges(
 /// smallest member so reports are deterministic.
 ///
 /// Shared by the document analyser (service-dependency cycles between
-/// sub-instances) and `compkit`'s reconfiguration-plan linter (binding and
-/// lock-order cycles over plan atoms).
+/// sub-instances), `compkit`'s reconfiguration-plan linter (binding and
+/// lock-order cycles over plan atoms) and the `txn` lock manager
+/// (wait-for cycles). Edges may be owned (`String`) or borrowed (`&str`).
 #[must_use]
-pub fn find_cycle(edges: &[(String, String)]) -> Option<String> {
+pub fn find_cycle<S: AsRef<str>>(edges: &[(S, S)]) -> Option<String> {
     let mut adj: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     for (a, b) in edges {
-        adj.entry(a).or_default().push(b);
+        adj.entry(a.as_ref()).or_default().push(b.as_ref());
     }
     #[derive(PartialEq)]
     enum Mark {

@@ -267,7 +267,8 @@ impl PlanLinter {
 
     /// Lint a single plan in isolation: the intrinsic checks only
     /// (undo-completeness, dangling endpoints, binding cycles). This is
-    /// what the Adaptivity Manager runs before every switch.
+    /// what the Adaptivity Manager and the cross-shard coordinator run
+    /// before every switch.
     #[must_use]
     pub fn lint_one(&self, plan: &ReconfigurationPlan) -> PlanLintReport {
         self.lint(std::slice::from_ref(plan))
@@ -275,6 +276,11 @@ impl PlanLinter {
 
     /// Lint a set of pending plans: every intrinsic check on each plan,
     /// plus the cross-plan conflict and lock-order analyses over the set.
+    ///
+    /// The cross-plan analyses run only for two or more plans, because
+    /// on fewer they cannot report anything: a conflict needs a pair of
+    /// plans, and one plan's first-touch order is deduplicated, so its
+    /// chain of order edges is a simple path with no cycle.
     #[must_use]
     pub fn lint(&self, plans: &[ReconfigurationPlan]) -> PlanLintReport {
         let mut diags = Vec::new();
@@ -283,9 +289,11 @@ impl PlanLinter {
             Self::check_dangling(i, plan, &mut diags);
             Self::check_binding_cycle(i, plan, &mut diags);
         }
-        let fps: Vec<Footprint> = plans.iter().map(footprint).collect();
-        Self::check_conflicts(&fps, &mut diags);
-        Self::check_lock_order(&fps, &mut diags);
+        if plans.len() >= 2 {
+            let fps: Vec<Footprint> = plans.iter().map(footprint).collect();
+            Self::check_conflicts(&fps, &mut diags);
+            Self::check_lock_order(&fps, &mut diags);
+        }
         PlanLintReport {
             diagnostics: diags,
             plans: plans.len(),
@@ -377,14 +385,8 @@ impl PlanLinter {
         plan: &ReconfigurationPlan,
         diags: &mut Vec<PlanDiagnostic>,
     ) {
-        let edges: Vec<(String, String)> = plan
-            .bind
-            .iter()
-            .filter_map(|b| match (endpoint(&b.from), endpoint(&b.to)) {
-                (Some(f), Some(t)) => Some((f.to_owned(), t.to_owned())),
-                _ => None,
-            })
-            .collect();
+        let edges: Vec<(&str, &str)> =
+            plan.bind.iter().filter_map(|b| Some((endpoint(&b.from)?, endpoint(&b.to)?))).collect();
         if let Some(cycle) = find_cycle(&edges) {
             diags.push(PlanDiagnostic {
                 severity: Severity::Error,
@@ -425,7 +427,8 @@ impl PlanLinter {
     /// consecutive before/after edges; a cycle in the union means no
     /// global acquisition order satisfies every plan — deadlock is
     /// reachable. A single plan's chain is totally ordered, so cycles
-    /// require at least two plans.
+    /// require at least two plans (and [`PlanLinter::lint`] only asks
+    /// then).
     fn check_lock_order(fps: &[Footprint], diags: &mut Vec<PlanDiagnostic>) {
         let mut edges: Vec<(String, String)> = Vec::new();
         for fp in fps {
@@ -667,5 +670,117 @@ mod tests {
         for d in &first.diagnostics {
             assert!(!d.to_string().is_empty());
         }
+    }
+
+    // ----- the cross-plan gate is exact -----
+
+    /// Test-only reference: all five analyses, unconditionally, with the
+    /// binding-cycle edges owned — what `lint` computes for any set size.
+    fn lint_reference(plans: &[ReconfigurationPlan]) -> PlanLintReport {
+        let mut diags = Vec::new();
+        for (i, plan) in plans.iter().enumerate() {
+            PlanLinter::check_undo(i, plan, &mut diags);
+            PlanLinter::check_dangling(i, plan, &mut diags);
+            let edges: Vec<(String, String)> = plan
+                .bind
+                .iter()
+                .filter_map(|b| match (endpoint(&b.from), endpoint(&b.to)) {
+                    (Some(f), Some(t)) => Some((f.to_owned(), t.to_owned())),
+                    _ => None,
+                })
+                .collect();
+            if let Some(cycle) = find_cycle(&edges) {
+                diags.push(PlanDiagnostic {
+                    severity: Severity::Error,
+                    plan: Some(i),
+                    kind: PlanDiagnosticKind::BindingCycle { cycle },
+                });
+            }
+        }
+        let fps: Vec<Footprint> = plans.iter().map(footprint).collect();
+        PlanLinter::check_conflicts(&fps, &mut diags);
+        PlanLinter::check_lock_order(&fps, &mut diags);
+        PlanLintReport {
+            diagnostics: diags,
+            plans: plans.len(),
+            steps: plans.iter().map(ReconfigurationPlan::len).sum(),
+        }
+    }
+
+    /// A random plan over a small name pool, so duplicated steps, cyclic
+    /// binds, dangling endpoints, untyped stops and composite-own ports
+    /// all occur; one plan in eight is empty.
+    fn random_plan(rng: &mut adm_rng::Pcg32) -> ReconfigurationPlan {
+        const NAMES: [&str; 5] = ["a", "b", "c", "d", "e"];
+        const PORTS: [&str; 2] = ["p", "q"];
+        const TYPES: [&str; 3] = ["T", "U", ""];
+        let mut plan = ReconfigurationPlan::default();
+        if rng.index(8) == 0 {
+            return plan;
+        }
+        fn port(rng: &mut adm_rng::Pcg32) -> PortRef {
+            let (p, name) = (*rng.choose(&PORTS), *rng.choose(&NAMES));
+            if rng.index(10) == 0 {
+                PortRef::own(p)
+            } else {
+                PortRef::on(name, p)
+            }
+        }
+        for _ in 0..rng.index(3) {
+            plan.unbind.push(Binding { from: port(rng), to: port(rng) });
+        }
+        for _ in 0..rng.index(3) {
+            plan.stop.push(((*rng.choose(&NAMES)).into(), (*rng.choose(&TYPES)).into()));
+        }
+        for _ in 0..rng.index(3) {
+            plan.start.push(((*rng.choose(&NAMES)).into(), (*rng.choose(&TYPES)).into()));
+        }
+        for _ in 0..rng.index(5) {
+            plan.bind.push(Binding { from: port(rng), to: port(rng) });
+        }
+        plan
+    }
+
+    #[test]
+    fn lint_one_equals_the_all_analyses_reference_on_a_random_corpus() {
+        let mut rng = adm_rng::Pcg32::new(0x91a7_0001);
+        let linter = PlanLinter::new();
+        let mut seen = [0usize; 4]; // empty, undo, dangling, binding cycle
+        for case in 0..600 {
+            let plan = random_plan(&mut rng);
+            let got = linter.lint_one(&plan);
+            assert_eq!(got, lint_reference(std::slice::from_ref(&plan)), "case {case}: {plan:?}");
+            seen[0] += usize::from(plan.is_empty());
+            for k in kinds(&got) {
+                match k {
+                    PlanDiagnosticKind::UndoIncomplete { .. } => seen[1] += 1,
+                    PlanDiagnosticKind::DanglingBinding { .. } => seen[2] += 1,
+                    PlanDiagnosticKind::BindingCycle { .. } => seen[3] += 1,
+                    other => panic!("case {case}: a single plan reported {other}"),
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n >= 20), "the corpus covers every shape: {seen:?}");
+    }
+
+    #[test]
+    fn plan_sets_still_get_the_cross_plan_analyses() {
+        let mut rng = adm_rng::Pcg32::new(0x91a7_0002);
+        let linter = PlanLinter::new();
+        let (mut conflicts, mut cycles) = (0usize, 0usize);
+        for case in 0..300 {
+            let n = 2 + rng.index(2);
+            let plans: Vec<ReconfigurationPlan> = (0..n).map(|_| random_plan(&mut rng)).collect();
+            let got = linter.lint(&plans);
+            assert_eq!(got, lint_reference(&plans), "case {case}: {plans:?}");
+            for k in kinds(&got) {
+                match k {
+                    PlanDiagnosticKind::CrossPlanConflict { .. } => conflicts += 1,
+                    PlanDiagnosticKind::LockOrderCycle { .. } => cycles += 1,
+                    _ => {}
+                }
+            }
+        }
+        assert!(conflicts >= 20 && cycles >= 20, "conflicts {conflicts}, cycles {cycles}");
     }
 }

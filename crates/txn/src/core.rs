@@ -44,6 +44,12 @@ use std::fmt;
 pub enum TxnError {
     /// A sub-plan failed the static linter; nothing was locked or logged.
     LintRejected(PlanLintReport),
+    /// A sub-plan names a shard the caller does not hold; nothing was
+    /// locked or logged.
+    UnknownShard {
+        /// The missing shard.
+        shard: u32,
+    },
     /// A lock request conflicted with a live (or crashed-but-unrecovered)
     /// transaction; the new transaction aborted without shard work.
     LockConflict {
@@ -104,6 +110,7 @@ impl fmt::Display for TxnError {
             TxnError::LintRejected(r) => {
                 write!(f, "lint rejected ({} diagnostics)", r.diagnostics.len())
             }
+            TxnError::UnknownShard { shard } => write!(f, "plan names unknown shard s{shard}"),
             TxnError::LockConflict { resource, holders } => {
                 write!(f, "lock conflict on {resource} (held by {holders:?})")
             }
@@ -165,6 +172,16 @@ impl TxnRecoveryReport {
     pub fn noop(&self) -> bool {
         self.outcome == RecoveryOutcome::Clean && self.undone == 0 && self.in_doubt_resolved == 0
     }
+}
+
+/// One shard's part in a cross-shard switch: its data component, its
+/// sub-plan decomposed once (the steps feed both the lock set and the
+/// prepare loop), and the records of the steps it has applied so far.
+struct Participant<'a> {
+    id: u32,
+    dc: &'a mut DataComponent,
+    steps: Vec<PlanStep>,
+    applied: Vec<(usize, StepRecord)>,
 }
 
 /// The shared transactional component: lock manager + transaction log +
@@ -259,7 +276,7 @@ impl TransactionCore {
         hook: &mut dyn TxnCrashHook,
     ) -> Result<CrossShardReport, TxnError> {
         // Static gate first: nothing is locked or logged for a plan the
-        // linter rejects.
+        // linter rejects or one that names a shard the caller lacks.
         let linter = PlanLinter::new();
         let total_steps: usize = plans.values().map(ReconfigurationPlan::len).sum();
         if let Some(o) = &self.obs {
@@ -280,6 +297,22 @@ impl TransactionCore {
                 return Err(TxnError::LintRejected(report));
             }
         }
+        if let Some(&shard) = plans.keys().find(|id| !shards.contains_key(id)) {
+            return Err(TxnError::UnknownShard { shard });
+        }
+        // Every planned shard is held and both maps iterate in ascending
+        // id order, so the filtered shards pair up with the sub-plans.
+        let mut participants: Vec<Participant<'_>> = shards
+            .iter_mut()
+            .filter(|(id, _)| plans.contains_key(id))
+            .zip(plans.values())
+            .map(|((&id, dc), plan)| Participant {
+                id,
+                dc,
+                steps: PlanStep::decompose(plan),
+                applied: Vec::new(),
+            })
+            .collect();
 
         let shard_ids: Vec<ShardId> = plans.keys().map(|id| ShardId(*id)).collect();
         let gtxn = self.log.begin(shard_ids, now);
@@ -289,11 +322,9 @@ impl TransactionCore {
         // Growing phase: lock every touched instance, shard-qualified, in
         // global sorted order so the coordinator itself cannot deadlock.
         let mut resources: BTreeSet<String> = BTreeSet::new();
-        for (id, plan) in plans {
-            for step in PlanStep::decompose(plan) {
-                for inst in step.footprint() {
-                    resources.insert(format!("s{id}/{inst}"));
-                }
+        for p in &participants {
+            for inst in p.steps.iter().flat_map(PlanStep::instances) {
+                resources.insert(format!("s{}/{inst}", p.id));
             }
         }
         for r in &resources {
@@ -335,15 +366,13 @@ impl TransactionCore {
         }
 
         // Prepare phase: every shard applies its sub-plan and votes.
-        let mut applied: BTreeMap<u32, Vec<(usize, StepRecord)>> = BTreeMap::new();
-        let mut intents: Vec<u32> = Vec::new();
         let mut forward_steps = 0usize;
-        for (id, plan) in plans {
-            let dc = shards.get_mut(id).expect("plan names an unknown shard");
-            self.log.append(TxnRecord::Intent { gtxn, shard: ShardId(*id), steps: plan.len() });
+        for i in 0..participants.len() {
+            let p = &mut participants[i];
+            let id = p.id;
+            self.log.append(TxnRecord::Intent { gtxn, shard: ShardId(id), steps: p.steps.len() });
             self.bill(Primitive::Store);
-            intents.push(*id);
-            for (index, step) in PlanStep::decompose(plan).iter().enumerate() {
+            for (index, step) in p.steps.iter().enumerate() {
                 let injected = match step {
                     PlanStep::Unbind(b) => {
                         faults.fail_unbind(b).map(|r| (format!("unbind {} -- {}", b.from, b.to), r))
@@ -356,30 +385,27 @@ impl TransactionCore {
                     }
                     PlanStep::Start(..) => None,
                 };
-                if let Some((desc, reason)) = injected {
-                    return self.abort_path(
-                        shards,
-                        span,
-                        gtxn,
-                        &intents,
-                        &mut applied,
-                        forward_steps,
-                        TxnError::Injected { shard: *id, step: desc, reason },
-                        faults,
-                        hook,
-                    );
-                }
-                let record = match dc.apply_step(step, now) {
-                    Ok(r) => r,
-                    Err(reason) => {
+                let outcome = match injected {
+                    Some((desc, reason)) => {
+                        Err(TxnError::Injected { shard: id, step: desc, reason })
+                    }
+                    None => p.dc.apply_step(step, now).map_err(|reason| TxnError::StepFailed {
+                        shard: id,
+                        step: format!("{step:?}"),
+                        reason,
+                    }),
+                };
+                let record = match outcome {
+                    Ok(record) => record,
+                    Err(cause) => {
+                        // Every shard up to this one has logged its intent.
+                        let intents = &mut participants[..=i];
                         return self.abort_path(
-                            shards,
                             span,
                             gtxn,
-                            &intents,
-                            &mut applied,
+                            intents,
                             forward_steps,
-                            TxnError::StepFailed { shard: *id, step: format!("{step:?}"), reason },
+                            cause,
                             faults,
                             hook,
                         );
@@ -387,26 +413,26 @@ impl TransactionCore {
                 };
                 self.log.append(TxnRecord::Applied {
                     gtxn,
-                    shard: ShardId(*id),
+                    shard: ShardId(id),
                     index,
                     step: record.clone(),
                 });
                 self.bill(Primitive::Store);
-                applied.entry(*id).or_default().push((index, record));
+                p.applied.push((index, record));
                 forward_steps += 1;
-                let site = TxnCrashSite::ShardStep { shard: *id, index };
+                let site = TxnCrashSite::ShardStep { shard: id, index };
                 if hook.crash(&site) {
                     return self.crash_out(span, &site, forward_steps, 0);
                 }
             }
             // The vote is forced: a prepared shard must survive a crash.
-            self.log.append(TxnRecord::Prepared { gtxn, shard: ShardId(*id) });
+            self.log.append(TxnRecord::Prepared { gtxn, shard: ShardId(id) });
             self.bill(Primitive::Store);
             self.bill(Primitive::LogForce);
             if let Some(o) = &self.obs {
                 o.borrow_mut().metrics.counter_add("txn.log.force", 1);
             }
-            let site = TxnCrashSite::ShardPrepared { shard: *id };
+            let site = TxnCrashSite::ShardPrepared { shard: id };
             if hook.crash(&site) {
                 return self.crash_out(span, &site, forward_steps, 0);
             }
@@ -426,11 +452,10 @@ impl TransactionCore {
             return self.crash_out(span, &TxnCrashSite::AfterDecision, forward_steps, 0);
         }
 
-        // Commit fan-out.
-        for (id, records) in &applied {
-            let dc = shards.get_mut(id).expect("shard vanished mid-fanout");
-            let steps: Vec<StepRecord> = records.iter().map(|(_, s)| s.clone()).collect();
-            if let Err(reason) = dc.persist_steps(&steps) {
+        // Commit fan-out, to every shard that applied a step.
+        for p in participants.iter_mut().filter(|p| !p.applied.is_empty()) {
+            let steps: Vec<StepRecord> = p.applied.iter().map(|(_, s)| s.clone()).collect();
+            if let Err(reason) = p.dc.persist_steps(&steps) {
                 // Committed but not yet persisted everywhere: leave the log
                 // open, recovery finishes the fan-out.
                 self.crashes = self.crashes.saturating_add(1);
@@ -439,11 +464,11 @@ impl TransactionCore {
                     o.end_with(span, vec![("outcome", "store_failed".to_owned())]);
                     o.metrics.counter_add("txn.switch.crashed", 1);
                 }
-                return Err(TxnError::Store { shard: *id, reason });
+                return Err(TxnError::Store { shard: p.id, reason });
             }
-            self.log.append(TxnRecord::ShardCommitted { gtxn, shard: ShardId(*id) });
+            self.log.append(TxnRecord::ShardCommitted { gtxn, shard: ShardId(p.id) });
             self.bill(Primitive::Store);
-            let site = TxnCrashSite::ShardCommitted { shard: *id };
+            let site = TxnCrashSite::ShardCommitted { shard: p.id };
             if hook.crash(&site) {
                 return self.crash_out(span, &site, forward_steps, 0);
             }
@@ -472,16 +497,15 @@ impl TransactionCore {
     }
 
     /// The abort path: compensate every applied step in reverse (newest
-    /// shard first, newest step first), log the abort fan-out, end the
+    /// shard first, newest step first), log the abort fan-out to every
+    /// shard in `intents` (those whose intent is logged), end the
     /// transaction. Presumed abort — no decision record is written.
     #[allow(clippy::too_many_arguments)]
     fn abort_path(
         &mut self,
-        shards: &mut BTreeMap<u32, DataComponent>,
         span: Option<obs::SpanId>,
         gtxn: u64,
-        intents: &[u32],
-        applied: &mut BTreeMap<u32, Vec<(usize, StepRecord)>>,
+        intents: &mut [Participant<'_>],
         forward_steps: usize,
         cause: TxnError,
         faults: &mut dyn StepFaults,
@@ -489,29 +513,29 @@ impl TransactionCore {
     ) -> Result<CrossShardReport, TxnError> {
         let mut undos = 0usize;
         let mut residue: Vec<String> = Vec::new();
-        for id in intents.iter().rev() {
-            let dc = shards.get_mut(id).expect("shard vanished mid-abort");
-            for (index, record) in applied.remove(id).unwrap_or_default().into_iter().rev() {
+        for p in intents.iter_mut().rev() {
+            let id = p.id;
+            for (index, record) in p.applied.iter().rev() {
                 let desc = record.undo_describe();
                 if let Some(reason) = faults.fail_rollback(&desc) {
                     residue.push(format!("s{id} {desc}: {reason}"));
                     continue;
                 }
-                if let Err(err) = dc.undo_step(&record) {
+                if let Err(err) = p.dc.undo_step(record) {
                     residue.push(format!("s{id} {desc}: {err}"));
                     continue;
                 }
                 undos += 1;
-                self.log.append(TxnRecord::Undone { gtxn, shard: ShardId(*id), index });
+                self.log.append(TxnRecord::Undone { gtxn, shard: ShardId(id), index: *index });
                 self.bill(Primitive::Store);
-                let site = TxnCrashSite::ShardUndone { shard: *id, undos };
+                let site = TxnCrashSite::ShardUndone { shard: id, undos };
                 if hook.crash(&site) {
                     return self.crash_out(span, &site, forward_steps, undos);
                 }
             }
-            self.log.append(TxnRecord::ShardAborted { gtxn, shard: ShardId(*id) });
+            self.log.append(TxnRecord::ShardAborted { gtxn, shard: ShardId(id) });
             self.bill(Primitive::Store);
-            let site = TxnCrashSite::ShardAborted { shard: *id };
+            let site = TxnCrashSite::ShardAborted { shard: id };
             if hook.crash(&site) {
                 return self.crash_out(span, &site, forward_steps, undos);
             }
@@ -1013,5 +1037,29 @@ mod tests {
         assert!(matches!(err, TxnError::LintRejected(_)));
         assert!(tc.log().is_empty());
         assert_eq!(tc.locks().held_total(), 0);
+    }
+
+    #[test]
+    fn unknown_shard_logs_and_locks_nothing() {
+        let (mut shards, mut plans) = world();
+        let before = digests(&shards);
+        let mut tc = TransactionCore::new();
+        // Shards 0 and 1 exist and their sub-plans are clean; shard 7 does not.
+        plans.insert(
+            7,
+            ReconfigurationPlan { stop: vec![("ghost".into(), "G".into())], ..Default::default() },
+        );
+        let err = tc
+            .execute_cross_shard(&mut shards, &plans, 40, &mut NoFaults, &mut NoTxnCrash)
+            .unwrap_err();
+        assert_eq!(err, TxnError::UnknownShard { shard: 7 });
+        assert!(tc.log().is_empty());
+        assert_eq!(tc.log().appended_total(), 0, "not even a Begin");
+        assert_eq!(tc.locks().held_total(), 0);
+        assert_eq!(tc.locks().grants(), 0);
+        assert_eq!(digests(&shards), before, "no shard was touched");
+        // The valid sub-plans alone still commit.
+        plans.remove(&7);
+        tc.execute_cross_shard(&mut shards, &plans, 41, &mut NoFaults, &mut NoTxnCrash).unwrap();
     }
 }

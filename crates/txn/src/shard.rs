@@ -64,12 +64,18 @@ impl PlanStep {
     /// (composite-own ports have no instance and lock nothing).
     #[must_use]
     pub fn footprint(&self) -> Vec<String> {
-        match self {
+        self.instances().map(str::to_owned).collect()
+    }
+
+    /// [`PlanStep::footprint`], borrowed.
+    pub(crate) fn instances(&self) -> impl Iterator<Item = &str> {
+        let (first, second) = match self {
             PlanStep::Unbind(b) | PlanStep::Bind(b) => {
-                [&b.from, &b.to].iter().filter_map(|r| r.instance.clone()).collect()
+                (b.from.instance.as_deref(), b.to.instance.as_deref())
             }
-            PlanStep::Stop(n, _) | PlanStep::Start(n, _) => vec![n.clone()],
-        }
+            PlanStep::Stop(n, _) | PlanStep::Start(n, _) => (Some(n.as_str()), None),
+        };
+        first.into_iter().chain(second)
     }
 }
 

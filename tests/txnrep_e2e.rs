@@ -18,17 +18,24 @@
 //! Part 3 closes the introspection loop: the same crashed core is
 //! queried through the `sys.txns` system table, prepared votes and all.
 
+use adl::ast::Binding;
+use adl::diff::ReconfigurationPlan;
 use adm_core::scenario::txnrep::{
-    crash_points, render_matrix, run_cell_observed, run_clean_observed, seeded_world, sweep,
-    TxnCellReport, TOPOLOGIES, TXN_SEEDS,
+    crash_points, render_matrix, run_cell_observed, run_clean_observed, seeded_world,
+    shard_handles, sweep, TxnCellReport, TOPOLOGIES, TXN_SEEDS,
 };
-use compkit::{AdaptivityManager, NoFaults};
+use compkit::journal::RecoveryOutcome;
+use compkit::{AdaptivityManager, NoFaults, StepFaults};
 use datacomp::Value;
 use obs::query::{arg, Query};
+use obs::Obs;
+use patia::atom::AtomId;
+use patia::shard::cross_shard_plans;
 use query::expr::Pred;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use systab::{filter_count, sum_int, txns_table};
-use txn::{NoTxnCrash, PlannedTxnCrash, TransactionCore, TxnCrashPoint};
+use txn::{NoTxnCrash, PlannedTxnCrash, TransactionCore, TxnCrashPoint, TxnError};
 
 fn goldens_dir() -> PathBuf {
     // Registered under crates/core; the goldens live at the repo root
@@ -206,4 +213,174 @@ fn sys_txns_serves_the_crashed_core_and_its_recovery() {
     assert_eq!(stat("log_live"), 0, "recovery ends the txn and truncation reclaims it");
     assert_eq!(stat("locks_held"), 0);
     assert_eq!(stat("journal_live"), 0, "the legacy journal rides along, empty");
+}
+
+/// The per-shard sub-plans that bring the three-shard world's two atoms
+/// home again: the return leg of the `seeded_world(_, 3)` ping-pong.
+fn home_plans() -> BTreeMap<u32, ReconfigurationPlan> {
+    let handles = shard_handles(3);
+    let mut plans: BTreeMap<u32, ReconfigurationPlan> = BTreeMap::new();
+    for (atom, home) in [(AtomId(123), "node1"), (AtomId(153), "node2")] {
+        for (id, p) in cross_shard_plans(&handles, atom, "wp1", home) {
+            let merged = plans.entry(id).or_default();
+            merged.unbind.extend(p.unbind);
+            merged.stop.extend(p.stop);
+            merged.start.extend(p.start);
+            merged.bind.extend(p.bind);
+        }
+    }
+    plans
+}
+
+/// Fails every bind that lands on `host:node2`.
+#[derive(Debug)]
+struct FailBindToNode2;
+
+impl StepFaults for FailBindToNode2 {
+    fn fail_bind(&mut self, b: &Binding) -> Option<String> {
+        (b.to.instance.as_deref() == Some("host:node2")).then(|| "injected".to_owned())
+    }
+}
+
+/// A committed SWITCH's log, frozen by a crash at the last boundary
+/// before `End` (truncation reclaims a settled transaction's records).
+const COMMITTED_LOG: &str = "\
+begin gtxn=0 shards=[s0,s1,s2] at=50
+intent gtxn=0 shard=s0 steps=2
+applied gtxn=0 shard=s0 [0] unbind atom:123.route -- host:node1.slot
+applied gtxn=0 shard=s0 [1] stop atom:123
+prepared gtxn=0 shard=s0
+intent gtxn=0 shard=s1 steps=2
+applied gtxn=0 shard=s1 [0] unbind atom:153.route -- host:node2.slot
+applied gtxn=0 shard=s1 [1] stop atom:153
+prepared gtxn=0 shard=s1
+intent gtxn=0 shard=s2 steps=4
+applied gtxn=0 shard=s2 [0] start atom:123
+applied gtxn=0 shard=s2 [1] start atom:153
+applied gtxn=0 shard=s2 [2] bind atom:123.route -- host:wp1.slot
+applied gtxn=0 shard=s2 [3] bind atom:153.route -- host:wp1.slot
+prepared gtxn=0 shard=s2
+commit gtxn=0
+shard-committed gtxn=0 shard=s0
+shard-committed gtxn=0 shard=s1
+shard-committed gtxn=0 shard=s2
+";
+
+/// The shard-qualified lock set that SWITCH holds while it is open.
+const COMMITTED_LOCKS: [&str; 7] = [
+    "s0/atom:123",
+    "s0/host:node1",
+    "s1/atom:153",
+    "s1/host:node2",
+    "s2/atom:123",
+    "s2/atom:153",
+    "s2/host:wp1",
+];
+
+/// The way home, rolled back by a bind fault on `s1`, frozen at its last
+/// abort record.
+const ROLLED_BACK_LOG: &str = "\
+begin gtxn=1 shards=[s0,s1,s2] at=50
+intent gtxn=1 shard=s0 steps=2
+applied gtxn=1 shard=s0 [0] start atom:123
+applied gtxn=1 shard=s0 [1] bind atom:123.route -- host:node1.slot
+prepared gtxn=1 shard=s0
+intent gtxn=1 shard=s1 steps=2
+applied gtxn=1 shard=s1 [0] start atom:153
+undone gtxn=1 shard=s1 [0]
+shard-aborted gtxn=1 shard=s1
+undone gtxn=1 shard=s0 [1]
+undone gtxn=1 shard=s0 [0]
+shard-aborted gtxn=1 shard=s0
+";
+
+/// The way home again, crashed with every vote in and no decision...
+const CRASHED_LOG: &str = "\
+begin gtxn=2 shards=[s0,s1,s2] at=50
+intent gtxn=2 shard=s0 steps=2
+applied gtxn=2 shard=s0 [0] start atom:123
+applied gtxn=2 shard=s0 [1] bind atom:123.route -- host:node1.slot
+prepared gtxn=2 shard=s0
+intent gtxn=2 shard=s1 steps=2
+applied gtxn=2 shard=s1 [0] start atom:153
+applied gtxn=2 shard=s1 [1] bind atom:153.route -- host:node2.slot
+prepared gtxn=2 shard=s1
+intent gtxn=2 shard=s2 steps=4
+applied gtxn=2 shard=s2 [0] unbind atom:123.route -- host:wp1.slot
+applied gtxn=2 shard=s2 [1] unbind atom:153.route -- host:wp1.slot
+applied gtxn=2 shard=s2 [2] stop atom:123
+applied gtxn=2 shard=s2 [3] stop atom:153
+prepared gtxn=2 shard=s2
+";
+
+/// ...and what a recovery pass that crashed after three compensations
+/// appended to it.
+const RECOVERY_TAIL: &str = "\
+undone gtxn=2 shard=s2 [3]
+undone gtxn=2 shard=s2 [2]
+undone gtxn=2 shard=s2 [1]
+";
+
+/// Locks granted over the three SWITCHes above.
+const GRANTS: u64 = 21;
+
+/// Part 4 — what a commit produces on the `seeded_world(42, 3)`
+/// ping-pong, pinned: the log of a committed, a rolled-back and a
+/// crashed-then-recovered SWITCH, the lock set and grant count, and the
+/// armed hub's price of one commit. The commit path may get faster; it
+/// may not change any of these.
+#[test]
+fn commit_path_output_is_pinned_on_the_three_shard_ping_pong() {
+    let (mut shards, away) = seeded_world(42, 3);
+    let home = home_plans();
+    let mut tc = TransactionCore::new();
+
+    let mut hook = PlannedTxnCrash::new(TxnCrashPoint::MidCommitFanout { shard: 2 });
+    let run = tc.execute_cross_shard(&mut shards, &away, 50, &mut NoFaults, &mut hook);
+    assert!(matches!(run, Err(TxnError::Crashed { .. })), "{run:?}");
+    let committed_log = tc.log().render();
+    let committed_locks = tc.locks().held_by(0);
+    assert_eq!(tc.recover(&mut shards, &mut NoTxnCrash).outcome, RecoveryOutcome::RolledForward);
+
+    let mut hook = PlannedTxnCrash::new(TxnCrashPoint::MidAbortFanout { shard: 0 });
+    let run = tc.execute_cross_shard(&mut shards, &home, 50, &mut FailBindToNode2, &mut hook);
+    assert!(matches!(run, Err(TxnError::Crashed { .. })), "{run:?}");
+    let rolled_back_log = tc.log().render();
+    assert_eq!(tc.recover(&mut shards, &mut NoTxnCrash).outcome, RecoveryOutcome::RolledBack);
+
+    let mut hook = PlannedTxnCrash::new(TxnCrashPoint::BeforeDecision);
+    let run = tc.execute_cross_shard(&mut shards, &home, 50, &mut NoFaults, &mut hook);
+    assert!(matches!(run, Err(TxnError::Crashed { .. })), "{run:?}");
+    let crashed_log = tc.log().render();
+    let mut hook = PlannedTxnCrash::new(TxnCrashPoint::DuringRecovery { after_undos: 3 });
+    assert_eq!(tc.recover(&mut shards, &mut hook).outcome, RecoveryOutcome::Crashed);
+    let recovering_log = tc.log().render();
+    assert_eq!(tc.recover(&mut shards, &mut NoTxnCrash).outcome, RecoveryOutcome::RolledBack);
+    assert!(tc.log().is_empty() && tc.locks().held_total() == 0);
+
+    assert_eq!(committed_log, COMMITTED_LOG);
+    assert_eq!(committed_locks, COMMITTED_LOCKS);
+    assert_eq!(rolled_back_log, ROLLED_BACK_LOG);
+    assert_eq!(crashed_log, CRASHED_LOG);
+    assert_eq!(recovering_log, format!("{CRASHED_LOG}{RECOVERY_TAIL}"));
+    assert_eq!(tc.locks().grants(), GRANTS);
+
+    // The armed price of a commit, as the ping-pong pays it from the home
+    // state: one round trip unarmed first, then 64 commits armed.
+    let (mut shards, away) = seeded_world(42, 3);
+    let mut tc = TransactionCore::new();
+    for plans in [&away, &home] {
+        tc.execute_cross_shard(&mut shards, plans, 50, &mut NoFaults, &mut NoTxnCrash).unwrap();
+    }
+    let hub = Obs::new(obs::CostModel::pentium()).into_handle();
+    tc.arm_obs(hub.clone());
+    let commits = 64u64;
+    for i in 0..commits {
+        let plans = if i % 2 == 0 { &away } else { &home };
+        tc.execute_cross_shard(&mut shards, plans, 50, &mut NoFaults, &mut NoTxnCrash).unwrap();
+    }
+    let hub = hub.borrow();
+    assert_eq!(hub.clock(), 1_855 * commits, "simulated cycles per commit");
+    assert_eq!(hub.metrics.counter("txn.log.force"), 4 * commits, "log forces per commit");
+    assert_eq!(tc.locks().grants(), 7 * (commits + 2), "one grant per locked instance");
 }
