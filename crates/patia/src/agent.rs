@@ -9,10 +9,19 @@
 //!
 //! Queue entries are *batches*: a run of same-tick, same-cost requests is
 //! held as one [`InFlight`] with a `count`, so a flow-level cohort of
-//! thousands of clients costs one entry instead of thousands. The legacy
-//! per-request [`ServiceAgent::accept`] path still stores one entry per
-//! request (`count == 1`), which keeps queue length, SWITCH state sizes,
-//! and Spread splits byte-identical to the pre-batching engine.
+//! thousands of clients costs one entry instead of thousands. Entries are
+//! never coalesced, so the per-request `tick()` shim, which accepts
+//! count-1 batches, still stores one entry per request; that keeps queue
+//! length, SWITCH state sizes, and Spread splits byte-identical to the
+//! pre-batching engine.
+//!
+//! Because the count-1 path lets a queue grow to one entry per waiting
+//! request (13,845 entries across the crowd atom's agents at the peak of
+//! the paper's flash crowd, counted at a tick boundary), the queue's
+//! totals are running counters rather than sums: every method that
+//! changes the queue keeps [`ServiceAgent::queued_work`] and
+//! [`ServiceAgent::queued_requests`] equal to the sum over
+//! [`ServiceAgent::queue`], so both read in O(1) however long the queue.
 
 use crate::atom::AtomId;
 use std::collections::VecDeque;
@@ -39,30 +48,53 @@ pub struct ServiceAgent {
     pub atom: AtomId,
     /// Node the agent currently runs on.
     pub node: String,
-    /// Request queue (processing state — migrates with the agent).
-    pub queue: VecDeque<InFlight>,
+    /// Request queue (processing state — migrates with the agent). Private
+    /// so that only the methods below, which keep the totals, can change it.
+    queue: VecDeque<InFlight>,
+    /// Sum of the queue's work: each head's remaining work plus the full
+    /// cost of every request behind it.
+    queued_work: u64,
+    /// Sum of the queue's entry counts.
+    queued_requests: u64,
     /// Requests served over the agent's lifetime (data state).
     pub served: u64,
     /// How many times the agent has migrated.
     pub migrations: u32,
 }
 
+impl InFlight {
+    /// Work units this entry still needs: the head's remainder plus the
+    /// full cost of each request behind it.
+    fn work(&self) -> u64 {
+        self.remaining_work + (self.count - 1) * self.work_each
+    }
+}
+
 impl ServiceAgent {
     /// A fresh agent on `node`.
     #[must_use]
     pub fn new(atom: AtomId, node: &str) -> Self {
-        Self { atom, node: node.to_owned(), queue: VecDeque::new(), served: 0, migrations: 0 }
+        Self {
+            atom,
+            node: node.to_owned(),
+            queue: VecDeque::new(),
+            queued_work: 0,
+            queued_requests: 0,
+            served: 0,
+            migrations: 0,
+        }
     }
 
-    /// Accept a request at `tick` costing `work` units. Always appends its
-    /// own entry — never coalesces — so the per-request path keeps the
-    /// exact queue shape the golden traces were recorded against.
-    pub fn accept(&mut self, tick: u64, work: u64) {
+    /// Accept a request at `tick` costing `work` units as its own entry.
+    #[cfg(test)]
+    fn accept(&mut self, tick: u64, work: u64) {
         self.accept_batch(tick, work, 1);
     }
 
     /// Accept `n` identical requests at `tick` as one queue entry. The
-    /// flow-level arrival path: a cohort costs O(1) queue space.
+    /// flow-level arrival path: a cohort costs O(1) queue space. Never
+    /// coalesces with the entry before it, so count-1 arrivals keep the
+    /// exact queue shape the golden traces were recorded against.
     pub fn accept_batch(&mut self, tick: u64, work: u64, n: u64) {
         if n == 0 {
             return;
@@ -74,32 +106,36 @@ impl ServiceAgent {
             count: n,
             work_each: work,
         });
+        self.queued_work += work * n;
+        self.queued_requests += n;
     }
 
-    /// Spend up to `budget` work units serving queued requests; returns the
-    /// (arrival, completion) ticks of requests completed this tick.
-    pub fn step(&mut self, now: u64, budget: u64) -> Vec<(u64, u64)> {
+    /// [`ServiceAgent::step_grouped`] expanded to one (arrival, completion)
+    /// tick pair per completed request.
+    #[cfg(test)]
+    fn step(&mut self, now: u64, budget: u64) -> Vec<(u64, u64)> {
         self.step_grouped(budget)
             .into_iter()
             .flat_map(|(arrived, k)| std::iter::repeat_n((arrived, now), k as usize))
             .collect()
     }
 
-    /// The batched serving step: spend up to `budget` work units and
-    /// return `(arrived_at, completed)` groups in completion order. The
-    /// per-request semantics are exactly [`ServiceAgent::step`]'s — a
-    /// request completes only while budget remains (zero-work requests
-    /// included), and a partially-served head keeps its progress — but a
-    /// batch of `k` identical requests is retired with O(1) arithmetic.
+    /// The serving step: spend up to `budget` work units and return
+    /// `(arrived_at, completed)` groups in completion order. A request
+    /// completes only while budget remains (zero-work requests included),
+    /// a partially-served head keeps its progress, and a batch of `k`
+    /// identical requests is retired with O(1) arithmetic.
     pub fn step_grouped(&mut self, mut budget: u64) -> Vec<(u64, u64)> {
         let mut out: Vec<(u64, u64)> = Vec::new();
         while budget > 0 {
             let Some(front) = self.queue.front_mut() else { break };
             if front.remaining_work > budget {
                 front.remaining_work -= budget;
+                self.queued_work -= budget;
                 break; // budget exhausted mid-request
             }
-            budget -= front.remaining_work;
+            let head = front.remaining_work;
+            budget -= head;
             let arrived = front.arrived_at;
             front.count -= 1;
             let more =
@@ -107,6 +143,8 @@ impl ServiceAgent {
             budget -= more * front.work_each;
             front.count -= more;
             let done = 1 + more;
+            self.queued_work -= head + more * front.work_each;
+            self.queued_requests -= done;
             if front.count == 0 {
                 self.queue.pop_front();
             } else {
@@ -119,16 +157,23 @@ impl ServiceAgent {
     }
 
     /// Work units currently queued (the demand this agent places on its
-    /// node), including every request behind each batch head.
+    /// node), including every request behind each batch head. O(1).
     #[must_use]
     pub fn queued_work(&self) -> u64 {
-        self.queue.iter().map(|r| r.remaining_work + (r.count - 1) * r.work_each).sum()
+        self.queued_work
     }
 
     /// Requests currently queued (batch entries weighted by their count).
+    /// O(1).
     #[must_use]
     pub fn queued_requests(&self) -> u64 {
-        self.queue.iter().map(|r| r.count).sum()
+        self.queued_requests
+    }
+
+    /// The request queue, oldest entry first (read-only).
+    #[must_use]
+    pub fn queue(&self) -> &VecDeque<InFlight> {
+        &self.queue
     }
 
     /// Detach the last `want` *requests* from the queue, preserving order —
@@ -141,6 +186,8 @@ impl ServiceAgent {
             let Some(mut back) = self.queue.pop_back() else { break };
             if back.count <= want {
                 want -= back.count;
+                self.queued_work -= back.work();
+                self.queued_requests -= back.count;
                 moved.push_front(back);
             } else {
                 let tail = InFlight {
@@ -151,12 +198,24 @@ impl ServiceAgent {
                     work_each: back.work_each,
                 };
                 back.count -= want;
+                self.queued_work -= tail.work();
+                self.queued_requests -= want;
                 self.queue.push_back(back);
                 moved.push_front(tail);
                 want = 0;
             }
         }
         moved
+    }
+
+    /// Append `entries` (a [`ServiceAgent::split_back`] result) to the
+    /// back of the queue — the receiving half of a Spread.
+    pub fn adopt(&mut self, entries: VecDeque<InFlight>) {
+        for e in &entries {
+            self.queued_work += e.work();
+            self.queued_requests += e.count;
+        }
+        self.queue.extend(entries);
     }
 
     /// SWITCH: migrate to `dest`, carrying queue (processing state) and
@@ -182,8 +241,8 @@ mod tests {
         a.accept(1, 10);
         let done = a.step(2, 25);
         assert_eq!(done.len(), 2, "25 units finish two 10-unit requests");
-        assert_eq!(a.queue.len(), 1);
-        assert_eq!(a.queue[0].remaining_work, 5, "third is half-served");
+        assert_eq!(a.queue().len(), 1);
+        assert_eq!(a.queue()[0].remaining_work, 5, "third is half-served");
         let done = a.step(3, 100);
         assert_eq!(done, vec![(1, 3)]);
         assert_eq!(a.served, 3);
@@ -205,11 +264,11 @@ mod tests {
         a.accept(0, 10);
         a.accept(0, 10);
         a.step(1, 10);
-        let before_queue = a.queue.clone();
+        let before_queue = a.queue().clone();
         let before_served = a.served;
         let bytes = a.migrate("node2");
         assert_eq!(a.node, "node2");
-        assert_eq!(a.queue, before_queue, "in-flight requests travel with the agent");
+        assert_eq!(a.queue(), &before_queue, "in-flight requests travel with the agent");
         assert_eq!(a.served, before_served);
         assert_eq!(a.migrations, 1);
         assert!(bytes >= 64);
@@ -225,7 +284,7 @@ mod tests {
         a.accept(0, 3);
         let done = a.step(1, 5);
         assert_eq!(done.len(), 2, "free request and the 3-unit one both finish");
-        assert!(a.queue.is_empty());
+        assert!(a.queue().is_empty());
         assert_eq!(a.served, 2);
     }
 
@@ -250,7 +309,7 @@ mod tests {
         assert_eq!(batched.step(1, 33), singles.step(1, 33));
         assert_eq!(batched.queued_work(), singles.queued_work());
         assert_eq!(batched.queued_requests(), 2);
-        assert_eq!(batched.queue.len(), 1, "still one physical entry");
+        assert_eq!(batched.queue().len(), 1, "still one physical entry");
         assert_eq!(batched.step(2, 100), singles.step(2, 100));
         assert_eq!(batched.served, singles.served);
     }
@@ -270,7 +329,7 @@ mod tests {
         a.accept_batch(0, 0, 1000);
         a.accept_batch(0, 2, 1);
         assert_eq!(a.step_grouped(2), vec![(0, 1000), (0, 1)]);
-        assert!(a.queue.is_empty());
+        assert!(a.queue().is_empty());
         assert_eq!(a.step_grouped(0), vec![], "zero budget serves nothing");
     }
 
@@ -290,6 +349,101 @@ mod tests {
         // Asking for more than is queued drains without panicking.
         let rest = a.split_back(100);
         assert_eq!(rest.iter().map(|e| e.count).sum::<u64>(), 3);
-        assert!(a.queue.is_empty());
+        assert!(a.queue().is_empty());
+    }
+
+    /// The reference the running totals replace: `(work, requests)`
+    /// summed over every queue entry.
+    fn summed(q: &VecDeque<InFlight>) -> (u64, u64) {
+        q.iter().fold((0, 0), |(work, n), e| {
+            (work + e.remaining_work + (e.count - 1) * e.work_each, n + e.count)
+        })
+    }
+
+    /// Whether `split_back(want)` must split an entry rather than move
+    /// only whole ones.
+    fn cut_straddles(q: &VecDeque<InFlight>, mut want: u64) -> bool {
+        for e in q.iter().rev() {
+            if want == 0 {
+                return false;
+            }
+            if e.count > want {
+                return true;
+            }
+            want -= e.count;
+        }
+        false
+    }
+
+    #[test]
+    fn running_totals_equal_the_queue_sum_after_every_operation() {
+        let (mut mid_head, mut straddles, mut over_asks, mut zero_budgets) = (0, 0, 0, 0);
+        adm_rng::run_cases(0xa6e7, 64, |rng| {
+            let mut agents = [ServiceAgent::new(AtomId(1), "a"), ServiceAgent::new(AtomId(1), "b")];
+            for tick in 0..150 {
+                let i = rng.index(2);
+                let op = match rng.below(8) {
+                    0..=2 => {
+                        let work = if rng.chance(0.2) { 0 } else { 1 + rng.below(12) };
+                        let n = match rng.below(4) {
+                            0 => 0,
+                            1 => rng.below(40),
+                            _ => 1,
+                        };
+                        agents[i].accept_batch(tick, work, n);
+                        "accept_batch"
+                    }
+                    3..=5 => {
+                        let budget = if rng.chance(0.15) { 0 } else { rng.below(120) };
+                        zero_budgets += usize::from(budget == 0);
+                        agents[i].step_grouped(budget);
+                        let front = agents[i].queue().front();
+                        mid_head += usize::from(
+                            budget > 0 && front.is_some_and(|h| h.remaining_work < h.work_each),
+                        );
+                        "step_grouped"
+                    }
+                    6 => {
+                        let queued = summed(agents[i].queue()).1;
+                        let want = if rng.chance(0.3) {
+                            queued + 1 + rng.below(5)
+                        } else {
+                            rng.below(queued + 1)
+                        };
+                        straddles += usize::from(cut_straddles(agents[i].queue(), want));
+                        over_asks += usize::from(want > queued);
+                        let moved = agents[i].split_back(want);
+                        assert_eq!(moved.iter().map(|e| e.count).sum::<u64>(), want.min(queued));
+                        let other = &mut agents[1 - i];
+                        other.adopt(moved);
+                        assert_eq!(
+                            (other.queued_work(), other.queued_requests()),
+                            summed(other.queue()),
+                            "after adopt"
+                        );
+                        "split_back"
+                    }
+                    _ => {
+                        let bytes = agents[i].migrate(if tick % 2 == 0 { "x" } else { "y" });
+                        assert_eq!(bytes, 64 + 24 * summed(agents[i].queue()).1);
+                        "migrate"
+                    }
+                };
+                let a = &agents[i];
+                assert_eq!(
+                    (a.queued_work(), a.queued_requests()),
+                    summed(a.queue()),
+                    "after {op} at tick {tick}"
+                );
+            }
+        });
+        for (case, seen) in [
+            ("mid-head stops", mid_head),
+            ("straddling cuts", straddles),
+            ("over-asks", over_asks),
+            ("zero budgets", zero_budgets),
+        ] {
+            assert!(seen >= 100, "the corpus must exercise {case} (saw {seen})");
+        }
     }
 }

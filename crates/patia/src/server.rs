@@ -1051,7 +1051,7 @@ impl PatiaServer {
                 } else {
                     let mut clone = ServiceAgent::new(c.atom, &dest);
                     let split = queue_len / 2;
-                    clone.queue = agents[worst_idx].split_back(split);
+                    clone.adopt(agents[worst_idx].split_back(split));
                     agents.push(clone);
                     if let Some(o) = &obs {
                         let mut o = o.borrow_mut();

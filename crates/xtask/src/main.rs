@@ -13,9 +13,10 @@
 //! * `bench-gate` — replay the benchmark trajectory and compare it to
 //!   the committed `BENCH_adm.json` under the gate tolerances; exits
 //!   non-zero on drift (what the CI `bench-gate` job runs).
-//! * `scale` — run the mega-crowd scale tier in release: ~10.5M requests
-//!   through the event engine inside the wall-clock budget (what the CI
-//!   `scale` job runs).
+//! * `scale` — run the scale tier in release: ~10.5M mega-crowd requests
+//!   through the event engine inside the wall-clock budget, and the
+//!   armed paper flash crowd inside a 40 ms budget that a tick paying
+//!   per queued request would blow (what the CI `scale` job runs).
 //! * `systab` — run the system-table tier: every committed scenario
 //!   settled and queried through the `sys.*` tables, the query-vs-
 //!   hardcoded SWITCH differential, and the `systab` crate's unit suite
@@ -108,8 +109,8 @@ fn lint_plans() {
     run_cargo(&["test", "-q", "-p", "adm-core", "--test", "lint_plans"], &[]);
 }
 
-/// Run the scale tier (`tests/scale_e2e.rs`) in release — the wall-clock
-/// budget there assumes optimised code.
+/// Run the scale tier (`tests/scale_e2e.rs`) in release — the mega-crowd
+/// and flash-crowd wall-clock budgets there assume optimised code.
 fn scale() {
     run_cargo(&["test", "-q", "--release", "-p", "adm-core", "--test", "scale_e2e"], &[]);
 }
@@ -158,7 +159,7 @@ fn main() {
                  update-goldens  regenerate tests/goldens/ and BENCH_adm.json\n  \
                  bench-gate      compare a fresh bench run against BENCH_adm.json\n  \
                  lint-plans      planlint every committed scenario configuration\n  \
-                 scale           run the mega-crowd scale tier (release, wall-clock budget)\n  \
+                 scale           run the mega- and flash-crowd scale tier (release, wall-clock budgets)\n  \
                  store-recovery  run the WAL crash matrix and the store differential oracles\n  \
                  systab          query every scenario through the sys.* system tables\n  \
                  txn-matrix      run the cross-shard 2PC coordinator/participant crash matrix"
