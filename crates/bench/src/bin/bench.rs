@@ -238,9 +238,9 @@ fn record_store(snap: &mut BenchSnapshot) {
     snap.set("store.cycles.recovery_cells", cell_clock);
     {
         use adm_rng::Pcg32;
-        use store::{PolicyKind, StorageEngine, StoreOp};
+        use store::{StorageEngine, StoreOp};
         let handle = obs::Obs::new(CostModel::pentium()).into_handle();
-        let mut eng = StorageEngine::with_policy(4, PolicyKind::Clock);
+        let mut eng = StorageEngine::new(4);
         eng.arm_obs(handle.clone());
         let mut rng = Pcg32::new(0x10C7);
         for key in 0..256u64 {

@@ -19,58 +19,9 @@ use compkit::state::StateManager;
 use faultsim::{FaultPlan, FaultSpace, PatiaDriver};
 use obs::{Obs, ObsHandle, Primitive, Profile};
 use patia::atom::AtomId;
-use patia::engine::EventEngine;
 use patia::server::{PatiaServer, ServerConfig, SwitchKind, SwitchPolicy, TickStats};
 use patia::workload::{FlashCrowd, RequestGen};
 use std::collections::BTreeMap;
-
-/// Which serving core replays the storyline: the legacy per-tick loop or
-/// the event engine driven tick by tick through its wheel. The two must
-/// produce byte-identical reports and traces — the differential tier
-/// (`engine_diff`) holds the engine to that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Core {
-    Legacy,
-    Engine,
-}
-
-/// The executing core for one run. Run-scoped and stack-allocated once
-/// per scenario, so the size skew between variants is irrelevant.
-#[allow(clippy::large_enum_variant)]
-enum Exec {
-    Legacy(PatiaServer),
-    Engine(EventEngine),
-}
-
-impl Exec {
-    fn server(&self) -> &PatiaServer {
-        match self {
-            Exec::Legacy(s) => s,
-            Exec::Engine(e) => e.server(),
-        }
-    }
-
-    fn server_mut(&mut self) -> &mut PatiaServer {
-        match self {
-            Exec::Legacy(s) => s,
-            Exec::Engine(e) => e.server_mut(),
-        }
-    }
-
-    /// Serve one tick. The engine leg enqueues the tick's arrivals on the
-    /// wheel and processes that exact tick, so both cores see identical
-    /// per-tick inputs and the comparison is pure core-vs-core.
-    fn step(&mut self, t: u64, requests: &[AtomId], bandwidth: f64) -> TickStats {
-        match self {
-            Exec::Legacy(s) => s.tick(requests, bandwidth),
-            Exec::Engine(e) => {
-                let batches: Vec<(AtomId, u64)> = requests.iter().map(|&a| (a, 1)).collect();
-                e.enqueue_arrivals(t, batches);
-                e.run_tick(t, bandwidth)
-            }
-        }
-    }
-}
 
 /// Chaos run parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -216,15 +167,7 @@ impl ChaosReport {
 /// Replay `p.plan` against the paper fleet for `p.ticks` ticks.
 #[must_use]
 pub fn run(p: &ChaosParams) -> ChaosReport {
-    run_inner(p, None, Core::Legacy)
-}
-
-/// Like [`run`], but replayed through the event engine instead of the
-/// legacy tick loop. Byte-identical to [`run`] for every storyline — the
-/// differential tier asserts it.
-#[must_use]
-pub fn run_engine(p: &ChaosParams) -> ChaosReport {
-    run_inner(p, None, Core::Engine)
+    run_full(p, None).0
 }
 
 /// Like [`run`], but with an [`Obs`] hub armed on the server so the run
@@ -233,19 +176,8 @@ pub fn run_engine(p: &ChaosParams) -> ChaosReport {
 /// is equal to [`run`]'s for the same parameters (asserted in `obs_e2e`).
 #[must_use]
 pub fn run_observed(p: &ChaosParams) -> (ChaosReport, Obs) {
-    run_observed_on(p, Core::Legacy)
-}
-
-/// [`run_observed`] through the event engine: same trace, same metrics,
-/// same report — the golden traces must not notice which core served.
-#[must_use]
-pub fn run_engine_observed(p: &ChaosParams) -> (ChaosReport, Obs) {
-    run_observed_on(p, Core::Engine)
-}
-
-fn run_observed_on(p: &ChaosParams, core: Core) -> (ChaosReport, Obs) {
     let handle = Obs::new(obs::CostModel::pentium()).into_handle();
-    let report = run_inner(p, Some(handle.clone()), core);
+    let report = run_full(p, Some(handle.clone())).0;
     let mut obs = Obs::try_unwrap(handle)
         .unwrap_or_else(|_| unreachable!("the server is dropped before the hub is unwrapped"));
     // Fold the finished trace into the cycle-attribution profile and
@@ -275,15 +207,11 @@ pub struct ChaosWorld {
 
 /// Like [`run_observed`], but instead of dropping the machine it returns
 /// the settled [`ChaosWorld`] so callers can serve the machine's own
-/// telemetry through query. Runs on the legacy core (the event engine
-/// cannot yield its server back by value).
+/// telemetry through query.
 #[must_use]
 pub fn run_with_state(p: &ChaosParams) -> ChaosWorld {
     let handle = Obs::new(obs::CostModel::pentium()).into_handle();
-    let (report, exec, mut am) = run_full(p, Some(handle.clone()), Core::Legacy);
-    let Exec::Legacy(mut server) = exec else {
-        unreachable!("run_with_state always drives the legacy core")
-    };
+    let (report, mut server, mut am) = run_full(p, Some(handle.clone()));
     server.disarm_obs();
     am.disarm_obs();
     let mut obs = Obs::try_unwrap(handle)
@@ -310,15 +238,10 @@ fn glue_binding(atom: AtomId, node: &str) -> Binding {
     }
 }
 
-fn run_inner(p: &ChaosParams, obs: Option<ObsHandle>, core: Core) -> ChaosReport {
-    run_full(p, obs, core).0
-}
-
 fn run_full(
     p: &ChaosParams,
     obs: Option<ObsHandle>,
-    core: Core,
-) -> (ChaosReport, Exec, AdaptivityManager) {
+) -> (ChaosReport, PatiaServer, AdaptivityManager) {
     let (net, atoms, constraints) = ServerConfig::paper_fleet();
     let config = ServerConfig { adaptive: p.adaptive, work_per_request: 400 };
     let mut server = PatiaServer::new(net, atoms, constraints, config);
@@ -333,11 +256,6 @@ fn run_full(
     }
     let driver = PatiaDriver::new(p.plan.clone());
     driver.arm(&mut server);
-    let mut exec = match core {
-        Core::Legacy => Exec::Legacy(server),
-        Core::Engine => Exec::Engine(EventEngine::new(server)),
-    };
-    let server = exec.server();
 
     // The component-runtime mirror: one `host:<node>` instance per fleet
     // device, one `atom:<id>` instance per served atom, and a
@@ -408,9 +326,8 @@ fn run_full(
     };
     let mut per_atom: BTreeMap<AtomId, u32> = BTreeMap::new();
     for t in 1..=p.ticks {
-        driver.apply(exec.server_mut(), t);
-        let requests = gen.tick(t);
-        let st = exec.step(t, &requests, p.client_bandwidth_kbps);
+        driver.apply(&mut server, t);
+        let st = server.tick(&gen.tick(t), p.client_bandwidth_kbps);
         report.arrivals += st.arrivals as u64;
         report.completed += st.latencies.len() as u64;
         report.dropped += st.faults.dropped;
@@ -454,13 +371,13 @@ fn run_full(
         }
         report.per_tick.push(st);
     }
-    report.queued_at_end = exec.server().queued_requests();
+    report.queued_at_end = server.queued_requests();
     report.switches_consistent = [AtomId(123), AtomId(153)]
         .iter()
-        .all(|a| exec.server().switches(*a) == per_atom.get(a).copied().unwrap_or(0));
+        .all(|a| server.switches(*a) == per_atom.get(a).copied().unwrap_or(0));
     report.reconfigs_committed = am.committed();
     report.reconfigs_rolled_back = am.rolled_back();
-    (report, exec, am)
+    (report, server, am)
 }
 
 #[cfg(test)]

@@ -79,11 +79,11 @@ pub struct MegaReport {
 }
 
 impl MegaReport {
-    /// Conservation at scale: every offered request is admitted or shed,
-    /// and every admitted one is completed, dropped, or still queued.
+    /// Conservation at scale: every offered request is admitted, and
+    /// every admitted one is completed, dropped, or still queued.
     #[must_use]
     pub fn conserved(&self) -> bool {
-        self.offered == self.totals.arrivals + self.totals.shed
+        self.offered == self.totals.arrivals
             && self.totals.arrivals
                 == self.totals.completed + self.totals.dropped + self.queued_at_end
     }
@@ -261,14 +261,14 @@ pub struct PoolPressurePoint {
 #[must_use]
 pub fn pool_pressure_sweep() -> Vec<PoolPressurePoint> {
     use adm_rng::Pcg32;
-    use store::{PolicyKind, StorageEngine, StoreOp};
+    use store::{StorageEngine, StoreOp};
 
     const RECORDS: u64 = 256;
     const ACCESSES: u64 = 20_000;
     POOL_SWEEP_CAPACITIES
         .iter()
         .map(|&capacity| {
-            let mut eng = StorageEngine::with_policy(capacity, PolicyKind::Clock);
+            let mut eng = StorageEngine::new(capacity);
             let mut rng = Pcg32::new(0x9001);
             // ~480-byte records: eight to a page, so 256 records span
             // ~32 pages and only the largest capacity holds them all.

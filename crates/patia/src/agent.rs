@@ -10,7 +10,7 @@
 //! Queue entries are *batches*: a run of same-tick, same-cost requests is
 //! held as one [`InFlight`] with a `count`, so a flow-level cohort of
 //! thousands of clients costs one entry instead of thousands. Entries are
-//! never coalesced, so the per-request `tick()` shim, which accepts
+//! never coalesced, so the per-request `tick()` driver, which accepts
 //! count-1 batches, still stores one entry per request; that keeps queue
 //! length, SWITCH state sizes, and Spread splits byte-identical to the
 //! pre-batching engine.

@@ -2,8 +2,8 @@
 //! the virtual clock, driving [`PatiaServer::step_at`] only on ticks
 //! where something is due.
 //!
-//! The legacy loop ticks the server unconditionally; this engine inverts
-//! control. Arrivals (either explicit batches or lazily-expanded
+//! [`PatiaServer::tick`] serves every tick whether or not anything
+//! happens in it; this engine inverts control. Arrivals (lazily-expanded
 //! [`FlowSpec`] cohorts), node kills/revivals, and wake-ups are all
 //! events on the wheel; ticks with no due events are *skipped* — but only
 //! when the server is provably quiescent
@@ -13,7 +13,7 @@
 //! before a skip always recorded all-zero utilisation — which is what
 //! makes the gauge re-sample at the next event boundary
 //! ([`PatiaServer::resample_gauges`]) carry forward exactly the values
-//! the legacy per-tick loop would have recorded.
+//! a per-tick driver would have recorded.
 
 use crate::atom::AtomId;
 use crate::server::{PatiaServer, TickStats};
@@ -23,9 +23,6 @@ use crate::workload::{FlowSpec, FlowState};
 /// An event on the engine's timer wheel.
 #[derive(Debug, Clone)]
 pub enum EngineEvent {
-    /// Explicit arrival batches for one tick (the differential harness's
-    /// path: the legacy workload generators enqueue their requests here).
-    Arrivals(Vec<(AtomId, u64)>),
     /// A flow's per-tick pulse: expand flow `i` at the due tick and
     /// re-arm for the next one while the flow stays active.
     FlowPulse(usize),
@@ -44,8 +41,6 @@ pub enum EngineEvent {
 pub struct EngineTotals {
     /// Requests admitted into the server (arrivals seen by `step_at`).
     pub arrivals: u64,
-    /// Requests shed at the engine boundary by the admission cap.
-    pub shed: u64,
     /// Requests completed.
     pub completed: u64,
     /// Requests dropped by the server (unknown/holderless atoms).
@@ -84,9 +79,6 @@ pub struct EventEngine {
     server: PatiaServer,
     wheel: TimerWheel<EngineEvent>,
     flows: Vec<FlowState>,
-    /// Admission cap: once this many requests have been admitted, the
-    /// rest are shed (and counted) instead of queued.
-    shed_cap: Option<u64>,
     totals: EngineTotals,
 }
 
@@ -97,7 +89,7 @@ impl EventEngine {
         let mut wheel = TimerWheel::new();
         // Align the wheel with a server that has already ticked.
         let _ = wheel.pop_due(server.now());
-        Self { server, wheel, flows: Vec::new(), shed_cap: None, totals: EngineTotals::default() }
+        Self { server, wheel, flows: Vec::new(), totals: EngineTotals::default() }
     }
 
     /// The wrapped server.
@@ -107,7 +99,7 @@ impl EventEngine {
     }
 
     /// Mutable access to the wrapped server — how drivers inject faults
-    /// between ticks, exactly as they would against the legacy loop.
+    /// between ticks, exactly as they would against a bare server.
     pub fn server_mut(&mut self) -> &mut PatiaServer {
         &mut self.server
     }
@@ -125,12 +117,6 @@ impl EventEngine {
         &self.wheel
     }
 
-    /// Cap total admitted requests; arrivals beyond the cap are shed and
-    /// counted in [`EngineTotals::shed`].
-    pub fn set_shed_cap(&mut self, cap: u64) {
-        self.shed_cap = Some(cap);
-    }
-
     /// Register a flow: its first pulse is scheduled at `spec.start`, and
     /// each pulse re-arms the next while the flow is active — lazily
     /// expanded, never materialised per request.
@@ -140,11 +126,6 @@ impl EventEngine {
         if spec.start < spec.end {
             self.wheel.schedule(spec.start, EngineEvent::FlowPulse(idx));
         }
-    }
-
-    /// Enqueue explicit arrival batches for `tick`.
-    pub fn enqueue_arrivals(&mut self, tick: u64, batches: Vec<(AtomId, u64)>) {
-        self.wheel.schedule(tick, EngineEvent::Arrivals(batches));
     }
 
     /// Schedule a node kill at `tick` (applied before that tick serves).
@@ -163,24 +144,25 @@ impl EventEngine {
     }
 
     /// Process exactly tick `now`: drain every event due at or before it,
-    /// apply faults, expand flows, shed against the admission cap, and
-    /// run one batched server step. Returns the tick's stats.
+    /// apply faults, expand flows, and run one batched server step.
+    /// Returns the tick's stats.
     ///
     /// # Panics
     /// If `now` does not advance the server's clock.
     pub fn run_tick(&mut self, now: u64, client_bandwidth_kbps: f64) -> TickStats {
-        let skipped = now - self.server.now() - 1;
+        let last = self.server.now();
+        assert!(now > last, "step_at must advance the clock ({last} -> {now})");
+        let skipped = now - last - 1;
         if skipped > 0 {
             // The gap was provably quiescent: re-sample the gauges up to
             // the tick before this one so windowed gauges see the same
-            // per-tick series the legacy loop would have recorded.
+            // per-tick series a per-tick driver would have recorded.
             self.server.resample_gauges(now - 1);
             self.totals.ticks_skipped += skipped;
         }
         let mut batches: Vec<(AtomId, u64)> = Vec::new();
         for (_, ev) in self.wheel.pop_due(now) {
             match ev {
-                EngineEvent::Arrivals(b) => batches.extend(b),
                 EngineEvent::FlowPulse(i) => {
                     let n = self.flows[i].emit(now);
                     if n > 0 {
@@ -198,16 +180,6 @@ impl EventEngine {
                     self.server.revive_node(&node);
                 }
             }
-        }
-        if let Some(cap) = self.shed_cap {
-            let mut room = cap.saturating_sub(self.totals.arrivals);
-            for b in &mut batches {
-                let admit = b.1.min(room);
-                self.totals.shed += b.1 - admit;
-                b.1 = admit;
-                room -= admit;
-            }
-            batches.retain(|&(_, n)| n > 0);
         }
         let stats = self.server.step_at(now, &batches, client_bandwidth_kbps);
         self.absorb(&stats);
@@ -272,11 +244,16 @@ mod tests {
         ))
     }
 
+    /// A flow of `rate` requests per tick for atom 123 over `[start, end)`.
+    fn steady(start: u64, end: u64, rate: f64) -> FlowSpec {
+        FlowSpec { atom: AtomId(123), start, end, rate, ramp: 0, burst: None }
+    }
+
     #[test]
     fn quiescent_gaps_are_skipped_not_processed() {
         let mut e = engine(400);
-        e.enqueue_arrivals(5, vec![(AtomId(123), 3)]);
-        e.enqueue_arrivals(1_000, vec![(AtomId(123), 2)]);
+        e.add_flow(steady(5, 6, 3.0));
+        e.add_flow(steady(1_000, 1_001, 2.0));
         let totals = e.run_to(2_000, 500.0);
         assert_eq!(totals.arrivals, 5);
         assert_eq!(totals.completed, 5);
@@ -299,7 +276,7 @@ mod tests {
 
     #[test]
     fn engine_totals_match_a_legacy_tick_loop() {
-        // Same workload through the shim and the engine, tick by tick:
+        // Same workload through `tick` and the engine, tick by tick:
         // identical TickStats, hence identical totals.
         let reqs_at = |t: u64| -> Vec<AtomId> {
             if (10..30).contains(&t) {
@@ -319,23 +296,20 @@ mod tests {
         for t in 1..=200 {
             legacy_stats.push(legacy.tick(&reqs_at(t), 500.0));
         }
+        // Four rate-1 flows pulse in registration order, so each tick
+        // serves the same four count-1 batches `tick` builds.
         let mut e = engine(400);
-        let mut engine_stats = Vec::new();
-        for t in 1..=200 {
-            let batches: Vec<(AtomId, u64)> = reqs_at(t).iter().map(|&a| (a, 1)).collect();
-            e.enqueue_arrivals(t, batches);
-            engine_stats.push(e.run_tick(t, 500.0));
+        for _ in 0..4 {
+            e.add_flow(steady(10, 30, 1.0));
         }
+        let engine_stats: Vec<TickStats> = (1..=200).map(|t| e.run_tick(t, 500.0)).collect();
         assert_eq!(legacy_stats, engine_stats);
         // And once more with each tick's requests arriving as one cohort:
         // completions are recorded as merged runs, so the record is the
         // same whether a cohort completes whole or request by request.
         let mut e = engine(400);
-        let mut cohort_stats = Vec::new();
-        for t in 1..=200 {
-            e.enqueue_arrivals(t, vec![(AtomId(123), reqs_at(t).len() as u64)]);
-            cohort_stats.push(e.run_tick(t, 500.0));
-        }
+        e.add_flow(steady(10, 30, 4.0));
+        let cohort_stats: Vec<TickStats> = (1..=200).map(|t| e.run_tick(t, 500.0)).collect();
         assert_eq!(legacy_stats, cohort_stats);
     }
 
@@ -354,20 +328,6 @@ mod tests {
         let totals = e.run_to(5_000, 500.0);
         assert_eq!(totals.arrivals, spec.total_requests());
         assert_eq!(totals.completed + e.server().queued_requests(), totals.arrivals);
-        assert_eq!(totals.shed, 0);
-    }
-
-    #[test]
-    fn shed_cap_bounds_admissions_and_counts_the_rest() {
-        let spec =
-            FlowSpec { atom: AtomId(123), start: 1, end: 41, rate: 5.0, ramp: 0, burst: None };
-        let mut e = engine(1);
-        e.add_flow(spec);
-        e.set_shed_cap(120);
-        let totals = e.run_to(5_000, 500.0);
-        assert_eq!(totals.arrivals, 120);
-        assert_eq!(totals.shed, 80);
-        assert_eq!(totals.arrivals + totals.shed, spec.total_requests());
     }
 
     #[test]
@@ -376,15 +336,26 @@ mod tests {
         let home = e.server().agents(AtomId(123))[0].node.clone();
         e.schedule_kill(10, &home);
         e.schedule_revive(40, &home);
-        e.enqueue_arrivals(12, vec![(AtomId(123), 2)]);
+        e.add_flow(steady(12, 13, 2.0));
+        // The kill lands before tick 10 serves, so that very tick
+        // evacuates the agent off the dead node.
+        e.run_to(10, 500.0);
+        assert!(
+            e.server().agents(AtomId(123)).iter().all(|a| a.node != home),
+            "the kill must apply before the tick that evacuates"
+        );
         // Wake ticks keep the clock moving through the incident window.
         let totals = e.run_to(200, 500.0);
         assert!(totals.evacuations >= 1, "the stranded agent must evacuate");
-        assert!(e.server().agents(AtomId(123)).iter().all(|a| a.node != home || {
-            // after revival an agent may legitimately move back
-            true
-        }));
         assert_eq!(totals.completed, 2, "the requests survive the node death");
         assert!(e.server().is_quiescent(), "the incident fully settles");
+    }
+
+    #[test]
+    #[should_panic(expected = "must advance the clock")]
+    fn run_tick_refuses_a_tick_that_does_not_advance_the_clock() {
+        let mut e = engine(400);
+        e.run_tick(3, 500.0);
+        e.run_tick(3, 500.0);
     }
 }

@@ -32,8 +32,8 @@
 //! (heartbeat failure detection, per-peer circuit breakers consulted by
 //! BEST, and restart probing with capped exponential backoff), [`wheel`]
 //! (the hierarchical timer wheel on the virtual clock), and [`engine`]
-//! (the event-driven serving core; `PatiaServer::tick` is now a thin
-//! compatibility shim over the same batched step).
+//! (the event-driven serving core that skips quiescent ticks; the
+//! per-tick `PatiaServer::tick` drives the same batched step).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -679,8 +679,8 @@ impl PatiaServer {
     /// Re-sample every gauge monitor up to tick `upto`, carrying the last
     /// reading forward — called by the event engine before processing a
     /// tick that follows a skipped-quiescent gap, so windowed gauges
-    /// (means, slopes) see the same per-tick series the legacy loop would
-    /// have recorded.
+    /// (means, slopes) see the same per-tick series [`PatiaServer::tick`]
+    /// would have recorded.
     pub fn resample_gauges(&mut self, upto: u64) {
         self.board.resample(upto);
     }
@@ -768,11 +768,11 @@ impl PatiaServer {
     /// (dead nodes, denied switches, holderless atoms) never panic — they
     /// surface as [`FaultCounters`] in the returned stats.
     ///
-    /// This is now a thin compatibility shim over [`PatiaServer::step_at`]:
-    /// each request becomes a count-1 batch at the next tick, which makes
-    /// the batched step degenerate to the exact legacy per-request
-    /// semantics (one routing decision and one scheduler charge per
-    /// request) — the byte-identical-golden-trace obligation.
+    /// The per-request driver API: chaos, the `table2` binary and the
+    /// examples serve through it, one call per virtual tick. Each request
+    /// becomes a count-1 batch to [`PatiaServer::step_at`] at the next
+    /// tick, so every request costs one routing decision and one
+    /// scheduler charge — the history the committed goldens pin.
     pub fn tick(&mut self, requests: &[AtomId], client_bandwidth_kbps: f64) -> TickStats {
         let batches: Vec<(AtomId, u64)> = requests.iter().map(|&a| (a, 1)).collect();
         self.step_at(self.now + 1, &batches, client_bandwidth_kbps)

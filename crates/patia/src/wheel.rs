@@ -1,7 +1,7 @@
 //! A hierarchical timer wheel indexed on the virtual clock — the event
 //! engine's core index.
 //!
-//! The legacy serving loop walks every node on every tick; the wheel
+//! A per-tick driver walks every node on every tick; the wheel
 //! inverts that: work is *scheduled* at the tick it becomes due, and the
 //! engine only touches ticks that hold events. Four levels of 64 slots
 //! each cover a horizon of `64^4` (~16.7M) ticks; deadlines beyond the

@@ -173,7 +173,7 @@ impl FlowSpec {
 
     /// The total requests the flow emits over its lifetime — computed by
     /// running the same carry accumulator the engine runs, so planning
-    /// code (scenario sizing, shed caps) agrees with execution exactly.
+    /// code (scenario sizing) agrees with execution exactly.
     #[must_use]
     pub fn total_requests(&self) -> u64 {
         let mut st = FlowState::new(*self);
@@ -219,8 +219,8 @@ impl FlowState {
         n
     }
 
-    /// The per-request legacy expansion of this tick — what the
-    /// conservation property replays through the tick shim.
+    /// The per-request expansion of this tick — the reference the flow
+    /// conservation property counts engine admissions against.
     pub fn emit_requests(&mut self, tick: u64) -> Vec<AtomId> {
         let n = self.emit(tick);
         vec![self.spec.atom; usize::try_from(n).unwrap_or(usize::MAX)]

@@ -189,7 +189,6 @@ mod tests {
     use super::*;
     use crate::op::drain;
     use datacomp::ColumnType;
-    use store::PolicyKind;
 
     fn schema() -> Schema {
         Schema::new(&[("id", ColumnType::Int), ("name", ColumnType::Str)]).unwrap()
@@ -240,7 +239,7 @@ mod tests {
     #[test]
     fn store_scan_reads_back_a_persisted_table() {
         let t = table(20);
-        let mut engine = StorageEngine::with_policy(4, PolicyKind::Clock);
+        let mut engine = StorageEngine::new(4);
         persist_table(&t, 100, &mut engine).unwrap();
         let w = WorkCounter::new();
         let mut scan = StoreScan::new(engine, 100, 100 + 19, schema(), w.clone()).unwrap();
@@ -255,7 +254,7 @@ mod tests {
         let t = fat_table(64);
         // ~220-byte records: the table spans several pages, while the
         // pool holds only two frames — a pass must fault pages back in.
-        let mut engine = StorageEngine::with_policy(2, PolicyKind::Lru);
+        let mut engine = StorageEngine::new(2);
         persist_table(&t, 0, &mut engine).unwrap();
         let w = WorkCounter::new();
         let mut scan = StoreScan::new(engine, 0, 63, schema(), w.clone()).unwrap();
@@ -273,7 +272,7 @@ mod tests {
     #[test]
     fn seek_resumes_mid_scan_at_a_safe_point() {
         let t = table(10);
-        let mut engine = StorageEngine::with_policy(4, PolicyKind::Clock);
+        let mut engine = StorageEngine::new(4);
         persist_table(&t, 0, &mut engine).unwrap();
         let mut scan = StoreScan::new(engine, 0, 9, schema(), WorkCounter::new()).unwrap();
         drain(&mut scan, 0);

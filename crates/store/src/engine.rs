@@ -131,17 +131,11 @@ pub struct StorageEngine {
 }
 
 impl StorageEngine {
-    /// An engine whose pool has `pool_capacity` frames, default policy.
+    /// An engine whose pool has `pool_capacity` frames.
     #[must_use]
     pub fn new(pool_capacity: usize) -> Self {
-        Self::with_policy(pool_capacity, PolicyKind::default())
-    }
-
-    /// An engine with an explicit pool replacement policy.
-    #[must_use]
-    pub fn with_policy(pool_capacity: usize, kind: PolicyKind) -> Self {
         Self {
-            pool: BufferPool::with_policy(pool_capacity, kind),
+            pool: BufferPool::new(pool_capacity),
             wal: Wal::new(),
             index: BTree::new(),
             next_page: 0,
@@ -150,6 +144,14 @@ impl StorageEngine {
             obs: None,
             last_recovery: None,
         }
+    }
+
+    /// [`StorageEngine::new`] under a named pool policy. Kept only
+    /// because the wall-clock ledger under `benchmark/` calls it;
+    /// [`PolicyKind`] has the one `Clock` variant.
+    #[must_use]
+    pub fn with_policy(pool_capacity: usize, _kind: PolicyKind) -> Self {
+        Self::new(pool_capacity)
     }
 
     /// Arm observability: page IO, log forces and pool behaviour are
@@ -198,12 +200,6 @@ impl StorageEngine {
     #[must_use]
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
-    }
-
-    /// The pool's replacement policy.
-    #[must_use]
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.pool.policy_kind()
     }
 
     /// Stats of the most recent recovery, if any.
@@ -563,7 +559,7 @@ impl StorageEngine {
             }
         }
         // Rebuild pages and index from the surviving state.
-        self.pool = BufferPool::with_policy(self.pool.capacity(), self.pool.policy_kind());
+        self.pool = BufferPool::new(self.pool.capacity());
         self.index = BTree::new();
         self.next_page = 0;
         self.fill = None;

@@ -7,8 +7,7 @@
 //! Lomet/Fekete/Weikum argue transaction services should be:
 //!
 //! * [`page`] — fixed-size slotted pages, the unit of all IO billing;
-//! * [`pool`] — a buffer pool with pluggable replacement (clock default,
-//!   LRU always compiled; `lru-default` flips the default);
+//! * [`pool`] — a buffer pool under clock (second-chance) replacement;
 //! * [`wal`] — a redo/undo write-ahead log sharing compkit's crash-site
 //!   machinery, so one scripted-crash harness drives both journals;
 //! * [`btree`] — a B+tree index over atom keys with linked-leaf scans;
@@ -44,59 +43,57 @@ mod slow_props {
     use adm_rng::{run_cases, Pcg32};
     use std::collections::BTreeMap;
 
-    /// Buffer pool (every policy) vs. an unbounded-memory oracle: any
-    /// interleaving of creates, writes and reads must read back exactly
-    /// what the oracle holds, whatever the pool evicted in between.
+    /// Buffer pool vs. an unbounded-memory oracle: any interleaving of
+    /// creates, writes and reads must read back exactly what the oracle
+    /// holds, whatever the pool evicted in between.
     #[test]
-    fn buffer_pool_matches_unbounded_oracle_under_any_policy() {
-        for kind in [PolicyKind::Clock, PolicyKind::Lru] {
-            run_cases(0xB00F + u64::from(kind == PolicyKind::Lru), 24, |rng: &mut Pcg32| {
-                let cap = 1 + rng.below(6) as usize;
-                let mut pool = BufferPool::with_policy(cap, kind);
-                let mut oracle: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
-                let mut created: Vec<u32> = Vec::new();
-                for step in 0..u64::from(rng.range_u32(50, 400)) {
-                    let _ = step;
-                    match rng.below(4) {
-                        0 => {
-                            // Create a fresh page.
-                            let pid = created.len() as u32;
-                            pool.create(PageId(pid));
-                            created.push(pid);
-                            oracle.insert(pid, Vec::new());
-                        }
-                        1 if !created.is_empty() => {
-                            // Append a record to a random page.
-                            let pid = *rng.choose(&created);
-                            let mut body = vec![0u8; 1 + rng.below(24) as usize];
-                            rng.fill_bytes(&mut body);
-                            let (page, _) = pool.fetch_mut(PageId(pid)).unwrap();
-                            if page.insert(&body).is_some() {
-                                oracle.get_mut(&pid).unwrap().push(body.len() as u8);
-                                oracle.get_mut(&pid).unwrap().extend_from_slice(&body);
-                            }
-                        }
-                        _ if !created.is_empty() => {
-                            // Read a random page back and compare records.
-                            let pid = *rng.choose(&created);
-                            let (page, _) = pool.fetch(PageId(pid)).unwrap();
-                            let mut expect = oracle[&pid].as_slice();
-                            for (_, body) in page.records() {
-                                let len = expect[0] as usize;
-                                assert_eq!(
-                                    body,
-                                    &expect[1..1 + len],
-                                    "{kind} cap={cap}: page {pid} record diverged"
-                                );
-                                expect = &expect[1 + len..];
-                            }
-                            assert!(expect.is_empty(), "{kind}: oracle has extra records");
-                        }
-                        _ => {}
+    fn buffer_pool_matches_unbounded_oracle() {
+        run_cases(0xB00F, 24, |rng: &mut Pcg32| {
+            let cap = 1 + rng.below(6) as usize;
+            let mut pool = BufferPool::new(cap);
+            let mut oracle: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
+            let mut created: Vec<u32> = Vec::new();
+            for step in 0..u64::from(rng.range_u32(50, 400)) {
+                let _ = step;
+                match rng.below(4) {
+                    0 => {
+                        // Create a fresh page.
+                        let pid = created.len() as u32;
+                        pool.create(PageId(pid));
+                        created.push(pid);
+                        oracle.insert(pid, Vec::new());
                     }
+                    1 if !created.is_empty() => {
+                        // Append a record to a random page.
+                        let pid = *rng.choose(&created);
+                        let mut body = vec![0u8; 1 + rng.below(24) as usize];
+                        rng.fill_bytes(&mut body);
+                        let (page, _) = pool.fetch_mut(PageId(pid)).unwrap();
+                        if page.insert(&body).is_some() {
+                            oracle.get_mut(&pid).unwrap().push(body.len() as u8);
+                            oracle.get_mut(&pid).unwrap().extend_from_slice(&body);
+                        }
+                    }
+                    _ if !created.is_empty() => {
+                        // Read a random page back and compare records.
+                        let pid = *rng.choose(&created);
+                        let (page, _) = pool.fetch(PageId(pid)).unwrap();
+                        let mut expect = oracle[&pid].as_slice();
+                        for (_, body) in page.records() {
+                            let len = expect[0] as usize;
+                            assert_eq!(
+                                body,
+                                &expect[1..1 + len],
+                                "cap={cap}: page {pid} record diverged"
+                            );
+                            expect = &expect[1 + len..];
+                        }
+                        assert!(expect.is_empty(), "oracle has extra records");
+                    }
+                    _ => {}
                 }
-            });
-        }
+            }
+        });
     }
 
     /// B-tree vs. `BTreeMap`: inserts, deletes and range scans from a
@@ -142,8 +139,7 @@ mod slow_props {
     #[test]
     fn engine_state_matches_logical_oracle_across_crashes() {
         run_cases(0x5709, 16, |rng: &mut Pcg32| {
-            let kind = if rng.chance(0.5) { PolicyKind::Clock } else { PolicyKind::Lru };
-            let mut eng = StorageEngine::with_policy(1 + rng.below(4) as usize, kind);
+            let mut eng = StorageEngine::new(1 + rng.below(4) as usize);
             let mut oracle: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
             for _ in 0..u64::from(rng.range_u32(5, 25)) {
                 let mut ops = Vec::new();

@@ -1,100 +1,28 @@
 //! The buffer pool: a fixed set of frames between the record layer and
-//! stable storage, with a pluggable replacement policy.
+//! stable storage, under clock (second-chance) replacement.
 //!
 //! Every fetch that misses costs a [`machine::cost::Primitive::PageIo`]
 //! (billed by the engine, which also counts `store.pool.hit` /
 //! `store.pool.miss` metrics); evicting a dirty victim costs a second page
-//! IO for the writeback. The pool itself stays policy- and billing-free:
-//! it reports what happened in an [`Access`] and the caller charges the
-//! machine.
+//! IO for the writeback. The pool itself stays billing-free: it reports
+//! what happened in an [`Access`] and the caller charges the machine.
 //!
-//! The default policy is the clock (second-chance) sweep; LRU is always
-//! compiled — the differential oracle suite runs every policy — and the
-//! `lru-default` crate feature flips which one [`PolicyKind::default`]
-//! picks. Policies are pluggable at construction: each is a
-//! [`PolicyKind`] arm with its own per-frame state, chosen by
-//! [`BufferPool::with_policy`].
+//! Each frame carries one reference bit, set on every access. A victim
+//! search sweeps the hand round the frames, clearing set bits and taking
+//! the first frame whose bit is already clear.
 
 use crate::page::{Page, PageId};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Which replacement policy a pool runs.
+/// The replacement policy a pool runs. Clock is the only one; the type
+/// survives because the wall-clock ledger under `benchmark/` names it
+/// through [`BufferPool::with_policy`] and
+/// [`crate::StorageEngine::with_policy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
     /// Clock / second-chance: one reference bit per frame, a sweeping hand.
     Clock,
-    /// Least-recently-used by access stamp.
-    Lru,
-}
-
-impl Default for PolicyKind {
-    fn default() -> Self {
-        if cfg!(feature = "lru-default") {
-            PolicyKind::Lru
-        } else {
-            PolicyKind::Clock
-        }
-    }
-}
-
-impl fmt::Display for PolicyKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            PolicyKind::Clock => "clock",
-            PolicyKind::Lru => "lru",
-        })
-    }
-}
-
-/// Per-frame replacement state. A new policy is a new arm: implement
-/// `touch` (frame accessed) and `victim` (choose an occupied frame to
-/// evict; only called when every frame is occupied).
-#[derive(Debug, Clone)]
-enum Policy {
-    Clock { referenced: Vec<bool>, hand: usize },
-    Lru { stamp: Vec<u64>, tick: u64 },
-}
-
-impl Policy {
-    fn new(kind: PolicyKind, capacity: usize) -> Self {
-        match kind {
-            PolicyKind::Clock => Policy::Clock { referenced: vec![false; capacity], hand: 0 },
-            PolicyKind::Lru => Policy::Lru { stamp: vec![0; capacity], tick: 0 },
-        }
-    }
-
-    fn touch(&mut self, frame: usize) {
-        match self {
-            Policy::Clock { referenced, .. } => referenced[frame] = true,
-            Policy::Lru { stamp, tick } => {
-                *tick += 1;
-                stamp[frame] = *tick;
-            }
-        }
-    }
-
-    fn victim(&mut self) -> usize {
-        match self {
-            Policy::Clock { referenced, hand } => loop {
-                let f = *hand;
-                *hand = (*hand + 1) % referenced.len();
-                if referenced[f] {
-                    referenced[f] = false;
-                } else {
-                    return f;
-                }
-            },
-            Policy::Lru { stamp, .. } => {
-                let (f, _) = stamp
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, s)| s)
-                    .expect("pool capacity is nonzero");
-                f
-            }
-        }
-    }
 }
 
 /// What one pool operation did — the caller bills page IO from this.
@@ -139,8 +67,7 @@ impl PoolStats {
 }
 
 /// One frame of the pool as the introspection layer sees it — the row
-/// source behind `sys.pool`. `referenced`/`lru_stamp` expose whichever
-/// policy's per-frame state is live; the other is `None`.
+/// source behind `sys.pool`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameInfo {
     /// Frame index, `0..capacity`.
@@ -149,10 +76,8 @@ pub struct FrameInfo {
     pub page: Option<PageId>,
     /// Whether the frame holds unwritten changes.
     pub dirty: bool,
-    /// The clock policy's reference bit (`None` under LRU).
-    pub referenced: Option<bool>,
-    /// The LRU policy's access stamp (`None` under clock).
-    pub lru_stamp: Option<u64>,
+    /// The clock's reference bit.
+    pub referenced: bool,
 }
 
 /// Pool errors.
@@ -176,54 +101,52 @@ impl std::error::Error for PoolError {}
 #[derive(Debug, Clone)]
 pub struct BufferPool {
     capacity: usize,
-    kind: PolicyKind,
     frames: Vec<Option<Page>>,
     dirty: Vec<bool>,
+    /// The clock's reference bit per frame.
+    referenced: Vec<bool>,
+    /// The next frame the clock's victim search inspects.
+    hand: usize,
     resident: BTreeMap<PageId, usize>,
-    policy: Policy,
     disk: BTreeMap<PageId, Page>,
     stats: PoolStats,
 }
 
 impl BufferPool {
-    /// A pool of `capacity` frames under the default policy.
+    /// A pool of `capacity` frames.
     ///
     /// # Panics
     /// When `capacity` is zero.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        Self::with_policy(capacity, PolicyKind::default())
+        assert!(capacity > 0, "a zero-frame pool cannot serve any page");
+        Self {
+            capacity,
+            frames: vec![None; capacity],
+            dirty: vec![false; capacity],
+            referenced: vec![false; capacity],
+            hand: 0,
+            resident: BTreeMap::new(),
+            disk: BTreeMap::new(),
+            stats: PoolStats::default(),
+        }
     }
 
-    /// A pool of `capacity` frames under an explicit policy.
+    /// [`BufferPool::new`] under a named policy. Kept only because the
+    /// wall-clock ledger under `benchmark/` calls it; [`PolicyKind`] has
+    /// the one `Clock` variant.
     ///
     /// # Panics
     /// When `capacity` is zero.
     #[must_use]
-    pub fn with_policy(capacity: usize, kind: PolicyKind) -> Self {
-        assert!(capacity > 0, "a zero-frame pool cannot serve any page");
-        Self {
-            capacity,
-            kind,
-            frames: vec![None; capacity],
-            dirty: vec![false; capacity],
-            resident: BTreeMap::new(),
-            policy: Policy::new(kind, capacity),
-            disk: BTreeMap::new(),
-            stats: PoolStats::default(),
-        }
+    pub fn with_policy(capacity: usize, _kind: PolicyKind) -> Self {
+        Self::new(capacity)
     }
 
     /// Frame count.
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The replacement policy this pool runs.
-    #[must_use]
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.kind
     }
 
     /// Cumulative counters.
@@ -259,16 +182,22 @@ impl BufferPool {
                 frame: f,
                 page: self.frames[f].as_ref().map(Page::id),
                 dirty: self.dirty[f],
-                referenced: match &self.policy {
-                    Policy::Clock { referenced, .. } => Some(referenced[f]),
-                    Policy::Lru { .. } => None,
-                },
-                lru_stamp: match &self.policy {
-                    Policy::Clock { .. } => None,
-                    Policy::Lru { stamp, .. } => Some(stamp[f]),
-                },
+                referenced: self.referenced[f],
             })
             .collect()
+    }
+
+    /// The clock sweep: pass over referenced frames, clearing their bits,
+    /// and take the first unreferenced one. Only called when every frame
+    /// is occupied.
+    fn victim(&mut self) -> usize {
+        loop {
+            let f = self.hand;
+            self.hand = (self.hand + 1) % self.capacity;
+            if !std::mem::replace(&mut self.referenced[f], false) {
+                return f;
+            }
+        }
     }
 
     /// Find a frame for a new occupant, evicting if the pool is full.
@@ -276,7 +205,7 @@ impl BufferPool {
         if let Some(f) = self.frames.iter().position(Option::is_none) {
             return (f, false);
         }
-        let f = self.policy.victim();
+        let f = self.victim();
         let old = self.frames[f].take().expect("victim frames are occupied");
         self.resident.remove(&old.id());
         let mut wrote_back = false;
@@ -296,14 +225,14 @@ impl BufferPool {
         self.frames[f] = Some(Page::new(pid));
         self.dirty[f] = true;
         self.resident.insert(pid, f);
-        self.policy.touch(f);
+        self.referenced[f] = true;
         self.stats.creates += 1;
         Access { hit: false, read_io: false, wrote_back }
     }
 
     fn fault_in(&mut self, pid: PageId) -> Result<(usize, Access), PoolError> {
         if let Some(&f) = self.resident.get(&pid) {
-            self.policy.touch(f);
+            self.referenced[f] = true;
             self.stats.hits += 1;
             return Ok((f, Access { hit: true, read_io: false, wrote_back: false }));
         }
@@ -312,7 +241,7 @@ impl BufferPool {
         self.frames[f] = Some(page);
         self.dirty[f] = false;
         self.resident.insert(pid, f);
-        self.policy.touch(f);
+        self.referenced[f] = true;
         self.stats.misses += 1;
         Ok((f, Access { hit: false, read_io: true, wrote_back }))
     }
@@ -359,7 +288,8 @@ impl BufferPool {
         self.frames = vec![None; self.capacity];
         self.dirty = vec![false; self.capacity];
         self.resident.clear();
-        self.policy = Policy::new(self.kind, self.capacity);
+        self.referenced = vec![false; self.capacity];
+        self.hand = 0;
     }
 }
 
@@ -367,8 +297,8 @@ impl BufferPool {
 mod tests {
     use super::*;
 
-    fn filled(cap: usize, pages: u32, kind: PolicyKind) -> BufferPool {
-        let mut pool = BufferPool::with_policy(cap, kind);
+    fn filled(cap: usize, pages: u32) -> BufferPool {
+        let mut pool = BufferPool::new(cap);
         for i in 0..pages {
             pool.create(PageId(i));
             let (p, _) = pool.fetch_mut(PageId(i)).unwrap();
@@ -378,15 +308,8 @@ mod tests {
     }
 
     #[test]
-    fn default_policy_is_clock_unless_feature_flipped() {
-        let expect =
-            if cfg!(feature = "lru-default") { PolicyKind::Lru } else { PolicyKind::Clock };
-        assert_eq!(BufferPool::new(2).policy_kind(), expect);
-    }
-
-    #[test]
     fn resident_fetches_hit_without_io() {
-        let mut pool = filled(4, 2, PolicyKind::Clock);
+        let mut pool = filled(4, 2);
         let (_, acc) = pool.fetch(PageId(0)).unwrap();
         assert_eq!(acc, Access { hit: true, read_io: false, wrote_back: false });
         assert_eq!(acc.ios(), 0);
@@ -394,19 +317,17 @@ mod tests {
 
     #[test]
     fn eviction_writes_back_dirty_pages_and_refetch_reads_them() {
-        for kind in [PolicyKind::Clock, PolicyKind::Lru] {
-            let mut pool = filled(2, 3, kind); // 3 pages through 2 frames
-            assert!(pool.stats().writebacks >= 1, "{kind}: eviction must write back");
-            for i in 0..3 {
-                let (p, _) = pool.fetch(PageId(i)).unwrap();
-                assert_eq!(p.get(0), Some(&i.to_le_bytes()[..]), "{kind}: page {i} intact");
-            }
+        let mut pool = filled(2, 3); // 3 pages through 2 frames
+        assert!(pool.stats().writebacks >= 1, "eviction must write back");
+        for i in 0..3 {
+            let (p, _) = pool.fetch(PageId(i)).unwrap();
+            assert_eq!(p.get(0), Some(&i.to_le_bytes()[..]), "page {i} intact");
         }
     }
 
     #[test]
     fn crash_loses_dirty_frames_but_keeps_disk() {
-        let mut pool = filled(4, 2, PolicyKind::Clock);
+        let mut pool = filled(4, 2);
         pool.flush_all();
         let (p, _) = pool.fetch_mut(PageId(0)).unwrap();
         p.insert(b"lost-by-crash").unwrap();
@@ -432,7 +353,7 @@ mod tests {
 
     #[test]
     fn clock_grants_second_chances() {
-        let mut pool = filled(3, 3, PolicyKind::Clock);
+        let mut pool = filled(3, 3);
         pool.flush_all();
         // All bits are set, so this first fault sweeps them clear and
         // evicts p0; only the new p3's bit is set afterwards.
@@ -448,34 +369,16 @@ mod tests {
 
     #[test]
     fn frame_table_mirrors_residency_and_policy_state() {
-        let mut pool = filled(3, 2, PolicyKind::Clock);
+        let mut pool = filled(3, 2);
         let table = pool.frame_table();
         assert_eq!(table.len(), 3, "one row per frame, empty ones included");
         assert_eq!(table[0].page, Some(PageId(0)));
         assert!(table[0].dirty, "unflushed creates are dirty");
-        assert_eq!(table[0].referenced, Some(true));
-        assert_eq!(table[0].lru_stamp, None);
+        assert!(table[0].referenced, "an accessed frame holds its reference bit");
         assert_eq!(table[2].page, None, "the spare frame is empty");
         assert!(!table[2].dirty);
         assert_eq!(pool.resident(), 2);
         pool.flush_all();
         assert!(pool.frame_table().iter().all(|f| !f.dirty), "flush cleans every frame");
-
-        let lru = filled(2, 1, PolicyKind::Lru);
-        let table = lru.frame_table();
-        assert_eq!(table[0].referenced, None);
-        assert_eq!(table[0].lru_stamp, Some(2), "create + fetch_mut stamped twice");
-    }
-
-    #[test]
-    fn lru_evicts_the_coldest_page() {
-        let mut pool = filled(3, 3, PolicyKind::Lru);
-        pool.flush_all();
-        pool.fetch(PageId(1)).unwrap();
-        pool.fetch(PageId(2)).unwrap();
-        pool.fetch(PageId(0)).unwrap();
-        pool.create(PageId(3)); // evicts p1, the least recently used
-        let (_, acc) = pool.fetch(PageId(1)).unwrap();
-        assert!(!acc.hit, "the coldest page was the victim");
     }
 }

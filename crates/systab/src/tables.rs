@@ -266,8 +266,7 @@ pub fn txns_table(core: &TransactionCore, am: Option<&AdaptivityManager>) -> Tab
 /// `sys.pool`: one row per buffer-pool frame, in frame-index order.
 ///
 /// Schema: `frame`, `page` (null for an empty frame), `dirty`,
-/// `referenced` (clock policy's bit; null under LRU), `lru_stamp` (LRU
-/// access stamp; null under clock).
+/// `referenced` (the clock's reference bit).
 ///
 /// # Panics
 /// Never: rows are built to the schema.
@@ -278,7 +277,6 @@ pub fn pool_table(pool: &BufferPool) -> Table {
         ("page", ColumnType::Int),
         ("dirty", ColumnType::Bool),
         ("referenced", ColumnType::Bool),
-        ("lru_stamp", ColumnType::Int),
     ])
     .expect("sys.pool schema is statically valid");
     let mut t = Table::new(schema);
@@ -287,8 +285,7 @@ pub fn pool_table(pool: &BufferPool) -> Table {
             Value::Int(f.frame as i64),
             f.page.map_or(Value::Null, |p| Value::Int(i64::from(p.0))),
             Value::Bool(f.dirty),
-            f.referenced.map_or(Value::Null, Value::Bool),
-            f.lru_stamp.map_or(Value::Null, int),
+            Value::Bool(f.referenced),
         ])
         .expect("sys.pool rows match their schema");
     }
@@ -338,7 +335,6 @@ mod tests {
     use crate::scan::{filter_count, sum_int};
     use obs::{CostModel, Obs, Primitive};
     use query::expr::Pred;
-    use store::PolicyKind;
 
     #[test]
     fn metrics_table_explodes_histograms_in_registry_order() {
@@ -476,7 +472,7 @@ mod tests {
 
     #[test]
     fn pool_table_has_one_row_per_frame() {
-        let mut pool = BufferPool::with_policy(3, PolicyKind::Clock);
+        let mut pool = BufferPool::new(3);
         pool.create(store::PageId(7));
         let t = pool_table(&pool);
         assert_eq!(t.len(), 3);

@@ -152,6 +152,25 @@ fn registry_counters_agree_with_the_report() {
     assert_eq!(h.count, r.completed, "every completion is observed exactly once");
 }
 
+/// The storage-backed variant is not vacuous: routed batches read atom
+/// records through the buffer pool, and attaching storage changes the
+/// cycle history.
+#[test]
+fn storage_backed_variants_bill_the_buffer_pool() {
+    let params = ChaosParams { storage: true, ..flash_crowd_params() };
+    let (_, o) = run_observed(&params);
+    assert!(
+        o.metrics.counter("store.pool.hit") > 0,
+        "routed batches must read atom records through the pool"
+    );
+    let (_, plain) = run_observed(&flash_crowd_params());
+    assert_ne!(
+        o.digests(),
+        plain.digests(),
+        "storage must change the cycle history, or the variant tests nothing"
+    );
+}
+
 /// The profiler's attribution and the published metrics must agree: the
 /// `profile.self_cycles.*` counters `run_observed` writes into the
 /// registry equal a fresh fold of the same trace, name for name and

@@ -34,7 +34,6 @@ fn mega_crowd_serves_ten_million_requests_within_budget() {
         report.offered
     );
     assert!(report.conserved(), "conservation must hold at scale: {report:?}");
-    assert_eq!(report.totals.shed, 0, "no admission cap is armed");
     assert_eq!(
         report.totals.completed, report.offered,
         "every offered request completes within the horizon"

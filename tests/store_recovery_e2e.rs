@@ -26,7 +26,7 @@ use datacomp::{ColumnType, Schema, Table, Value};
 use query::op::{drain, WorkCounter};
 use query::{persist_table, StoreScan};
 use std::path::PathBuf;
-use store::{CrashPoint, NoCrash, PolicyKind, StorageEngine};
+use store::{CrashPoint, NoCrash, StorageEngine};
 
 fn goldens_dir() -> PathBuf {
     // Registered under crates/core; the goldens live at the repo root
@@ -141,32 +141,30 @@ fn recovery_cost_is_billed_and_published() {
 
 /// Part 2 — cross-layer durability: a relational table persisted into
 /// the engine survives a crash; after WAL replay a `StoreScan` returns
-/// the rows byte-identical, under either replacement policy.
+/// the rows byte-identical.
 #[test]
 fn persisted_table_survives_crash_and_scans_back_identical() {
-    for kind in [PolicyKind::Clock, PolicyKind::Lru] {
-        let schema = Schema::new(&[("id", ColumnType::Int), ("payload", ColumnType::Str)])
-            .expect("schema is well-formed");
-        let mut table = Table::new(schema.clone());
-        for i in 0..48 {
-            table
-                .insert(vec![Value::Int(i), Value::Str(format!("{i:0>120}"))])
-                .expect("rows match the schema");
-        }
-        let mut engine = StorageEngine::with_policy(3, kind);
-        persist_table(&table, 0, &mut engine).expect("the table persists in one transaction");
-
-        engine.crash();
-        let stats = engine.recover(&mut NoCrash).expect("recovery settles");
-        assert!(stats.redone >= 48, "{kind}: every row rolls forward");
-
-        let w = WorkCounter::new();
-        let mut scan =
-            StoreScan::new(engine, 0, 47, schema, w.clone()).expect("recovered engine scans");
-        let rows = drain(&mut scan, 0);
-        assert_eq!(rows, table.rows(), "{kind}: recovered rows must be byte-identical");
-        assert_eq!(w.snapshot().tuples_moved, 48);
+    let schema = Schema::new(&[("id", ColumnType::Int), ("payload", ColumnType::Str)])
+        .expect("schema is well-formed");
+    let mut table = Table::new(schema.clone());
+    for i in 0..48 {
+        table
+            .insert(vec![Value::Int(i), Value::Str(format!("{i:0>120}"))])
+            .expect("rows match the schema");
     }
+    let mut engine = StorageEngine::new(3);
+    persist_table(&table, 0, &mut engine).expect("the table persists in one transaction");
+
+    engine.crash();
+    let stats = engine.recover(&mut NoCrash).expect("recovery settles");
+    assert!(stats.redone >= 48, "every row rolls forward");
+
+    let w = WorkCounter::new();
+    let mut scan =
+        StoreScan::new(engine, 0, 47, schema, w.clone()).expect("recovered engine scans");
+    let rows = drain(&mut scan, 0);
+    assert_eq!(rows, table.rows(), "recovered rows must be byte-identical");
+    assert_eq!(w.snapshot().tuples_moved, 48);
 }
 
 /// The matrix replays deterministically — the storage layer adds no
