@@ -28,7 +28,7 @@
 //!
 //! The paper's open issue — "current ADLs ... reconfigure far too slowly" —
 //! is answered here by making diffing a pure, allocation-light set
-//! computation benchmarked in `bench/benches/fig5_switchover.rs`.
+//! computation, timed by the wall-clock ledger's `adl.diff_ns` row.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

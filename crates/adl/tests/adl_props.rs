@@ -1,7 +1,4 @@
 //! Property tests for the ADL: printer/parser fixpoint and diff soundness.
-//!
-//! Randomised suites are opt-in: `cargo test -p adl --features slow-props`.
-#![cfg(feature = "slow-props")]
 
 use adl::ast::{Binding, ComponentDecl, Decl, Document, PortRef};
 use adl::config::Configuration;

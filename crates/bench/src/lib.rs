@@ -8,8 +8,10 @@
 //!   in a live Patia run;
 //! * `cargo run -p adm-bench --bin figures` — the behavioural series
 //!   behind Figures 1–7 and the three Section 4 scenarios;
-//! * `cargo bench -p adm-bench` — Criterion timings for each experiment
-//!   (one bench target per table/figure, see `benches/`).
+//! * `cargo run -p adm-bench --bin bench` — the virtual-cycle trajectory
+//!   committed as `BENCH_adm.json` and gated by [`gate`].
+//!
+//! Wall-clock timings live in the ledger under `benchmark/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1251,7 +1251,6 @@ mod tests {
     /// Journal replay is idempotent from *any* crash prefix: recovering
     /// twice yields the same configuration, counters, trace, and metrics
     /// as recovering once. Runs 200 randomly-scripted crashes.
-    #[cfg(feature = "slow-props")]
     #[test]
     fn prop_recovering_twice_equals_recovering_once() {
         use obs::{CostModel, Obs};

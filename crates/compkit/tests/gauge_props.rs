@@ -1,8 +1,5 @@
 //! Gauge properties: every aggregation stays within the bounds of the data
 //! it summarises.
-//!
-//! Randomised suites are opt-in: `cargo test -p compkit --features slow-props`.
-#![cfg(feature = "slow-props")]
 
 use adm_rng::{run_cases, Pcg32};
 use compkit::gauge::{Gauge, GaugeKind};

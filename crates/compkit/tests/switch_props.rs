@@ -1,9 +1,6 @@
 //! Property: the Adaptivity Manager's switch is atomic under arbitrary
 //! injected creation failures — either the runtime reaches exactly the
 //! target configuration, or it is restored bit-for-bit.
-//!
-//! Randomised suites are opt-in: `cargo test -p compkit --features slow-props`.
-#![cfg(feature = "slow-props")]
 
 use adl::ast::{Binding, PortRef};
 use adl::config::Configuration;

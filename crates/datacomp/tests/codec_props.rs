@@ -1,8 +1,5 @@
 //! Property tests: codecs must round-trip arbitrary bytes, and the XML
 //! writer/parser must agree on arbitrary well-formed documents.
-//!
-//! Randomised suites are opt-in: `cargo test -p datacomp --features slow-props`.
-#![cfg(feature = "slow-props")]
 
 use adm_rng::{run_cases, Pcg32};
 use datacomp::codec::{Codec, LzCodec, RleCodec};

@@ -1,8 +1,5 @@
 //! Version-selection properties: `BEST` never violates its constraints and
 //! always returns a minimum-cost candidate.
-//!
-//! Randomised suites are opt-in: `cargo test -p datacomp --features slow-props`.
-#![cfg(feature = "slow-props")]
 
 use adm_rng::{run_cases, Pcg32};
 use datacomp::version::{SelectionConstraints, Version, VersionKind, VersionList};

@@ -2,9 +2,7 @@
 //! atomicity — a failed switch leaves the runtime exactly as it was, a
 //! successful one lands exactly on the target, and nothing panics.
 //!
-//! A small deterministic tier runs on every `cargo test`; the full
-//! randomized sweep is opt-in: `cargo test -p faultsim --features
-//! slow-props`.
+//! A small seeded tier and the full sweep both run on every `cargo test`.
 
 use adl::ast::{Binding, PortRef};
 use adl::config::Configuration;
@@ -111,14 +109,13 @@ fn switch_is_atomic_under_random_fault_plans(seed: u64, cases: u32) {
     });
 }
 
-/// Tier-1 smoke: a few dozen cases on every `cargo test`.
+/// Smoke: a few dozen cases.
 #[test]
 fn switch_is_atomic_under_random_fault_plans_small() {
     switch_is_atomic_under_random_fault_plans(0xfa01, 24);
 }
 
-/// The full sweep, behind `slow-props` like the other property suites.
-#[cfg(feature = "slow-props")]
+/// The full sweep: 400 cases on a second seed.
 #[test]
 fn switch_is_atomic_under_random_fault_plans_full() {
     switch_is_atomic_under_random_fault_plans(0xfa02, 400);

@@ -61,9 +61,9 @@
 //! summaries — are byte-identical across replays, matching the golden-trace
 //! guarantee the observability layer makes.
 //!
-//! The retired v2 concrete-dataflow passes survive behind
-//! `cfg(any(test, feature = "slow-props"))` in [`oracle`] as the
-//! differential-testing oracle for the summary passes.
+//! The retired v2 concrete-dataflow passes survive only in the test
+//! build, in the private `oracle` module, as the differential-testing
+//! oracle for the summary passes.
 
 use machine::cost::{CostModel, CycleCounter, Cycles, Primitive};
 use machine::isa::{rel_target, Flow, Instr, Program};
@@ -1434,14 +1434,14 @@ impl SisrVerifier {
 }
 
 /// The retired v2 verifier: concrete call-stack-keyed stack/segment
-/// dataflow. Kept compiled under `cfg(any(test, feature = "slow-props"))`
-/// purely as the **differential-testing oracle** for the v3 summary passes —
+/// dataflow. Compiled only for tests, purely as the
+/// **differential-testing oracle** for the v3 summary passes —
 /// on any image both verifiers must agree on the verdict and on the set of
 /// diagnostic kinds. Its cost explodes with call-path count (each distinct
 /// concrete call stack is a separate dataflow key), which is exactly what
 /// the summary passes fix; never use it on a load path.
-#[cfg(any(test, feature = "slow-props"))]
-pub mod oracle {
+#[cfg(test)]
+mod oracle {
     use super::*;
     use std::collections::{HashMap, HashSet};
 
@@ -2262,7 +2262,6 @@ mod tests {
         assert_eq!((s.errors, s.warnings), (0, 0), "structural pass never rejects");
     }
 
-    #[cfg(feature = "slow-props")]
     mod differential {
         use super::*;
         use adm_rng::{run_cases, Pcg32};

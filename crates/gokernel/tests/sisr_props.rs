@@ -2,9 +2,6 @@
 //! must agree. This is the safety argument of Section 5.1 — SISR may remove
 //! the user/kernel mode split *because* anything the verifier accepts can
 //! never execute a privileged instruction.
-//!
-//! Randomised suites are opt-in: `cargo test -p gokernel --features slow-props`.
-#![cfg(feature = "slow-props")]
 
 use adm_rng::{run_cases, Pcg32};
 use gokernel::sisr::{DiagnosticKind, Pass, SisrVerifier};

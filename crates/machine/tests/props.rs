@@ -1,7 +1,4 @@
 //! Property tests for the machine substrate.
-//!
-//! Randomised suites are opt-in: `cargo test -p machine --features slow-props`.
-#![cfg(feature = "slow-props")]
 
 use adm_rng::{run_cases, Pcg32};
 use machine::isa::{Instr, Program};

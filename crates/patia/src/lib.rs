@@ -31,7 +31,7 @@
 //! serving/adaptation loop over a `ubinet` node fleet), [`supervise`]
 //! (heartbeat failure detection, per-peer circuit breakers consulted by
 //! BEST, and restart probing with capped exponential backoff), [`wheel`]
-//! (the hierarchical timer wheel on the virtual clock), and [`engine`]
+//! (the timer queue on the virtual clock, an ordered map), and [`engine`]
 //! (the event-driven serving core that skips quiescent ticks; the
 //! per-tick `PatiaServer::tick` drives the same batched step).
 
@@ -59,5 +59,5 @@ pub use server::{FaultCounters, PatiaServer, ServerConfig, SwitchGate, SwitchPol
 pub use shard::{cross_shard_plans, shard_of, ShardHandle};
 pub use stream::{StreamCodec, StreamSession};
 pub use supervise::{CircuitState, PeerSnapshot, SuperviseConfig, SupervisionEvent, Supervisor};
-pub use wheel::{TimerToken, TimerWheel, WheelArea, WheelSlotOccupancy};
+pub use wheel::{TimerToken, TimerWheel};
 pub use workload::{FlashCrowd, FlowBurst, FlowSet, FlowSpec, FlowState, RequestGen};

@@ -12,7 +12,7 @@
 //! [`FlowState`] expands it lazily, one `(atom, count)` batch per active
 //! tick, with a fractional-rate carry accumulator so that the emitted
 //! total is exactly conserved against a per-request expansion of the same
-//! spec (the `slow-props` conservation property). Ten million requests
+//! spec (the conservation property in `tests/flow_props.rs`). Ten million requests
 //! cost ten million *counts*, not ten million allocations.
 
 use crate::atom::AtomId;

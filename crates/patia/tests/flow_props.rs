@@ -1,11 +1,9 @@
-//! Conservation properties for flow expansion (`slow-props` tier).
+//! Conservation properties for flow expansion.
 //!
 //! A flow is a lazily-expanded cohort: the engine must neither invent nor
 //! lose requests relative to the per-request legacy expansion
 //! ([`FlowState::emit_requests`]), across ramp edges, burst windows, and
 //! fractional-rate carry.
-
-#![cfg(feature = "slow-props")]
 
 use adm_rng::{run_cases, Pcg32};
 use patia::{AtomId, EventEngine, FlowBurst, FlowSpec, FlowState, PatiaServer, ServerConfig};

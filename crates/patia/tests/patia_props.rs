@@ -1,9 +1,6 @@
 //! Patia properties: request conservation (everything that arrives is
 //! eventually served, adaptive or not), determinism under a fixed seed, and
 //! stream-session invariants under arbitrary bandwidth walks.
-//!
-//! Randomised suites are opt-in: `cargo test -p patia --features slow-props`.
-#![cfg(feature = "slow-props")]
 
 use adm_rng::run_cases;
 use patia::atom::AtomId;

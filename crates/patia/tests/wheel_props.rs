@@ -1,11 +1,8 @@
-//! Timer-wheel properties: under random schedule/cancel/advance
-//! interleavings, the hierarchical wheel never loses, duplicates, or
+//! Timer-queue properties: under random schedule/cancel/advance
+//! interleavings, `TimerWheel` never loses, duplicates, or
 //! reorders events relative to a naive sorted-list oracle — including
 //! the FIFO-per-deadline guarantee the event engine's determinism rests
 //! on.
-//!
-//! Randomised suites are opt-in: `cargo test -p patia --features slow-props`.
-#![cfg(feature = "slow-props")]
 
 use adm_rng::{run_cases, Pcg32};
 use patia::wheel::{TimerToken, TimerWheel};
@@ -44,8 +41,7 @@ impl Oracle {
 
 /// Drive both structures through one random op sequence and assert every
 /// pop agrees. Deadlines are drawn around the moving clock at three
-/// scales (near, mid, far/overflow) so cascades across every wheel level
-/// are exercised.
+/// scales: near, mid and far (tens of millions of ticks out).
 fn drive(rng: &mut Pcg32, ops: usize) {
     let mut wheel: TimerWheel<u32> = TimerWheel::new();
     let mut oracle = Oracle::default();
@@ -59,7 +55,7 @@ fn drive(rng: &mut Pcg32, ops: usize) {
                 let horizon = match rng.below(3) {
                     0 => 64,
                     1 => 5_000,
-                    _ => 20_000_000, // beyond the 64^4 horizon → overflow list
+                    _ => 20_000_000,
                 };
                 let deadline = now + rng.below(horizon);
                 let id = next_id;
@@ -102,9 +98,8 @@ fn wheel_matches_naive_oracle() {
     });
 }
 
-/// Same-deadline bursts scheduled from different distances (so they sit
-/// at different wheel levels before firing) still come out in schedule
-/// order.
+/// Same-deadline bursts scheduled from different distances still come
+/// out in schedule order.
 #[test]
 fn same_deadline_fifo_across_levels() {
     run_cases(0xf1f0, 24, |rng| {
@@ -114,7 +109,7 @@ fn same_deadline_fifo_across_levels() {
         let mut now = 0u64;
         let mut id = 0u32;
         // Walk the clock toward the target, scheduling events for the
-        // same deadline at every stop; proximity determines their level.
+        // same deadline at every stop.
         while now + 10 < target {
             wheel.schedule(target, id);
             scheduled.push((target, id));

@@ -1,9 +1,6 @@
 //! Property: every join operator — static or adaptive, stalled or not,
 //! memory-starved or not — produces exactly the same multiset of results
 //! as the naive nested-loop oracle.
-//!
-//! Randomised suites are opt-in: `cargo test -p query --features slow-props`.
-#![cfg(feature = "slow-props")]
 
 use adm_rng::{run_cases, Pcg32};
 use datacomp::{ColumnType, Row, Schema, Table, Value};

@@ -7,8 +7,8 @@
 //! rather than never. The engine bills one comparison batch per level per
 //! descent.
 //!
-//! The oracle for this structure is `std::collections::BTreeMap` — the
-//! `slow-props` differential suite replays seeded op streams against both
+//! The oracle for this structure is `std::collections::BTreeMap` — a
+//! differential suite in the crate root replays seeded op streams against both
 //! and demands identical answers plus intact structural invariants
 //! ([`BTree::check`]) after every operation.
 

@@ -18,7 +18,7 @@
 //! Because the engine exists to be *verified*, each structural component
 //! ships with a differential oracle: the buffer pool against an
 //! unbounded-memory map, the B-tree against `std::collections::BTreeMap`
-//! (both under `slow-props`, seeded by `adm-rng`), and the WAL under the
+//! (both seeded by `adm-rng`), and the WAL under the
 //! seeds × crash-points conformance matrix in
 //! `tests/store_recovery_e2e.rs`.
 
@@ -37,8 +37,8 @@ pub use wal::{CrashHook, CrashPoint, CrashSite, NoCrash, PlannedCrash, Wal, WalR
 /// Differential oracle suites (satellite of the test tier): seeded op
 /// streams replayed against both the real structure and a trivially
 /// correct oracle, demanding identical answers at every step.
-#[cfg(all(test, feature = "slow-props"))]
-mod slow_props {
+#[cfg(test)]
+mod oracle_props {
     use super::*;
     use adm_rng::{run_cases, Pcg32};
     use std::collections::BTreeMap;
@@ -108,7 +108,7 @@ mod slow_props {
             for step in 0..u64::from(rng.range_u32(100, 600)) {
                 let key = rng.below(key_space);
                 match rng.below(5) {
-                    0 | 1 | 2 => {
+                    0..=2 => {
                         let rid = RecordId { page: PageId(step as u32), slot: (step % 7) as u16 };
                         assert_eq!(tree.insert(key, rid), oracle.insert(key, rid));
                     }

@@ -18,10 +18,10 @@
 //! | `sys.switches`    | journal stat / live record  | [`compkit::journal`]        |
 //! | `sys.txns`        | 2PC stat / live log record  | [`txn::TransactionCore`]    |
 //! | `sys.pool`        | buffer-pool frame           | [`store::BufferPool`]       |
-//! | `sys.timers`      | populated wheel region      | [`patia::TimerWheel`]       |
+//! | `sys.timers`      | pending deadline            | [`patia::TimerWheel`]       |
 //!
 //! Row order is deterministic (registry order, event order, name order,
-//! frame order, slot order), so query results golden-pin like every
+//! frame order, deadline order), so query results golden-pin like every
 //! other artifact in the repo. [`SysScan`] is the billed source
 //! operator: armed with an [`obs`] hub it charges one
 //! [`Primitive::Load`](obs::Primitive) per row served, so introspection

@@ -13,7 +13,6 @@ use datacomp::{ColumnType, Schema, Table, Value};
 use obs::span::{EventKind, TraceEvent};
 use obs::MetricsSnapshot;
 use patia::wheel::TimerWheel;
-use patia::WheelArea;
 use store::BufferPool;
 use txn::{TransactionCore, TxnRecord};
 
@@ -292,39 +291,28 @@ pub fn pool_table(pool: &BufferPool) -> Table {
     t
 }
 
-/// `sys.timers`: one row per populated wheel region, in the wheel's
-/// fixed traversal order (`past`, then (level, slot) ascending, then
-/// `overflow`).
+/// `sys.timers`: one row per pending deadline, ascending.
 ///
-/// Schema: `area` (`past`/`wheel`/`overflow`), `level` and `slot` (null
-/// outside `wheel` rows), `live` (non-cancelled entries waiting there).
-/// The `live` column always sums to the wheel's
+/// Schema: `deadline` (the virtual tick), `live` (non-cancelled events
+/// waiting on it). The `live` column always sums to the queue's
 /// [`len`](TimerWheel::len).
 ///
 /// # Panics
 /// Never: rows are built to the schema.
 #[must_use]
 pub fn timers_table<T>(wheel: &TimerWheel<T>) -> Table {
-    let schema = Schema::new(&[
-        ("area", ColumnType::Str),
-        ("level", ColumnType::Int),
-        ("slot", ColumnType::Int),
-        ("live", ColumnType::Int),
-    ])
-    .expect("sys.timers schema is statically valid");
+    let schema = Schema::new(&[("deadline", ColumnType::Int), ("live", ColumnType::Int)])
+        .expect("sys.timers schema is statically valid");
+    let mut rows: Vec<(u64, u64)> = Vec::new();
+    for deadline in wheel.deadlines() {
+        match rows.last_mut() {
+            Some((d, live)) if *d == deadline => *live += 1,
+            _ => rows.push((deadline, 1)),
+        }
+    }
     let mut t = Table::new(schema);
-    for o in wheel.occupancy() {
-        let (level, slot) = match o.area {
-            WheelArea::Wheel => (Value::Int(o.level as i64), Value::Int(o.slot as i64)),
-            WheelArea::Past | WheelArea::Overflow => (Value::Null, Value::Null),
-        };
-        t.insert(vec![
-            Value::Str(o.area.code_str().to_owned()),
-            level,
-            slot,
-            Value::Int(o.live as i64),
-        ])
-        .expect("sys.timers rows match their schema");
+    for (deadline, live) in rows {
+        t.insert(vec![int(deadline), int(live)]).expect("sys.timers rows match their schema");
     }
     t
 }
@@ -492,10 +480,18 @@ mod tests {
         let mut w: TimerWheel<u8> = TimerWheel::new();
         w.schedule(3, 1);
         w.schedule(3, 2);
-        w.schedule(5_000, 3);
-        w.schedule(30_000_000, 4);
+        let cancelled = w.schedule(3, 3);
+        w.schedule(5_000, 4);
+        w.schedule(30_000_000, 5);
+        w.cancel(cancelled);
         let t = timers_table(&w);
-        assert_eq!(sum_int(&t, 3, Pred::True, None) as usize, w.len());
-        assert_eq!(filter_count(&t, Pred::eq(0, Value::Str("overflow".to_owned())), None), 1);
+        assert_eq!(t.len(), 3, "one row per pending deadline");
+        assert_eq!(sum_int(&t, 1, Pred::True, None) as usize, w.len());
+        assert_eq!(
+            t.rows()[0],
+            vec![Value::Int(3), Value::Int(2)],
+            "the cancelled event is absent"
+        );
+        assert_eq!(filter_count(&t, Pred::gt(0, Value::Int(5_000)), None), 1);
     }
 }

@@ -335,10 +335,10 @@ mod tests {
     }
 }
 
-/// Randomized 2PL properties against a naive oracle (`--features
-/// slow-props`): strict two-phase release leaks nothing, and every
-/// induced wait-for cycle is found with exactly one deterministic victim.
-#[cfg(all(test, feature = "slow-props"))]
+/// Randomized 2PL properties against a naive oracle: strict two-phase
+/// release leaks nothing, and every induced wait-for cycle is found with
+/// exactly one deterministic victim.
+#[cfg(test)]
 mod props {
     use super::*;
     use adm_rng::Pcg32;

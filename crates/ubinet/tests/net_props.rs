@@ -1,6 +1,5 @@
-//! Network properties. Tier-1: component labels against the pairwise
-//! definition of reachability, on random topologies under random fault
-//! sequences. Opt-in (`cargo test -p ubinet --features slow-props`):
+//! Network properties: component labels against the pairwise definition
+//! of reachability, on random topologies under random fault sequences;
 //! hop-distance symmetry and triangle inequality, transfer-time
 //! monotonicity, and BEST consistency.
 
@@ -8,7 +7,6 @@ use adm_rng::{run_cases, Pcg32};
 use ubinet::device::{Device, DeviceKind};
 use ubinet::link::{BandwidthProfile, Link, LinkKind};
 use ubinet::net::Network;
-#[cfg(feature = "slow-props")]
 use ubinet::select::best;
 
 fn network(n_devices: usize, edges: &[(usize, usize)], loads: &[f64]) -> Network {
@@ -37,7 +35,6 @@ fn edges(rng: &mut Pcg32, n: usize, lo: usize, hi: usize) -> Vec<(usize, usize)>
 
 /// d(x, y) == d(y, x), and d obeys the triangle inequality wherever
 /// all three distances exist.
-#[cfg(feature = "slow-props")]
 #[test]
 fn hop_distance_is_a_metric() {
     run_cases(0xe71, 64, |rng| {
@@ -68,7 +65,6 @@ fn hop_distance_is_a_metric() {
 }
 
 /// Transfer time is monotone in payload size.
-#[cfg(feature = "slow-props")]
 #[test]
 fn transfer_time_monotone_in_size() {
     run_cases(0xe72, 128, |rng| {
@@ -92,7 +88,6 @@ fn transfer_time_monotone_in_size() {
 
 /// BEST always returns the candidate with maximal available capacity,
 /// and never a dead device.
-#[cfg(feature = "slow-props")]
 #[test]
 fn best_is_argmax_of_available_capacity() {
     run_cases(0xe73, 256, |rng| {

@@ -120,7 +120,7 @@ fn scale() {
 /// differential-oracle suites (what the CI `store-recovery` job runs).
 fn store_recovery() {
     run_cargo(&["test", "-q", "-p", "adm-core", "--test", "store_recovery_e2e"], &[]);
-    run_cargo(&["test", "-q", "-p", "store", "--features", "slow-props"], &[]);
+    run_cargo(&["test", "-q", "-p", "store"], &[]);
 }
 
 /// Run the system-table tier: the `systab_e2e` invariant queries and
@@ -133,10 +133,10 @@ fn systab() {
 
 /// Run the cross-shard transaction tier: the 2PC coordinator/participant
 /// crash matrix (`tests/txnrep_e2e.rs`) plus the `txn` crate's unit and
-/// slow-props suites (what the CI `txn-matrix` job runs).
+/// property suites (what the CI `txn-matrix` job runs).
 fn txn_matrix() {
     run_cargo(&["test", "-q", "-p", "adm-core", "--test", "txnrep_e2e"], &[]);
-    run_cargo(&["test", "-q", "-p", "txn", "--features", "slow-props"], &[]);
+    run_cargo(&["test", "-q", "-p", "txn"], &[]);
 }
 
 fn main() {

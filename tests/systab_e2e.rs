@@ -51,7 +51,7 @@ const SW_NAME: usize = 1;
 const SW_VALUE: usize = 3;
 const POOL_PAGE: usize = 1;
 const POOL_DIRTY: usize = 2;
-const TIMER_LIVE: usize = 3;
+const TIMER_LIVE: usize = 1;
 
 fn goldens_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens")
