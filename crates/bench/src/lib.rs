@@ -7,16 +7,14 @@
 //! * `cargo run -p adm-bench --bin table2` — Table 2's constraints firing
 //!   in a live Patia run;
 //! * `cargo run -p adm-bench --bin figures` — the behavioural series
-//!   behind Figures 1–7 and the three Section 4 scenarios;
-//! * `cargo run -p adm-bench --bin bench` — the virtual-cycle trajectory
-//!   committed as `BENCH_adm.json` and gated by [`gate`].
+//!   behind Figures 1–7 and the three Section 4 scenarios.
 //!
-//! Wall-clock timings live in the ledger under `benchmark/`.
+//! The virtual-cycle snapshot committed as `BENCH_adm.json` is pinned
+//! exactly by `tests/bench_e2e.rs` in `cargo test`. Wall-clock timings
+//! live in the ledger under `benchmark/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod gate;
 
 /// Render a labelled two-column table of (label, value) rows.
 #[must_use]

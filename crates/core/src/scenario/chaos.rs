@@ -85,7 +85,7 @@ pub fn paper_flash_crowd() -> ChaosParams {
 
 /// The CI chaos matrix scenario: a seeded random fault storyline over the
 /// paper fleet plus a flash crowd (mirrors `chaos_e2e` scenario 7). The
-/// golden seeds are 17, 42, and 20260806.
+/// golden seeds are [`super::GOLDEN_SEEDS`].
 #[must_use]
 pub fn ci_chaos(seed: u64) -> ChaosParams {
     let fleet: Vec<String> =

@@ -13,15 +13,16 @@
 //! > the rolled-back reference — never a hybrid — and recovering again
 //! > is a no-op.
 //!
-//! [`sweep`] replays the full matrix ([`CRASH_SEEDS`] ×
+//! [`sweep`] replays the full matrix ([`GOLDEN_SEEDS`] ×
 //! [`crash_points`]); [`render_matrix`] is the golden-diffed transcript;
 //! [`run_cell_observed`] additionally yields the cycle-accounted trace
-//! (the `compkit:recover` span) the bench gate prices recovery from.
+//! (the `compkit:recover` span) the bench snapshot prices recovery from.
 //! [`supervised_storyline`] is the companion chaos scenario exercising
 //! the patia supervision layer (failure detector, circuit breaker,
 //! restart probes) under a crash/restart/partition timeline.
 
 use crate::scenario::chaos::ChaosParams;
+use crate::scenario::GOLDEN_SEEDS;
 use adl::diff::{diff, ReconfigurationPlan};
 use adl::figures::{docked_session, fig4_document, wireless_session};
 use adm_rng::Pcg32;
@@ -33,9 +34,6 @@ use faultsim::{Fault, FaultPlan};
 use obs::{Obs, ObsHandle};
 use patia::atom::AtomId;
 use patia::workload::FlashCrowd;
-
-/// The golden chaos seeds, in lockstep with the obs/trace-query tiers.
-pub const CRASH_SEEDS: [u64; 3] = [17, 42, 20_260_806];
 
 /// The crash points every seed is replayed through: mid-plan (early and
 /// deep), both commit edges, mid-rollback, and a crash *during* the
@@ -337,12 +335,12 @@ fn settle(
     }
 }
 
-/// Replay the full matrix: every [`CRASH_SEEDS`] seed through every
+/// Replay the full matrix: every [`GOLDEN_SEEDS`] seed through every
 /// [`crash_points`] crash point.
 #[must_use]
 pub fn sweep() -> Vec<CrashCellReport> {
     let mut cells = Vec::new();
-    for &seed in &CRASH_SEEDS {
+    for &seed in &GOLDEN_SEEDS {
         for &point in &crash_points() {
             cells.push(run_cell(seed, point));
         }
@@ -403,7 +401,7 @@ mod tests {
 
     #[test]
     fn references_differ_so_a_hybrid_cannot_hide() {
-        for &seed in &CRASH_SEEDS {
+        for &seed in &GOLDEN_SEEDS {
             let (committed, rolled_back) = reference_digests(seed);
             assert_ne!(committed, rolled_back, "seed {seed}: references must be distinguishable");
         }

@@ -17,3 +17,8 @@ pub mod megacrowd;
 pub mod storerep;
 pub mod system_adapt;
 pub mod txnrep;
+
+/// The seeds every seeded matrix replays and every committed golden pins:
+/// the chaos storylines, the crash-replay, storage and transaction
+/// matrices, and the bench snapshot.
+pub const GOLDEN_SEEDS: [u64; 3] = [17, 42, 20_260_806];

@@ -16,20 +16,16 @@
 //! (`mid-plan-0`), after each op record, both edges of `Commit`, mid-way
 //! through an explicit abort's undo chain, and inside the recovery scan
 //! itself (which must leave the engine down and resumable). [`sweep`]
-//! replays the full [`STORE_SEEDS`] × [`crash_points`] matrix;
+//! replays the full [`GOLDEN_SEEDS`] × [`crash_points`] matrix;
 //! [`render_matrix`] is the golden-diffed transcript whose `replayed`
 //! column pins the WAL replay length; [`run_cell_observed`] yields the
 //! cycle-billed trace (`store.wal.replay_len`, `store.page.io_cycles`)
-//! the bench gate prices recovery from.
+//! the bench snapshot prices recovery from.
 
+use crate::scenario::GOLDEN_SEEDS;
 use adm_rng::Pcg32;
 use obs::Obs;
 use store::{CrashPoint, NoCrash, PlannedCrash, RecoveryStats, StorageEngine, StoreError, StoreOp};
-
-/// The golden storage seeds — in lockstep with
-/// [`crate::scenario::crashrep::CRASH_SEEDS`] so the two crash tiers
-/// stress the same worlds.
-pub const STORE_SEEDS: [u64; 3] = crate::scenario::crashrep::CRASH_SEEDS;
 
 /// Ops in every victim transaction (each journals exactly one WAL
 /// record, so op boundaries *are* record boundaries).
@@ -318,12 +314,12 @@ fn run_cell_full(
     (report, eng)
 }
 
-/// Replay the full matrix: every [`STORE_SEEDS`] seed through every
+/// Replay the full matrix: every [`GOLDEN_SEEDS`] seed through every
 /// [`crash_points`] crash point.
 #[must_use]
 pub fn sweep() -> Vec<StoreCellReport> {
     let mut cells = Vec::new();
-    for &seed in &STORE_SEEDS {
+    for &seed in &GOLDEN_SEEDS {
         for &point in &crash_points() {
             cells.push(run_cell(seed, point));
         }
@@ -362,7 +358,7 @@ mod tests {
 
     #[test]
     fn references_differ_so_a_hybrid_cannot_hide() {
-        for &seed in &STORE_SEEDS {
+        for &seed in &GOLDEN_SEEDS {
             let mut committed = seeded_engine(seed);
             committed.apply(&victim_ops(seed)).unwrap();
             let mut base = seeded_engine(seed);

@@ -18,11 +18,12 @@
 //! > — never a mix — a further recovery is a no-op, and every armed
 //! > crash hook actually fired (an unreached site fails the cell).
 //!
-//! [`sweep`] replays the full matrix ([`TXN_SEEDS`] × [`crash_points`] ×
+//! [`sweep`] replays the full matrix ([`GOLDEN_SEEDS`] × [`crash_points`] ×
 //! [`TOPOLOGIES`]); [`render_matrix`] is the golden-diffed transcript;
 //! [`run_cell_observed`] / [`run_clean_observed`] yield the
-//! cycle-accounted `txn:*` traces the bench gate prices 2PC from.
+//! cycle-accounted `txn:*` traces the bench snapshot prices 2PC from.
 
+use crate::scenario::GOLDEN_SEEDS;
 use adl::ast::Binding;
 use adl::diff::ReconfigurationPlan;
 use adm_rng::Pcg32;
@@ -39,9 +40,6 @@ use txn::{
     CrossShardReport, DataComponent, NoTxnCrash, PlannedTxnCrash, ShardId, TransactionCore,
     TxnCrashPoint, TxnError,
 };
-
-/// The golden seeds, in lockstep with the chaos and crashrep tiers.
-pub const TXN_SEEDS: [u64; 3] = [17, 42, 20_260_806];
 
 /// The shard counts every cell is replayed on: the minimal cross-shard
 /// case and a three-way transaction (two migrations converging on one
@@ -307,7 +305,7 @@ pub fn run_cell_observed(seed: u64, topology: usize, point: TxnCrashPoint) -> (T
 }
 
 /// One crash-free committed transaction with an [`Obs`] hub armed — the
-/// prepare/commit cycle reference the bench gate prices.
+/// prepare/commit cycle reference the bench snapshot prices.
 #[must_use]
 pub fn run_clean_observed(seed: u64, topology: usize) -> (CrossShardReport, Obs) {
     let handle = Obs::new(obs::CostModel::pentium()).into_handle();
@@ -398,13 +396,13 @@ fn run_cell_inner(
     }
 }
 
-/// Replay the full matrix: every [`TXN_SEEDS`] seed through every
+/// Replay the full matrix: every [`GOLDEN_SEEDS`] seed through every
 /// [`crash_points`] site on every [`TOPOLOGIES`] shard count.
 #[must_use]
 pub fn sweep() -> Vec<TxnCellReport> {
     let mut cells = Vec::new();
     for &topology in &TOPOLOGIES {
-        for &seed in &TXN_SEEDS {
+        for &seed in &GOLDEN_SEEDS {
             for &point in &crash_points(topology) {
                 cells.push(run_cell(seed, topology, point));
             }
@@ -450,7 +448,7 @@ mod tests {
     #[test]
     fn references_differ_per_shard_so_a_hybrid_cannot_hide() {
         for &topology in &TOPOLOGIES {
-            for &seed in &TXN_SEEDS {
+            for &seed in &GOLDEN_SEEDS {
                 let (committed, rolled_back) = reference_digests(seed, topology);
                 assert_eq!(committed.len(), topology);
                 for (i, (c, r)) in committed.iter().zip(&rolled_back).enumerate() {

@@ -1,11 +1,14 @@
 //! Minimal unified line diff for deterministic text artifacts.
 //!
-//! Golden-trace and bench-gate failures used to report only digest
-//! values, which tells a reviewer *that* something drifted but not
-//! *what*. This module renders a classic unified diff (`-`/`+`/` `
-//! prefixed lines with `@@` hunk headers) between two strings using an
-//! O(n·m) LCS table — fine for golden snapshots, which are a few hundred
-//! lines — with no external dependency.
+//! A golden failure that reported only digest values would tell a
+//! reviewer *that* something drifted but not *what*. This module renders
+//! a classic unified diff (`-`/`+`/` ` prefixed lines with `@@` hunk
+//! headers) between two strings using an O(n·m) LCS table — fine for
+//! golden snapshots, which are a few hundred lines — with no external
+//! dependency. Lines keep their terminators, so texts that differ only in
+//! a final newline or a `\r` still produce a hunk: a last line without a
+//! newline is marked `\ No newline at end of file`, as `diff -u` does,
+//! and a carriage return renders as `\r`.
 
 use std::fmt::Write as _;
 
@@ -27,8 +30,8 @@ pub fn unified(want: &str, got: &str, want_label: &str, got_label: &str) -> Stri
     if want == got {
         return String::new();
     }
-    let a: Vec<&str> = want.lines().collect();
-    let b: Vec<&str> = got.lines().collect();
+    let a: Vec<&str> = want.split_inclusive('\n').collect();
+    let b: Vec<&str> = got.split_inclusive('\n').collect();
     let script = edit_script(&a, &b);
 
     let mut out = String::new();
@@ -50,7 +53,7 @@ pub fn unified(want: &str, got: &str, want_label: &str, got_label: &str) -> Stri
         // Found a change; open a hunk CONTEXT lines back.
         let lead = CONTEXT.min(ai).min(i);
         let (hunk_a, hunk_b) = (ai - lead, bi - lead);
-        let mut lines: Vec<String> = (0..lead).map(|k| format!(" {}", a[ai - lead + k])).collect();
+        let mut lines: Vec<String> = (0..lead).map(|k| render(' ', a[ai - lead + k])).collect();
         let (mut na, mut nb) = (lead, lead);
         let mut kept_run = 0usize;
         let mut j = i;
@@ -65,7 +68,7 @@ pub fn unified(want: &str, got: &str, want_label: &str, got_label: &str) -> Stri
                         break;
                     }
                     kept_run += 1;
-                    lines.push(format!(" {}", a[ai]));
+                    lines.push(render(' ', a[ai]));
                     na += 1;
                     nb += 1;
                     ai += 1;
@@ -75,13 +78,13 @@ pub fn unified(want: &str, got: &str, want_label: &str, got_label: &str) -> Stri
                     // Kept lines before another edit are interior context
                     // and stay in the hunk; only the run counter resets.
                     kept_run = 0;
-                    lines.push(format!("-{}", a[ai]));
+                    lines.push(render('-', a[ai]));
                     na += 1;
                     ai += 1;
                 }
                 Edit::Insert => {
                     kept_run = 0;
-                    lines.push(format!("+{}", b[bi]));
+                    lines.push(render('+', b[bi]));
                     nb += 1;
                     bi += 1;
                 }
@@ -106,11 +109,19 @@ pub fn unified(want: &str, got: &str, want_label: &str, got_label: &str) -> Stri
         );
         for l in lines {
             out.push_str(&l);
-            out.push('\n');
         }
         i = j;
     }
     out
+}
+
+/// One diff line: `prefix`, the line with any `\r` made visible, and a
+/// `diff -u` marker when the line has no terminating newline.
+fn render(prefix: char, line: &str) -> String {
+    match line.strip_suffix('\n') {
+        Some(body) => format!("{prefix}{}\n", body.replace('\r', "\\r")),
+        None => format!("{prefix}{}\n\\ No newline at end of file\n", line.replace('\r', "\\r")),
+    }
 }
 
 /// Classic LCS dynamic program + backtrack. Quadratic, which is fine for
@@ -186,6 +197,14 @@ mod tests {
         assert_eq!(hunks, 2, "two separated changes, two hunks:\n{d}");
         assert!(d.contains("-line2\n+LINE2\n"), "{d}");
         assert!(d.contains("-line27\n+LINE27\n"), "{d}");
+    }
+
+    #[test]
+    fn line_ending_only_differences_still_produce_a_hunk() {
+        let d = unified("a\n", "a", "w", "g");
+        assert_eq!(d, "--- w\n+++ g\n@@ -1,1 +1,1 @@\n-a\n+a\n\\ No newline at end of file\n");
+        let d = unified("x\na\r\n", "x\na\n", "w", "g");
+        assert!(d.contains(" x\n-a\\r\n+a\n"), "{d}");
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! * [`query`] — a combinator query engine over the event log, used by
 //!   tests to assert causal invariants (*precedes*, *within*,
 //!   *encloses*) instead of eyeballing renders.
-//! * [`diff`] — a minimal unified line diff so golden-trace and
-//!   bench-gate failures show *what* drifted, not just digests.
+//! * [`diff`] — a minimal unified line diff so golden failures show
+//!   *what* drifted, not just digests.
 //!
 //! # Arming
 //!

@@ -193,7 +193,7 @@ impl Profile {
     }
 
     /// Self-cycle totals per category (the `cat` of [`frame_of`]'s
-    /// `cat:name` key) — the per-layer attribution the bench gate tracks.
+    /// `cat:name` key) — the per-layer attribution the bench snapshot pins.
     /// Idle cycles are reported under [`IDLE_FRAME`].
     #[must_use]
     pub fn per_category(&self) -> BTreeMap<String, Cycles> {

@@ -24,7 +24,7 @@
 //! [`machine::cost::Primitive::PageIo`] (accumulated in
 //! `store.page.io_cycles`), every commit charges a log force, and
 //! `store.pool.hit` / `store.pool.miss` count the pool's behaviour so the
-//! bench gate can watch the hit rate. Disarmed, the engine costs one
+//! bench snapshot can pin the hit rate. Disarmed, the engine costs one
 //! branch per operation, like every other component.
 
 use crate::btree::BTree;

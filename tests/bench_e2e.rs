@@ -1,27 +1,29 @@
-//! The benchmark-trajectory bin: replay the paper's workloads with the
+//! The cycle snapshot: replay the paper's workloads with the
 //! observability hub armed, fold each trace through the
-//! cycle-attribution profiler, and emit a stable `BENCH_adm.json` —
-//! virtual-cycle totals, per-layer attribution, span/event counts.
+//! cycle-attribution profiler, and pin every number against the
+//! committed `BENCH_adm.json` — virtual-cycle totals, per-layer
+//! attribution, span/event and outcome counts.
 //!
-//! Three workloads, all fully seeded so every number is a deterministic
-//! replay, not a wall-clock measurement:
+//! Every workload is fully seeded, so every number is a deterministic
+//! replay, not a wall-clock measurement, and the snapshot must match the
+//! committed file byte for byte:
 //!
 //! * **Table 1** — null-RPC cycle cost per kernel plus the SISR
-//!   load-time verification row;
+//!   load-time verification row, SISR v3 summary scaling, and planlint;
 //! * **flash crowd** — the Table 2 / Figure 7 scenario
 //!   (`scenario::chaos::paper_flash_crowd`, the same definition the
 //!   golden-trace tier and `figures --trace/--flame` run);
-//! * **chaos matrix** — the CI chaos storylines
-//!   (`scenario::chaos::ci_chaos`) under seeds 17, 42, 20260806;
+//! * **chaos matrix** — the chaos storylines
+//!   (`scenario::chaos::ci_chaos`) under every golden seed;
 //! * **crash replay** — the `scenario::crashrep` recovery matrix (same
 //!   seeds × every crash point), pricing journal recovery: total
 //!   `compkit:recover` span cycles plus the landed-outcome and
 //!   undo-work counts;
+//! * **storage** — the WAL recovery matrix and the buffer-pool pressure
+//!   sweep (`store.*`);
 //! * **mega crowd** — the `scenario::megacrowd` scale run (~10.5M
 //!   requests through the event engine): virtual cycles per request
-//!   plus — uniquely in this bench — real wall-clock rows
-//!   (`megacrowd.wall.*`), gated only against order-of-magnitude
-//!   blowups since wall time is machine-dependent;
+//!   and the engine's counts;
 //! * **transactions** — the unbundled transaction core: clean
 //!   cross-shard prepare/commit and crash-plus-recovery cycle prices,
 //!   plus the conformance matrix's exact outcome counts (`txn.cycles.*`,
@@ -31,31 +33,42 @@
 //!   SWITCH rule's evaluation cost (`systab.cycles.*`,
 //!   `systab.counts.*`).
 //!
-//! Modes:
-//!
-//! * `bench` — print the snapshot JSON to stdout;
-//! * `bench --update` — rewrite the committed baseline `BENCH_adm.json`
-//!   (normally via `cargo xtask update-goldens`);
-//! * `bench --check` — compare this run against the committed baseline
-//!   under the gate tolerances ([`adm_bench::gate`]) and exit non-zero
-//!   on any out-of-tolerance drift (the CI `bench-gate` job).
+//! Wall-clock numbers live in the ledger under `benchmark/`. Regenerate
+//! the snapshot after an intentional change with
+//! `cargo xtask update-goldens`.
 
-use adm_bench::gate::{compare, BenchSnapshot, Tolerance};
+mod golden;
+
 use adm_core::scenario::chaos::{ci_chaos, paper_flash_crowd, run_observed, ChaosParams};
-use adm_core::scenario::crashrep;
+use adm_core::scenario::{crashrep, GOLDEN_SEEDS};
 use gokernel::kernels::KernelKind;
 use gokernel::table1::{table1_rows, verification_cost_row};
 use machine::CostModel;
 use obs::Profile;
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-/// The chaos seeds with committed goldens — keep in lockstep with the CI
-/// matrix and `tests/obs_e2e.rs`.
-const CHAOS_SEEDS: [u64; 3] = [17, 42, 20260806];
+/// A flat snapshot: dotted metric name → integer value, name-sorted.
+#[derive(Default)]
+struct Snapshot(BTreeMap<String, u64>);
 
-/// The committed baseline, at the workspace root next to README.md.
-fn baseline_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_adm.json")
+impl Snapshot {
+    /// Record one metric.
+    fn set(&mut self, key: impl Into<String>, value: u64) {
+        self.0.insert(key.into(), value);
+    }
+
+    /// Render as JSON: one sorted `"key": value` pair per line, so the
+    /// committed file diffs line by line in review.
+    fn to_json(&self) -> String {
+        let mut out = String::from("{\n");
+        for (i, (k, v)) in self.0.iter().enumerate() {
+            let sep = if i + 1 == self.0.len() { "" } else { "," };
+            let _ = writeln!(out, "  \"{k}\": {v}{sep}");
+        }
+        out.push_str("}\n");
+        out
+    }
 }
 
 /// A short metric-key segment for a Table 1 kernel row.
@@ -75,7 +88,7 @@ fn category_key(cat: &str) -> String {
 
 /// Record one observed scenario under `prefix`: clock, per-category
 /// self-cycle attribution, and the structural counts.
-fn record_scenario(snap: &mut BenchSnapshot, prefix: &str, params: &ChaosParams) {
+fn record_scenario(snap: &mut Snapshot, prefix: &str, params: &ChaosParams) {
     let (report, o) = run_observed(params);
     let profile = Profile::build(o.tracer.events(), o.clock());
     assert_eq!(
@@ -94,7 +107,7 @@ fn record_scenario(snap: &mut BenchSnapshot, prefix: &str, params: &ChaosParams)
     snap.set(format!("{prefix}.counts.switches"), report.migrations);
     snap.set(format!("{prefix}.counts.reconfigs_committed"), report.reconfigs_committed);
     // Tail latency from the completion histogram — a deterministic
-    // replay, so the p99 is an exact, exactly-gated number.
+    // replay, so the p99 is an exact number.
     let p99 = o
         .metrics
         .histogram("patia.latency_ticks")
@@ -107,14 +120,14 @@ fn record_scenario(snap: &mut BenchSnapshot, prefix: &str, params: &ChaosParams)
 /// costs on the virtual clock (summed `compkit:recover` span cycles
 /// across every cell) and the structural outcome counts the recovery
 /// invariant fixes exactly.
-fn record_crashrep(snap: &mut BenchSnapshot) {
+fn record_crashrep(snap: &mut Snapshot) {
     let mut recovery_cycles = 0u64;
     let mut committed = 0u64;
     let mut rolled_back = 0u64;
     let mut scanned = 0u64;
     let mut undone = 0u64;
     let mut cells = 0u64;
-    for &seed in &crashrep::CRASH_SEEDS {
+    for &seed in &GOLDEN_SEEDS {
         for &point in &crashrep::crash_points() {
             let (cell, o) = crashrep::run_cell_observed(seed, point);
             assert!(cell.consistent(), "bench cell must recover cleanly: {}", cell.render_line());
@@ -142,10 +155,10 @@ fn record_crashrep(snap: &mut BenchSnapshot) {
 
 /// SISR v3 scaling: verification cost of a many-procedure component at
 /// 1×/4×/16× the base component size (8 procedures). The interprocedural
-/// summaries make this ~linear in procedure count — the gated evidence
+/// summaries make this ~linear in procedure count — the pinned evidence
 /// is that the 1×→4× and 4×→16× cycle deltas stay affine instead of
 /// exploding with call-path count as the v2 concrete-stack keys did.
-fn record_sisr_scaling(snap: &mut BenchSnapshot) {
+fn record_sisr_scaling(snap: &mut Snapshot) {
     use gokernel::sisr::SisrVerifier;
     use machine::isa::{Instr, Program};
     let verifier = SisrVerifier::new(CostModel::pentium());
@@ -175,7 +188,7 @@ fn record_sisr_scaling(snap: &mut BenchSnapshot) {
 /// step ahead of every switch, so the Figure 5 lifecycle plans price the
 /// gate exactly. All three plans must lint clean — the linter's verdict
 /// is part of the baseline.
-fn record_planlint(snap: &mut BenchSnapshot) {
+fn record_planlint(snap: &mut Snapshot) {
     use adl::diff::diff;
     use adl::figures::{docked_session, fig4_document, wireless_session};
     use compkit::planlint::PlanLinter;
@@ -206,7 +219,7 @@ fn record_planlint(snap: &mut BenchSnapshot) {
 /// IO and cell clocks are virtual-cycle rows) plus the buffer-pool
 /// pressure sweep (hit rates per capacity — exact, since the sweep is a
 /// seeded replay).
-fn record_store(snap: &mut BenchSnapshot) {
+fn record_store(snap: &mut Snapshot) {
     use adm_core::scenario::megacrowd::pool_pressure_sweep;
     use adm_core::scenario::storerep;
 
@@ -231,7 +244,7 @@ fn record_store(snap: &mut BenchSnapshot) {
     // set, the sweep's worst case — where every fault is billed through
     // `Primitive::PageIo` and accumulated in `store.page.io_cycles`.
     let mut cell_clock = 0u64;
-    for &seed in &storerep::STORE_SEEDS {
+    for &seed in &GOLDEN_SEEDS {
         let (_, o) = storerep::run_cell_observed(seed, store::CrashPoint::AfterCommit);
         cell_clock += o.clock();
     }
@@ -272,7 +285,7 @@ fn record_store(snap: &mut BenchSnapshot) {
 /// plus the recovery that settles it — and the conformance matrix's exact
 /// structural outcome counts (cells, landed sides, compensations,
 /// in-doubt resolutions).
-fn record_txn(snap: &mut BenchSnapshot) {
+fn record_txn(snap: &mut Snapshot) {
     use adm_core::scenario::txnrep;
     use txn::TxnCrashPoint;
 
@@ -318,7 +331,7 @@ fn record_txn(snap: &mut BenchSnapshot) {
 /// declarative SWITCH rule costs per storyline (the rule engine's
 /// ledgered work priced through `Primitive::Alu`, since rule evaluation
 /// deliberately never bills the storyline's own hub).
-fn record_systab(snap: &mut BenchSnapshot) {
+fn record_systab(snap: &mut Snapshot) {
     use adm_core::scenario::chaos::run_with_state;
     use systab::{metrics_table, scan_rows, spans_table, supervision_table, switches_table};
 
@@ -352,16 +365,13 @@ fn record_systab(snap: &mut BenchSnapshot) {
 }
 
 /// Record the mega-crowd scale run under `megacrowd.*`: engine counts
-/// and virtual cycles per request from an observed run, and real
-/// wall-clock rows from an unobserved one. `wall.micros` is the raw run
-/// time; `wall.micros_per_million_requests` is the (inverse) throughput
-/// — both time-like, so a faster machine always passes the gate.
-fn record_megacrowd(snap: &mut BenchSnapshot) {
+/// and virtual cycles per request from an observed run, checked against
+/// an unobserved one. Its wall-clock time is the ledger's `megacrowd`
+/// workload, and `tests/scale_e2e.rs` holds it to a release budget.
+fn record_megacrowd(snap: &mut Snapshot) {
     use adm_core::scenario::megacrowd::{mega_crowd, run, run_observed as run_mega_observed};
     let params = mega_crowd();
-    let started = std::time::Instant::now();
     let report = run(&params);
-    let wall = started.elapsed();
     assert!(report.conserved(), "mega-crowd must conserve at scale");
     let (observed, o) = run_mega_observed(&params);
     assert_eq!(observed, report, "arming observability must not perturb the run");
@@ -379,18 +389,11 @@ fn record_megacrowd(snap: &mut BenchSnapshot) {
         .and_then(|h| h.quantile(0.99))
         .expect("the mega-crowd completes requests");
     snap.set("megacrowd.latency.p99_ticks", p99);
-    #[allow(clippy::cast_possible_truncation)]
-    let micros = wall.as_micros() as u64;
-    snap.set("megacrowd.wall.micros", micros);
-    snap.set(
-        "megacrowd.wall.micros_per_million_requests",
-        micros.saturating_mul(1_000_000) / report.totals.completed.max(1),
-    );
 }
 
 /// Replay every workload into one snapshot.
-fn measure() -> BenchSnapshot {
-    let mut snap = BenchSnapshot::new();
+fn measure() -> Snapshot {
+    let mut snap = Snapshot::default();
 
     // Table 1: per-kernel null-RPC cycles plus the verification row.
     let model = CostModel::pentium();
@@ -407,7 +410,7 @@ fn measure() -> BenchSnapshot {
 
     // The flash crowd and the chaos matrix.
     record_scenario(&mut snap, "flash_crowd", &paper_flash_crowd());
-    for seed in CHAOS_SEEDS {
+    for seed in GOLDEN_SEEDS {
         record_scenario(&mut snap, &format!("chaos.seed{seed}"), &ci_chaos(seed));
     }
 
@@ -423,66 +426,13 @@ fn measure() -> BenchSnapshot {
     // The system-table layer: billed scans + the declarative SWITCH rule.
     record_systab(&mut snap);
 
-    // The mega-crowd scale run (cycles + wall-clock).
+    // The mega-crowd scale run.
     record_megacrowd(&mut snap);
     snap
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = args.first().map(String::as_str);
-    let snap = measure();
-    let json = snap.to_json();
-    match mode {
-        None => print!("{json}"),
-        Some("--update") => {
-            let path = baseline_path();
-            std::fs::write(&path, &json).expect("write baseline");
-            println!("wrote {} ({} metrics)", path.display(), snap.values().len());
-        }
-        Some("--check") => {
-            let path = baseline_path();
-            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                println!(
-                    "FAIL: cannot read baseline {} ({e}); \
-                     commit one with `cargo xtask update-goldens`",
-                    path.display()
-                );
-                std::process::exit(1);
-            });
-            let baseline = BenchSnapshot::from_json(&text).unwrap_or_else(|e| {
-                println!("FAIL: malformed baseline {}: {e}", path.display());
-                std::process::exit(1);
-            });
-            let tol = Tolerance::default();
-            let violations = compare(&baseline, &snap, &tol);
-            if violations.is_empty() {
-                println!(
-                    "bench-gate OK: {} metrics within tolerance (cycles ±{}% or {} cycles; counts exact)",
-                    baseline.values().len(),
-                    tol.cycle_pct,
-                    tol.cycle_floor
-                );
-                return;
-            }
-            println!(
-                "bench-gate FAIL: {} metric(s) out of tolerance vs {}:",
-                violations.len(),
-                path.display()
-            );
-            for v in &violations {
-                println!("  {v}");
-            }
-            println!(
-                "\nfull drift:\n{}",
-                obs::diff::unified(&text, &json, "BENCH_adm.json (baseline)", "this run")
-            );
-            println!("if intentional, re-baseline with `cargo xtask update-goldens`");
-            std::process::exit(1);
-        }
-        Some(other) => {
-            println!("unknown argument {other:?}; usage: bench [--update|--check]");
-            std::process::exit(2);
-        }
-    }
+/// Every deterministic number the workloads produce, pinned exactly.
+#[test]
+fn cycle_snapshot_matches_the_committed_bench_file() {
+    golden::check("BENCH_adm.json", &measure().to_json());
 }

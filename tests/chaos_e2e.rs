@@ -4,13 +4,14 @@
 //! lose requests, corrupt the component runtime, or panic anything.
 //!
 //! Every scenario is deterministic: the fault timeline comes from a
-//! seeded [`FaultPlan`], never the wall clock. The CI chaos job sweeps
-//! the determinism scenario over several seeds via `CHAOS_SEED`.
+//! seeded [`FaultPlan`], never the wall clock. The determinism scenario
+//! sweeps every golden seed.
 
 use adl::ast::{Binding, PortRef};
 use adl::config::Configuration;
 use adl::diff::diff;
 use adm_core::scenario::chaos::{run, ChaosParams};
+use adm_core::scenario::GOLDEN_SEEDS;
 use compkit::adaptivity::{AdaptivityManager, SwitchError};
 use compkit::runtime::{BasicFactory, Runtime};
 use compkit::state::StateManager;
@@ -26,12 +27,6 @@ use patia::stream::{default_ladder, StreamSession, TickOutcome};
 use patia::workload::FlashCrowd;
 use std::collections::BTreeMap;
 use ubinet::{BandwidthProfile, Device, DeviceKind, Link, LinkKind, Network, Simulator};
-
-/// The seed the determinism sweep runs under; CI overrides it per matrix
-/// leg.
-fn chaos_seed() -> u64 {
-    std::env::var("CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(42)
-}
 
 /// Scenario 1 — node death mid-flash-crowd. The crowd's victim node dies
 /// while saturated; its agents must evacuate and every request must be
@@ -243,11 +238,10 @@ fn switch_denial_storm_degrades_but_serves() {
 }
 
 /// Scenario 7 — determinism. The same seed yields a byte-identical fault
-/// timeline and identical per-tick stats across two full runs. CI sweeps
-/// this over several seeds via `CHAOS_SEED`.
+/// timeline and identical per-tick stats across two full runs, for every
+/// golden seed.
 #[test]
 fn same_seed_replays_identical_timeline_and_stats() {
-    let seed = chaos_seed();
     let fleet: Vec<String> =
         ["node1", "node2", "node3", "wp1", "wp2"].iter().map(|s| (*s).to_owned()).collect();
     let space = FaultSpace {
@@ -264,19 +258,21 @@ fn same_seed_replays_identical_timeline_and_stats() {
         crash_nodes: Vec::new(),
         txn_crashes: Vec::new(),
     };
-    let plan = FaultPlan::random(seed, &space);
-    assert_eq!(plan.render(), FaultPlan::random(seed, &space).render());
-    let params = ChaosParams {
-        plan,
-        ticks: 300,
-        crowd: Some(FlashCrowd { from: 60, to: 180, target: AtomId(123), multiplier: 20.0 }),
-        ..ChaosParams::default()
-    };
-    let (a, b) = (run(&params), run(&params));
-    assert_eq!(a.timeline, b.timeline, "fault timeline must be byte-identical");
-    assert_eq!(a.plan_digest, b.plan_digest);
-    assert_eq!(a.per_tick, b.per_tick, "every TickStats must match across runs");
-    assert_eq!(a, b);
-    assert!(a.conserved(), "conservation must hold under seed {seed}");
-    assert!(a.switches_consistent, "switch counters must stay consistent under seed {seed}");
+    for seed in GOLDEN_SEEDS {
+        let plan = FaultPlan::random(seed, &space);
+        assert_eq!(plan.render(), FaultPlan::random(seed, &space).render());
+        let params = ChaosParams {
+            plan,
+            ticks: 300,
+            crowd: Some(FlashCrowd { from: 60, to: 180, target: AtomId(123), multiplier: 20.0 }),
+            ..ChaosParams::default()
+        };
+        let (a, b) = (run(&params), run(&params));
+        assert_eq!(a.timeline, b.timeline, "seed {seed}: fault timeline must be byte-identical");
+        assert_eq!(a.plan_digest, b.plan_digest);
+        assert_eq!(a.per_tick, b.per_tick, "seed {seed}: every TickStats must match across runs");
+        assert_eq!(a, b);
+        assert!(a.conserved(), "conservation must hold under seed {seed}");
+        assert!(a.switches_consistent, "switch counters must stay consistent under seed {seed}");
+    }
 }

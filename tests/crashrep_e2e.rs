@@ -16,21 +16,16 @@
 //! suspicion within `k` missed beats of a crash, no SWITCH toward an
 //! open circuit, and readmission after restart.
 
+mod golden;
+
 use adm_core::scenario::chaos::run_observed;
 use adm_core::scenario::crashrep::{
     crash_points, render_matrix, run_cell_observed, supervised_storyline, sweep, CrashCellReport,
-    CRASH_SEEDS,
 };
+use adm_core::scenario::GOLDEN_SEEDS;
 use compkit::journal::CrashPoint;
 use obs::query::{arg, Query};
 use obs::TraceEvent;
-use std::path::PathBuf;
-
-fn goldens_dir() -> PathBuf {
-    // Registered under crates/core; the goldens live at the repo root
-    // next to the e2e sources.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens")
-}
 
 /// Part 1a — the tentpole invariant over the full matrix: every cell
 /// settles on exactly one reference configuration and replays as a
@@ -38,7 +33,7 @@ fn goldens_dir() -> PathBuf {
 #[test]
 fn every_crash_cell_recovers_to_committed_or_rolled_back_never_hybrid() {
     let cells = sweep();
-    assert_eq!(cells.len(), CRASH_SEEDS.len() * crash_points().len(), "the matrix is complete");
+    assert_eq!(cells.len(), GOLDEN_SEEDS.len() * crash_points().len(), "the matrix is complete");
     for cell in &cells {
         assert!(
             cell.consistent(),
@@ -82,25 +77,7 @@ fn every_crash_cell_recovers_to_committed_or_rolled_back_never_hybrid() {
 fn crash_matrix_golden_is_stable() {
     let got = render_matrix(&sweep());
     assert_eq!(got, render_matrix(&sweep()), "the matrix must replay byte-identically");
-    let path = goldens_dir().join("crashrep.txt");
-    if std::env::var("UPDATE_GOLDENS").is_ok() {
-        std::fs::create_dir_all(goldens_dir()).expect("create goldens dir");
-        std::fs::write(&path, &got).expect("write golden");
-        println!("updated golden {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); regenerate with `cargo xtask update-goldens`",
-            path.display()
-        )
-    });
-    assert!(
-        got == want,
-        "crash-replay matrix drifted from the committed golden; if intentional, regenerate \
-         with `cargo xtask update-goldens`\n{}",
-        obs::diff::unified(&want, &got, "golden crashrep.txt", "this run")
-    );
+    golden::check("tests/goldens/crashrep.txt", &got);
 }
 
 /// Part 1c — recovery is work the machine performs, so it is billed on
@@ -108,7 +85,7 @@ fn crash_matrix_golden_is_stable() {
 /// agree with the report, and published to the registry.
 #[test]
 fn recovery_cost_is_billed_traced_and_published() {
-    for &seed in &CRASH_SEEDS {
+    for &seed in &GOLDEN_SEEDS {
         for point in [CrashPoint::MidPlan { after_steps: 3 }, CrashPoint::AfterCommit] {
             let (cell, o) = run_cell_observed(seed, point);
             let all = Query::over(o.tracer.events());
@@ -181,7 +158,7 @@ fn open_intervals(events: &[TraceEvent], node: &str) -> Vec<(u64, u64)> {
 /// chaos seed matrix.
 #[test]
 fn supervision_invariants_hold_over_the_storyline() {
-    for &seed in &CRASH_SEEDS {
+    for &seed in &GOLDEN_SEEDS {
         let (report, o) = run_observed(&supervised_storyline(seed));
         assert!(report.conserved(), "seed {seed}: conservation must hold");
         let events = o.tracer.events();

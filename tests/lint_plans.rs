@@ -1,5 +1,5 @@
-//! The `cargo xtask lint-plans` gate: planlint over every reconfiguration
-//! plan the committed scenarios produce, plus the ADL analyser over every
+//! The plan-lint tier: planlint over every reconfiguration plan the
+//! committed scenarios produce, plus the ADL analyser over every
 //! committed architecture document.
 //!
 //! Two layers of evidence:
@@ -12,8 +12,6 @@
 //!    crashrep and chaos suites completing with consistent reports *is*
 //!    a lint pass over every plan they executed. The scenarios driven
 //!    here re-assert that.
-//!
-//! CI's lint-gate job fails if any assertion here trips.
 
 use adl::analysis::analyze;
 use adl::diff::{diff, ReconfigurationPlan};

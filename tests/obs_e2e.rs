@@ -1,8 +1,8 @@
 //! Golden-trace tier: the observability substrate must be *deterministic*
 //! — two runs of the same seeded scenario produce byte-identical traces
 //! and metric snapshots — and *inert* — arming it must not change what
-//! the system does. Both properties are asserted here, and the known CI
-//! seeds are additionally pinned against committed golden snapshots so
+//! the system does. Both properties are asserted here, and every golden
+//! seed is additionally pinned against a committed golden snapshot so
 //! any drift in instrumentation, cost model, or scheduling shows up as a
 //! diff in review rather than silently rewriting history.
 //!
@@ -12,28 +12,14 @@
 //! cargo xtask update-goldens
 //! ```
 
+mod golden;
+
 use adm_core::scenario::chaos::{ci_chaos, paper_flash_crowd, run, run_observed, ChaosParams};
+use adm_core::scenario::GOLDEN_SEEDS;
 use obs::Obs;
-use std::path::PathBuf;
-
-/// The seed the chaos determinism golden runs under; CI overrides it per
-/// matrix leg (17, 42, 20260806). Unknown seeds still get the full
-/// run-vs-run determinism check — only the file comparison is skipped.
-fn chaos_seed() -> u64 {
-    std::env::var("CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(42)
-}
-
-/// Seeds with a committed golden snapshot (the CI matrix).
-const GOLDEN_SEEDS: [u64; 3] = [17, 42, 20260806];
-
-fn goldens_dir() -> PathBuf {
-    // The test is registered under crates/core, so walk back to the repo
-    // root where the goldens live next to the e2e sources.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens")
-}
 
 /// The Table 2 flash-crowd scenario — shared with `figures` and the bench
-/// gate via `scenario::chaos`.
+/// snapshot via `scenario::chaos`.
 fn flash_crowd_params() -> ChaosParams {
     paper_flash_crowd()
 }
@@ -61,8 +47,7 @@ fn snapshot(scenario: &str, seed: u64, o: &Obs) -> String {
 }
 
 /// Run a scenario twice under one seed, assert byte-identical traces and
-/// metric snapshots, then pin against the committed golden (or write it
-/// under `UPDATE_GOLDENS=1`).
+/// metric snapshots, then pin against the committed golden.
 fn assert_golden(name: &str, seed: u64, params: &ChaosParams) {
     let (ra, oa) = run_observed(params);
     let (rb, ob) = run_observed(params);
@@ -82,34 +67,9 @@ fn assert_golden(name: &str, seed: u64, params: &ChaosParams) {
     assert!(!oa.tracer.events().is_empty(), "{name}: an armed run must actually record events");
     assert_eq!(oa.tracer.open_spans(), 0, "{name}: every span must be closed");
 
-    let path = goldens_dir().join(format!("{name}.txt"));
-    let got = snapshot(name, seed, &oa);
-    if std::env::var("UPDATE_GOLDENS").is_ok() {
-        std::fs::create_dir_all(goldens_dir()).expect("create goldens dir");
-        std::fs::write(&path, &got).expect("write golden");
-        println!("updated golden {}", path.display());
-        return;
-    }
-    if name.starts_with("chaos-seed-") && !GOLDEN_SEEDS.contains(&seed) {
-        // A custom CHAOS_SEED has no committed golden; the determinism
-        // assertions above still ran.
-        println!("seed {seed} has no committed golden; skipped file compare");
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); regenerate with `cargo xtask update-goldens`",
-            path.display()
-        )
-    });
     // A drifted golden fails with a unified diff of the snapshot, not just
     // digest values — the reviewer sees *which* metric or digest moved.
-    assert!(
-        got == want,
-        "{name}: observability snapshot drifted from the committed golden; if the change \
-         is intentional, regenerate with `cargo xtask update-goldens`\n{}",
-        obs::diff::unified(&want, &got, &format!("golden {name}.txt"), "this run")
-    );
+    golden::check(&format!("tests/goldens/{name}.txt"), &snapshot(name, seed, &oa));
 }
 
 /// Table 2 flash crowd: golden trace + metrics, fixed scenario seed.
@@ -118,18 +78,19 @@ fn flash_crowd_golden_trace_is_stable() {
     assert_golden("flash-crowd", 0, &flash_crowd_params());
 }
 
-/// Chaos determinism under the CI seed matrix: golden per seed.
+/// Chaos determinism under every golden seed: one golden per seed.
 #[test]
 fn chaos_golden_trace_is_stable_under_seed() {
-    let seed = chaos_seed();
-    assert_golden(&format!("chaos-seed-{seed}"), seed, &chaos_params(seed));
+    for seed in GOLDEN_SEEDS {
+        assert_golden(&format!("chaos-seed-{seed}"), seed, &chaos_params(seed));
+    }
 }
 
 /// The inertness guarantee: arming observability must not perturb the
 /// run. `run` and `run_observed` agree report-for-report.
 #[test]
 fn armed_run_matches_disarmed_run_exactly() {
-    for params in [flash_crowd_params(), chaos_params(42)] {
+    for params in std::iter::once(flash_crowd_params()).chain(GOLDEN_SEEDS.map(chaos_params)) {
         let plain = run(&params);
         let (observed, _) = run_observed(&params);
         assert_eq!(plain, observed, "observability must be inert");
@@ -140,16 +101,18 @@ fn armed_run_matches_disarmed_run_exactly() {
 /// aggregates — the same numbers, two roads.
 #[test]
 fn registry_counters_agree_with_the_report() {
-    let (r, o) = run_observed(&chaos_params(42));
-    assert_eq!(o.metrics.counter("patia.requests.arrived"), r.arrivals);
-    assert_eq!(o.metrics.counter("patia.requests.completed"), r.completed);
-    assert_eq!(o.metrics.counter("patia.requests.dropped"), r.dropped);
-    assert_eq!(o.metrics.counter("patia.switch.failed"), r.failed_switches);
-    assert_eq!(o.metrics.counter("patia.switch.retries"), r.switch_retries);
-    assert_eq!(o.metrics.counter("patia.switch.evacuations"), r.evacuations);
-    assert_eq!(o.metrics.counter("patia.requests.degraded"), r.degraded);
-    let h = o.metrics.histogram("patia.latency_ticks").expect("latency histogram exists");
-    assert_eq!(h.count, r.completed, "every completion is observed exactly once");
+    for seed in GOLDEN_SEEDS {
+        let (r, o) = run_observed(&chaos_params(seed));
+        assert_eq!(o.metrics.counter("patia.requests.arrived"), r.arrivals);
+        assert_eq!(o.metrics.counter("patia.requests.completed"), r.completed);
+        assert_eq!(o.metrics.counter("patia.requests.dropped"), r.dropped);
+        assert_eq!(o.metrics.counter("patia.switch.failed"), r.failed_switches);
+        assert_eq!(o.metrics.counter("patia.switch.retries"), r.switch_retries);
+        assert_eq!(o.metrics.counter("patia.switch.evacuations"), r.evacuations);
+        assert_eq!(o.metrics.counter("patia.requests.degraded"), r.degraded);
+        let h = o.metrics.histogram("patia.latency_ticks").expect("latency histogram exists");
+        assert_eq!(h.count, r.completed, "seed {seed}: every completion is observed exactly once");
+    }
 }
 
 /// The storage-backed variant is not vacuous: routed batches read atom
@@ -175,12 +138,13 @@ fn storage_backed_variants_bill_the_buffer_pool() {
 /// `profile.self_cycles.*` counters `run_observed` writes into the
 /// registry equal a fresh fold of the same trace, name for name and
 /// cycle for cycle, and they partition the final virtual clock. This is
-/// the `figures --trace` / metrics-snapshot equivalence the bench gate
-/// relies on.
+/// the `figures --trace` / metrics-snapshot equivalence the bench
+/// snapshot relies on.
 #[test]
 fn profiler_attribution_agrees_with_published_metrics() {
+    let chaos = GOLDEN_SEEDS.map(|seed| (format!("chaos-seed-{seed}"), chaos_params(seed)));
     for (name, params) in
-        [("flash-crowd", flash_crowd_params()), ("chaos-seed-42", chaos_params(42))]
+        std::iter::once(("flash-crowd".to_owned(), flash_crowd_params())).chain(chaos)
     {
         let (_, o) = run_observed(&params);
         let profile = obs::Profile::build(o.tracer.events(), o.clock());

@@ -19,27 +19,23 @@
 //! byte-identical through a `StoreScan` — the paper's "database machine"
 //! loop closed from query operator down to page and back.
 
+mod golden;
+
 use adm_core::scenario::storerep::{
-    crash_points, render_matrix, run_cell_observed, sweep, StoreCellReport, STORE_SEEDS,
+    crash_points, render_matrix, run_cell_observed, sweep, StoreCellReport,
 };
+use adm_core::scenario::GOLDEN_SEEDS;
 use datacomp::{ColumnType, Schema, Table, Value};
 use query::op::{drain, WorkCounter};
 use query::{persist_table, StoreScan};
-use std::path::PathBuf;
 use store::{CrashPoint, NoCrash, StorageEngine};
-
-fn goldens_dir() -> PathBuf {
-    // Registered under crates/core; the goldens live at the repo root
-    // next to the e2e sources.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens")
-}
 
 /// Part 1a — the tentpole invariant over the full matrix: every cell
 /// settles on exactly one reference state and replays as a no-op.
 #[test]
 fn every_wal_boundary_recovers_to_committed_or_rolled_back_never_hybrid() {
     let cells = sweep();
-    assert_eq!(cells.len(), STORE_SEEDS.len() * crash_points().len(), "the matrix is complete");
+    assert_eq!(cells.len(), GOLDEN_SEEDS.len() * crash_points().len(), "the matrix is complete");
     for cell in &cells {
         assert!(
             cell.consistent(),
@@ -88,25 +84,7 @@ fn every_wal_boundary_recovers_to_committed_or_rolled_back_never_hybrid() {
 fn store_crash_matrix_golden_is_stable() {
     let got = render_matrix(&sweep());
     assert_eq!(got, render_matrix(&sweep()), "the matrix must replay byte-identically");
-    let path = goldens_dir().join("storerep.txt");
-    if std::env::var("UPDATE_GOLDENS").is_ok() {
-        std::fs::create_dir_all(goldens_dir()).expect("create goldens dir");
-        std::fs::write(&path, &got).expect("write golden");
-        println!("updated golden {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); regenerate with `cargo xtask update-goldens`",
-            path.display()
-        )
-    });
-    assert!(
-        got == want,
-        "storage crash matrix drifted from the committed golden; if intentional, regenerate \
-         with `cargo xtask update-goldens`\n{}",
-        obs::diff::unified(&want, &got, "golden storerep.txt", "this run")
-    );
+    golden::check("tests/goldens/storerep.txt", &got);
 }
 
 /// Part 1c — recovery is work the machine performs: billed on the
@@ -114,7 +92,7 @@ fn store_crash_matrix_golden_is_stable() {
 /// recovery itself.
 #[test]
 fn recovery_cost_is_billed_and_published() {
-    for &seed in &STORE_SEEDS {
+    for &seed in &GOLDEN_SEEDS {
         for point in [CrashPoint::BeforeCommit, CrashPoint::AfterCommit] {
             let (cell, o) = run_cell_observed(seed, point);
             assert_eq!(o.metrics.counter("store.crash"), 1, "the crash itself is published");

@@ -24,15 +24,17 @@
 //! cargo xtask update-goldens
 //! ```
 
+mod golden;
+
 use adm_core::scenario::chaos::{self, ChaosParams, ChaosWorld};
 use adm_core::scenario::crashrep;
 use adm_core::scenario::megacrowd;
 use adm_core::scenario::storerep;
+use adm_core::scenario::GOLDEN_SEEDS;
 use datacomp::{Table, Value};
 use obs::{CostModel, Obs, ObsHandle};
 use query::expr::Pred;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use store::CrashPoint;
 use systab::{
     filter_count, metrics_table, pool_table, scan_rows, spans_table, sum_int, supervision_table,
@@ -52,10 +54,6 @@ const SW_VALUE: usize = 3;
 const POOL_PAGE: usize = 1;
 const POOL_DIRTY: usize = 2;
 const TIMER_LIVE: usize = 1;
-
-fn goldens_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens")
-}
 
 fn seq(s: &str) -> Pred {
     Pred::eq(SW_NAME, Value::Str(s.to_owned()))
@@ -284,7 +282,7 @@ fn system_tables_answer_invariant_queries_over_every_scenario() {
     );
     query_chaos_world("flash-crowd", &flash, &mut golden);
 
-    for seed in [17, 42, 20_260_806u64] {
+    for seed in GOLDEN_SEEDS {
         let w = chaos::run_with_state(&chaos::ci_chaos(seed));
         query_chaos_world(&format!("chaos-seed-{seed}"), &w, &mut golden);
     }
@@ -292,7 +290,7 @@ fn system_tables_answer_invariant_queries_over_every_scenario() {
     let storage = chaos::run_with_state(&ChaosParams { storage: true, ..chaos::ci_chaos(42) });
     query_chaos_world("chaos-storage-42", &storage, &mut golden);
 
-    for seed in crashrep::CRASH_SEEDS {
+    for seed in GOLDEN_SEEDS {
         let w = chaos::run_with_state(&crashrep::supervised_storyline(seed));
         query_chaos_world(&format!("crashrep-seed-{seed}"), &w, &mut golden);
     }
@@ -302,25 +300,7 @@ fn system_tables_answer_invariant_queries_over_every_scenario() {
     query_store_world("store-cell-17", 17, CrashPoint::BeforeCommit, &mut golden);
     query_store_world("store-cell-42", 42, CrashPoint::MidPlan { after_steps: 2 }, &mut golden);
 
-    let path = goldens_dir().join("systab.txt");
-    if std::env::var("UPDATE_GOLDENS").is_ok() {
-        std::fs::create_dir_all(goldens_dir()).expect("create goldens dir");
-        std::fs::write(&path, &golden).expect("write golden");
-        println!("updated golden {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); regenerate with `cargo xtask update-goldens`",
-            path.display()
-        )
-    });
-    assert!(
-        golden == want,
-        "system-table query results drifted from the committed golden; if the change is \
-         intentional, regenerate with `cargo xtask update-goldens`\n{}",
-        obs::diff::unified(&want, &golden, "golden systab.txt", "this run")
-    );
+    golden::check("tests/goldens/systab.txt", &golden);
 }
 
 /// The declarative SWITCH rule is *exactly* the compiled-in filter: the
@@ -330,8 +310,8 @@ fn system_tables_answer_invariant_queries_over_every_scenario() {
 #[test]
 fn query_driven_switching_is_byte_identical_to_hardcoded() {
     let mut storylines = vec![chaos::paper_flash_crowd()];
-    storylines.extend([17, 42, 20_260_806u64].map(chaos::ci_chaos));
-    storylines.extend(crashrep::CRASH_SEEDS.map(crashrep::supervised_storyline));
+    storylines.extend(GOLDEN_SEEDS.map(chaos::ci_chaos));
+    storylines.extend(GOLDEN_SEEDS.map(crashrep::supervised_storyline));
     for base in storylines {
         assert!(!base.query_rules, "storylines default to the compiled-in filter");
         let queried = ChaosParams { query_rules: true, ..base.clone() };

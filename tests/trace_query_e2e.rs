@@ -2,8 +2,8 @@
 //! Framework promises, asserted over real traces with `obs::query`
 //! instead of eyeballed from renders.
 //!
-//! Every test sweeps the Table 2 flash crowd plus the CI chaos seed
-//! matrix (17, 42, 20260806), so the invariants hold both in the happy
+//! Every test sweeps the Table 2 flash crowd plus the chaos storyline
+//! under every golden seed, so the invariants hold both in the happy
 //! path and under injected faults:
 //!
 //! 1. every SWITCH instant lies **within** a Patia tick span;
@@ -22,11 +22,9 @@
 //!    partitions the clock (summed leaf cycles == final virtual clock).
 
 use adm_core::scenario::chaos::{ci_chaos, paper_flash_crowd, run_observed, ChaosParams};
+use adm_core::scenario::GOLDEN_SEEDS;
 use obs::query::{arg, Query};
 use obs::{Obs, Profile, TraceEvent};
-
-/// The CI chaos seed matrix — keep in lockstep with `tests/obs_e2e.rs`.
-const CHAOS_SEEDS: [u64; 3] = [17, 42, 20260806];
 
 /// Every scenario the invariants sweep: the flash crowd plus the chaos
 /// matrix, each replayed once with observability armed.
@@ -34,7 +32,7 @@ fn scenarios() -> Vec<(String, adm_core::scenario::chaos::ChaosReport, Obs)> {
     let mut out = Vec::new();
     let named: Vec<(String, ChaosParams)> =
         std::iter::once(("flash-crowd".to_owned(), paper_flash_crowd()))
-            .chain(CHAOS_SEEDS.iter().map(|s| (format!("chaos-seed-{s}"), ci_chaos(*s))))
+            .chain(GOLDEN_SEEDS.iter().map(|s| (format!("chaos-seed-{s}"), ci_chaos(*s))))
             .collect();
     for (name, params) in named {
         let (report, o) = run_observed(&params);

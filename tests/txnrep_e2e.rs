@@ -18,12 +18,15 @@
 //! Part 3 closes the introspection loop: the same crashed core is
 //! queried through the `sys.txns` system table, prepared votes and all.
 
+mod golden;
+
 use adl::ast::Binding;
 use adl::diff::ReconfigurationPlan;
 use adm_core::scenario::txnrep::{
     crash_points, render_matrix, run_cell_observed, run_clean_observed, seeded_world,
-    shard_handles, sweep, TxnCellReport, TOPOLOGIES, TXN_SEEDS,
+    shard_handles, sweep, TxnCellReport, TOPOLOGIES,
 };
+use adm_core::scenario::GOLDEN_SEEDS;
 use compkit::journal::RecoveryOutcome;
 use compkit::{AdaptivityManager, NoFaults, StepFaults};
 use datacomp::Value;
@@ -33,15 +36,8 @@ use patia::atom::AtomId;
 use patia::shard::cross_shard_plans;
 use query::expr::Pred;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use systab::{filter_count, sum_int, txns_table};
 use txn::{NoTxnCrash, PlannedTxnCrash, TransactionCore, TxnCrashPoint, TxnError};
-
-fn goldens_dir() -> PathBuf {
-    // Registered under crates/core; the goldens live at the repo root
-    // next to the e2e sources.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens")
-}
 
 /// Part 1a — the tentpole invariant over the full matrix: every cell
 /// lands all shards on exactly one reference, replays recovery as a
@@ -49,7 +45,8 @@ fn goldens_dir() -> PathBuf {
 #[test]
 fn every_txn_cell_lands_all_shards_on_one_side_never_hybrid() {
     let cells = sweep();
-    let expected: usize = TOPOLOGIES.iter().map(|&t| TXN_SEEDS.len() * crash_points(t).len()).sum();
+    let expected: usize =
+        TOPOLOGIES.iter().map(|&t| GOLDEN_SEEDS.len() * crash_points(t).len()).sum();
     assert_eq!(cells.len(), expected, "the matrix is complete");
     for cell in &cells {
         assert!(
@@ -103,25 +100,7 @@ fn every_txn_cell_lands_all_shards_on_one_side_never_hybrid() {
 fn txn_matrix_golden_is_stable() {
     let got = render_matrix(&sweep());
     assert_eq!(got, render_matrix(&sweep()), "the matrix must replay byte-identically");
-    let path = goldens_dir().join("txnrep.txt");
-    if std::env::var("UPDATE_GOLDENS").is_ok() {
-        std::fs::create_dir_all(goldens_dir()).expect("create goldens dir");
-        std::fs::write(&path, &got).expect("write golden");
-        println!("updated golden {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); regenerate with `cargo xtask update-goldens`",
-            path.display()
-        )
-    });
-    assert!(
-        got == want,
-        "cross-shard txn matrix drifted from the committed golden; if intentional, regenerate \
-         with `cargo xtask update-goldens`\n{}",
-        obs::diff::unified(&want, &got, "golden txnrep.txt", "this run")
-    );
+    golden::check("tests/goldens/txnrep.txt", &got);
 }
 
 /// Part 2a — the crash and its recovery are work the machine performs:
