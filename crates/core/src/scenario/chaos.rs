@@ -42,7 +42,7 @@ pub struct ChaosParams {
     /// fault timeline can be replayed under different workloads).
     pub workload_seed: u64,
     /// Whether the atoms sit on a persistent storage engine: the atom
-    /// store is persisted at boot and every routed batch reads its
+    /// store is persisted at boot and every routing decision reads its
     /// atom's record through the buffer pool, so page IO joins the bill.
     pub storage: bool,
     /// Whether the circuit-breaker screen on BEST candidate lists is

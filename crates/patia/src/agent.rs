@@ -9,17 +9,19 @@
 //!
 //! Queue entries are *batches*: a run of same-tick, same-cost requests is
 //! held as one [`InFlight`] with a `count`, so a flow-level cohort of
-//! thousands of clients costs one entry instead of thousands. Entries are
-//! never coalesced, so the per-request `tick()` driver, which accepts
-//! count-1 batches, still stores one entry per request; that keeps queue
-//! length, SWITCH state sizes, and Spread splits byte-identical to the
-//! pre-batching engine.
+//! thousands of clients costs one entry instead of thousands. The
+//! request-driven `tick` routes each tick's arrivals for an atom as one
+//! cohort and hands every chosen agent its share in one
+//! [`ServiceAgent::accept_batch`], so under `tick` an agent holds at most
+//! one entry per arrival tick (a Spread may cut one entry in two, one half
+//! per agent); the flow path adds one entry per flow batch. What the
+//! queue serves is independent of how its requests are grouped:
+//! completions, latencies, SWITCH state sizes and Spread splits depend
+//! only on the requests, in order, so request-level observables are
+//! pinned while entry counts are not.
 //!
-//! Because the count-1 path lets a queue grow to one entry per waiting
-//! request (13,845 entries across the crowd atom's agents at the peak of
-//! the paper's flash crowd, counted at a tick boundary), the queue's
-//! totals are running counters rather than sums: every method that
-//! changes the queue keeps [`ServiceAgent::queued_work`] and
+//! The queue's totals are running counters rather than sums: every method
+//! that changes the queue keeps [`ServiceAgent::queued_work`] and
 //! [`ServiceAgent::queued_requests`] equal to the sum over
 //! [`ServiceAgent::queue`], so both read in O(1) however long the queue.
 
@@ -91,10 +93,9 @@ impl ServiceAgent {
         self.accept_batch(tick, work, 1);
     }
 
-    /// Accept `n` identical requests at `tick` as one queue entry. The
-    /// flow-level arrival path: a cohort costs O(1) queue space. Never
-    /// coalesces with the entry before it, so count-1 arrivals keep the
-    /// exact queue shape the golden traces were recorded against.
+    /// Accept `n` identical requests at `tick` as one queue entry: a
+    /// cohort costs O(1) queue space. Never merges with the entry before
+    /// it.
     pub fn accept_batch(&mut self, tick: u64, work: u64, n: u64) {
         if n == 0 {
             return;

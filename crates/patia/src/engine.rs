@@ -297,7 +297,8 @@ mod tests {
             legacy_stats.push(legacy.tick(&reqs_at(t), 500.0));
         }
         // Four rate-1 flows pulse in registration order, so each tick
-        // serves the same four count-1 batches `tick` builds.
+        // serves four one-request batches: four routing decisions, the
+        // same decisions `tick` makes for its four-request cohort.
         let mut e = engine(400);
         for _ in 0..4 {
             e.add_flow(steady(10, 30, 1.0));

@@ -277,6 +277,68 @@ struct RetryState {
     next_at: u64,
 }
 
+/// One same-tick arrival group: `decisions` routing decisions for `atom`,
+/// each placing `size` identical requests on one agent. A flow batch is
+/// one decision of its whole size; a request-driven tick's cohort is one
+/// decision per request.
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    atom: AtomId,
+    decisions: u64,
+    size: u64,
+}
+
+impl Arrival {
+    fn requests(self) -> u64 {
+        self.decisions * self.size
+    }
+}
+
+/// One agent's routing key, read once per arrival group: whether its node
+/// is dead, the node's capacity, and the agent's queued work plus what
+/// this group's picks have added so far.
+#[derive(Debug, Clone, Copy)]
+struct RouteSlot {
+    dead: u8,
+    cap: f64,
+    queued_work: u64,
+    picks: u64,
+}
+
+impl RouteSlot {
+    /// Whether this slot beats `other` for the next pick: alive before
+    /// dead, then less queued work per unit of capacity.
+    fn beats(&self, other: &Self) -> bool {
+        self.dead.cmp(&other.dead).then_with(|| self.load().total_cmp(&other.load())).is_lt()
+    }
+
+    fn load(&self) -> f64 {
+        self.queued_work as f64 / self.cap
+    }
+}
+
+/// Replay `decisions` greedy join-shortest-queue picks over `slots`: each
+/// pick goes to the first slot with the least `(dead, load)` and adds
+/// `work_per_pick` to its queued work.
+fn replay_jsq(slots: &mut [RouteSlot], decisions: u64, work_per_pick: u64) {
+    for _ in 0..decisions {
+        let mut best = 0;
+        for i in 1..slots.len() {
+            if slots[i].beats(&slots[best]) {
+                best = i;
+            }
+        }
+        slots[best].picks += 1;
+        slots[best].queued_work += work_per_pick;
+    }
+}
+
+/// The word-copy bill for shipping `words` 32-bit words, saturating at
+/// the largest bill the primitive can carry rather than wrapping.
+fn copy_words(words: u64) -> Primitive {
+    Primitive::CopyWords(u32::try_from(words).unwrap_or(u32::MAX))
+}
+
 /// How the circuit-breaker screen on BEST candidate lists is evaluated.
 ///
 /// Both policies produce byte-identical decisions, traces, and metric
@@ -348,9 +410,11 @@ pub struct PatiaServer {
     /// [`SwitchPolicy::Hardcoded`].
     rule_stats: Cell<RuleStats>,
     /// Optional storage engine under the atoms. When attached, every
-    /// routed batch reads the atom's stored record through the buffer
+    /// routing decision reads the atom's stored record through the buffer
     /// pool — page IO becomes part of the serving bill.
     storage: Option<store::StorageEngine>,
+    /// Reusable routing keys, one per agent of the atom being routed.
+    route_slots: Vec<RouteSlot>,
 }
 
 impl PatiaServer {
@@ -426,6 +490,7 @@ impl PatiaServer {
             policy: SwitchPolicy::default(),
             rule_stats: Cell::new(RuleStats::default()),
             storage: None,
+            route_slots: Vec::new(),
         }
     }
 
@@ -473,8 +538,8 @@ impl PatiaServer {
 
     /// Attach a storage engine under the atoms. The current atom store is
     /// persisted into it as one committed transaction, and from then on
-    /// every routed batch reads the atom's record through the buffer pool
-    /// (pool hits/misses and page IO billed when observability is armed).
+    /// every routing decision reads the atom's record through the buffer
+    /// pool (pool hits/misses and page IO billed when observability is armed).
     ///
     /// # Errors
     /// [`store::StoreError`] from the persist transaction.
@@ -769,21 +834,32 @@ impl PatiaServer {
     /// surface as [`FaultCounters`] in the returned stats.
     ///
     /// The per-request driver API: chaos, the `table2` binary and the
-    /// examples serve through it, one call per virtual tick. Each request
-    /// becomes a count-1 batch to [`PatiaServer::step_at`] at the next
-    /// tick, so every request costs one routing decision and one
-    /// scheduler charge — the history the committed goldens pin.
+    /// examples serve through it, one call per virtual tick. The requests
+    /// are counted per atom, in first-appearance order, and each atom's
+    /// `k` requests are routed as one cohort: `k` routing decisions and
+    /// `k` scheduler charges, placed on the agents exactly as `k`
+    /// request-by-request join-shortest-queue decisions would place them,
+    /// but entering each chosen agent's queue as one entry. Request-level
+    /// observables (stats, latencies, cycle bills, traces) are those of
+    /// the request-by-request loop; queue entry counts are not.
     pub fn tick(&mut self, requests: &[AtomId], client_bandwidth_kbps: f64) -> TickStats {
-        let batches: Vec<(AtomId, u64)> = requests.iter().map(|&a| (a, 1)).collect();
-        self.step_at(self.now + 1, &batches, client_bandwidth_kbps)
+        let mut cohorts: Vec<Arrival> = Vec::new();
+        for &atom in requests {
+            match cohorts.iter_mut().find(|c| c.atom == atom) {
+                Some(c) => c.decisions += 1,
+                None => cohorts.push(Arrival { atom, decisions: 1, size: 1 }),
+            }
+        }
+        self.serve(self.now + 1, &cohorts, client_bandwidth_kbps)
     }
 
     /// The event-driven serving core: process tick `now` (which may be an
     /// arbitrary jump past [`PatiaServer::now`] when the intervening ticks
     /// were provably quiescent) with `batches` of identical same-tick
-    /// arrivals. A batch of `n` requests costs one routing decision, one
-    /// queue entry, and O(1) completion arithmetic — how the flow layer's
-    /// cohorts are served without per-request loops.
+    /// arrivals. A batch of `n` requests is one routing decision — the
+    /// whole batch goes to one agent — one queue entry, and O(1)
+    /// completion arithmetic: how the flow layer's cohorts are served
+    /// without per-request loops.
     ///
     /// # Panics
     /// If `now` does not advance the clock.
@@ -793,11 +869,18 @@ impl PatiaServer {
         batches: &[(AtomId, u64)],
         client_bandwidth_kbps: f64,
     ) -> TickStats {
+        let arrivals: Vec<Arrival> =
+            batches.iter().map(|&(atom, size)| Arrival { atom, decisions: 1, size }).collect();
+        self.serve(now, &arrivals, client_bandwidth_kbps)
+    }
+
+    /// The one serving routine behind [`PatiaServer::tick`] and
+    /// [`PatiaServer::step_at`].
+    fn serve(&mut self, now: u64, arrivals: &[Arrival], client_bandwidth_kbps: f64) -> TickStats {
         assert!(now > self.now, "step_at must advance the clock ({} -> {now})", self.now);
         self.now = now;
-        let arrivals: u64 = batches.iter().map(|&(_, n)| n).sum();
-        let mut stats =
-            TickStats { tick: now, arrivals: arrivals as usize, ..TickStats::default() };
+        let total: u64 = arrivals.iter().copied().map(Arrival::requests).sum();
+        let mut stats = TickStats { tick: now, arrivals: total as usize, ..TickStats::default() };
         let obs = self.obs.clone();
         let tick_span = obs.as_ref().map(|o| o.borrow_mut().begin("patia", format!("tick:{now}")));
 
@@ -811,8 +894,12 @@ impl PatiaServer {
             self.evacuate_dead(now, &mut stats);
         }
 
-        // 1. Route arrivals to agents, selecting versions per constraint 595.
-        for &(atom, n) in batches {
+        // 1. Route arrivals to agents, selecting versions per constraint
+        //    595. Nothing below reads an agent queue except the routing
+        //    itself, so the per-arrival work runs once per arrival group
+        //    and is exact for every request in it.
+        for &arrival @ Arrival { atom, decisions, .. } in arrivals {
+            let n = arrival.requests();
             if n == 0 {
                 continue;
             }
@@ -835,36 +922,16 @@ impl PatiaServer {
             if let Some(version) = version {
                 *stats.versions_served.entry(atom).or_default().entry(version).or_default() += n;
             }
-            // Route to the live agent whose node has the least pending work
-            // per unit of capacity (capacity-weighted join-shortest-queue) —
-            // a typing-pool workstation must not receive a webserver-sized
-            // share of a flash crowd. Agents on dead nodes are a last
-            // resort: the request then waits for evacuation instead of
-            // vanishing.
-            let choice = self
-                .agents
-                .get(&atom)
-                .into_iter()
-                .flatten()
-                .enumerate()
-                .map(|(i, a)| {
-                    let dev = self.net.device(&a.node);
-                    let dead = u8::from(dev.is_none_or(|d| !d.alive));
-                    let cap = dev.map_or(1.0, |d| d.kind.nominal_capacity()).max(1.0);
-                    (i, dead, a.queued_work() as f64 / cap)
-                })
-                .min_by(|(_, d1, w1), (_, d2, w2)| d1.cmp(d2).then(w1.total_cmp(w2)))
-                .map(|(i, _, _)| i);
-            if let (Some(idx), Some(agents)) = (choice, self.agents.get_mut(&atom)) {
-                agents[idx].accept_batch(now, self.config.work_per_request, n);
-                if let Some(o) = &obs {
-                    // Routing one batch is one scheduler decision.
-                    o.borrow_mut().charge(Primitive::SchedSteps(1));
-                }
-                if let Some(engine) = &mut self.storage {
-                    // Version selection consulted the atom's stored
-                    // record: one pool read per batch, hit or page IO
-                    // billed by the engine itself.
+            self.route(now, arrival);
+            if let Some(o) = &obs {
+                // Each routing decision is one scheduler step.
+                o.borrow_mut().charge_n(Primitive::SchedSteps(1), decisions);
+            }
+            if let Some(engine) = &mut self.storage {
+                // Version selection consulted the atom's stored record:
+                // one pool read per decision, hit or page IO billed by
+                // the engine itself.
+                for _ in 0..decisions {
                     let _ = engine.get(u64::from(atom.0));
                 }
             }
@@ -1036,7 +1103,7 @@ impl PatiaServer {
                     if let Some(o) = &obs {
                         let mut o = o.borrow_mut();
                         // Shipping the agent's state is a word copy.
-                        o.charge(Primitive::CopyWords(state_bytes as u32 / 4));
+                        o.charge(copy_words(state_bytes / 4));
                         o.instant(
                             "patia",
                             "switch:migrate",
@@ -1057,7 +1124,7 @@ impl PatiaServer {
                         let mut o = o.borrow_mut();
                         // A spread ships a fresh agent header plus the
                         // split half of the queue.
-                        o.charge(Primitive::CopyWords(16 + 6 * split as u32));
+                        o.charge(copy_words(split.saturating_mul(6).saturating_add(16)));
                         o.instant(
                             "patia",
                             "switch:spread",
@@ -1105,6 +1172,39 @@ impl PatiaServer {
             }
         }
         stats
+    }
+
+    /// Place `arrival`'s routing decisions on its atom's agents. Each
+    /// decision goes to the live agent whose node has the least pending
+    /// work per unit of capacity (capacity-weighted join-shortest-queue) —
+    /// a typing-pool workstation must not receive a webserver-sized share
+    /// of a flash crowd. Agents on dead nodes are a last resort: the
+    /// request then waits for evacuation instead of vanishing.
+    ///
+    /// Each agent's key is read once; [`replay_jsq`] then replays the
+    /// decisions against the keys alone, and every chosen agent takes its
+    /// share as one queue entry. Agents of one atom share no queue with
+    /// any other atom, so the placement equals that of one decision at a
+    /// time, each queued before the next is made.
+    fn route(&mut self, now: u64, arrival: Arrival) {
+        let Some(agents) = self.agents.get_mut(&arrival.atom) else { return };
+        let net = &self.net;
+        let slots = &mut self.route_slots;
+        slots.clear();
+        slots.extend(agents.iter().map(|a| {
+            let dev = net.device(&a.node);
+            RouteSlot {
+                dead: u8::from(dev.is_none_or(|d| !d.alive)),
+                cap: dev.map_or(1.0, |d| d.kind.nominal_capacity()).max(1.0),
+                queued_work: a.queued_work(),
+                picks: 0,
+            }
+        }));
+        let work = self.config.work_per_request;
+        replay_jsq(slots, arrival.decisions, arrival.size * work);
+        for (agent, slot) in agents.iter_mut().zip(slots.iter()) {
+            agent.accept_batch(now, work, slot.picks * arrival.size);
+        }
     }
 
     /// The index in `nodes` of the fleet node called `name`.
@@ -1238,7 +1338,7 @@ impl PatiaServer {
                     let mut o = obs.borrow_mut();
                     // State is recovered from the destination's replica:
                     // still a word copy, just sourced remotely.
-                    o.charge(Primitive::CopyWords(state_bytes as u32 / 4));
+                    o.charge(copy_words(state_bytes / 4));
                     o.instant(
                         "patia",
                         "switch:evacuate",
@@ -1745,5 +1845,219 @@ mod tests {
             out
         };
         assert_eq!(run(), run(), "same inputs must yield byte-identical TickStats");
+    }
+
+    #[test]
+    fn copy_bills_saturate_instead_of_wrapping() {
+        let max = u64::from(u32::MAX);
+        assert_eq!(copy_words(0), Primitive::CopyWords(0));
+        assert_eq!(copy_words(max), Primitive::CopyWords(u32::MAX));
+        assert_eq!(copy_words(max + 1), Primitive::CopyWords(u32::MAX));
+        assert_eq!(copy_words(u64::MAX), Primitive::CopyWords(u32::MAX));
+        // Agent state just past 4 GiB: casting the bytes to `u32` before
+        // dividing truncated this bill to 2 words; it is exact now, and
+        // state past 16 GiB saturates.
+        let state_bytes = (1u64 << 32) + 8;
+        assert_eq!(copy_words(state_bytes / 4), Primitive::CopyWords((1 << 30) + 2));
+        assert_eq!(copy_words((4 * max + 4) / 4), Primitive::CopyWords(u32::MAX));
+        // A Spread of ~716M requests: `16 + 6 * split` no longer fits.
+        let split = (max - 16) / 6 + 1;
+        assert_eq!(copy_words(split.saturating_mul(6).saturating_add(16)), copy_words(max + 1));
+        assert_eq!(
+            copy_words((split - 1).saturating_mul(6).saturating_add(16)),
+            Primitive::CopyWords((16 + 6 * (split - 1)) as u32)
+        );
+    }
+
+    /// The count-1 reference: one capacity-weighted join-shortest-queue
+    /// decision per request group of `size`, each agent's device looked up
+    /// by name, and each group queued before the next decision is made.
+    fn route_one_at_a_time(
+        net: &Network,
+        agents: &mut [ServiceAgent],
+        now: u64,
+        decisions: u64,
+        size: u64,
+        work: u64,
+    ) {
+        for _ in 0..decisions {
+            let idx = agents
+                .iter()
+                .enumerate()
+                .map(|(i, a)| {
+                    let dev = net.device(&a.node);
+                    let dead = u8::from(dev.is_none_or(|d| !d.alive));
+                    let cap = dev.map_or(1.0, |d| d.kind.nominal_capacity()).max(1.0);
+                    (i, dead, a.queued_work() as f64 / cap)
+                })
+                .min_by(|(_, d1, w1), (_, d2, w2)| d1.cmp(d2).then(w1.total_cmp(w2)))
+                .map(|(i, _, _)| i)
+                .expect("an atom with agents");
+            agents[idx].accept_batch(now, work, size);
+        }
+    }
+
+    #[test]
+    fn cohort_routing_places_requests_exactly_like_one_decision_at_a_time() {
+        const KINDS: [DeviceKind; 5] = [
+            DeviceKind::Sensor,
+            DeviceKind::Pda,
+            DeviceKind::Laptop,
+            DeviceKind::Server,
+            DeviceKind::Workstation,
+        ];
+        adm_rng::run_cases(0xC0_4027, 300, |rng| {
+            // A fleet of 1..=6 nodes. Sometimes every node has the same
+            // capacity (ties everywhere), sometimes every node is dead.
+            let same_kind = rng.chance(0.3).then(|| *rng.choose(&KINDS));
+            let all_dead = rng.chance(0.15);
+            let mut net = Network::new();
+            let nodes = 1 + rng.index(6);
+            for n in 0..nodes {
+                let mut d =
+                    Device::new(&format!("n{n}"), same_kind.unwrap_or_else(|| *rng.choose(&KINDS)));
+                d.alive = !all_dead && rng.chance(0.7);
+                net.add_device(d);
+            }
+            let work = if rng.chance(0.2) { 0 } else { 1 + rng.below(800) };
+            let atom = AtomId(7);
+            // 1..=6 agents, possibly co-resident, now and then on a node
+            // outside the fleet, with backlogs of whole and part-served
+            // requests (or none, so that queues tie too).
+            let mut agents: Vec<ServiceAgent> = (0..1 + rng.index(6))
+                .map(|_| {
+                    let node = if rng.chance(0.1) {
+                        "gone".to_owned()
+                    } else {
+                        format!("n{}", rng.index(nodes))
+                    };
+                    let mut a = ServiceAgent::new(atom, &node);
+                    if rng.chance(0.7) {
+                        a.accept_batch(0, work, rng.below(50));
+                        a.step_grouped(rng.below(work * 10 + 1));
+                    }
+                    a
+                })
+                .collect();
+            if rng.chance(0.3) {
+                // A flat start: every backlog equal.
+                let template = agents[0].clone();
+                for a in &mut agents {
+                    let node = std::mem::take(&mut a.node);
+                    *a = template.clone();
+                    a.node = node;
+                }
+            }
+            // Count-1 cohorts, flow-sized groups, and large cohorts.
+            let size = if rng.chance(0.3) { 1 + rng.below(5_000) } else { 1 };
+            let decisions = if rng.chance(0.1) { rng.below(10_000) } else { rng.below(60) };
+
+            let mut reference = agents.clone();
+            route_one_at_a_time(&net, &mut reference, 1, decisions, size, work);
+            let mut s = PatiaServer::new(
+                net,
+                AtomStore::new(),
+                Vec::new(),
+                ServerConfig { adaptive: true, work_per_request: work },
+            );
+            s.agents.insert(atom, agents.clone());
+            s.route(1, Arrival { atom, decisions, size });
+
+            let cohort = s.agents(atom);
+            for ((before, got), want) in agents.iter().zip(cohort).zip(&reference) {
+                assert_eq!(got.queued_requests(), want.queued_requests());
+                assert_eq!(got.queued_work(), want.queued_work());
+                // The agent's share of the cohort is one entry at most.
+                assert!(got.queue().len() <= before.queue().len() + 1);
+            }
+        });
+    }
+
+    #[test]
+    fn cohort_ticks_match_count_1_batches_stats_and_cycles() {
+        adm_rng::run_cases(0xC0_4028, 12, |rng| {
+            let armed = |s: &mut PatiaServer| {
+                let h = obs::Obs::new(obs::CostModel::pentium()).into_handle();
+                s.arm_obs(h.clone());
+                h
+            };
+            let storage = rng.chance(0.5);
+            let mut cohort = server(true);
+            let mut count_1 = server(true);
+            if storage {
+                for s in [&mut cohort, &mut count_1] {
+                    s.attach_store(store::StorageEngine::new(2)).expect("the atoms persist");
+                }
+            }
+            let (h_cohort, h_count_1) = (armed(&mut cohort), armed(&mut count_1));
+            let mut hot = 0;
+            for t in 1..=120u64 {
+                if rng.chance(0.03) {
+                    let node = *rng.choose(&["node1", "node2", "wp1"]);
+                    for s in [&mut cohort, &mut count_1] {
+                        s.kill_node(node);
+                    }
+                }
+                if rng.chance(0.05) {
+                    let node = *rng.choose(&["node1", "node2", "wp1"]);
+                    for s in [&mut cohort, &mut count_1] {
+                        s.revive_node(node);
+                    }
+                }
+                if rng.chance(0.1) {
+                    hot = rng.below(250);
+                }
+                // A seeded interleaving of the two atoms (and a stray
+                // unknown one), bursty enough to spread the page.
+                let reqs: Vec<AtomId> = (0..hot + rng.below(8))
+                    .map(|_| match rng.below(10) {
+                        0..=6 => AtomId(123),
+                        7 | 8 => AtomId(153),
+                        _ => AtomId(999),
+                    })
+                    .collect();
+                let batches: Vec<(AtomId, u64)> = reqs.iter().map(|&a| (a, 1)).collect();
+                let want = count_1.step_at(count_1.now() + 1, &batches, 500.0);
+                let got = cohort.tick(&reqs, 500.0);
+                assert_eq!(got, want, "tick {t}");
+                assert_eq!(h_cohort.borrow().clock(), h_count_1.borrow().clock(), "tick {t}");
+            }
+            assert_eq!(cohort.fault_totals(), count_1.fault_totals());
+            let (c, r) = (h_cohort.borrow(), h_count_1.borrow());
+            assert_eq!(c.tracer.events(), r.tracer.events());
+            assert_eq!(c.metrics, r.metrics);
+        });
+    }
+
+    #[test]
+    fn flash_crowd_queues_hold_one_entry_per_arrival_tick() {
+        // The paper flash crowd as the chaos harness drives it (no faults):
+        // request by request through `tick`.
+        let crowd = FlashCrowd { from: 50, to: 250, target: AtomId(123), multiplier: 30.0 };
+        let mut gen =
+            RequestGen::new(vec![AtomId(123), AtomId(153)], 1.0, 4.0, 2).with_crowd(crowd);
+        let mut s = server(true);
+        let (mut peak_requests, mut spreads) = (0, 0);
+        for t in 1..=400 {
+            let st = s.tick(&gen.tick(t), 500.0);
+            spreads += st.migrations.iter().filter(|m| m.kind == SwitchKind::Spread).count();
+            for atom in s.served_atoms() {
+                for a in s.agents(atom) {
+                    let ticks: BTreeSet<u64> = a.queue().iter().map(|e| e.arrived_at).collect();
+                    assert!(
+                        a.queue().len() <= ticks.len(),
+                        "tick {t}: {} entries for {} arrival ticks",
+                        a.queue().len(),
+                        ticks.len()
+                    );
+                }
+            }
+            let crowd_queue: u64 = s.agents(AtomId(123)).iter().map(|a| a.queued_requests()).sum();
+            peak_requests = peak_requests.max(crowd_queue);
+        }
+        // The guard has teeth: the backlog it bounds runs to ~13.8k
+        // waiting requests, spread over several agents.
+        assert!(peak_requests > 10_000, "peak backlog {peak_requests}");
+        assert!(spreads >= 1);
     }
 }

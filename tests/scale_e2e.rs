@@ -1,6 +1,6 @@
 //! Scale tier: the full mega-crowd — ten million requests through the
 //! event engine inside a wall-clock budget — and the paper's flash crowd
-//! on the per-request path inside a budget of its own.
+//! on the request-driven `tick` path inside a budget of its own.
 //!
 //! The unit tier runs a 1/100-rate miniature; this tier runs the real
 //! thing and holds the engine to its acceptance bar: at least
@@ -71,11 +71,12 @@ fn flash_budget() -> Duration {
     Duration::from_millis(if cfg!(debug_assertions) { 2_000 } else { 40 })
 }
 
-/// The complexity guard for the count-1 path: the flash crowd queues
-/// every request as its own entry (a backlog of ~13.8k entries), so a
-/// tick that re-summed its queues per routing decision would cost
-/// O(arrivals x backlog): 165-195 ms in release on a 2-core x86-64 box,
-/// against ~7 ms when the agent's totals are O(1).
+/// The complexity guard for the request-driven path: the armed flash
+/// crowd, served through `tick` with each tick's requests routed as one
+/// cohort per atom, runs in 3-4 ms in release on a 2-core x86-64 box
+/// while its backlog peaks at ~13.8k waiting requests. A tick whose cost
+/// grew with the backlog in requests, rather than in queue entries,
+/// would blow the budget.
 #[test]
 fn flash_crowd_ticks_do_not_scale_with_the_backlog() {
     let started = Instant::now();
