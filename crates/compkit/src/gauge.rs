@@ -150,18 +150,6 @@ impl GaugeBoard {
         self.monitors.get(name)
     }
 
-    /// Feed a batch of named readings into the board's monitors at `tick`
-    /// — the registry-to-board bridge: an observability registry exposes
-    /// its gauges (name, latest value) and the board's monitors whose
-    /// names match ingest them, so the paper's monitors→gauges pipeline
-    /// runs on real telemetry instead of hand-fed readings. Readings with
-    /// no matching monitor are ignored, like [`GaugeBoard::record`].
-    pub fn ingest_gauges<'a>(&mut self, readings: impl Iterator<Item = (&'a str, f64)>, tick: u64) {
-        for (name, value) in readings {
-            self.record(name, tick, value);
-        }
-    }
-
     /// Re-sample every monitor up to `tick`, carrying each one's latest
     /// reading forward through the gap
     /// ([`Monitor::fill_forward`]). An event-driven sampler that skips
@@ -459,20 +447,5 @@ mod tests {
             reference.snapshot(),
             "re-sampled gauges must not drift across a page-flush-only window"
         );
-    }
-
-    #[test]
-    fn ingest_gauges_feeds_matching_monitors_only() {
-        let mut b = GaugeBoard::new();
-        b.add_monitor(Monitor::new("cpu:node1", 8));
-        b.add_gauge(Gauge {
-            name: "util:node1".into(),
-            monitor: "cpu:node1".into(),
-            kind: GaugeKind::Latest,
-        });
-        let readings = [("cpu:node1", 0.7), ("cpu:ghost", 0.9)];
-        b.ingest_gauges(readings.iter().map(|&(n, v)| (n, v)), 1);
-        assert_eq!(b.gauge_value("util:node1"), Some(0.7));
-        assert!(b.monitor("cpu:ghost").is_none(), "unmatched readings are dropped");
     }
 }

@@ -19,7 +19,7 @@ use compkit::state::StateManager;
 use faultsim::{FaultPlan, FaultSpace, PatiaDriver};
 use obs::{Obs, ObsHandle, Primitive, Profile};
 use patia::atom::AtomId;
-use patia::server::{PatiaServer, ServerConfig, SwitchKind, SwitchPolicy, TickStats};
+use patia::server::{PatiaServer, ServerConfig, SwitchKind, TickStats};
 use patia::workload::{FlashCrowd, RequestGen};
 use std::collections::BTreeMap;
 
@@ -45,12 +45,6 @@ pub struct ChaosParams {
     /// store is persisted at boot and every routing decision reads its
     /// atom's record through the buffer pool, so page IO joins the bill.
     pub storage: bool,
-    /// Whether the circuit-breaker screen on BEST candidate lists is
-    /// evaluated as a declarative query over `sys.supervision`
-    /// ([`SwitchPolicy::Query`]) instead of the compiled-in filter. The
-    /// two are byte-identical — the `systab_e2e` differential leg pins
-    /// reports, traces, and metric digests across both.
-    pub query_rules: bool,
 }
 
 impl Default for ChaosParams {
@@ -64,7 +58,6 @@ impl Default for ChaosParams {
             adaptive: true,
             workload_seed: 2,
             storage: false,
-            query_rules: false,
         }
     }
 }
@@ -245,9 +238,6 @@ fn run_full(
     let (net, atoms, constraints) = ServerConfig::paper_fleet();
     let config = ServerConfig { adaptive: p.adaptive, work_per_request: 400 };
     let mut server = PatiaServer::new(net, atoms, constraints, config);
-    if p.query_rules {
-        server.set_switch_policy(SwitchPolicy::Query);
-    }
     if let Some(h) = &obs {
         server.arm_obs(h.clone());
     }

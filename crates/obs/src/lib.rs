@@ -10,8 +10,8 @@
 //!   **cycles from [`machine::cost`]**, never wall clock, so traces are
 //!   byte-identical under a fixed seed (the `faultsim` discipline).
 //! * [`metrics`] — a [`MetricsRegistry`] of counters/gauges/histograms
-//!   with stable ordering and an FNV digest; `compkit`'s monitors→gauges
-//!   pipeline ingests its gauges instead of hand-fed readings.
+//!   with stable ordering and an FNV digest; an armed Patia server
+//!   publishes each monitor reading as a gauge here.
 //! * [`chrome`] — a Chrome-trace-format JSON exporter for the event log
 //!   (`bench figures --trace`).
 //! * [`profile`] — a cycle-attribution profiler that folds the span

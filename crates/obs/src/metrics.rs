@@ -189,12 +189,6 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// Iterate gauges name-sorted — the feed `compkit::GaugeBoard` ingests
-    /// so the paper's monitors→gauges pipeline reads real telemetry.
-    pub fn gauges_iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
     /// Record one sample into a histogram, creating it empty first.
     pub fn observe(&mut self, name: &str, value: u64) {
         self.histograms.entry(name.to_owned()).or_default().record(value);

@@ -11,8 +11,8 @@ use crate::fnv1a;
 use crate::Cycles;
 use std::fmt::Write as _;
 
-/// Handle to an open span, returned by [`Tracer::begin`] and consumed by
-/// [`Tracer::end`]. Not `Copy`: a span ends exactly once.
+/// Handle to an open span, returned by [`Tracer::begin_at`] and consumed
+/// by [`Tracer::end_at`]. Not `Copy`: a span ends exactly once.
 #[derive(Debug, PartialEq, Eq)]
 pub struct SpanId(pub(crate) usize);
 

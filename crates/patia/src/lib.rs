@@ -55,7 +55,7 @@ pub use atom::{Atom, AtomId, AtomStore, AtomType};
 pub use constraint::{paper_table2, AtomConstraint, ConstraintLogic};
 pub use engine::{EngineEvent, EngineTotals, EventEngine};
 pub use rules::{blocked_peers, supervision_schema, supervision_table, RuleStats};
-pub use server::{FaultCounters, PatiaServer, ServerConfig, SwitchGate, SwitchPolicy, TickStats};
+pub use server::{FaultCounters, PatiaServer, ServerConfig, SwitchGate, TickStats};
 pub use shard::{cross_shard_plans, shard_of, ShardHandle};
 pub use stream::{StreamCodec, StreamSession};
 pub use supervise::{CircuitState, PeerSnapshot, SuperviseConfig, SupervisionEvent, Supervisor};

@@ -1,12 +1,11 @@
-//! Declarative switching rules: adaptation policy expressed as queries
-//! over supervision state, instead of hard-coded Rust filters.
+//! The circuit-breaker screen as a declarative rule over supervision
+//! state: the table form of [`Supervisor::is_open`].
 //!
-//! The paper's thesis — and ROADMAP item 4's reading of DBOS — is that
-//! the adaptation layer should be managed *as data*. This module closes
-//! the loop for one real policy: the circuit-breaker filter every BEST
-//! candidate list passes through. [`supervision_table`] renders the
-//! [`Supervisor`]'s per-peer state as a relational table (the same rows
-//! `sys.supervision` serves), and [`blocked_peers`] evaluates the rule
+//! Every BEST candidate list the server builds passes one screen:
+//! `!supervisor.is_open(peer)`, compiled in. This module states the same
+//! predicate as data. [`supervision_table`] renders the [`Supervisor`]'s
+//! per-peer state as a relational table (the rows `sys.supervision`
+//! serves), and [`blocked_peers`] evaluates
 //!
 //! ```sql
 //! SELECT peer FROM sys.supervision WHERE circuit_code = 1  -- OPEN
@@ -15,17 +14,17 @@
 //! with the `query` crate's own operators (scan → filter → project).
 //! Peers the supervisor never watched have no row and therefore stay
 //! admissible — exactly the `Closed`-for-unknown semantics of
-//! [`Supervisor::circuit`]. The server's query-driven policy mode
-//! ([`crate::server::SwitchPolicy::Query`]) substitutes this evaluation
-//! for the hard-coded `is_open` filter at every BEST site; a
-//! differential tier proves the two paths byte-identical across the
-//! chaos and crash-replay seed matrices.
+//! [`Supervisor::circuit`]. A property test pins the rule to `is_open`
+//! after every heartbeat round.
 //!
-//! Rule evaluation deliberately bills nothing to an armed [`obs`] hub:
-//! the differential guarantee covers traces and metric digests, so the
-//! policy engine accounts its work in a [`RuleStats`] ledger instead,
-//! and the bench tier prices that ledger through the machine cost model
-//! separately (`systab.rule.*`).
+//! The server does not evaluate the rule: it rebuilds and scans the whole
+//! table per call, and serving through it would evaluate it at every
+//! screen — 955 times over a 16-row table in one `megacrowd` run of the
+//! wall-clock ledger. A rule predicate on the serving path needs
+//! incremental evaluation first. Until then the ledger prices one
+//! evaluation (`patia.rules.blocked_peers_ns`), and [`RuleStats`]
+//! accounts the rows and operator work it spends, outside any [`obs`]
+//! hub.
 
 use crate::supervise::{CircuitState, Supervisor};
 use datacomp::{ColumnType, Schema, Table, Value};
@@ -91,12 +90,12 @@ pub fn supervision_table(sup: &Supervisor) -> Table {
     t
 }
 
-/// Cumulative ledger of query-driven rule evaluations, accounted
-/// outside the observability hub so the query path cannot perturb the
-/// traces and digests the differential tier pins.
+/// Cumulative ledger of rule evaluations, accounted outside the
+/// observability hub so evaluating the rule never perturbs a run's
+/// traces and digests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuleStats {
-    /// Rule evaluations performed (one per BEST filter consult).
+    /// Rule evaluations performed (one per [`blocked_peers`] call).
     pub evaluations: u64,
     /// Supervision rows scanned across all evaluations.
     pub rows_scanned: u64,
@@ -198,6 +197,72 @@ mod tests {
         let blocked = blocked_peers(&s, &mut stats);
         assert!(!blocked.contains("c"), "half-open peers receive trial traffic");
         assert_eq!(stats.evaluations, 2);
+    }
+
+    /// The rule is `is_open` as a table, over random fleets, detector
+    /// tunings and fault sequences: after every heartbeat round the
+    /// blocked set is exactly the open-circuit set, and each evaluation
+    /// scans one row per watched peer.
+    #[test]
+    fn blocked_peers_is_the_open_circuit_set_after_every_beat() {
+        let (mut opens, mut half_opens) = (0u32, 0u32);
+        adm_rng::run_cases(0x0B10_C4ED, 200, |rng| {
+            let peers: Vec<String> = (0..1 + rng.index(16)).map(|i| format!("p{i:02}")).collect();
+            let mut net = Network::new();
+            for p in &peers {
+                net.add_device(Device::new(p, DeviceKind::Server));
+            }
+            // A chain keeps the fleet connected; a few chords add cycles.
+            let link = |a: &str, b: &str| {
+                Link::new(a, b, LinkKind::Wired, BandwidthProfile::Constant(100.0), 1)
+            };
+            for pair in peers.windows(2) {
+                net.add_link(link(&pair[0], &pair[1]));
+            }
+            for _ in 0..rng.index(peers.len()) {
+                net.add_link(link(&peers[rng.index(peers.len())], &peers[rng.index(peers.len())]));
+            }
+            let cfg = SuperviseConfig {
+                suspect_after: rng.range_u32(1, 5),
+                probation: rng.range_u32(0, 5),
+            };
+            let mut sup = Supervisor::new(cfg, peers.iter().cloned());
+            let mut stats = RuleStats::default();
+            for now in 1..=60 {
+                match rng.below(8) {
+                    0 => net.device_mut(&peers[rng.index(peers.len())]).unwrap().alive = false,
+                    1 => net.device_mut(&peers[rng.index(peers.len())]).unwrap().alive = true,
+                    2 | 3 => {
+                        let island: Vec<String> =
+                            peers.iter().filter(|_| rng.chance(0.3)).cloned().collect();
+                        if rng.below(2) == 0 {
+                            net.partition(&island);
+                        } else {
+                            net.heal(&island);
+                        }
+                    }
+                    _ => {}
+                }
+                sup.beat(&net, now);
+                let before = stats;
+                let blocked = blocked_peers(&sup, &mut stats);
+                let open: BTreeSet<String> =
+                    peers.iter().filter(|p| sup.is_open(p)).cloned().collect();
+                assert_eq!(blocked, open, "tick {now}, {cfg:?}");
+                assert_eq!(stats.evaluations, before.evaluations + 1);
+                assert_eq!(stats.rows_scanned, before.rows_scanned + peers.len() as u64);
+                for p in &peers {
+                    match sup.circuit(p) {
+                        CircuitState::Open => opens += 1,
+                        CircuitState::HalfOpen => half_opens += 1,
+                        CircuitState::Closed => {}
+                    }
+                }
+            }
+        });
+        // The cases reach both non-closed states, so the equality above
+        // tells an OPEN filter from a not-CLOSED one.
+        assert!(opens > 0 && half_opens > 0, "open {opens}, half-open {half_opens}");
     }
 
     #[test]

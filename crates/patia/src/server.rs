@@ -4,13 +4,11 @@
 use crate::agent::ServiceAgent;
 use crate::atom::{Atom, AtomId, AtomStore, AtomType};
 use crate::constraint::{paper_table2, AtomConstraint, ConstraintLogic};
-use crate::rules::{self, RuleStats};
 use crate::supervise::{SuperviseConfig, SupervisionEvent, Supervisor};
 use compkit::gauge::{Gauge, GaugeBoard, GaugeKind};
 use compkit::monitor::Monitor;
 use obs::{ObsHandle, Primitive};
-use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use ubinet::device::{Device, DeviceKind};
 use ubinet::link::{BandwidthProfile, Link, LinkKind};
@@ -339,25 +337,6 @@ fn copy_words(words: u64) -> Primitive {
     Primitive::CopyWords(u32::try_from(words).unwrap_or(u32::MAX))
 }
 
-/// How the circuit-breaker screen on BEST candidate lists is evaluated.
-///
-/// Both policies produce byte-identical decisions, traces, and metric
-/// digests — the differential tier pins that — but `Query` routes every
-/// verdict through the declarative rule in [`crate::rules`], so the
-/// policy is data the platform can introspect (`sys.supervision`) and
-/// eventually rewrite, rather than a compiled-in filter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SwitchPolicy {
-    /// The original compiled-in filter: `!supervisor.is_open(peer)`.
-    #[default]
-    Hardcoded,
-    /// Evaluate `SELECT peer FROM sys.supervision WHERE circuit_code =
-    /// OPEN` with the `query` crate's operators and screen against the
-    /// result. Work is accounted in [`RuleStats`], never billed to the
-    /// observability hub.
-    Query,
-}
-
 /// One fleet node's names, spelled out once at construction so a tick
 /// formats nothing: the device name, the monitor (and registry gauge) its
 /// utilisation is recorded under, and the gauge constraint 455 reads.
@@ -403,12 +382,6 @@ pub struct PatiaServer {
     /// The fleet supervisor: heartbeat failure detection and per-peer
     /// circuit breakers consulted by every BEST placement decision.
     supervisor: Supervisor,
-    /// How the circuit-breaker screen is evaluated at BEST sites.
-    policy: SwitchPolicy,
-    /// Ledger of query-driven rule evaluations (interior-mutable: the
-    /// version-selection site is `&self`). Always zero under
-    /// [`SwitchPolicy::Hardcoded`].
-    rule_stats: Cell<RuleStats>,
     /// Optional storage engine under the atoms. When attached, every
     /// routing decision reads the atom's stored record through the buffer
     /// pool — page IO becomes part of the serving bill.
@@ -487,52 +460,8 @@ impl PatiaServer {
             obs: None,
             totals: FaultCounters::default(),
             supervisor,
-            policy: SwitchPolicy::default(),
-            rule_stats: Cell::new(RuleStats::default()),
             storage: None,
             route_slots: Vec::new(),
-        }
-    }
-
-    /// Choose how the circuit-breaker screen is evaluated. Switching
-    /// policies mid-run is allowed; decisions stay byte-identical.
-    pub fn set_switch_policy(&mut self, policy: SwitchPolicy) {
-        self.policy = policy;
-    }
-
-    /// The active circuit-breaker evaluation policy.
-    #[must_use]
-    pub fn switch_policy(&self) -> SwitchPolicy {
-        self.policy
-    }
-
-    /// Cumulative ledger of declarative rule evaluations (zero unless
-    /// [`SwitchPolicy::Query`] is active).
-    #[must_use]
-    pub fn rule_stats(&self) -> RuleStats {
-        self.rule_stats.get()
-    }
-
-    /// The blocked-peer set under the active policy: `None` in
-    /// hard-coded mode (callers consult `is_open` directly, as ever),
-    /// the query-evaluated set under [`SwitchPolicy::Query`].
-    fn rule_blocked(&self) -> Option<BTreeSet<String>> {
-        match self.policy {
-            SwitchPolicy::Hardcoded => None,
-            SwitchPolicy::Query => {
-                let mut stats = self.rule_stats.get();
-                let blocked = rules::blocked_peers(&self.supervisor, &mut stats);
-                self.rule_stats.set(stats);
-                Some(blocked)
-            }
-        }
-    }
-
-    /// Whether `peer` may be nominated by BEST under the active policy.
-    fn admits(&self, blocked: Option<&BTreeSet<String>>, peer: &str) -> bool {
-        match blocked {
-            Some(set) => !set.contains(peer),
-            None => !self.supervisor.is_open(peer),
         }
     }
 
@@ -576,9 +505,9 @@ impl PatiaServer {
 
     /// Arm the observability hub: each tick then runs inside a `patia:tick`
     /// span, SWITCH/migration/evacuation events become trace instants with
-    /// cycle bills, the `patia.*` registry counters accumulate, and node
-    /// utilisation flows monitors-from-registry (see
-    /// [`PatiaServer::tick`]). Zero-cost when disarmed, like
+    /// cycle bills, the `patia.*` registry counters accumulate, and every
+    /// node utilisation reading the gauge board records is also published
+    /// as the registry gauge `cpu:<node>`. Zero-cost when disarmed, like
     /// [`PatiaServer::arm_switch_gate`].
     pub fn arm_obs(&mut self, obs: ObsHandle) {
         if let Some(engine) = &mut self.storage {
@@ -587,8 +516,8 @@ impl PatiaServer {
         self.obs = Some(obs);
     }
 
-    /// Disarm observability; gauge readings go straight to the board
-    /// again. The attached storage engine (if any) is disarmed too, so
+    /// Disarm observability; gauge readings then reach only the board.
+    /// The attached storage engine (if any) is disarmed too, so
     /// the hub's handle count drops to the callers' own clones and the
     /// hub can be unwrapped while the server lives on for introspection.
     pub fn disarm_obs(&mut self) {
@@ -809,17 +738,7 @@ impl PatiaServer {
                             .filter(|v| preferred.contains(&v.id))
                             .map(|v| (v.location.as_str(), v.id))
                             .collect();
-                        // BEST consults the circuit breaker: a host
-                        // behind an open circuit is suspected dead and
-                        // must not be nominated, even if its (stale)
-                        // representation still looks attractive.
-                        let blocked = self.rule_blocked();
-                        let names: Vec<&str> = hosts
-                            .iter()
-                            .map(|(n, _)| *n)
-                            .filter(|n| self.admits(blocked.as_ref(), n))
-                            .collect();
-                        let chosen = best(&self.net, &names)?;
+                        let chosen = self.best_admitted(hosts.iter().map(|(n, _)| *n))?;
                         return hosts.iter().find(|(n, _)| *n == chosen).map(|(_, id)| *id);
                     }
                     return Some(*fallback);
@@ -988,15 +907,6 @@ impl PatiaServer {
                 d.load = util;
             }
         }
-        // When armed, utilisation was published to the metrics registry;
-        // the gauge board's monitors now ingest it from there — the
-        // paper's monitors→gauges pipeline reading real telemetry. The
-        // registry gauge names equal the monitor names (`cpu:<node>`), so
-        // the board sees byte-identical readings either way.
-        if let Some(o) = &obs {
-            let o = o.borrow();
-            self.board.ingest_gauges(o.metrics.gauges_iter(), now);
-        }
 
         // 3. Adapt: constraint 455 — SWITCH agents off saturated nodes. A
         //    denied or impossible switch is counted, backed off (2, 4, ...
@@ -1058,16 +968,7 @@ impl PatiaServer {
                 if unoccupied.is_empty() {
                     continue; // fully spread — nowhere left to switch to
                 }
-                // The circuit breaker screens BEST's candidate list: a
-                // suspected-dead node never receives an agent, however
-                // idle its last-known representation claims it is.
-                let blocked = self.rule_blocked();
-                let refs: Vec<&str> = unoccupied
-                    .iter()
-                    .copied()
-                    .filter(|n| self.admits(blocked.as_ref(), n))
-                    .collect();
-                let Some(dest) = best(&self.net, &refs).map(str::to_owned) else {
+                let Some(dest) = self.best_admitted(unoccupied).map(str::to_owned) else {
                     // Candidates remain but none is usable (dead, flat,
                     // or isolated behind an open circuit).
                     self.note_switch_failure(c.atom, now, &mut stats);
@@ -1084,61 +985,17 @@ impl PatiaServer {
                     self.note_switch_failure(c.atom, now, &mut stats);
                     continue;
                 }
-                if let Some(gate) = self.gate.as_mut() {
-                    if gate.deny(now, c.atom, &from, &dest).is_some() {
-                        self.note_switch_failure(c.atom, now, &mut stats);
-                        continue;
-                    }
-                }
-                let Some(agents) = self.agents.get_mut(&c.atom) else { continue };
                 // A lightly-queued agent is a bystander on a busy node:
                 // SWITCH moves it whole. A heavily-queued agent *is* the
                 // load: SWITCH spreads the service — clone the agent onto
                 // the destination and split the queue (the data AND
                 // processing state shipping the paper describes).
-                let queue_len = agents[worst_idx].queued_requests();
-                let kind = if queue_len <= 2 { SwitchKind::Migrate } else { SwitchKind::Spread };
-                if queue_len <= 2 {
-                    let state_bytes = agents[worst_idx].migrate(&dest);
-                    if let Some(o) = &obs {
-                        let mut o = o.borrow_mut();
-                        // Shipping the agent's state is a word copy.
-                        o.charge(copy_words(state_bytes / 4));
-                        o.instant(
-                            "patia",
-                            "switch:migrate",
-                            vec![
-                                ("atom", c.atom.0.to_string()),
-                                ("from", from.clone()),
-                                ("to", dest.clone()),
-                                ("state_bytes", state_bytes.to_string()),
-                            ],
-                        );
-                    }
+                let kind = if self.agents[&c.atom][worst_idx].queued_requests() <= 2 {
+                    SwitchKind::Migrate
                 } else {
-                    let mut clone = ServiceAgent::new(c.atom, &dest);
-                    let split = queue_len / 2;
-                    clone.adopt(agents[worst_idx].split_back(split));
-                    agents.push(clone);
-                    if let Some(o) = &obs {
-                        let mut o = o.borrow_mut();
-                        // A spread ships a fresh agent header plus the
-                        // split half of the queue.
-                        o.charge(copy_words(split.saturating_mul(6).saturating_add(16)));
-                        o.instant(
-                            "patia",
-                            "switch:spread",
-                            vec![
-                                ("atom", c.atom.0.to_string()),
-                                ("from", from.clone()),
-                                ("to", dest.clone()),
-                                ("split", split.to_string()),
-                            ],
-                        );
-                    }
-                }
-                self.retry.remove(&c.atom);
-                stats.migrations.push(SwitchEvent { atom: c.atom, kind, from, to: dest });
+                    SwitchKind::Spread
+                };
+                self.switch_agent(c.atom, worst_idx, kind, dest, &mut stats);
             }
         }
 
@@ -1212,15 +1069,79 @@ impl PatiaServer {
         self.nodes.binary_search_by(|n| n.name.as_str().cmp(name)).ok()
     }
 
+    /// Feed a node's utilisation to its gauge-board monitor and, when
+    /// armed, publish it as the registry gauge of the same name.
     fn record_util(&mut self, node: usize, util: f64, now: u64) {
         let monitor = &self.nodes[node].cpu;
+        self.board.record(monitor, now, util);
         if let Some(obs) = &self.obs {
-            // Armed: publish to the registry under the monitor's own name;
-            // the board ingests it from there after the node loop.
             obs.borrow_mut().metrics.gauge_set(monitor, util);
-        } else {
-            self.board.record(monitor, now, util);
         }
+    }
+
+    /// BEST over the candidates the circuit breaker admits. A node behind
+    /// an open circuit is suspected dead and is never nominated, however
+    /// attractive its last-known representation; half-open peers are on
+    /// probation and take trial traffic.
+    fn best_admitted<'a>(&self, candidates: impl IntoIterator<Item = &'a str>) -> Option<&'a str> {
+        let admitted: Vec<&str> =
+            candidates.into_iter().filter(|n| !self.supervisor.is_open(n)).collect();
+        best(&self.net, &admitted)
+    }
+
+    /// Carry out one SWITCH of `atom`'s agent `idx` onto `dest`, unless
+    /// the armed gate denies it (then the failure is noted and backed
+    /// off). A migration or evacuation moves the agent whole; a spread
+    /// clones it onto `dest` with the back half of its queue. Either way
+    /// the shipped state is billed as a word copy and traced as the
+    /// kind's instant.
+    fn switch_agent(
+        &mut self,
+        atom: AtomId,
+        idx: usize,
+        kind: SwitchKind,
+        dest: String,
+        stats: &mut TickStats,
+    ) {
+        let now = self.now;
+        let Some(agents) = self.agents.get_mut(&atom) else { return };
+        let from = agents[idx].node.clone();
+        if let Some(gate) = self.gate.as_mut() {
+            if gate.deny(now, atom, &from, &dest).is_some() {
+                self.note_switch_failure(atom, now, stats);
+                return;
+            }
+        }
+        let (words, (key, value)) = if kind == SwitchKind::Spread {
+            // A fresh agent header plus the split half of the queue.
+            let split = agents[idx].queued_requests() / 2;
+            let mut clone = ServiceAgent::new(atom, &dest);
+            clone.adopt(agents[idx].split_back(split));
+            agents.push(clone);
+            (split.saturating_mul(6).saturating_add(16), ("split", split))
+        } else {
+            let state_bytes = agents[idx].migrate(&dest);
+            (state_bytes / 4, ("state_bytes", state_bytes))
+        };
+        if let Some(obs) = &self.obs {
+            let mut o = obs.borrow_mut();
+            o.charge(copy_words(words));
+            o.instant(
+                "patia",
+                kind.instant_name(),
+                vec![
+                    ("atom", atom.0.to_string()),
+                    ("from", from.clone()),
+                    ("to", dest.clone()),
+                    (key, value.to_string()),
+                ],
+            );
+        }
+        self.retry.remove(&atom);
+        if kind == SwitchKind::Evacuate {
+            stats.faults.evacuations += 1;
+        }
+        stats.migrations.push(SwitchEvent { atom, kind, from, to: dest });
     }
 
     /// A node's capacity this tick: zero when dead, squeezed by injected
@@ -1249,7 +1170,7 @@ impl PatiaServer {
     fn note_switch_failure(&mut self, atom: AtomId, now: u64, stats: &mut TickStats) {
         let r = self.retry.entry(atom).or_insert(RetryState { attempts: 0, next_at: now });
         r.attempts = r.attempts.saturating_add(1);
-        r.next_at = now + (1u64 << r.attempts.min(MAX_BACKOFF_SHIFT));
+        r.next_at = now.saturating_add(1u64 << r.attempts.min(MAX_BACKOFF_SHIFT));
         stats.faults.failed_switches += 1;
         if r.attempts > 1 {
             stats.faults.switch_retries += 1;
@@ -1311,52 +1232,19 @@ impl PatiaServer {
             }
             cands.sort();
             cands.dedup();
-            let blocked = self.rule_blocked();
-            let refs: Vec<&str> = cands
-                .iter()
-                .map(String::as_str)
-                .filter(|n| *n != from && !occupied.iter().any(|o| o == *n))
-                // Evacuating *onto* a suspected-dead node would strand
-                // the agent twice: the breaker screens here too.
-                .filter(|n| self.admits(blocked.as_ref(), n))
-                .collect();
-            let Some(dest) = best(&self.net, &refs).map(str::to_owned) else {
+            // Evacuating *onto* a suspected-dead node would strand the
+            // agent twice: the breaker screens here too.
+            let admitted = self.best_admitted(
+                cands
+                    .iter()
+                    .map(String::as_str)
+                    .filter(|n| *n != from && !occupied.iter().any(|o| o == *n)),
+            );
+            let Some(dest) = admitted.map(str::to_owned) else {
                 self.note_switch_failure(atom, now, stats);
                 continue;
             };
-            if let Some(gate) = self.gate.as_mut() {
-                if gate.deny(now, atom, &from, &dest).is_some() {
-                    self.note_switch_failure(atom, now, stats);
-                    continue;
-                }
-            }
-            if let Some(agent) = self.agents.get_mut(&atom).and_then(|v| v.get_mut(idx)) {
-                let state_bytes = agent.migrate(&dest);
-                self.retry.remove(&atom);
-                stats.faults.evacuations += 1;
-                if let Some(obs) = &self.obs {
-                    let mut o = obs.borrow_mut();
-                    // State is recovered from the destination's replica:
-                    // still a word copy, just sourced remotely.
-                    o.charge(copy_words(state_bytes / 4));
-                    o.instant(
-                        "patia",
-                        "switch:evacuate",
-                        vec![
-                            ("atom", atom.0.to_string()),
-                            ("from", from.clone()),
-                            ("to", dest.clone()),
-                            ("state_bytes", state_bytes.to_string()),
-                        ],
-                    );
-                }
-                stats.migrations.push(SwitchEvent {
-                    atom,
-                    kind: SwitchKind::Evacuate,
-                    from,
-                    to: dest,
-                });
-            }
+            self.switch_agent(atom, idx, SwitchKind::Evacuate, dest, stats);
         }
     }
 }
@@ -1366,6 +1254,7 @@ mod tests {
     use super::*;
     use crate::supervise::CircuitState;
     use crate::workload::{FlashCrowd, RequestGen};
+    use std::collections::BTreeSet;
 
     fn server(adaptive: bool) -> PatiaServer {
         let (net, atoms, constraints) = ServerConfig::paper_fleet();
@@ -1635,8 +1524,9 @@ mod tests {
     }
 
     /// Arming observability must not perturb behaviour: TickStats and the
-    /// gauge board are identical whether readings flow directly or through
-    /// the metrics registry.
+    /// gauge board are identical armed and disarmed, and when armed every
+    /// monitor reading is also published as the registry gauge of the same
+    /// name (`cpu:<node>`).
     #[test]
     fn armed_observability_does_not_perturb_the_server() {
         let run = |armed: bool| {
@@ -1657,13 +1547,20 @@ mod tests {
                     s.revive_node("node1");
                 }
                 out.push(s.tick(&gen.tick(t), 500.0));
+                let Some(h) = &obs else { continue };
+                let metrics = &h.borrow().metrics;
+                for n in &s.nodes {
+                    let latest = s.board.monitor(&n.cpu).and_then(Monitor::latest);
+                    assert_eq!(latest.map(|r| r.tick), Some(t), "{} read this tick", n.cpu);
+                    assert_eq!(metrics.gauge(&n.cpu), latest.map(|r| r.value), "tick {t}");
+                }
             }
             (out, s.board.snapshot(), s.fault_totals(), obs)
         };
         let (stats_off, board_off, totals_off, _) = run(false);
         let (stats_on, board_on, totals_on, obs) = run(true);
         assert_eq!(stats_off, stats_on, "TickStats must not depend on observability");
-        assert_eq!(board_off, board_on, "gauge-from-registry must feed identical readings");
+        assert_eq!(board_off, board_on, "arming must feed the board identical readings");
         assert_eq!(totals_off, totals_on);
         // And the registry's cumulative counters agree with the totals.
         let o = obs.unwrap();
@@ -1744,36 +1641,6 @@ mod tests {
     }
 
     #[test]
-    fn query_policy_decisions_match_hardcoded_byte_for_byte() {
-        // Two servers, same fault script, opposite policies: every tick's
-        // stats (migrations, faults, completions) must agree exactly.
-        let run = |policy: SwitchPolicy| {
-            let mut s = server(true);
-            s.set_switch_policy(policy);
-            s.network_mut().partition(&["wp1".to_owned()]);
-            let crowd = FlashCrowd { from: 1, to: 120, target: AtomId(123), multiplier: 40.0 };
-            let mut gen = RequestGen::new(vec![AtomId(123)], 1.0, 4.0, 2).with_crowd(crowd);
-            let mut out = Vec::new();
-            for t in 1..=150 {
-                if t == 60 {
-                    s.kill_node("node2");
-                }
-                if t == 100 {
-                    s.revive_node("node2");
-                }
-                out.push(s.tick(&gen.tick(t), 500.0));
-            }
-            (out, s.rule_stats())
-        };
-        let (hard, hard_stats) = run(SwitchPolicy::Hardcoded);
-        let (query, query_stats) = run(SwitchPolicy::Query);
-        assert_eq!(hard, query, "policy must not change a single tick's outcome");
-        assert_eq!(hard_stats, RuleStats::default(), "hard-coded mode evaluates no rules");
-        assert!(query_stats.evaluations > 0, "query mode must actually run the rule");
-        assert!(query_stats.rows_scanned >= query_stats.evaluations * 5, "5 peers per scan");
-    }
-
-    #[test]
     fn restarted_node_rejoins_after_contact_and_probation() {
         let mut s = server(true);
         s.kill_node("node3");
@@ -1845,6 +1712,35 @@ mod tests {
             out
         };
         assert_eq!(run(), run(), "same inputs must yield byte-identical TickStats");
+    }
+
+    /// Regression: `step_at` accepts any tick above the clock, so restart
+    /// probes and switch retries scheduled near `u64::MAX` must saturate.
+    /// Adding to `now` overflowed (a debug panic; in release the next
+    /// probe wrapped into the past).
+    #[test]
+    fn deadlines_near_u64_max_saturate() {
+        let mut s = server(true);
+        s.kill_node("node3");
+        let mut next_probe = 0;
+        for now in u64::MAX - 12..u64::MAX {
+            s.step_at(now, &[], 500.0);
+            let node3 = s.supervisor().peers().into_iter().find(|p| p.peer == "node3").unwrap();
+            next_probe = node3.next_probe;
+            // 0 until the node is suspected; a scheduled probe is never
+            // in the past.
+            assert!(next_probe == 0 || next_probe > now, "tick {now}: probe at {next_probe}");
+        }
+        assert!(s.supervisor().is_open("node3"), "the dead node is isolated");
+        assert_eq!(next_probe, u64::MAX, "the probe deadline pins at u64::MAX");
+
+        let mut s = server(true);
+        let mut stats = TickStats::default();
+        for _ in 0..3 {
+            s.note_switch_failure(AtomId(123), u64::MAX - 1, &mut stats);
+        }
+        assert_eq!(s.retry[&AtomId(123)].next_at, u64::MAX, "the retry deadline pins at u64::MAX");
+        assert_eq!(stats.faults.failed_switches, 3);
     }
 
     #[test]

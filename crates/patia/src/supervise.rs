@@ -165,7 +165,8 @@ struct PeerHealth {
     next_probe: u64,
 }
 
-/// The fleet supervisor: one [`PeerHealth`] per node, advanced one
+/// The fleet supervisor: one health record per node (detector, circuit
+/// and restart state; [`Supervisor::peers`] freezes them), advanced one
 /// heartbeat round per server tick.
 #[derive(Debug, Clone)]
 pub struct Supervisor {
@@ -296,11 +297,12 @@ impl Supervisor {
                         events.push(SupervisionEvent::CircuitOpen { peer: peer.clone() });
                     }
                     h.restart_attempts = 0;
-                    h.next_probe = now + 2;
+                    h.next_probe = now.saturating_add(2);
                 }
                 if h.suspected && now >= h.next_probe {
                     h.restart_attempts = h.restart_attempts.saturating_add(1);
-                    h.next_probe = now + (1u64 << h.restart_attempts.min(MAX_BACKOFF_SHIFT));
+                    h.next_probe =
+                        now.saturating_add(1u64 << h.restart_attempts.min(MAX_BACKOFF_SHIFT));
                     self.probes = self.probes.saturating_add(1);
                     events.push(SupervisionEvent::RestartProbe {
                         peer: peer.clone(),

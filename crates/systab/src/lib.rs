@@ -28,9 +28,10 @@
 //! itself shows up in the machine's cycle ledger — querying the machine
 //! is work the machine performs.
 //!
-//! The loop is closed in [`patia::rules`]: the circuit-breaker screen on
-//! BEST candidate lists is a declarative query over `sys.supervision`,
-//! differential-tested byte-identical to the compiled-in filter.
+//! [`patia::rules`] states the circuit-breaker screen on BEST candidate
+//! lists as a declarative query over `sys.supervision`, property-tested
+//! equal to the compiled-in `Supervisor::is_open` filter the server
+//! runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -113,7 +113,7 @@ pub fn spans_table(events: &[TraceEvent]) -> Table {
 
 /// `sys.supervision`: one row per watched peer — re-exported from
 /// [`patia::rules`], which owns the schema because the declarative
-/// switching rule filters these very rows.
+/// circuit-breaker rule filters these very rows.
 pub use patia::rules::supervision_table;
 
 /// `sys.switches`: the adaptation journal's history — summary stats

@@ -13,7 +13,7 @@
 //!
 //! Store interop: when a [`StorageEngine`] is attached, commit fan-out
 //! persists the shard's switched component state through the engine's
-//! own write-ahead log ([`DataComponent::persist_commit`]) — a store
+//! own write-ahead log ([`DataComponent::persist_steps`]) — a store
 //! transaction nested inside the cross-shard one, billed and recovered
 //! by the store's machinery. Persistence is logical (put value / delete
 //! key), so replaying it during roll-forward recovery is idempotent.

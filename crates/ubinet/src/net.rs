@@ -248,9 +248,9 @@ impl Network {
         Ok((id(from)?, id(to)?))
     }
 
-    /// Label the alive devices by connected component: one sweep of
-    /// [`walk`](Self::walk) per component, O(devices + links) in all,
-    /// computed from the `alive`/`up` state as it is right now.
+    /// Label the alive devices by connected component: one graph walk
+    /// per component, O(devices + links) in all, computed from the
+    /// `alive`/`up` state as it is right now.
     #[must_use]
     pub fn components(&self) -> Components {
         let mut labels = vec![None; self.devices.len()];

@@ -327,10 +327,10 @@ fn record_txn(snap: &mut Snapshot) {
 
 /// Record the system-table layer under `systab.*`: what it costs to
 /// serve the machine's own telemetry through the query operators
-/// (billed table-scan cycles over a settled chaos world) and what the
-/// declarative SWITCH rule costs per storyline (the rule engine's
-/// ledgered work priced through `Primitive::Alu`, since rule evaluation
-/// deliberately never bills the storyline's own hub).
+/// (billed table-scan cycles over a settled chaos world). The
+/// circuit-breaker rule over `sys.supervision` is priced per evaluation
+/// by the wall-clock ledger (`patia.rules.blocked_peers_ns`), not here:
+/// no storyline evaluates it.
 fn record_systab(snap: &mut Snapshot) {
     use adm_core::scenario::chaos::run_with_state;
     use systab::{metrics_table, scan_rows, spans_table, supervision_table, switches_table};
@@ -352,16 +352,6 @@ fn record_systab(snap: &mut Snapshot) {
     assert_eq!(o.metrics.counter("systab.scan.rows"), rows, "every served row is billed once");
     snap.set("systab.cycles.table_scan", o.clock());
     snap.set("systab.counts.rows_served", rows);
-
-    let q = run_with_state(&ChaosParams { query_rules: true, ..ci_chaos(42) });
-    assert_eq!(q.report, w.report, "query-driven switching must not drift the storyline");
-    let stats = q.server.rule_stats();
-    assert!(stats.evaluations > 0, "the declarative rule must actually run");
-    let mut priced = obs::Obs::new(CostModel::pentium());
-    priced.charge_n(obs::Primitive::Alu, stats.ops);
-    snap.set("systab.cycles.rule_eval", priced.clock());
-    snap.set("systab.counts.rule_evaluations", stats.evaluations);
-    snap.set("systab.counts.rule_rows_scanned", stats.rows_scanned);
 }
 
 /// Record the mega-crowd scale run under `megacrowd.*`: engine counts
@@ -423,7 +413,7 @@ fn measure() -> Snapshot {
     // The unbundled transaction core: 2PC pricing + the cross-shard matrix.
     record_txn(&mut snap);
 
-    // The system-table layer: billed scans + the declarative SWITCH rule.
+    // The system-table layer: billed table scans.
     record_systab(&mut snap);
 
     // The mega-crowd scale run.

@@ -12,12 +12,6 @@
 //! querying the machine is work the machine performs, and that bill is
 //! golden-pinned too.
 //!
-//! The differential leg closes the loop on the declarative SWITCH rule:
-//! replaying the chaos and crash-replay matrices with the circuit-breaker
-//! screen evaluated as a query over `sys.supervision` must be
-//! byte-identical — reports, traces, metric digests — to the compiled-in
-//! filter.
-//!
 //! Regenerate the golden after an intentional change with:
 //!
 //! ```text
@@ -301,68 +295,6 @@ fn system_tables_answer_invariant_queries_over_every_scenario() {
     query_store_world("store-cell-42", 42, CrashPoint::MidPlan { after_steps: 2 }, &mut golden);
 
     golden::check("tests/goldens/systab.txt", &golden);
-}
-
-/// The declarative SWITCH rule is *exactly* the compiled-in filter: the
-/// chaos and crash-replay matrices replay byte-identically — reports,
-/// traces, metric digests — whichever way the circuit-breaker screen is
-/// evaluated.
-#[test]
-fn query_driven_switching_is_byte_identical_to_hardcoded() {
-    let mut storylines = vec![chaos::paper_flash_crowd()];
-    storylines.extend(GOLDEN_SEEDS.map(chaos::ci_chaos));
-    storylines.extend(GOLDEN_SEEDS.map(crashrep::supervised_storyline));
-    for base in storylines {
-        assert!(!base.query_rules, "storylines default to the compiled-in filter");
-        let queried = ChaosParams { query_rules: true, ..base.clone() };
-        let (hard_report, hard_obs) = chaos::run_observed(&base);
-        let (query_report, query_obs) = chaos::run_observed(&queried);
-        assert_eq!(
-            hard_report,
-            query_report,
-            "plan {:#x}: per-tick stats and aggregates must match",
-            base.plan.digest()
-        );
-        assert_eq!(
-            hard_obs.tracer.render(),
-            query_obs.tracer.render(),
-            "plan {:#x}: traces must be byte-identical",
-            base.plan.digest()
-        );
-        assert_eq!(
-            hard_obs.digests(),
-            query_obs.digests(),
-            "plan {:#x}: trace and metric digests must match",
-            base.plan.digest()
-        );
-        assert_eq!(
-            hard_obs.metrics.snapshot(),
-            query_obs.metrics.snapshot(),
-            "plan {:#x}: metric snapshots must match",
-            base.plan.digest()
-        );
-    }
-}
-
-/// The rule engine actually ran on the query path — the differential
-/// equality above is not vacuous — and its work is ledgered outside the
-/// billed hub.
-#[test]
-fn query_policy_does_measurable_rule_work() {
-    let p = ChaosParams { query_rules: true, ..chaos::ci_chaos(42) };
-    let w = chaos::run_with_state(&p);
-    let stats = w.server.rule_stats();
-    assert!(stats.evaluations > 0, "the rule must be evaluated during the run");
-    assert!(
-        stats.rows_scanned >= stats.evaluations,
-        "every evaluation scans the supervision table"
-    );
-    assert!(stats.ops > 0, "rule work is ledgered");
-    assert_eq!(
-        w.report,
-        chaos::run(&chaos::ci_chaos(42)),
-        "rule evaluation must not perturb the storyline"
-    );
 }
 
 /// Deterministic replay of the query tier itself: the same world queried
