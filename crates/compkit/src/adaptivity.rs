@@ -6,20 +6,22 @@
 //! > style properties. That is, the switch can be backed off if something
 //! > goes wrong."
 //!
-//! [`AdaptivityManager::execute`] applies a plan step by step, journalling
-//! every completed step; on any failure it replays the journal backwards,
-//! restoring the exact prior runtime (including the stopped components'
-//! state, which was archived in the State Manager before removal).
+//! [`AdaptivityManager::execute`] applies a plan step by step through
+//! [`PlanStep::apply`], keeping every completed step's undo record; on any
+//! failure it replays those records backwards, restoring the exact prior
+//! runtime (including the stopped components' state, which was archived in
+//! the State Manager before removal).
 //!
-//! With [`AdaptivityManager::attach_journal`] the same step records are
-//! also written through to a durable write-ahead
-//! [`crate::journal::AdaptationJournal`], and
-//! [`AdaptivityManager::recover`] replays it after a crash — see the
+//! With [`AdaptivityManager::attach_journal`] every switch is also written
+//! through to a write-ahead [`TxnLog`] as a one-shard transaction over
+//! shard `s0` — the same log the `txn` crate's transaction core writes —
+//! and [`AdaptivityManager::recover`] replays it after a crash. See the
 //! [`crate::journal`] module docs for the record discipline and crash
 //! model.
 
 use crate::journal::{
-    AdaptationJournal, CrashHook, CrashSite, NoCrash, RecoveryOutcome, RecoveryReport, StepRecord,
+    CrashHook, CrashSite, NoCrash, PlanStep, RecoveryOutcome, RecoveryReport, ShardId, StepRecord,
+    TxnLog, TxnRecord,
 };
 use crate::planlint::{PlanLintReport, PlanLinter};
 use crate::runtime::{ComponentFactory, Runtime};
@@ -28,6 +30,9 @@ use adl::ast::Binding;
 use adl::diff::ReconfigurationPlan;
 use obs::{ObsHandle, Primitive};
 use std::fmt;
+
+/// The one shard a single-node switch runs on in the log.
+const SHARD: ShardId = ShardId(0);
 
 /// Why a switch failed (and was rolled back).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,8 +66,8 @@ pub enum SwitchError {
         residue: Vec<String>,
     },
     /// A scripted crash killed the node mid-transaction (only reachable
-    /// with an attached journal and a firing [`CrashHook`]). Nothing was
-    /// rolled back and no outcome counter moved: the journal holds the
+    /// with an attached log and a firing [`CrashHook`]). Nothing was
+    /// rolled back and no outcome counter moved: the log holds the
     /// truth and [`AdaptivityManager::recover`] settles it.
     Crashed {
         /// The record boundary the node died at.
@@ -70,9 +75,14 @@ pub enum SwitchError {
     },
     /// The static plan linter ([`crate::planlint`]) found Error-severity
     /// findings, so the switch was refused before any step ran. Nothing
-    /// was journalled and nothing needs rolling back — the plan is wrong
+    /// was logged and nothing needs rolling back — the plan is wrong
     /// in *every* runtime, not just this one.
     LintRejected(PlanLintReport),
+    /// The attached log still holds an unsettled transaction (a crash or
+    /// an incomplete rollback left it open), so the switch was refused
+    /// before anything ran or was logged. [`AdaptivityManager::recover`]
+    /// settles the open transaction first.
+    RecoveryPending,
 }
 
 impl fmt::Display for SwitchError {
@@ -92,7 +102,7 @@ impl fmt::Display for SwitchError {
                 write!(f, "{}", residue.join("; "))
             }
             SwitchError::Crashed { site } => {
-                write!(f, "node crashed at {site}; the journal is open — recover() settles it")
+                write!(f, "node crashed at {site}; the log is open — recover() settles it")
             }
             SwitchError::LintRejected(report) => {
                 write!(f, "plan refused by the linter: {} error(s)", report.errors().count())?;
@@ -100,6 +110,9 @@ impl fmt::Display for SwitchError {
                     write!(f, " — {first}")?;
                 }
                 Ok(())
+            }
+            SwitchError::RecoveryPending => {
+                write!(f, "an unsettled switch is still in the log; recover() settles it first")
             }
         }
     }
@@ -164,7 +177,7 @@ pub struct AdaptivityManager {
     switches_rolled_back: u64,
     rollbacks_incomplete: u64,
     recoveries: u64,
-    journal: Option<AdaptationJournal>,
+    journal: Option<TxnLog>,
     obs: Option<ObsHandle>,
 }
 
@@ -209,32 +222,33 @@ impl AdaptivityManager {
     }
 
     /// Recovery replays that found work to do (noop replays of an empty
-    /// journal are not counted — that is the idempotence witness).
+    /// log are not counted — that is the idempotence witness).
     #[must_use]
     pub fn recoveries(&self) -> u64 {
         self.recoveries
     }
 
-    /// Attach a fresh write-ahead journal: every subsequent transaction
-    /// writes intent/step/commit records through it (each append billed
-    /// one [`Primitive::Store`] when observability is armed), and
+    /// Attach a fresh write-ahead [`TxnLog`]: every subsequent switch
+    /// writes its begin/step/outcome records through it as a one-shard
+    /// transaction (each append but the closing `End` billed one
+    /// [`Primitive::Store`] when observability is armed), and
     /// [`AdaptivityManager::recover`] can replay it after a crash.
     pub fn attach_journal(&mut self) {
-        self.journal = Some(AdaptationJournal::new());
+        self.journal = Some(TxnLog::new());
     }
 
-    /// The attached journal, if any.
+    /// The attached log, if any.
     #[must_use]
-    pub fn journal(&self) -> Option<&AdaptationJournal> {
+    pub fn journal(&self) -> Option<&TxnLog> {
         self.journal.as_ref()
     }
 
-    /// Live records in the attached journal (0 when none is attached).
-    /// The `sys.txns` system table reads this to surface how much journal
+    /// Live records in the attached log (0 when none is attached).
+    /// The `sys.txns` system table reads this to surface how much log
     /// a crash at this instant would force the next recovery to replay.
     #[must_use]
     pub fn journal_len(&self) -> usize {
-        self.journal.as_ref().map_or(0, AdaptationJournal::len)
+        self.journal.as_ref().map_or(0, TxnLog::len)
     }
 
     /// Execute `plan` against `runtime` transactionally.
@@ -245,7 +259,9 @@ impl AdaptivityManager {
     /// describes the first failing step.
     ///
     /// # Errors
-    /// [`SwitchError`]; the runtime is unchanged when one is returned.
+    /// [`SwitchError`]; the runtime is unchanged when one is returned
+    /// (bar [`SwitchError::RollbackIncomplete`], which cannot happen
+    /// without an injector).
     pub fn execute(
         &mut self,
         runtime: &mut Runtime,
@@ -279,19 +295,20 @@ impl AdaptivityManager {
     }
 
     /// [`AdaptivityManager::execute_with_faults`] with a [`CrashHook`]
-    /// deciding, at every journal-record boundary, whether the executing
-    /// node dies there. Crash sites are only consulted when a journal is
+    /// deciding, at every log-record boundary, whether the executing
+    /// node dies there. Crash sites are only consulted when a log is
     /// attached — without one there is nothing for recovery to replay,
     /// so a "crash" would be indistinguishable from silent data loss.
     ///
     /// On a crash the transaction is abandoned exactly as a real node
     /// death would leave it: no rollback runs, no outcome counter moves,
-    /// and the journal stays open. [`AdaptivityManager::recover`] then
-    /// settles the transaction.
+    /// and the log stays open. [`AdaptivityManager::recover`] then
+    /// settles the transaction; until it has, every switch is refused.
     ///
     /// # Errors
     /// As [`AdaptivityManager::execute_with_faults`], plus
-    /// [`SwitchError::Crashed`] when the hook fires.
+    /// [`SwitchError::Crashed`] when the hook fires and
+    /// [`SwitchError::RecoveryPending`] while the log is not empty.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_crashable(
         &mut self,
@@ -303,9 +320,16 @@ impl AdaptivityManager {
         faults: &mut dyn StepFaults,
         crash: &mut dyn CrashHook,
     ) -> Result<SwitchReport, SwitchError> {
-        // Static gate first: the linter sees only the plan, so anything it
+        // An unsettled transaction must be recovered first: a later
+        // checkpoint would otherwise reclaim the log records that are the
+        // only way back from a half-applied switch. Refuse before anything
+        // runs or is logged.
+        if self.journal_len() > 0 {
+            return Err(SwitchError::RecoveryPending);
+        }
+        // Static gate next: the linter sees only the plan, so anything it
         // rejects would have failed (or worse, mis-rolled-back) in every
-        // runtime — refuse before a span opens or the journal is touched.
+        // runtime — refuse before a span opens or the log is touched.
         // Runtime-dependent inconsistencies still surface as
         // `SwitchError::Inconsistent` from the steps themselves.
         let lint = PlanLinter::new().lint_one(plan);
@@ -330,38 +354,26 @@ impl AdaptivityManager {
         let mut applied: Vec<StepRecord> = Vec::with_capacity(plan.len());
         let obs = self.obs.clone();
         let span = obs.as_ref().map(|o| o.borrow_mut().begin("compkit", "switch"));
-        let txn = if let Some(j) = self.journal.as_mut() {
-            let t = j.begin(plan.len(), now);
-            if let Some(o) = &obs {
-                o.borrow_mut().charge(Primitive::Store);
+        let txn = self.journal.as_mut().map(|j| j.begin(vec![SHARD], now));
+        if txn.is_some() {
+            self.bill_store();
+            if crash.crash(&CrashSite::Intent) {
+                return self.crash_out(&obs, span, "intent", 0, 0);
             }
-            Some(t)
-        } else {
-            None
-        };
-        if txn.is_some() && crash.crash(&CrashSite::Intent) {
-            return self.crash_out(&obs, span, "intent", 0, 0);
         }
         let result =
             self.try_execute(runtime, plan, factory, states, now, &mut applied, faults, txn, crash);
         match result {
             Ok(report) => {
-                if txn.is_some() && crash.crash(&CrashSite::BeforeCommit) {
-                    return self.crash_out(&obs, span, "before-commit", applied.len(), 0);
-                }
-                if let Some(t) = txn {
-                    if let Some(j) = self.journal.as_mut() {
-                        j.commit(t);
+                if let Some(gtxn) = txn {
+                    if crash.crash(&CrashSite::BeforeCommit) {
+                        return self.crash_out(&obs, span, "before-commit", applied.len(), 0);
                     }
-                    if let Some(o) = &obs {
-                        o.borrow_mut().charge(Primitive::Store);
-                    }
+                    self.log(TxnRecord::Commit { gtxn });
                     if crash.crash(&CrashSite::AfterCommit) {
                         return self.crash_out(&obs, span, "after-commit", applied.len(), 0);
                     }
-                    if let Some(j) = self.journal.as_mut() {
-                        j.truncate();
-                    }
+                    self.end(gtxn);
                 }
                 self.switches_committed = self.switches_committed.saturating_add(1);
                 if let (Some(o), Some(span)) = (&obs, span) {
@@ -384,7 +396,7 @@ impl AdaptivityManager {
             }
             Err(SwitchError::Crashed { site }) => {
                 // The node died mid-plan: no rollback, no outcome counter —
-                // the journal is the ledger and recovery settles it.
+                // the log is the ledger and recovery settles it.
                 self.crash_out(&obs, span, &site, applied.len(), 0)
             }
             Err(e) => {
@@ -406,27 +418,17 @@ impl AdaptivityManager {
                         continue;
                     }
                     undos += 1;
-                    if let Some(t) = txn {
-                        if let Some(j) = self.journal.as_mut() {
-                            j.undone(t, index);
-                        }
-                        if let Some(o) = &obs {
-                            o.borrow_mut().charge(Primitive::Store);
-                        }
+                    if let Some(gtxn) = txn {
+                        self.log(TxnRecord::Undone { gtxn, shard: SHARD, index });
                         if crash.crash(&CrashSite::AfterUndo { undos }) {
                             return self.crash_out(&obs, span, "mid-rollback", rolled_steps, undos);
                         }
                     }
                 }
                 if residue.is_empty() {
-                    if let Some(t) = txn {
-                        if let Some(j) = self.journal.as_mut() {
-                            j.abort(t);
-                            j.truncate();
-                        }
-                        if let Some(o) = &obs {
-                            o.borrow_mut().charge(Primitive::Store);
-                        }
+                    if let Some(gtxn) = txn {
+                        self.log(TxnRecord::ShardAborted { gtxn, shard: SHARD });
+                        self.end(gtxn);
                     }
                     self.switches_rolled_back = self.switches_rolled_back.saturating_add(1);
                     if let (Some(o), Some(span)) = (&obs, span) {
@@ -446,7 +448,7 @@ impl AdaptivityManager {
                     Err(e)
                 } else {
                     // The rollback itself left residue: counted *only* as
-                    // incomplete, never also as rolled back. The journal (if
+                    // incomplete, never also as rolled back. The log (if
                     // any) stays open so a later recover() retries the
                     // leftover undos.
                     self.rollbacks_incomplete = self.rollbacks_incomplete.saturating_add(1);
@@ -470,12 +472,12 @@ impl AdaptivityManager {
         }
     }
 
-    /// Replay the attached journal after a crash. Lands the runtime in
+    /// Replay the attached log after a crash. Lands the runtime in
     /// exactly one of two configurations — fully committed (a commit
-    /// record made it to the journal: roll forward) or fully rolled back
+    /// record made it to the log: roll forward) or fully rolled back
     /// (no commit record: every applied-not-yet-undone step is reversed)
     /// — and is idempotent: once settled, further calls scan an empty
-    /// journal, touch nothing, and report [`RecoveryOutcome::Clean`].
+    /// log, touch nothing, and report [`RecoveryOutcome::Clean`].
     ///
     /// The replay is cycle-billed when observability is armed: one
     /// [`Primitive::Load`] per scanned record, one [`Primitive::Store`]
@@ -484,7 +486,7 @@ impl AdaptivityManager {
     ///
     /// `crash` lets the conformance suite kill *recovery itself*
     /// ([`CrashPoint::DuringRecovery`]); progress survives in the
-    /// journal, so the next call resumes where the last one died.
+    /// log, so the next call resumes where the last one died.
     ///
     /// [`CrashPoint::DuringRecovery`]: crate::journal::CrashPoint::DuringRecovery
     pub fn recover(
@@ -493,131 +495,69 @@ impl AdaptivityManager {
         states: &mut StateManager,
         crash: &mut dyn CrashHook,
     ) -> RecoveryReport {
-        let noop = RecoveryReport {
+        let mut report = RecoveryReport {
             outcome: RecoveryOutcome::Clean,
             records_scanned: 0,
             undone: 0,
             residue: Vec::new(),
         };
-        let Some(journal) = self.journal.as_ref() else { return noop };
-        if journal.is_empty() {
-            return noop;
-        }
-        let scanned = journal.len();
-        let open = journal.open_txn();
+        let Some(journal) = self.journal.as_ref().filter(|j| !j.is_empty()) else { return report };
+        report.records_scanned = journal.len();
+        // `execute_crashable` refuses to begin while the log is open, so
+        // at most one transaction is unsettled.
+        let open = journal.open_txns().pop();
         let obs = self.obs.clone();
         let span = obs.as_ref().map(|o| o.borrow_mut().begin("compkit", "recover"));
         if let Some(o) = &obs {
             let mut o = o.borrow_mut();
-            for _ in 0..scanned {
+            for _ in 0..report.records_scanned {
                 o.charge(Primitive::Load);
             }
         }
-        let report = match open {
-            None => {
-                // Records without an intent cannot be produced by this
-                // manager; treat the log defensively as already settled.
-                if let Some(j) = self.journal.as_mut() {
-                    j.truncate();
-                }
-                RecoveryReport {
-                    outcome: RecoveryOutcome::Clean,
-                    records_scanned: scanned,
-                    undone: 0,
-                    residue: Vec::new(),
-                }
-            }
-            Some(t) if t.committed => {
+        if let Some(mut t) = open {
+            if t.decided {
                 // Roll forward. Applied records are written *after* their
                 // runtime mutations and the commit record after the last
                 // step, so the runtime already holds the committed
                 // configuration; only the checkpoint was lost.
-                if let Some(j) = self.journal.as_mut() {
-                    j.truncate();
-                }
+                self.end(t.gtxn);
                 self.switches_committed = self.switches_committed.saturating_add(1);
-                RecoveryReport {
-                    outcome: RecoveryOutcome::RolledForward,
-                    records_scanned: scanned,
-                    undone: 0,
-                    residue: Vec::new(),
-                }
-            }
-            Some(t) if t.aborted => {
-                // The rollback finished before the crash; only the
-                // checkpoint was lost.
-                if let Some(j) = self.journal.as_mut() {
-                    j.truncate();
-                }
-                self.switches_rolled_back = self.switches_rolled_back.saturating_add(1);
-                RecoveryReport {
-                    outcome: RecoveryOutcome::RolledBack,
-                    records_scanned: scanned,
-                    undone: 0,
-                    residue: Vec::new(),
-                }
-            }
-            Some(t) => {
-                let mut undone_now = 0usize;
-                let mut residue: Vec<String> = Vec::new();
+                report.outcome = RecoveryOutcome::RolledForward;
+            } else {
+                // No commit record: finish the rollback. (An abort record
+                // is always followed by `End` with no crash site between,
+                // so a live transaction has never logged one.)
+                let progress = t.progress.remove(&SHARD).unwrap_or_default();
                 let mut crashed = false;
-                for (index, step) in t.applied.iter().rev() {
-                    if t.undone.contains(index) {
+                for (index, step) in progress.pending_undo() {
+                    if let Err(e) = step.undo(runtime, states) {
+                        report.residue.push(format!("{}: {e}", step.undo_describe()));
                         continue;
                     }
-                    match step.undo(runtime, states) {
-                        Ok(()) => {
-                            if let Some(j) = self.journal.as_mut() {
-                                j.undone(t.txn, *index);
-                            }
-                            if let Some(o) = &obs {
-                                let mut o = o.borrow_mut();
-                                o.charge(Primitive::Store);
-                                o.charge(Primitive::SchedSteps(1));
-                            }
-                            undone_now += 1;
-                            if crash.crash(&CrashSite::AfterRecoveryUndo { undos: undone_now }) {
-                                crashed = true;
-                                break;
-                            }
-                        }
-                        Err(e) => residue.push(format!("{}: {e}", step.undo_describe())),
-                    }
-                }
-                if crashed {
-                    // The journal keeps the partial progress; the next
-                    // recover() resumes from it.
-                    RecoveryReport {
-                        outcome: RecoveryOutcome::Crashed,
-                        records_scanned: scanned,
-                        undone: undone_now,
-                        residue,
-                    }
-                } else if residue.is_empty() {
-                    if let Some(j) = self.journal.as_mut() {
-                        j.abort(t.txn);
-                        j.truncate();
-                    }
+                    self.log(TxnRecord::Undone { gtxn: t.gtxn, shard: SHARD, index });
                     if let Some(o) = &obs {
-                        o.borrow_mut().charge(Primitive::Store);
+                        o.borrow_mut().charge(Primitive::SchedSteps(1));
                     }
-                    self.switches_rolled_back = self.switches_rolled_back.saturating_add(1);
-                    RecoveryReport {
-                        outcome: RecoveryOutcome::RolledBack,
-                        records_scanned: scanned,
-                        undone: undone_now,
-                        residue,
-                    }
-                } else {
-                    RecoveryReport {
-                        outcome: RecoveryOutcome::Incomplete,
-                        records_scanned: scanned,
-                        undone: undone_now,
-                        residue,
+                    report.undone += 1;
+                    if crash.crash(&CrashSite::AfterRecoveryUndo { undos: report.undone }) {
+                        crashed = true;
+                        break;
                     }
                 }
+                report.outcome = if crashed {
+                    // The log keeps the partial progress; the next
+                    // recover() resumes from it.
+                    RecoveryOutcome::Crashed
+                } else if report.residue.is_empty() {
+                    self.log(TxnRecord::ShardAborted { gtxn: t.gtxn, shard: SHARD });
+                    self.end(t.gtxn);
+                    self.switches_rolled_back = self.switches_rolled_back.saturating_add(1);
+                    RecoveryOutcome::RolledBack
+                } else {
+                    RecoveryOutcome::Incomplete
+                };
             }
-        };
+        }
         self.recoveries = self.recoveries.saturating_add(1);
         if let (Some(o), Some(span)) = (&obs, span) {
             let mut o = o.borrow_mut();
@@ -633,15 +573,39 @@ impl AdaptivityManager {
             o.metrics
                 .counter_add("compkit.recovery.records_scanned", report.records_scanned as u64);
             o.metrics.counter_add("compkit.recovery.steps_undone", report.undone as u64);
-            // Mirrors `store.wal.replay_len`: the journal length a replay
+            // Mirrors `store.wal.replay_len`: the log length a replay
             // walked, whoever the log's owner is.
             o.metrics.counter_add("compkit.recovery.replay_len", report.records_scanned as u64);
         }
         report
     }
 
+    /// Bill one [`Primitive::Store`] when observability is armed.
+    fn bill_store(&self) {
+        if let Some(o) = &self.obs {
+            o.borrow_mut().charge(Primitive::Store);
+        }
+    }
+
+    /// Append `record` to the attached log, billed one store.
+    fn log(&mut self, record: TxnRecord) {
+        if let Some(j) = self.journal.as_mut() {
+            j.append(record);
+        }
+        self.bill_store();
+    }
+
+    /// Close transaction `gtxn` and checkpoint: its `End` record and the
+    /// truncation that reclaims it are not billed.
+    fn end(&mut self, gtxn: u64) {
+        if let Some(j) = self.journal.as_mut() {
+            j.append(TxnRecord::End { gtxn });
+            j.truncate_ended();
+        }
+    }
+
     /// Bill the partial work, close the switch span as crashed, and
-    /// surface [`SwitchError::Crashed`]. The journal is deliberately
+    /// surface [`SwitchError::Crashed`]. The log is deliberately
     /// left open — it is the evidence recovery replays.
     fn crash_out(
         &mut self,
@@ -663,18 +627,6 @@ impl AdaptivityManager {
         Err(SwitchError::Crashed { site: site.to_owned() })
     }
 
-    /// Write one applied-step record through the journal (billed one
-    /// store when observability is armed). No-op without a transaction.
-    fn wal_applied(&mut self, txn: Option<u64>, index: usize, step: &StepRecord) {
-        let Some(t) = txn else { return };
-        if let Some(j) = self.journal.as_mut() {
-            j.applied(t, index, step.clone());
-        }
-        if let Some(o) = &self.obs {
-            o.borrow_mut().charge(Primitive::Store);
-        }
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn try_execute(
         &mut self,
@@ -688,71 +640,29 @@ impl AdaptivityManager {
         txn: Option<u64>,
         crash: &mut dyn CrashHook,
     ) -> Result<SwitchReport, SwitchError> {
-        // 1. Unbind first: never leave a live binding to a stopping component.
-        for b in &plan.unbind {
-            if let Some(reason) = faults.fail_unbind(b) {
-                return Err(SwitchError::Injected {
-                    step: format!("unbind {} -- {}", b.from, b.to),
-                    reason,
-                });
+        // Unbind first (never leave a live binding to a stopping
+        // component), then stop (archiving state), start, and bind last.
+        let (mut stopped, mut started) = (Vec::new(), Vec::new());
+        for step in PlanStep::decompose(plan) {
+            if let Some((step, reason)) = step.injected(faults) {
+                return Err(SwitchError::Injected { step, reason });
             }
-            runtime.unbind(b).map_err(|e| SwitchError::Inconsistent(e.to_string()))?;
-            self.step_done(applied, StepRecord::Unbound(b.clone()), txn, crash)?;
-        }
-        // 2. Stop, archiving state.
-        let mut stopped = Vec::with_capacity(plan.stop.len());
-        for (name, _ty) in &plan.stop {
-            if let Some(reason) = faults.fail_stop(name) {
-                return Err(SwitchError::Injected { step: format!("stop {name}"), reason });
+            let record = step.apply(runtime, states, factory, now)?;
+            match &record {
+                StepRecord::Stopped { name, .. } => stopped.push(name.clone()),
+                StepRecord::Started { name } => started.push(name.clone()),
+                StepRecord::Unbound(_) | StepRecord::Bound(_) => {}
             }
-            let comp = runtime.stop(name).map_err(|e| SwitchError::Inconsistent(e.to_string()))?;
-            states.archive(name, comp.state.clone());
-            self.step_done(applied, StepRecord::Stopped { name: name.clone(), comp }, txn, crash)?;
-            stopped.push(name.clone());
-        }
-        // 3. Start new components (the step that can fail for real reasons).
-        let mut started = Vec::with_capacity(plan.start.len());
-        for (name, ty) in &plan.start {
-            let comp = factory
-                .create(name, ty, now)
-                .map_err(|e| SwitchError::Create { name: e.name, reason: e.reason })?;
-            runtime.start(name, comp).map_err(|e| SwitchError::Inconsistent(e.to_string()))?;
-            self.step_done(applied, StepRecord::Started { name: name.clone() }, txn, crash)?;
-            started.push(name.clone());
-        }
-        // 4. Bind last: all endpoints now exist.
-        for b in &plan.bind {
-            if let Some(reason) = faults.fail_bind(b) {
-                return Err(SwitchError::Injected {
-                    step: format!("bind {} -- {}", b.from, b.to),
-                    reason,
-                });
+            let index = applied.len();
+            if let Some(gtxn) = txn {
+                self.log(TxnRecord::Applied { gtxn, shard: SHARD, index, step: record.clone() });
             }
-            runtime.bind(b.clone()).map_err(|e| SwitchError::Inconsistent(e.to_string()))?;
-            self.step_done(applied, StepRecord::Bound(b.clone()), txn, crash)?;
+            applied.push(record);
+            if txn.is_some() && crash.crash(&CrashSite::AfterStep { index }) {
+                return Err(SwitchError::Crashed { site: format!("after step {}", index + 1) });
+            }
         }
         Ok(SwitchReport { steps: plan.len(), stopped, started, completed_at: now })
-    }
-
-    /// Record one applied step (in-memory and through the journal) and
-    /// consult the crash hook at the record boundary it just created.
-    ///
-    /// # Errors
-    /// [`SwitchError::Crashed`] when the hook fires.
-    fn step_done(
-        &mut self,
-        applied: &mut Vec<StepRecord>,
-        record: StepRecord,
-        txn: Option<u64>,
-        crash: &mut dyn CrashHook,
-    ) -> Result<(), SwitchError> {
-        let index = applied.len();
-        self.wal_applied(txn, index, &record);
-        applied.push(record);
-        if txn.is_some() && crash.crash(&CrashSite::AfterStep { index }) {
-            return Err(SwitchError::Crashed { site: format!("after step {}", index + 1) });
-        }
-        Ok(())
     }
 }
 
@@ -1037,14 +947,27 @@ mod tests {
         (rt, sm, am, plan)
     }
 
+    /// Run `plan` at tick 5 under `faults`, with the node dying at `point`.
+    fn crash_at(
+        am: &mut AdaptivityManager,
+        rt: &mut Runtime,
+        sm: &mut StateManager,
+        plan: &ReconfigurationPlan,
+        faults: &mut dyn StepFaults,
+        point: CrashPoint,
+    ) -> Result<SwitchReport, SwitchError> {
+        let mut crash = PlannedCrash::new(point);
+        am.execute_crashable(rt, plan, &mut BasicFactory, sm, 5, faults, &mut crash)
+    }
+
     #[test]
     fn journal_write_through_commits_and_checkpoints() {
         let (mut rt, mut sm, mut am, plan) = journalled_world();
         am.execute(&mut rt, &plan, &mut BasicFactory, &mut sm, 5).unwrap();
         let j = am.journal().expect("journal attached");
-        assert!(j.is_empty(), "commit checkpoints the journal");
-        // intent + one record per step + commit all hit the log.
-        assert_eq!(j.appended_total(), 1 + plan.len() as u64 + 1);
+        assert!(j.is_empty(), "commit checkpoints the log");
+        // begin + one record per step + commit + end all hit the log.
+        assert_eq!(j.appended_total(), 1 + plan.len() as u64 + 1 + 1);
         let report = am.recover(&mut rt, &mut sm, &mut NoCrash);
         assert!(report.noop(), "nothing to recover after a clean commit: {report:?}");
     }
@@ -1054,18 +977,9 @@ mod tests {
         use obs::{CostModel, Obs};
         let (mut rt, mut sm, mut am, plan) = journalled_world();
         assert_eq!(am.journal_len(), 0, "fresh journal holds nothing");
-        let mut crash = PlannedCrash::new(CrashPoint::BeforeCommit);
-        am.execute_crashable(
-            &mut rt,
-            &plan,
-            &mut BasicFactory,
-            &mut sm,
-            5,
-            &mut NoFaults,
-            &mut crash,
-        )
-        .unwrap_err();
-        // intent + one record per applied step are still live after a crash.
+        crash_at(&mut am, &mut rt, &mut sm, &plan, &mut NoFaults, CrashPoint::BeforeCommit)
+            .unwrap_err();
+        // begin + one record per applied step are still live after a crash.
         assert_eq!(am.journal_len(), 1 + plan.len());
 
         let obs = Obs::new(CostModel::pentium()).into_handle();
@@ -1078,7 +992,7 @@ mod tests {
         assert_eq!(
             o.metrics.counter("compkit.recovery.replay_len"),
             report.records_scanned as u64,
-            "replay_len mirrors store.wal.replay_len for the adaptation journal"
+            "replay_len mirrors store.wal.replay_len for the switch log"
         );
     }
 
@@ -1086,18 +1000,9 @@ mod tests {
     fn crash_before_commit_recovers_to_the_rolled_back_configuration() {
         let (mut rt, mut sm, mut am, plan) = journalled_world();
         let before = rt.clone();
-        let mut crash = PlannedCrash::new(CrashPoint::BeforeCommit);
-        let err = am
-            .execute_crashable(
-                &mut rt,
-                &plan,
-                &mut BasicFactory,
-                &mut sm,
-                5,
-                &mut NoFaults,
-                &mut crash,
-            )
-            .unwrap_err();
+        let err =
+            crash_at(&mut am, &mut rt, &mut sm, &plan, &mut NoFaults, CrashPoint::BeforeCommit)
+                .unwrap_err();
         assert!(matches!(err, SwitchError::Crashed { .. }), "got {err}");
         assert_ne!(rt, before, "the node died with every step applied");
         assert_eq!(am.rolled_back(), 0, "a crash moves no outcome counter");
@@ -1115,17 +1020,8 @@ mod tests {
     fn crash_after_commit_recovers_by_rolling_forward() {
         let (mut rt, mut sm, mut am, plan) = journalled_world();
         let doc = fig4_document();
-        let mut crash = PlannedCrash::new(CrashPoint::AfterCommit);
-        am.execute_crashable(
-            &mut rt,
-            &plan,
-            &mut BasicFactory,
-            &mut sm,
-            5,
-            &mut NoFaults,
-            &mut crash,
-        )
-        .unwrap_err();
+        crash_at(&mut am, &mut rt, &mut sm, &plan, &mut NoFaults, CrashPoint::AfterCommit)
+            .unwrap_err();
         assert_eq!(am.committed(), 1, "the crashed txn is not yet counted");
 
         let report = am.recover(&mut rt, &mut sm, &mut NoCrash);
@@ -1141,18 +1037,8 @@ mod tests {
         for after_steps in [0usize, 1, 3] {
             let (mut rt, mut sm, mut am, plan) = journalled_world();
             let before = rt.clone();
-            let mut crash = PlannedCrash::new(CrashPoint::MidPlan { after_steps });
-            let err = am
-                .execute_crashable(
-                    &mut rt,
-                    &plan,
-                    &mut BasicFactory,
-                    &mut sm,
-                    5,
-                    &mut NoFaults,
-                    &mut crash,
-                )
-                .unwrap_err();
+            let point = CrashPoint::MidPlan { after_steps };
+            let err = crash_at(&mut am, &mut rt, &mut sm, &plan, &mut NoFaults, point).unwrap_err();
             assert!(matches!(err, SwitchError::Crashed { .. }), "got {err}");
             let report = am.recover(&mut rt, &mut sm, &mut NoCrash);
             assert_eq!(report.outcome, RecoveryOutcome::RolledBack, "after {after_steps} steps");
@@ -1167,18 +1053,8 @@ mod tests {
         let before = rt.clone();
         let target = plan.bind.last().unwrap().to.instance.clone();
         let mut faults = ScriptedFaults { bind_to: target, ..ScriptedFaults::default() };
-        let mut crash = PlannedCrash::new(CrashPoint::MidRollback { after_undos: 1 });
-        let err = am
-            .execute_crashable(
-                &mut rt,
-                &plan,
-                &mut BasicFactory,
-                &mut sm,
-                5,
-                &mut faults,
-                &mut crash,
-            )
-            .unwrap_err();
+        let point = CrashPoint::MidRollback { after_undos: 1 };
+        let err = crash_at(&mut am, &mut rt, &mut sm, &plan, &mut faults, point).unwrap_err();
         assert!(matches!(err, SwitchError::Crashed { .. }), "got {err}");
         assert_ne!(rt, before, "the rollback died after one undo");
 
@@ -1193,17 +1069,8 @@ mod tests {
     fn crash_during_recovery_resumes_on_the_next_recovery() {
         let (mut rt, mut sm, mut am, plan) = journalled_world();
         let before = rt.clone();
-        let mut crash = PlannedCrash::new(CrashPoint::BeforeCommit);
-        am.execute_crashable(
-            &mut rt,
-            &plan,
-            &mut BasicFactory,
-            &mut sm,
-            5,
-            &mut NoFaults,
-            &mut crash,
-        )
-        .unwrap_err();
+        crash_at(&mut am, &mut rt, &mut sm, &plan, &mut NoFaults, CrashPoint::BeforeCommit)
+            .unwrap_err();
 
         let mut recrash = PlannedCrash::new(CrashPoint::DuringRecovery { after_undos: 1 });
         let first = am.recover(&mut rt, &mut sm, &mut recrash);
@@ -1240,6 +1107,37 @@ mod tests {
     }
 
     #[test]
+    fn an_unsettled_switch_refuses_later_switches_until_recovered() {
+        // A crash and an incomplete rollback both leave the log open. A
+        // later switch must not commit and checkpoint over those records:
+        // they are the only way back to the pre-switch runtime.
+        for incomplete in [false, true] {
+            let (mut rt, mut sm, mut am, plan) = journalled_world();
+            let before = rt.clone();
+            let target = plan.bind.last().unwrap().to.instance.clone();
+            let mut faults = ScriptedFaults { bind_to: target, stop: None, rollback_too: true };
+            if incomplete {
+                let err = am
+                    .execute_with_faults(&mut rt, &plan, &mut BasicFactory, &mut sm, 5, &mut faults)
+                    .unwrap_err();
+                assert!(matches!(err, SwitchError::RollbackIncomplete { .. }), "got {err}");
+            } else {
+                let point = CrashPoint::BeforeCommit;
+                crash_at(&mut am, &mut rt, &mut sm, &plan, &mut NoFaults, point).unwrap_err();
+            }
+            let (half, live) = (rt.clone(), am.journal_len());
+            let empty = ReconfigurationPlan::default();
+            let err = am.execute(&mut rt, &empty, &mut BasicFactory, &mut sm, 6).unwrap_err();
+            assert_eq!(err, SwitchError::RecoveryPending, "incomplete={incomplete}");
+            assert_eq!((&rt, am.journal_len()), (&half, live), "the refusal writes nothing");
+            let report = am.recover(&mut rt, &mut sm, &mut NoCrash);
+            assert_eq!(report.outcome, RecoveryOutcome::RolledBack, "incomplete={incomplete}");
+            assert_eq!(rt, before, "incomplete={incomplete}");
+            am.execute(&mut rt, &empty, &mut BasicFactory, &mut sm, 7).unwrap();
+        }
+    }
+
+    #[test]
     fn recovery_without_a_journal_or_with_an_empty_one_is_clean() {
         let (mut rt, mut sm, mut am) = boot_docked();
         assert!(am.recover(&mut rt, &mut sm, &mut NoCrash).noop(), "no journal attached");
@@ -1248,22 +1146,22 @@ mod tests {
         assert_eq!(am.recoveries(), 0, "noop replays are not counted as recoveries");
     }
 
-    /// Journal replay is idempotent from *any* crash prefix: recovering
+    fn random_point(rng: &mut adm_rng::Pcg32) -> CrashPoint {
+        match rng.index(5) {
+            0 => CrashPoint::MidPlan { after_steps: rng.index(6) },
+            1 => CrashPoint::BeforeCommit,
+            2 => CrashPoint::AfterCommit,
+            3 => CrashPoint::MidRollback { after_undos: 1 + rng.index(3) },
+            _ => CrashPoint::DuringRecovery { after_undos: 1 + rng.index(3) },
+        }
+    }
+
+    /// Log replay is idempotent from *any* crash prefix: recovering
     /// twice yields the same configuration, counters, trace, and metrics
     /// as recovering once. Runs 200 randomly-scripted crashes.
     #[test]
     fn prop_recovering_twice_equals_recovering_once() {
         use obs::{CostModel, Obs};
-
-        fn random_point(rng: &mut adm_rng::Pcg32) -> CrashPoint {
-            match rng.index(5) {
-                0 => CrashPoint::MidPlan { after_steps: rng.index(6) },
-                1 => CrashPoint::BeforeCommit,
-                2 => CrashPoint::AfterCommit,
-                3 => CrashPoint::MidRollback { after_undos: 1 + rng.index(3) },
-                _ => CrashPoint::DuringRecovery { after_undos: 1 + rng.index(3) },
-            }
-        }
 
         /// One full crash-and-recover life, returning the world's final
         /// observable state (runtime, counters, trace digest, metrics
@@ -1282,16 +1180,7 @@ mod tests {
             } else {
                 ScriptedFaults::default()
             };
-            let mut crash = PlannedCrash::new(point);
-            let _ = am.execute_crashable(
-                &mut rt,
-                &plan,
-                &mut BasicFactory,
-                &mut sm,
-                5,
-                &mut faults,
-                &mut crash,
-            );
+            let _ = crash_at(&mut am, &mut rt, &mut sm, &plan, &mut faults, point);
             // First recovery may itself crash (DuringRecovery points); a
             // second replay must absorb that too.
             let mut recrash = PlannedCrash::new(point);
@@ -1318,5 +1207,91 @@ mod tests {
             assert_eq!(once.2, twice.2, "trace digest must agree at {point}");
             assert_eq!(once.3, twice.3, "metrics snapshot must agree at {point}");
         });
+    }
+
+    /// Sequences of switches on the one log: docked↔wireless switchovers
+    /// and random bind/unbind hops, each under a random crash point and
+    /// random step and rollback faults. After every settle the runtime is
+    /// exactly the committed or the rolled-back reference, the log is
+    /// empty and a second recovery is a no-op; a switch tried while the
+    /// log is open is refused.
+    #[test]
+    fn prop_switch_sequences_settle_on_the_one_log() {
+        use std::collections::BTreeSet;
+        let doc = fig4_document();
+        let sessions = [docked_session(&doc), wireless_session(&doc)];
+        let every: Vec<Binding> = sessions.iter().flat_map(|c| c.bindings.clone()).collect();
+        let names: Vec<String> =
+            sessions.iter().flat_map(|c| c.instances.keys().cloned()).collect();
+        let mut seen: BTreeSet<String> = BTreeSet::new();
+        adm_rng::run_cases(0x5E7_106, 200, |rng| {
+            let (mut rt, mut sm, mut am) = boot_docked();
+            am.attach_journal();
+            for switch in 0..6 {
+                let mut plan = ReconfigurationPlan::default();
+                if rng.chance(0.5) {
+                    plan = diff(&rt.configuration(), &sessions[rng.index(2)]);
+                } else {
+                    // One hop: drop the binding if it is live, else add it.
+                    let b = every[rng.index(every.len())].clone();
+                    let hop =
+                        if rt.bindings().contains(&b) { &mut plan.unbind } else { &mut plan.bind };
+                    hop.push(b);
+                }
+                let before = rt.clone();
+                let (mut committed, mut csm) = (rt.clone(), sm.clone());
+                let committed = AdaptivityManager::new()
+                    .execute(&mut committed, &plan, &mut BasicFactory, &mut csm, 5)
+                    .map(|_| committed);
+                let mut pick = || rng.chance(0.3).then(|| names[rng.index(names.len())].clone());
+                let (bind_to, stop) = (pick(), pick());
+                let mut faults = ScriptedFaults { bind_to, stop, rollback_too: rng.chance(0.3) };
+                let point = random_point(rng);
+                let run = crash_at(&mut am, &mut rt, &mut sm, &plan, &mut faults, point);
+                let outcome = match &run {
+                    Ok(_) => "committed",
+                    Err(SwitchError::Crashed { .. }) => "crashed",
+                    Err(SwitchError::RollbackIncomplete { .. }) => "rollback-incomplete",
+                    Err(_) => "rolled-back",
+                };
+                seen.insert(outcome.to_owned());
+                let (mut crashed, mut forward) = (outcome == "crashed", outcome == "committed");
+                if am.journal_len() > 0 {
+                    let half = rt.clone();
+                    let refused = am.execute(&mut rt, &plan, &mut BasicFactory, &mut sm, 5);
+                    assert_eq!(refused.unwrap_err(), SwitchError::RecoveryPending);
+                    assert_eq!(rt, half, "a refused switch touches nothing");
+                    // Recovery may itself die at a DuringRecovery point;
+                    // the next pass finishes the job.
+                    let mut recrash = PlannedCrash::new(point);
+                    loop {
+                        let r = am.recover(&mut rt, &mut sm, &mut recrash);
+                        seen.insert(format!("recovery:{}", r.outcome));
+                        match r.outcome {
+                            RecoveryOutcome::Crashed => crashed = true,
+                            RecoveryOutcome::RolledForward => forward = true,
+                            RecoveryOutcome::RolledBack => {}
+                            other => panic!("recovery ended {other} at {point}"),
+                        }
+                        if r.outcome != RecoveryOutcome::Crashed {
+                            break;
+                        }
+                    }
+                }
+                if crashed {
+                    seen.insert(point.to_string().trim_end_matches(char::is_numeric).to_owned());
+                }
+                let expected = if forward { committed.ok() } else { Some(before) };
+                assert_eq!(Some(&rt), expected.as_ref(), "switch {switch} at {point} settles");
+                assert_eq!(am.journal_len(), 0, "a settled log is empty");
+                assert!(am.recover(&mut rt, &mut sm, &mut NoCrash).noop());
+            }
+        });
+        let want = "mid-plan- before-commit after-commit mid-rollback- during-recovery- \
+            committed crashed rollback-incomplete rolled-back \
+            recovery:rolled-forward recovery:rolled-back recovery:crashed";
+        for w in want.split_whitespace() {
+            assert!(seen.contains(w), "{w} never occurred: {seen:?}");
+        }
     }
 }

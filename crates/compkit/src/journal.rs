@@ -1,28 +1,39 @@
-//! The adaptation journal: a write-ahead log for transactional switches.
+//! The transaction log every SWITCH writes, and its crash model.
 //!
 //! The paper's Adaptivity Manager promises *transactional style
 //! properties* — "the switch can be backed off if something goes wrong."
-//! In-memory rollback (PR 2) honours that promise only while the node
-//! stays up: a crash mid-reconfiguration used to vanish the transaction
-//! along with its undo information. Following the unbundled-recovery
-//! argument (Lomet et al.) this module makes recovery its own component:
-//! an append-only journal of *intent → per-step redo/undo records →
-//! commit/abort* that [`crate::adaptivity::AdaptivityManager`] writes
-//! through, plus a replay path that provably lands the runtime in either
-//! the fully-committed or the fully-rolled-back configuration — never a
-//! hybrid — and is idempotent under repeated replay.
+//! In-memory rollback honours that promise only while the node stays up.
+//! Following the unbundled-recovery argument (Lomet et al.), the
+//! transactional component owns *the* log: one append-only [`TxnLog`]
+//! records every switch, whether [`crate::adaptivity::AdaptivityManager`]
+//! runs it on one node or the `txn` crate's transaction core runs it as a
+//! two-phase commit across shards. A replay of that log provably lands the
+//! runtime in either the fully-committed or the fully-rolled-back
+//! configuration — never a hybrid — and is idempotent under repeated
+//! replay. Both paths apply their steps through one applier,
+//! [`PlanStep::apply`], which hands back the [`StepRecord`] that undoes
+//! the step.
 //!
-//! # Record discipline
+//! # Record discipline for one shard
 //!
-//! * [`JournalRecord::Intent`] is appended when a plan begins.
-//! * [`JournalRecord::Applied`] is appended *after* the runtime mutation
-//!   it describes. A crash between the mutation and its record therefore
+//! A single-node switch is a one-shard transaction over shard `s0`:
+//!
+//! * [`TxnRecord::Begin`] (`shards=[s0]`) is appended when a plan begins.
+//! * [`TxnRecord::Applied`] is appended *after* the runtime mutation it
+//!   describes. A crash between the mutation and its record therefore
 //!   loses at most one step's bookkeeping — and since the lost step was
-//!   never journalled, recovery simply never redoes or undoes it; the
-//!   crash model below makes this window explicit.
-//! * [`JournalRecord::Undone`] marks one applied step as rolled back.
-//! * [`JournalRecord::Commit`] / [`JournalRecord::Abort`] close the
-//!   transaction; the journal is then truncated (checkpointed).
+//!   never logged, recovery simply never redoes or undoes it; the crash
+//!   model below makes this window explicit.
+//! * [`TxnRecord::Undone`] marks one applied step as rolled back.
+//! * [`TxnRecord::Commit`] or [`TxnRecord::ShardAborted`] is the outcome
+//!   edge; [`TxnRecord::End`] then closes the transaction and
+//!   [`TxnLog::truncate_ended`] reclaims its records (the checkpoint).
+//!
+//! Between switches the log is therefore empty, and a non-empty log *is*
+//! an unsettled transaction: the Adaptivity Manager refuses a new switch
+//! until `recover()` has settled it. Cross-shard transactions add the
+//! per-shard `Intent`, the `Prepared` votes and the `ShardCommitted`
+//! fan-out on top (see the `txn` crate's `core` module).
 //!
 //! # Crash model
 //!
@@ -31,17 +42,19 @@
 //! graph) survives the crash — what dies is the in-flight control flow.
 //! [`CrashHook`] decides at each site whether the node dies there;
 //! [`PlannedCrash`] scripts exactly one death at a chosen
-//! [`CrashPoint`].
+//! [`CrashPoint`]. The log is presumed-abort: recovery finding no
+//! `Commit` record rolls the transaction back.
 
-use crate::runtime::{LiveComponent, Runtime};
+use crate::adaptivity::{StepFaults, SwitchError};
+use crate::runtime::{ComponentFactory, LiveComponent, Runtime, RuntimeError};
 use crate::state::StateManager;
 use adl::ast::Binding;
-use std::collections::BTreeSet;
+use adl::diff::ReconfigurationPlan;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::fmt::Write as _;
 
 /// One applied plan step, carrying everything needed to undo it. This is
-/// the redo/undo payload of a [`JournalRecord::Applied`] record: the
+/// the redo/undo payload of a [`TxnRecord::Applied`] record: the
 /// forward mutation already happened when the record is written (redo is
 /// therefore a no-op on replay), and [`StepRecord::undo`] reverses it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,219 +131,471 @@ impl fmt::Display for StepRecord {
     }
 }
 
-/// One append-only journal record. See the module docs for the write
-/// discipline.
+/// One step of a plan, in execution order (unbind → stop → start →
+/// bind). Both switch paths run a plan as these steps through
+/// [`PlanStep::apply`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JournalRecord {
-    /// A transaction began: `steps` plan steps will follow.
-    Intent {
-        /// Transaction id (monotonic per journal).
-        txn: u64,
-        /// Declared plan length.
-        steps: usize,
-        /// Tick the plan started at.
-        at: u64,
-    },
-    /// Plan step `index` was applied to the runtime.
-    Applied {
-        /// Transaction id.
-        txn: u64,
-        /// Zero-based step index within the plan.
-        index: usize,
-        /// The redo/undo payload.
-        step: StepRecord,
-    },
-    /// Applied step `index` was rolled back.
-    Undone {
-        /// Transaction id.
-        txn: u64,
-        /// The step index that was undone.
-        index: usize,
-    },
-    /// The transaction committed.
-    Commit {
-        /// Transaction id.
-        txn: u64,
-    },
-    /// The transaction was fully rolled back.
-    Abort {
-        /// Transaction id.
-        txn: u64,
-    },
+pub enum PlanStep {
+    /// Remove a binding.
+    Unbind(Binding),
+    /// Stop an instance (name, type), archiving its state.
+    Stop(String, String),
+    /// Start an instance (name, type).
+    Start(String, String),
+    /// Establish a binding.
+    Bind(Binding),
 }
 
-impl fmt::Display for JournalRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl PlanStep {
+    /// Decompose `plan` into its ordered steps.
+    #[must_use]
+    pub fn decompose(plan: &ReconfigurationPlan) -> Vec<PlanStep> {
+        let mut steps = Vec::with_capacity(plan.len());
+        for b in &plan.unbind {
+            steps.push(PlanStep::Unbind(b.clone()));
+        }
+        for (n, t) in &plan.stop {
+            steps.push(PlanStep::Stop(n.clone(), t.clone()));
+        }
+        for (n, t) in &plan.start {
+            steps.push(PlanStep::Start(n.clone(), t.clone()));
+        }
+        for b in &plan.bind {
+            steps.push(PlanStep::Bind(b.clone()));
+        }
+        steps
+    }
+
+    /// The instances this step touches — the shard-local lock footprint
+    /// (composite-own ports have no instance and lock nothing).
+    #[must_use]
+    pub fn footprint(&self) -> Vec<String> {
+        self.instances().map(str::to_owned).collect()
+    }
+
+    /// [`PlanStep::footprint`], borrowed.
+    pub fn instances(&self) -> impl Iterator<Item = &str> {
+        let (first, second) = match self {
+            PlanStep::Unbind(b) | PlanStep::Bind(b) => {
+                (b.from.instance.as_deref(), b.to.instance.as_deref())
+            }
+            PlanStep::Stop(n, _) | PlanStep::Start(n, _) => (Some(n.as_str()), None),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// Ask `faults` whether this step fails. `Some((step, reason))` names
+    /// the failed step (`unbind a.p -- b.q`, `stop x`, ...) with the
+    /// injector's reason. Starts are never asked: creation failures come
+    /// from the [`ComponentFactory`].
+    pub fn injected(&self, faults: &mut dyn StepFaults) -> Option<(String, String)> {
         match self {
-            JournalRecord::Intent { txn, steps, at } => {
-                write!(f, "intent txn={txn} steps={steps} at={at}")
+            PlanStep::Unbind(b) => {
+                faults.fail_unbind(b).map(|r| (format!("unbind {} -- {}", b.from, b.to), r))
             }
-            JournalRecord::Applied { txn, index, step } => {
-                write!(f, "applied txn={txn} [{index}] {step}")
+            PlanStep::Stop(name, _) => faults.fail_stop(name).map(|r| (format!("stop {name}"), r)),
+            PlanStep::Bind(b) => {
+                faults.fail_bind(b).map(|r| (format!("bind {} -- {}", b.from, b.to), r))
             }
-            JournalRecord::Undone { txn, index } => write!(f, "undone txn={txn} [{index}]"),
-            JournalRecord::Commit { txn } => write!(f, "commit txn={txn}"),
-            JournalRecord::Abort { txn } => write!(f, "abort txn={txn}"),
+            PlanStep::Start(..) => None,
+        }
+    }
+
+    /// Apply this step to `runtime` and return the record that undoes it.
+    /// A stop archives the component's state in `states`; a start asks
+    /// `factory` for the component, created at tick `now`.
+    ///
+    /// # Errors
+    /// [`SwitchError::Create`] when the factory refuses a start, and
+    /// [`SwitchError::Inconsistent`] when the step does not fit the
+    /// runtime's component graph. The runtime is unchanged on error.
+    pub fn apply(
+        &self,
+        runtime: &mut Runtime,
+        states: &mut StateManager,
+        factory: &mut dyn ComponentFactory,
+        now: u64,
+    ) -> Result<StepRecord, SwitchError> {
+        let inconsistent = |e: RuntimeError| SwitchError::Inconsistent(e.to_string());
+        match self {
+            PlanStep::Unbind(b) => {
+                runtime.unbind(b).map_err(inconsistent)?;
+                Ok(StepRecord::Unbound(b.clone()))
+            }
+            PlanStep::Stop(name, _) => {
+                let comp = runtime.stop(name).map_err(inconsistent)?;
+                states.archive(name, comp.state.clone());
+                Ok(StepRecord::Stopped { name: name.clone(), comp })
+            }
+            PlanStep::Start(name, ty) => {
+                let comp = factory
+                    .create(name, ty, now)
+                    .map_err(|e| SwitchError::Create { name: e.name, reason: e.reason })?;
+                runtime.start(name, comp).map_err(inconsistent)?;
+                Ok(StepRecord::Started { name: name.clone() })
+            }
+            PlanStep::Bind(b) => {
+                runtime.bind(b.clone()).map_err(inconsistent)?;
+                Ok(StepRecord::Bound(b.clone()))
+            }
         }
     }
 }
 
-/// The open (crash-interrupted) transaction a journal scan found: what
-/// was applied, what of that was already undone, and whether a closing
-/// record made it to the log before the crash.
+/// A shard (data component) identifier. Renders as `s{id}`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ShardId(pub u32);
+
+impl fmt::Display for ShardId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "s{}", self.0)
+    }
+}
+
+/// One transaction-log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpenTxn {
-    /// Transaction id.
-    pub txn: u64,
-    /// Declared plan length from the intent record.
-    pub steps: usize,
-    /// Applied steps in append order, with their plan indices.
+pub enum TxnRecord {
+    /// A global transaction opened over `shards`.
+    Begin {
+        /// Global transaction id (monotonic per log).
+        gtxn: u64,
+        /// Participating shards, ascending.
+        shards: Vec<ShardId>,
+        /// Virtual time the transaction started.
+        at: u64,
+    },
+    /// A shard declared its sub-plan.
+    Intent {
+        /// Global transaction id.
+        gtxn: u64,
+        /// The shard.
+        shard: ShardId,
+        /// Steps the sub-plan will apply.
+        steps: usize,
+    },
+    /// A shard applied one step.
+    Applied {
+        /// Global transaction id.
+        gtxn: u64,
+        /// The shard.
+        shard: ShardId,
+        /// Step index within the shard's sub-plan.
+        index: usize,
+        /// What was done (redo/undo images live here).
+        step: StepRecord,
+    },
+    /// A shard compensated one applied step.
+    Undone {
+        /// Global transaction id.
+        gtxn: u64,
+        /// The shard.
+        shard: ShardId,
+        /// The step index that was undone.
+        index: usize,
+    },
+    /// A shard voted yes.
+    Prepared {
+        /// Global transaction id.
+        gtxn: u64,
+        /// The voting shard.
+        shard: ShardId,
+    },
+    /// The coordinator's commit decision (presumed abort: the only
+    /// decision ever logged).
+    Commit {
+        /// Global transaction id.
+        gtxn: u64,
+    },
+    /// Commit fan-out reached a shard.
+    ShardCommitted {
+        /// Global transaction id.
+        gtxn: u64,
+        /// The shard.
+        shard: ShardId,
+    },
+    /// Abort fan-out reached a shard.
+    ShardAborted {
+        /// Global transaction id.
+        gtxn: u64,
+        /// The shard.
+        shard: ShardId,
+    },
+    /// The transaction is fully resolved; its records may be reclaimed.
+    End {
+        /// Global transaction id.
+        gtxn: u64,
+    },
+}
+
+impl TxnRecord {
+    /// The global transaction this record belongs to.
+    #[must_use]
+    pub fn gtxn(&self) -> u64 {
+        match self {
+            TxnRecord::Begin { gtxn, .. }
+            | TxnRecord::Intent { gtxn, .. }
+            | TxnRecord::Applied { gtxn, .. }
+            | TxnRecord::Undone { gtxn, .. }
+            | TxnRecord::Prepared { gtxn, .. }
+            | TxnRecord::Commit { gtxn }
+            | TxnRecord::ShardCommitted { gtxn, .. }
+            | TxnRecord::ShardAborted { gtxn, .. }
+            | TxnRecord::End { gtxn } => *gtxn,
+        }
+    }
+
+    /// Short tag for rendered matrices, traces and `sys.txns` rows.
+    #[must_use]
+    pub fn tag(&self) -> &'static str {
+        match self {
+            TxnRecord::Begin { .. } => "begin",
+            TxnRecord::Intent { .. } => "intent",
+            TxnRecord::Applied { .. } => "applied",
+            TxnRecord::Undone { .. } => "undone",
+            TxnRecord::Prepared { .. } => "prepared",
+            TxnRecord::Commit { .. } => "commit",
+            TxnRecord::ShardCommitted { .. } => "shard-committed",
+            TxnRecord::ShardAborted { .. } => "shard-aborted",
+            TxnRecord::End { .. } => "end",
+        }
+    }
+}
+
+impl fmt::Display for TxnRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TxnRecord::Begin { gtxn, shards, at } => {
+                let list: Vec<String> = shards.iter().map(ToString::to_string).collect();
+                write!(f, "begin gtxn={gtxn} shards=[{}] at={at}", list.join(","))
+            }
+            TxnRecord::Intent { gtxn, shard, steps } => {
+                write!(f, "intent gtxn={gtxn} shard={shard} steps={steps}")
+            }
+            TxnRecord::Applied { gtxn, shard, index, step } => {
+                write!(f, "applied gtxn={gtxn} shard={shard} [{index}] {}", step.describe())
+            }
+            TxnRecord::Undone { gtxn, shard, index } => {
+                write!(f, "undone gtxn={gtxn} shard={shard} [{index}]")
+            }
+            TxnRecord::Prepared { gtxn, shard } => {
+                write!(f, "prepared gtxn={gtxn} shard={shard}")
+            }
+            TxnRecord::Commit { gtxn } => write!(f, "commit gtxn={gtxn}"),
+            TxnRecord::ShardCommitted { gtxn, shard } => {
+                write!(f, "shard-committed gtxn={gtxn} shard={shard}")
+            }
+            TxnRecord::ShardAborted { gtxn, shard } => {
+                write!(f, "shard-aborted gtxn={gtxn} shard={shard}")
+            }
+            TxnRecord::End { gtxn } => write!(f, "end gtxn={gtxn}"),
+        }
+    }
+}
+
+/// A shard's reconstructed progress inside an open transaction.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ShardProgress {
+    /// Declared step count, if the intent record landed.
+    pub intent_steps: Option<usize>,
+    /// Applied steps in log order.
     pub applied: Vec<(usize, StepRecord)>,
-    /// Indices already rolled back before the crash.
+    /// Step indices already compensated.
     pub undone: BTreeSet<usize>,
-    /// A commit record was written (recovery rolls forward).
+    /// The shard voted yes.
+    pub prepared: bool,
+    /// Commit fan-out reached the shard.
     pub committed: bool,
-    /// An abort record was written (rollback finished; only the
-    /// checkpoint truncation was lost).
+    /// Abort fan-out reached the shard.
     pub aborted: bool,
 }
 
-/// The append-only write-ahead adaptation journal. One transaction is
-/// open at a time; completed transactions are truncated away (the
-/// checkpoint), so a non-empty journal at startup *is* the crash
-/// evidence recovery replays.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AdaptationJournal {
-    records: Vec<JournalRecord>,
-    next_txn: u64,
+impl ShardProgress {
+    /// Applied steps not yet compensated, newest first — the exact undo
+    /// work recovery owes this shard.
+    #[must_use]
+    pub fn pending_undo(&self) -> Vec<(usize, StepRecord)> {
+        self.applied.iter().rev().filter(|(i, _)| !self.undone.contains(i)).cloned().collect()
+    }
+}
+
+/// A begun-but-not-ended transaction reconstructed from the log.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OpenGlobalTxn {
+    /// Global transaction id.
+    pub gtxn: u64,
+    /// Virtual start time.
+    pub at: u64,
+    /// Participating shards, ascending.
+    pub shards: Vec<ShardId>,
+    /// Whether the commit decision landed (presumed abort otherwise).
+    pub decided: bool,
+    /// Per-shard progress.
+    pub progress: BTreeMap<ShardId, ShardProgress>,
+}
+
+impl OpenGlobalTxn {
+    /// Shards that voted yes but have seen no fan-out — the in-doubt set
+    /// recovery must resolve by consulting the decision record.
+    #[must_use]
+    pub fn in_doubt(&self) -> Vec<ShardId> {
+        self.progress
+            .iter()
+            .filter(|(_, p)| p.prepared && !p.committed && !p.aborted)
+            .map(|(s, _)| *s)
+            .collect()
+    }
+}
+
+/// The shared, append-only transaction log. Resolved transactions are
+/// reclaimed by [`TxnLog::truncate_ended`]; live (open) records are what
+/// the `sys.txns` and `sys.switches` system tables serve.
+#[derive(Debug, Clone, Default)]
+pub struct TxnLog {
+    records: Vec<TxnRecord>,
+    next_gtxn: u64,
     appended_total: u64,
     truncations: u64,
 }
 
-impl AdaptationJournal {
-    /// An empty journal.
+impl TxnLog {
+    /// An empty log.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Open a transaction: append its intent record, return its id.
-    pub fn begin(&mut self, steps: usize, at: u64) -> u64 {
-        let txn = self.next_txn;
-        self.next_txn = self.next_txn.saturating_add(1);
-        self.append(JournalRecord::Intent { txn, steps, at });
-        txn
+    /// Open a global transaction over `shards` at virtual time `at`.
+    pub fn begin(&mut self, shards: Vec<ShardId>, at: u64) -> u64 {
+        let gtxn = self.next_gtxn;
+        self.next_gtxn += 1;
+        self.append(TxnRecord::Begin { gtxn, shards, at });
+        gtxn
     }
 
-    /// Record that plan step `index` was applied.
-    pub fn applied(&mut self, txn: u64, index: usize, step: StepRecord) {
-        self.append(JournalRecord::Applied { txn, index, step });
-    }
-
-    /// Record that applied step `index` was rolled back.
-    pub fn undone(&mut self, txn: u64, index: usize) {
-        self.append(JournalRecord::Undone { txn, index });
-    }
-
-    /// Record that the transaction committed.
-    pub fn commit(&mut self, txn: u64) {
-        self.append(JournalRecord::Commit { txn });
-    }
-
-    /// Record that the transaction was fully rolled back.
-    pub fn abort(&mut self, txn: u64) {
-        self.append(JournalRecord::Abort { txn });
-    }
-
-    /// Checkpoint: drop all records of the completed transaction. The
-    /// transaction id counter survives so ids never repeat.
-    pub fn truncate(&mut self) {
-        self.records.clear();
-        self.truncations = self.truncations.saturating_add(1);
-    }
-
-    fn append(&mut self, r: JournalRecord) {
-        self.appended_total = self.appended_total.saturating_add(1);
+    /// Append one record (atomic in the crash model).
+    pub fn append(&mut self, r: TxnRecord) {
         self.records.push(r);
+        self.appended_total = self.appended_total.saturating_add(1);
     }
 
-    /// The live (un-truncated) records, append order.
+    /// All live records, oldest first.
     #[must_use]
-    pub fn records(&self) -> &[JournalRecord] {
+    pub fn records(&self) -> &[TxnRecord] {
         &self.records
     }
 
-    /// Number of live records.
+    /// Live record count.
     #[must_use]
     pub fn len(&self) -> usize {
         self.records.len()
     }
 
-    /// Whether the journal holds no live records (a clean shutdown).
+    /// Whether the log holds no live records.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
 
-    /// Cumulative records ever appended (saturating; survives
-    /// truncation).
+    /// Total records ever appended (survives truncation).
     #[must_use]
     pub fn appended_total(&self) -> u64 {
         self.appended_total
     }
 
-    /// Cumulative checkpoints taken (saturating).
+    /// Times the log was truncated.
     #[must_use]
     pub fn truncations(&self) -> u64 {
         self.truncations
     }
 
-    /// Scan the live records for the open transaction. `None` on an
-    /// empty journal.
+    /// Reclaim the records of every ended transaction. Open transactions
+    /// keep their history; transaction ids never restart.
+    pub fn truncate_ended(&mut self) {
+        let ended: BTreeSet<u64> = self
+            .records
+            .iter()
+            .filter_map(|r| match r {
+                TxnRecord::End { gtxn } => Some(*gtxn),
+                _ => None,
+            })
+            .collect();
+        if ended.is_empty() {
+            return;
+        }
+        self.records.retain(|r| !ended.contains(&r.gtxn()));
+        self.truncations = self.truncations.saturating_add(1);
+    }
+
+    /// Reconstruct every begun-but-not-ended transaction, ascending by
+    /// id — the recovery work list.
     #[must_use]
-    pub fn open_txn(&self) -> Option<OpenTxn> {
-        let mut open: Option<OpenTxn> = None;
+    pub fn open_txns(&self) -> Vec<OpenGlobalTxn> {
+        let mut open: BTreeMap<u64, OpenGlobalTxn> = BTreeMap::new();
         for r in &self.records {
             match r {
-                JournalRecord::Intent { txn, steps, .. } => {
-                    open = Some(OpenTxn {
-                        txn: *txn,
-                        steps: *steps,
-                        applied: Vec::new(),
-                        undone: BTreeSet::new(),
-                        committed: false,
-                        aborted: false,
-                    });
+                TxnRecord::Begin { gtxn, shards, at } => {
+                    let mut progress = BTreeMap::new();
+                    for s in shards {
+                        progress.insert(*s, ShardProgress::default());
+                    }
+                    open.insert(
+                        *gtxn,
+                        OpenGlobalTxn {
+                            gtxn: *gtxn,
+                            at: *at,
+                            shards: shards.clone(),
+                            decided: false,
+                            progress,
+                        },
+                    );
                 }
-                JournalRecord::Applied { index, step, .. } => {
-                    if let Some(t) = open.as_mut() {
-                        t.applied.push((*index, step.clone()));
+                TxnRecord::Intent { gtxn, shard, steps } => {
+                    if let Some(t) = open.get_mut(gtxn) {
+                        t.progress.entry(*shard).or_default().intent_steps = Some(*steps);
                     }
                 }
-                JournalRecord::Undone { index, .. } => {
-                    if let Some(t) = open.as_mut() {
-                        t.undone.insert(*index);
+                TxnRecord::Applied { gtxn, shard, index, step } => {
+                    if let Some(t) = open.get_mut(gtxn) {
+                        t.progress.entry(*shard).or_default().applied.push((*index, step.clone()));
                     }
                 }
-                JournalRecord::Commit { .. } => {
-                    if let Some(t) = open.as_mut() {
-                        t.committed = true;
+                TxnRecord::Undone { gtxn, shard, index } => {
+                    if let Some(t) = open.get_mut(gtxn) {
+                        t.progress.entry(*shard).or_default().undone.insert(*index);
                     }
                 }
-                JournalRecord::Abort { .. } => {
-                    if let Some(t) = open.as_mut() {
-                        t.aborted = true;
+                TxnRecord::Prepared { gtxn, shard } => {
+                    if let Some(t) = open.get_mut(gtxn) {
+                        t.progress.entry(*shard).or_default().prepared = true;
                     }
+                }
+                TxnRecord::Commit { gtxn } => {
+                    if let Some(t) = open.get_mut(gtxn) {
+                        t.decided = true;
+                    }
+                }
+                TxnRecord::ShardCommitted { gtxn, shard } => {
+                    if let Some(t) = open.get_mut(gtxn) {
+                        t.progress.entry(*shard).or_default().committed = true;
+                    }
+                }
+                TxnRecord::ShardAborted { gtxn, shard } => {
+                    if let Some(t) = open.get_mut(gtxn) {
+                        t.progress.entry(*shard).or_default().aborted = true;
+                    }
+                }
+                TxnRecord::End { gtxn } => {
+                    open.remove(gtxn);
                 }
             }
         }
-        open
+        open.into_values().collect()
     }
 
-    /// A stable one-record-per-line text rendering (for goldens and
-    /// diffs).
+    /// The live log as stable text — one record per line.
     #[must_use]
     pub fn render(&self) -> String {
+        use fmt::Write as _;
         let mut out = String::new();
         for r in &self.records {
             let _ = writeln!(out, "{r}");
@@ -338,7 +603,7 @@ impl AdaptationJournal {
         out
     }
 
-    /// FNV-1a digest of the rendering — the journal's golden fingerprint.
+    /// FNV-1a digest of [`TxnLog::render`].
     #[must_use]
     pub fn digest(&self) -> u64 {
         obs::fnv1a(self.render().as_bytes())
@@ -350,8 +615,8 @@ impl AdaptationJournal {
 /// variant per seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
-    /// Die after `after_steps` plan steps were applied and journalled
-    /// (`0` = right after the intent record, before any step).
+    /// Die after `after_steps` plan steps were applied and logged
+    /// (`0` = right after the begin record, before any step).
     MidPlan {
         /// Applied-step count at which the node dies.
         after_steps: usize,
@@ -414,9 +679,9 @@ impl fmt::Display for CrashPoint {
 /// appended (appends are atomic; see the module docs' crash model).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashSite {
-    /// The intent record was appended; no step has run.
+    /// The begin record was appended; no step has run.
     Intent,
-    /// Plan step `index` was applied and journalled.
+    /// Plan step `index` was applied and logged.
     AfterStep {
         /// Zero-based plan step index.
         index: usize,
@@ -487,7 +752,7 @@ impl CrashHook for PlannedCrash {
 /// What a [`crate::adaptivity::AdaptivityManager::recover`] replay did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryOutcome {
-    /// The journal was empty: nothing to recover, nothing was touched.
+    /// The log was empty: nothing to recover, nothing was touched.
     Clean,
     /// A commit record was found: the runtime already held the committed
     /// configuration; recovery checkpointed it.
@@ -496,11 +761,11 @@ pub enum RecoveryOutcome {
     /// and the transaction aborted.
     RolledBack,
     /// Recovery itself was killed mid-replay (a scripted
-    /// [`CrashPoint::DuringRecovery`]); the journal stays open and a
+    /// [`CrashPoint::DuringRecovery`]); the log stays open and a
     /// further recovery finishes the job.
     Crashed,
     /// The runtime refused an undo (unreachable against a healthy
-    /// runtime); the journal stays open with the residue reported.
+    /// runtime); the log stays open with the residue reported.
     Incomplete,
 }
 
@@ -521,7 +786,7 @@ impl fmt::Display for RecoveryOutcome {
 pub struct RecoveryReport {
     /// What the replay did.
     pub outcome: RecoveryOutcome,
-    /// Journal records scanned.
+    /// Log records scanned.
     pub records_scanned: usize,
     /// Steps undone by this replay.
     pub undone: usize,
@@ -544,52 +809,6 @@ mod tests {
 
     fn bind(from: &str, to: &str) -> Binding {
         Binding { from: adl::ast::PortRef::on(from, "p"), to: adl::ast::PortRef::on(to, "q") }
-    }
-
-    #[test]
-    fn journal_records_render_and_scan_round_trip() {
-        let mut j = AdaptationJournal::new();
-        let txn = j.begin(2, 7);
-        j.applied(txn, 0, StepRecord::Unbound(bind("a", "b")));
-        j.applied(txn, 1, StepRecord::Started { name: "c".into() });
-        j.undone(txn, 1);
-        let open = j.open_txn().expect("txn is open");
-        assert_eq!(open.txn, txn);
-        assert_eq!(open.steps, 2);
-        assert_eq!(open.applied.len(), 2);
-        assert!(open.undone.contains(&1));
-        assert!(!open.committed && !open.aborted);
-        let text = j.render();
-        assert!(text.contains("intent txn=0 steps=2 at=7"), "{text}");
-        assert!(text.contains("applied txn=0 [0] unbind a.p -- b.q"), "{text}");
-        assert!(text.contains("undone txn=0 [1]"), "{text}");
-    }
-
-    #[test]
-    fn truncation_checkpoints_but_txn_ids_never_repeat() {
-        let mut j = AdaptationJournal::new();
-        let t0 = j.begin(0, 0);
-        j.commit(t0);
-        j.truncate();
-        assert!(j.is_empty());
-        assert_eq!(j.open_txn(), None);
-        let t1 = j.begin(0, 1);
-        assert!(t1 > t0, "ids are monotonic across checkpoints");
-        assert_eq!(j.appended_total(), 3, "appends survive truncation");
-        assert_eq!(j.truncations(), 1);
-    }
-
-    #[test]
-    fn digest_is_stable_and_content_sensitive() {
-        let mut a = AdaptationJournal::new();
-        let mut b = AdaptationJournal::new();
-        let ta = a.begin(1, 3);
-        let tb = b.begin(1, 3);
-        a.applied(ta, 0, StepRecord::Started { name: "x".into() });
-        b.applied(tb, 0, StepRecord::Started { name: "x".into() });
-        assert_eq!(a.digest(), b.digest());
-        b.commit(tb);
-        assert_ne!(a.digest(), b.digest());
     }
 
     #[test]
@@ -628,14 +847,13 @@ mod tests {
 
     #[test]
     fn appended_total_saturates_at_the_ceiling() {
-        let mut j = AdaptationJournal { appended_total: u64::MAX, ..AdaptationJournal::new() };
-        j.begin(0, 0);
+        let mut j = TxnLog { appended_total: u64::MAX, ..TxnLog::new() };
+        j.begin(vec![ShardId(0)], 0);
         assert_eq!(j.appended_total(), u64::MAX, "cumulative counters saturate, never wrap");
     }
 
     #[test]
     fn undo_reverses_each_step_kind() {
-        use crate::runtime::Runtime;
         let mut rt = Runtime::new();
         let mut sm = StateManager::new();
         let comp = LiveComponent { ty: "T".into(), state: b"s".to_vec(), started_at: 4 };

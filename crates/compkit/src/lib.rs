@@ -18,10 +18,10 @@
 //! * [`adaptivity`] — the Adaptivity Manager: executes a reconfiguration
 //!   plan **transactionally** ("the switch can be backed off if something
 //!   goes wrong");
-//! * [`journal`] — the write-ahead adaptation journal and crash model:
-//!   makes the transactional promise survive a node crash, with a
-//!   `recover()` replay that lands in committed-or-rolled-back, never a
-//!   hybrid;
+//! * [`journal`] — the transaction log every switch writes, the one step
+//!   applier both switch paths share, and the crash model: makes the
+//!   transactional promise survive a node crash, with a `recover()`
+//!   replay that lands in committed-or-rolled-back, never a hybrid;
 //! * [`session`] — the Session Manager: watches gauges, consults the rules,
 //!   designs the alternative configuration with the `adl` crate, and hands
 //!   the plan to the Adaptivity Manager;
@@ -50,8 +50,8 @@ pub mod state;
 pub use adaptivity::{AdaptivityManager, NoFaults, StepFaults, SwitchError, SwitchReport};
 pub use gauge::{Gauge, GaugeBoard, GaugeKind};
 pub use journal::{
-    AdaptationJournal, CrashHook, CrashPoint, CrashSite, JournalRecord, NoCrash, PlannedCrash,
-    RecoveryOutcome, RecoveryReport, StepRecord,
+    CrashHook, CrashPoint, CrashSite, NoCrash, PlannedCrash, RecoveryOutcome, RecoveryReport,
+    StepRecord,
 };
 pub use monitor::{Monitor, Reading};
 pub use planlint::{PlanDiagnostic, PlanDiagnosticKind, PlanLintReport, PlanLinter, Severity};

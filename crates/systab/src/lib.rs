@@ -6,7 +6,7 @@
 //! same thesis for operating systems at large. This crate applies it to
 //! the reproduction itself: everything the platform already observes —
 //! the metrics registry, the cycle-accounted span log, the supervisor's
-//! circuit breakers, the adaptation journal, the unbundled transaction
+//! circuit breakers, the Adaptivity Manager's switch log, the unbundled transaction
 //! core's log, the buffer-pool frame table, the event engine's timer
 //! wheel — is rendered as seven virtual tables with stable schemas:
 //!
@@ -15,7 +15,7 @@
 //! | `sys.metrics`     | counter/gauge/histogram key | [`obs::MetricsSnapshot`]    |
 //! | `sys.spans`       | trace event                 | [`obs::span::TraceEvent`]   |
 //! | `sys.supervision` | watched peer                | [`patia::Supervisor`]       |
-//! | `sys.switches`    | journal stat / live record  | [`compkit::journal`]        |
+//! | `sys.switches`    | log stat / live record      | [`compkit::journal`]        |
 //! | `sys.txns`        | 2PC stat / live log record  | [`txn::TransactionCore`]    |
 //! | `sys.pool`        | buffer-pool frame           | [`store::BufferPool`]       |
 //! | `sys.timers`      | pending deadline            | [`patia::TimerWheel`]       |

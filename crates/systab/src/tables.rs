@@ -7,14 +7,13 @@
 //! they never reach into private state, so anything a table serves is
 //! equally available to ordinary code.
 
-use compkit::journal::{AdaptationJournal, JournalRecord};
 use compkit::AdaptivityManager;
 use datacomp::{ColumnType, Schema, Table, Value};
 use obs::span::{EventKind, TraceEvent};
 use obs::MetricsSnapshot;
 use patia::wheel::TimerWheel;
 use store::BufferPool;
-use txn::{TransactionCore, TxnRecord};
+use txn::{TransactionCore, TxnLog, TxnRecord};
 
 /// Saturating `u64 → Value::Int` (registry counters can exceed `i64`).
 fn int(v: u64) -> Value {
@@ -116,96 +115,74 @@ pub fn spans_table(events: &[TraceEvent]) -> Table {
 /// circuit-breaker rule filters these very rows.
 pub use patia::rules::supervision_table;
 
-/// `sys.switches`: the adaptation journal's history — summary stats
-/// plus any live (uncheckpointed) records.
+/// `sys.switches`: the Adaptivity Manager's write-ahead log — summary
+/// stats plus any live (uncheckpointed) records, laid out as `sys.txns`.
 ///
-/// Schema: `kind` (`stat`/`record`), `name` (stat name, or the record's
-/// tag: `intent`/`applied`/`undone`/`commit`/`abort`), `txn` (null for
-/// stats), `value` (stat value; the record's step count or index),
-/// `detail` (the record's rendered form; null for stats).
-///
-/// The journal truncates at every commit checkpoint, so after a healthy
+/// A single-node switch is a one-shard transaction over shard `s0` in a
+/// [`TxnLog`], checkpointed at every commit or abort, so after a healthy
 /// run the `record` rows are empty and history lives in the stats:
 /// `committed` / `rolled_back` come from the adaptivity manager,
 /// `journal_appended` / `journal_truncations` / `journal_live` from the
-/// journal's monotone counters.
+/// log's monotone counters.
 ///
 /// # Panics
 /// Never: rows are built to the schema.
 #[must_use]
-pub fn switches_table(
-    committed: u64,
-    rolled_back: u64,
-    journal: Option<&AdaptationJournal>,
-) -> Table {
-    let schema = Schema::new(&[
-        ("kind", ColumnType::Str),
-        ("name", ColumnType::Str),
-        ("txn", ColumnType::Int),
-        ("value", ColumnType::Int),
-        ("detail", ColumnType::Str),
-    ])
-    .expect("sys.switches schema is statically valid");
-    let mut t = Table::new(schema);
-    let mut stat = |name: &str, v: u64| {
-        t.insert(vec![
-            Value::Str("stat".to_owned()),
-            Value::Str(name.to_owned()),
-            Value::Null,
-            int(v),
-            Value::Null,
-        ])
-        .expect("sys.switches stat rows match their schema");
-    };
-    stat("committed", committed);
-    stat("rolled_back", rolled_back);
-    stat("journal_appended", journal.map_or(0, AdaptationJournal::appended_total));
-    stat("journal_truncations", journal.map_or(0, AdaptationJournal::truncations));
-    stat("journal_live", journal.map_or(0, |j| j.len() as u64));
-    if let Some(j) = journal {
-        for r in j.records() {
-            let (name, txn, value) = match r {
-                JournalRecord::Intent { txn, steps, .. } => ("intent", *txn, Some(*steps as u64)),
-                JournalRecord::Applied { txn, index, .. } => ("applied", *txn, Some(*index as u64)),
-                JournalRecord::Undone { txn, index } => ("undone", *txn, Some(*index as u64)),
-                JournalRecord::Commit { txn } => ("commit", *txn, None),
-                JournalRecord::Abort { txn } => ("abort", *txn, None),
-            };
-            t.insert(vec![
-                Value::Str("record".to_owned()),
-                Value::Str(name.to_owned()),
-                int(txn),
-                value.map_or(Value::Null, int),
-                Value::Str(r.to_string()),
-            ])
-            .expect("sys.switches record rows match their schema");
-        }
-    }
-    t
+pub fn switches_table(committed: u64, rolled_back: u64, journal: Option<&TxnLog>) -> Table {
+    log_table(
+        &[
+            ("committed", committed),
+            ("rolled_back", rolled_back),
+            ("journal_appended", journal.map_or(0, TxnLog::appended_total)),
+            ("journal_truncations", journal.map_or(0, TxnLog::truncations)),
+            ("journal_live", journal.map_or(0, |j| j.len() as u64)),
+        ],
+        journal,
+    )
 }
 
 /// `sys.txns`: the unbundled transaction core's ledger — protocol stats
 /// plus every live (untruncated) record of the unified transaction log.
 ///
-/// Schema: `kind` (`stat`/`record`), `name` (stat name, or the record's
-/// tag: `begin`/`intent`/`applied`/`undone`/`prepared`/`commit`/
-/// `shard-committed`/`shard-aborted`/`end`), `gtxn` (null for stats),
-/// `shard` (null for stats and coordinator records), `value` (stat
-/// value; for records the shard count, declared steps, or step index),
-/// `detail` (the record's rendered form; null for stats).
-///
 /// The stats mirror the lifetime counters the core and its log expose
 /// (`committed`/`aborted`/`crashes`/`recoveries`/`in_doubt_resolved`,
 /// `log_appended`/`log_truncations`/`log_live`, `locks_held`) plus the
-/// legacy single-shard journal's live length (`journal_live`, from the
-/// adaptivity manager the core unbundled) so one query screens both
-/// generations of the switch machinery. After `truncate_ended` a
-/// healthy log serves no `record` rows — exactly like `sys.switches`.
+/// single-node log's live length (`journal_live`, from the adaptivity
+/// manager's own [`TxnLog`]) so one query screens both switch paths.
+/// After `truncate_ended` a healthy log serves no `record` rows — exactly
+/// like `sys.switches`.
 ///
 /// # Panics
 /// Never: rows are built to the schema.
 #[must_use]
 pub fn txns_table(core: &TransactionCore, am: Option<&AdaptivityManager>) -> Table {
+    log_table(
+        &[
+            ("committed", core.committed()),
+            ("aborted", core.aborted()),
+            ("crashes", core.crashes()),
+            ("recoveries", core.recoveries()),
+            ("in_doubt_resolved", core.in_doubt_resolved()),
+            ("log_appended", core.log().appended_total()),
+            ("log_truncations", core.log().truncations()),
+            ("log_live", core.log().len() as u64),
+            ("locks_held", core.locks().held_total() as u64),
+            ("journal_live", am.map_or(0, |m| m.journal_len() as u64)),
+        ],
+        Some(core.log()),
+    )
+}
+
+/// The layout `sys.switches` and `sys.txns` share: one `stat` row per
+/// entry of `stats`, then one `record` row per live record of `log`.
+///
+/// Schema: `kind` (`stat`/`record`), `name` (stat name, or the record's
+/// [`TxnRecord::tag`]: `begin`/`intent`/`applied`/`undone`/`prepared`/
+/// `commit`/`shard-committed`/`shard-aborted`/`end`), `gtxn` (null for
+/// stats), `shard` (null for stats and coordinator records), `value`
+/// (stat value; for records the shard count, declared steps, or step
+/// index), `detail` (the record's rendered form; null for stats).
+fn log_table(stats: &[(&str, u64)], log: Option<&TxnLog>) -> Table {
     let schema = Schema::new(&[
         ("kind", ColumnType::Str),
         ("name", ColumnType::Str),
@@ -214,9 +191,9 @@ pub fn txns_table(core: &TransactionCore, am: Option<&AdaptivityManager>) -> Tab
         ("value", ColumnType::Int),
         ("detail", ColumnType::Str),
     ])
-    .expect("sys.txns schema is statically valid");
+    .expect("the log-table schema is statically valid");
     let mut t = Table::new(schema);
-    let mut stat = |name: &str, v: u64| {
+    for &(name, v) in stats {
         t.insert(vec![
             Value::Str("stat".to_owned()),
             Value::Str(name.to_owned()),
@@ -225,19 +202,9 @@ pub fn txns_table(core: &TransactionCore, am: Option<&AdaptivityManager>) -> Tab
             int(v),
             Value::Null,
         ])
-        .expect("sys.txns stat rows match their schema");
-    };
-    stat("committed", core.committed());
-    stat("aborted", core.aborted());
-    stat("crashes", core.crashes());
-    stat("recoveries", core.recoveries());
-    stat("in_doubt_resolved", core.in_doubt_resolved());
-    stat("log_appended", core.log().appended_total());
-    stat("log_truncations", core.log().truncations());
-    stat("log_live", core.log().len() as u64);
-    stat("locks_held", core.locks().held_total() as u64);
-    stat("journal_live", am.map_or(0, |m| m.journal_len() as u64));
-    for r in core.log().records() {
+        .expect("stat rows match the log-table schema");
+    }
+    for r in log.into_iter().flat_map(TxnLog::records) {
         let (shard, value) = match r {
             TxnRecord::Begin { shards, .. } => (None, Some(shards.len() as u64)),
             TxnRecord::Intent { shard, steps, .. } => (Some(shard.0), Some(*steps as u64)),
@@ -257,7 +224,7 @@ pub fn txns_table(core: &TransactionCore, am: Option<&AdaptivityManager>) -> Tab
             value.map_or(Value::Null, int),
             Value::Str(r.to_string()),
         ])
-        .expect("sys.txns record rows match their schema");
+        .expect("record rows match the log-table schema");
     }
     t
 }
@@ -379,14 +346,16 @@ mod tests {
     fn switches_table_serves_stats_and_live_records() {
         let t = switches_table(3, 1, None);
         assert_eq!(t.len(), 5, "five stat rows, no journal attached");
-        assert_eq!(sum_int(&t, 3, Pred::eq(1, Value::Str("committed".to_owned())), None), 3);
-        let mut j = AdaptationJournal::new();
-        let txn = j.begin(2, 0);
-        j.commit(txn);
+        assert_eq!(sum_int(&t, 4, Pred::eq(1, Value::Str("committed".to_owned())), None), 3);
+        let mut j = TxnLog::new();
+        let txn = j.begin(vec![txn::ShardId(0)], 0);
+        j.append(TxnRecord::Commit { gtxn: txn });
+        j.append(TxnRecord::End { gtxn: txn });
         let t = switches_table(1, 0, Some(&j));
         let records = filter_count(&t, Pred::eq(0, Value::Str("record".to_owned())), None);
-        assert_eq!(records, 2, "intent + commit are live until truncation");
-        assert_eq!(sum_int(&t, 3, Pred::eq(1, Value::Str("journal_appended".to_owned())), None), 2);
+        assert_eq!(records, 3, "begin + commit + end are live until truncation");
+        assert_eq!(filter_count(&t, Pred::eq(1, Value::Str("end".to_owned())), None), 1);
+        assert_eq!(sum_int(&t, 4, Pred::eq(1, Value::Str("journal_appended".to_owned())), None), 3);
     }
 
     #[test]

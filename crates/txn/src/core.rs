@@ -373,19 +373,7 @@ impl TransactionCore {
             self.log.append(TxnRecord::Intent { gtxn, shard: ShardId(id), steps: p.steps.len() });
             self.bill(Primitive::Store);
             for (index, step) in p.steps.iter().enumerate() {
-                let injected = match step {
-                    PlanStep::Unbind(b) => {
-                        faults.fail_unbind(b).map(|r| (format!("unbind {} -- {}", b.from, b.to), r))
-                    }
-                    PlanStep::Stop(name, _) => {
-                        faults.fail_stop(name).map(|r| (format!("stop {name}"), r))
-                    }
-                    PlanStep::Bind(b) => {
-                        faults.fail_bind(b).map(|r| (format!("bind {} -- {}", b.from, b.to), r))
-                    }
-                    PlanStep::Start(..) => None,
-                };
-                let outcome = match injected {
+                let outcome = match step.injected(faults) {
                     Some((desc, reason)) => {
                         Err(TxnError::Injected { shard: id, step: desc, reason })
                     }
@@ -606,7 +594,10 @@ impl TransactionCore {
     /// replayed idempotently); no decision rolls it *back* (presumed
     /// abort — every applied-not-yet-undone step is compensated, newest
     /// first). In-doubt participants are resolved by that same log read.
-    /// Idempotent: a settled log scans clean and touches nothing.
+    /// Idempotent: a settled log scans clean and touches nothing. A
+    /// participant that still owes work but is missing from `shards` is
+    /// left as residue (`s1 missing`): its transaction stays open with its
+    /// locks, and a later pass that holds the shard settles it.
     pub fn recover(
         &mut self,
         shards: &mut BTreeMap<u32, DataComponent>,
@@ -652,13 +643,14 @@ impl TransactionCore {
                     if p.committed {
                         continue;
                     }
-                    if let Some(dc) = shards.get_mut(&sid.0) {
-                        let steps: Vec<StepRecord> =
-                            p.applied.iter().map(|(_, s)| s.clone()).collect();
-                        if let Err(e) = dc.persist_steps(&steps) {
-                            residue.push(format!("{sid} persist: {e}"));
-                            continue;
-                        }
+                    let Some(dc) = shards.get_mut(&sid.0) else {
+                        residue.push(format!("{sid} missing"));
+                        continue;
+                    };
+                    let steps: Vec<StepRecord> = p.applied.iter().map(|(_, s)| s.clone()).collect();
+                    if let Err(e) = dc.persist_steps(&steps) {
+                        residue.push(format!("{sid} persist: {e}"));
+                        continue;
                     }
                     self.log.append(TxnRecord::ShardCommitted { gtxn: t.gtxn, shard: *sid });
                     self.bill(Primitive::Store);
@@ -682,20 +674,28 @@ impl TransactionCore {
                 for sid in t.shards.iter().rev() {
                     let p = t.progress.get(sid).cloned().unwrap_or_default();
                     let shard_mark = residue.len();
-                    if let Some(dc) = shards.get_mut(&sid.0) {
-                        for (index, record) in p.pending_undo() {
-                            if let Err(e) = dc.undo_step(&record) {
-                                residue.push(format!("{sid} [{index}]: {e}"));
-                                continue;
-                            }
-                            undone += 1;
-                            self.log.append(TxnRecord::Undone { gtxn: t.gtxn, shard: *sid, index });
-                            self.bill(Primitive::Store);
-                            self.bill(Primitive::SchedSteps(1));
-                            if hook.crash(&TxnCrashSite::RecoveryUndo { undos: undone }) {
-                                crashed = true;
-                                break 'txns;
-                            }
+                    let pending = p.pending_undo();
+                    if p.aborted && pending.is_empty() {
+                        continue;
+                    }
+                    let Some(dc) = shards.get_mut(&sid.0) else {
+                        // A participant recovery was not given cannot be
+                        // settled: the transaction stays open, locks held.
+                        residue.push(format!("{sid} missing"));
+                        continue;
+                    };
+                    for (index, record) in pending {
+                        if let Err(e) = dc.undo_step(&record) {
+                            residue.push(format!("{sid} [{index}]: {e}"));
+                            continue;
+                        }
+                        undone += 1;
+                        self.log.append(TxnRecord::Undone { gtxn: t.gtxn, shard: *sid, index });
+                        self.bill(Primitive::Store);
+                        self.bill(Primitive::SchedSteps(1));
+                        if hook.crash(&TxnCrashSite::RecoveryUndo { undos: undone }) {
+                            crashed = true;
+                            break 'txns;
                         }
                     }
                     // Abort fan-out reaches a shard only once its
@@ -895,6 +895,30 @@ mod tests {
         assert_eq!(report.in_doubt_resolved, 2);
         assert_eq!(digests(&shards), digests(&committed_world));
         assert_eq!(tc.committed(), 1);
+    }
+
+    #[test]
+    fn recovery_without_a_participant_leaves_its_txn_open() {
+        let (mut shards, plans) = world();
+        let before = digests(&shards);
+        let mut tc = TransactionCore::new();
+        let mut hook = PlannedTxnCrash::new(TxnCrashPoint::BeforeDecision);
+        tc.execute_cross_shard(&mut shards, &plans, 40, &mut NoFaults, &mut hook).unwrap_err();
+        let s1 = shards.remove(&1).unwrap();
+        let r1 = tc.recover(&mut shards, &mut NoTxnCrash);
+        assert_eq!(r1.outcome, RecoveryOutcome::Incomplete);
+        assert_eq!(r1.residue, vec!["s1 missing".to_owned()]);
+        assert!(!tc.log().render().contains("shard-aborted gtxn=0 shard=s1"));
+        assert!(!tc.log().is_empty(), "the txn stays open");
+        assert!(tc.locks().held_total() > 0, "and keeps its locks");
+        // A pass that holds every participant settles the transaction.
+        shards.insert(1, s1);
+        let r2 = tc.recover(&mut shards, &mut NoTxnCrash);
+        assert_eq!(r2.outcome, RecoveryOutcome::RolledBack);
+        assert_eq!(digests(&shards), before, "s1 is restored too");
+        assert!(tc.log().is_empty());
+        assert_eq!(tc.locks().held_total(), 0);
+        assert!(tc.recover(&mut shards, &mut NoTxnCrash).noop());
     }
 
     #[test]

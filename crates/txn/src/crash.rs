@@ -1,6 +1,6 @@
 //! Coordinator/participant crash model for cross-shard transactions.
 //!
-//! The model extends [`compkit::journal`]'s single-journal discipline to
+//! The model extends [`compkit::journal`]'s one-shard discipline to
 //! the two-phase-commit protocol: crashes strike only at *record
 //! boundaries* of the shared transaction log, appends are atomic, and a
 //! crash kills the in-flight control flow (coordinator and fan-out

@@ -9,9 +9,10 @@
 //!
 //! - **TC** — the shared [`TransactionCore`]: a strict two-phase
 //!   [`LockManager`] (deadlock detection via the platform-wide
-//!   [`adl::analysis::find_cycle`]) plus the unified [`TxnLog`], whose
-//!   record taxonomy subsumes the adaptation journal and adds the
-//!   two-phase-commit control records.
+//!   [`adl::analysis::find_cycle`]) plus the unified [`TxnLog`]: the one
+//!   log every SWITCH writes. The Adaptivity Manager logs a single-node
+//!   switch in it as a one-shard transaction; a cross-shard switch adds
+//!   the two-phase-commit control records.
 //! - **DC** — per-shard [`DataComponent`]s: one runtime's worth of live
 //!   component state behind a logged-operation interface, optionally
 //!   backed by a [`store::StorageEngine`] for durable atom state.

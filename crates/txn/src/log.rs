@@ -1,16 +1,17 @@
 //! The unified transaction log — the durability half of the
 //! transactional component.
 //!
-//! One log serves every shard. Its record taxonomy subsumes the
-//! adaptation journal's `Intent/Applied/Undone/Commit/Abort` (the
-//! per-shard body of a transaction is exactly a journalled plan) and
-//! adds the two-phase-commit control records on top:
+//! One log serves every switch. The types live in [`compkit::journal`],
+//! so the Adaptivity Manager writes a single-node switch into the same
+//! [`TxnLog`] as a one-shard transaction; this module keeps their `txn`
+//! paths. A cross-shard transaction adds the two-phase-commit control
+//! records on top of the one-shard body:
 //!
 //! | record             | meaning                                           |
 //! |--------------------|---------------------------------------------------|
 //! | `Begin`            | global transaction opened over a shard set        |
 //! | `Intent`           | a shard's sub-plan declared (step count)          |
-//! | `Applied`          | one shard step done (carries its [`StepRecord`])  |
+//! | `Applied`          | one shard step done (carries its `StepRecord`)    |
 //! | `Undone`           | one applied shard step compensated                |
 //! | `Prepared`         | shard vote: ready to commit (log forced here)     |
 //! | `Commit`           | the coordinator's decision — *the commit point*   |
@@ -22,387 +23,18 @@
 //! record. Recovery finding `Prepared` votes but no `Commit` record
 //! rolls the transaction back deterministically — an in-doubt
 //! participant "queries the TC log" and the absence of a decision *is*
-//! the answer. Crashes strike only at record boundaries (the same model
-//! as [`compkit::journal`] and the store WAL), appends are atomic, and
-//! everything is deterministic: [`TxnLog::render`] golden-pins the whole
-//! history.
+//! the answer. Crashes strike only at record boundaries (the model of
+//! [`compkit::journal`], shared with the store WAL), appends are atomic,
+//! and everything is deterministic: [`TxnLog::render`] golden-pins the
+//! whole history.
 
-use compkit::journal::StepRecord;
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
-
-/// A shard (data component) identifier. Renders as `s{id}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ShardId(pub u32);
-
-impl fmt::Display for ShardId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "s{}", self.0)
-    }
-}
-
-/// One transaction-log record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TxnRecord {
-    /// A global transaction opened over `shards`.
-    Begin {
-        /// Global transaction id (monotonic per log).
-        gtxn: u64,
-        /// Participating shards, ascending.
-        shards: Vec<ShardId>,
-        /// Virtual time the transaction started.
-        at: u64,
-    },
-    /// A shard declared its sub-plan.
-    Intent {
-        /// Global transaction id.
-        gtxn: u64,
-        /// The shard.
-        shard: ShardId,
-        /// Steps the sub-plan will apply.
-        steps: usize,
-    },
-    /// A shard applied one step.
-    Applied {
-        /// Global transaction id.
-        gtxn: u64,
-        /// The shard.
-        shard: ShardId,
-        /// Step index within the shard's sub-plan.
-        index: usize,
-        /// What was done (redo/undo images live here).
-        step: StepRecord,
-    },
-    /// A shard compensated one applied step.
-    Undone {
-        /// Global transaction id.
-        gtxn: u64,
-        /// The shard.
-        shard: ShardId,
-        /// The step index that was undone.
-        index: usize,
-    },
-    /// A shard voted yes.
-    Prepared {
-        /// Global transaction id.
-        gtxn: u64,
-        /// The voting shard.
-        shard: ShardId,
-    },
-    /// The coordinator's commit decision (presumed abort: the only
-    /// decision ever logged).
-    Commit {
-        /// Global transaction id.
-        gtxn: u64,
-    },
-    /// Commit fan-out reached a shard.
-    ShardCommitted {
-        /// Global transaction id.
-        gtxn: u64,
-        /// The shard.
-        shard: ShardId,
-    },
-    /// Abort fan-out reached a shard.
-    ShardAborted {
-        /// Global transaction id.
-        gtxn: u64,
-        /// The shard.
-        shard: ShardId,
-    },
-    /// The transaction is fully resolved; its records may be reclaimed.
-    End {
-        /// Global transaction id.
-        gtxn: u64,
-    },
-}
-
-impl TxnRecord {
-    /// The global transaction this record belongs to.
-    #[must_use]
-    pub fn gtxn(&self) -> u64 {
-        match self {
-            TxnRecord::Begin { gtxn, .. }
-            | TxnRecord::Intent { gtxn, .. }
-            | TxnRecord::Applied { gtxn, .. }
-            | TxnRecord::Undone { gtxn, .. }
-            | TxnRecord::Prepared { gtxn, .. }
-            | TxnRecord::Commit { gtxn }
-            | TxnRecord::ShardCommitted { gtxn, .. }
-            | TxnRecord::ShardAborted { gtxn, .. }
-            | TxnRecord::End { gtxn } => *gtxn,
-        }
-    }
-
-    /// Short tag for rendered matrices, traces and `sys.txns` rows.
-    #[must_use]
-    pub fn tag(&self) -> &'static str {
-        match self {
-            TxnRecord::Begin { .. } => "begin",
-            TxnRecord::Intent { .. } => "intent",
-            TxnRecord::Applied { .. } => "applied",
-            TxnRecord::Undone { .. } => "undone",
-            TxnRecord::Prepared { .. } => "prepared",
-            TxnRecord::Commit { .. } => "commit",
-            TxnRecord::ShardCommitted { .. } => "shard-committed",
-            TxnRecord::ShardAborted { .. } => "shard-aborted",
-            TxnRecord::End { .. } => "end",
-        }
-    }
-}
-
-impl fmt::Display for TxnRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TxnRecord::Begin { gtxn, shards, at } => {
-                let list: Vec<String> = shards.iter().map(ToString::to_string).collect();
-                write!(f, "begin gtxn={gtxn} shards=[{}] at={at}", list.join(","))
-            }
-            TxnRecord::Intent { gtxn, shard, steps } => {
-                write!(f, "intent gtxn={gtxn} shard={shard} steps={steps}")
-            }
-            TxnRecord::Applied { gtxn, shard, index, step } => {
-                write!(f, "applied gtxn={gtxn} shard={shard} [{index}] {}", step.describe())
-            }
-            TxnRecord::Undone { gtxn, shard, index } => {
-                write!(f, "undone gtxn={gtxn} shard={shard} [{index}]")
-            }
-            TxnRecord::Prepared { gtxn, shard } => {
-                write!(f, "prepared gtxn={gtxn} shard={shard}")
-            }
-            TxnRecord::Commit { gtxn } => write!(f, "commit gtxn={gtxn}"),
-            TxnRecord::ShardCommitted { gtxn, shard } => {
-                write!(f, "shard-committed gtxn={gtxn} shard={shard}")
-            }
-            TxnRecord::ShardAborted { gtxn, shard } => {
-                write!(f, "shard-aborted gtxn={gtxn} shard={shard}")
-            }
-            TxnRecord::End { gtxn } => write!(f, "end gtxn={gtxn}"),
-        }
-    }
-}
-
-/// A shard's reconstructed progress inside an open transaction.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardProgress {
-    /// Declared step count, if the intent record landed.
-    pub intent_steps: Option<usize>,
-    /// Applied steps in log order.
-    pub applied: Vec<(usize, StepRecord)>,
-    /// Step indices already compensated.
-    pub undone: BTreeSet<usize>,
-    /// The shard voted yes.
-    pub prepared: bool,
-    /// Commit fan-out reached the shard.
-    pub committed: bool,
-    /// Abort fan-out reached the shard.
-    pub aborted: bool,
-}
-
-impl ShardProgress {
-    /// Applied steps not yet compensated, newest first — the exact undo
-    /// work recovery owes this shard.
-    #[must_use]
-    pub fn pending_undo(&self) -> Vec<(usize, StepRecord)> {
-        self.applied.iter().rev().filter(|(i, _)| !self.undone.contains(i)).cloned().collect()
-    }
-}
-
-/// A begun-but-not-ended transaction reconstructed from the log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpenGlobalTxn {
-    /// Global transaction id.
-    pub gtxn: u64,
-    /// Virtual start time.
-    pub at: u64,
-    /// Participating shards, ascending.
-    pub shards: Vec<ShardId>,
-    /// Whether the commit decision landed (presumed abort otherwise).
-    pub decided: bool,
-    /// Per-shard progress.
-    pub progress: BTreeMap<ShardId, ShardProgress>,
-}
-
-impl OpenGlobalTxn {
-    /// Shards that voted yes but have seen no fan-out — the in-doubt set
-    /// recovery must resolve by consulting the decision record.
-    #[must_use]
-    pub fn in_doubt(&self) -> Vec<ShardId> {
-        self.progress
-            .iter()
-            .filter(|(_, p)| p.prepared && !p.committed && !p.aborted)
-            .map(|(s, _)| *s)
-            .collect()
-    }
-}
-
-/// The shared, append-only transaction log. Resolved transactions are
-/// reclaimed by [`TxnLog::truncate_ended`]; live (open) records are what
-/// `sys.txns` serves.
-#[derive(Debug, Clone, Default)]
-pub struct TxnLog {
-    records: Vec<TxnRecord>,
-    next_gtxn: u64,
-    appended_total: u64,
-    truncations: u64,
-}
-
-impl TxnLog {
-    /// An empty log.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Open a global transaction over `shards` at virtual time `at`.
-    pub fn begin(&mut self, shards: Vec<ShardId>, at: u64) -> u64 {
-        let gtxn = self.next_gtxn;
-        self.next_gtxn += 1;
-        self.append(TxnRecord::Begin { gtxn, shards, at });
-        gtxn
-    }
-
-    /// Append one record (atomic in the crash model).
-    pub fn append(&mut self, r: TxnRecord) {
-        self.records.push(r);
-        self.appended_total = self.appended_total.saturating_add(1);
-    }
-
-    /// All live records, oldest first.
-    #[must_use]
-    pub fn records(&self) -> &[TxnRecord] {
-        &self.records
-    }
-
-    /// Live record count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the log holds no live records.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Total records ever appended (survives truncation).
-    #[must_use]
-    pub fn appended_total(&self) -> u64 {
-        self.appended_total
-    }
-
-    /// Times the log was truncated.
-    #[must_use]
-    pub fn truncations(&self) -> u64 {
-        self.truncations
-    }
-
-    /// Reclaim the records of every ended transaction. Open transactions
-    /// keep their history; transaction ids never restart.
-    pub fn truncate_ended(&mut self) {
-        let ended: BTreeSet<u64> = self
-            .records
-            .iter()
-            .filter_map(|r| match r {
-                TxnRecord::End { gtxn } => Some(*gtxn),
-                _ => None,
-            })
-            .collect();
-        if ended.is_empty() {
-            return;
-        }
-        self.records.retain(|r| !ended.contains(&r.gtxn()));
-        self.truncations = self.truncations.saturating_add(1);
-    }
-
-    /// Reconstruct every begun-but-not-ended transaction, ascending by
-    /// id — the recovery work list.
-    #[must_use]
-    pub fn open_txns(&self) -> Vec<OpenGlobalTxn> {
-        let mut open: BTreeMap<u64, OpenGlobalTxn> = BTreeMap::new();
-        for r in &self.records {
-            match r {
-                TxnRecord::Begin { gtxn, shards, at } => {
-                    let mut progress = BTreeMap::new();
-                    for s in shards {
-                        progress.insert(*s, ShardProgress::default());
-                    }
-                    open.insert(
-                        *gtxn,
-                        OpenGlobalTxn {
-                            gtxn: *gtxn,
-                            at: *at,
-                            shards: shards.clone(),
-                            decided: false,
-                            progress,
-                        },
-                    );
-                }
-                TxnRecord::Intent { gtxn, shard, steps } => {
-                    if let Some(t) = open.get_mut(gtxn) {
-                        t.progress.entry(*shard).or_default().intent_steps = Some(*steps);
-                    }
-                }
-                TxnRecord::Applied { gtxn, shard, index, step } => {
-                    if let Some(t) = open.get_mut(gtxn) {
-                        t.progress.entry(*shard).or_default().applied.push((*index, step.clone()));
-                    }
-                }
-                TxnRecord::Undone { gtxn, shard, index } => {
-                    if let Some(t) = open.get_mut(gtxn) {
-                        t.progress.entry(*shard).or_default().undone.insert(*index);
-                    }
-                }
-                TxnRecord::Prepared { gtxn, shard } => {
-                    if let Some(t) = open.get_mut(gtxn) {
-                        t.progress.entry(*shard).or_default().prepared = true;
-                    }
-                }
-                TxnRecord::Commit { gtxn } => {
-                    if let Some(t) = open.get_mut(gtxn) {
-                        t.decided = true;
-                    }
-                }
-                TxnRecord::ShardCommitted { gtxn, shard } => {
-                    if let Some(t) = open.get_mut(gtxn) {
-                        t.progress.entry(*shard).or_default().committed = true;
-                    }
-                }
-                TxnRecord::ShardAborted { gtxn, shard } => {
-                    if let Some(t) = open.get_mut(gtxn) {
-                        t.progress.entry(*shard).or_default().aborted = true;
-                    }
-                }
-                TxnRecord::End { gtxn } => {
-                    open.remove(gtxn);
-                }
-            }
-        }
-        open.into_values().collect()
-    }
-
-    /// The live log as stable text — one record per line.
-    #[must_use]
-    pub fn render(&self) -> String {
-        use fmt::Write as _;
-        let mut out = String::new();
-        for r in &self.records {
-            let _ = writeln!(out, "{r}");
-        }
-        out
-    }
-
-    /// FNV-1a digest of [`TxnLog::render`].
-    #[must_use]
-    pub fn digest(&self) -> u64 {
-        obs::fnv1a(self.render().as_bytes())
-    }
-}
+pub use compkit::journal::{OpenGlobalTxn, ShardId, ShardProgress, TxnLog, TxnRecord};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use adl::ast::{Binding, PortRef};
+    use compkit::journal::StepRecord;
 
     fn bind(from: &str, to: &str) -> Binding {
         let f: Vec<&str> = from.split('.').collect();

@@ -4,8 +4,8 @@
 //! instances and bindings), its [`StateManager`] archive, a component
 //! factory, and — optionally — a [`StorageEngine`] for durable atom
 //! state. It exposes *logged operations only*: the transaction core
-//! decomposes a [`ReconfigurationPlan`] into [`PlanStep`]s, the shard
-//! applies them one at a time and hands back the [`StepRecord`] that
+//! decomposes a plan into [`PlanStep`]s, the shard applies them one at
+//! a time through [`PlanStep::apply`] and hands back the [`StepRecord`] that
 //! goes into the shared log, and compensation replays those records
 //! backwards. The shard itself holds no transaction state: whether its
 //! work survives is decided entirely by the transactional component's
@@ -19,65 +19,13 @@
 //! key), so replaying it during roll-forward recovery is idempotent.
 
 use crate::log::ShardId;
-use adl::ast::Binding;
-use adl::diff::ReconfigurationPlan;
 use compkit::journal::StepRecord;
-use compkit::runtime::{BasicFactory, ComponentFactory, Runtime};
+use compkit::runtime::{BasicFactory, Runtime};
 use compkit::state::StateManager;
+use compkit::SwitchError;
 use store::{StorageEngine, StoreOp};
 
-/// One step of a shard sub-plan, in execution order
-/// (unbind → stop → start → bind).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlanStep {
-    /// Remove a binding.
-    Unbind(Binding),
-    /// Stop an instance (name, type), archiving its state.
-    Stop(String, String),
-    /// Start an instance (name, type).
-    Start(String, String),
-    /// Establish a binding.
-    Bind(Binding),
-}
-
-impl PlanStep {
-    /// Decompose `plan` into its ordered steps.
-    #[must_use]
-    pub fn decompose(plan: &ReconfigurationPlan) -> Vec<PlanStep> {
-        let mut steps = Vec::with_capacity(plan.len());
-        for b in &plan.unbind {
-            steps.push(PlanStep::Unbind(b.clone()));
-        }
-        for (n, t) in &plan.stop {
-            steps.push(PlanStep::Stop(n.clone(), t.clone()));
-        }
-        for (n, t) in &plan.start {
-            steps.push(PlanStep::Start(n.clone(), t.clone()));
-        }
-        for b in &plan.bind {
-            steps.push(PlanStep::Bind(b.clone()));
-        }
-        steps
-    }
-
-    /// The instances this step touches — the shard-local lock footprint
-    /// (composite-own ports have no instance and lock nothing).
-    #[must_use]
-    pub fn footprint(&self) -> Vec<String> {
-        self.instances().map(str::to_owned).collect()
-    }
-
-    /// [`PlanStep::footprint`], borrowed.
-    pub(crate) fn instances(&self) -> impl Iterator<Item = &str> {
-        let (first, second) = match self {
-            PlanStep::Unbind(b) | PlanStep::Bind(b) => {
-                (b.from.instance.as_deref(), b.to.instance.as_deref())
-            }
-            PlanStep::Stop(n, _) | PlanStep::Start(n, _) => (Some(n.as_str()), None),
-        };
-        first.into_iter().chain(second)
-    }
-}
+pub use compkit::journal::PlanStep;
 
 /// A shard: one runtime's worth of live state behind a logged-operation
 /// interface.
@@ -144,32 +92,15 @@ impl DataComponent {
     }
 
     /// Apply one step, returning the log record that makes it redo- and
-    /// undo-able. Mirrors the single-shard switch semantics exactly:
-    /// stop archives state, start consults the factory.
+    /// undo-able — [`PlanStep::apply`] on this shard's runtime, archive
+    /// and factory, so a shard step is exactly a single-node switch step.
     pub fn apply_step(&mut self, step: &PlanStep, now: u64) -> Result<StepRecord, String> {
-        match step {
-            PlanStep::Unbind(b) => {
-                self.runtime.unbind(b).map_err(|e| e.to_string())?;
-                Ok(StepRecord::Unbound(b.clone()))
-            }
-            PlanStep::Stop(name, _ty) => {
-                let comp = self.runtime.stop(name).map_err(|e| e.to_string())?;
-                self.states.archive(name, comp.state.clone());
-                Ok(StepRecord::Stopped { name: name.clone(), comp })
-            }
-            PlanStep::Start(name, ty) => {
-                let comp = self
-                    .factory
-                    .create(name, ty, now)
-                    .map_err(|e| format!("create {}: {}", e.name, e.reason))?;
-                self.runtime.start(name, comp).map_err(|e| e.to_string())?;
-                Ok(StepRecord::Started { name: name.clone() })
-            }
-            PlanStep::Bind(b) => {
-                self.runtime.bind(b.clone()).map_err(|e| e.to_string())?;
-                Ok(StepRecord::Bound(b.clone()))
-            }
-        }
+        let record = step.apply(&mut self.runtime, &mut self.states, &mut self.factory, now);
+        record.map_err(|e| match e {
+            SwitchError::Create { name, reason } => format!("create {name}: {reason}"),
+            SwitchError::Inconsistent(reason) => reason,
+            other => other.to_string(),
+        })
     }
 
     /// Compensate one applied step (the record knows how).
@@ -251,7 +182,8 @@ impl DataComponent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adl::ast::PortRef;
+    use adl::ast::{Binding, PortRef};
+    use adl::diff::ReconfigurationPlan;
     use compkit::runtime::LiveComponent;
 
     fn binding(fi: &str, fp: &str, ti: &str, tp: &str) -> Binding {

@@ -44,7 +44,7 @@ const SPAN_KIND: usize = 5;
 const SUP_CIRCUIT_CODE: usize = 5;
 const SW_KIND: usize = 0;
 const SW_NAME: usize = 1;
-const SW_VALUE: usize = 3;
+const SW_VALUE: usize = 4;
 const POOL_PAGE: usize = 1;
 const POOL_DIRTY: usize = 2;
 const TIMER_LIVE: usize = 1;
