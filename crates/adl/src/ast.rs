@@ -90,7 +90,7 @@ pub struct ComponentDecl {
 impl ComponentDecl {
     /// All provided port names (unconditional declarations only).
     #[must_use]
-    pub fn provides(&self) -> Vec<&str> {
+    pub(crate) fn provides(&self) -> Vec<&str> {
         self.body
             .iter()
             .filter_map(|d| match d {
@@ -103,7 +103,7 @@ impl ComponentDecl {
 
     /// All required port names (unconditional declarations only).
     #[must_use]
-    pub fn requires(&self) -> Vec<&str> {
+    pub(crate) fn requires(&self) -> Vec<&str> {
         self.body
             .iter()
             .filter_map(|d| match d {

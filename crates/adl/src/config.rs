@@ -106,12 +106,6 @@ impl Configuration {
         missing
     }
 
-    /// Whether every instance requirement is bound.
-    #[must_use]
-    pub fn is_complete(&self, doc: &Document) -> bool {
-        self.unbound_requirements(doc).is_empty()
-    }
-
     /// Number of instances.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -176,12 +170,12 @@ mod tests {
         let doc = parse(SRC).unwrap();
         let base = flatten(&doc, "Mobile", &[]).unwrap();
         // sm.plan unbound in the base configuration.
-        assert!(!base.is_complete(&doc));
+        assert!(!base.unbound_requirements(&doc).is_empty());
         assert_eq!(base.unbound_requirements(&doc), vec![("sm".into(), "plan".into())]);
         let docked = flatten(&doc, "Mobile", &["docked"]).unwrap();
-        assert!(docked.is_complete(&doc));
+        assert!(docked.unbound_requirements(&doc).is_empty());
         let wireless = flatten(&doc, "Mobile", &["wireless"]).unwrap();
-        assert!(wireless.is_complete(&doc));
+        assert!(wireless.unbound_requirements(&doc).is_empty());
     }
 
     #[test]

@@ -114,8 +114,8 @@ mod tests {
     #[test]
     fn both_sessions_are_complete() {
         let doc = fig4_document();
-        assert!(docked_session(&doc).is_complete(&doc));
-        assert!(wireless_session(&doc).is_complete(&doc));
+        assert!(docked_session(&doc).unbound_requirements(&doc).is_empty());
+        assert!(wireless_session(&doc).unbound_requirements(&doc).is_empty());
     }
 
     #[test]

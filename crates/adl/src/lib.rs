@@ -44,9 +44,9 @@ pub mod parse;
 pub mod printer;
 pub mod token;
 
-pub use analysis::{analyze, find_cycle, AnalysisError};
+pub use analysis::{analyze, find_cycle};
 pub use ast::{Binding, ComponentDecl, Decl, Document, PortRef};
-pub use config::{Configuration, FlattenError};
+pub use config::Configuration;
 pub use diff::{diff, ReconfigurationPlan};
-pub use hierarchy::{flatten_deep, HierarchyError};
-pub use parse::{parse, ParseError};
+pub use hierarchy::flatten_deep;
+pub use parse::parse;

@@ -65,7 +65,7 @@ fn print_decl(out: &mut String, d: &Decl, depth: usize) {
 
 /// Render one component declaration.
 #[must_use]
-pub fn print_component(c: &ComponentDecl) -> String {
+pub(crate) fn print_component(c: &ComponentDecl) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "component {} {{", c.name);
     for d in &c.body {

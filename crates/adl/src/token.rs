@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
+pub(crate) enum Tok {
     /// `component`
     Component,
     /// `provide`
@@ -58,7 +58,7 @@ impl fmt::Display for Tok {
 
 /// A token with its source line (1-based) for diagnostics.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Spanned {
+pub(crate) struct Spanned {
     /// The token.
     pub tok: Tok,
     /// 1-based source line.
@@ -86,7 +86,7 @@ impl std::error::Error for LexError {}
 ///
 /// # Errors
 /// [`LexError`] on any character outside the language.
-pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
     let mut out = Vec::new();
     let mut line: u32 = 1;
     let mut chars = src.chars().peekable();

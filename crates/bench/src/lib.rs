@@ -15,26 +15,3 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-/// Render a labelled two-column table of (label, value) rows.
-#[must_use]
-pub fn kv_table(title: &str, rows: &[(String, String)]) -> String {
-    let w = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-    let mut s = format!("{title}\n");
-    for (k, v) in rows {
-        s.push_str(&format!("  {k:<w$}  {v}\n"));
-    }
-    s
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kv_table_aligns() {
-        let t = kv_table("T", &[("a".into(), "1".into()), ("long".into(), "2".into())]);
-        assert!(t.contains("a     1"));
-        assert!(t.contains("long  2"));
-    }
-}

@@ -152,7 +152,7 @@ impl GaugeBoard {
 
     /// Re-sample every monitor up to `tick`, carrying each one's latest
     /// reading forward through the gap
-    /// ([`Monitor::fill_forward`]). An event-driven sampler that skips
+    /// (`Monitor::fill_forward`). An event-driven sampler that skips
     /// quiescent ticks calls this at the next event boundary; without it,
     /// windowed gauges (means, slopes) silently aggregate over a
     /// compressed timeline and drift from the per-tick reference.

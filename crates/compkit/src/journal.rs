@@ -81,7 +81,7 @@ pub enum StepRecord {
 impl StepRecord {
     /// The forward step this record describes (`unbind a -- b`, ...).
     #[must_use]
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             StepRecord::Unbound(b) => format!("unbind {} -- {}", b.from, b.to),
             StepRecord::Stopped { name, .. } => format!("stop {name}"),

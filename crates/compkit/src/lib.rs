@@ -50,12 +50,11 @@ pub mod state;
 pub use adaptivity::{AdaptivityManager, NoFaults, StepFaults, SwitchError, SwitchReport};
 pub use gauge::{Gauge, GaugeBoard, GaugeKind};
 pub use journal::{
-    CrashHook, CrashPoint, CrashSite, NoCrash, PlannedCrash, RecoveryOutcome, RecoveryReport,
-    StepRecord,
+    CrashHook, CrashPoint, CrashSite, NoCrash, PlannedCrash, RecoveryOutcome, StepRecord,
 };
-pub use monitor::{Monitor, Reading};
-pub use planlint::{PlanDiagnostic, PlanDiagnosticKind, PlanLintReport, PlanLinter, Severity};
+pub use monitor::Monitor;
+pub use planlint::{PlanLintReport, PlanLinter, Severity};
 pub use rules::{Action, Expr, RuleSet, SwitchingRule};
-pub use runtime::{ComponentFactory, CreateError, LiveComponent, Runtime};
+pub use runtime::{ComponentFactory, LiveComponent, Runtime};
 pub use session::{AdaptationEvent, SessionManager};
 pub use state::{SafePoint, StateManager};

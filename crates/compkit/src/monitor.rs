@@ -64,7 +64,7 @@ impl Monitor {
     /// that held throughout it. Bounded by the ring capacity: a gap wider
     /// than the ring only materialises the last `capacity` ticks. No-op
     /// on an empty monitor or when already sampled up to `upto`.
-    pub fn fill_forward(&mut self, upto: u64) {
+    pub(crate) fn fill_forward(&mut self, upto: u64) {
         let Some(last) = self.latest() else { return };
         let from = last.tick.saturating_add(1).max(upto.saturating_sub(self.capacity as u64 - 1));
         for tick in from..=upto {

@@ -282,7 +282,7 @@ impl PlanLinter {
     /// plans, and one plan's first-touch order is deduplicated, so its
     /// chain of order edges is a simple path with no cycle.
     #[must_use]
-    pub fn lint(&self, plans: &[ReconfigurationPlan]) -> PlanLintReport {
+    pub(crate) fn lint(&self, plans: &[ReconfigurationPlan]) -> PlanLintReport {
         let mut diags = Vec::new();
         for (i, plan) in plans.iter().enumerate() {
             Self::check_undo(i, plan, &mut diags);

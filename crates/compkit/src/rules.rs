@@ -46,8 +46,8 @@ pub enum Expr {
 
 impl Expr {
     /// Convenience: `gauge(name) > c`.
-    #[must_use]
-    pub fn gauge_gt(name: &str, c: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn gauge_gt(name: &str, c: f64) -> Self {
         Expr::Gt(Box::new(Expr::Gauge(name.to_owned())), Box::new(Expr::Const(c)))
     }
 
@@ -58,8 +58,8 @@ impl Expr {
     }
 
     /// Convenience: `lo < gauge(name) < hi`.
-    #[must_use]
-    pub fn gauge_between(name: &str, lo: f64, hi: f64) -> Self {
+    #[cfg(test)]
+    fn gauge_between(name: &str, lo: f64, hi: f64) -> Self {
         Expr::Between { x: Box::new(Expr::Gauge(name.to_owned())), lo, hi }
     }
 
@@ -75,7 +75,7 @@ impl Expr {
     /// bounds) multiplied by `factor` — the primitive open adaptivity
     /// tunes rules with.
     #[must_use]
-    pub fn scaled(&self, factor: f64) -> Expr {
+    pub(crate) fn scaled(&self, factor: f64) -> Expr {
         match self {
             Expr::Gauge(n) => Expr::Gauge(n.clone()),
             Expr::Const(c) => Expr::Const(c * factor),
@@ -216,12 +216,6 @@ impl RuleSet {
         self.rules.iter().filter(|r| r.constraint.eval(gauges) == Some(true)).collect()
     }
 
-    /// The single most urgent fired rule, if any.
-    #[must_use]
-    pub fn decide(&self, gauges: &BTreeMap<String, f64>) -> Option<&SwitchingRule> {
-        self.fired(gauges).into_iter().next()
-    }
-
     /// Number of rules.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -241,7 +235,7 @@ impl RuleSet {
 
     /// Open adaptivity: rescale every constant in rule `id`'s constraint.
     /// Returns whether the rule exists.
-    pub fn tune(&mut self, id: u32, scale: f64) -> bool {
+    pub(crate) fn tune(&mut self, id: u32, scale: f64) -> bool {
         match self.rules.iter_mut().find(|r| r.id == id) {
             Some(r) => {
                 r.constraint = r.constraint.scaled(scale);
@@ -249,12 +243,6 @@ impl RuleSet {
             }
             None => false,
         }
-    }
-
-    /// A rule's current constraint (for observing tuning).
-    #[must_use]
-    pub fn constraint_of(&self, id: u32) -> Option<&Expr> {
-        self.rules.iter().find(|r| r.id == id).map(|r| &r.constraint)
     }
 }
 
@@ -326,7 +314,7 @@ mod tests {
         let g = gauges(&[("cpu", 0.99), ("bw", 50.0)]);
         let fired = rs.fired(&g);
         assert_eq!(fired.iter().map(|r| r.id).collect::<Vec<_>>(), vec![455, 595]);
-        assert_eq!(rs.decide(&g).unwrap().id, 455);
+        assert_eq!(rs.fired(&g)[0].id, 455);
     }
 
     #[test]
@@ -361,12 +349,15 @@ mod tests {
             action: Action::Custom("switch".into()),
         });
         // Fires at 0.95 before tuning...
-        assert!(rs.decide(&gauges(&[("cpu", 0.95)])).is_some());
+        assert!(!rs.fired(&gauges(&[("cpu", 0.95)])).is_empty());
         // ...the system learned 0.9 was too twitchy: relax by 10%.
         assert!(rs.tune(455, 1.1));
-        assert!(rs.decide(&gauges(&[("cpu", 0.95)])).is_none());
-        assert!(rs.decide(&gauges(&[("cpu", 0.995)])).is_some());
-        assert_eq!(rs.constraint_of(455).unwrap().to_string(), "(cpu > 0.9900000000000001)");
+        assert!(rs.fired(&gauges(&[("cpu", 0.95)])).is_empty());
+        assert!(!rs.fired(&gauges(&[("cpu", 0.995)])).is_empty());
+        assert_eq!(
+            rs.iter().find(|r| r.id == 455).unwrap().constraint.to_string(),
+            "(cpu > 0.9900000000000001)"
+        );
         assert!(!rs.tune(999, 2.0));
     }
 

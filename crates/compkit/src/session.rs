@@ -107,12 +107,6 @@ impl SessionManager {
         &self.log
     }
 
-    /// The rule set (e.g. to add rules at run time — the architecture is
-    /// itself reconfigurable).
-    pub fn rules_mut(&mut self) -> &mut RuleSet {
-        &mut self.rules
-    }
-
     /// Bring the runtime to this session's current mode configuration
     /// (initial instantiation).
     ///
@@ -308,7 +302,7 @@ mod tests {
     #[test]
     fn non_switch_actions_are_forwarded() {
         let (mut sm, mut rt, mut am, mut st) = setup();
-        sm.rules_mut().add(SwitchingRule {
+        sm.rules.add(SwitchingRule {
             id: 455,
             priority: 0,
             constraint: Expr::gauge_gt("docked", -1.0), // always true with data
@@ -324,7 +318,7 @@ mod tests {
         let (mut sm, mut rt, mut am, mut st) = setup();
         // A meta-rule: when flapping is detected (here: proxy gauge high),
         // relax rule 1's undock threshold so it stops firing.
-        sm.rules_mut().add(SwitchingRule {
+        sm.rules.add(SwitchingRule {
             id: 99,
             priority: 0,
             constraint: Expr::gauge_gt("docked", 0.9),

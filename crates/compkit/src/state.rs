@@ -65,27 +65,15 @@ impl StateManager {
     }
 
     /// Archive a stopped component's final state (for rollback/migration).
-    pub fn archive(&mut self, component: &str, state: Vec<u8>) {
+    pub(crate) fn archive(&mut self, component: &str, state: Vec<u8>) {
         self.archived.insert(component.to_owned(), state);
     }
 
     /// Take archived state back out (e.g. to restart the component on
     /// another node). Removes it from the archive.
     #[must_use]
-    pub fn unarchive(&mut self, component: &str) -> Option<Vec<u8>> {
+    pub(crate) fn unarchive(&mut self, component: &str) -> Option<Vec<u8>> {
         self.archived.remove(component)
-    }
-
-    /// Drop any safe point for a component (it was retired for good).
-    pub fn forget(&mut self, component: &str) {
-        self.safe_points.remove(component);
-        self.archived.remove(component);
-    }
-
-    /// Number of components with safe points.
-    #[must_use]
-    pub fn tracked(&self) -> usize {
-        self.safe_points.len()
     }
 }
 
@@ -108,7 +96,7 @@ mod tests {
         assert!(sm.record(sp("join", 10, b"ten")));
         assert!(sm.record(sp("join", 20, b"twenty")));
         assert_eq!(sm.latest("join").unwrap().state, b"twenty");
-        assert_eq!(sm.tracked(), 1);
+        assert_eq!(sm.safe_points.len(), 1);
     }
 
     #[test]
@@ -133,16 +121,5 @@ mod tests {
         sm.archive("agent", b"processing-state".to_vec());
         assert_eq!(sm.unarchive("agent"), Some(b"processing-state".to_vec()));
         assert_eq!(sm.unarchive("agent"), None, "archive is take-once");
-    }
-
-    #[test]
-    fn forget_clears_everything() {
-        let mut sm = StateManager::new();
-        sm.record(sp("c", 1, b"x"));
-        sm.archive("c", b"y".to_vec());
-        sm.forget("c");
-        assert!(sm.latest("c").is_none());
-        assert_eq!(sm.unarchive("c"), None);
-        assert_eq!(sm.tracked(), 0);
     }
 }

@@ -62,8 +62,8 @@ pub mod rng {
 }
 
 pub use dbm::{DatabaseMachine, QueryCost};
-pub use scenario::failover::{self, FailoverReport};
-pub use scenario::inter_query::{self, InterQueryReport};
-pub use scenario::intra_query::{self, IntraQueryReport};
-pub use scenario::system_adapt::{self, SystemAdaptReport};
-pub use selector::{parse_selector, Selector, SelectorError};
+pub use scenario::failover;
+pub use scenario::inter_query;
+pub use scenario::intra_query;
+pub use scenario::system_adapt;
+pub use selector::{parse_selector, Selector};

@@ -125,7 +125,7 @@ impl CrashCellReport {
 /// A deterministic fingerprint of a runtime: every instance (name, type,
 /// start tick, state bytes) and every binding, in canonical order.
 #[must_use]
-pub fn runtime_digest(rt: &Runtime) -> u64 {
+pub(crate) fn runtime_digest(rt: &Runtime) -> u64 {
     let mut s = String::new();
     for name in rt.instance_names() {
         let c = rt.component(name).expect("listed instance exists");

@@ -54,7 +54,7 @@ pub struct InterQueryReport {
 /// Build the scenario's environment: `pda` (querier) — `laptop` and
 /// `pda2` reachable over wireless, both holding the personal data.
 #[must_use]
-pub fn build_network(p: &InterQueryParams) -> Network {
+pub(crate) fn build_network(p: &InterQueryParams) -> Network {
     let mut net = Network::new();
     net.add_device(Device::new("pda", DeviceKind::Pda));
     net.add_device(Device::new("laptop", DeviceKind::Laptop).with_load(p.laptop_load));

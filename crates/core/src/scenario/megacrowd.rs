@@ -238,7 +238,7 @@ pub fn run_with_state(p: &MegaParams) -> MegaWorld {
 
 /// Pool capacities the pressure sweep walks: thrashing, partial
 /// residency, and a pool big enough to hold the whole working set.
-pub const POOL_SWEEP_CAPACITIES: [usize; 3] = [4, 16, 64];
+pub(crate) const POOL_SWEEP_CAPACITIES: [usize; 3] = [4, 16, 64];
 
 /// One point of the buffer-pool-pressure sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,7 +255,7 @@ pub struct PoolPressurePoint {
 
 /// The mega-crowd's storage-pressure companion: the same skewed-crowd
 /// shape (80% of reads hammer 20% of the keys), replayed over a ~32-page
-/// record set at each [`POOL_SWEEP_CAPACITIES`] capacity. Everything is
+/// record set at each `POOL_SWEEP_CAPACITIES` capacity. Everything is
 /// seeded, so the hit rates are exact, benchable numbers — and they must
 /// be monotone in capacity, which the unit tier asserts.
 #[must_use]

@@ -29,10 +29,10 @@ use store::{CrashPoint, NoCrash, PlannedCrash, RecoveryStats, StorageEngine, Sto
 
 /// Ops in every victim transaction (each journals exactly one WAL
 /// record, so op boundaries *are* record boundaries).
-pub const VICTIM_OPS: usize = 4;
+pub(crate) const VICTIM_OPS: usize = 4;
 
 /// Every WAL record boundary of the victim transaction: after `Begin`,
-/// after each of the [`VICTIM_OPS`] op records, both commit edges, two
+/// after each of the `VICTIM_OPS` op records, both commit edges, two
 /// depths of the explicit-abort undo chain, and a crash inside the
 /// recovery scan.
 #[must_use]

@@ -262,7 +262,7 @@ pub fn shard_digests(shards: &mut BTreeMap<u32, DataComponent>) -> Vec<u64> {
 /// the world after a crash-free committed transaction, and the world as
 /// booted (what a complete rollback must restore bit-for-bit).
 #[must_use]
-pub fn reference_digests(seed: u64, topology: usize) -> (Vec<u64>, Vec<u64>) {
+pub(crate) fn reference_digests(seed: u64, topology: usize) -> (Vec<u64>, Vec<u64>) {
     let (mut shards, plans) = seeded_world(seed, topology);
     let rolled_back = shard_digests(&mut shards);
     TransactionCore::new()

@@ -217,16 +217,6 @@ impl Codec for LzCodec {
     }
 }
 
-/// Look up a codec by wire name.
-#[must_use]
-pub fn by_name(name: &str) -> Option<Box<dyn Codec>> {
-    match name {
-        "rle" => Some(Box::new(RleCodec)),
-        "lz" => Some(Box::new(LzCodec)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,12 +295,5 @@ mod tests {
         let data = b"abcabcabcabcabcabcabc".to_vec();
         let c = LzCodec;
         assert_eq!(c.decode(&c.encode(&data)).unwrap(), data);
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        assert_eq!(by_name("rle").unwrap().name(), "rle");
-        assert_eq!(by_name("lz").unwrap().name(), "lz");
-        assert!(by_name("zip").is_none());
     }
 }

@@ -7,11 +7,9 @@
 //! the component, while evaluation stays in the session loop. This keeps
 //! `datacomp` decoupled from the runtime crate.
 
-use crate::codec::{by_name, Codec, CodecError};
 use crate::metadata::Metadata;
 use crate::payload::Payload;
 use crate::version::{SelectionConstraints, Version, VersionKind, VersionList};
-use std::fmt;
 
 /// A reference to an adaptability rule held by the session's rule set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,38 +20,6 @@ pub struct RuleRef {
     pub description: String,
 }
 
-/// Errors when materialising versions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum VersionError {
-    /// The codec named by a compressed version is unknown.
-    UnknownCodec(String),
-    /// Decoding failed.
-    Codec(CodecError),
-    /// The version's bytes are not materialised locally.
-    NotLocal(u32),
-    /// No such version id.
-    NoSuchVersion(u32),
-}
-
-impl fmt::Display for VersionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            VersionError::UnknownCodec(c) => write!(f, "unknown codec `{c}`"),
-            VersionError::Codec(e) => write!(f, "decode failed: {e}"),
-            VersionError::NotLocal(id) => write!(f, "version {id} is not materialised locally"),
-            VersionError::NoSuchVersion(id) => write!(f, "no version {id}"),
-        }
-    }
-}
-
-impl std::error::Error for VersionError {}
-
-impl From<CodecError> for VersionError {
-    fn from(e: CodecError) -> Self {
-        VersionError::Codec(e)
-    }
-}
-
 /// A data component (Figure 2).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DataComponent {
@@ -61,7 +27,7 @@ pub struct DataComponent {
     pub name: String,
     /// The authoritative payload.
     pub payload: Payload,
-    /// Metadata: statistics, triggers, staleness.
+    /// Metadata: statistics and their staleness.
     pub metadata: Metadata,
     /// References to the adaptability rules that govern this component.
     pub rules: Vec<RuleRef>,
@@ -105,67 +71,6 @@ impl DataComponent {
         id
     }
 
-    /// Materialise a compressed version locally using the named codec —
-    /// really compressing the payload bytes.
-    ///
-    /// # Errors
-    /// [`VersionError::UnknownCodec`].
-    pub fn add_compressed(
-        &mut self,
-        codec_name: &str,
-        location: &str,
-    ) -> Result<u32, VersionError> {
-        let codec: Box<dyn Codec> =
-            by_name(codec_name).ok_or_else(|| VersionError::UnknownCodec(codec_name.to_owned()))?;
-        let encoded = codec.encode(&self.payload.to_bytes());
-        let id = self.alloc_id();
-        self.versions.add(Version {
-            id,
-            location: location.to_owned(),
-            kind: VersionKind::Compressed { codec: codec.name().to_owned() },
-            size_bytes: encoded.len() as u64,
-            age: 0,
-            bytes: Some(encoded),
-        });
-        Ok(id)
-    }
-
-    /// Register a summary version of the given size/fraction.
-    pub fn add_summary(&mut self, location: &str, fraction: f64, size_bytes: u64) -> u32 {
-        let id = self.alloc_id();
-        self.versions.add(Version {
-            id,
-            location: location.to_owned(),
-            kind: VersionKind::Summary { fraction },
-            size_bytes,
-            age: 0,
-            bytes: None,
-        });
-        id
-    }
-
-    /// Decode a locally-materialised compressed version back to payload
-    /// bytes — the "associated decompression code" path.
-    ///
-    /// # Errors
-    /// [`VersionError`] when the version is missing, remote, or corrupt.
-    pub fn materialise(&self, id: u32) -> Result<Vec<u8>, VersionError> {
-        let v = self
-            .versions
-            .all()
-            .iter()
-            .find(|v| v.id == id)
-            .ok_or(VersionError::NoSuchVersion(id))?;
-        let bytes = v.bytes.as_ref().ok_or(VersionError::NotLocal(id))?;
-        match &v.kind {
-            VersionKind::Compressed { codec } => {
-                let c = by_name(codec).ok_or_else(|| VersionError::UnknownCodec(codec.clone()))?;
-                Ok(c.decode(bytes)?)
-            }
-            _ => Ok(bytes.clone()),
-        }
-    }
-
     /// `BEST` over this component's versions.
     ///
     /// # Errors
@@ -201,35 +106,18 @@ mod tests {
     }
 
     #[test]
-    fn compressed_version_roundtrips() {
-        let mut c = stream_component();
-        let id = c.add_compressed("lz", "laptop").unwrap();
-        let original = c.payload.to_bytes();
-        let restored = c.materialise(id).unwrap();
-        assert_eq!(restored, original);
-        let v = c.versions.all().iter().find(|v| v.id == id).unwrap();
-        assert!(v.size_bytes < original.len() as u64 / 2, "XML stream should compress well");
-    }
-
-    #[test]
-    fn unknown_codec_rejected() {
-        let mut c = stream_component();
-        assert_eq!(c.add_compressed("gzip", "x"), Err(VersionError::UnknownCodec("gzip".into())));
-    }
-
-    #[test]
-    fn remote_versions_cannot_materialise() {
-        let mut c = stream_component();
-        let id = c.add_replica("pda", 0);
-        assert_eq!(c.materialise(id), Err(VersionError::NotLocal(id)));
-        assert_eq!(c.materialise(999), Err(VersionError::NoSuchVersion(999)));
-    }
-
-    #[test]
     fn best_version_prefers_compressed_on_slow_links() {
         let mut c = stream_component();
-        c.add_replica("laptop", 0);
-        c.add_compressed("lz", "laptop").unwrap();
+        let replica = c.add_replica("laptop", 0);
+        let size_bytes = c.versions.all()[0].size_bytes / 3;
+        c.versions.add(Version {
+            id: replica + 1,
+            location: "laptop".into(),
+            kind: VersionKind::Compressed { codec: "lz".into() },
+            size_bytes,
+            age: 0,
+            bytes: None,
+        });
         let slow = SelectionConstraints { min_quality: 1.0, bandwidth: 1.0, ..Default::default() };
         let best = c.best_version(&slow).unwrap();
         assert!(matches!(best.kind, VersionKind::Compressed { .. }));
@@ -254,7 +142,7 @@ mod tests {
         let mut c = stream_component();
         let a = c.add_replica("n1", 0);
         let b = c.add_replica("n2", 0);
-        let d = c.add_summary("n3", 0.25, 100);
+        let d = c.add_replica("n3", 0);
         assert!(a < b && b < d);
         assert_eq!(c.versions.len(), 3);
     }

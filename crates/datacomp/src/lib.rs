@@ -24,7 +24,7 @@
 //!   dictionary coder), the "associated decompression code" a compressed
 //!   version carries;
 //! * [`metadata`] — attribute statistics (with controllable *staleness
-//!   error* for Scenario 3's misestimating optimiser) and triggers;
+//!   error* for Scenario 3's misestimating optimiser);
 //! * [`version`] — the version list and constraint-driven version selection
 //!   (`BEST` under bandwidth/staleness/quality constraints);
 //! * [`component`] — the assembled [`component::DataComponent`].
@@ -42,9 +42,9 @@ pub mod xml;
 
 pub use codec::{Codec, LzCodec, RleCodec};
 pub use component::DataComponent;
-pub use metadata::{ColumnStats, Metadata, TableStats, Trigger};
+pub use metadata::{Metadata, TableStats};
 pub use payload::Payload;
-pub use schema::{Column, ColumnType, Row, Schema, Table};
+pub use schema::{ColumnType, Row, Schema, Table};
 pub use value::Value;
 pub use version::{Version, VersionKind, VersionList};
 

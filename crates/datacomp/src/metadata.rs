@@ -28,19 +28,6 @@ pub struct ColumnStats {
     pub max: Option<Value>,
 }
 
-impl ColumnStats {
-    /// Estimated selectivity of an equality predicate on this column
-    /// (uniformity assumption: 1/distinct).
-    #[must_use]
-    pub fn eq_selectivity(&self) -> f64 {
-        if self.distinct == 0 {
-            0.0
-        } else {
-            1.0 / self.distinct as f64
-        }
-    }
-}
-
 /// Table-level statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableStats {
@@ -119,36 +106,11 @@ impl TableStats {
     }
 }
 
-/// When a trigger fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TriggerEvent {
-    /// On insert.
-    Insert,
-    /// On update.
-    Update,
-    /// On delete.
-    Delete,
-}
-
-/// A trigger: standard DBMS metadata carried by the data component.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Trigger {
-    /// Trigger name.
-    pub name: String,
-    /// Firing event.
-    pub event: TriggerEvent,
-    /// The action, interpreted by the embedding system (e.g. a rule id to
-    /// re-evaluate, or a gauge to refresh).
-    pub action: String,
-}
-
 /// The metadata block of Figure 2.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Metadata {
     /// Attribute statistics (present once computed).
     pub stats: Option<TableStats>,
-    /// Triggers.
-    pub triggers: Vec<Trigger>,
     /// How stale the statistics are relative to the data, expressed as the
     /// multiplicative error a pre-optimiser would suffer (1.0 = fresh).
     pub staleness_error: f64,
@@ -158,7 +120,7 @@ impl Metadata {
     /// Fresh metadata with exact stats.
     #[must_use]
     pub fn fresh(table: &Table) -> Self {
-        Self { stats: Some(TableStats::compute(table)), triggers: Vec::new(), staleness_error: 1.0 }
+        Self { stats: Some(TableStats::compute(table)), staleness_error: 1.0 }
     }
 
     /// The stats as a (possibly stale) pre-optimiser would see them.
@@ -196,15 +158,6 @@ mod tests {
         let id = s.column("id").unwrap();
         assert_eq!(id.distinct, 5);
         assert_eq!(id.min, Some(Value::Int(1)));
-    }
-
-    #[test]
-    fn eq_selectivity_uniform() {
-        let s = TableStats::compute(&table());
-        assert!((s.column("city").unwrap().eq_selectivity() - 1.0 / 3.0).abs() < 1e-12);
-        let empty =
-            ColumnStats { name: "x".into(), count: 0, nulls: 0, distinct: 0, min: None, max: None };
-        assert_eq!(empty.eq_selectivity(), 0.0);
     }
 
     #[test]

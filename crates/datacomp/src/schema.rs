@@ -21,7 +21,7 @@ pub enum ColumnType {
 impl ColumnType {
     /// Whether a value inhabits this type (`Null` inhabits every type).
     #[must_use]
-    pub fn admits(self, v: &Value) -> bool {
+    pub(crate) fn admits(self, v: &Value) -> bool {
         matches!(
             (self, v),
             (_, Value::Null)
@@ -117,17 +117,6 @@ impl Schema {
     #[must_use]
     pub fn arity(&self) -> usize {
         self.columns.len()
-    }
-
-    /// Index of a column by name.
-    ///
-    /// # Errors
-    /// [`SchemaError::UnknownColumn`].
-    pub fn index_of(&self, name: &str) -> Result<usize, SchemaError> {
-        self.columns
-            .iter()
-            .position(|c| c.name == name)
-            .ok_or_else(|| SchemaError::UnknownColumn(name.to_owned()))
     }
 
     /// Typecheck one row.
@@ -234,8 +223,7 @@ mod tests {
     fn build_and_index() {
         let s = person_schema();
         assert_eq!(s.arity(), 3);
-        assert_eq!(s.index_of("name").unwrap(), 1);
-        assert!(matches!(s.index_of("ghost"), Err(SchemaError::UnknownColumn(_))));
+        assert_eq!(s.columns()[1].name, "name");
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub enum VersionKind {
     Replica,
     /// A compressed replica, carrying the name of its decompression codec.
     Compressed {
-        /// Codec wire name (see [`crate::codec::by_name`]).
+        /// Codec wire name ([`crate::codec::Codec::name`]).
         codec: String,
     },
     /// A summary retaining `fraction` of the information (e.g. a sample or

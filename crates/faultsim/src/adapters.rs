@@ -134,14 +134,14 @@ impl InvokeFaults for PlanInvokeFaults {
 /// [`SwitchGate`] injector: a [`Fault::SwitchDenial`] armed at tick `T`
 /// denies that atom's first switch attempt at or after `T`.
 #[derive(Debug, Clone)]
-pub struct PlanSwitchGate {
+pub(crate) struct PlanSwitchGate {
     pending: BTreeMap<u32, Vec<u64>>,
 }
 
 impl PlanSwitchGate {
     /// Collect the plan's switch denials.
     #[must_use]
-    pub fn new(plan: &FaultPlan) -> Self {
+    pub(crate) fn new(plan: &FaultPlan) -> Self {
         let mut pending: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
         for (tick, fault) in plan.iter() {
             if let Fault::SwitchDenial { atom } = fault {
@@ -199,7 +199,7 @@ impl PlanCrashHook {
 
     /// Rendered labels of the crash points that never fired.
     #[must_use]
-    pub fn unfired_labels(&self) -> Vec<String> {
+    pub(crate) fn unfired_labels(&self) -> Vec<String> {
         self.pending[self.fired..].iter().map(ToString::to_string).collect()
     }
 }
@@ -253,7 +253,7 @@ impl PlanTxnCrashHook {
 
     /// Rendered labels of the crash points that never fired.
     #[must_use]
-    pub fn unfired_labels(&self) -> Vec<String> {
+    pub(crate) fn unfired_labels(&self) -> Vec<String> {
         self.pending[self.fired..].iter().map(ToString::to_string).collect()
     }
 }

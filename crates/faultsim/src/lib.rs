@@ -24,20 +24,22 @@
 //! * `patia` — [`SwitchGate`](patia::server::SwitchGate) denying SWITCH
 //!   migrations, plus kill/revive/pressure controls.
 //!
-//! The [`adapters`] feed all four surfaces from one plan, so a single
-//! seed drives a coherent chaos storyline through the whole stack. The
-//! root-level `chaos_e2e` conformance suite is built on exactly this.
+//! The adapters ([`PatiaDriver`], [`PlanStepFaults`],
+//! [`PlanInvokeFaults`], [`schedule_network`], [`flaky_factory`]) feed
+//! all four surfaces from one plan, so a single seed drives a coherent
+//! chaos storyline through the whole stack. The root-level `chaos_e2e`
+//! conformance suite is built on exactly this.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapters;
+pub(crate) mod adapters;
 pub mod coverage;
 pub mod plan;
 
 pub use adapters::{
     flaky_factory, schedule_network, PatiaDriver, PlanCrashHook, PlanInvokeFaults, PlanStepFaults,
-    PlanSwitchGate, PlanTxnCrashHook,
+    PlanTxnCrashHook,
 };
-pub use coverage::{CoverageEntry, CoverageLedger, HookCoverage};
+pub use coverage::CoverageLedger;
 pub use plan::{Fault, FaultPlan, FaultSpace};

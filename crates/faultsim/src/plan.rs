@@ -100,7 +100,7 @@ pub enum Fault {
     /// A node crashes *mid-reconfiguration*: it dies at the scheduled
     /// tick (like [`Fault::NodeDeath`]) and its in-flight adaptation
     /// transaction is killed at a precise journal-record boundary —
-    /// [`adapters::PlanCrashHook`](crate::adapters::PlanCrashHook)
+    /// [`PlanCrashHook`](crate::PlanCrashHook)
     /// carries the point into compkit's crash model.
     NodeCrash {
         /// The crashing node.
@@ -116,7 +116,7 @@ pub enum Fault {
     },
     /// A coordinator/participant crash at a cross-shard transaction
     /// protocol boundary —
-    /// [`adapters::PlanTxnCrashHook`](crate::adapters::PlanTxnCrashHook)
+    /// [`PlanTxnCrashHook`](crate::PlanTxnCrashHook)
     /// carries the point into the `txn` crate's 2PC crash model.
     TxnCrash {
         /// Where in the two-phase-commit lifecycle the crash strikes.
@@ -215,7 +215,7 @@ impl FaultPlan {
 
     /// The faults scheduled exactly at `tick`.
     #[must_use]
-    pub fn faults_at(&self, tick: u64) -> &[Fault] {
+    pub(crate) fn faults_at(&self, tick: u64) -> &[Fault] {
         self.schedule.get(&tick).map_or(&[], Vec::as_slice)
     }
 

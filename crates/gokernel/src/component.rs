@@ -27,11 +27,9 @@ pub struct InterfaceId(pub u32);
 
 /// A component *type*: verified text plus its installed code segment.
 #[derive(Debug, Clone)]
-pub struct ComponentType {
+pub(crate) struct ComponentType {
     /// Stable identifier.
     pub id: TypeId,
-    /// Human-readable name (e.g. `"buffer-manager"`).
-    pub name: String,
     /// The SISR-verified text. The ORB refuses anything else.
     pub image: VerifiedImage,
     /// The code segment selector the text lives in.
@@ -40,9 +38,7 @@ pub struct ComponentType {
 
 /// A component *instance*: a data segment bound to a type.
 #[derive(Debug, Clone)]
-pub struct ComponentInstance {
-    /// Stable identifier.
-    pub id: ComponentId,
+pub(crate) struct ComponentInstance {
     /// The type whose code this instance runs.
     pub type_id: TypeId,
     /// The instance's private data segment.
@@ -59,11 +55,11 @@ impl Rights {
     /// May be invoked by any component.
     pub const PUBLIC: Rights = Rights(1);
     /// May only be invoked by components named in the binding.
-    pub const BOUND_ONLY: Rights = Rights(2);
+    pub(crate) const BOUND_ONLY: Rights = Rights(2);
 
     /// Whether a caller with `caller_rights` may invoke.
     #[must_use]
-    pub fn permits(self, bound: bool) -> bool {
+    pub(crate) fn permits(self, bound: bool) -> bool {
         self == Rights::PUBLIC || (self == Rights::BOUND_ONLY && bound)
     }
 }

@@ -5,17 +5,17 @@
 //! a client and a server protection domain — and pays for it with the
 //! primitives its design actually executes:
 //!
-//! * [`MonolithicKernel`] (BSD-style Unix): RPC over datagram sockets.
+//! * `MonolithicKernel` (BSD-style Unix): RPC over datagram sockets.
 //!   Four syscalls, two full process context switches with page-table
 //!   reloads, socket/UDP/IP processing with real buffer manipulation, a
 //!   priority scheduler pass, and the large cold-cache footprint of a big
 //!   kernel. This is the "ballpark ... procedure call overheads of a modern
 //!   Unix system" row.
-//! * [`MachKernel`] (Mach 2.5-style first-generation microkernel):
+//! * `MachKernel` (Mach 2.5-style first-generation microkernel):
 //!   `mach_msg`-style send+receive through ports with name translation,
 //!   rights checks and message copying; leaner, but still trap + page-table
 //!   switch per transfer.
-//! * [`L4Kernel`] (second-generation microkernel): direct-handoff IPC,
+//! * `L4Kernel` (second-generation microkernel): direct-handoff IPC,
 //!   message in registers, tiny cache footprint — the design whose published
 //!   numbers the paper quotes at 665 cycles.
 //! * [`GoKernel`]: the ORB's thread-migration RPC — no trap, no page-table
@@ -112,7 +112,7 @@ struct DgramSocket {
 
 /// BSD-style monolithic Unix: RPC via datagram sockets over loopback.
 #[derive(Debug)]
-pub struct MonolithicKernel {
+pub(crate) struct MonolithicKernel {
     model: CostModel,
     counter: CycleCounter,
     procs: [Process; 2],
@@ -124,7 +124,7 @@ pub struct MonolithicKernel {
 impl MonolithicKernel {
     /// A kernel with client (process 0) and server (process 1) set up.
     #[must_use]
-    pub fn new(model: CostModel) -> Self {
+    pub(crate) fn new(model: CostModel) -> Self {
         let proc_ = Process { tlb_working_set: 250, kernel_cache_lines: 900 };
         Self {
             model,
@@ -242,7 +242,7 @@ struct Port {
 
 /// Mach 2.5-style microkernel: `mach_msg` send+receive through ports.
 #[derive(Debug)]
-pub struct MachKernel {
+pub(crate) struct MachKernel {
     model: CostModel,
     counter: CycleCounter,
     ports: [Port; 2],
@@ -256,7 +256,7 @@ pub struct MachKernel {
 impl MachKernel {
     /// A kernel with request (port 0) and reply (port 1) ports.
     #[must_use]
-    pub fn new(model: CostModel) -> Self {
+    pub(crate) fn new(model: CostModel) -> Self {
         Self {
             model,
             counter: CycleCounter::new(),
@@ -334,7 +334,7 @@ struct Tcb {
 
 /// L4-style second-generation microkernel: direct-handoff register IPC.
 #[derive(Debug)]
-pub struct L4Kernel {
+pub(crate) struct L4Kernel {
     model: CostModel,
     counter: CycleCounter,
     tcbs: [Tcb; 2],
@@ -345,7 +345,7 @@ pub struct L4Kernel {
 impl L4Kernel {
     /// A kernel with two threads in separate address spaces.
     #[must_use]
-    pub fn new(model: CostModel) -> Self {
+    pub(crate) fn new(model: CostModel) -> Self {
         Self {
             model,
             counter: CycleCounter::new(),

@@ -46,16 +46,9 @@ pub mod orb;
 pub mod sisr;
 pub mod table1;
 
-pub use component::{
-    ComponentId, ComponentInstance, ComponentType, InterfaceDescriptor, InterfaceId,
-};
-pub use kernels::{
-    ExtensibleKernel, GoKernel, Kernel, KernelKind, L4Kernel, MachKernel, MonolithicKernel,
-};
-pub use libos::{LibOs, LibOsError, ThreadId};
-pub use orb::{InvokeFaults, Orb, OrbError, RpcOutcome};
-pub use sisr::{
-    Diagnostic, DiagnosticKind, Limits, Pass, PassReport, ProcedureSummary, Severity, SisrVerifier,
-    VerifiedImage, VerifyReport,
-};
-pub use table1::{table1_rows, Table1Row, PAPER_TABLE1};
+pub use component::{ComponentId, InterfaceDescriptor, InterfaceId};
+pub use kernels::{ExtensibleKernel, GoKernel, Kernel, KernelKind};
+pub use libos::{LibOs, ThreadId};
+pub use orb::{InvokeFaults, Orb, OrbError};
+pub use sisr::{DiagnosticKind, Pass, Severity, SisrVerifier};
+pub use table1::table1_rows;

@@ -147,22 +147,6 @@ impl LibOs {
         Ok(self.runq.front().copied())
     }
 
-    /// Remove a thread (it exited).
-    ///
-    /// # Errors
-    /// ORB faults only.
-    pub fn sched_remove(&mut self, t: ThreadId) -> Result<(), LibOsError> {
-        self.call(self.sched_iface, &[t.0])?;
-        self.runq.retain(|&x| x != t);
-        Ok(())
-    }
-
-    /// Current run-queue snapshot (front = next to run).
-    #[must_use]
-    pub fn run_queue(&self) -> Vec<ThreadId> {
-        self.runq.iter().copied().collect()
-    }
-
     // ---- memory-manager component --------------------------------------
 
     /// Allocate `bytes` from the component heap (first-fit free list).
@@ -280,8 +264,6 @@ mod tests {
         assert_eq!(os.sched_yield(ThreadId(0)).unwrap(), Some(ThreadId(1)));
         assert_eq!(os.sched_yield(ThreadId(1)).unwrap(), Some(ThreadId(2)));
         assert_eq!(os.sched_yield(ThreadId(2)).unwrap(), Some(ThreadId(0)));
-        os.sched_remove(ThreadId(1)).unwrap();
-        assert_eq!(os.run_queue(), vec![ThreadId(0), ThreadId(2)]);
     }
 
     #[test]
@@ -289,7 +271,7 @@ mod tests {
         let mut os = libos();
         os.sched_add(ThreadId(7)).unwrap();
         os.sched_add(ThreadId(7)).unwrap();
-        assert_eq!(os.run_queue().len(), 1);
+        assert_eq!(os.runq.len(), 1);
     }
 
     #[test]

@@ -177,11 +177,6 @@ impl Orb {
         self.faults = Some(faults);
     }
 
-    /// Disarm fault injection, restoring the zero-cost production path.
-    pub fn disarm_faults(&mut self) {
-        self.faults = None;
-    }
-
     /// Arm the observability hub: every subsequent `load_type` emits a
     /// verification span billing the SISR scan cycles, and every `invoke`
     /// emits a span whose duration equals [`RpcOutcome::cycles`] exactly.
@@ -234,7 +229,7 @@ impl Orb {
             o.metrics.counter_add("orb.verify.images", 1);
             o.metrics.counter_add("orb.verify.cycles", image.scan_cycles());
         }
-        self.install_type(name, image)
+        self.install_type(image)
     }
 
     /// Link-time summary check: every per-procedure summary the verifier
@@ -247,7 +242,7 @@ impl Orb {
     /// # Errors
     /// [`OrbError::SummaryExceedsGrant`] naming the first offending
     /// procedure (summaries are in deterministic head order).
-    pub fn check_summaries(&self, image: &VerifiedImage) -> Result<(), OrbError> {
+    pub(crate) fn check_summaries(&self, image: &VerifiedImage) -> Result<(), OrbError> {
         for s in image.summaries() {
             // A statically-known access at byte offset `hi` touches the
             // word [hi, hi+4) — the same bound the verifier enforces.
@@ -279,12 +274,12 @@ impl Orb {
 
     /// Load a component type from an already-verified image. The image's
     /// procedure summaries are re-checked against this ORB's segment grants
-    /// (see [`Orb::check_summaries`]) — link time is the last moment the
+    /// (see `Orb::check_summaries`) — link time is the last moment the
     /// mismatch can be caught statically.
     ///
     /// # Errors
     /// [`OrbError::SummaryExceedsGrant`], [`OrbError::OutOfMemory`].
-    pub fn install_type(&mut self, name: &str, image: VerifiedImage) -> Result<TypeId, OrbError> {
+    pub fn install_type(&mut self, image: VerifiedImage) -> Result<TypeId, OrbError> {
         self.check_summaries(&image)?;
         if let Some(obs) = self.obs.as_ref() {
             let mut o = obs.borrow_mut();
@@ -298,7 +293,7 @@ impl Orb {
             .install(Segment { base, limit: text_bytes.max(8), kind: SegmentKind::Code })
             .map_err(|_| OrbError::OutOfMemory)?;
         let id = TypeId(self.types.len() as u32);
-        self.types.push(ComponentType { id, name: name.to_owned(), image, code_sel });
+        self.types.push(ComponentType { id, image, code_sel });
         Ok(id)
     }
 
@@ -322,7 +317,7 @@ impl Orb {
             .install(Segment { base: stack_base, limit: STACK_SEG_BYTES, kind: SegmentKind::Stack })
             .map_err(|_| OrbError::OutOfMemory)?;
         let id = ComponentId(self.instances.len() as u32);
-        self.instances.push(ComponentInstance { id, type_id, data_sel, stack_sel });
+        self.instances.push(ComponentInstance { type_id, data_sel, stack_sel });
         Ok(id)
     }
 
@@ -364,7 +359,7 @@ impl Orb {
     }
 
     /// Bind a caller to an interface, granting invoke rights when the
-    /// interface is [`Rights::BOUND_ONLY`].
+    /// interface is `Rights::BOUND_ONLY`.
     ///
     /// # Errors
     /// [`OrbError::NoSuchComponent`], [`OrbError::NoSuchInterface`].
@@ -739,7 +734,7 @@ mod tests {
         // were charged and the ORB is fully functional afterwards.
         assert_eq!(orb.cycles(), cycles_before);
         assert_eq!(orb.invoke(caller, iface, &[]).unwrap().result, 7);
-        orb.disarm_faults();
+        orb.faults = None;
         assert_eq!(orb.invoke(caller, iface, &[]).unwrap().result, 7);
         assert_eq!(orb.invocations(), 5);
     }
@@ -771,7 +766,7 @@ mod tests {
         // says so before any instance exists.
         let mut orb = Orb::new(1 << 20, CostModel::pentium());
         assert_eq!(
-            orb.install_type("roomy", img).unwrap_err(),
+            orb.install_type(img).unwrap_err(),
             OrbError::SummaryExceedsGrant {
                 head: 0,
                 grant: "data",

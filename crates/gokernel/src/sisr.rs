@@ -302,13 +302,13 @@ pub struct VerifyReport {
 impl VerifyReport {
     /// Number of error-severity diagnostics.
     #[must_use]
-    pub fn error_count(&self) -> usize {
+    pub(crate) fn error_count(&self) -> usize {
         self.diagnostics.iter().filter(|d| d.severity == Severity::Error).count()
     }
 
     /// Number of warning-severity diagnostics.
     #[must_use]
-    pub fn warning_count(&self) -> usize {
+    pub(crate) fn warning_count(&self) -> usize {
         self.diagnostics.iter().filter(|d| d.severity == Severity::Warning).count()
     }
 
@@ -354,7 +354,7 @@ impl std::error::Error for VerifyReport {}
 /// analysis bounds is *unverifiable*, and unverifiable code is rejected: the
 /// conservative direction is the safe one for a loader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Limits {
+pub(crate) struct Limits {
     /// Bytes of data segment an instance will be granted.
     pub data_bytes: u32,
     /// Bytes of stack segment an instance will be granted.
@@ -456,7 +456,7 @@ impl VerifiedImage {
     /// The entry points the verification covered. The ORB refuses to publish
     /// an interface at any other entry — facts were only proven from these.
     #[must_use]
-    pub fn entry_points(&self) -> &[u32] {
+    pub(crate) fn entry_points(&self) -> &[u32] {
         &self.entry_points
     }
 
@@ -548,7 +548,7 @@ fn widen(range: &mut Option<(u32, u32)>, addr: u32) {
 
 impl SisrVerifier {
     /// A verifier charging pass work under the given cost model, with
-    /// default [`Limits`].
+    /// default `Limits`.
     #[must_use]
     pub fn new(model: CostModel) -> Self {
         Self { model, limits: Limits::default() }
@@ -556,14 +556,8 @@ impl SisrVerifier {
 
     /// A verifier with explicit segment grants and analysis bounds.
     #[must_use]
-    pub fn with_limits(model: CostModel, limits: Limits) -> Self {
+    pub(crate) fn with_limits(model: CostModel, limits: Limits) -> Self {
         Self { model, limits }
-    }
-
-    /// The limits this verifier checks against.
-    #[must_use]
-    pub fn limits(&self) -> &Limits {
-        &self.limits
     }
 
     /// Verify a raw text section with the default entry point (index 0; an
@@ -583,7 +577,7 @@ impl SisrVerifier {
     ///
     /// # Errors
     /// See [`Self::verify`].
-    pub fn verify_with_entries(
+    pub(crate) fn verify_with_entries(
         &self,
         text: &[u8],
         entries: &[u32],
@@ -637,19 +631,6 @@ impl SisrVerifier {
     /// See [`Self::verify`].
     pub fn verify_program(&self, program: &Program) -> Result<VerifiedImage, VerifyReport> {
         self.verify(&program.to_bytes())
-    }
-
-    /// Convenience: verify an already-decoded program against explicit
-    /// entry points.
-    ///
-    /// # Errors
-    /// See [`Self::verify`].
-    pub fn verify_program_with_entries(
-        &self,
-        program: &Program,
-        entries: &[u32],
-    ) -> Result<VerifiedImage, VerifyReport> {
-        self.verify_with_entries(&program.to_bytes(), entries)
     }
 
     fn charge_visit(&self, counter: &mut CycleCounter) {
@@ -1451,7 +1432,7 @@ mod oracle {
     ///
     /// # Errors
     /// The rejecting [`VerifyReport`].
-    pub fn verify_with_entries_v2(
+    pub(crate) fn verify_with_entries_v2(
         v: &SisrVerifier,
         text: &[u8],
         entries: &[u32],
@@ -2037,7 +2018,7 @@ mod tests {
             Instr::MovImm(0, 1), // 1: entry b
             Instr::Halt,         // 2
         ]);
-        let img = verifier().verify_program_with_entries(&p, &[0, 1]).unwrap();
+        let img = verifier().verify_with_entries(&p.to_bytes(), &[0, 1]).unwrap();
         assert_eq!(img.report().warning_count(), 0);
         assert_eq!(img.entry_points(), &[0, 1]);
         // With only entry 0, indices 1-2 are dead.
@@ -2048,7 +2029,7 @@ mod tests {
     #[test]
     fn bad_entry_point_is_rejected() {
         let p = Program::new(vec![Instr::Halt]);
-        let report = verifier().verify_program_with_entries(&p, &[3]).unwrap_err();
+        let report = verifier().verify_with_entries(&p.to_bytes(), &[3]).unwrap_err();
         assert_eq!(kinds(&report), vec![&DiagnosticKind::BadEntryPoint { entry: 3 }]);
     }
 

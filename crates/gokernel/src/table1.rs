@@ -33,14 +33,6 @@ pub struct Table1Row {
     pub ratio_to_paper: f64,
 }
 
-/// The paper's values, in row order.
-pub const PAPER_TABLE1: [(KernelKind, Cycles); 4] = [
-    (KernelKind::Monolithic, 55_000),
-    (KernelKind::Mach, 3_000),
-    (KernelKind::L4, 665),
-    (KernelKind::Go, 73),
-];
-
 /// Regenerate Table 1 under a cost model. `reps` repetitions guard against
 /// accidental state-dependence (the simulation is deterministic, so they
 /// must agree exactly — the harness asserts it).

@@ -14,7 +14,6 @@
 use crate::cost::{CostModel, CycleCounter, Cycles, Primitive};
 use crate::isa::{Instr, Program, NUM_REGS};
 use crate::seg::{SegError, SegReg, SegmentTable, Selector};
-use crate::trap::TrapKind;
 
 /// Processor mode. Go!/SISR machines run everything in a single mode;
 /// trap-based kernels split user from kernel.
@@ -63,17 +62,6 @@ impl From<SegError> for CpuError {
     }
 }
 
-impl CpuError {
-    /// The trap this fault would raise on a trap-based kernel.
-    #[must_use]
-    pub fn trap_kind(&self) -> TrapKind {
-        match self {
-            CpuError::PrivilegeViolation { .. } => TrapKind::PrivilegeViolation,
-            _ => TrapKind::SegmentFault,
-        }
-    }
-}
-
 /// The CPU state: registers, segment selectors, physical memory, mode, and
 /// the cycle counter every executed instruction charges into.
 #[derive(Debug)]
@@ -116,11 +104,6 @@ impl Cpu {
     #[must_use]
     pub fn mode(&self) -> Mode {
         self.mode
-    }
-
-    /// Switch mode (only the simulated kernel calls this, on trap entry/exit).
-    pub fn set_mode(&mut self, mode: Mode) {
-        self.mode = mode;
     }
 
     /// Point a segment register at a selector without executing an
@@ -372,11 +355,15 @@ mod tests {
     use crate::seg::{Segment, SegmentKind};
 
     fn setup() -> (Cpu, SegmentTable) {
+        setup_in(Mode::User)
+    }
+
+    fn setup_in(mode: Mode) -> (Cpu, SegmentTable) {
         let mut segs = SegmentTable::new();
         let data = segs.install(Segment { base: 0, limit: 256, kind: SegmentKind::Data }).unwrap();
         let stack =
             segs.install(Segment { base: 256, limit: 256, kind: SegmentKind::Stack }).unwrap();
-        let mut cpu = Cpu::new(4096, Mode::User, CostModel::pentium());
+        let mut cpu = Cpu::new(4096, mode, CostModel::pentium());
         cpu.load_selector(SegReg::Ds, data);
         cpu.load_selector(SegReg::Ss, stack);
         (cpu, segs)
@@ -416,13 +403,11 @@ mod tests {
         let p = Program::new(vec![Instr::Nop, Instr::Cli, Instr::Halt]);
         let err = cpu.run(&p, &segs, 100).unwrap_err();
         assert_eq!(err, CpuError::PrivilegeViolation { pc: 1, instr: Instr::Cli });
-        assert_eq!(err.trap_kind(), TrapKind::PrivilegeViolation);
     }
 
     #[test]
     fn privileged_instruction_allowed_in_kernel_mode() {
-        let (mut cpu, segs) = setup();
-        cpu.set_mode(Mode::Kernel);
+        let (mut cpu, segs) = setup_in(Mode::Kernel);
         let p = Program::new(vec![Instr::Cli, Instr::Sti, Instr::Halt]);
         assert_eq!(cpu.run(&p, &segs, 100), Ok(Stop::Halted));
     }

@@ -16,7 +16,7 @@ use crate::seg::SegReg;
 
 /// A register name. The machine has eight general-purpose registers,
 /// mirroring IA32's `eax..edi`.
-pub type Reg = u8;
+pub(crate) type Reg = u8;
 
 /// Number of general-purpose registers.
 pub const NUM_REGS: usize = 8;

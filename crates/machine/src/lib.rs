@@ -40,4 +40,4 @@ pub use cpu::{Cpu, CpuError, Mode};
 pub use isa::{Flow, Instr, Program};
 pub use paging::{AddressSpace, Tlb, PAGE_SIZE};
 pub use seg::{Segment, SegmentKind, SegmentTable, Selector};
-pub use trap::{TrapKind, TrapVector};
+pub use trap::TrapVector;

@@ -18,7 +18,7 @@ use crate::cost::{CostModel, CycleCounter, Primitive};
 pub const PAGE_SIZE: u32 = 4096;
 
 /// Entries per page-table page (matches IA32: 1024 × 4-byte entries).
-pub const ENTRIES_PER_TABLE: u32 = 1024;
+pub(crate) const ENTRIES_PER_TABLE: u32 = 1024;
 
 /// Protection bits on a mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,9 +30,9 @@ pub struct PageFlags {
 }
 
 /// A virtual page number.
-pub type Vpn = u32;
+pub(crate) type Vpn = u32;
 /// A physical frame number.
-pub type Pfn = u32;
+pub(crate) type Pfn = u32;
 
 /// Errors raised by the paging unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,17 +69,6 @@ impl AddressSpace {
         }
     }
 
-    /// Remove a mapping; returns whether one existed.
-    pub fn unmap(&mut self, vpn: Vpn) -> bool {
-        match self.maps.binary_search_by_key(&vpn, |e| e.0) {
-            Ok(i) => {
-                self.maps.remove(i);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
     /// Translate a page, checking protection.
     ///
     /// # Errors
@@ -96,12 +85,6 @@ impl AddressSpace {
             return Err(PageError::Supervisor(vpn));
         }
         Ok(pfn)
-    }
-
-    /// Number of live mappings.
-    #[must_use]
-    pub fn mapped_pages(&self) -> usize {
-        self.maps.len()
     }
 
     /// Bytes of mapping-structure overhead this address space consumes:
@@ -178,12 +161,6 @@ impl Tlb {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Number of currently cached translations.
-    #[must_use]
-    pub fn cached(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 #[cfg(test)]
@@ -195,16 +172,6 @@ mod tests {
     const RW_SUP: PageFlags = PageFlags { write: true, user: false };
 
     #[test]
-    fn map_translate_unmap() {
-        let mut a = AddressSpace::new();
-        a.map(5, 100, RW_USER);
-        assert_eq!(a.translate(5, true, true), Ok(100));
-        assert!(a.unmap(5));
-        assert_eq!(a.translate(5, false, true), Err(PageError::NotMapped(5)));
-        assert!(!a.unmap(5));
-    }
-
-    #[test]
     fn protection_bits_enforced() {
         let mut a = AddressSpace::new();
         a.map(1, 10, RO_USER);
@@ -212,6 +179,7 @@ mod tests {
         assert_eq!(a.translate(1, true, true), Err(PageError::ReadOnly(1)));
         assert_eq!(a.translate(2, false, true), Err(PageError::Supervisor(2)));
         assert_eq!(a.translate(2, true, false), Ok(20));
+        assert_eq!(a.translate(3, false, false), Err(PageError::NotMapped(3)));
     }
 
     #[test]
@@ -220,7 +188,6 @@ mod tests {
         a.map(1, 10, RO_USER);
         a.map(1, 11, RW_USER);
         assert_eq!(a.translate(1, true, true), Ok(11));
-        assert_eq!(a.mapped_pages(), 1);
     }
 
     #[test]
@@ -268,7 +235,6 @@ mod tests {
         tlb.touch(1, &mut c, &model);
         tlb.touch(2, &mut c, &model);
         tlb.touch(3, &mut c, &model); // evicts 1
-        assert_eq!(tlb.cached(), 2);
         tlb.touch(1, &mut c, &model); // miss again
         assert_eq!(tlb.misses(), 4);
     }

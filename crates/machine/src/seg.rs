@@ -152,7 +152,7 @@ impl SegmentTable {
     ///
     /// # Errors
     /// [`SegError::BadSelector`] if the slot is not live.
-    pub fn lookup(&self, sel: Selector) -> Result<Segment, SegError> {
+    pub(crate) fn lookup(&self, sel: Selector) -> Result<Segment, SegError> {
         self.slots.get(usize::from(sel.0)).and_then(|s| *s).ok_or(SegError::BadSelector(sel))
     }
 

@@ -8,21 +8,6 @@
 
 use crate::cost::{CostModel, CycleCounter, Primitive};
 
-/// The cause of a trap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TrapKind {
-    /// A software trap (`Trap(n)` instruction) — a system call.
-    Syscall(u8),
-    /// A privileged instruction executed in user mode.
-    PrivilegeViolation,
-    /// A segmentation limit or kind violation.
-    SegmentFault,
-    /// A page-protection violation.
-    PageFault,
-    /// A hardware device interrupt.
-    Interrupt(u8),
-}
-
 /// A trap vector: maps syscall/interrupt numbers to handler identifiers,
 /// and charges the hardware's entry/exit costs.
 #[derive(Debug, Clone, Default)]
@@ -61,12 +46,6 @@ impl TrapVector {
     pub fn charge_exit(counter: &mut CycleCounter, model: &CostModel) {
         counter.charge(Primitive::TrapExit, model);
     }
-
-    /// Charge a full round trip (enter + exit).
-    pub fn charge_round_trip(counter: &mut CycleCounter, model: &CostModel) {
-        Self::charge_enter(counter, model);
-        Self::charge_exit(counter, model);
-    }
 }
 
 #[cfg(test)]
@@ -89,13 +68,5 @@ mod tests {
         v.install(1, "a");
         v.install(1, "b");
         assert_eq!(v.handler(1), Some("b"));
-    }
-
-    #[test]
-    fn round_trip_costs_enter_plus_exit() {
-        let m = CostModel::pentium();
-        let mut c = CycleCounter::new();
-        TrapVector::charge_round_trip(&mut c, &m);
-        assert_eq!(c.total(), m.trap_enter + m.trap_exit);
     }
 }

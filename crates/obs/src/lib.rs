@@ -54,11 +54,13 @@ pub mod query;
 pub mod span;
 
 pub use machine::cost::{CostModel, Cycles, Primitive};
-pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
-pub use profile::{Profile, ProfileNode};
-pub use query::{Query, Violation};
-pub use span::{EventKind, SpanId, TraceEvent, Tracer};
+pub use metrics::MetricsSnapshot;
+pub use profile::Profile;
+pub use query::Query;
+pub use span::{EventKind, SpanId, TraceEvent};
 
+use metrics::MetricsRegistry;
+use span::Tracer;
 use std::cell::RefCell;
 use std::rc::Rc;
 

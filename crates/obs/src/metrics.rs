@@ -64,7 +64,7 @@ impl Histogram {
     /// commutative — which is what lets the event engine's batched
     /// completions keep metrics digests byte-identical to the per-request
     /// loop.
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }

@@ -20,7 +20,7 @@
 //!
 //! Span names that end in a numeric instance suffix (`tick:17`,
 //! `verify:svc:3`) are canonicalised by stripping the trailing `:<digits>`
-//! ([`frame_of`]), so the 400 per-tick spans of a Patia run aggregate into
+//! (`frame_of`), so the 400 per-tick spans of a Patia run aggregate into
 //! one `patia:tick` frame instead of 400 singleton stacks.
 
 use crate::metrics::MetricsRegistry;
@@ -33,7 +33,7 @@ use std::fmt::Write as _;
 /// instance suffix stripped from the name (`patia` + `tick:17` →
 /// `patia:tick`). Names that are *only* digits are kept as-is.
 #[must_use]
-pub fn frame_of(cat: &str, name: &str) -> String {
+pub(crate) fn frame_of(cat: &str, name: &str) -> String {
     let canonical = match name.rfind(':') {
         Some(i)
             if i > 0 && name[i + 1..].chars().all(|c| c.is_ascii_digit()) && i + 1 < name.len() =>
@@ -49,7 +49,7 @@ pub fn frame_of(cat: &str, name: &str) -> String {
 /// this frame *and* this path from a root.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileNode {
-    /// The aggregation key ([`frame_of`]).
+    /// The aggregation key (`frame_of`).
     pub frame: String,
     /// Span instances merged into this node.
     pub count: u64,
@@ -192,9 +192,9 @@ impl Profile {
         walk(&self.roots) + self.idle
     }
 
-    /// Self-cycle totals per category (the `cat` of [`frame_of`]'s
+    /// Self-cycle totals per category (the `cat` of `frame_of`'s
     /// `cat:name` key) — the per-layer attribution the bench snapshot pins.
-    /// Idle cycles are reported under [`IDLE_FRAME`].
+    /// Idle cycles are reported under `IDLE_FRAME`.
     #[must_use]
     pub fn per_category(&self) -> BTreeMap<String, Cycles> {
         fn walk(nodes: &[ProfileNode], out: &mut BTreeMap<String, Cycles>) {
@@ -215,7 +215,7 @@ impl Profile {
     /// Render inferno-compatible folded stacks: one line per node with
     /// non-zero self time, `frame;frame;...frame self-cycles`, in stable
     /// depth-first frame order. The idle remainder (if any) is one
-    /// [`IDLE_FRAME`] line, so the lines' summed counts equal the clock.
+    /// `IDLE_FRAME` line, so the lines' summed counts equal the clock.
     #[must_use]
     pub fn folded(&self) -> String {
         fn walk(nodes: &[ProfileNode], path: &mut String, out: &mut String) {
@@ -256,7 +256,7 @@ impl Profile {
 
 /// The pseudo-frame idle cycles are attributed to in [`Profile::folded`]
 /// and [`Profile::per_category`].
-pub const IDLE_FRAME: &str = "(idle)";
+pub(crate) const IDLE_FRAME: &str = "(idle)";
 
 #[cfg(test)]
 mod tests {

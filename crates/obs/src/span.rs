@@ -12,7 +12,7 @@ use crate::Cycles;
 use std::fmt::Write as _;
 
 /// Handle to an open span, returned by [`Tracer::begin_at`] and consumed
-/// by [`Tracer::end_at`]. Not `Copy`: a span ends exactly once.
+/// by `Tracer::end_at`. Not `Copy`: a span ends exactly once.
 #[derive(Debug, PartialEq, Eq)]
 pub struct SpanId(pub(crate) usize);
 
@@ -117,7 +117,7 @@ impl Tracer {
     }
 
     /// Close a span at `ts` with no arguments.
-    pub fn end_at(&mut self, span: SpanId, ts: Cycles) {
+    pub(crate) fn end_at(&mut self, span: SpanId, ts: Cycles) {
         self.end_at_with(span, ts, Vec::new());
     }
 

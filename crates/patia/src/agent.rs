@@ -21,7 +21,7 @@
 //! pinned while entry counts are not.
 //!
 //! The queue's totals are running counters rather than sums: every method
-//! that changes the queue keeps [`ServiceAgent::queued_work`] and
+//! that changes the queue keeps `ServiceAgent::queued_work` and
 //! [`ServiceAgent::queued_requests`] equal to the sum over
 //! [`ServiceAgent::queue`], so both read in O(1) however long the queue.
 
@@ -160,7 +160,7 @@ impl ServiceAgent {
     /// Work units currently queued (the demand this agent places on its
     /// node), including every request behind each batch head. O(1).
     #[must_use]
-    pub fn queued_work(&self) -> u64 {
+    pub(crate) fn queued_work(&self) -> u64 {
         self.queued_work
     }
 
@@ -181,7 +181,7 @@ impl ServiceAgent {
     /// the Spread split. Whole batch entries move when they fit; a batch
     /// straddling the cut is split, with the untouched tail requests
     /// moving and the (possibly part-served) head staying put.
-    pub fn split_back(&mut self, mut want: u64) -> VecDeque<InFlight> {
+    pub(crate) fn split_back(&mut self, mut want: u64) -> VecDeque<InFlight> {
         let mut moved = VecDeque::new();
         while want > 0 {
             let Some(mut back) = self.queue.pop_back() else { break };
@@ -211,7 +211,7 @@ impl ServiceAgent {
 
     /// Append `entries` (a [`ServiceAgent::split_back`] result) to the
     /// back of the queue — the receiving half of a Spread.
-    pub fn adopt(&mut self, entries: VecDeque<InFlight>) {
+    pub(crate) fn adopt(&mut self, entries: VecDeque<InFlight>) {
         for e in &entries {
             self.queued_work += e.work();
             self.queued_requests += e.count;
@@ -222,7 +222,7 @@ impl ServiceAgent {
     /// SWITCH: migrate to `dest`, carrying queue (processing state) and
     /// counters (data state). Returns the serialised state size in bytes —
     /// what the Adaptivity Manager must ship across the network.
-    pub fn migrate(&mut self, dest: &str) -> u64 {
+    pub(crate) fn migrate(&mut self, dest: &str) -> u64 {
         let state_bytes = 64 + self.queued_requests() * 24;
         self.node = dest.to_owned();
         self.migrations += 1;

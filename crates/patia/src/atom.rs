@@ -2,7 +2,7 @@
 //!
 //! Atoms are no longer in-memory-only: [`Atom::encode`]/[`Atom::decode`]
 //! give each atom a deterministic byte form, and
-//! [`AtomStore::persist_into`]/[`AtomStore::load_from`] move the whole
+//! `AtomStore::persist_into`/[`AtomStore::load_from`] move the whole
 //! store through the cycle-billed [`store::StorageEngine`] — one record
 //! per atom, keyed by `a_id`, written as one committed WAL transaction.
 //! A crash below the adaptation journal now recovers atom metadata via
@@ -78,7 +78,13 @@ impl Atom {
 
     /// Register a lower-quality rendition (e.g. `videohalf` at 0.5 quality
     /// and half the bytes) on `node`.
-    pub fn add_rendition(&mut self, version_id: u32, node: &str, quality: f64, size_bytes: u64) {
+    pub(crate) fn add_rendition(
+        &mut self,
+        version_id: u32,
+        node: &str,
+        quality: f64,
+        size_bytes: u64,
+    ) {
         self.versions.add(Version {
             id: version_id,
             location: node.to_owned(),
@@ -223,7 +229,7 @@ impl AtomType {
 
     /// Inverse of [`AtomType::code`].
     #[must_use]
-    pub fn from_code(code: u8) -> Option<Self> {
+    pub(crate) fn from_code(code: u8) -> Option<Self> {
         Some(match code {
             0 => AtomType::Html,
             1 => AtomType::Graphic,
@@ -329,7 +335,7 @@ impl AtomStore {
     /// # Errors
     /// [`store::StoreError`] — a crashed engine or an atom whose encoded
     /// form exceeds one page.
-    pub fn persist_into(
+    pub(crate) fn persist_into(
         &self,
         engine: &mut store::StorageEngine,
     ) -> Result<store::TxnSummary, store::StoreError> {

@@ -7,12 +7,12 @@
 //! [`FlowSpec`] cohorts), node kills/revivals, and wake-ups are all
 //! events on the wheel; ticks with no due events are *skipped* — but only
 //! when the server is provably quiescent
-//! ([`PatiaServer::is_quiescent`]). After any "hot" tick (arrivals,
+//! (`PatiaServer::is_quiescent`). After any "hot" tick (arrivals,
 //! completions, switches, or non-zero recorded utilisation) the engine
 //! schedules a wake-up for the next tick, so the last processed tick
 //! before a skip always recorded all-zero utilisation — which is what
 //! makes the gauge re-sample at the next event boundary
-//! ([`PatiaServer::resample_gauges`]) carry forward exactly the values
+//! (`PatiaServer::resample_gauges`) carry forward exactly the values
 //! a per-tick driver would have recorded.
 
 use crate::atom::AtomId;

@@ -53,11 +53,11 @@ pub mod workload;
 pub use agent::ServiceAgent;
 pub use atom::{Atom, AtomId, AtomStore, AtomType};
 pub use constraint::{paper_table2, AtomConstraint, ConstraintLogic};
-pub use engine::{EngineEvent, EngineTotals, EventEngine};
-pub use rules::{blocked_peers, supervision_schema, supervision_table, RuleStats};
-pub use server::{FaultCounters, PatiaServer, ServerConfig, SwitchGate, TickStats};
+pub use engine::{EngineTotals, EventEngine};
+pub use rules::{blocked_peers, supervision_table, RuleStats};
+pub use server::{PatiaServer, ServerConfig, SwitchGate, TickStats};
 pub use shard::{cross_shard_plans, shard_of, ShardHandle};
-pub use stream::{StreamCodec, StreamSession};
-pub use supervise::{CircuitState, PeerSnapshot, SuperviseConfig, SupervisionEvent, Supervisor};
+pub use stream::StreamSession;
+pub use supervise::{SuperviseConfig, Supervisor};
 pub use wheel::{TimerToken, TimerWheel};
-pub use workload::{FlashCrowd, FlowBurst, FlowSet, FlowSpec, FlowState, RequestGen};
+pub use workload::{FlashCrowd, FlowBurst, FlowSpec, FlowState, RequestGen};

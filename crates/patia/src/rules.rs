@@ -1,5 +1,5 @@
 //! The circuit-breaker screen as a declarative rule over supervision
-//! state: the table form of [`Supervisor::is_open`].
+//! state: the table form of `Supervisor::is_open`.
 //!
 //! Every BEST candidate list the server builds passes one screen:
 //! `!supervisor.is_open(peer)`, compiled in. This module states the same
@@ -14,7 +14,7 @@
 //! with the `query` crate's own operators (scan → filter → project).
 //! Peers the supervisor never watched have no row and therefore stay
 //! admissible — exactly the `Closed`-for-unknown semantics of
-//! [`Supervisor::circuit`]. A property test pins the rule to `is_open`
+//! `Supervisor::circuit`. A property test pins the rule to `is_open`
 //! after every heartbeat round.
 //!
 //! The server does not evaluate the rule: it rebuilds and scans the whole
@@ -36,9 +36,9 @@ use query::WorkCounter;
 use std::collections::BTreeSet;
 
 /// Column index of `peer` in [`supervision_schema`].
-pub const COL_PEER: usize = 0;
+pub(crate) const COL_PEER: usize = 0;
 /// Column index of `circuit_code` in [`supervision_schema`].
-pub const COL_CIRCUIT_CODE: usize = 5;
+pub(crate) const COL_CIRCUIT_CODE: usize = 5;
 
 /// The `sys.supervision` schema: one row per watched peer.
 ///
@@ -51,7 +51,7 @@ pub const COL_CIRCUIT_CODE: usize = 5;
 /// # Panics
 /// Never: the column list is statically well-formed.
 #[must_use]
-pub fn supervision_schema() -> Schema {
+pub(crate) fn supervision_schema() -> Schema {
     Schema::new(&[
         ("peer", ColumnType::Str),
         ("missed", ColumnType::Int),
@@ -65,7 +65,7 @@ pub fn supervision_schema() -> Schema {
     .expect("supervision schema is statically valid")
 }
 
-/// Freeze a supervisor into a [`supervision_schema`] table, rows in
+/// Freeze a supervisor into a `supervision_schema` table, rows in
 /// peer-name order (the supervisor's own deterministic iteration
 /// order). Unknown peers have no row: absence means admissible.
 ///

@@ -242,14 +242,6 @@ pub struct TickStats {
     pub faults: FaultCounters,
 }
 
-impl TickStats {
-    /// The p-th latency percentile of this tick's completions.
-    #[must_use]
-    pub fn latency_percentile(&self, p: f64) -> Option<u64> {
-        self.latencies.percentile(p)
-    }
-}
-
 /// An injection point for SWITCH failures: consulted just before an agent
 /// migration or spread would be carried out. Returning `Some(reason)`
 /// denies the switch; the server counts the failure, backs off
@@ -490,12 +482,6 @@ impl PatiaServer {
         self.storage.as_ref()
     }
 
-    /// Mutable access to the attached storage engine (crash/recovery
-    /// harnesses drive it from here).
-    pub fn storage_mut(&mut self) -> Option<&mut store::StorageEngine> {
-        self.storage.as_mut()
-    }
-
     /// The fleet supervisor — failure-detector verdicts and circuit
     /// states, as seen after the latest tick's heartbeat round.
     #[must_use]
@@ -537,11 +523,6 @@ impl PatiaServer {
     /// Arm a SWITCH-failure injector. Replaces any previous gate.
     pub fn arm_switch_gate(&mut self, gate: Box<dyn SwitchGate>) {
         self.gate = Some(gate);
-    }
-
-    /// Remove the SWITCH-failure injector; switches proceed normally again.
-    pub fn disarm_switch_gate(&mut self) {
-        self.gate = None;
     }
 
     /// Kill a node: it serves nothing until revived, and agents stranded on
@@ -662,7 +643,7 @@ impl PatiaServer {
     /// event engine to skip ticks — every skipped tick would have recorded
     /// all-zero utilisation and changed no state.
     #[must_use]
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         self.queued_requests() == 0
             && self.retry.is_empty()
             && self.pressure.is_empty()
@@ -675,7 +656,7 @@ impl PatiaServer {
     /// tick that follows a skipped-quiescent gap, so windowed gauges
     /// (means, slopes) see the same per-tick series [`PatiaServer::tick`]
     /// would have recorded.
-    pub fn resample_gauges(&mut self, upto: u64) {
+    pub(crate) fn resample_gauges(&mut self, upto: u64) {
         self.board.resample(upto);
     }
 
@@ -683,7 +664,7 @@ impl PatiaServer {
     /// after a failure, or one of its agents sits on a dead node. Degraded
     /// atoms serve their smallest version rather than drop requests.
     #[must_use]
-    pub fn is_degraded(&self, atom: AtomId) -> bool {
+    pub(crate) fn is_degraded(&self, atom: AtomId) -> bool {
         self.retry.contains_key(&atom)
             || self.agents.get(&atom).is_some_and(|v| {
                 v.iter().any(|a| self.net.device(&a.node).is_none_or(|d| !d.alive))
@@ -1278,7 +1259,7 @@ mod tests {
             let reqs = gen.tick(t);
             let st = s.tick(&reqs, 500.0);
             total_migrations += st.migrations.len();
-            if let Some(p99) = st.latency_percentile(0.99) {
+            if let Some(p99) = st.latencies.percentile(0.99) {
                 assert!(p99 <= 2, "tick {t}: p99 {p99} too high under light load");
             }
         }
@@ -1393,7 +1374,7 @@ mod tests {
             for p in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
                 let want = (!expanded.is_empty())
                     .then(|| expanded[((expanded.len() - 1) as f64 * p).round() as usize]);
-                assert_eq!(stats.latency_percentile(p), want, "p={p} of {expanded:?}");
+                assert_eq!(stats.latencies.percentile(p), want, "p={p} of {expanded:?}");
             }
         });
     }

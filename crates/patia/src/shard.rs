@@ -73,7 +73,7 @@ impl ShardHandle {
 
     /// Whether `node`'s glue instances live in this shard.
     #[must_use]
-    pub fn owns(&self, node: &str) -> bool {
+    pub(crate) fn owns(&self, node: &str) -> bool {
         self.nodes.iter().any(|n| n == node)
     }
 }

@@ -124,12 +124,6 @@ impl StreamSession {
         self.stalls
     }
 
-    /// Bytes delivered so far.
-    #[must_use]
-    pub fn delivered_bytes(&self) -> f64 {
-        self.delivered_bytes
-    }
-
     /// Mean quality of the media seconds delivered so far.
     #[must_use]
     pub fn mean_quality(&self) -> f64 {
@@ -269,7 +263,7 @@ mod tests {
         assert!(adaptive.stalls() < 10);
         // The trade: adaptive sacrifices quality, never delivery.
         assert!(adaptive.mean_quality() < fixed.mean_quality());
-        assert!(adaptive.delivered_bytes() < fixed.delivered_bytes());
+        assert!(adaptive.delivered_bytes < fixed.delivered_bytes);
     }
 
     #[test]

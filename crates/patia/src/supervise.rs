@@ -73,7 +73,7 @@ impl CircuitState {
     /// Stable machine-readable symbolic code (`CLOSED` / `OPEN` /
     /// `HALF_OPEN`), pinned alongside [`code`](Self::code).
     #[must_use]
-    pub fn code_str(self) -> &'static str {
+    pub(crate) fn code_str(self) -> &'static str {
         match self {
             Self::Closed => "CLOSED",
             Self::Open => "OPEN",
@@ -226,8 +226,8 @@ impl Supervisor {
     /// the component holding the most watched peers — ties broken by name
     /// order: a deterministic stand-in for "the healthiest observer".
     /// `None` when the whole fleet is dead.
-    #[must_use]
-    pub fn vantage(&self, net: &Network) -> Option<String> {
+    #[cfg(test)]
+    fn vantage(&self, net: &Network) -> Option<String> {
         let (labels, vantage) = self.survey(net);
         let first = labels.iter().position(|&label| label.is_some() && label == vantage)?;
         self.peers.keys().nth(first).cloned()
@@ -318,27 +318,27 @@ impl Supervisor {
     /// Whether a peer's circuit is fully open (half-open peers are on
     /// probation and *do* receive trial traffic).
     #[must_use]
-    pub fn is_open(&self, peer: &str) -> bool {
+    pub(crate) fn is_open(&self, peer: &str) -> bool {
         self.peers.get(peer).is_some_and(|h| h.circuit == CircuitState::Open)
     }
 
     /// A peer's circuit state (`Closed` for unknown peers: the
     /// supervisor has no grounds to block a node it never watched).
-    #[must_use]
-    pub fn circuit(&self, peer: &str) -> CircuitState {
+    #[cfg(test)]
+    pub(crate) fn circuit(&self, peer: &str) -> CircuitState {
         self.peers.get(peer).map(|h| h.circuit).unwrap_or_default()
     }
 
     /// Whether the detector currently suspects a peer.
-    #[must_use]
-    pub fn suspected(&self, peer: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn suspected(&self, peer: &str) -> bool {
         self.peers.get(peer).is_some_and(|h| h.suspected)
     }
 
     /// Freeze every watched peer's detector state, in peer-name order —
     /// the deterministic row source for `sys.supervision`. Unknown peers
-    /// have no row, mirroring [`circuit`](Self::circuit) returning
-    /// `Closed` for them: absence means "no grounds to block".
+    /// have no row: absence means "no grounds to block", as an unknown
+    /// peer's circuit reads `Closed`.
     #[must_use]
     pub fn peers(&self) -> Vec<PeerSnapshot> {
         self.peers
@@ -360,7 +360,7 @@ impl Supervisor {
     /// heartbeat round over a healthy fleet is a no-op, which is one of
     /// the conditions licensing the event engine to skip ticks.
     #[must_use]
-    pub fn all_clear(&self) -> bool {
+    pub(crate) fn all_clear(&self) -> bool {
         self.peers
             .values()
             .all(|h| !h.suspected && h.circuit == CircuitState::Closed && h.missed == 0)
@@ -373,14 +373,14 @@ impl Supervisor {
     }
 
     /// Total revivals observed since boot (saturating).
-    #[must_use]
-    pub fn revivals(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn revivals(&self) -> u64 {
         self.revivals
     }
 
     /// Total circuit openings since boot (saturating).
-    #[must_use]
-    pub fn opens(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn opens(&self) -> u64 {
         self.opens
     }
 

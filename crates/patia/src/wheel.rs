@@ -83,7 +83,7 @@ impl<T> TimerWheel<T> {
     /// The earliest live deadline, if any — may be at or before the
     /// current clock when overdue events are waiting.
     #[must_use]
-    pub fn next_deadline(&self) -> Option<u64> {
+    pub(crate) fn next_deadline(&self) -> Option<u64> {
         self.pending.first_key_value().map(|(k, _)| k.deadline)
     }
 

@@ -152,7 +152,7 @@ impl FlowSpec {
     /// `[start, end)`, linearly ramped over the first `ramp` ticks,
     /// multiplied inside the burst window.
     #[must_use]
-    pub fn rate_at(&self, tick: u64) -> f64 {
+    pub(crate) fn rate_at(&self, tick: u64) -> f64 {
         if tick < self.start || tick >= self.end {
             return 0.0;
         }
@@ -203,7 +203,7 @@ impl FlowState {
 
     /// Whether the flow can still emit at or after `tick`.
     #[must_use]
-    pub fn active_at(&self, tick: u64) -> bool {
+    pub(crate) fn active_at(&self, tick: u64) -> bool {
         tick < self.spec.end
     }
 
@@ -224,63 +224,6 @@ impl FlowState {
     pub fn emit_requests(&mut self, tick: u64) -> Vec<AtomId> {
         let n = self.emit(tick);
         vec![self.spec.atom; usize::try_from(n).unwrap_or(usize::MAX)]
-    }
-}
-
-/// A set of flows expanded in lockstep — the workload side of the event
-/// engine's mega-crowd scenario.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FlowSet {
-    flows: Vec<FlowState>,
-}
-
-impl FlowSet {
-    /// An empty set.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a flow.
-    pub fn add(&mut self, spec: FlowSpec) {
-        self.flows.push(FlowState::new(spec));
-    }
-
-    /// The flows.
-    #[must_use]
-    pub fn flows(&self) -> &[FlowState] {
-        &self.flows
-    }
-
-    /// The earliest tick any flow starts, if the set is non-empty.
-    #[must_use]
-    pub fn first_start(&self) -> Option<u64> {
-        self.flows.iter().map(|f| f.spec.start).min()
-    }
-
-    /// The tick after which no flow emits.
-    #[must_use]
-    pub fn last_end(&self) -> Option<u64> {
-        self.flows.iter().map(|f| f.spec.end).max()
-    }
-
-    /// Every flow's batch for `tick`, in insertion order, zero-count
-    /// batches omitted.
-    pub fn emit(&mut self, tick: u64) -> Vec<(AtomId, u64)> {
-        let mut out = Vec::new();
-        for f in &mut self.flows {
-            let n = f.emit(tick);
-            if n > 0 {
-                out.push((f.spec.atom, n));
-            }
-        }
-        out
-    }
-
-    /// Total requests the whole set will emit over its lifetime.
-    #[must_use]
-    pub fn total_requests(&self) -> u64 {
-        self.flows.iter().map(|f| f.spec.total_requests()).sum()
     }
 }
 
@@ -365,19 +308,6 @@ mod tests {
         assert_eq!(spec.rate_at(52), 30.0, "burst triples the rate");
         assert_eq!(spec.rate_at(55), 10.0, "burst window is half-open");
         assert_eq!(spec.rate_at(100), 0.0, "flow end is exclusive");
-    }
-
-    #[test]
-    fn flow_set_emits_batches_in_insertion_order() {
-        let mut set = FlowSet::new();
-        set.add(FlowSpec { atom: AtomId(1), start: 0, end: 5, rate: 2.0, ramp: 0, burst: None });
-        set.add(FlowSpec { atom: AtomId(2), start: 3, end: 8, rate: 1.0, ramp: 0, burst: None });
-        assert_eq!(set.emit(0), vec![(AtomId(1), 2)]);
-        assert_eq!(set.emit(3), vec![(AtomId(1), 2), (AtomId(2), 1)]);
-        assert_eq!(set.emit(6), vec![(AtomId(2), 1)], "finished flows emit nothing");
-        assert_eq!(set.first_start(), Some(0));
-        assert_eq!(set.last_end(), Some(8));
-        assert_eq!(set.total_requests(), 2 * 5 + 5);
     }
 
     #[test]

@@ -41,7 +41,7 @@ impl EddyPred {
     /// Observed drop rate with optimistic prior (unseen predicates look
     /// 50/50 so they get tried early).
     #[must_use]
-    pub fn drop_rate(&self) -> f64 {
+    pub(crate) fn drop_rate(&self) -> f64 {
         (self.dropped as f64 + 1.0) / (self.seen as f64 + 2.0)
     }
 
@@ -77,21 +77,6 @@ impl Eddy {
     #[must_use]
     pub fn pool(&self) -> &[EddyPred] {
         &self.pool
-    }
-
-    /// The indices of pool predicates in the order the eddy would route a
-    /// fresh tuple right now.
-    #[must_use]
-    pub fn routing_order(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.pool.len()).collect();
-        idx.sort_by(|&a, &b| self.pool[b].rank().total_cmp(&self.pool[a].rank()).then(a.cmp(&b)));
-        idx
-    }
-
-    /// Total work units spent on predicate evaluation.
-    #[must_use]
-    pub fn eval_work(&self) -> u64 {
-        self.pool.iter().map(|p| p.seen * p.cost).sum()
     }
 }
 
@@ -151,6 +136,14 @@ mod tests {
         t
     }
 
+    /// The predicate a fresh tuple would be routed to first.
+    fn leader(eddy: &Eddy) -> usize {
+        let pool = eddy.pool();
+        (0..pool.len())
+            .max_by(|&a, &b| pool[a].rank().total_cmp(&pool[b].rank()).then(b.cmp(&a)))
+            .unwrap()
+    }
+
     fn uniform(n: i64) -> Table {
         table(&(0..n).map(|i| (i % 100, (i * 7) % 100)).collect::<Vec<_>>())
     }
@@ -194,7 +187,7 @@ mod tests {
             evals[0],
             evals[1]
         );
-        assert_eq!(eddy.routing_order(), vec![1, 0]);
+        assert_eq!(leader(&eddy), 1);
     }
 
     #[test]
@@ -218,10 +211,10 @@ mod tests {
         for _ in 0..100 {
             assert!(matches!(eddy.poll(), Poll::Ready(_)));
         }
-        assert_eq!(eddy.routing_order()[0], 0, "phase 1: pred A leads (it drops 90%)");
+        assert_eq!(leader(&eddy), 0, "phase 1: pred A leads (it drops 90%)");
         let rest = drain(&mut eddy, 0);
         assert_eq!(rest.len(), 100, "phase 2 passes its 10%");
-        assert_eq!(eddy.routing_order()[0], 1, "after the drift, pred B must have taken the lead");
+        assert_eq!(leader(&eddy), 1, "after the drift, pred B must have taken the lead");
     }
 
     #[test]
@@ -236,7 +229,7 @@ mod tests {
             w,
         );
         let _ = drain(&mut eddy, 0);
-        assert_eq!(eddy.routing_order()[0], 1);
+        assert_eq!(leader(&eddy), 1);
         let evals: Vec<u64> = eddy.pool().iter().map(EddyPred::evaluations).collect();
         assert!(evals[1] > evals[0]);
     }
@@ -265,7 +258,7 @@ mod tests {
             w,
         );
         let _ = drain(&mut eddy, 0);
-        let eddy_cost = eddy.eval_work();
+        let eddy_cost: u64 = eddy.pool().iter().map(|p| p.evaluations() * p.cost).sum();
         assert!(
             (eddy_cost as f64) < fixed_cost as f64 * 0.65,
             "eddy {eddy_cost} vs fixed {fixed_cost}"

@@ -62,8 +62,8 @@ impl SymmetricHashJoin {
     }
 
     /// Tuples currently held in memory (both hash tables).
-    #[must_use]
-    pub fn buffered(&self) -> usize {
+    #[cfg(test)]
+    fn buffered(&self) -> usize {
         self.left_table.values().map(Vec::len).sum::<usize>()
             + self.right_table.values().map(Vec::len).sum::<usize>()
     }

@@ -329,57 +329,6 @@ impl Operator for HashJoin {
     }
 }
 
-/// Sort: drains the child and emits in key order (ascending).
-#[derive(Debug)]
-pub struct Sort {
-    child: Box<dyn Operator>,
-    keys: Vec<usize>,
-    buffered: Vec<Row>,
-    drained: bool,
-    emit: usize,
-    work: WorkCounter,
-}
-
-impl Sort {
-    /// Sort `child` by `keys`.
-    #[must_use]
-    pub fn new(child: Box<dyn Operator>, keys: Vec<usize>, work: WorkCounter) -> Self {
-        Self { child, keys, buffered: Vec::new(), drained: false, emit: 0, work }
-    }
-}
-
-impl Operator for Sort {
-    fn schema(&self) -> &Schema {
-        self.child.schema()
-    }
-
-    fn poll(&mut self) -> Poll {
-        while !self.drained {
-            match self.child.poll() {
-                Poll::Ready(r) => {
-                    self.work.moved(1);
-                    self.buffered.push(r);
-                }
-                Poll::Pending => return Poll::Pending,
-                Poll::Done => {
-                    self.drained = true;
-                    let keys = self.keys.clone();
-                    let n = self.buffered.len() as u64;
-                    self.work.compare(n.saturating_mul(n.max(1).ilog2().into()));
-                    self.buffered.sort_by_key(|a| key_of(a, &keys));
-                }
-            }
-        }
-        if self.emit < self.buffered.len() {
-            let r = self.buffered[self.emit].clone();
-            self.emit += 1;
-            Poll::Ready(r)
-        } else {
-            Poll::Done
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,15 +453,6 @@ mod tests {
         });
         assert_eq!(nl, hj);
         assert_eq!(nl, ij);
-    }
-
-    #[test]
-    fn sort_orders_rows() {
-        let w = WorkCounter::new();
-        let mut s = Sort::new(scan(orders(), &w), vec![1, 0], w.clone());
-        let rows = drain(&mut s, 0);
-        let custs: Vec<i64> = rows.iter().map(|r| r[1].as_i64().unwrap()).collect();
-        assert_eq!(custs, vec![10, 10, 20, 30]);
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //!   ([`op::Poll`]) so sources can stall the way wide-area sources do, plus
 //!   a shared work counter every operator charges;
 //! * [`source`] — table scans and delayed/bursty sources;
-//! * [`store_scan`] — scans over records persisted in the `store` engine,
+//! * [`StoreScan`] — scans over records persisted in the `store` engine,
 //!   pulling tuples through its buffer pool (page faults surface as
 //!   `unspill` work);
 //! * [`basic`] — filter, project, block nested-loop join (inner/outer
-//!   swappable), index nested-loop, classic build-probe hash join, sort;
+//!   swappable), index nested-loop, classic build-probe hash join;
 //! * [`adaptive`] — the adaptive operators:
 //!   [`adaptive::shj`] symmetric pipelined hash join,
 //!   [`adaptive::ripple`] block ripple join with online aggregation,
@@ -25,12 +25,8 @@
 //!   reactive stage that works during source stalls,
 //!   [`adaptive::eddy`] an eddy routing tuples through predicates with
 //!   lottery scheduling;
-//! * [`agg`] — grouped aggregation and the anytime [`agg::OnlineAggregate`]
-//!   (the §2 online-aggregation thread);
 //! * [`optimizer`] — a cost-based pre-optimiser over (possibly stale)
 //!   statistics;
-//! * [`multiway`] — left-deep join-order planning by dynamic programming
-//!   (Scenario 3's "heavy join processing" at chain scale);
 //! * [`exec`] — execution with safe points and mid-query re-optimisation
 //!   (Scenario 3's "change the join's inner-loop to the outer-loop or add
 //!   an index to one of the tables").
@@ -67,19 +63,17 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod agg;
 pub mod basic;
 pub mod exec;
 pub mod expr;
-pub mod multiway;
 pub mod op;
 pub mod optimizer;
 pub mod source;
-pub mod store_scan;
+pub(crate) mod store_scan;
 pub mod workload;
 
-pub use exec::{AdaptiveJoinExec, ExecReport};
+pub use exec::AdaptiveJoinExec;
 pub use expr::Pred;
 pub use op::{Operator, Poll, WorkCounter};
-pub use optimizer::{Catalog, JoinAlgo, JoinPlan, Optimizer};
-pub use store_scan::{decode_row, encode_row, persist_table, StoreScan};
+pub use optimizer::Catalog;
+pub use store_scan::{persist_table, StoreScan};

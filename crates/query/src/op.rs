@@ -88,7 +88,7 @@ impl WorkCounter {
     }
 
     /// Charge one hash-table insert.
-    pub fn hash_insert(&self) {
+    pub(crate) fn hash_insert(&self) {
         self.inner.borrow_mut().hash_inserts += 1;
     }
 
@@ -103,17 +103,17 @@ impl WorkCounter {
     }
 
     /// Charge `n` tuples spilled to disk.
-    pub fn spill(&self, n: u64) {
+    pub(crate) fn spill(&self, n: u64) {
         self.inner.borrow_mut().spills += n;
     }
 
     /// Charge `n` tuples read back from disk.
-    pub fn unspill(&self, n: u64) {
+    pub(crate) fn unspill(&self, n: u64) {
         self.inner.borrow_mut().unspills += n;
     }
 
     /// Charge one pending (stalled) poll.
-    pub fn stall(&self) {
+    pub(crate) fn stall(&self) {
         self.inner.borrow_mut().stalls += 1;
     }
 }

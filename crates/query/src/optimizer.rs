@@ -57,7 +57,7 @@ const HASH_SETUP: f64 = 200.0;
 
 /// Estimate the cost of an algorithm given believed cardinalities.
 #[must_use]
-pub fn algo_cost(algo: JoinAlgo, left_rows: f64, right_rows: f64) -> f64 {
+pub(crate) fn algo_cost(algo: JoinAlgo, left_rows: f64, right_rows: f64) -> f64 {
     match algo {
         // Block NL: every outer row compared against every inner row, plus
         // materialising the inner.
@@ -76,7 +76,7 @@ pub fn algo_cost(algo: JoinAlgo, left_rows: f64, right_rows: f64) -> f64 {
 }
 
 /// All candidate algorithms.
-pub const ALL_ALGOS: [JoinAlgo; 5] = [
+pub(crate) const ALL_ALGOS: [JoinAlgo; 5] = [
     JoinAlgo::NestedLoopInnerRight,
     JoinAlgo::NestedLoopInnerLeft,
     JoinAlgo::HashBuildLeft,
@@ -86,7 +86,7 @@ pub const ALL_ALGOS: [JoinAlgo; 5] = [
 
 /// A chosen plan.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JoinPlan {
+pub(crate) struct JoinPlan {
     /// The algorithm.
     pub algo: JoinAlgo,
     /// Estimated cost in work units.
@@ -99,12 +99,12 @@ pub struct JoinPlan {
 
 /// The optimiser.
 #[derive(Debug, Clone, Default)]
-pub struct Optimizer;
+pub(crate) struct Optimizer;
 
 impl Optimizer {
     /// Choose the cheapest algorithm under the given cardinality beliefs.
     #[must_use]
-    pub fn plan(left_rows: f64, right_rows: f64) -> JoinPlan {
+    pub(crate) fn plan(left_rows: f64, right_rows: f64) -> JoinPlan {
         let (algo, est_cost) = ALL_ALGOS
             .iter()
             .map(|&a| (a, algo_cost(a, left_rows, right_rows)))
@@ -116,7 +116,7 @@ impl Optimizer {
     /// Plan from table statistics (the pre-optimiser path: stats may be
     /// stale).
     #[must_use]
-    pub fn plan_from_stats(left: &TableStats, right: &TableStats) -> JoinPlan {
+    pub(crate) fn plan_from_stats(left: &TableStats, right: &TableStats) -> JoinPlan {
         Self::plan(left.rows as f64, right.rows as f64)
     }
 }

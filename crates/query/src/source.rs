@@ -30,12 +30,6 @@ impl TableScan {
     pub fn position(&self) -> usize {
         self.pos
     }
-
-    /// Restart the scan from a recorded position (resuming from a safe
-    /// point after a plan switch).
-    pub fn seek(&mut self, pos: usize) {
-        self.pos = pos.min(self.table.len());
-    }
 }
 
 impl Operator for TableScan {
@@ -64,14 +58,6 @@ pub struct ArrivalPattern {
     pub burst: u64,
     /// Polls of silence between bursts.
     pub gap: u64,
-}
-
-impl ArrivalPattern {
-    /// A local source: no delays.
-    #[must_use]
-    pub fn immediate() -> Self {
-        Self { initial_delay: 0, burst: u64::MAX, gap: 0 }
-    }
 }
 
 /// A scan over a remote table with a deterministic arrival pattern.
@@ -161,16 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn seek_rewinds_and_clamps() {
-        let mut s = TableScan::new(table(5), WorkCounter::new());
-        drain(&mut s, 0);
-        s.seek(2);
-        assert_eq!(drain(&mut s, 0).len(), 3);
-        s.seek(100);
-        assert_eq!(s.position(), 5);
-    }
-
-    #[test]
     fn delayed_scan_stalls_then_bursts() {
         let w = WorkCounter::new();
         let pat = ArrivalPattern { initial_delay: 3, burst: 2, gap: 2 };
@@ -190,7 +166,11 @@ mod tests {
 
     #[test]
     fn immediate_pattern_never_stalls() {
-        let mut s = DelayedScan::new(table(10), ArrivalPattern::immediate(), WorkCounter::new());
+        let mut s = DelayedScan::new(
+            table(10),
+            ArrivalPattern { initial_delay: 0, burst: u64::MAX, gap: 0 },
+            WorkCounter::new(),
+        );
         assert_eq!(drain(&mut s, 0).len(), 10);
     }
 }

@@ -22,7 +22,7 @@ use store::{StorageEngine, StoreError, StoreOp, TxnSummary};
 /// byte — 0 `Null`, 1 `Bool` (+1 byte), 2 `Int` (+8 bytes), 3 `Float`
 /// (+8 bytes, IEEE bits), 4 `Str` (+`u16` length + UTF-8 bytes).
 #[must_use]
-pub fn encode_row(row: &[Value]) -> Vec<u8> {
+pub(crate) fn encode_row(row: &[Value]) -> Vec<u8> {
     let mut out = Vec::with_capacity(2 + row.len() * 9);
     out.extend_from_slice(&(row.len() as u16).to_le_bytes());
     for v in row {
@@ -54,7 +54,7 @@ pub fn encode_row(row: &[Value]) -> Vec<u8> {
 /// malformed input: bad tag, truncated field, invalid UTF-8, or trailing
 /// garbage.
 #[must_use]
-pub fn decode_row(bytes: &[u8]) -> Option<Vec<Value>> {
+pub(crate) fn decode_row(bytes: &[u8]) -> Option<Vec<Value>> {
     let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
         let s = bytes.get(*pos..*pos + n)?;
         *pos += n;
@@ -144,12 +144,6 @@ impl StoreScan {
     #[must_use]
     pub fn position(&self) -> usize {
         self.pos
-    }
-
-    /// Restart from a recorded position (safe-point resume after a plan
-    /// switch, same contract as [`crate::source::TableScan::seek`]).
-    pub fn seek(&mut self, pos: usize) {
-        self.pos = pos.min(self.keys.len());
     }
 
     /// Pool statistics accumulated by this scan's engine.
@@ -262,22 +256,6 @@ mod tests {
         assert_eq!(rows, t.rows());
         let cold = w.snapshot().unspills;
         assert!(cold > 0, "cold scan over a tiny pool must fault pages in");
-        // Sequential access faults each page at most once per pass.
-        scan.seek(0);
-        drain(&mut scan, 0);
-        assert!(w.snapshot().unspills <= cold * 2);
-        assert_eq!(w.snapshot().tuples_moved, 128);
-    }
-
-    #[test]
-    fn seek_resumes_mid_scan_at_a_safe_point() {
-        let t = table(10);
-        let mut engine = StorageEngine::new(4);
-        persist_table(&t, 0, &mut engine).unwrap();
-        let mut scan = StoreScan::new(engine, 0, 9, schema(), WorkCounter::new()).unwrap();
-        drain(&mut scan, 0);
-        scan.seek(7);
-        let tail = drain(&mut scan, 0);
-        assert_eq!(tail, t.rows()[7..].to_vec());
+        assert_eq!(w.snapshot().tuples_moved, 64);
     }
 }

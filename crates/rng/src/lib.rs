@@ -16,7 +16,6 @@ pub struct Pcg32 {
 }
 
 const PCG_MULT: u64 = 6_364_136_223_846_793_005;
-const PCG_DEFAULT_STREAM: u64 = 1_442_695_040_888_963_407;
 
 /// One round of SplitMix64 — used to scramble user seeds into PCG state.
 #[must_use]
@@ -38,17 +37,6 @@ impl Pcg32 {
         let mut rng = Self { state: 0, inc: init_inc };
         rng.next_u32();
         rng.state = rng.state.wrapping_add(init_state);
-        rng.next_u32();
-        rng
-    }
-
-    /// A generator on the default stream — equivalent to `new(seed)` but
-    /// with the reference stream constant; useful for cross-checking vectors.
-    #[must_use]
-    pub fn new_default_stream(seed: u64) -> Self {
-        let mut rng = Self { state: 0, inc: PCG_DEFAULT_STREAM };
-        rng.next_u32();
-        rng.state = rng.state.wrapping_add(seed);
         rng.next_u32();
         rng
     }
@@ -167,19 +155,6 @@ mod tests {
         let zs: Vec<u32> = (0..64).map(|_| c.next_u32()).collect();
         assert_eq!(xs, ys);
         assert_ne!(xs, zs);
-    }
-
-    #[test]
-    fn default_stream_differs_from_scrambled_stream() {
-        // The two seeding paths must give distinct, internally-deterministic
-        // streams for the same seed.
-        let mut a = Pcg32::new_default_stream(42);
-        let mut b = Pcg32::new(42);
-        let xs: Vec<u32> = (0..16).map(|_| a.next_u32()).collect();
-        let ys: Vec<u32> = (0..16).map(|_| b.next_u32()).collect();
-        assert_ne!(xs, ys);
-        let mut a2 = Pcg32::new_default_stream(42);
-        assert_eq!(xs, (0..16).map(|_| a2.next_u32()).collect::<Vec<_>>());
     }
 
     #[test]

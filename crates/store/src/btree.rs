@@ -15,12 +15,12 @@
 use crate::page::RecordId;
 
 /// Maximum keys per node; a node splits when it would exceed this.
-pub const MAX_KEYS: usize = 8;
+pub(crate) const MAX_KEYS: usize = 8;
 
 /// Minimum keys per non-root node; fewer triggers borrow-or-merge.
 /// Chosen so a merge of two minimal nodes plus a separator still fits:
 /// `2 * MIN_KEYS + 1 <= MAX_KEYS`.
-pub const MIN_KEYS: usize = 3;
+pub(crate) const MIN_KEYS: usize = 3;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Node {
@@ -392,7 +392,7 @@ impl BTree {
 
     /// Every pair in key order.
     #[must_use]
-    pub fn iter_all(&self) -> Vec<(u64, RecordId)> {
+    pub(crate) fn iter_all(&self) -> Vec<(u64, RecordId)> {
         self.range(0, u64::MAX)
     }
 

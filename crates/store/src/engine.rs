@@ -127,7 +127,6 @@ pub struct StorageEngine {
     fill: Option<PageId>,
     down: bool,
     obs: Option<ObsHandle>,
-    last_recovery: Option<RecoveryStats>,
 }
 
 impl StorageEngine {
@@ -142,7 +141,6 @@ impl StorageEngine {
             fill: None,
             down: false,
             obs: None,
-            last_recovery: None,
         }
     }
 
@@ -200,12 +198,6 @@ impl StorageEngine {
     #[must_use]
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
-    }
-
-    /// Stats of the most recent recovery, if any.
-    #[must_use]
-    pub fn last_recovery(&self) -> Option<RecoveryStats> {
-        self.last_recovery
     }
 
     fn bill(&mut self, acc: Access) {
@@ -568,7 +560,6 @@ impl StorageEngine {
             self.phys_put(key, &value);
         }
         stats.pages_rebuilt = self.next_page as usize;
-        self.last_recovery = Some(stats);
         if let Some(h) = &self.obs {
             let mut o = h.borrow_mut();
             o.metrics.counter_add("store.wal.replay_len", stats.replayed as u64);

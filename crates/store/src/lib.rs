@@ -10,7 +10,7 @@
 //! * [`pool`] — a buffer pool under clock (second-chance) replacement;
 //! * [`wal`] — a redo/undo write-ahead log sharing compkit's crash-site
 //!   machinery, so one scripted-crash harness drives both journals;
-//! * [`btree`] — a B+tree index over atom keys with linked-leaf scans;
+//! * `btree` — a B+tree index over atom keys with linked-leaf scans;
 //! * [`engine`] — the façade tying them together, billing every page IO
 //!   and log force through the machine cost model and `obs` metrics
 //!   (`store.pool.hit`, `store.page.io_cycles`, `store.wal.replay_len`).
@@ -22,7 +22,7 @@
 //! seeds × crash-points conformance matrix in
 //! `tests/store_recovery_e2e.rs`.
 
-pub mod btree;
+pub(crate) mod btree;
 pub mod engine;
 pub mod page;
 pub mod pool;
@@ -30,8 +30,8 @@ pub mod wal;
 
 pub use btree::BTree;
 pub use engine::{RecoveryStats, StorageEngine, StoreError, StoreOp, TxnSummary};
-pub use page::{Page, PageId, RecordId, MAX_RECORD, PAGE_SIZE};
-pub use pool::{Access, BufferPool, FrameInfo, PolicyKind, PoolStats};
+pub use page::{Page, PageId, RecordId, PAGE_SIZE};
+pub use pool::{BufferPool, PolicyKind, PoolStats};
 pub use wal::{CrashHook, CrashPoint, CrashSite, NoCrash, PlannedCrash, Wal, WalRecord};
 
 /// Differential oracle suites (satellite of the test tier): seeded op

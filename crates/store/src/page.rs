@@ -25,13 +25,13 @@ use std::fmt;
 pub const PAGE_SIZE: usize = 4096;
 
 /// Page header bytes: lsn (8) + slot count (2) + free-end offset (2).
-pub const HEADER_SIZE: usize = 12;
+pub(crate) const HEADER_SIZE: usize = 12;
 
 /// Bytes of directory bookkeeping per record.
-pub const SLOT_SIZE: usize = 4;
+pub(crate) const SLOT_SIZE: usize = 4;
 
 /// The largest record body a page can hold (one slot, empty page).
-pub const MAX_RECORD: usize = PAGE_SIZE - HEADER_SIZE - SLOT_SIZE;
+pub(crate) const MAX_RECORD: usize = PAGE_SIZE - HEADER_SIZE - SLOT_SIZE;
 
 /// A page identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -88,18 +88,18 @@ impl Page {
     /// The page LSN: the index of the last WAL record whose effect this
     /// page image reflects.
     #[must_use]
-    pub fn lsn(&self) -> u64 {
+    pub(crate) fn lsn(&self) -> u64 {
         u64::from_le_bytes(self.data[0..8].try_into().expect("8 header bytes"))
     }
 
     /// Stamp the page LSN.
-    pub fn set_lsn(&mut self, lsn: u64) {
+    pub(crate) fn set_lsn(&mut self, lsn: u64) {
         self.data[0..8].copy_from_slice(&lsn.to_le_bytes());
     }
 
     /// Number of directory slots (live and tombstoned).
     #[must_use]
-    pub fn slot_count(&self) -> u16 {
+    pub(crate) fn slot_count(&self) -> u16 {
         u16::from_le_bytes(self.data[8..10].try_into().expect("2 header bytes"))
     }
 
@@ -133,7 +133,7 @@ impl Page {
 
     /// Bytes available for one more record (body plus its slot entry).
     #[must_use]
-    pub fn free_space(&self) -> usize {
+    pub(crate) fn free_space(&self) -> usize {
         let dir_end = HEADER_SIZE + SLOT_SIZE * self.slot_count() as usize;
         (self.free_end() as usize).saturating_sub(dir_end)
     }
@@ -186,12 +186,6 @@ impl Page {
     pub fn records(&self) -> impl Iterator<Item = (u16, &[u8])> + '_ {
         (0..self.slot_count()).filter_map(move |s| self.get(s).map(|b| (s, b)))
     }
-
-    /// Number of live (non-tombstoned) records.
-    #[must_use]
-    pub fn live_records(&self) -> usize {
-        self.records().count()
-    }
 }
 
 #[cfg(test)]
@@ -205,7 +199,7 @@ mod tests {
         let s1 = p.insert(b"world!").unwrap();
         assert_eq!(p.get(s0), Some(&b"hello"[..]));
         assert_eq!(p.get(s1), Some(&b"world!"[..]));
-        assert_eq!(p.live_records(), 2);
+        assert_eq!(p.records().count(), 2);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub struct Access {
 impl Access {
     /// Page transfers this access performed.
     #[must_use]
-    pub fn ios(&self) -> u32 {
+    pub(crate) fn ios(&self) -> u32 {
         u32::from(self.read_io) + u32::from(self.wrote_back)
     }
 }
@@ -161,12 +161,6 @@ impl BufferPool {
         self.resident.contains_key(&pid) || self.disk.contains_key(&pid)
     }
 
-    /// Pages on stable storage (flushed at least once).
-    #[must_use]
-    pub fn pages_on_disk(&self) -> usize {
-        self.disk.len()
-    }
-
     /// Resident pages (occupied frames).
     #[must_use]
     pub fn resident(&self) -> usize {
@@ -284,7 +278,7 @@ impl BufferPool {
     /// The crash: frames are volatile and vanish — dirty pages are LOST.
     /// Stable storage survives. (Durability therefore belongs to the WAL,
     /// not to the pool.)
-    pub fn drop_volatile(&mut self) {
+    pub(crate) fn drop_volatile(&mut self) {
         self.frames = vec![None; self.capacity];
         self.dirty = vec![false; self.capacity];
         self.resident.clear();
@@ -334,7 +328,7 @@ mod tests {
         pool.drop_volatile();
         let (p, acc) = pool.fetch(PageId(0)).unwrap();
         assert!(acc.read_io, "post-crash fetch faults from disk");
-        assert_eq!(p.live_records(), 1, "the unflushed insert vanished");
+        assert_eq!(p.records().count(), 1, "the unflushed insert vanished");
         assert!(!pool.contains(PageId(9)));
     }
 

@@ -146,7 +146,7 @@ impl Wal {
 
     /// Transactions with a commit record, in first-commit order.
     #[must_use]
-    pub fn committed_txns(&self) -> Vec<u64> {
+    pub(crate) fn committed_txns(&self) -> Vec<u64> {
         self.records
             .iter()
             .filter_map(|r| match r {

@@ -22,7 +22,7 @@
 //!
 //! Row order is deterministic (registry order, event order, name order,
 //! frame order, deadline order), so query results golden-pin like every
-//! other artifact in the repo. [`SysScan`] is the billed source
+//! other artifact in the repo. `SysScan` is the billed source
 //! operator: armed with an [`obs`] hub it charges one
 //! [`Primitive::Load`](obs::Primitive) per row served, so introspection
 //! itself shows up in the machine's cycle ledger — querying the machine
@@ -39,7 +39,7 @@
 pub mod scan;
 pub mod tables;
 
-pub use scan::{filter_count, scan_rows, sum_int, SysScan};
+pub use scan::{filter_count, scan_rows, sum_int};
 pub use tables::{
     metrics_table, pool_table, spans_table, supervision_table, switches_table, timers_table,
     txns_table,

@@ -19,7 +19,7 @@ const DRAIN_BUDGET: u64 = 64;
 /// counter — introspection pays its way through the same cost model as
 /// the work it observes.
 #[derive(Debug)]
-pub struct SysScan {
+pub(crate) struct SysScan {
     table: Table,
     pos: usize,
     work: WorkCounter,
@@ -29,13 +29,13 @@ pub struct SysScan {
 impl SysScan {
     /// Scan `table` without cycle billing (work units still counted).
     #[must_use]
-    pub fn new(table: Table, work: WorkCounter) -> Self {
+    pub(crate) fn new(table: Table, work: WorkCounter) -> Self {
         Self { table, pos: 0, work, obs: None }
     }
 
     /// Scan `table` billing one load per row into `obs`.
     #[must_use]
-    pub fn billed(table: Table, work: WorkCounter, obs: ObsHandle) -> Self {
+    pub(crate) fn billed(table: Table, work: WorkCounter, obs: ObsHandle) -> Self {
         Self { table, pos: 0, work, obs: Some(obs) }
     }
 }

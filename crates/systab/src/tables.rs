@@ -2,7 +2,7 @@
 //!
 //! Each builder freezes one subsystem's live state into a
 //! [`datacomp::Table`] with a stable schema and deterministic row order,
-//! ready for [`SysScan`](crate::SysScan) and the rest of the operator
+//! ready for `SysScan` and the rest of the operator
 //! algebra. Builders take the subsystem's public introspection types —
 //! they never reach into private state, so anything a table serves is
 //! equally available to ordinary code.

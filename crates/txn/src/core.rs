@@ -156,7 +156,9 @@ pub struct TxnRecoveryReport {
     /// Compensations performed.
     pub undone: usize,
     /// In-doubt participants (prepared, no fan-out) resolved by
-    /// consulting the decision record — or its absence.
+    /// consulting the decision record — or its absence. A participant
+    /// counts on the pass that logs its fan-out record, so a retried
+    /// transaction's participants are counted once.
     pub in_doubt_resolved: usize,
     /// Transactions rolled forward.
     pub forward: usize,
@@ -503,6 +505,7 @@ impl TransactionCore {
         let mut residue: Vec<String> = Vec::new();
         for p in intents.iter_mut().rev() {
             let id = p.id;
+            let shard_mark = residue.len();
             for (index, record) in p.applied.iter().rev() {
                 let desc = record.undo_describe();
                 if let Some(reason) = faults.fail_rollback(&desc) {
@@ -520,6 +523,11 @@ impl TransactionCore {
                 if hook.crash(&site) {
                     return self.crash_out(span, &site, forward_steps, undos);
                 }
+            }
+            // As in recovery: a shard whose compensation left residue
+            // gets no abort fan-out record (and so no crash site).
+            if residue.len() != shard_mark {
+                continue;
             }
             self.log.append(TxnRecord::ShardAborted { gtxn, shard: ShardId(id) });
             self.bill(Primitive::Store);
@@ -593,7 +601,8 @@ impl TransactionCore {
     /// *forward* (missing fan-out is completed, store persistence
     /// replayed idempotently); no decision rolls it *back* (presumed
     /// abort — every applied-not-yet-undone step is compensated, newest
-    /// first). In-doubt participants are resolved by that same log read.
+    /// first). In-doubt participants are resolved by that same log read,
+    /// each counted once, on the pass that logs its fan-out record.
     /// Idempotent: a settled log scans clean and touches nothing. A
     /// participant that still owes work but is missing from `shards` is
     /// left as residue (`s1 missing`): its transaction stays open with its
@@ -629,7 +638,9 @@ impl TransactionCore {
         let mut residue: Vec<String> = Vec::new();
         let mut crashed = false;
         'txns: for t in self.log.open_txns() {
-            let in_doubt = t.in_doubt().len();
+            // An in-doubt participant is counted on the pass that logs its
+            // fan-out record, so a retried transaction counts it once.
+            let in_doubt = t.in_doubt();
             // Residue is tracked per transaction (residue[txn_mark..] is
             // this transaction's): one stuck undo must not block another
             // transaction's End, and a failed persist must keep *this*
@@ -654,13 +665,13 @@ impl TransactionCore {
                     }
                     self.log.append(TxnRecord::ShardCommitted { gtxn: t.gtxn, shard: *sid });
                     self.bill(Primitive::Store);
+                    resolved += usize::from(in_doubt.contains(sid));
                     let site = TxnCrashSite::ShardCommitted { shard: sid.0 };
                     if hook.crash(&site) {
                         crashed = true;
                         break 'txns;
                     }
                 }
-                resolved += in_doubt;
                 if residue.len() == txn_mark {
                     self.log.append(TxnRecord::End { gtxn: t.gtxn });
                     self.bill(Primitive::Store);
@@ -670,7 +681,6 @@ impl TransactionCore {
             } else {
                 // Presumed abort: the prepared shards queried the log and
                 // found no decision — roll everything back.
-                resolved += in_doubt;
                 for sid in t.shards.iter().rev() {
                     let p = t.progress.get(sid).cloned().unwrap_or_default();
                     let shard_mark = residue.len();
@@ -705,6 +715,7 @@ impl TransactionCore {
                     if !p.aborted && residue.len() == shard_mark {
                         self.log.append(TxnRecord::ShardAborted { gtxn: t.gtxn, shard: *sid });
                         self.bill(Primitive::Store);
+                        resolved += usize::from(in_doubt.contains(sid));
                     }
                 }
                 if residue.len() == txn_mark {
@@ -919,6 +930,54 @@ mod tests {
         assert!(tc.log().is_empty());
         assert_eq!(tc.locks().held_total(), 0);
         assert!(tc.recover(&mut shards, &mut NoTxnCrash).noop());
+    }
+
+    #[test]
+    fn a_retried_recovery_counts_each_in_doubt_participant_once() {
+        let (mut shards, plans) = world();
+        let mut tc = TransactionCore::new();
+        let mut hook = PlannedTxnCrash::new(TxnCrashPoint::BeforeDecision);
+        tc.execute_cross_shard(&mut shards, &plans, 40, &mut NoFaults, &mut hook).unwrap_err();
+        let s1 = shards.remove(&1).unwrap();
+        assert_eq!(tc.recover(&mut shards, &mut NoTxnCrash).outcome, RecoveryOutcome::Incomplete);
+        shards.insert(1, s1);
+        assert_eq!(tc.recover(&mut shards, &mut NoTxnCrash).outcome, RecoveryOutcome::RolledBack);
+        assert_eq!(tc.in_doubt_resolved(), 2, "two prepared shards, each resolved once");
+    }
+
+    #[test]
+    fn an_incomplete_rollback_logs_no_abort_for_a_shard_with_residue() {
+        let (mut shards, plans) = world();
+        let before = digests(&shards);
+        let mut tc = TransactionCore::new();
+        #[derive(Debug)]
+        struct FailBindAndRollback;
+        impl StepFaults for FailBindAndRollback {
+            fn fail_bind(&mut self, _b: &Binding) -> Option<String> {
+                Some("injected".into())
+            }
+            fn fail_rollback(&mut self, _step: &str) -> Option<String> {
+                Some("injected rollback".into())
+            }
+        }
+        let err = tc
+            .execute_cross_shard(&mut shards, &plans, 40, &mut FailBindAndRollback, &mut NoTxnCrash)
+            .unwrap_err();
+        assert!(matches!(err, TxnError::RollbackIncomplete { .. }));
+        let live = tc.log().render();
+        assert!(!live.contains("shard-aborted"), "no shard finished its compensation: {live}");
+        let appended = tc.log().appended_total();
+        let report = tc.recover(&mut shards, &mut NoTxnCrash);
+        assert_eq!(report.outcome, RecoveryOutcome::RolledBack);
+        assert!(report.undone > 0, "recovery undid the residue");
+        assert_eq!(
+            tc.log().appended_total() - appended,
+            report.undone as u64 + 3,
+            "one Undone per step, then ShardAborted for both shards and End"
+        );
+        assert_eq!(digests(&shards), before);
+        assert!(tc.log().is_empty(), "ShardAborted and End settled the txn");
+        assert_eq!(tc.locks().held_total(), 0);
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub mod lock;
 pub mod log;
 pub mod shard;
 
-pub use crate::core::{CrossShardReport, TransactionCore, TxnError, TxnRecoveryReport};
+pub use crate::core::{CrossShardReport, TransactionCore, TxnError};
 pub use crash::{NoTxnCrash, PlannedTxnCrash, TxnCrashHook, TxnCrashPoint, TxnCrashSite};
-pub use lock::{Deadlock, LockManager, LockMode, LockOutcome};
+pub use lock::{LockManager, LockMode};
 pub use log::{OpenGlobalTxn, ShardId, ShardProgress, TxnLog, TxnRecord};
 pub use shard::{DataComponent, PlanStep};

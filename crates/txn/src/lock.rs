@@ -141,7 +141,7 @@ impl LockManager {
     /// The wait-for graph as `(waiter, holder)` string edges, in the
     /// `txn:N` rendering [`find_cycle`] reports back.
     #[must_use]
-    pub fn wait_for_edges(&self) -> Vec<(String, String)> {
+    pub(crate) fn wait_for_edges(&self) -> Vec<(String, String)> {
         let mut edges = Vec::new();
         for (waiter, (resource, mode)) in &self.waiting {
             if let Some(holders) = self.granted.get(resource) {
@@ -194,14 +194,14 @@ impl LockManager {
     /// Resources with a live granted entry. Invariant: never exceeds the
     /// resources actually held — contested-but-never-granted names leave
     /// no tracking state behind.
-    #[must_use]
-    pub fn resources_tracked(&self) -> usize {
+    #[cfg(test)]
+    fn resources_tracked(&self) -> usize {
         self.granted.len()
     }
 
     /// Transactions currently blocked, sorted.
-    #[must_use]
-    pub fn waiters(&self) -> Vec<u64> {
+    #[cfg(test)]
+    fn waiters(&self) -> Vec<u64> {
         self.waiting.keys().copied().collect()
     }
 
@@ -218,14 +218,14 @@ impl LockManager {
     }
 
     /// Cumulative deadlocks detected.
-    #[must_use]
-    pub fn deadlocks(&self) -> u64 {
+    #[cfg(test)]
+    fn deadlocks(&self) -> u64 {
         self.deadlocks
     }
 
     /// Cumulative victims selected.
-    #[must_use]
-    pub fn victims(&self) -> u64 {
+    #[cfg(test)]
+    fn victims(&self) -> u64 {
         self.victims
     }
 }

@@ -87,7 +87,8 @@ impl DataComponent {
     }
 
     /// Mutable engine access (reads fault pages, so even `get` is `mut`).
-    pub fn store_mut(&mut self) -> Option<&mut StorageEngine> {
+    #[cfg(test)]
+    pub(crate) fn store_mut(&mut self) -> Option<&mut StorageEngine> {
         self.store.as_mut()
     }
 
@@ -129,8 +130,8 @@ impl DataComponent {
 
     /// Durable key for an instance: shard-qualified so many shards can
     /// share one key space without colliding.
-    #[must_use]
-    pub fn store_key(&self, instance: &str) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn store_key(&self, instance: &str) -> u64 {
         obs::fnv1a(format!("{}/{instance}", self.id).as_bytes())
     }
 

@@ -32,7 +32,7 @@ impl DeviceKind {
 
     /// Whether the device runs on battery when undocked.
     #[must_use]
-    pub fn battery_powered(self) -> bool {
+    pub(crate) fn battery_powered(self) -> bool {
         matches!(self, DeviceKind::Sensor | DeviceKind::Pda | DeviceKind::Laptop)
     }
 }
@@ -62,8 +62,8 @@ impl Device {
     }
 
     /// Builder: start undocked.
-    #[must_use]
-    pub fn undocked(mut self) -> Self {
+    #[cfg(test)]
+    fn undocked(mut self) -> Self {
         self.docked = false;
         self
     }
@@ -91,7 +91,7 @@ impl Device {
     /// Drain battery for one tick of work at the current load. Docked
     /// devices (or mains devices) do not drain. `drain_rate` is the battery
     /// fraction a fully-loaded tick consumes.
-    pub fn step_power(&mut self, drain_rate: f64) {
+    pub(crate) fn step_power(&mut self, drain_rate: f64) {
         if self.alive && !self.docked && self.kind.battery_powered() {
             self.battery = (self.battery - drain_rate * (0.2 + 0.8 * self.load)).max(0.0);
         }

@@ -97,7 +97,7 @@ impl Link {
 
     /// Whether the link joins the two names (order-insensitive).
     #[must_use]
-    pub fn connects(&self, x: &str, y: &str) -> bool {
+    pub(crate) fn connects(&self, x: &str, y: &str) -> bool {
         (self.a == x && self.b == y) || (self.a == y && self.b == x)
     }
 
@@ -109,7 +109,7 @@ impl Link {
 
     /// Effective bandwidth at a tick (zero when down).
     #[must_use]
-    pub fn bandwidth_at(&self, tick: u64) -> f64 {
+    pub(crate) fn bandwidth_at(&self, tick: u64) -> f64 {
         if self.up {
             self.profile.at(tick)
         } else {

@@ -152,7 +152,7 @@ impl Network {
     /// Mutable access to the links' state (e.g. to take a dock link down).
     /// A slice: links can be toggled and retuned, not added or removed
     /// behind the adjacency's back.
-    pub fn links_mut(&mut self) -> &mut [Link] {
+    pub(crate) fn links_mut(&mut self) -> &mut [Link] {
         &mut self.links
     }
 

@@ -36,7 +36,7 @@ fn verified_image_crosses_from_sisr_into_the_orb() {
         .verify_program(&Program::new(vec![Instr::MovImm(0, 9), Instr::Halt]))
         .expect("clean program verifies");
     let mut orb = Orb::new(1 << 20, CostModel::pentium());
-    let ty = orb.install_type("svc", img).expect("verified image installs");
+    let ty = orb.install_type(img).expect("verified image installs");
     let a = orb.instantiate(ty).unwrap();
     let b = orb.instantiate(ty).unwrap();
     let iface = orb.publish(b, 0, Rights::PUBLIC, 0).unwrap();

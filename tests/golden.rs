@@ -15,7 +15,7 @@ use std::path::PathBuf;
 /// # Panics
 /// Panics with a unified diff when `got` differs from the file, or when
 /// the file is missing.
-pub fn check(path: &str, got: &str) {
+pub(crate) fn check(path: &str, got: &str) {
     // The e2e tests are registered under crates/core; the goldens live
     // relative to the repository root.
     let file = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(path);
