@@ -733,8 +733,9 @@ impl PlannedCrash {
     }
 
     /// Whether the crash has fired.
+    #[cfg(test)]
     #[must_use]
-    pub fn fired(&self) -> bool {
+    fn fired(&self) -> bool {
         self.fired
     }
 }

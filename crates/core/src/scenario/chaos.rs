@@ -78,7 +78,9 @@ pub fn paper_flash_crowd() -> ChaosParams {
 
 /// The CI chaos matrix scenario: a seeded random fault storyline over the
 /// paper fleet plus a flash crowd (mirrors `chaos_e2e` scenario 7). The
-/// golden seeds are [`super::GOLDEN_SEEDS`].
+/// golden seeds are [`super::GOLDEN_SEEDS`]. A fault plan carries no crash
+/// points: the `crashrep` matrix drives every compkit crash point and
+/// `txnrep` every 2PC crash point directly.
 #[must_use]
 pub fn ci_chaos(seed: u64) -> ChaosParams {
     let fleet: Vec<String> =
@@ -94,11 +96,6 @@ pub fn ci_chaos(seed: u64) -> ChaosParams {
         components: Vec::new(),
         horizon: 250,
         incidents: 10,
-        // Kept empty so the golden seeds keep drawing byte-identical
-        // timelines; compkit crash points are exercised exhaustively by
-        // the `crashrep` matrix and 2PC crash points by `txnrep`.
-        crash_nodes: Vec::new(),
-        txn_crashes: Vec::new(),
     };
     ChaosParams {
         plan: FaultPlan::random(seed, &space),

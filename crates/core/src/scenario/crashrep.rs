@@ -19,7 +19,7 @@
 //! (the `compkit:recover` span) the bench snapshot prices recovery from.
 //! [`supervised_storyline`] is the companion chaos scenario exercising
 //! the patia supervision layer (failure detector, circuit breaker,
-//! restart probes) under a crash/restart/partition timeline.
+//! restart probes) under a node death, revival and partition timeline.
 
 use crate::scenario::chaos::ChaosParams;
 use crate::scenario::GOLDEN_SEEDS;
@@ -361,7 +361,7 @@ pub fn render_matrix(cells: &[CrashCellReport]) -> String {
 
 /// The supervision chaos storyline: a flash crowd on atom 123 while wp1
 /// is partitioned away (alive but unreachable — the case plain BEST
-/// cannot see) and node2 crashes outright, both later healed/restarted.
+/// cannot see) and node2 dies outright, both later healed/revived.
 /// Driven through [`crate::scenario::chaos::run_observed`], its trace
 /// carries the `detector:*`, `circuit:*` and `restart:*` instants the
 /// supervision conformance tier asserts over.
@@ -369,9 +369,9 @@ pub fn render_matrix(cells: &[CrashCellReport]) -> String {
 pub fn supervised_storyline(seed: u64) -> ChaosParams {
     let plan = FaultPlan::new(seed)
         .at(50, Fault::Partition { island: vec!["wp1".to_owned()] })
-        .at(70, Fault::NodeCrash { node: "node2".to_owned(), point: CrashPoint::BeforeCommit })
+        .at(70, Fault::NodeDeath { node: "node2".to_owned() })
         .at(120, Fault::Heal { island: vec!["wp1".to_owned()] })
-        .at(140, Fault::NodeRestart { node: "node2".to_owned() });
+        .at(140, Fault::NodeRevival { node: "node2".to_owned() });
     ChaosParams {
         plan,
         ticks: 260,

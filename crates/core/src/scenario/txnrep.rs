@@ -30,7 +30,6 @@ use adm_rng::Pcg32;
 use compkit::journal::{RecoveryOutcome, StepRecord};
 use compkit::runtime::LiveComponent;
 use compkit::{NoFaults, StepFaults};
-use faultsim::CoverageLedger;
 use obs::{Obs, ObsHandle};
 use patia::atom::AtomId;
 use patia::shard::{atom_instance, cross_shard_plans, host_instance, shard_of, ShardHandle};
@@ -373,10 +372,9 @@ fn run_cell_inner(
 
     // Teardown coverage audit: every armed hook must have fired, or the
     // cell exercised nothing at its claimed site.
-    let mut ledger = CoverageLedger::new();
-    ledger.record("switch", &hook);
+    let mut armed = vec![("switch", &hook)];
     if in_recovery {
-        ledger.record("recovery", &recovery_hook);
+        armed.push(("recovery", &recovery_hook));
     }
 
     TxnCellReport {
@@ -392,8 +390,17 @@ fn run_cell_inner(
         in_doubt_resolved: resolved,
         recover_calls,
         replay_noop: replay.noop(),
-        unfired: ledger.unfired(),
+        unfired: unfired(&armed),
     }
+}
+
+/// `"{name}: {point}"` for every armed hook that never fired.
+fn unfired(armed: &[(&str, &PlannedTxnCrash)]) -> Vec<String> {
+    armed
+        .iter()
+        .filter(|(_, hook)| !hook.fired())
+        .map(|(name, hook)| format!("{name}: {}", hook.point()))
+        .collect()
 }
 
 /// Replay the full matrix: every [`GOLDEN_SEEDS`] seed through every
@@ -471,6 +478,22 @@ mod tests {
         assert_eq!(cell.recover_calls, 2, "the crashed recovery must be resumed");
         assert!(cell.rolled_back());
         assert!(cell.unfired.is_empty(), "both hooks fired: {:?}", cell.unfired);
+    }
+
+    #[test]
+    fn an_unfired_hook_is_named_and_fails_the_cell() {
+        use txn::{TxnCrashHook, TxnCrashSite};
+        let mut fired = PlannedTxnCrash::new(TxnCrashPoint::BeforePrepare);
+        assert!(fired.crash(&TxnCrashSite::BeforePrepare));
+        let pending = PlannedTxnCrash::new(TxnCrashPoint::AfterDecision);
+        let audit = unfired(&[("recovery", &fired), ("switch", &pending)]);
+        assert_eq!(audit, vec!["switch: after-decision".to_owned()]);
+
+        let clean = run_cell(7, 2, TxnCrashPoint::BeforeDecision);
+        assert!(clean.consistent() && clean.render_line().ends_with(" coverage=ok"));
+        let cell = TxnCellReport { unfired: audit, ..clean };
+        assert!(!cell.consistent(), "an unreached site fails the cell");
+        assert!(cell.render_line().ends_with(" coverage=switch: after-decision"));
     }
 
     #[test]

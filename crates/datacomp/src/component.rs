@@ -66,7 +66,6 @@ impl DataComponent {
             kind: VersionKind::Replica,
             size_bytes: self.payload.size_bytes(),
             age,
-            bytes: None,
         });
         id
     }
@@ -116,7 +115,6 @@ mod tests {
             kind: VersionKind::Compressed { codec: "lz".into() },
             size_bytes,
             age: 0,
-            bytes: None,
         });
         let slow = SelectionConstraints { min_quality: 1.0, bandwidth: 1.0, ..Default::default() };
         let best = c.best_version(&slow).unwrap();

@@ -58,10 +58,6 @@ pub struct Version {
     pub size_bytes: u64,
     /// Staleness: ticks behind the authoritative copy (0 = current).
     pub age: u64,
-    /// The bytes themselves when materialised locally; `None` for remote
-    /// versions (the list is "indications of where alternatives can be
-    /// found").
-    pub bytes: Option<Vec<u8>>,
 }
 
 /// Constraints on version selection — the parameters of `BEST`.
@@ -188,7 +184,7 @@ mod tests {
     use super::*;
 
     fn v(id: u32, kind: VersionKind, size: u64, age: u64) -> Version {
-        Version { id, location: format!("node{id}"), kind, size_bytes: size, age, bytes: None }
+        Version { id, location: format!("node{id}"), kind, size_bytes: size, age }
     }
 
     fn list() -> VersionList {

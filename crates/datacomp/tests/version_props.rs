@@ -22,7 +22,6 @@ fn version_list(rng: &mut Pcg32) -> VersionList {
             kind: kind(rng),
             size_bytes: rng.below(99_999) + 1,
             age: rng.below(100),
-            bytes: None,
         });
     }
     list

@@ -9,14 +9,12 @@
 use crate::plan::{Fault, FaultPlan};
 use adl::ast::Binding;
 use compkit::adaptivity::StepFaults;
-use compkit::journal::{CrashHook, CrashPoint, CrashSite};
 use compkit::runtime::FlakyFactory;
 use gokernel::component::{ComponentId, InterfaceId};
 use gokernel::orb::InvokeFaults;
 use patia::atom::AtomId;
 use patia::server::{PatiaServer, SwitchGate};
 use std::collections::{BTreeMap, BTreeSet};
-use txn::{TxnCrashHook, TxnCrashPoint, TxnCrashSite};
 use ubinet::sim::{EnvEvent, Simulator};
 
 /// Schedule the plan's network faults (flaps, spikes, partitions, node
@@ -35,12 +33,8 @@ pub fn schedule_network(plan: &FaultPlan, sim: &mut Simulator) -> usize {
             }
             Fault::Partition { island } => EnvEvent::Partition { island: island.clone() },
             Fault::Heal { island } => EnvEvent::Heal { island: island.clone() },
-            Fault::NodeDeath { node } | Fault::NodeCrash { node, .. } => {
-                EnvEvent::SetAlive { device: node.clone(), alive: false }
-            }
-            Fault::NodeRevival { node } | Fault::NodeRestart { node } => {
-                EnvEvent::SetAlive { device: node.clone(), alive: true }
-            }
+            Fault::NodeDeath { node } => EnvEvent::SetAlive { device: node.clone(), alive: false },
+            Fault::NodeRevival { node } => EnvEvent::SetAlive { device: node.clone(), alive: true },
             _ => continue,
         };
         sim.schedule(tick, ev);
@@ -81,8 +75,8 @@ impl PlanStepFaults {
     }
 
     /// Bind failures not yet consumed.
-    #[must_use]
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    fn pending(&self) -> usize {
         self.bind.len()
     }
 }
@@ -161,114 +155,6 @@ impl SwitchGate for PlanSwitchGate {
     }
 }
 
-/// [`CrashHook`] injector: carries the plan's [`Fault::NodeCrash`] points
-/// into compkit's crash model. Points fire in timeline order, each
-/// exactly once, at the first matching journal-record boundary of
-/// whatever transaction is then in flight.
-#[derive(Debug, Clone)]
-pub struct PlanCrashHook {
-    pending: Vec<CrashPoint>,
-    fired: usize,
-}
-
-impl PlanCrashHook {
-    /// Collect the plan's crash points in timeline order.
-    #[must_use]
-    pub fn new(plan: &FaultPlan) -> Self {
-        let pending = plan
-            .iter()
-            .filter_map(|(_, f)| match f {
-                Fault::NodeCrash { point, .. } => Some(*point),
-                _ => None,
-            })
-            .collect();
-        Self { pending, fired: 0 }
-    }
-
-    /// Crash points not yet fired.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.pending.len() - self.fired
-    }
-
-    /// Crash points already fired.
-    #[must_use]
-    pub fn fired(&self) -> usize {
-        self.fired
-    }
-
-    /// Rendered labels of the crash points that never fired.
-    #[must_use]
-    pub(crate) fn unfired_labels(&self) -> Vec<String> {
-        self.pending[self.fired..].iter().map(ToString::to_string).collect()
-    }
-}
-
-impl CrashHook for PlanCrashHook {
-    fn crash(&mut self, site: &CrashSite) -> bool {
-        let Some(point) = self.pending.get(self.fired) else { return false };
-        if point.matches(site) {
-            self.fired += 1;
-            return true;
-        }
-        false
-    }
-}
-
-/// [`TxnCrashHook`] injector: carries the plan's [`Fault::TxnCrash`]
-/// points into the `txn` crate's two-phase-commit crash model. Points
-/// fire in timeline order, each exactly once, at the first matching
-/// protocol boundary of whatever global transaction is then in flight.
-#[derive(Debug, Clone)]
-pub struct PlanTxnCrashHook {
-    pending: Vec<TxnCrashPoint>,
-    fired: usize,
-}
-
-impl PlanTxnCrashHook {
-    /// Collect the plan's 2PC crash points in timeline order.
-    #[must_use]
-    pub fn new(plan: &FaultPlan) -> Self {
-        let pending = plan
-            .iter()
-            .filter_map(|(_, f)| match f {
-                Fault::TxnCrash { point } => Some(*point),
-                _ => None,
-            })
-            .collect();
-        Self { pending, fired: 0 }
-    }
-
-    /// Crash points not yet fired.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.pending.len() - self.fired
-    }
-
-    /// Crash points already fired.
-    #[must_use]
-    pub fn fired(&self) -> usize {
-        self.fired
-    }
-
-    /// Rendered labels of the crash points that never fired.
-    #[must_use]
-    pub(crate) fn unfired_labels(&self) -> Vec<String> {
-        self.pending[self.fired..].iter().map(ToString::to_string).collect()
-    }
-}
-
-impl TxnCrashHook for PlanTxnCrashHook {
-    fn crash(&mut self, site: &TxnCrashSite) -> bool {
-        let Some(point) = self.pending.get(self.fired) else { return false };
-        if point.matches(site) {
-            self.fired += 1;
-            return true;
-        }
-        false
-    }
-}
-
 /// Drives a [`PatiaServer`] through a plan: [`PatiaDriver::arm`] installs
 /// the switch gate once, then [`PatiaDriver::apply`] is called every tick
 /// *before* [`PatiaServer::tick`] to land that tick's node, pressure and
@@ -285,12 +171,6 @@ impl PatiaDriver {
         Self { plan }
     }
 
-    /// The plan being driven.
-    #[must_use]
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Install the plan's switch-denial gate on the server.
     pub fn arm(&self, server: &mut PatiaServer) {
         server.arm_switch_gate(Box::new(PlanSwitchGate::new(&self.plan)));
@@ -304,10 +184,10 @@ impl PatiaDriver {
         let mut applied = 0;
         for fault in self.plan.faults_at(tick) {
             match fault {
-                Fault::NodeDeath { node } | Fault::NodeCrash { node, .. } => {
+                Fault::NodeDeath { node } => {
                     server.kill_node(node);
                 }
-                Fault::NodeRevival { node } | Fault::NodeRestart { node } => {
+                Fault::NodeRevival { node } => {
                     server.revive_node(node);
                 }
                 Fault::CpuPressure { node, permille } => {
@@ -429,49 +309,15 @@ mod tests {
     }
 
     #[test]
-    fn plan_crash_hook_fires_each_point_once_in_timeline_order() {
-        let plan = FaultPlan::new(7)
-            .at(2, Fault::NodeCrash { node: "node1".into(), point: CrashPoint::BeforeCommit })
-            .at(9, Fault::NodeRestart { node: "node1".into() });
-        let mut hook = PlanCrashHook::new(&plan);
-        assert_eq!(hook.pending(), 1);
-        assert!(!hook.crash(&CrashSite::Intent), "wrong site does not fire");
-        assert!(!hook.crash(&CrashSite::AfterCommit), "wrong site does not fire");
-        assert_eq!(hook.pending(), 1, "misses do not consume the point");
-        assert!(hook.crash(&CrashSite::BeforeCommit), "matching site fires");
-        assert_eq!((hook.pending(), hook.fired()), (0, 1));
-        assert!(!hook.crash(&CrashSite::BeforeCommit), "point fires at most once");
-    }
-
-    #[test]
-    fn plan_crash_hook_holds_later_points_until_earlier_ones_fire() {
-        let plan = FaultPlan::new(8)
-            .at(
-                1,
-                Fault::NodeCrash {
-                    node: "node1".into(),
-                    point: CrashPoint::MidPlan { after_steps: 1 },
-                },
-            )
-            .at(5, Fault::NodeCrash { node: "node2".into(), point: CrashPoint::AfterCommit });
-        let mut hook = PlanCrashHook::new(&plan);
-        assert_eq!(hook.pending(), 2);
-        assert!(!hook.crash(&CrashSite::AfterCommit), "second point waits its turn");
-        assert!(hook.crash(&CrashSite::AfterStep { index: 0 }), "first point fires");
-        assert!(hook.crash(&CrashSite::AfterCommit), "then the second");
-        assert_eq!(hook.pending(), 0);
-    }
-
-    #[test]
-    fn schedule_network_maps_crash_and_restart_to_alive_flips() {
+    fn schedule_network_maps_death_and_revival_to_alive_flips() {
         let plan = FaultPlan::new(9)
-            .at(2, Fault::NodeCrash { node: "a".into(), point: CrashPoint::BeforeCommit })
-            .at(6, Fault::NodeRestart { node: "a".into() });
+            .at(2, Fault::NodeDeath { node: "a".into() })
+            .at(6, Fault::NodeRevival { node: "a".into() });
         let mut sim = two_node_sim();
         assert_eq!(schedule_network(&plan, &mut sim), 2);
         sim.advance(2);
-        assert!(!sim.net.device("a").unwrap().alive, "crash takes the node down");
+        assert!(!sim.net.device("a").unwrap().alive, "death takes the node down");
         sim.advance(6);
-        assert!(sim.net.device("a").unwrap().alive, "restart brings it back");
+        assert!(sim.net.device("a").unwrap().alive, "revival brings it back");
     }
 }

@@ -15,10 +15,8 @@
 //! * `ubinet` — [`EnvEvent`](ubinet::sim::EnvEvent) schedule entries
 //!   (link up/down, latency, partition/heal, device death);
 //! * `compkit` — [`StepFaults`](compkit::adaptivity::StepFaults) gating
-//!   each reconfiguration step, [`CrashHook`](compkit::journal::CrashHook)
-//!   crash points striking at journal-record boundaries, and the
-//!   pre-existing [`FlakyFactory`](compkit::runtime::FlakyFactory) start
-//!   failures;
+//!   each reconfiguration step and
+//!   [`FlakyFactory`](compkit::runtime::FlakyFactory) start failures;
 //! * `gokernel` — [`InvokeFaults`](gokernel::orb::InvokeFaults) denying
 //!   ORB invocations by call index;
 //! * `patia` — [`SwitchGate`](patia::server::SwitchGate) denying SWITCH
@@ -34,12 +32,9 @@
 #![warn(missing_docs)]
 
 pub(crate) mod adapters;
-pub mod coverage;
 pub mod plan;
 
 pub use adapters::{
-    flaky_factory, schedule_network, PatiaDriver, PlanCrashHook, PlanInvokeFaults, PlanStepFaults,
-    PlanTxnCrashHook,
+    flaky_factory, schedule_network, PatiaDriver, PlanInvokeFaults, PlanStepFaults,
 };
-pub use coverage::CoverageLedger;
 pub use plan::{Fault, FaultPlan, FaultSpace};

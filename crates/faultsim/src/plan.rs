@@ -8,10 +8,8 @@
 //! and [`FaultPlan::digest`] make directly assertable.
 
 use adm_rng::Pcg32;
-use compkit::journal::CrashPoint;
 use std::collections::BTreeMap;
 use std::fmt;
-use txn::TxnCrashPoint;
 
 /// One injectable fault. Paired variants (death/revival, down/up,
 /// partition/heal, pressure/release) model an incident and its recovery as
@@ -97,31 +95,6 @@ pub enum Fault {
         /// The call index that will be denied.
         call_index: u64,
     },
-    /// A node crashes *mid-reconfiguration*: it dies at the scheduled
-    /// tick (like [`Fault::NodeDeath`]) and its in-flight adaptation
-    /// transaction is killed at a precise journal-record boundary —
-    /// [`PlanCrashHook`](crate::PlanCrashHook)
-    /// carries the point into compkit's crash model.
-    NodeCrash {
-        /// The crashing node.
-        node: String,
-        /// Where in the transaction lifecycle the node dies.
-        point: CrashPoint,
-    },
-    /// A crashed node restarts (pairs with [`Fault::NodeCrash`]); its
-    /// supervisor-driven recovery replays the adaptation journal.
-    NodeRestart {
-        /// The restarting node.
-        node: String,
-    },
-    /// A coordinator/participant crash at a cross-shard transaction
-    /// protocol boundary —
-    /// [`PlanTxnCrashHook`](crate::PlanTxnCrashHook)
-    /// carries the point into the `txn` crate's 2PC crash model.
-    TxnCrash {
-        /// Where in the two-phase-commit lifecycle the crash strikes.
-        point: TxnCrashPoint,
-    },
 }
 
 impl fmt::Display for Fault {
@@ -144,9 +117,6 @@ impl fmt::Display for Fault {
             Fault::BindFailure { server } => write!(f, "bind-failure {server}"),
             Fault::SwitchDenial { atom } => write!(f, "switch-denial atom={atom}"),
             Fault::InvokeFailure { call_index } => write!(f, "invoke-failure call={call_index}"),
-            Fault::NodeCrash { node, point } => write!(f, "node-crash {node}@{point}"),
-            Fault::NodeRestart { node } => write!(f, "node-restart {node}"),
-            Fault::TxnCrash { point } => write!(f, "txn-crash @{point}"),
         }
     }
 }
@@ -164,14 +134,6 @@ pub struct FaultSpace {
     pub atoms: Vec<u32>,
     /// Component instances whose start/bind steps can fail.
     pub components: Vec<String>,
-    /// Nodes that can crash mid-reconfiguration (with a journalled crash
-    /// point) and later restart. Kept separate from `nodes` so existing
-    /// seeded spaces draw byte-identical plans until a space opts in.
-    pub crash_nodes: Vec<String>,
-    /// Cross-shard transaction crash points the space may draw
-    /// ([`Fault::TxnCrash`]). Opt-in like `crash_nodes` for the same
-    /// reason: existing seeded spaces keep drawing byte-identical plans.
-    pub txn_crashes: Vec<TxnCrashPoint>,
     /// Plans schedule within ticks `1..=horizon`.
     pub horizon: u64,
     /// How many incidents (a fault plus its recovery, where paired) to
@@ -192,12 +154,6 @@ impl FaultPlan {
     #[must_use]
     pub fn new(seed: u64) -> Self {
         Self { seed, schedule: BTreeMap::new() }
-    }
-
-    /// The seed the plan was stamped or drawn with.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Builder: schedule `fault` at `tick`.
@@ -232,8 +188,8 @@ impl FaultPlan {
     }
 
     /// The last tick anything is scheduled at (0 for an empty plan).
-    #[must_use]
-    pub fn horizon(&self) -> u64 {
+    #[cfg(test)]
+    fn horizon(&self) -> u64 {
         self.schedule.keys().next_back().copied().unwrap_or(0)
     }
 
@@ -265,12 +221,6 @@ impl FaultPlan {
             kinds.extend([6, 7]); // start failure, bind failure
         }
         kinds.push(8); // invoke failure is always drawable
-        if !space.crash_nodes.is_empty() {
-            kinds.push(9); // mid-reconfiguration crash + restart
-        }
-        if !space.txn_crashes.is_empty() {
-            kinds.push(10); // cross-shard 2PC coordinator/participant crash
-        }
         for _ in 0..space.incidents {
             let start = 1 + rng.below(horizon - 1);
             let duration = 1 + rng.below((horizon / 4).max(1));
@@ -315,25 +265,8 @@ impl FaultPlan {
                     let server = space.components[rng.index(space.components.len())].clone();
                     plan.push(start, Fault::BindFailure { server });
                 }
-                8 => {
-                    plan.push(start, Fault::InvokeFailure { call_index: rng.below(64) });
-                }
-                9 => {
-                    let node = space.crash_nodes[rng.index(space.crash_nodes.len())].clone();
-                    let point = match rng.index(6) {
-                        0 => CrashPoint::MidPlan { after_steps: 1 },
-                        1 => CrashPoint::MidPlan { after_steps: 2 },
-                        2 => CrashPoint::BeforeCommit,
-                        3 => CrashPoint::AfterCommit,
-                        4 => CrashPoint::MidRollback { after_undos: 1 },
-                        _ => CrashPoint::DuringRecovery { after_undos: 1 },
-                    };
-                    plan.push(start, Fault::NodeCrash { node: node.clone(), point });
-                    plan.push(end, Fault::NodeRestart { node });
-                }
                 _ => {
-                    let point = space.txn_crashes[rng.index(space.txn_crashes.len())];
-                    plan.push(start, Fault::TxnCrash { point });
+                    plan.push(start, Fault::InvokeFailure { call_index: rng.below(64) });
                 }
             }
         }
@@ -377,8 +310,6 @@ mod tests {
             links: vec![("node1".into(), "node2".into()), ("node2".into(), "wp1".into())],
             atoms: vec![123, 153],
             components: vec!["codec".into(), "cache".into()],
-            crash_nodes: Vec::new(),
-            txn_crashes: Vec::new(),
             horizon: 64,
             incidents: 12,
         }
@@ -452,88 +383,5 @@ mod tests {
         assert!(plan
             .iter()
             .all(|(_, f)| matches!(f, Fault::SwitchDenial { .. } | Fault::InvokeFailure { .. })));
-    }
-
-    #[test]
-    fn crash_spaces_draw_paired_crash_and_restart() {
-        let s = FaultSpace {
-            crash_nodes: vec!["node1".into(), "node2".into()],
-            horizon: 32,
-            incidents: 24,
-            ..Default::default()
-        };
-        let plan = FaultPlan::random(11, &s);
-        let crashes: Vec<_> = plan
-            .iter()
-            .filter_map(|(t, f)| match f {
-                Fault::NodeCrash { node, .. } => Some((t, node.clone())),
-                _ => None,
-            })
-            .collect();
-        assert!(!crashes.is_empty(), "a crash-only space must draw crashes");
-        for (tick, node) in &crashes {
-            assert!(
-                plan.iter().any(|(t, f)| {
-                    t > *tick && matches!(f, Fault::NodeRestart { node: n } if n == node)
-                }),
-                "crash of {node} at {tick} has no later restart"
-            );
-        }
-        let rendered = plan.render();
-        assert!(
-            rendered.contains("node-crash") && rendered.contains('@'),
-            "crash lines carry their crash point: {rendered}"
-        );
-    }
-
-    #[test]
-    fn spaces_without_crash_nodes_never_draw_crashes() {
-        // The golden chaos seeds rely on this: the crash kind only enters
-        // the draw when a space opts in, so every pre-existing space keeps
-        // drawing byte-identical plans.
-        for seed in [1u64, 42, 99, 20_260_806] {
-            let plan = FaultPlan::random(seed, &space());
-            assert!(
-                plan.iter().all(|(_, f)| {
-                    !matches!(f, Fault::NodeCrash { .. } | Fault::NodeRestart { .. })
-                }),
-                "seed {seed} drew a crash from a space with no crash_nodes"
-            );
-        }
-    }
-
-    #[test]
-    fn txn_crash_spaces_draw_txn_crashes() {
-        let s = FaultSpace {
-            txn_crashes: vec![
-                TxnCrashPoint::BeforePrepare,
-                TxnCrashPoint::AfterDecision,
-                TxnCrashPoint::MidCommitFanout { shard: 0 },
-            ],
-            horizon: 32,
-            incidents: 16,
-            ..Default::default()
-        };
-        let plan = FaultPlan::random(13, &s);
-        assert!(
-            plan.iter().any(|(_, f)| matches!(f, Fault::TxnCrash { .. })),
-            "a space with txn_crashes must draw txn crashes: {}",
-            plan.render()
-        );
-        assert!(plan.render().contains("txn-crash @"), "{}", plan.render());
-    }
-
-    #[test]
-    fn spaces_without_txn_crashes_never_draw_them() {
-        // Same golden-stability contract as `crash_nodes`: the txn-crash
-        // kind only enters the draw when a space opts in, so every
-        // pre-existing seeded space keeps drawing byte-identical plans.
-        for seed in [1u64, 42, 99, 20_260_806] {
-            let plan = FaultPlan::random(seed, &space());
-            assert!(
-                plan.iter().all(|(_, f)| !matches!(f, Fault::TxnCrash { .. })),
-                "seed {seed} drew a txn crash from a space with no txn_crashes"
-            );
-        }
     }
 }

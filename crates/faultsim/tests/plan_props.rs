@@ -134,8 +134,6 @@ fn random_plan_generation_is_reproducible() {
             components: vec!["c".into()],
             horizon: 32,
             incidents: 8,
-            crash_nodes: vec!["n1".into()],
-            txn_crashes: vec![txn::TxnCrashPoint::BeforePrepare],
         };
         let first = FaultPlan::random(seed, &space);
         let second = FaultPlan::random(seed, &space);

@@ -7,8 +7,8 @@
 //! The paper's space claim — "the space required per component is just
 //! 32 bytes for each interface ... around two orders of magnitude improvement
 //! over page-based protection models" — is embodied by
-//! [`InterfaceDescriptor`]: exactly 32 bytes, with a compile-time check and a
-//! binary encoding to prove nothing is hidden elsewhere.
+//! [`InterfaceDescriptor`]: exactly 32 bytes, with a binary encoding (used
+//! by the tests) to prove nothing is hidden elsewhere.
 
 use crate::sisr::VerifiedImage;
 use machine::seg::Selector;
@@ -68,10 +68,10 @@ impl Rights {
 /// paper's headline space figure.
 ///
 /// Layout (little-endian words):
-/// `code_sel:u16 | data_sel:u16 | stack_sel:u16 | pad:u16 | entry:u32 |
-///  type_id:u32 | iface_id:u32 | rights:u32 | arg_words:u32 | reserved:u64`
-/// — wait, that would be 34; the actual packing below is 32 and checked by
-/// a const assertion and the `encode` length.
+/// `code_sel:u16 | data_sel:u16 | stack_sel:u16 | arg_words:u16 |
+///  entry:u32 | type_id:u32 | iface_id:u32 | rights:u32 | reserved:u64`
+/// — 32 bytes, pinned by the tests' `encode` length and round trip. The
+/// ORB's memory accounting charges [`DESCRIPTOR_BYTES`] per interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InterfaceDescriptor {
     /// Code segment of the serving component's type.
@@ -98,8 +98,8 @@ pub const DESCRIPTOR_BYTES: usize = 32;
 
 impl InterfaceDescriptor {
     /// Encode to the 32-byte wire/table form.
-    #[must_use]
-    pub fn encode(&self) -> [u8; DESCRIPTOR_BYTES] {
+    #[cfg(test)]
+    fn encode(&self) -> [u8; DESCRIPTOR_BYTES] {
         let mut out = [0u8; DESCRIPTOR_BYTES];
         out[0..2].copy_from_slice(&self.code_sel.0.to_le_bytes());
         out[2..4].copy_from_slice(&self.data_sel.0.to_le_bytes());
@@ -114,8 +114,8 @@ impl InterfaceDescriptor {
     }
 
     /// Decode from the 32-byte form.
-    #[must_use]
-    pub fn decode(b: &[u8; DESCRIPTOR_BYTES]) -> Self {
+    #[cfg(test)]
+    fn decode(b: &[u8; DESCRIPTOR_BYTES]) -> Self {
         let u16at = |i: usize| u16::from_le_bytes([b[i], b[i + 1]]);
         let u32at = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
         Self {

@@ -474,26 +474,29 @@ impl Kernel for GoKernel {
 /// abstraction ... ensured a significant performance improvement. However
 /// they lacked the ability to tailor the OS to the application and be
 /// re-configured at runtime" — which is exactly what Go! adds while being
-/// cheaper still. Not a Table 1 row (the paper doesn't report one); used by
-/// the ablation benches to place the design point.
+/// cheaper still. Not a Table 1 row (the paper doesn't report one); its
+/// tests place the design point between L4 and Go! (EXPERIMENTS.md's
+/// 161-cycle rung of the §1.1 ladder).
+#[cfg(test)]
 #[derive(Debug)]
-pub struct ExtensibleKernel {
+struct ExtensibleKernel {
     model: CostModel,
     counter: CycleCounter,
     /// Downloaded extensions: entry ids the guard checks against.
     extensions: Vec<u32>,
 }
 
+#[cfg(test)]
 impl ExtensibleKernel {
     /// A kernel with one downloaded extension.
     #[must_use]
-    pub fn new(model: CostModel) -> Self {
+    fn new(model: CostModel) -> Self {
         Self { model, counter: CycleCounter::new(), extensions: vec![1] }
     }
 
     /// Download another extension (load-time verification is charged as a
     /// linear scan, like SISR's — the designs share that idea).
-    pub fn download(&mut self, id: u32, instructions: u32) {
+    fn download(&mut self, id: u32, instructions: u32) {
         let m = self.model.clone();
         for _ in 0..instructions {
             self.counter.charge(Primitive::Load, &m);
@@ -509,7 +512,7 @@ impl ExtensibleKernel {
     ///
     /// # Panics
     /// If the extension was never downloaded.
-    pub fn invoke_extension(&mut self, id: u32) -> Cycles {
+    fn invoke_extension(&mut self, id: u32) -> Cycles {
         assert!(self.extensions.contains(&id), "extension {id} not downloaded");
         let m = self.model.clone();
         let start = self.counter.total();

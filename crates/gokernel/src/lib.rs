@@ -47,7 +47,7 @@ pub mod sisr;
 pub mod table1;
 
 pub use component::{ComponentId, InterfaceDescriptor, InterfaceId};
-pub use kernels::{ExtensibleKernel, GoKernel, Kernel, KernelKind};
+pub use kernels::{GoKernel, Kernel, KernelKind};
 pub use libos::{LibOs, ThreadId};
 pub use orb::{InvokeFaults, Orb, OrbError};
 pub use sisr::{DiagnosticKind, Pass, Severity, SisrVerifier};

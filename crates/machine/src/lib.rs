@@ -11,8 +11,9 @@
 //!   load-time code scanning;
 //! * **segmentation** protection ([`seg`]) — base/limit-checked segments and
 //!   a descriptor table, the protection model Go! uses;
-//! * **paging** protection ([`paging`]) — page tables, a TLB with flush and
-//!   refill costs, the protection model traditional kernels use;
+//! * **paging** protection ([`paging`]) — page tables and their space
+//!   cost, the protection model traditional kernels use (TLB refills are
+//!   a per-kernel working-set charge, [`cost::Primitive::TlbRefill`]);
 //! * a **trap vector** ([`trap`]) and user/kernel **processor modes**,
 //!   which trap-based kernels pay for on every boundary crossing;
 //! * a **CPU** ([`cpu`]) that executes programs against those protection
@@ -38,6 +39,6 @@ pub mod trap;
 pub use cost::{CostModel, CycleCounter, Cycles};
 pub use cpu::{Cpu, CpuError, Mode};
 pub use isa::{Flow, Instr, Program};
-pub use paging::{AddressSpace, Tlb, PAGE_SIZE};
+pub use paging::{AddressSpace, PAGE_SIZE};
 pub use seg::{Segment, SegmentKind, SegmentTable, Selector};
 pub use trap::TrapVector;

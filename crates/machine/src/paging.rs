@@ -5,14 +5,14 @@
 //!
 //! 1. **Time.** Switching protection domains means loading a new page-table
 //!    base, which flushes the TLB; the cycles show up as refills over the new
-//!    working set. (Go! switches protection with three 1-cycle segment
-//!    loads instead.)
+//!    working set, which each comparator kernel charges as
+//!    [`Primitive::TlbRefill`](crate::cost::Primitive::TlbRefill) over its
+//!    own working-set size. (Go! switches protection with three 1-cycle
+//!    segment loads instead.)
 //! 2. **Space.** The granule of protection is a page (4 KiB) and the mapping
 //!    structures themselves cost a page-table page per 4 MiB region — versus
 //!    Go!'s 32-byte interface descriptors. This is the "around two orders of
 //!    magnitude improvement" the paper claims.
-
-use crate::cost::{CostModel, CycleCounter, Primitive};
 
 /// Bytes per page.
 pub const PAGE_SIZE: u32 = 4096;
@@ -103,66 +103,6 @@ impl AddressSpace {
     }
 }
 
-/// A TLB model: tracks which translations are cached and charges refills.
-///
-/// Capacity and contents are modelled so a domain switch (flush) costs
-/// refills proportional to the *working set touched afterwards*, which is
-/// how the real cost manifests.
-#[derive(Debug, Clone)]
-pub struct Tlb {
-    capacity: usize,
-    entries: Vec<Vpn>,
-    hits: u64,
-    misses: u64,
-}
-
-impl Default for Tlb {
-    fn default() -> Self {
-        Self::new(64)
-    }
-}
-
-impl Tlb {
-    /// A TLB with the given entry capacity (Pentium data TLB: 64 entries).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self { capacity, entries: Vec::new(), hits: 0, misses: 0 }
-    }
-
-    /// Touch a page: on a miss, charge a refill walk to `counter` and cache
-    /// the translation (FIFO eviction).
-    pub fn touch(&mut self, vpn: Vpn, counter: &mut CycleCounter, model: &CostModel) {
-        if self.entries.contains(&vpn) {
-            self.hits += 1;
-            return;
-        }
-        self.misses += 1;
-        counter.charge(Primitive::TlbRefill(1), model);
-        if self.entries.len() == self.capacity {
-            self.entries.remove(0);
-        }
-        self.entries.push(vpn);
-    }
-
-    /// Flush all entries — what a page-table base load does on IA32 without
-    /// tagged TLBs. The cost is paid later, as misses.
-    pub fn flush(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Hit count since construction.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Miss count since construction.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,39 +143,5 @@ mod tests {
         // Mapping in a distant region: one more table page.
         a.map(5000, 3, RW_USER);
         assert_eq!(a.protection_bytes(), 12288);
-    }
-
-    #[test]
-    fn tlb_charges_refills_after_flush() {
-        let model = CostModel::pentium();
-        let mut c = CycleCounter::new();
-        let mut tlb = Tlb::new(4);
-        for vpn in 0..4 {
-            tlb.touch(vpn, &mut c, &model);
-        }
-        let warm = c.total();
-        for vpn in 0..4 {
-            tlb.touch(vpn, &mut c, &model); // all hits
-        }
-        assert_eq!(c.total(), warm);
-        tlb.flush();
-        for vpn in 0..4 {
-            tlb.touch(vpn, &mut c, &model); // all refills again
-        }
-        assert_eq!(c.total(), warm + 4 * model.tlb_refill_entry);
-        assert_eq!(tlb.hits(), 4);
-        assert_eq!(tlb.misses(), 8);
-    }
-
-    #[test]
-    fn tlb_evicts_fifo_at_capacity() {
-        let model = CostModel::pentium();
-        let mut c = CycleCounter::new();
-        let mut tlb = Tlb::new(2);
-        tlb.touch(1, &mut c, &model);
-        tlb.touch(2, &mut c, &model);
-        tlb.touch(3, &mut c, &model); // evicts 1
-        tlb.touch(1, &mut c, &model); // miss again
-        assert_eq!(tlb.misses(), 4);
     }
 }

@@ -11,7 +11,7 @@
 //! The descriptor table here plays the role of the IA32 GDT. Crucially for
 //! the paper's memory claim, a descriptor is a few words, not a page table:
 //! protection state per interface is ~32 bytes versus ≥4 KiB-granular page
-//! structures (see `gokernel::orb::InterfaceDescriptor`).
+//! structures (see `gokernel::component::InterfaceDescriptor`).
 
 /// Which segment register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

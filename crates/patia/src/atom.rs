@@ -1,12 +1,12 @@
 //! Atoms: `Atom = <a_id, name, type, <constraint>>`, replicated over nodes.
 //!
-//! Atoms are no longer in-memory-only: [`Atom::encode`]/[`Atom::decode`]
-//! give each atom a deterministic byte form, and
-//! `AtomStore::persist_into`/[`AtomStore::load_from`] move the whole
-//! store through the cycle-billed [`store::StorageEngine`] — one record
-//! per atom, keyed by `a_id`, written as one committed WAL transaction.
-//! A crash below the adaptation journal now recovers atom metadata via
-//! WAL replay instead of losing it.
+//! Atoms are no longer in-memory-only: [`Atom::encode`] gives each atom a
+//! deterministic byte form, and `AtomStore::persist_into` writes the
+//! whole store through the cycle-billed [`store::StorageEngine`] — one
+//! record per atom, keyed by `a_id`, as one committed WAL transaction. A
+//! crash below the adaptation journal keeps the atom records: WAL replay
+//! brings them back (the tests decode them with `Atom::decode` and
+//! `AtomStore::load_from`).
 
 use datacomp::version::{SelectionConstraints, Version, VersionKind, VersionList};
 use std::collections::BTreeMap;
@@ -72,7 +72,6 @@ impl Atom {
             kind: VersionKind::Replica,
             size_bytes: self.size_bytes,
             age: 0,
-            bytes: None,
         });
     }
 
@@ -91,7 +90,6 @@ impl Atom {
             kind: VersionKind::LowerQuality { quality },
             size_bytes,
             age: 0,
-            bytes: None,
         });
     }
 
@@ -116,7 +114,7 @@ impl Atom {
     }
 
     /// Deterministic byte form for the storage engine (little-endian,
-    /// length-prefixed strings). [`Atom::decode`] inverts it exactly.
+    /// length-prefixed strings). `Atom::decode` inverts it exactly.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
@@ -150,21 +148,13 @@ impl Atom {
             put_str(&mut out, &v.location);
             out.extend_from_slice(&v.size_bytes.to_le_bytes());
             out.extend_from_slice(&v.age.to_le_bytes());
-            match &v.bytes {
-                None => out.push(0),
-                Some(b) => {
-                    out.push(1);
-                    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-                    out.extend_from_slice(b);
-                }
-            }
         }
         out
     }
 
     /// Decode an atom from its [`Atom::encode`] byte form.
-    #[must_use]
-    pub fn decode(bytes: &[u8]) -> Option<Atom> {
+    #[cfg(test)]
+    fn decode(bytes: &[u8]) -> Option<Atom> {
         let mut c = Cursor { bytes, pos: 0 };
         let id = AtomId(c.u32()?);
         let ty = AtomType::from_code(c.u8()?)?;
@@ -189,22 +179,7 @@ impl Atom {
             let location = c.str()?;
             let vsize = c.u64()?;
             let age = c.u64()?;
-            let vbytes = match c.u8()? {
-                0 => None,
-                1 => {
-                    let len = c.u32()? as usize;
-                    Some(c.take(len)?.to_vec())
-                }
-                _ => return None,
-            };
-            versions.add(Version {
-                id: vid,
-                location,
-                kind,
-                size_bytes: vsize,
-                age,
-                bytes: vbytes,
-            });
+            versions.add(Version { id: vid, location, kind, size_bytes: vsize, age });
         }
         if c.pos != bytes.len() {
             return None; // trailing garbage
@@ -228,8 +203,8 @@ impl AtomType {
     }
 
     /// Inverse of [`AtomType::code`].
-    #[must_use]
-    pub(crate) fn from_code(code: u8) -> Option<Self> {
+    #[cfg(test)]
+    fn from_code(code: u8) -> Option<Self> {
         Some(match code {
             0 => AtomType::Html,
             1 => AtomType::Graphic,
@@ -247,12 +222,14 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// A bounds-checked little-endian reader for [`Atom::decode`].
+/// A bounds-checked little-endian reader for `Atom::decode`.
+#[cfg(test)]
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
+#[cfg(test)]
 impl Cursor<'_> {
     fn take(&mut self, n: usize) -> Option<&[u8]> {
         let s = self.bytes.get(self.pos..self.pos + n)?;
@@ -353,7 +330,8 @@ impl AtomStore {
     /// # Errors
     /// The engine's error as a string, or a description of the first
     /// undecodable record.
-    pub fn load_from(engine: &mut store::StorageEngine) -> Result<Self, String> {
+    #[cfg(test)]
+    fn load_from(engine: &mut store::StorageEngine) -> Result<Self, String> {
         let mut out = AtomStore::new();
         for (key, bytes) in engine.scan_all().map_err(|e| e.to_string())? {
             let atom =
@@ -411,7 +389,6 @@ mod tests {
             kind: VersionKind::Compressed { codec: "rle".to_owned() },
             size_bytes: 9_000,
             age: 4,
-            bytes: Some(vec![1, 2, 3]),
         });
         a.versions.add(Version {
             id: 4,
@@ -419,7 +396,6 @@ mod tests {
             kind: VersionKind::Summary { fraction: 0.1 },
             size_bytes: 100,
             age: 0,
-            bytes: None,
         });
         a.constraint_ids = vec![450, 451];
         let decoded = Atom::decode(&a.encode()).unwrap();

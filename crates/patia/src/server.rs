@@ -108,21 +108,6 @@ pub struct FaultCounters {
     pub dropped: u64,
 }
 
-impl FaultCounters {
-    /// Fold a per-tick delta into this accumulator — how the server keeps
-    /// its cumulative [`PatiaServer::fault_totals`] consistent with the
-    /// per-tick deltas in [`TickStats::faults`].
-    /// All fields saturate: a server that has absorbed `u64::MAX` faults
-    /// keeps reporting `u64::MAX` rather than wrapping to zero.
-    pub fn absorb(&mut self, delta: &FaultCounters) {
-        self.failed_switches = self.failed_switches.saturating_add(delta.failed_switches);
-        self.switch_retries = self.switch_retries.saturating_add(delta.switch_retries);
-        self.evacuations = self.evacuations.saturating_add(delta.evacuations);
-        self.degraded = self.degraded.saturating_add(delta.degraded);
-        self.dropped = self.dropped.saturating_add(delta.dropped);
-    }
-}
-
 /// What kind of SWITCH the server performed — the discriminator trace
 /// queries and the reconfiguration glue dispatch on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -367,10 +352,6 @@ pub struct PatiaServer {
     retry: BTreeMap<AtomId, RetryState>,
     /// Armed observability hub, if any.
     obs: Option<ObsHandle>,
-    /// Cumulative fault counters since boot. [`TickStats::faults`] is
-    /// always the per-tick *delta*; this (and the metrics registry, when
-    /// armed) is always the running *total* — one uniform semantics.
-    totals: FaultCounters,
     /// The fleet supervisor: heartbeat failure detection and per-peer
     /// circuit breakers consulted by every BEST placement decision.
     supervisor: Supervisor,
@@ -450,7 +431,6 @@ impl PatiaServer {
             gate: None,
             retry: BTreeMap::new(),
             obs: None,
-            totals: FaultCounters::default(),
             supervisor,
             storage: None,
             route_slots: Vec::new(),
@@ -511,13 +491,6 @@ impl PatiaServer {
             engine.disarm_obs();
         }
         self.obs = None;
-    }
-
-    /// Cumulative fault counters since boot (sum of every tick's
-    /// [`TickStats::faults`] delta).
-    #[must_use]
-    pub fn fault_totals(&self) -> FaultCounters {
-        self.totals
     }
 
     /// Arm a SWITCH-failure injector. Replaces any previous gate.
@@ -981,9 +954,7 @@ impl PatiaServer {
         }
 
         // Uniform counter semantics: `stats.faults` stays the per-tick
-        // delta; the running totals (and, when armed, the registry
-        // counters) absorb it.
-        self.totals.absorb(&stats.faults);
+        // delta; the registry counters, when armed, keep the running total.
         if let Some(o) = &obs {
             let mut o = o.borrow_mut();
             o.metrics.counter_add("patia.requests.arrived", stats.arrivals as u64);
@@ -1476,34 +1447,6 @@ mod tests {
         assert_ne!(s.agents(AtomId(123))[0].node, home);
     }
 
-    /// Regression: fault-counter semantics must be uniform — TickStats
-    /// carries per-tick *deltas* and `fault_totals()` the running *total*,
-    /// so summing the deltas must reproduce the total exactly.
-    #[test]
-    fn fault_totals_are_the_sum_of_tick_deltas() {
-        let crowd = FlashCrowd { from: 10, to: 160, target: AtomId(123), multiplier: 40.0 };
-        let mut gen = RequestGen::new(vec![AtomId(123)], 1.0, 4.0, 2).with_crowd(crowd);
-        let mut s = server(true);
-        s.arm_switch_gate(Box::new(DenyAll));
-        let mut summed = FaultCounters::default();
-        for t in 1..=200 {
-            if t == 30 {
-                s.kill_node("node3");
-            }
-            if t == 90 {
-                s.revive_node("node3");
-            }
-            let mut reqs = gen.tick(t);
-            reqs.push(AtomId(999)); // guaranteed drop each tick
-            let st = s.tick(&reqs, 500.0);
-            summed.absorb(&st.faults);
-        }
-        let totals = s.fault_totals();
-        assert_eq!(totals, summed, "cumulative totals must equal the sum of per-tick deltas");
-        assert!(totals.failed_switches >= 1, "the scenario must exercise failures");
-        assert!(totals.dropped >= 200);
-    }
-
     /// Arming observability must not perturb behaviour: TickStats and the
     /// gauge board are identical armed and disarmed, and when armed every
     /// monitor reading is also published as the registry gauge of the same
@@ -1536,54 +1479,23 @@ mod tests {
                     assert_eq!(metrics.gauge(&n.cpu), latest.map(|r| r.value), "tick {t}");
                 }
             }
-            (out, s.board.snapshot(), s.fault_totals(), obs)
+            (out, s.board.snapshot(), obs)
         };
-        let (stats_off, board_off, totals_off, _) = run(false);
-        let (stats_on, board_on, totals_on, obs) = run(true);
+        let (stats_off, board_off, _) = run(false);
+        let (stats_on, board_on, obs) = run(true);
         assert_eq!(stats_off, stats_on, "TickStats must not depend on observability");
         assert_eq!(board_off, board_on, "arming must feed the board identical readings");
-        assert_eq!(totals_off, totals_on);
-        // And the registry's cumulative counters agree with the totals.
+        // And the registry's cumulative counters are the sums of the
+        // per-tick deltas.
         let o = obs.unwrap();
         let o = o.borrow();
-        assert_eq!(o.metrics.counter("patia.switch.failed"), totals_on.failed_switches);
-        assert_eq!(o.metrics.counter("patia.switch.evacuations"), totals_on.evacuations);
-        assert_eq!(o.metrics.counter("patia.requests.degraded"), totals_on.degraded);
-        assert_eq!(o.metrics.counter("patia.requests.dropped"), totals_on.dropped);
-        let arrived: u64 = stats_on.iter().map(|st| st.arrivals as u64).sum();
-        assert_eq!(o.metrics.counter("patia.requests.arrived"), arrived);
+        let sum = |f: fn(&TickStats) -> u64| -> u64 { stats_on.iter().map(f).sum() };
+        assert_eq!(o.metrics.counter("patia.switch.failed"), sum(|st| st.faults.failed_switches));
+        assert_eq!(o.metrics.counter("patia.switch.evacuations"), sum(|st| st.faults.evacuations));
+        assert_eq!(o.metrics.counter("patia.requests.degraded"), sum(|st| st.faults.degraded));
+        assert_eq!(o.metrics.counter("patia.requests.dropped"), sum(|st| st.faults.dropped));
+        assert_eq!(o.metrics.counter("patia.requests.arrived"), sum(|st| st.arrivals as u64));
         assert!(o.tracer.events().iter().any(|e| e.name.starts_with("tick:")));
-    }
-
-    /// Regression for the cumulative-counter contract: absorbing into a
-    /// saturated accumulator must pin at `u64::MAX`, never wrap.
-    #[test]
-    fn fault_counters_saturate_at_u64_max() {
-        let mut totals = FaultCounters {
-            failed_switches: u64::MAX,
-            switch_retries: u64::MAX,
-            evacuations: u64::MAX,
-            degraded: u64::MAX,
-            dropped: u64::MAX,
-        };
-        let delta = FaultCounters {
-            failed_switches: 3,
-            switch_retries: 2,
-            evacuations: 1,
-            degraded: 5,
-            dropped: 7,
-        };
-        totals.absorb(&delta);
-        assert_eq!(
-            totals,
-            FaultCounters {
-                failed_switches: u64::MAX,
-                switch_retries: u64::MAX,
-                evacuations: u64::MAX,
-                degraded: u64::MAX,
-                dropped: u64::MAX,
-            }
-        );
     }
 
     #[test]
@@ -1899,7 +1811,6 @@ mod tests {
                 assert_eq!(got, want, "tick {t}");
                 assert_eq!(h_cohort.borrow().clock(), h_count_1.borrow().clock(), "tick {t}");
             }
-            assert_eq!(cohort.fault_totals(), count_1.fault_totals());
             let (c, r) = (h_cohort.borrow(), h_count_1.borrow());
             assert_eq!(c.tracer.events(), r.tracer.events());
             assert_eq!(c.metrics, r.metrics);

@@ -255,8 +255,6 @@ fn same_seed_replays_identical_timeline_and_stats() {
         components: Vec::new(),
         horizon: 250,
         incidents: 10,
-        crash_nodes: Vec::new(),
-        txn_crashes: Vec::new(),
     };
     for seed in GOLDEN_SEEDS {
         let plan = FaultPlan::random(seed, &space);
