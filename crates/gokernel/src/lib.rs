@@ -46,7 +46,7 @@ pub mod orb;
 pub mod sisr;
 pub mod table1;
 
-pub use component::{ComponentId, InterfaceDescriptor, InterfaceId};
+pub use component::{ComponentId, InterfaceId};
 pub use kernels::{GoKernel, Kernel, KernelKind};
 pub use libos::{LibOs, ThreadId};
 pub use orb::{InvokeFaults, Orb, OrbError};

@@ -17,9 +17,6 @@
 //! * [`profile`] — a cycle-attribution profiler that folds the span
 //!   stream into an aggregated call tree with self/total accounting and
 //!   inferno-compatible folded stacks (`bench figures --flame`).
-//! * [`query`] — a combinator query engine over the event log, used by
-//!   tests to assert causal invariants (*precedes*, *within*,
-//!   *encloses*) instead of eyeballing renders.
 //! * [`diff`] — a minimal unified line diff so golden failures show
 //!   *what* drifted, not just digests.
 //!
@@ -50,13 +47,11 @@ pub mod chrome;
 pub mod diff;
 pub mod metrics;
 pub mod profile;
-pub mod query;
 pub mod span;
 
 pub use machine::cost::{CostModel, Cycles, Primitive};
 pub use metrics::MetricsSnapshot;
 pub use profile::Profile;
-pub use query::Query;
 pub use span::{EventKind, SpanId, TraceEvent};
 
 use metrics::MetricsRegistry;

@@ -9,7 +9,7 @@
 
 use crate::fnv1a;
 use crate::Cycles;
-use std::fmt::Write as _;
+use std::fmt;
 
 /// Handle to an open span, returned by [`Tracer::begin_at`] and consumed
 /// by `Tracer::end_at`. Not `Copy`: a span ends exactly once.
@@ -40,6 +40,39 @@ pub struct TraceEvent {
     pub kind: EventKind,
     /// Structured key/value arguments, in emission order.
     pub args: Vec<(&'static str, String)>,
+}
+
+impl TraceEvent {
+    /// The value of structured arg `key`, if present.
+    #[must_use]
+    pub fn arg(&self, key: &str) -> Option<&str> {
+        self.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v.as_str())
+    }
+
+    /// Write this event's line to `w` (the one formatter behind both
+    /// `Display` and [`Tracer::render`], generic so a render writes
+    /// straight into its `String`).
+    fn write_line(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        match self.kind {
+            EventKind::Complete => {
+                write!(w, "@{:010}+{:06} {}:{}", self.ts, self.dur, self.cat, self.name)?;
+            }
+            EventKind::Instant => write!(w, "@{:010}!       {}:{}", self.ts, self.cat, self.name)?,
+        }
+        for (k, v) in &self.args {
+            write!(w, " {k}={v}")?;
+        }
+        Ok(())
+    }
+}
+
+/// One line of [`Tracer::render`], without the newline:
+/// `@{ts:010}+{dur:06} {cat}:{name} k=v ...`, with `!` and padding in
+/// place of `+dur` for instants.
+impl fmt::Display for TraceEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_line(f)
+    }
 }
 
 /// An open span not yet moved into the event log.
@@ -158,17 +191,7 @@ impl Tracer {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
-            match e.kind {
-                EventKind::Complete => {
-                    let _ = write!(out, "@{:010}+{:06} {}:{}", e.ts, e.dur, e.cat, e.name);
-                }
-                EventKind::Instant => {
-                    let _ = write!(out, "@{:010}!       {}:{}", e.ts, e.cat, e.name);
-                }
-            }
-            for (k, v) in &e.args {
-                let _ = write!(out, " {k}={v}");
-            }
+            let _ = e.write_line(&mut out);
             out.push('\n');
         }
         out

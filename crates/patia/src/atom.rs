@@ -191,7 +191,7 @@ impl Atom {
 impl AtomType {
     /// Wire code for [`Atom::encode`].
     #[must_use]
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             AtomType::Html => 0,
             AtomType::Graphic => 1,

@@ -22,11 +22,16 @@
 //!
 //! Row order is deterministic (registry order, event order, name order,
 //! frame order, deadline order), so query results golden-pin like every
-//! other artifact in the repo. `SysScan` is the billed source
-//! operator: armed with an [`obs`] hub it charges one
-//! [`Primitive::Load`](obs::Primitive) per row served, so introspection
-//! itself shows up in the machine's cycle ledger — querying the machine
-//! is work the machine performs.
+//! other artifact in the repo. Tables are scanned by the
+//! [`query::source::TableScan`] operator; armed with an [`obs`] hub, a
+//! scan charges one [`Primitive::Load`](obs::Primitive) per row served,
+//! so introspection itself shows up in the machine's cycle ledger —
+//! querying the machine is work the machine performs.
+//!
+//! [`invariants`] runs the trace's temporal checks (*within*,
+//! *precedes*, *encloses*, *disjoint*) as joins of these operators over
+//! selections of the span log, so every invariant a test asserts is also
+//! a query against a live run.
 //!
 //! [`patia::rules`] states the circuit-breaker screen on BEST candidate
 //! lists as a declarative query over `sys.supervision`, property-tested
@@ -36,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod invariants;
 pub mod scan;
 pub mod tables;
 

@@ -2,13 +2,14 @@
 //!
 //! Each builder freezes one subsystem's live state into a
 //! [`datacomp::Table`] with a stable schema and deterministic row order,
-//! ready for `SysScan` and the rest of the operator
-//! algebra. Builders take the subsystem's public introspection types —
+//! ready for the billed scans of [`crate::scan`] and the rest of the
+//! operator algebra. Builders take the subsystem's public introspection types —
 //! they never reach into private state, so anything a table serves is
 //! equally available to ordinary code.
 
 use compkit::AdaptivityManager;
-use datacomp::{ColumnType, Schema, Table, Value};
+use datacomp::ColumnType::{self, Bool, Float, Int, Str};
+use datacomp::{Row, Schema, Table, Value};
 use obs::span::{EventKind, TraceEvent};
 use obs::MetricsSnapshot;
 use patia::wheel::TimerWheel;
@@ -16,8 +17,22 @@ use store::BufferPool;
 use txn::{TransactionCore, TxnLog, TxnRecord};
 
 /// Saturating `u64 → Value::Int` (registry counters can exceed `i64`).
-fn int(v: u64) -> Value {
+pub(crate) fn int(v: u64) -> Value {
     Value::Int(i64::try_from(v).unwrap_or(i64::MAX))
+}
+
+/// A table of `cols` holding `rows`, the constructor every builder
+/// shares.
+///
+/// # Panics
+/// If `cols` repeats a name or a row does not fit them; the builders fix
+/// both statically.
+pub(crate) fn table(cols: &[(&str, ColumnType)], rows: impl IntoIterator<Item = Row>) -> Table {
+    let mut t = Table::new(Schema::new(cols).expect("system-table columns are distinct"));
+    for row in rows {
+        t.insert(row).expect("system-table rows match their schema");
+    }
+    t
 }
 
 /// `sys.metrics`: one row per counter, gauge, and histogram component.
@@ -32,24 +47,9 @@ fn int(v: u64) -> Value {
 /// Never: rows are built to the schema.
 #[must_use]
 pub fn metrics_table(snap: &MetricsSnapshot) -> Table {
-    let schema = Schema::new(&[
-        ("kind", ColumnType::Str),
-        ("name", ColumnType::Str),
-        ("key", ColumnType::Str),
-        ("value_int", ColumnType::Int),
-        ("value_float", ColumnType::Float),
-    ])
-    .expect("sys.metrics schema is statically valid");
-    let mut t = Table::new(schema);
+    let mut rows = Vec::new();
     let mut push = |kind: &str, name: &str, key: &str, vi: Value, vf: Value| {
-        t.insert(vec![
-            Value::Str(kind.to_owned()),
-            Value::Str(name.to_owned()),
-            Value::Str(key.to_owned()),
-            vi,
-            vf,
-        ])
-        .expect("sys.metrics rows match their schema");
+        rows.push(vec![Value::str(kind), Value::str(name), Value::str(key), vi, vf]);
     };
     for (name, v) in &snap.counters {
         push("counter", name, "value", int(*v), Value::Null);
@@ -66,7 +66,10 @@ pub fn metrics_table(snap: &MetricsSnapshot) -> Table {
             push("histogram", name, &format!("b{bucket}"), int(*n), Value::Null);
         }
     }
-    t
+    table(
+        &[("kind", Str), ("name", Str), ("key", Str), ("value_int", Int), ("value_float", Float)],
+        rows,
+    )
 }
 
 /// `sys.spans`: one row per trace event, in completion order.
@@ -79,24 +82,13 @@ pub fn metrics_table(snap: &MetricsSnapshot) -> Table {
 /// Never: rows are built to the schema.
 #[must_use]
 pub fn spans_table(events: &[TraceEvent]) -> Table {
-    let schema = Schema::new(&[
-        ("seq", ColumnType::Int),
-        ("ts", ColumnType::Int),
-        ("dur", ColumnType::Int),
-        ("cat", ColumnType::Str),
-        ("name", ColumnType::Str),
-        ("kind", ColumnType::Str),
-        ("args", ColumnType::Str),
-    ])
-    .expect("sys.spans schema is statically valid");
-    let mut t = Table::new(schema);
-    for (seq, e) in events.iter().enumerate() {
+    let rows = events.iter().enumerate().map(|(seq, e)| {
         let kind = match e.kind {
             EventKind::Complete => "complete",
             EventKind::Instant => "instant",
         };
         let args = e.args.iter().map(|(k, v)| format!("{k}={v}")).collect::<Vec<_>>().join(" ");
-        t.insert(vec![
+        vec![
             Value::Int(seq as i64),
             int(e.ts),
             int(e.dur),
@@ -104,10 +96,18 @@ pub fn spans_table(events: &[TraceEvent]) -> Table {
             Value::Str(e.name.clone()),
             Value::Str(kind.to_owned()),
             Value::Str(args),
-        ])
-        .expect("sys.spans rows match their schema");
-    }
-    t
+        ]
+    });
+    let cols = [
+        ("seq", Int),
+        ("ts", Int),
+        ("dur", Int),
+        ("cat", Str),
+        ("name", Str),
+        ("kind", Str),
+        ("args", Str),
+    ];
+    table(&cols, rows)
 }
 
 /// `sys.supervision`: one row per watched peer — re-exported from
@@ -183,28 +183,10 @@ pub fn txns_table(core: &TransactionCore, am: Option<&AdaptivityManager>) -> Tab
 /// (stat value; for records the shard count, declared steps, or step
 /// index), `detail` (the record's rendered form; null for stats).
 fn log_table(stats: &[(&str, u64)], log: Option<&TxnLog>) -> Table {
-    let schema = Schema::new(&[
-        ("kind", ColumnType::Str),
-        ("name", ColumnType::Str),
-        ("gtxn", ColumnType::Int),
-        ("shard", ColumnType::Int),
-        ("value", ColumnType::Int),
-        ("detail", ColumnType::Str),
-    ])
-    .expect("the log-table schema is statically valid");
-    let mut t = Table::new(schema);
-    for &(name, v) in stats {
-        t.insert(vec![
-            Value::Str("stat".to_owned()),
-            Value::Str(name.to_owned()),
-            Value::Null,
-            Value::Null,
-            int(v),
-            Value::Null,
-        ])
-        .expect("stat rows match the log-table schema");
-    }
-    for r in log.into_iter().flat_map(TxnLog::records) {
+    let stat_rows = stats.iter().map(|&(name, v)| {
+        vec![Value::str("stat"), Value::str(name), Value::Null, Value::Null, int(v), Value::Null]
+    });
+    let record_rows = log.into_iter().flat_map(TxnLog::records).map(|r| {
         let (shard, value) = match r {
             TxnRecord::Begin { shards, .. } => (None, Some(shards.len() as u64)),
             TxnRecord::Intent { shard, steps, .. } => (Some(shard.0), Some(*steps as u64)),
@@ -216,17 +198,24 @@ fn log_table(stats: &[(&str, u64)], log: Option<&TxnLog>) -> Table {
             | TxnRecord::ShardAborted { shard, .. } => (Some(shard.0), None),
             TxnRecord::Commit { .. } | TxnRecord::End { .. } => (None, None),
         };
-        t.insert(vec![
-            Value::Str("record".to_owned()),
-            Value::Str(r.tag().to_owned()),
+        vec![
+            Value::str("record"),
+            Value::str(r.tag()),
             int(r.gtxn()),
             shard.map_or(Value::Null, |s| Value::Int(i64::from(s))),
             value.map_or(Value::Null, int),
             Value::Str(r.to_string()),
-        ])
-        .expect("record rows match the log-table schema");
-    }
-    t
+        ]
+    });
+    let cols = [
+        ("kind", Str),
+        ("name", Str),
+        ("gtxn", Int),
+        ("shard", Int),
+        ("value", Int),
+        ("detail", Str),
+    ];
+    table(&cols, stat_rows.chain(record_rows))
 }
 
 /// `sys.pool`: one row per buffer-pool frame, in frame-index order.
@@ -238,24 +227,15 @@ fn log_table(stats: &[(&str, u64)], log: Option<&TxnLog>) -> Table {
 /// Never: rows are built to the schema.
 #[must_use]
 pub fn pool_table(pool: &BufferPool) -> Table {
-    let schema = Schema::new(&[
-        ("frame", ColumnType::Int),
-        ("page", ColumnType::Int),
-        ("dirty", ColumnType::Bool),
-        ("referenced", ColumnType::Bool),
-    ])
-    .expect("sys.pool schema is statically valid");
-    let mut t = Table::new(schema);
-    for f in pool.frame_table() {
-        t.insert(vec![
+    let rows = pool.frame_table().into_iter().map(|f| {
+        vec![
             Value::Int(f.frame as i64),
             f.page.map_or(Value::Null, |p| Value::Int(i64::from(p.0))),
             Value::Bool(f.dirty),
             Value::Bool(f.referenced),
-        ])
-        .expect("sys.pool rows match their schema");
-    }
-    t
+        ]
+    });
+    table(&[("frame", Int), ("page", Int), ("dirty", Bool), ("referenced", Bool)], rows)
 }
 
 /// `sys.timers`: one row per pending deadline, ascending.
@@ -268,8 +248,6 @@ pub fn pool_table(pool: &BufferPool) -> Table {
 /// Never: rows are built to the schema.
 #[must_use]
 pub fn timers_table<T>(wheel: &TimerWheel<T>) -> Table {
-    let schema = Schema::new(&[("deadline", ColumnType::Int), ("live", ColumnType::Int)])
-        .expect("sys.timers schema is statically valid");
     let mut rows: Vec<(u64, u64)> = Vec::new();
     for deadline in wheel.deadlines() {
         match rows.last_mut() {
@@ -277,11 +255,8 @@ pub fn timers_table<T>(wheel: &TimerWheel<T>) -> Table {
             _ => rows.push((deadline, 1)),
         }
     }
-    let mut t = Table::new(schema);
-    for (deadline, live) in rows {
-        t.insert(vec![int(deadline), int(live)]).expect("sys.timers rows match their schema");
-    }
-    t
+    let rows = rows.into_iter().map(|(deadline, live)| vec![int(deadline), int(live)]);
+    table(&[("deadline", Int), ("live", Int)], rows)
 }
 
 #[cfg(test)]

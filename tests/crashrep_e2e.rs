@@ -24,8 +24,7 @@ use adm_core::scenario::crashrep::{
 };
 use adm_core::scenario::GOLDEN_SEEDS;
 use compkit::journal::CrashPoint;
-use obs::query::{arg, Query};
-use obs::TraceEvent;
+use obs::{EventKind, TraceEvent};
 
 /// Part 1a — the tentpole invariant over the full matrix: every cell
 /// settles on exactly one reference configuration and replays as a
@@ -88,22 +87,21 @@ fn recovery_cost_is_billed_traced_and_published() {
     for &seed in &GOLDEN_SEEDS {
         for point in [CrashPoint::MidPlan { after_steps: 3 }, CrashPoint::AfterCommit] {
             let (cell, o) = run_cell_observed(seed, point);
-            let all = Query::over(o.tracer.events());
-            let recovers = all.clone().cat("compkit").name("recover").spans();
-            assert_eq!(
-                recovers.count(),
-                1,
-                "one settled recovery, one span (noop replays are free)"
-            );
-            let (_, span) = recovers.events()[0];
+            let compkit = |name: &'static str| {
+                o.tracer.events().iter().filter(move |e| e.cat == "compkit" && e.name == name)
+            };
+            let recovers: Vec<_> =
+                compkit("recover").filter(|e| e.kind == EventKind::Complete).collect();
+            assert_eq!(recovers.len(), 1, "one settled recovery, one span (noop replays are free)");
+            let span = recovers[0];
             assert!(span.dur > 0, "recovery must cost cycles");
-            assert_eq!(arg(span, "scanned").unwrap(), cell.records_scanned.to_string());
-            assert_eq!(arg(span, "undone").unwrap(), cell.undone.to_string());
-            assert_eq!(arg(span, "outcome").unwrap(), cell.outcome.to_string());
+            assert_eq!(span.arg("scanned").unwrap(), cell.records_scanned.to_string());
+            assert_eq!(span.arg("undone").unwrap(), cell.undone.to_string());
+            assert_eq!(span.arg("outcome").unwrap(), cell.outcome.to_string());
             // The crashed switchover is also visible: a compkit:switch
             // span with outcome "crashed", never "committed".
             assert_eq!(
-                all.clone().cat("compkit").name("switch").arg("outcome", "crashed").count(),
+                compkit("switch").filter(|e| e.arg("outcome") == Some("crashed")).count(),
                 1,
                 "the crash itself must be traced"
             );
@@ -128,6 +126,14 @@ fn enclosing_tick(events: &[TraceEvent], e: &TraceEvent) -> Option<u64> {
         .and_then(|s| s.name.strip_prefix("tick:")?.parse().ok())
 }
 
+/// The `patia` events named `name`, only `node`'s when one is given.
+fn patia<'e>(events: &'e [TraceEvent], name: &str, node: Option<&str>) -> Vec<&'e TraceEvent> {
+    events
+        .iter()
+        .filter(|e| e.cat == "patia" && e.name == name && (node.is_none() || e.arg("node") == node))
+        .collect()
+}
+
 /// The circuit-open intervals `[open_ts, contact_ts)` for `node`,
 /// reconstructed from the trace's `circuit:open` / `circuit:half_open` /
 /// `circuit:close` instants.
@@ -135,7 +141,7 @@ fn open_intervals(events: &[TraceEvent], node: &str) -> Vec<(u64, u64)> {
     let mut intervals = Vec::new();
     let mut open_since: Option<u64> = None;
     for e in events {
-        if e.cat != "patia" || arg(e, "node") != Some(node) {
+        if e.cat != "patia" || e.arg("node") != Some(node) {
             continue;
         }
         match e.name.as_str() {
@@ -162,27 +168,18 @@ fn supervision_invariants_hold_over_the_storyline() {
         let (report, o) = run_observed(&supervised_storyline(seed));
         assert!(report.conserved(), "seed {seed}: conservation must hold");
         let events = o.tracer.events();
-        let all = Query::over(events);
 
         // (a) node2's crash is suspected within k missed beats: the
         // suspect instant carries missed=3 and lands at most
         // suspect_after ticks after the death tick.
-        let deaths = all.clone().cat("patia").name("fault:node_death").arg("node", "node2");
-        assert_eq!(deaths.count(), 1, "seed {seed}: the storyline kills node2 once");
-        let suspects: Vec<&TraceEvent> = all
-            .clone()
-            .cat("patia")
-            .name("detector:suspect")
-            .arg("node", "node2")
-            .events()
-            .iter()
-            .map(|(_, e)| *e)
-            .collect();
+        let deaths = patia(events, "fault:node_death", Some("node2"));
+        assert_eq!(deaths.len(), 1, "seed {seed}: the storyline kills node2 once");
+        let suspects = patia(events, "detector:suspect", Some("node2"));
         assert_eq!(suspects.len(), 1, "seed {seed}: node2 must be suspected exactly once");
-        let death = deaths.events()[0].1;
+        let death = deaths[0];
         let suspect = suspects[0];
         assert!(suspect.ts > death.ts, "seed {seed}: suspicion follows the crash");
-        assert_eq!(arg(suspect, "missed"), Some("3"), "seed {seed}: k=3 missed beats convict");
+        assert_eq!(suspect.arg("missed"), Some("3"), "seed {seed}: k=3 missed beats convict");
         let suspect_tick = enclosing_tick(events, suspect)
             .unwrap_or_else(|| panic!("seed {seed}: suspicion must land inside a tick"));
         // The crash strikes at timeline tick 70 (before that tick's
@@ -195,7 +192,7 @@ fn supervision_invariants_hold_over_the_storyline() {
         // (b) the partitioned-but-alive wp1 is suspected too — the case
         // plain BEST cannot see.
         assert_eq!(
-            all.clone().cat("patia").name("detector:suspect").arg("node", "wp1").count(),
+            patia(events, "detector:suspect", Some("wp1")).len(),
             1,
             "seed {seed}: partition must be indistinguishable from death"
         );
@@ -204,14 +201,12 @@ fn supervision_invariants_hold_over_the_storyline() {
         // switch instant's destination lies inside that node's
         // reconstructed open interval.
         let switch_names = ["switch:migrate", "switch:spread", "switch:evacuate"];
-        for (_, sw) in all
-            .clone()
-            .cat("patia")
-            .instants()
-            .filter(|e| switch_names.contains(&e.name.as_str()))
-            .events()
-        {
-            let to = arg(sw, "to").expect("switch instants carry a destination");
+        for sw in events.iter().filter(|e| {
+            e.cat == "patia"
+                && e.kind == EventKind::Instant
+                && switch_names.contains(&e.name.as_str())
+        }) {
+            let to = sw.arg("to").expect("switch instants carry a destination");
             for (from_ts, until_ts) in open_intervals(events, to) {
                 assert!(
                     !(from_ts <= sw.ts && sw.ts < until_ts),
@@ -222,20 +217,11 @@ fn supervision_invariants_hold_over_the_storyline() {
 
         // (d) after the restart, node2 rejoins: revival, then its
         // circuit closes, and it is never suspected again.
-        let revival = all.clone().cat("patia").name("fault:node_revival").arg("node", "node2");
-        assert_eq!(revival.count(), 1, "seed {seed}: the storyline restarts node2 once");
-        let revival_ts = revival.events()[0].1.ts;
-        let closes: Vec<u64> = all
-            .clone()
-            .cat("patia")
-            .name("circuit:close")
-            .arg("node", "node2")
-            .events()
-            .iter()
-            .map(|(_, e)| e.ts)
-            .collect();
+        let revival = patia(events, "fault:node_revival", Some("node2"));
+        assert_eq!(revival.len(), 1, "seed {seed}: the storyline restarts node2 once");
+        let revival_ts = revival[0].ts;
         assert!(
-            closes.iter().any(|&ts| ts > revival_ts),
+            patia(events, "circuit:close", Some("node2")).iter().any(|e| e.ts > revival_ts),
             "seed {seed}: node2's circuit must close after its restart"
         );
         assert!(
@@ -245,8 +231,8 @@ fn supervision_invariants_hold_over_the_storyline() {
 
         // (e) the restart policy probed while node2 was down, backing
         // off; and the registry totals agree with the trace.
-        let probes = all.clone().cat("patia").name("restart:attempt").arg("node", "node2");
-        assert!(probes.count() >= 2, "seed {seed}: the backoff policy must probe repeatedly");
+        let probes = patia(events, "restart:attempt", Some("node2"));
+        assert!(probes.len() >= 2, "seed {seed}: the backoff policy must probe repeatedly");
         for (counter, instant) in [
             ("patia.detector.suspects", "detector:suspect"),
             ("patia.detector.revivals", "detector:revive"),
@@ -255,7 +241,7 @@ fn supervision_invariants_hold_over_the_storyline() {
             ("patia.circuit.closes", "circuit:close"),
             ("patia.restart.probes", "restart:attempt"),
         ] {
-            let traced = all.clone().cat("patia").name(instant).count();
+            let traced = patia(events, instant, None).len();
             assert!(traced > 0, "seed {seed}: the storyline must emit {instant}");
             assert_eq!(
                 o.metrics.counter(counter),

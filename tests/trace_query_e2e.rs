@@ -1,6 +1,6 @@
 //! Trace-query invariants: the causal structure the paper's Adaptation
-//! Framework promises, asserted over real traces with `obs::query`
-//! instead of eyeballed from renders.
+//! Framework promises, asserted over real traces as `systab::invariants`
+//! query plans instead of eyeballed from renders.
 //!
 //! Every test sweeps the Table 2 flash crowd plus the chaos storyline
 //! under every golden seed, so the invariants hold both in the happy
@@ -23,8 +23,8 @@
 
 use adm_core::scenario::chaos::{ci_chaos, paper_flash_crowd, run_observed, ChaosParams};
 use adm_core::scenario::GOLDEN_SEEDS;
-use obs::query::{arg, Query};
-use obs::{Obs, Profile, TraceEvent};
+use obs::{EventKind, Obs, Profile, TraceEvent};
+use systab::invariants::{Selection, Violation};
 
 /// Every scenario the invariants sweep: the flash crowd plus the chaos
 /// matrix, each replayed once with observability armed.
@@ -41,9 +41,25 @@ fn scenarios() -> Vec<(String, adm_core::scenario::chaos::ChaosReport, Obs)> {
     out
 }
 
-/// Relation: witness and marker name the same atom.
-fn same_atom(w: &TraceEvent, m: &TraceEvent) -> bool {
-    arg(w, "atom") == arg(m, "atom")
+fn patia(e: &TraceEvent, name: &str) -> bool {
+    e.cat == "patia" && e.name == name
+}
+
+fn is_tick(e: &TraceEvent) -> bool {
+    e.cat == "patia" && e.name.starts_with("tick:") && e.kind == EventKind::Complete
+}
+
+fn is_load_switch(e: &TraceEvent) -> bool {
+    (patia(e, "switch:migrate") || patia(e, "switch:spread")) && e.kind == EventKind::Instant
+}
+
+/// Invariant 2 over one log; returns the number of SWITCHes checked.
+fn load_switches_are_justified(log: &[TraceEvent]) -> Result<usize, Violation> {
+    let moves = Selection::new(log, is_load_switch, &["atom", "from"]);
+    let breaches = Selection::new(log, |e| patia(e, "gauge:breach"), &["atom", "node"]);
+    let on = [("atom", "atom"), ("from", "node")];
+    moves.each_preceded_within(&breaches, &Selection::new(log, is_tick, &[]), &on)?;
+    Ok(moves.len())
 }
 
 /// Invariant 1 — *within*: every SWITCH instant (migrate, spread,
@@ -52,9 +68,10 @@ fn same_atom(w: &TraceEvent, m: &TraceEvent) -> bool {
 #[test]
 fn every_switch_instant_lies_within_a_tick_span() {
     for (name, _, o) in scenarios() {
-        let all = Query::over(o.tracer.events());
-        let ticks = all.clone().cat("patia").name_prefix("tick:").spans();
-        let switches = all.clone().cat("patia").name_prefix("switch:").instants();
+        let log = o.tracer.events();
+        let ticks = Selection::new(log, is_tick, &[]);
+        let is_switch = |e: &TraceEvent| e.cat == "patia" && e.name.starts_with("switch:");
+        let switches = Selection::new(log, |e| is_switch(e) && e.kind == EventKind::Instant, &[]);
         assert!(!ticks.is_empty(), "{name}: ticks must be traced");
         switches
             .each_within(&ticks)
@@ -70,19 +87,7 @@ fn every_switch_instant_lies_within_a_tick_span() {
 fn every_load_switch_is_preceded_by_a_gauge_breach_in_its_tick() {
     let mut checked = 0usize;
     for (name, _, o) in scenarios() {
-        let all = Query::over(o.tracer.events());
-        let ticks = all.clone().cat("patia").name_prefix("tick:").spans();
-        let breaches = all.clone().cat("patia").name("gauge:breach");
-        let moves = all
-            .clone()
-            .cat("patia")
-            .instants()
-            .filter(|e| e.name == "switch:migrate" || e.name == "switch:spread");
-        checked += moves.count();
-        moves
-            .each_preceded_within(&breaches, &ticks, |w, m| {
-                same_atom(w, m) && arg(w, "node") == arg(m, "from")
-            })
+        checked += load_switches_are_justified(o.tracer.events())
             .unwrap_or_else(|v| panic!("{name}: unjustified SWITCH: {v}"));
     }
     assert!(checked >= 3, "the sweep must actually exercise load switches ({checked})");
@@ -95,20 +100,16 @@ fn every_load_switch_is_preceded_by_a_gauge_breach_in_its_tick() {
 fn every_evacuation_is_preceded_by_the_source_nodes_death() {
     let mut evacuations = 0usize;
     for (name, report, o) in scenarios() {
-        let all = Query::over(o.tracer.events());
-        let deaths = all.clone().cat("patia").name("fault:node_death");
-        let evts = all.clone().cat("patia").name("switch:evacuate");
-        evacuations += evts.count();
-        assert_eq!(
-            evts.count() as u64,
-            report.evacuations,
-            "{name}: traced evacuations match the report"
-        );
-        evts.each_preceded_by(&deaths, |w, m| arg(w, "node") == arg(m, "from"))
+        let log = o.tracer.events();
+        let deaths = Selection::new(log, |e| patia(e, "fault:node_death"), &["node"]);
+        let evts = Selection::new(log, |e| patia(e, "switch:evacuate"), &["from"]);
+        evacuations += evts.len();
+        assert_eq!(evts.len() as u64, report.evacuations, "{name}: traced evacuations match");
+        evts.each_preceded_by(&deaths, &[("from", "node")])
             .unwrap_or_else(|v| panic!("{name}: evacuation without a prior node death: {v}"));
         if name == "flash-crowd" {
             assert!(
-                all.clone().name_prefix("fault:").is_empty(),
+                Selection::new(log, |e| e.name.starts_with("fault:"), &[]).is_empty(),
                 "{name}: a fault-free scenario must trace no fault instants"
             );
         }
@@ -123,16 +124,18 @@ fn every_evacuation_is_preceded_by_the_source_nodes_death() {
 #[test]
 fn every_reconfiguration_span_encloses_a_committed_transaction() {
     for (name, report, o) in scenarios() {
-        let all = Query::over(o.tracer.events());
-        let commits = all.clone().cat("compkit").name("switch").arg("outcome", "committed");
-        let reconfigs =
-            all.clone().cat("chaos").spans().filter(|e| e.name == "boot" || e.name == "migration");
+        let log = o.tracer.events();
+        let commit = |e: &TraceEvent| e.cat == "compkit" && e.arg("outcome") == Some("committed");
+        let commits = Selection::new(log, |e| commit(e) && e.name == "switch", &[]);
+        let reconfig = |e: &TraceEvent| e.name == "boot" || e.name == "migration";
+        let spans = |e: &TraceEvent| e.cat == "chaos" && e.kind == EventKind::Complete;
+        let reconfigs = Selection::new(log, |e| spans(e) && reconfig(e), &[]);
         assert_eq!(
-            reconfigs.count() as u64,
+            reconfigs.len() as u64,
             report.migrations + 1,
             "{name}: one mirror span per SWITCH plus the boot transaction"
         );
-        reconfigs.each_encloses(&commits, |_, _| true).unwrap_or_else(|v| {
+        reconfigs.each_encloses(&commits, &[]).unwrap_or_else(|v| {
             panic!("{name}: reconfiguration without a committed transaction: {v}")
         });
         assert_eq!(
@@ -149,13 +152,35 @@ fn every_reconfiguration_span_encloses_a_committed_transaction() {
 #[test]
 fn tick_spans_are_pairwise_disjoint() {
     for (name, _, o) in scenarios() {
-        Query::over(o.tracer.events())
-            .cat("patia")
-            .name_prefix("tick:")
-            .spans()
+        Selection::new(o.tracer.events(), is_tick, &[])
             .pairwise_disjoint()
             .unwrap_or_else(|v| panic!("{name}: overlapping ticks: {v}"));
     }
+}
+
+/// Invariants 2 and 5 read the real trace: on a chaos run, dropping the
+/// breaches that justify the first load SWITCH fails invariant 2 on that
+/// SWITCH, and shifting the first tick into the next fails invariant 5.
+#[test]
+fn mutated_chaos_traces_fail_invariants_2_and_5() {
+    let (_, o) = run_observed(&ci_chaos(GOLDEN_SEEDS[0]));
+    let log = o.tracer.events();
+    let sw = log.iter().find(|e| is_load_switch(e)).expect("the chaos run switches on load");
+    let (atom, node) = (sw.arg("atom"), sw.arg("from"));
+    let justifies =
+        |e: &TraceEvent| e.ts <= sw.ts && e.arg("atom") == atom && e.arg("node") == node;
+    let dropped: Vec<_> =
+        log.iter().filter(|e| !(patia(e, "gauge:breach") && justifies(e))).cloned().collect();
+    assert!(dropped.len() < log.len(), "the first load SWITCH has a breach to drop");
+    let v = load_switches_are_justified(&dropped).expect_err("the SWITCH lost its witness");
+    assert!(v.detail.contains(&format!("marker: {sw}")), "names the SWITCH: {v}");
+
+    let mut shifted = log.to_vec();
+    let i = log.iter().position(is_tick).expect("ticks are traced");
+    let next = log.iter().filter(|e| is_tick(e) && e.ts > log[i].ts).map(|e| e.ts).min();
+    shifted[i].ts = next.expect("a second tick") + 1 - log[i].dur;
+    let v = Selection::new(&shifted, is_tick, &[]).pairwise_disjoint().expect_err("overlap");
+    assert!(v.detail.contains(&shifted[i].to_string()), "names the shifted tick: {v}");
 }
 
 /// Invariant 6 — the trace agrees with the measurement it annotates:
@@ -174,12 +199,14 @@ fn orb_invocation_spans_reproduce_their_rpc_outcome_cycles() {
     }
     drop(go);
     let o = Obs::try_unwrap(obs).unwrap_or_else(|_| unreachable!("kernel dropped"));
-    let invokes = Query::over(o.tracer.events()).cat("gokernel").name("invoke").spans();
-    assert_eq!(invokes.count(), cycles.len(), "one span per invocation");
+    let is_invoke =
+        |e: &TraceEvent| e.cat == "gokernel" && e.name == "invoke" && e.kind == EventKind::Complete;
+    let invokes = Selection::new(o.tracer.events(), is_invoke, &["cycles"]);
+    assert_eq!(invokes.len(), cycles.len(), "one span per invocation");
     invokes.dur_equals_arg("cycles").expect("span duration equals RpcOutcome::cycles");
-    for ((_, e), reported) in invokes.events().iter().zip(&cycles) {
+    for (e, reported) in o.tracer.events().iter().filter(|e| is_invoke(e)).zip(&cycles) {
         assert_eq!(e.dur, *reported, "the span rides the ORB's own counter");
-        assert_eq!(arg(e, "outcome"), Some("ok"));
+        assert_eq!(e.arg("outcome"), Some("ok"));
     }
 }
 
@@ -189,20 +216,19 @@ fn orb_invocation_spans_reproduce_their_rpc_outcome_cycles() {
 #[test]
 fn query_counts_report_and_profile_agree() {
     for (name, report, o) in scenarios() {
-        let all = Query::over(o.tracer.events());
-        let moves = all
-            .clone()
-            .cat("patia")
-            .instants()
-            .filter(|e| {
-                e.name == "switch:migrate"
-                    || e.name == "switch:spread"
-                    || e.name == "switch:evacuate"
-            })
-            .count() as u64;
-        assert_eq!(moves, report.migrations, "{name}: traced SWITCHes match the report");
+        let log = o.tracer.events();
+        let moves = Selection::new(
+            log,
+            |e| is_load_switch(e) || (patia(e, "switch:evacuate") && e.kind == EventKind::Instant),
+            &[],
+        );
         assert_eq!(
-            all.clone().cat("patia").name("switch:failed").count() as u64,
+            moves.len() as u64,
+            report.migrations,
+            "{name}: traced SWITCHes match the report"
+        );
+        assert_eq!(
+            Selection::new(log, |e| patia(e, "switch:failed"), &[]).len() as u64,
             report.failed_switches,
             "{name}: traced failures match the report"
         );

@@ -30,8 +30,7 @@ use adm_core::scenario::GOLDEN_SEEDS;
 use compkit::journal::RecoveryOutcome;
 use compkit::{AdaptivityManager, NoFaults, StepFaults};
 use datacomp::Value;
-use obs::query::{arg, Query};
-use obs::Obs;
+use obs::{EventKind, Obs};
 use patia::atom::AtomId;
 use patia::shard::cross_shard_plans;
 use query::expr::Pred;
@@ -111,21 +110,21 @@ fn txn_matrix_golden_is_stable() {
 fn two_phase_commit_recovery_is_billed_traced_and_published() {
     for point in [TxnCrashPoint::BeforeDecision, TxnCrashPoint::AfterDecision] {
         let (cell, o) = run_cell_observed(17, 2, point);
-        let all = Query::over(o.tracer.events());
-        let crashed = all.clone().cat("txn").name("cross_switch").arg("outcome", "crashed");
-        assert_eq!(crashed.count(), 1, "the crash itself must be traced");
-        assert!(
-            arg(crashed.events()[0].1, "site").is_some(),
-            "the crashed span names its protocol site"
-        );
-        let recovers = all.clone().cat("txn").name("recover").spans();
-        assert_eq!(recovers.count(), 1, "one settled recovery, one span (noop replays are free)");
-        let (_, span) = recovers.events()[0];
+        let txn = |name: &'static str| {
+            o.tracer.events().iter().filter(move |e| e.cat == "txn" && e.name == name)
+        };
+        let crashed: Vec<_> =
+            txn("cross_switch").filter(|e| e.arg("outcome") == Some("crashed")).collect();
+        assert_eq!(crashed.len(), 1, "the crash itself must be traced");
+        assert!(crashed[0].arg("site").is_some(), "the crashed span names its protocol site");
+        let recovers: Vec<_> = txn("recover").filter(|e| e.kind == EventKind::Complete).collect();
+        assert_eq!(recovers.len(), 1, "one settled recovery, one span (noop replays are free)");
+        let span = recovers[0];
         assert!(span.dur > 0, "recovery must cost cycles");
-        assert_eq!(arg(span, "outcome").unwrap(), cell.outcome.to_string());
-        assert_eq!(arg(span, "scanned").unwrap(), cell.scanned.to_string());
-        assert_eq!(arg(span, "undone").unwrap(), cell.undone.to_string());
-        assert_eq!(arg(span, "in_doubt_resolved").unwrap(), cell.in_doubt_resolved.to_string());
+        assert_eq!(span.arg("outcome").unwrap(), cell.outcome.to_string());
+        assert_eq!(span.arg("scanned").unwrap(), cell.scanned.to_string());
+        assert_eq!(span.arg("undone").unwrap(), cell.undone.to_string());
+        assert_eq!(span.arg("in_doubt_resolved").unwrap(), cell.in_doubt_resolved.to_string());
         assert_eq!(o.metrics.counter("txn.switch.crashed"), 1);
         assert_eq!(o.metrics.counter("txn.recovery.runs"), 1);
         assert_eq!(o.metrics.counter("txn.recovery.records_scanned"), cell.scanned as u64);
