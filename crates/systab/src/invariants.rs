@@ -374,6 +374,62 @@ mod tests {
     }
 
     #[test]
+    fn within_accepts_covered_and_rejects_uncovered() {
+        let t = sample();
+        let ticks = sel(t.events(), "tick:", &[]);
+        sel(t.events(), "switch:", &[]).each_within(&ticks).expect("every switch is in a tick");
+        let mut t2 = Tracer::new();
+        t2.instant("patia", "switch:migrate", 999, Vec::new());
+        let v = sel(t2.events(), "switch:", &[]).each_within(&ticks).expect_err("uncovered");
+        assert_eq!(v.check, "each_within");
+        assert!(v.detail.contains("switch:migrate"), "{v}");
+    }
+
+    #[test]
+    fn encloses_demands_a_contained_related_event() {
+        let mut t = Tracer::new();
+        let mig = t.begin_at("chaos", "migration", 0);
+        let sw = t.begin_at("compkit", "switch", 10);
+        t.end_at_with(sw, 30, vec![("outcome", arg("committed"))]);
+        t.end_at_with(mig, 40, Vec::new());
+        let empty_mig = t.begin_at("chaos", "migration", 50);
+        t.end_at_with(empty_mig, 60, Vec::new());
+        let log = t.events();
+        let commits = Selection::new(log, |e| e.arg("outcome") == Some("committed"), &[]);
+        let first = Selection::new(log, |e| e.name == "migration" && e.ts < 50, &[]);
+        first.each_encloses(&commits, &[]).expect("the first migration encloses a commit");
+        let v = sel(log, "migration", &[]).each_encloses(&commits, &[]).expect_err("second empty");
+        assert_eq!(v.check, "each_encloses");
+        assert!(v.detail.contains("@0000000050+000010 chaos:migration"), "{v}");
+    }
+
+    #[test]
+    fn disjoint_allows_touching_but_not_overlap() {
+        let t = sample();
+        sel(t.events(), "tick:", &[]).pairwise_disjoint().expect("ticks abut");
+        let mut t2 = Tracer::new();
+        let a = t2.begin_at("c", "a", 0);
+        let b = t2.begin_at("c", "b", 5);
+        t2.end_at_with(a, 10, Vec::new());
+        t2.end_at_with(b, 15, Vec::new());
+        let v = sel(t2.events(), "", &[]).pairwise_disjoint().expect_err("overlap");
+        assert_eq!(v.check, "pairwise_disjoint");
+        assert!(v.detail.contains("c:a") && v.detail.contains("c:b"), "{v}");
+    }
+
+    #[test]
+    fn violations_render_the_tracer_line_format() {
+        let mut t = Tracer::new();
+        t.instant("patia", "switch:migrate", 9000, vec![("atom", arg("123"))]);
+        let v = sel(t.events(), "", &[]).each_within(&sel(&[], "", &[])).expect_err("no cover");
+        assert_eq!(
+            v.to_string(),
+            "each_within: event not inside any cover span: \
+             @0000009000!       patia:switch:migrate atom=123"
+        );
+    }
+
+    #[test]
     fn selection_rows_carry_seq_span_and_nullable_args() {
         let t = sample();
         let atoms = sel(t.events(), "", &["atom"]);
