@@ -15,7 +15,7 @@
 //! never restarting from zero.
 
 use compkit::state::{SafePoint, StateManager};
-use datacomp::{Row, Table};
+use datacomp::{concat, Row, Table};
 use query::op::WorkCounter;
 use query::workload::{gen_table, KeyDist};
 use ubinet::device::{Device, DeviceKind};
@@ -90,9 +90,7 @@ impl JoinWorker {
             work.hash_probe(1);
             for irow in inner.rows() {
                 if irow[0] == row[0] {
-                    let mut o = row.clone();
-                    o.extend_from_slice(irow);
-                    self.out.push(o);
+                    self.out.push(concat(row, irow));
                 }
             }
             done += 1;

@@ -15,7 +15,10 @@
 //! Modules:
 //!
 //! * [`value`] / [`schema`] — the value model and relational schema shared
-//!   with the `query` crate;
+//!   with the `query` crate. Rows and tables share storage: a [`Row`] is an
+//!   immutable `Rc<[Value]>` and a [`Table`] keeps its rows behind one
+//!   `Rc`, so a clone of either copies no values (an insert into a shared
+//!   table copies the row list first); a join's output row is [`concat()`];
 //! * [`payload`] — the three payload shapes: relational table, OO record,
 //!   XML stream;
 //! * [`xml`] — a small XML event parser/serialiser (the sensor "streams in
@@ -44,7 +47,7 @@ pub use codec::{Codec, LzCodec, RleCodec};
 pub use component::DataComponent;
 pub use metadata::{Metadata, TableStats};
 pub use payload::Payload;
-pub use schema::{ColumnType, Row, Schema, Table};
+pub use schema::{concat, ColumnType, Row, Schema, Table};
 pub use value::Value;
 pub use version::{Version, VersionKind, VersionList};
 

@@ -84,7 +84,7 @@ impl Payload {
             Payload::Relational(t) => {
                 let mut out = Vec::new();
                 for row in t.rows() {
-                    for v in row {
+                    for v in row.iter() {
                         out.extend_from_slice(v.to_string().as_bytes());
                         out.push(b'\x1f');
                     }

@@ -4,6 +4,7 @@
 
 use crate::value::Value;
 use std::fmt;
+use std::rc::Rc;
 
 /// A column's declared type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,8 +43,15 @@ pub struct Column {
     pub ty: ColumnType,
 }
 
-/// A row: one value per schema column.
-pub type Row = Vec<Value>;
+/// A row: one value per schema column, immutable and shared, so a clone
+/// bumps a reference count instead of copying values.
+pub type Row = Rc<[Value]>;
+
+/// The row `l` followed by the row `r`: a join's output row.
+#[must_use]
+pub fn concat(l: &Row, r: &Row) -> Row {
+    l.iter().chain(r.iter()).cloned().collect()
+}
 
 /// A relation schema.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -123,7 +131,7 @@ impl Schema {
     ///
     /// # Errors
     /// [`SchemaError::Arity`] or [`SchemaError::TypeMismatch`].
-    pub fn check(&self, row: &Row) -> Result<(), SchemaError> {
+    pub fn check(&self, row: &[Value]) -> Result<(), SchemaError> {
         if row.len() != self.columns.len() {
             return Err(SchemaError::Arity { expected: self.columns.len(), got: row.len() });
         }
@@ -155,18 +163,19 @@ impl Schema {
     }
 }
 
-/// A typed in-memory relation.
+/// A typed in-memory relation. Clones share the rows; an insert into a
+/// shared table copies the row list first (copy-on-write).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Table {
     schema: Schema,
-    rows: Vec<Row>,
+    rows: Rc<Vec<Row>>,
 }
 
 impl Table {
     /// An empty table with the given schema.
     #[must_use]
     pub fn new(schema: Schema) -> Self {
-        Self { schema, rows: Vec::new() }
+        Self { schema, rows: Rc::default() }
     }
 
     /// The schema.
@@ -179,9 +188,10 @@ impl Table {
     ///
     /// # Errors
     /// [`SchemaError`] on arity or type violations.
-    pub fn insert(&mut self, row: Row) -> Result<(), SchemaError> {
+    pub fn insert(&mut self, row: impl Into<Row>) -> Result<(), SchemaError> {
+        let row = row.into();
         self.schema.check(&row)?;
-        self.rows.push(row);
+        Rc::make_mut(&mut self.rows).push(row);
         Ok(())
     }
 
@@ -254,6 +264,20 @@ mod tests {
         let mut t = Table::new(person_schema());
         t.insert(vec![Value::Null, Value::Null, Value::Null]).unwrap();
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn clones_share_rows_and_copy_on_write() {
+        let mut original = Table::new(person_schema());
+        original.insert(vec![Value::Int(1), Value::str("ada"), Value::Int(36)]).unwrap();
+        let before = original.rows().as_ptr();
+        let mut copy = original.clone();
+        assert_eq!(copy.rows().as_ptr(), before, "a clone shares the row list");
+        copy.insert(vec![Value::Int(2), Value::str("bob"), Value::Int(41)]).unwrap();
+        assert_eq!((original.len(), copy.len()), (1, 2), "the insert went to the clone only");
+        assert_eq!(*original.rows()[0], [Value::Int(1), Value::str("ada"), Value::Int(36)]);
+        assert_eq!(original.rows().as_ptr(), before, "the original's rows did not move");
+        assert!(Rc::ptr_eq(&original.rows()[0], &copy.rows()[0]), "rows are shared, not copied");
     }
 
     #[test]

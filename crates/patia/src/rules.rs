@@ -75,7 +75,7 @@ pub(crate) fn supervision_schema() -> Schema {
 pub fn supervision_table(sup: &Supervisor) -> Table {
     let mut t = Table::new(supervision_schema());
     for p in sup.peers() {
-        t.insert(vec![
+        t.insert([
             Value::Str(p.peer),
             Value::Int(i64::from(p.missed)),
             Value::Int(i64::from(p.clean)),

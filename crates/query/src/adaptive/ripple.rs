@@ -12,12 +12,9 @@
 //! [`RippleJoin::estimate`] scales the running aggregate by the unexplored
 //! fraction, and reports the explored fraction as a confidence proxy.
 
+use crate::basic::key_of;
 use crate::op::{Operator, Poll, WorkCounter};
-use datacomp::{Row, Schema, Value};
-
-fn key_of(row: &Row, cols: &[usize]) -> Vec<Value> {
-    cols.iter().map(|&i| row[i].clone()).collect()
-}
+use datacomp::{concat, Row, Schema};
 
 /// Which aggregate the online estimator tracks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,15 +160,8 @@ impl RippleJoin {
                     for other in other_rows {
                         self.work.compare(1);
                         if key_of(other, other_keys) == key {
-                            let out = if left_side {
-                                let mut o = row.clone();
-                                o.extend_from_slice(other);
-                                o
-                            } else {
-                                let mut o = other.clone();
-                                o.extend_from_slice(&row);
-                                o
-                            };
+                            let out =
+                                if left_side { concat(&row, other) } else { concat(other, &row) };
                             produced.push(out);
                         }
                     }
@@ -242,7 +232,7 @@ mod tests {
     use crate::basic::HashJoin;
     use crate::op::drain;
     use crate::source::TableScan;
-    use datacomp::{ColumnType, Table};
+    use datacomp::{ColumnType, Table, Value};
 
     fn table(n: i64, dup_every: i64) -> Table {
         let schema = Schema::new(&[("k", ColumnType::Int), ("v", ColumnType::Int)]).unwrap();

@@ -8,13 +8,10 @@
 //! progress on the other. That is exactly the property the paper's
 //! inter-device queries need on wireless links.
 
+use crate::basic::key_of;
 use crate::op::{Operator, Poll, WorkCounter};
-use datacomp::{Row, Schema, Value};
+use datacomp::{concat, Row, Schema, Value};
 use std::collections::HashMap;
-
-fn key_of(row: &Row, cols: &[usize]) -> Vec<Value> {
-    cols.iter().map(|&i| row[i].clone()).collect()
-}
 
 /// The symmetric hash join.
 #[derive(Debug)]
@@ -75,9 +72,7 @@ impl SymmetricHashJoin {
             let key = key_of(&row, &self.left_keys);
             if let Some(matches) = self.right_table.get(&key) {
                 for r in matches {
-                    let mut out = row.clone();
-                    out.extend_from_slice(r);
-                    self.pending.push(out);
+                    self.pending.push(concat(&row, r));
                 }
             }
             self.left_table.entry(key).or_default().push(row);
@@ -85,9 +80,7 @@ impl SymmetricHashJoin {
             let key = key_of(&row, &self.right_keys);
             if let Some(matches) = self.left_table.get(&key) {
                 for l in matches {
-                    let mut out = l.clone();
-                    out.extend_from_slice(&row);
-                    self.pending.push(out);
+                    self.pending.push(concat(l, &row));
                 }
             }
             self.right_table.entry(key).or_default().push(row);

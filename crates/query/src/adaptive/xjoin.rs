@@ -12,18 +12,15 @@
 //! result size — fine at simulation scale, and it keeps the three-stage
 //! structure (the part the paper's argument needs) faithful.
 
+use crate::basic::key_of;
 use crate::op::{Operator, Poll, WorkCounter};
-use datacomp::{Row, Schema, Value};
+use datacomp::{concat, Row, Schema, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
 /// Number of hash buckets (partitions) per side.
 const BUCKETS: usize = 16;
-
-fn key_of(row: &Row, cols: &[usize]) -> Vec<Value> {
-    cols.iter().map(|&i| row[i].clone()).collect()
-}
 
 fn bucket_of(key: &[Value]) -> usize {
     let mut h = DefaultHasher::new();
@@ -155,9 +152,7 @@ impl XJoin {
 
     fn emit(&mut self, lseq: u64, lrow: &Row, rseq: u64, rrow: &Row) -> bool {
         if self.emitted.insert((lseq, rseq)) {
-            let mut out = lrow.clone();
-            out.extend_from_slice(rrow);
-            self.pending.push(out);
+            self.pending.push(concat(lrow, rrow));
             true
         } else {
             false

@@ -5,7 +5,7 @@
 
 use crate::expr::Pred;
 use crate::op::{Operator, Poll, WorkCounter};
-use datacomp::{Row, Schema, Table, Value};
+use datacomp::{concat, Row, Schema, Table, Value};
 use std::collections::HashMap;
 
 /// Filter: passes rows satisfying a predicate.
@@ -84,15 +84,9 @@ impl Operator for Project {
     }
 }
 
-fn key_of(row: &Row, cols: &[usize]) -> Vec<Value> {
+/// The values of `cols` in `row`: a join's hash or comparison key.
+pub(crate) fn key_of(row: &Row, cols: &[usize]) -> Vec<Value> {
     cols.iter().map(|&i| row[i].clone()).collect()
-}
-
-fn concat(l: &Row, r: &Row) -> Row {
-    let mut out = Vec::with_capacity(l.len() + r.len());
-    out.extend_from_slice(l);
-    out.extend_from_slice(r);
-    out
 }
 
 /// Block nested-loop equijoin: materialises the **inner** side, then loops
@@ -369,7 +363,7 @@ mod tests {
         let f = Filter::new(scan(orders(), &w), Pred::eq(1, Value::Int(10)), w.clone());
         let mut p = Project::new(Box::new(f), vec![0], w);
         let rows = drain(&mut p, 0);
-        assert_eq!(rows, vec![vec![Value::Int(1)], vec![Value::Int(3)]]);
+        assert_eq!(rows, [[Value::Int(1)], [Value::Int(3)]].map(Row::from));
         assert_eq!(p.schema().arity(), 1);
     }
 

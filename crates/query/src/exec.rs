@@ -22,7 +22,7 @@
 
 use crate::op::{Work, WorkCounter};
 use crate::optimizer::{Catalog, JoinAlgo, JoinPlan, Optimizer};
-use datacomp::{Row, Table, Value};
+use datacomp::{concat, Row, Table, Value};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -247,10 +247,7 @@ impl AdaptiveJoinExec {
     fn emit(algo: JoinAlgo, outer: &Row, inner: &Row) -> Row {
         // Output is always (left ++ right) regardless of loop roles.
         let (l, r) = if outer_is_left(algo) { (outer, inner) } else { (inner, outer) };
-        let mut out = Vec::with_capacity(l.len() + r.len());
-        out.extend_from_slice(l);
-        out.extend_from_slice(r);
-        out
+        concat(l, r)
     }
 
     fn build_state(

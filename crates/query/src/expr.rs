@@ -1,6 +1,6 @@
 //! Row predicates.
 
-use datacomp::{Row, Value};
+use datacomp::Value;
 
 /// A comparison operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +93,7 @@ impl Pred {
     /// # Panics
     /// If a column index is out of range (plans are built against schemas).
     #[must_use]
-    pub fn eval(&self, row: &Row) -> bool {
+    pub fn eval(&self, row: &[Value]) -> bool {
         match self {
             Pred::True => true,
             Pred::Cmp { col, op, value } => op.apply(&row[*col], value),
@@ -109,7 +109,7 @@ impl Pred {
 mod tests {
     use super::*;
 
-    fn row() -> Row {
+    fn row() -> Vec<Value> {
         vec![Value::Int(5), Value::str("london"), Value::Null]
     }
 

@@ -141,7 +141,7 @@ mod tests {
         let mut s = TableScan::new(table(5), w.clone());
         let rows = drain(&mut s, 0);
         assert_eq!(rows.len(), 5);
-        assert_eq!(rows[3], vec![Value::Int(3)]);
+        assert_eq!(*rows[3], [Value::Int(3)]);
         assert_eq!(w.snapshot().tuples_moved, 5);
         assert_eq!(s.poll(), Poll::Done, "stays done");
     }

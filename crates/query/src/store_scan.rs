@@ -174,7 +174,7 @@ impl Operator for StoreScan {
         let row = decode_row(&bytes).expect("stored record is not a valid row");
         self.schema.check(&row).expect("stored row does not match the scan schema");
         self.work.moved(1);
-        Poll::Ready(row)
+        Poll::Ready(row.into())
     }
 }
 

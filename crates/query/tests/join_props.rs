@@ -3,7 +3,7 @@
 //! as the naive nested-loop oracle.
 
 use adm_rng::{run_cases, Pcg32};
-use datacomp::{ColumnType, Row, Schema, Table, Value};
+use datacomp::{concat, ColumnType, Row, Schema, Table, Value};
 use query::adaptive::ripple::AggKind;
 use query::adaptive::{RippleJoin, SymmetricHashJoin, XJoin};
 use query::basic::{HashJoin, IndexNestedLoopJoin, NestedLoopJoin};
@@ -24,9 +24,7 @@ fn oracle(l: &Table, r: &Table) -> Vec<Row> {
     for lr in l.rows() {
         for rr in r.rows() {
             if lr[0] == rr[0] {
-                let mut row = lr.clone();
-                row.extend_from_slice(rr);
-                out.push(row);
+                out.push(concat(lr, rr));
             }
         }
     }

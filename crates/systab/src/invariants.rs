@@ -67,7 +67,7 @@ impl<'a> Selection<'a> {
         let rows = log.iter().enumerate().filter(|(_, e)| keep(e)).map(|(seq, e)| {
             let mut row = vec![int(seq as u64), int(e.ts), int(e.ts + e.dur), int(e.dur)];
             row.extend(args.iter().map(|a| e.arg(a).map_or(Value::Null, Value::str)));
-            row
+            Row::from(row)
         });
         Self { log, table: table(&cols, rows) }
     }

@@ -5,7 +5,7 @@ use datacomp::{Row, Table};
 use obs::{ObsHandle, Primitive};
 use query::basic::Filter;
 use query::expr::Pred;
-use query::op::drain;
+use query::op::{drain, Operator, Poll};
 use query::source::TableScan;
 use query::WorkCounter;
 
@@ -34,34 +34,36 @@ pub fn scan_rows(table: &Table, obs: Option<ObsHandle>) -> Vec<Row> {
     rows
 }
 
-/// The rows of `table` matching `pred`, evaluated with the query
-/// operators (scan → filter), billed when `obs` is given.
-fn filtered(table: &Table, pred: Pred, obs: Option<ObsHandle>) -> Vec<Row> {
+/// The rows of `table` matching `pred`, pulled one at a time through the
+/// query operators (scan → filter), billed when `obs` is given.
+fn matching(table: &Table, pred: Pred, obs: Option<ObsHandle>) -> impl Iterator<Item = Row> {
     let work = WorkCounter::new();
     let scan = TableScan::new(table.clone(), work.clone());
     bill(obs, table.len()); // the filter pulls every row through the scan
-    drain(&mut Filter::new(Box::new(scan), pred, work), DRAIN_BUDGET)
+    let mut filter = Filter::new(Box::new(scan), pred, work);
+    // A table scan never stalls, so the first poll without a row is `Done`.
+    std::iter::from_fn(move || if let Poll::Ready(row) = filter.poll() { Some(row) } else { None })
 }
 
 /// Count the rows of `table` matching `pred`, evaluated with the query
 /// operators (scan → filter), billed when `obs` is given.
 #[must_use]
 pub fn filter_count(table: &Table, pred: Pred, obs: Option<ObsHandle>) -> u64 {
-    filtered(table, pred, obs).len() as u64
+    matching(table, pred, obs).count() as u64
 }
 
 /// Sum an integer column of `table` over the rows matching `pred`
 /// (`Null` cells contribute nothing), billed when `obs` is given.
 #[must_use]
 pub fn sum_int(table: &Table, col: usize, pred: Pred, obs: Option<ObsHandle>) -> i64 {
-    filtered(table, pred, obs).iter().filter_map(|row| row.get(col)?.as_i64()).sum()
+    matching(table, pred, obs).filter_map(|row| row.get(col)?.as_i64()).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use datacomp::{ColumnType, Schema, Value};
-    use obs::{CostModel, Obs};
+    use obs::{CostModel, Obs, Primitive};
 
     fn t() -> Table {
         let schema = Schema::new(&[("k", ColumnType::Int), ("v", ColumnType::Int)]).expect("valid");
@@ -91,6 +93,31 @@ mod tests {
         assert_eq!(rows.len(), 5);
         assert_eq!(obs.metrics.counter("systab.scan.rows"), 5);
         assert!(obs.clock() > before, "every row costs cycles");
+    }
+
+    #[test]
+    fn billed_filter_count_and_sum_charge_every_table_row() {
+        let table = t();
+        let pred = Pred::gt(0, Value::Int(3)); // one match in five rows
+        let load = Primitive::Load.cost(&CostModel::pentium());
+        let handle = Obs::new(CostModel::pentium()).into_handle();
+        let c0 = handle.borrow().clock();
+        assert_eq!(filter_count(&table, pred.clone(), Some(handle.clone())), 1);
+        let c1 = handle.borrow().clock();
+        assert_eq!(sum_int(&table, 1, pred, Some(handle.clone())), 40);
+        let c2 = handle.borrow().clock();
+        assert_eq!(c1 - c0, 5 * load, "filter_count bills every row the filter pulls");
+        assert_eq!(c2 - c1, 5 * load, "sum_int bills every row the filter pulls");
+        let obs = Obs::try_unwrap(handle).expect("sole handle");
+        assert_eq!(obs.metrics.counter("systab.scan.rows"), 10);
+
+        let empty = Table::new(table.schema().clone());
+        let handle = Obs::new(CostModel::pentium()).into_handle();
+        assert_eq!(filter_count(&empty, Pred::True, Some(handle.clone())), 0);
+        assert_eq!(sum_int(&empty, 1, Pred::True, Some(handle.clone())), 0);
+        let obs = Obs::try_unwrap(handle).expect("sole handle");
+        assert_eq!(obs.clock(), 0, "an empty scan costs nothing");
+        assert!(obs.metrics.snapshot().counters.is_empty(), "and creates no counter");
     }
 
     #[test]

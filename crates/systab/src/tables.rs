@@ -13,6 +13,7 @@ use datacomp::{Row, Schema, Table, Value};
 use obs::span::{EventKind, TraceEvent};
 use obs::MetricsSnapshot;
 use patia::wheel::TimerWheel;
+use std::fmt::Write as _;
 use store::BufferPool;
 use txn::{TransactionCore, TxnLog, TxnRecord};
 
@@ -49,7 +50,7 @@ pub(crate) fn table(cols: &[(&str, ColumnType)], rows: impl IntoIterator<Item = 
 pub fn metrics_table(snap: &MetricsSnapshot) -> Table {
     let mut rows = Vec::new();
     let mut push = |kind: &str, name: &str, key: &str, vi: Value, vf: Value| {
-        rows.push(vec![Value::str(kind), Value::str(name), Value::str(key), vi, vf]);
+        rows.push(Row::from([Value::str(kind), Value::str(name), Value::str(key), vi, vf]));
     };
     for (name, v) in &snap.counters {
         push("counter", name, "value", int(*v), Value::Null);
@@ -87,8 +88,12 @@ pub fn spans_table(events: &[TraceEvent]) -> Table {
             EventKind::Complete => "complete",
             EventKind::Instant => "instant",
         };
-        let args = e.args.iter().map(|(k, v)| format!("{k}={v}")).collect::<Vec<_>>().join(" ");
-        vec![
+        let mut args = String::new();
+        for (i, (k, v)) in e.args.iter().enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            write!(args, "{sep}{k}={v}").expect("writing to a String cannot fail");
+        }
+        Row::from([
             Value::Int(seq as i64),
             int(e.ts),
             int(e.dur),
@@ -96,7 +101,7 @@ pub fn spans_table(events: &[TraceEvent]) -> Table {
             Value::Str(e.name.clone()),
             Value::Str(kind.to_owned()),
             Value::Str(args),
-        ]
+        ])
     });
     let cols = [
         ("seq", Int),
@@ -184,7 +189,14 @@ pub fn txns_table(core: &TransactionCore, am: Option<&AdaptivityManager>) -> Tab
 /// index), `detail` (the record's rendered form; null for stats).
 fn log_table(stats: &[(&str, u64)], log: Option<&TxnLog>) -> Table {
     let stat_rows = stats.iter().map(|&(name, v)| {
-        vec![Value::str("stat"), Value::str(name), Value::Null, Value::Null, int(v), Value::Null]
+        Row::from([
+            Value::str("stat"),
+            Value::str(name),
+            Value::Null,
+            Value::Null,
+            int(v),
+            Value::Null,
+        ])
     });
     let record_rows = log.into_iter().flat_map(TxnLog::records).map(|r| {
         let (shard, value) = match r {
@@ -198,14 +210,14 @@ fn log_table(stats: &[(&str, u64)], log: Option<&TxnLog>) -> Table {
             | TxnRecord::ShardAborted { shard, .. } => (Some(shard.0), None),
             TxnRecord::Commit { .. } | TxnRecord::End { .. } => (None, None),
         };
-        vec![
+        Row::from([
             Value::str("record"),
             Value::str(r.tag()),
             int(r.gtxn()),
             shard.map_or(Value::Null, |s| Value::Int(i64::from(s))),
             value.map_or(Value::Null, int),
             Value::Str(r.to_string()),
-        ]
+        ])
     });
     let cols = [
         ("kind", Str),
@@ -228,12 +240,12 @@ fn log_table(stats: &[(&str, u64)], log: Option<&TxnLog>) -> Table {
 #[must_use]
 pub fn pool_table(pool: &BufferPool) -> Table {
     let rows = pool.frame_table().into_iter().map(|f| {
-        vec![
+        Row::from([
             Value::Int(f.frame as i64),
             f.page.map_or(Value::Null, |p| Value::Int(i64::from(p.0))),
             Value::Bool(f.dirty),
             Value::Bool(f.referenced),
-        ]
+        ])
     });
     table(&[("frame", Int), ("page", Int), ("dirty", Bool), ("referenced", Bool)], rows)
 }
@@ -255,7 +267,7 @@ pub fn timers_table<T>(wheel: &TimerWheel<T>) -> Table {
             _ => rows.push((deadline, 1)),
         }
     }
-    let rows = rows.into_iter().map(|(deadline, live)| vec![int(deadline), int(live)]);
+    let rows = rows.into_iter().map(|(deadline, live)| Row::from([int(deadline), int(live)]));
     table(&[("deadline", Int), ("live", Int)], rows)
 }
 
@@ -307,14 +319,17 @@ mod tests {
         let s = obs.begin("area", "outer");
         obs.charge(Primitive::Alu);
         obs.instant("mark", "hit", vec![("k", "v".to_owned())]);
+        obs.instant("mark", "pair", vec![("a", "1".to_owned()), ("b", "2".to_owned())]);
         obs.end(s);
         let t = spans_table(obs.tracer.events());
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.len(), 3);
         assert_eq!(t.rows()[0][4], Value::Str("hit".to_owned()), "instants complete first");
         assert_eq!(t.rows()[0][5], Value::Str("instant".to_owned()));
         assert_eq!(t.rows()[0][6], Value::Str("k=v".to_owned()));
-        assert_eq!(t.rows()[1][5], Value::Str("complete".to_owned()));
-        assert_eq!(filter_count(&t, Pred::eq(5, Value::Str("instant".to_owned())), None), 1);
+        assert_eq!(t.rows()[1][6], Value::Str("a=1 b=2".to_owned()), "args are space-separated");
+        assert_eq!(t.rows()[2][5], Value::Str("complete".to_owned()));
+        assert_eq!(t.rows()[2][6], Value::Str(String::new()), "no args, empty string");
+        assert_eq!(filter_count(&t, Pred::eq(5, Value::Str("instant".to_owned())), None), 2);
     }
 
     #[test]
@@ -431,11 +446,7 @@ mod tests {
         let t = timers_table(&w);
         assert_eq!(t.len(), 3, "one row per pending deadline");
         assert_eq!(sum_int(&t, 1, Pred::True, None) as usize, w.len());
-        assert_eq!(
-            t.rows()[0],
-            vec![Value::Int(3), Value::Int(2)],
-            "the cancelled event is absent"
-        );
+        assert_eq!(*t.rows()[0], [Value::Int(3), Value::Int(2)], "the cancelled event is absent");
         assert_eq!(filter_count(&t, Pred::gt(0, Value::Int(5_000)), None), 1);
     }
 }
