@@ -603,10 +603,16 @@ impl TxnLog {
         out
     }
 
-    /// FNV-1a digest of [`TxnLog::render`].
+    /// FNV-1a digest of [`TxnLog::render`], streamed into the hash
+    /// without building the render.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        obs::fnv1a(self.render().as_bytes())
+        use fmt::Write as _;
+        let mut h = obs::Fnv1aSink::default();
+        for r in &self.records {
+            let _ = writeln!(h, "{r}");
+        }
+        h.finish()
     }
 }
 

@@ -224,6 +224,27 @@ impl Runtime {
     pub fn is_empty(&self) -> bool {
         self.instances.is_empty()
     }
+
+    /// Deterministic digest of the live state: FNV-1a of one
+    /// `name:type@started_at=hex-state` line per instance, then one
+    /// `from -- to` line per binding, both in sorted order.
+    #[must_use]
+    pub fn digest(&self) -> u64 {
+        use fmt::Write as _;
+        let mut h = obs::Fnv1aSink::default();
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        for (name, c) in &self.instances {
+            let _ = write!(h, "{name}:{}@{}=", c.ty, c.started_at);
+            for b in &c.state {
+                h.update(&[HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]]);
+            }
+            h.update(b"\n");
+        }
+        for b in &self.bindings {
+            let _ = writeln!(h, "{} -- {}", b.from, b.to);
+        }
+        h.finish()
+    }
 }
 
 #[cfg(test)]
@@ -237,6 +258,18 @@ mod tests {
 
     fn binding(fi: &str, fp: &str, ti: &str, tp: &str) -> Binding {
         Binding { from: PortRef::on(fi, fp), to: PortRef::on(ti, tp) }
+    }
+
+    #[test]
+    fn digest_hashes_the_sorted_text_form() {
+        let mut rt = Runtime::new();
+        rt.start("b", LiveComponent { ty: "U".into(), state: vec![0x0f, 0xa0, 0], started_at: 7 })
+            .unwrap();
+        rt.start("a", live("T")).unwrap();
+        let b = binding("a", "p", "b", "q");
+        rt.bind(b.clone()).unwrap();
+        let text = format!("a:T@0=\nb:U@7=0fa000\n{} -- {}\n", b.from, b.to);
+        assert_eq!(rt.digest(), obs::fnv1a(text.as_bytes()));
     }
 
     #[test]

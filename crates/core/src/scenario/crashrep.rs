@@ -122,30 +122,6 @@ impl CrashCellReport {
     }
 }
 
-/// A deterministic fingerprint of a runtime: every instance (name, type,
-/// start tick, state bytes) and every binding, in canonical order.
-#[must_use]
-pub(crate) fn runtime_digest(rt: &Runtime) -> u64 {
-    let mut s = String::new();
-    for name in rt.instance_names() {
-        let c = rt.component(name).expect("listed instance exists");
-        s.push_str(name);
-        s.push(':');
-        s.push_str(&c.ty);
-        s.push('@');
-        s.push_str(&c.started_at.to_string());
-        s.push('=');
-        for b in &c.state {
-            s.push_str(&format!("{b:02x}"));
-        }
-        s.push('\n');
-    }
-    for b in rt.bindings() {
-        s.push_str(&format!("{} -- {}\n", b.from, b.to));
-    }
-    obs::fnv1a(s.as_bytes())
-}
-
 /// Boot the Figure 4 docked session on a journalled manager and perturb
 /// every component's state bytes from `seed`, so each seed recovers a
 /// *different* world and a digest collision cannot mask a hybrid.
@@ -174,10 +150,10 @@ fn seeded_world(seed: u64) -> (Runtime, StateManager, AdaptivityManager, Reconfi
 /// a complete rollback must restore bit-for-bit).
 fn reference_digests(seed: u64) -> (u64, u64) {
     let (mut rt, mut sm, mut am, plan) = seeded_world(seed);
-    let rolled_back = runtime_digest(&rt);
+    let rolled_back = rt.digest();
     am.execute(&mut rt, &plan, &mut BasicFactory, &mut sm, 1)
         .expect("the crash-free reference switchover commits");
-    (runtime_digest(&rt), rolled_back)
+    (rt.digest(), rolled_back)
 }
 
 /// Fails the bind whose providing instance matches `target` — the
@@ -325,7 +301,7 @@ fn settle(
         seed,
         point,
         outcome,
-        recovered_digest: runtime_digest(&rt),
+        recovered_digest: rt.digest(),
         committed_digest,
         rolled_back_digest,
         records_scanned: first.records_scanned,

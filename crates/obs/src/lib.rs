@@ -57,6 +57,7 @@ pub use span::{EventKind, SpanId, TraceEvent};
 use metrics::MetricsRegistry;
 use span::Tracer;
 use std::cell::RefCell;
+use std::fmt;
 use std::rc::Rc;
 
 /// FNV-1a over a byte string — same constants as `faultsim`'s plan
@@ -64,12 +65,46 @@ use std::rc::Rc;
 /// dialect.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1aSink::default();
+    h.update(bytes);
+    h.finish()
+}
+
+/// A [`fmt::Write`] sink that folds every byte written into an FNV-1a
+/// hash: `write!`-ing a render into it gives `fnv1a(render.as_bytes())`
+/// without building the render. Every render-then-hash digest in the
+/// workspace (trace, metrics, transaction log) streams through one.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1aSink(u64);
+
+impl Fnv1aSink {
+    /// Fold `bytes` into the hash.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= u64::from(*b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
     }
-    h
+
+    /// The hash of every byte written so far.
+    #[must_use]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// A sink holding the FNV-1a offset basis, the digest of no bytes.
+impl Default for Fnv1aSink {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl fmt::Write for Fnv1aSink {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Shared handle to an [`Obs`]: the simulation is single-threaded, so a
@@ -206,6 +241,16 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn sink_streams_the_same_hash_as_fnv1a() {
+        use std::fmt::Write as _;
+        let mut h = Fnv1aSink::default();
+        let b = 'b';
+        write!(h, "foo{b}").unwrap();
+        h.write_str("ar").unwrap();
+        assert_eq!(h.finish(), fnv1a(b"foobar"), "chunking does not change the hash");
     }
 
     #[test]

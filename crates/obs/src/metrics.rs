@@ -13,10 +13,14 @@
 //! grows a counter (saturating at `u64::MAX`), and nothing resets on read.
 //! Per-interval deltas belong to the caller's own report types (e.g.
 //! `patia`'s per-tick `TickStats`), never to the registry.
+//!
+//! Updates look a name up by `&str` first, so updating an existing
+//! metric allocates no name; only the first update of a name copies it
+//! into the registry.
 
-use crate::fnv1a;
+use crate::Fnv1aSink;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt;
 
 /// A power-of-two-bucketed histogram of `u64` samples.
 ///
@@ -149,6 +153,16 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<(String, Histogram)>,
 }
 
+/// Apply `f` to metric `name`, creating it at `V::default()` first. The
+/// lookup borrows `name`; only a first insert allocates the owned key.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    if let Some(v) = map.get_mut(name) {
+        f(v);
+        return;
+    }
+    f(map.entry(name.to_owned()).or_default());
+}
+
 /// The unified registry of counters, gauges and histograms.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
@@ -168,8 +182,7 @@ impl MetricsRegistry {
     /// `u64::MAX` rather than wrapping, so a runaway bill can never make a
     /// counter appear to reset.
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        let c = self.counters.entry(name.to_owned()).or_default();
-        *c = c.saturating_add(delta);
+        update(&mut self.counters, name, |c| *c = c.saturating_add(delta));
     }
 
     /// Read a counter (0 when absent — counters are born at zero).
@@ -180,7 +193,7 @@ impl MetricsRegistry {
 
     /// Set a gauge to its latest value.
     pub fn gauge_set(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_owned(), value);
+        update(&mut self.gauges, name, |g| *g = value);
     }
 
     /// Read a gauge.
@@ -191,7 +204,7 @@ impl MetricsRegistry {
 
     /// Record one sample into a histogram, creating it empty first.
     pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms.entry(name.to_owned()).or_default().record(value);
+        update(&mut self.histograms, name, |h| h.record(value));
     }
 
     /// Record `n` identical samples into a histogram with one lookup —
@@ -200,7 +213,7 @@ impl MetricsRegistry {
         if n == 0 {
             return;
         }
-        self.histograms.entry(name.to_owned()).or_default().record_n(value, n);
+        update(&mut self.histograms, name, |h| h.record_n(value, n));
     }
 
     /// Read a histogram.
@@ -236,34 +249,44 @@ impl MetricsRegistry {
     /// must render byte-identically; the golden-trace tier asserts it.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::from("metrics\n");
-        for (k, v) in &self.counters {
-            let _ = writeln!(out, "  counter {k} = {v}");
-        }
-        for (k, v) in &self.gauges {
-            let _ = writeln!(out, "  gauge {k} = {v}");
-        }
-        for (k, h) in &self.histograms {
-            let _ = write!(
-                out,
-                "  histogram {k} count={} sum={} min={} max={} buckets=[",
-                h.count, h.sum, h.min, h.max
-            );
-            for (i, (b, n)) in h.buckets.iter().enumerate() {
-                if i > 0 {
-                    out.push(' ');
-                }
-                let _ = write!(out, "{b}:{n}");
-            }
-            out.push_str("]\n");
-        }
+        let mut out = String::new();
+        let _ = self.write_render(&mut out);
         out
     }
 
-    /// FNV-1a fingerprint of [`MetricsRegistry::render`].
+    /// Write [`MetricsRegistry::render`] to `out`.
+    fn write_render(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        out.write_str("metrics\n")?;
+        for (k, v) in &self.counters {
+            writeln!(out, "  counter {k} = {v}")?;
+        }
+        for (k, v) in &self.gauges {
+            writeln!(out, "  gauge {k} = {v}")?;
+        }
+        for (k, h) in &self.histograms {
+            write!(
+                out,
+                "  histogram {k} count={} sum={} min={} max={} buckets=[",
+                h.count, h.sum, h.min, h.max
+            )?;
+            for (i, (b, n)) in h.buckets.iter().enumerate() {
+                if i > 0 {
+                    out.write_char(' ')?;
+                }
+                write!(out, "{b}:{n}")?;
+            }
+            out.write_str("]\n")?;
+        }
+        Ok(())
+    }
+
+    /// FNV-1a fingerprint of [`MetricsRegistry::render`], streamed into
+    /// the hash without building the render.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        fnv1a(self.render().as_bytes())
+        let mut h = Fnv1aSink::default();
+        let _ = self.write_render(&mut h);
+        h.finish()
     }
 }
 
@@ -298,6 +321,8 @@ mod tests {
         assert_eq!(r.counter("x"), u64::MAX, "saturates instead of wrapping");
         r.counter_add("x", 1);
         assert_eq!(r.counter("x"), u64::MAX);
+        r.counter_add("fresh", u64::MAX);
+        assert_eq!(r.counter("fresh"), u64::MAX, "a first add creates the counter at its delta");
     }
 
     #[test]
@@ -305,8 +330,11 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.gauge_set("util", 0.25);
         r.gauge_set("util", 0.75);
-        assert_eq!(r.gauge("util"), Some(0.75));
+        r.gauge_set("util", -1.5);
+        assert_eq!(r.gauge("util"), Some(-1.5));
         assert_eq!(r.gauge("missing"), None);
+        r.observe_n("never", 9, 0);
+        assert_eq!(r.len(), 1, "a repeated set reuses its entry; n == 0 registers nothing");
     }
 
     #[test]
@@ -343,6 +371,11 @@ mod tests {
         let (x, y) = (build(false), build(true));
         assert_eq!(x.render(), y.render(), "insertion order must not leak into the render");
         assert_eq!(x.digest(), y.digest());
+        assert_eq!(
+            x.digest(),
+            crate::fnv1a(x.render().as_bytes()),
+            "the digest streams the render"
+        );
         let rendered = x.render();
         let lines: Vec<&str> = rendered.lines().collect();
         assert_eq!(lines[1], "  counter a = 1");

@@ -20,7 +20,7 @@
 //!
 //! Span names that end in a numeric instance suffix (`tick:17`,
 //! `verify:svc:3`) are canonicalised by stripping the trailing `:<digits>`
-//! (`frame_of`), so the 400 per-tick spans of a Patia run aggregate into
+//! (`frame_into`), so the 400 per-tick spans of a Patia run aggregate into
 //! one `patia:tick` frame instead of 400 singleton stacks.
 
 use crate::metrics::MetricsRegistry;
@@ -29,11 +29,11 @@ use crate::Cycles;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// The aggregation key of a span: `cat:name` with any trailing `:<digits>`
-/// instance suffix stripped from the name (`patia` + `tick:17` →
-/// `patia:tick`). Names that are *only* digits are kept as-is.
-#[must_use]
-pub(crate) fn frame_of(cat: &str, name: &str) -> String {
+/// Write the aggregation key of a span into `key`, replacing its
+/// contents: `cat:name` with any trailing `:<digits>` instance suffix
+/// stripped from the name (`patia` + `tick:17` → `patia:tick`). Names
+/// that are *only* digits are kept as-is.
+fn frame_into(cat: &str, name: &str, key: &mut String) {
     let canonical = match name.rfind(':') {
         Some(i)
             if i > 0 && name[i + 1..].chars().all(|c| c.is_ascii_digit()) && i + 1 < name.len() =>
@@ -42,14 +42,15 @@ pub(crate) fn frame_of(cat: &str, name: &str) -> String {
         }
         _ => name,
     };
-    format!("{cat}:{canonical}")
+    key.clear();
+    key.extend([cat, ":", canonical]);
 }
 
 /// One aggregated node of the call tree: every span instance that shared
 /// this frame *and* this path from a root.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileNode {
-    /// The aggregation key (`frame_of`).
+    /// The aggregation key (`frame_into`).
     pub frame: String,
     /// Span instances merged into this node.
     pub count: u64,
@@ -112,6 +113,7 @@ impl Profile {
         let mut arena: Vec<Building> = vec![Building::default()]; // 0 = virtual root
         let mut stack: Vec<OpenFrame> =
             vec![OpenFrame { end: Cycles::MAX, node: 0, dur: 0, child_dur: 0 }];
+        let mut key = String::new(); // the current span's frame, reused
         let close = |arena: &mut Vec<Building>, f: OpenFrame| {
             arena[f.node].self_cycles += f.dur.saturating_sub(f.child_dur);
         };
@@ -128,12 +130,19 @@ impl Profile {
                 }
             }
             let e = &events[idx];
-            let frame = frame_of(e.cat, &e.name);
+            frame_into(e.cat, &e.name, &mut key);
             let parent = stack.last_mut().expect("virtual root remains");
             parent.child_dur += end - ts;
             let parent_node = parent.node;
             let next = arena.len();
-            let node = *arena[parent_node].children.entry(frame).or_insert(next);
+            let children = &mut arena[parent_node].children;
+            let node = match children.get(key.as_str()) {
+                Some(&node) => node,
+                None => {
+                    children.insert(key.clone(), next);
+                    next
+                }
+            };
             if node == next {
                 arena.push(Building::default());
             }
@@ -192,7 +201,7 @@ impl Profile {
         walk(&self.roots) + self.idle
     }
 
-    /// Self-cycle totals per category (the `cat` of `frame_of`'s
+    /// Self-cycle totals per category (the `cat` of `frame_into`'s
     /// `cat:name` key) — the per-layer attribution the bench snapshot pins.
     /// Idle cycles are reported under `IDLE_FRAME`.
     #[must_use]
@@ -267,6 +276,12 @@ mod tests {
         let mut t = Tracer::new();
         build(&mut t);
         Profile::build(t.events(), clock)
+    }
+
+    fn frame_of(cat: &str, name: &str) -> String {
+        let mut key = String::from("stale");
+        frame_into(cat, name, &mut key);
+        key
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! is itself deterministic, so [`Tracer::render`] and [`Tracer::digest`]
 //! are stable across runs and platforms.
 
-use crate::fnv1a;
-use crate::Cycles;
+use crate::{Cycles, Fnv1aSink};
 use std::fmt;
 
 /// Handle to an open span, returned by [`Tracer::begin_at`] and consumed
@@ -49,21 +48,55 @@ impl TraceEvent {
         self.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v.as_str())
     }
 
-    /// Write this event's line to `w` (the one formatter behind both
-    /// `Display` and [`Tracer::render`], generic so a render writes
-    /// straight into its `String`).
+    /// Write this event's line to `w` (the one formatter behind
+    /// `Display`, [`Tracer::render`] and [`Tracer::digest`], generic so a
+    /// render writes straight into its `String` and a digest into its
+    /// hash).
     fn write_line(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        w.write_char('@')?;
+        write_u64(w, self.ts, 10)?;
         match self.kind {
             EventKind::Complete => {
-                write!(w, "@{:010}+{:06} {}:{}", self.ts, self.dur, self.cat, self.name)?;
+                w.write_char('+')?;
+                write_u64(w, self.dur, 6)?;
+                w.write_char(' ')?;
             }
-            EventKind::Instant => write!(w, "@{:010}!       {}:{}", self.ts, self.cat, self.name)?,
+            EventKind::Instant => w.write_str("!       ")?,
+        }
+        for part in [self.cat, ":", &self.name] {
+            w.write_str(part)?;
         }
         for (k, v) in &self.args {
-            write!(w, " {k}={v}")?;
+            for part in [" ", k, "=", v] {
+                w.write_str(part)?;
+            }
         }
         Ok(())
     }
+
+    /// A lower bound on this event's line length, newline included (the
+    /// padded minimum of each number), for presizing a render.
+    fn line_len_hint(&self) -> usize {
+        let args: usize = self.args.iter().map(|(k, v)| k.len() + v.len() + 2).sum();
+        21 + self.cat.len() + self.name.len() + args
+    }
+}
+
+/// Write `n` in decimal, zero-padded on the left to `width` digits —
+/// `format!("{n:0width$}")` without the formatting machinery, for the
+/// trace line and the Chrome exporter. `width` is at most 20, the
+/// length of `u64::MAX`.
+pub(crate) fn write_u64(w: &mut impl fmt::Write, mut n: u64, width: usize) -> fmt::Result {
+    debug_assert!(width <= 20, "pad width {width} exceeds u64's 20 digits");
+    let mut buf = [b'0'; 20];
+    let mut start = buf.len();
+    while n > 0 || start == buf.len() {
+        start -= 1;
+        buf[start] += (n % 10) as u8;
+        n /= 10;
+    }
+    let start = start.min(buf.len().saturating_sub(width));
+    w.write_str(std::str::from_utf8(&buf[start..]).expect("decimal digits are ASCII"))
 }
 
 /// One line of [`Tracer::render`], without the newline:
@@ -189,7 +222,8 @@ impl Tracer {
     /// place of `+dur`). Byte-identical across runs of a seeded scenario.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        let mut out =
+            String::with_capacity(self.events.iter().map(TraceEvent::line_len_hint).sum());
         for e in &self.events {
             let _ = e.write_line(&mut out);
             out.push('\n');
@@ -198,16 +232,23 @@ impl Tracer {
     }
 
     /// FNV-1a fingerprint of [`Tracer::render`] — the trace digest the
-    /// golden-trace tier asserts byte-identical across runs.
+    /// golden-trace tier asserts byte-identical across runs. The lines
+    /// stream into the hash; the render is never built.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        fnv1a(self.render().as_bytes())
+        let mut h = Fnv1aSink::default();
+        for e in &self.events {
+            let _ = e.write_line(&mut h);
+            h.update(b"\n");
+        }
+        h.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fnv1a;
 
     #[test]
     fn spans_close_in_completion_order() {
@@ -250,6 +291,52 @@ mod tests {
     }
 
     #[test]
+    fn digit_writer_matches_format() {
+        let ns = [0, 9, 10, 999_999, 1_000_000, 9_999_999_999, 10_000_000_000, u64::MAX];
+        for n in ns {
+            for width in [0, 6, 10, 20] {
+                let mut s = String::new();
+                write_u64(&mut s, n, width).unwrap();
+                assert_eq!(s, format!("{n:0width$}"), "n = {n}, width = {width}");
+            }
+        }
+    }
+
+    /// The line format as `write!` spelled it before the hand-written
+    /// formatter: the oracle `write_line` must match byte for byte.
+    fn formatted_line(e: &TraceEvent) -> String {
+        let mut s = match e.kind {
+            EventKind::Complete => format!("@{:010}+{:06} {}:{}", e.ts, e.dur, e.cat, e.name),
+            EventKind::Instant => format!("@{:010}!       {}:{}", e.ts, e.cat, e.name),
+        };
+        for (k, v) in &e.args {
+            s.push_str(&format!(" {k}={v}"));
+        }
+        s
+    }
+
+    #[test]
+    fn lines_and_digest_match_the_format_machinery() {
+        let mut t = Tracer::new();
+        let three = || vec![("a", "1".to_owned()), ("bb", "é".to_owned()), ("c", String::new())];
+        let s = t.begin_at("patia", "tick:1", 12_345_678_901);
+        t.end_at_with(s, 12_345_678_901 + 2_500_000, three());
+        t.instant("gokernel", "é→", 10_000_000_000, Vec::new());
+        let s = t.begin_at("x", "short", 7);
+        t.end_at(s, 9);
+        t.instant("x", "", u64::MAX, three());
+        let mut lines = String::new();
+        for e in t.events() {
+            assert_eq!(e.to_string(), formatted_line(e));
+            lines.push_str(&formatted_line(e));
+            lines.push('\n');
+        }
+        assert_eq!(t.render(), lines);
+        assert_eq!(t.digest(), fnv1a(t.render().as_bytes()), "the digest streams the render");
+        assert_eq!(Tracer::new().digest(), 0xcbf2_9ce4_8422_2325, "empty: the offset basis");
+    }
+
+    #[test]
     #[should_panic(expected = "ends before it starts")]
     fn span_cannot_end_in_the_past() {
         let mut t = Tracer::new();
@@ -282,7 +369,7 @@ mod tests {
             assert_eq!(t.render(), baseline.render(), "capacity {capacity} changed the render");
             assert_eq!(t.digest(), baseline.digest(), "capacity {capacity} changed the digest");
             assert_eq!(
-                crate::fnv1a(t.render().as_bytes()),
+                fnv1a(t.render().as_bytes()),
                 baseline.digest(),
                 "digest stays the FNV-1a of the render"
             );

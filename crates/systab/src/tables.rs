@@ -13,7 +13,6 @@ use datacomp::{Row, Schema, Table, Value};
 use obs::span::{EventKind, TraceEvent};
 use obs::MetricsSnapshot;
 use patia::wheel::TimerWheel;
-use std::fmt::Write as _;
 use store::BufferPool;
 use txn::{TransactionCore, TxnLog, TxnRecord};
 
@@ -88,10 +87,13 @@ pub fn spans_table(events: &[TraceEvent]) -> Table {
             EventKind::Complete => "complete",
             EventKind::Instant => "instant",
         };
-        let mut args = String::new();
+        let len: usize = e.args.iter().map(|(k, v)| k.len() + v.len() + 2).sum();
+        let mut args = String::with_capacity(len.saturating_sub(1));
         for (i, (k, v)) in e.args.iter().enumerate() {
-            let sep = if i == 0 { "" } else { " " };
-            write!(args, "{sep}{k}={v}").expect("writing to a String cannot fail");
+            if i > 0 {
+                args.push(' ');
+            }
+            args.extend([k, "=", v]);
         }
         Row::from([
             Value::Int(seq as i64),
@@ -330,6 +332,20 @@ mod tests {
         assert_eq!(t.rows()[2][5], Value::Str("complete".to_owned()));
         assert_eq!(t.rows()[2][6], Value::Str(String::new()), "no args, empty string");
         assert_eq!(filter_count(&t, Pred::eq(5, Value::Str("instant".to_owned())), None), 2);
+    }
+
+    #[test]
+    fn spans_table_args_match_the_joined_k_v_form() {
+        let mut obs = Obs::new(CostModel::pentium());
+        let three = vec![("a", "1".to_owned()), ("", String::new()), ("é", "x y".to_owned())];
+        for args in [Vec::new(), vec![("k", "v".to_owned())], three] {
+            obs.instant("mark", "e", args);
+        }
+        let t = spans_table(obs.tracer.events());
+        for (row, e) in t.rows().iter().zip(obs.tracer.events()) {
+            let joined: Vec<String> = e.args.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            assert_eq!(row[6], Value::Str(joined.join(" ")), "{:?}", e.args);
+        }
     }
 
     #[test]

@@ -110,22 +110,10 @@ impl DataComponent {
     }
 
     /// Deterministic digest of the shard's live state: instances with
-    /// their full state bytes, then bindings, FNV-1a hashed.
+    /// their full state bytes, then bindings ([`Runtime::digest`]).
     #[must_use]
     pub fn digest(&self) -> u64 {
-        use std::fmt::Write as _;
-        let mut text = String::new();
-        let names: Vec<String> = self.runtime.instance_names().map(ToOwned::to_owned).collect();
-        for name in names {
-            if let Some(c) = self.runtime.component(&name) {
-                let hex: String = c.state.iter().map(|b| format!("{b:02x}")).collect();
-                let _ = writeln!(text, "{name}:{}@{}={hex}", c.ty, c.started_at);
-            }
-        }
-        for b in self.runtime.bindings() {
-            let _ = writeln!(text, "{} -- {}", b.from, b.to);
-        }
-        obs::fnv1a(text.as_bytes())
+        self.runtime.digest()
     }
 
     /// Durable key for an instance: shard-qualified so many shards can
