@@ -132,37 +132,30 @@ impl fmt::Display for StepRecord {
 }
 
 /// One step of a plan, in execution order (unbind → stop → start →
-/// bind). Both switch paths run a plan as these steps through
-/// [`PlanStep::apply`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlanStep {
+/// bind), borrowed from the plan it was decomposed from. Both switch
+/// paths run a plan as these steps through [`PlanStep::apply`]; only the
+/// [`StepRecord`] it hands back owns a copy of what the step names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanStep<'p> {
     /// Remove a binding.
-    Unbind(Binding),
+    Unbind(&'p Binding),
     /// Stop an instance (name, type), archiving its state.
-    Stop(String, String),
+    Stop(&'p str, &'p str),
     /// Start an instance (name, type).
-    Start(String, String),
+    Start(&'p str, &'p str),
     /// Establish a binding.
-    Bind(Binding),
+    Bind(&'p Binding),
 }
 
-impl PlanStep {
+impl<'p> PlanStep<'p> {
     /// Decompose `plan` into its ordered steps.
     #[must_use]
-    pub fn decompose(plan: &ReconfigurationPlan) -> Vec<PlanStep> {
+    pub fn decompose(plan: &'p ReconfigurationPlan) -> Vec<PlanStep<'p>> {
         let mut steps = Vec::with_capacity(plan.len());
-        for b in &plan.unbind {
-            steps.push(PlanStep::Unbind(b.clone()));
-        }
-        for (n, t) in &plan.stop {
-            steps.push(PlanStep::Stop(n.clone(), t.clone()));
-        }
-        for (n, t) in &plan.start {
-            steps.push(PlanStep::Start(n.clone(), t.clone()));
-        }
-        for b in &plan.bind {
-            steps.push(PlanStep::Bind(b.clone()));
-        }
+        steps.extend(plan.unbind.iter().map(PlanStep::Unbind));
+        steps.extend(plan.stop.iter().map(|(n, t)| PlanStep::Stop(n, t)));
+        steps.extend(plan.start.iter().map(|(n, t)| PlanStep::Start(n, t)));
+        steps.extend(plan.bind.iter().map(PlanStep::Bind));
         steps
     }
 
@@ -173,13 +166,13 @@ impl PlanStep {
         self.instances().map(str::to_owned).collect()
     }
 
-    /// [`PlanStep::footprint`], borrowed.
-    pub fn instances(&self) -> impl Iterator<Item = &str> {
-        let (first, second) = match self {
+    /// [`PlanStep::footprint`], borrowed from the plan.
+    pub fn instances(&self) -> impl Iterator<Item = &'p str> {
+        let (first, second) = match *self {
             PlanStep::Unbind(b) | PlanStep::Bind(b) => {
                 (b.from.instance.as_deref(), b.to.instance.as_deref())
             }
-            PlanStep::Stop(n, _) | PlanStep::Start(n, _) => (Some(n.as_str()), None),
+            PlanStep::Stop(n, _) | PlanStep::Start(n, _) => (Some(n), None),
         };
         first.into_iter().chain(second)
     }
@@ -189,7 +182,7 @@ impl PlanStep {
     /// injector's reason. Starts are never asked: creation failures come
     /// from the [`ComponentFactory`].
     pub fn injected(&self, faults: &mut dyn StepFaults) -> Option<(String, String)> {
-        match self {
+        match *self {
             PlanStep::Unbind(b) => {
                 faults.fail_unbind(b).map(|r| (format!("unbind {} -- {}", b.from, b.to), r))
             }
@@ -217,7 +210,7 @@ impl PlanStep {
         now: u64,
     ) -> Result<StepRecord, SwitchError> {
         let inconsistent = |e: RuntimeError| SwitchError::Inconsistent(e.to_string());
-        match self {
+        match *self {
             PlanStep::Unbind(b) => {
                 runtime.unbind(b).map_err(inconsistent)?;
                 Ok(StepRecord::Unbound(b.clone()))
@@ -225,14 +218,14 @@ impl PlanStep {
             PlanStep::Stop(name, _) => {
                 let comp = runtime.stop(name).map_err(inconsistent)?;
                 states.archive(name, comp.state.clone());
-                Ok(StepRecord::Stopped { name: name.clone(), comp })
+                Ok(StepRecord::Stopped { name: name.to_owned(), comp })
             }
             PlanStep::Start(name, ty) => {
                 let comp = factory
                     .create(name, ty, now)
                     .map_err(|e| SwitchError::Create { name: e.name, reason: e.reason })?;
                 runtime.start(name, comp).map_err(inconsistent)?;
-                Ok(StepRecord::Started { name: name.clone() })
+                Ok(StepRecord::Started { name: name.to_owned() })
             }
             PlanStep::Bind(b) => {
                 runtime.bind(b.clone()).map_err(inconsistent)?;

@@ -29,15 +29,15 @@
 
 use crate::crash::{TxnCrashHook, TxnCrashSite};
 use crate::lock::{LockManager, LockMode, LockOutcome};
-use crate::log::{ShardId, TxnLog, TxnRecord};
+use crate::log::{ShardId, ShardProgress, TxnLog, TxnRecord};
 use crate::shard::{DataComponent, PlanStep};
 use adl::diff::ReconfigurationPlan;
 use compkit::journal::{RecoveryOutcome, StepRecord};
 use compkit::planlint::{PlanLintReport, PlanLinter};
 use compkit::StepFaults;
 use obs::{ObsHandle, Primitive};
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
 /// Why a cross-shard switch did not commit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,13 +177,24 @@ impl TxnRecoveryReport {
 }
 
 /// One shard's part in a cross-shard switch: its data component, its
-/// sub-plan decomposed once (the steps feed both the lock set and the
-/// prepare loop), and the records of the steps it has applied so far.
-struct Participant<'a> {
+/// sub-plan decomposed once into steps borrowed from the plan (they feed
+/// both the lock set and the prepare loop), and the log positions of the
+/// `Applied` records of the steps it has applied so far: while the
+/// transaction runs, the log holds the only copy of a step record.
+struct Participant<'a, 'p> {
     id: u32,
     dc: &'a mut DataComponent,
-    steps: Vec<PlanStep>,
-    applied: Vec<(usize, StepRecord)>,
+    steps: Vec<PlanStep<'p>>,
+    applied: Vec<usize>,
+}
+
+/// The `Applied` record at log position `pos`: its step index and the
+/// record that undoes the step.
+fn applied_at(log: &TxnLog, pos: usize) -> Option<(usize, &StepRecord)> {
+    match log.records().get(pos)? {
+        TxnRecord::Applied { index, step, .. } => Some((*index, step)),
+        _ => None,
+    }
 }
 
 /// The shared transactional component: lock manager + transaction log +
@@ -304,7 +315,7 @@ impl TransactionCore {
         }
         // Every planned shard is held and both maps iterate in ascending
         // id order, so the filtered shards pair up with the sub-plans.
-        let mut participants: Vec<Participant<'_>> = shards
+        let mut participants: Vec<Participant<'_, '_>> = shards
             .iter_mut()
             .filter(|(id, _)| plans.contains_key(id))
             .zip(plans.values())
@@ -322,16 +333,24 @@ impl TransactionCore {
         let span = self.obs.as_ref().map(|o| o.borrow_mut().begin("txn", "cross_switch"));
 
         // Growing phase: lock every touched instance, shard-qualified, in
-        // global sorted order so the coordinator itself cannot deadlock.
-        let mut resources: BTreeSet<String> = BTreeSet::new();
+        // global sorted order of the names so the coordinator itself
+        // cannot deadlock. Each name is formatted into one buffer and
+        // interned; only a name the lock table has never seen is copied.
+        let mut resources: Vec<u32> = Vec::new();
+        let mut name = String::new();
         for p in &participants {
             for inst in p.steps.iter().flat_map(PlanStep::instances) {
-                resources.insert(format!("s{}/{inst}", p.id));
+                name.clear();
+                let _ = write!(name, "s{}/{inst}", p.id);
+                resources.push(self.locks.intern(&name));
             }
         }
-        for r in &resources {
+        let locks = &self.locks;
+        resources.sort_unstable_by(|a, b| locks.name(*a).cmp(locks.name(*b)));
+        resources.dedup();
+        for &r in &resources {
             self.bill(Primitive::Branch);
-            match self.locks.acquire(gtxn, r, LockMode::Exclusive) {
+            match self.locks.acquire_id(gtxn, r, LockMode::Exclusive) {
                 LockOutcome::Granted => {}
                 LockOutcome::Waiting { holders } => {
                     // A single coordinator never waits: the conflict means a
@@ -340,6 +359,7 @@ impl TransactionCore {
                     // transaction aborts without having touched any shard.
                     let verdict = self.locks.detect_deadlock();
                     self.locks.release_all(gtxn);
+                    let resource = self.locks.name(r).to_owned();
                     self.log.append(TxnRecord::End { gtxn });
                     self.bill(Primitive::Store);
                     self.log.truncate_ended();
@@ -348,13 +368,16 @@ impl TransactionCore {
                         let mut o = o.borrow_mut();
                         o.end_with(
                             span,
-                            vec![("outcome", "lock_conflict".to_owned()), ("resource", r.clone())],
+                            vec![
+                                ("outcome", "lock_conflict".to_owned()),
+                                ("resource", resource.clone()),
+                            ],
                         );
                         o.metrics.counter_add("txn.lock.conflicts", 1);
                     }
                     return Err(match verdict {
                         Some(dl) if dl.victim == gtxn => TxnError::Deadlock { cycle: dl.cycle },
-                        _ => TxnError::LockConflict { resource: r.clone(), holders },
+                        _ => TxnError::LockConflict { resource, holders },
                     });
                 }
             }
@@ -401,14 +424,14 @@ impl TransactionCore {
                         );
                     }
                 };
+                p.applied.push(self.log.len());
                 self.log.append(TxnRecord::Applied {
                     gtxn,
                     shard: ShardId(id),
                     index,
-                    step: record.clone(),
+                    step: record,
                 });
                 self.bill(Primitive::Store);
-                p.applied.push((index, record));
                 forward_steps += 1;
                 let site = TxnCrashSite::ShardStep { shard: id, index };
                 if hook.crash(&site) {
@@ -444,8 +467,9 @@ impl TransactionCore {
 
         // Commit fan-out, to every shard that applied a step.
         for p in participants.iter_mut().filter(|p| !p.applied.is_empty()) {
-            let steps: Vec<StepRecord> = p.applied.iter().map(|(_, s)| s.clone()).collect();
-            if let Err(reason) = p.dc.persist_steps(&steps) {
+            let log = &self.log;
+            let records = p.applied.iter().filter_map(|&pos| applied_at(log, pos)).map(|(_, r)| r);
+            if let Err(reason) = p.dc.persist_steps(records) {
                 // Committed but not yet persisted everywhere: leave the log
                 // open, recovery finishes the fan-out.
                 self.crashes = self.crashes.saturating_add(1);
@@ -495,7 +519,7 @@ impl TransactionCore {
         &mut self,
         span: Option<obs::SpanId>,
         gtxn: u64,
-        intents: &mut [Participant<'_>],
+        intents: &mut [Participant<'_, '_>],
         forward_steps: usize,
         cause: TxnError,
         faults: &mut dyn StepFaults,
@@ -506,7 +530,10 @@ impl TransactionCore {
         for p in intents.iter_mut().rev() {
             let id = p.id;
             let shard_mark = residue.len();
-            for (index, record) in p.applied.iter().rev() {
+            for &pos in p.applied.iter().rev() {
+                let Some((index, record)) = applied_at(&self.log, pos) else {
+                    continue;
+                };
                 let desc = record.undo_describe();
                 if let Some(reason) = faults.fail_rollback(&desc) {
                     residue.push(format!("s{id} {desc}: {reason}"));
@@ -517,7 +544,7 @@ impl TransactionCore {
                     continue;
                 }
                 undos += 1;
-                self.log.append(TxnRecord::Undone { gtxn, shard: ShardId(id), index: *index });
+                self.log.append(TxnRecord::Undone { gtxn, shard: ShardId(id), index });
                 self.bill(Primitive::Store);
                 let site = TxnCrashSite::ShardUndone { shard: id, undos };
                 if hook.crash(&site) {
@@ -637,6 +664,7 @@ impl TransactionCore {
         let mut back = 0usize;
         let mut residue: Vec<String> = Vec::new();
         let mut crashed = false;
+        let no_progress = ShardProgress::default();
         'txns: for t in self.log.open_txns() {
             // An in-doubt participant is counted on the pass that logs its
             // fan-out record, so a retried transaction counts it once.
@@ -650,7 +678,7 @@ impl TransactionCore {
             if t.decided {
                 // Roll forward: complete the commit fan-out.
                 for sid in &t.shards {
-                    let p = t.progress.get(sid).cloned().unwrap_or_default();
+                    let p = t.progress.get(sid).unwrap_or(&no_progress);
                     if p.committed {
                         continue;
                     }
@@ -658,8 +686,7 @@ impl TransactionCore {
                         residue.push(format!("{sid} missing"));
                         continue;
                     };
-                    let steps: Vec<StepRecord> = p.applied.iter().map(|(_, s)| s.clone()).collect();
-                    if let Err(e) = dc.persist_steps(&steps) {
+                    if let Err(e) = dc.persist_steps(p.applied.iter().map(|(_, s)| s)) {
                         residue.push(format!("{sid} persist: {e}"));
                         continue;
                     }
@@ -682,7 +709,7 @@ impl TransactionCore {
                 // Presumed abort: the prepared shards queried the log and
                 // found no decision — roll everything back.
                 for sid in t.shards.iter().rev() {
-                    let p = t.progress.get(sid).cloned().unwrap_or_default();
+                    let p = t.progress.get(sid).unwrap_or(&no_progress);
                     let shard_mark = residue.len();
                     let pending = p.pending_undo();
                     if p.aborted && pending.is_empty() {
@@ -864,6 +891,70 @@ mod tests {
         assert!(matches!(err, TxnError::Injected { shard: 1, .. }));
         assert_eq!(digests(&shards), before, "all shards back to the initial state");
         assert_eq!(tc.aborted(), 1);
+        assert!(tc.log().is_empty());
+        assert_eq!(tc.locks().held_total(), 0);
+    }
+
+    /// A bind failure on the last of three shards: the abort path reads
+    /// every applied step back from the log and undoes it, newest shard
+    /// first and newest step first, then tells each shard.
+    #[test]
+    fn abort_undoes_every_logged_step_newest_shard_and_step_first() {
+        let (mut shards, mut plans) = world();
+        let mut s2 = DataComponent::new(ShardId(2));
+        s2.runtime_mut()
+            .start("tap", LiveComponent { ty: "Tap".into(), state: vec![5], started_at: 0 })
+            .unwrap();
+        shards.insert(2, s2);
+        plans.insert(
+            2,
+            ReconfigurationPlan {
+                start: vec![("mirror".into(), "Mirror".into())],
+                bind: vec![binding("mirror", "out", "tap", "in")],
+                ..Default::default()
+            },
+        );
+        let before = digests(&shards);
+        #[derive(Debug)]
+        struct FailBindToTap;
+        impl StepFaults for FailBindToTap {
+            fn fail_bind(&mut self, b: &Binding) -> Option<String> {
+                (b.to.instance.as_deref() == Some("tap")).then(|| "injected".to_owned())
+            }
+        }
+        // Stop right after the last abort fan-out record, before `End`
+        // reclaims the transaction, to read the whole abort path back.
+        let mut hook = PlannedTxnCrash::new(TxnCrashPoint::MidAbortFanout { shard: 0 });
+        let mut tc = TransactionCore::new();
+        let err = tc
+            .execute_cross_shard(&mut shards, &plans, 40, &mut FailBindToTap, &mut hook)
+            .unwrap_err();
+        assert!(hook.fired(), "{err:?}");
+        assert_eq!(digests(&shards), before, "every shard is back at its pre-transaction state");
+        let records = tc.log().records();
+        let applied = records.iter().filter(|r| matches!(r, TxnRecord::Applied { .. })).count();
+        assert_eq!(applied, 5, "s0 and s1 applied two steps each, s2 one");
+        let rollback: Vec<String> = records
+            .iter()
+            .skip_while(|r| !matches!(r, TxnRecord::Undone { .. }))
+            .map(ToString::to_string)
+            .collect();
+        assert_eq!(
+            rollback,
+            [
+                "undone gtxn=0 shard=s2 [0]",
+                "shard-aborted gtxn=0 shard=s2",
+                "undone gtxn=0 shard=s1 [1]",
+                "undone gtxn=0 shard=s1 [0]",
+                "shard-aborted gtxn=0 shard=s1",
+                "undone gtxn=0 shard=s0 [1]",
+                "undone gtxn=0 shard=s0 [0]",
+                "shard-aborted gtxn=0 shard=s0",
+            ]
+        );
+        let report = tc.recover(&mut shards, &mut NoTxnCrash);
+        assert_eq!((report.outcome, report.undone), (RecoveryOutcome::RolledBack, 0));
+        assert_eq!(digests(&shards), before);
         assert!(tc.log().is_empty());
         assert_eq!(tc.locks().held_total(), 0);
     }

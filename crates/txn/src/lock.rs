@@ -1,12 +1,16 @@
 //! Two-phase lock manager — the concurrency-control half of the
 //! transactional component.
 //!
-//! Resources are named strings (the convention used by the cross-shard
-//! path is `s{shard}/{instance}`), held in [`LockMode::Shared`] or
-//! [`LockMode::Exclusive`]. Discipline is *strict* two-phase locking:
-//! transactions only acquire while running and release everything at
-//! once through [`LockManager::release_all`] at commit or abort, so no
-//! lock ever outlives its transaction.
+//! Resources are named by strings (the convention used by the
+//! cross-shard path is `s{shard}/{instance}`), interned once into dense
+//! `u32` ids: the lock table is indexed by id, so a transaction that
+//! locks names the table has seen before copies no name. Locks are held
+//! in [`LockMode::Shared`] or [`LockMode::Exclusive`]. Discipline is
+//! *strict* two-phase locking: transactions only acquire while running
+//! and release everything at once through [`LockManager::release_all`]
+//! at commit or abort, so no lock ever outlives its transaction. The
+//! name table grows with the distinct names ever locked, never per
+//! transaction.
 //!
 //! A transaction whose request conflicts does not spin: the manager
 //! records a wait-for edge and reports [`LockOutcome::Waiting`]. Callers
@@ -18,7 +22,7 @@
 //! dies, so every run of a seeded scenario aborts the same transaction.
 
 use adl::analysis::find_cycle;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// How a resource is locked.
@@ -66,12 +70,17 @@ pub struct Deadlock {
 /// not in any one data component.
 #[derive(Debug, Clone, Default)]
 pub struct LockManager {
-    /// resource -> holder txn -> mode.
-    granted: BTreeMap<String, BTreeMap<u64, LockMode>>,
+    /// id -> resource name (the interner's reverse table).
+    names: Vec<String>,
+    /// resource name -> id.
+    ids: BTreeMap<String, u32>,
+    /// id -> holder txn -> mode. An entry empties, but stays, when its
+    /// last holder releases.
+    granted: Vec<BTreeMap<u64, LockMode>>,
     /// txn -> the single request it is blocked on.
-    waiting: BTreeMap<u64, (String, LockMode)>,
-    /// txn -> resources it holds (reverse index for `release_all`).
-    held: BTreeMap<u64, BTreeSet<String>>,
+    waiting: BTreeMap<u64, (u32, LockMode)>,
+    /// txn -> ids it holds, each once (reverse index for `release_all`).
+    held: BTreeMap<u64, Vec<u32>>,
     grants: u64,
     conflicts: u64,
     deadlocks: u64,
@@ -85,21 +94,49 @@ impl LockManager {
         Self::default()
     }
 
-    /// Request `resource` in `mode` for `txn`. Re-entrant requests and
-    /// Shared→Exclusive upgrades by a sole holder are granted in place.
+    /// The dense id of `resource`, assigned on its first sight.
+    pub(crate) fn intern(&mut self, resource: &str) -> u32 {
+        if let Some(&id) = self.ids.get(resource) {
+            return id;
+        }
+        // Four billion distinct names would saturate the id space; a
+        // lock table meets a few per shard instance.
+        let id = u32::try_from(self.names.len()).unwrap_or(u32::MAX);
+        self.names.push(resource.to_owned());
+        self.ids.insert(resource.to_owned(), id);
+        self.granted.push(BTreeMap::new());
+        id
+    }
+
+    /// The name `id` was interned from (empty for an id never issued).
+    #[must_use]
+    pub(crate) fn name(&self, id: u32) -> &str {
+        self.names.get(id as usize).map_or("", String::as_str)
+    }
+
+    /// Request `resource` in `mode` for `txn`: `acquire_id` on the name's
+    /// interned id. Re-entrant requests and Shared→Exclusive upgrades by
+    /// a sole holder are granted in place.
     pub fn acquire(&mut self, txn: u64, resource: &str, mode: LockMode) -> LockOutcome {
-        // Read-only lookup first: the granted map gains an entry only on
-        // the grant path, so contested-but-never-granted names leave
-        // nothing behind.
-        let holders = self.granted.get(resource);
-        let own = holders.and_then(|h| h.get(&txn)).copied();
+        let id = self.intern(resource);
+        self.acquire_id(txn, id, mode)
+    }
+
+    /// Request the interned resource `id` in `mode` for `txn`. Re-entrant
+    /// requests and Shared→Exclusive upgrades by a sole holder are
+    /// granted in place. An id [`LockManager::intern`] never issued is
+    /// granted nothing and blocks on no one.
+    pub(crate) fn acquire_id(&mut self, txn: u64, id: u32, mode: LockMode) -> LockOutcome {
+        let Some(holders) = self.granted.get_mut(id as usize) else {
+            return LockOutcome::Waiting { holders: Vec::new() };
+        };
+        let own = holders.get(&txn).copied();
         // Already strong enough?
         if own.is_some() && (own == Some(LockMode::Exclusive) || mode == LockMode::Shared) {
             return LockOutcome::Granted;
         }
         let blockers: Vec<u64> = holders
-            .into_iter()
-            .flatten()
+            .iter()
             .filter(|(other, held_mode)| {
                 **other != txn
                     && (mode == LockMode::Exclusive || **held_mode == LockMode::Exclusive)
@@ -107,13 +144,14 @@ impl LockManager {
             .map(|(other, _)| *other)
             .collect();
         if blockers.is_empty() {
-            self.granted.entry(resource.to_owned()).or_default().insert(txn, mode);
-            self.held.entry(txn).or_default().insert(resource.to_owned());
+            if holders.insert(txn, mode).is_none() {
+                self.held.entry(txn).or_default().push(id);
+            }
             self.waiting.remove(&txn);
             self.grants = self.grants.saturating_add(1);
             LockOutcome::Granted
         } else {
-            self.waiting.insert(txn, (resource.to_owned(), mode));
+            self.waiting.insert(txn, (id, mode));
             self.conflicts = self.conflicts.saturating_add(1);
             LockOutcome::Waiting { holders: blockers }
         }
@@ -123,16 +161,10 @@ impl LockManager {
     /// commit/abort). Returns the number of locks released.
     pub fn release_all(&mut self, txn: u64) -> usize {
         self.waiting.remove(&txn);
-        let resources = self.held.remove(&txn).unwrap_or_default();
         let mut released = 0;
-        for r in &resources {
-            if let Some(holders) = self.granted.get_mut(r) {
-                if holders.remove(&txn).is_some() {
-                    released += 1;
-                }
-                if holders.is_empty() {
-                    self.granted.remove(r);
-                }
+        for id in self.held.remove(&txn).unwrap_or_default() {
+            if let Some(holders) = self.granted.get_mut(id as usize) {
+                released += usize::from(holders.remove(&txn).is_some());
             }
         }
         released
@@ -143,14 +175,12 @@ impl LockManager {
     #[must_use]
     pub(crate) fn wait_for_edges(&self) -> Vec<(String, String)> {
         let mut edges = Vec::new();
-        for (waiter, (resource, mode)) in &self.waiting {
-            if let Some(holders) = self.granted.get(resource) {
-                for (holder, held_mode) in holders {
-                    let incompatible =
-                        *mode == LockMode::Exclusive || *held_mode == LockMode::Exclusive;
-                    if holder != waiter && incompatible {
-                        edges.push((format!("txn:{waiter}"), format!("txn:{holder}")));
-                    }
+        for (waiter, (id, mode)) in &self.waiting {
+            for (holder, held_mode) in self.granted.get(*id as usize).into_iter().flatten() {
+                let incompatible =
+                    *mode == LockMode::Exclusive || *held_mode == LockMode::Exclusive;
+                if holder != waiter && incompatible {
+                    edges.push((format!("txn:{waiter}"), format!("txn:{holder}")));
                 }
             }
         }
@@ -176,27 +206,40 @@ impl LockManager {
     /// Resources `txn` currently holds, sorted.
     #[must_use]
     pub fn held_by(&self, txn: u64) -> Vec<String> {
-        self.held.get(&txn).map(|s| s.iter().cloned().collect()).unwrap_or_default()
+        let ids = self.held.get(&txn).map_or(&[][..], Vec::as_slice);
+        let mut names: Vec<String> = ids.iter().map(|&id| self.name(id).to_owned()).collect();
+        names.sort();
+        names
     }
 
     /// Current holders of `resource`, sorted by transaction id.
     #[must_use]
     pub fn holders(&self, resource: &str) -> Vec<u64> {
-        self.granted.get(resource).map(|h| h.keys().copied().collect()).unwrap_or_default()
+        self.ids
+            .get(resource)
+            .and_then(|&id| self.granted.get(id as usize))
+            .map(|h| h.keys().copied().collect())
+            .unwrap_or_default()
     }
 
     /// Total locks currently granted across all transactions.
     #[must_use]
     pub fn held_total(&self) -> usize {
-        self.granted.values().map(BTreeMap::len).sum()
+        self.held.values().map(Vec::len).sum()
     }
 
-    /// Resources with a live granted entry. Invariant: never exceeds the
+    /// Resources with a live grant. Invariant: never exceeds the
     /// resources actually held — contested-but-never-granted names leave
     /// no tracking state behind.
     #[cfg(test)]
     fn resources_tracked(&self) -> usize {
-        self.granted.len()
+        self.granted.iter().filter(|h| !h.is_empty()).count()
+    }
+
+    /// Names interned so far.
+    #[cfg(test)]
+    fn interned(&self) -> &[String] {
+        &self.names
     }
 
     /// Transactions currently blocked, sorted.
@@ -326,6 +369,31 @@ mod tests {
     }
 
     #[test]
+    fn a_thousand_transactions_over_one_footprint_do_not_grow_the_table() {
+        let footprint = ["s2/c", "s0/a", "s1/a", "s0/b"];
+        let mut lm = LockManager::new();
+        for txn in 0..1_000u64 {
+            for r in footprint {
+                assert_eq!(lm.acquire(txn, r, LockMode::Exclusive), LockOutcome::Granted);
+            }
+            assert_eq!(
+                lm.acquire(txn, "s0/a", LockMode::Shared),
+                LockOutcome::Granted,
+                "X covers S"
+            );
+            assert_eq!(lm.held_total(), footprint.len());
+            assert_eq!(lm.release_all(txn), footprint.len());
+        }
+        assert_eq!(lm.held_total(), 0);
+        assert_eq!(lm.resources_tracked(), 0, "no resource keeps a live grant");
+        let mut names = lm.interned().to_vec();
+        names.sort();
+        let mut want: Vec<String> = footprint.iter().map(|r| (*r).to_owned()).collect();
+        want.sort();
+        assert_eq!(names, want, "the name table holds the footprint, once");
+    }
+
+    #[test]
     fn counters_accumulate() {
         let mut lm = LockManager::new();
         lm.acquire(1, "a", LockMode::Exclusive);
@@ -342,6 +410,7 @@ mod tests {
 mod props {
     use super::*;
     use adm_rng::Pcg32;
+    use std::collections::BTreeSet;
 
     /// Naive oracle: replay the operation history into a flat set of
     /// (txn, resource) holdings, ignoring modes (only grants recorded).
@@ -407,20 +476,34 @@ mod props {
             let mut rng = Pcg32::new(0x51ab_0000 + seed);
             let mut lm = LockManager::new();
             let mut oracle = Oracle::default();
+            // A second table driven by interned ids, numbered in reverse
+            // of first sight, must agree with the by-name table.
+            let mut by_id = LockManager::new();
+            let mut id_of = [0u32; 8];
+            for k in (0..8).rev() {
+                id_of[k] = by_id.intern(&format!("r{k}"));
+            }
             for _ in 0..200 {
                 let txn = rng.below(6);
                 match rng.index(3) {
                     0 | 1 => {
-                        let r = format!("r{}", rng.below(8));
+                        let k = rng.below(8);
+                        let r = format!("r{k}");
                         let mode =
                             if rng.index(2) == 0 { LockMode::Shared } else { LockMode::Exclusive };
-                        if lm.acquire(txn, &r, mode) == LockOutcome::Granted {
+                        let outcome = lm.acquire(txn, &r, mode);
+                        assert_eq!(
+                            by_id.acquire_id(txn, id_of[k as usize], mode),
+                            outcome,
+                            "seed {seed}: acquire_id disagrees with acquire on {r}"
+                        );
+                        if outcome == LockOutcome::Granted {
                             oracle.grant(txn, &r);
                         }
                     }
                     _ => {
                         // Commit or abort: strict 2PL shrink.
-                        lm.release_all(txn);
+                        assert_eq!(lm.release_all(txn), by_id.release_all(txn));
                         oracle.release_all(txn);
                         assert!(
                             lm.held_by(txn).is_empty(),
@@ -436,13 +519,17 @@ mod props {
                         oracle.held_by(t),
                         "seed {seed}: held set diverged for txn {t}"
                     );
+                    assert_eq!(lm.held_by(t), by_id.held_by(t), "seed {seed}: txn {t}");
                 }
+                assert_eq!(lm.waiters(), by_id.waiters(), "seed {seed}");
             }
             // Drain everything; the table must come back empty.
             for t in 0..6u64 {
                 lm.release_all(t);
             }
             assert_eq!(lm.held_total(), 0, "seed {seed}: locks leaked at drain");
+            assert_eq!(lm.resources_tracked(), 0, "seed {seed}: a grant outlived its holder");
+            assert!(lm.interned().len() <= 8, "seed {seed}: names are interned once");
         }
     }
 

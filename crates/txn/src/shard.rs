@@ -23,6 +23,7 @@ use compkit::journal::StepRecord;
 use compkit::runtime::{BasicFactory, Runtime};
 use compkit::state::StateManager;
 use compkit::SwitchError;
+use std::fmt::Write as _;
 use store::{StorageEngine, StoreOp};
 
 pub use compkit::journal::PlanStep;
@@ -116,21 +117,23 @@ impl DataComponent {
         self.runtime.digest()
     }
 
-    /// Durable key for an instance: shard-qualified so many shards can
-    /// share one key space without colliding.
+    /// Durable key for an instance ([`store_key`]).
     #[cfg(test)]
     pub(crate) fn store_key(&self, instance: &str) -> u64 {
-        obs::fnv1a(format!("{}/{instance}", self.id).as_bytes())
+        store_key(self.id, instance)
     }
 
     /// Commit fan-out persistence: replay the transaction's applied
     /// [`StepRecord`]s against the attached engine — started instances'
     /// current state is written, stopped instances' keys are deleted —
     /// as one committed store transaction through the store WAL. The
-    /// records are exactly what the transaction log holds, so recovery
-    /// can roll a shard forward from the log alone; ops are logical and
+    /// records are borrowed from the transaction log, so recovery can
+    /// roll a shard forward from the log alone; ops are logical and
     /// therefore idempotent. No-op without an attached store.
-    pub fn persist_steps(&mut self, records: &[StepRecord]) -> Result<usize, String> {
+    pub fn persist_steps<'r>(
+        &mut self,
+        records: impl IntoIterator<Item = &'r StepRecord>,
+    ) -> Result<usize, String> {
         let Some(engine) = self.store.as_mut() else {
             return Ok(0);
         };
@@ -139,12 +142,12 @@ impl DataComponent {
             match r {
                 StepRecord::Started { name } => {
                     if let Some(c) = self.runtime.component(name) {
-                        let key = obs::fnv1a(format!("{}/{name}", self.id).as_bytes());
+                        let key = store_key(self.id, name);
                         ops.push(StoreOp::Put { key, value: c.state.clone() });
                     }
                 }
                 StepRecord::Stopped { name, .. } => {
-                    let key = obs::fnv1a(format!("{}/{name}", self.id).as_bytes());
+                    let key = store_key(self.id, name);
                     let present = engine.get(key).map_err(|e| e.to_string())?.is_some();
                     if present {
                         ops.push(StoreOp::Delete { key });
@@ -166,6 +169,15 @@ impl DataComponent {
     pub fn store_digest(&mut self) -> Option<u64> {
         self.store.as_mut().and_then(|e| e.state_digest().ok())
     }
+}
+
+/// Durable key for `instance` on `shard`: the FNV-1a hash of the text
+/// `{shard}/{instance}` (`s0/codec`), streamed into the hash. It is
+/// shard-qualified so many shards can share one key space.
+fn store_key(shard: ShardId, instance: &str) -> u64 {
+    let mut h = obs::Fnv1aSink::default();
+    let _ = write!(h, "{shard}/{instance}");
+    h.finish()
 }
 
 #[cfg(test)]
@@ -200,7 +212,8 @@ mod tests {
 
     #[test]
     fn decompose_orders_unbind_stop_start_bind() {
-        let steps = PlanStep::decompose(&swap_plan());
+        let plan = swap_plan();
+        let steps = PlanStep::decompose(&plan);
         assert_eq!(steps.len(), 4);
         assert!(matches!(steps[0], PlanStep::Unbind(_)));
         assert!(matches!(steps[1], PlanStep::Stop(..)));
@@ -214,7 +227,8 @@ mod tests {
     fn apply_then_undo_all_steps_restores_the_digest() {
         let mut dc = booted();
         let before = dc.digest();
-        let steps = PlanStep::decompose(&swap_plan());
+        let plan = swap_plan();
+        let steps = PlanStep::decompose(&plan);
         let mut records = Vec::new();
         for s in &steps {
             records.push(dc.apply_step(s, 9).unwrap());
@@ -230,7 +244,7 @@ mod tests {
     #[test]
     fn stop_archives_state_and_undo_restores_it() {
         let mut dc = booted();
-        let rec = dc.apply_step(&PlanStep::Stop("opt".into(), "Opt".into()), 1).unwrap();
+        let rec = dc.apply_step(&PlanStep::Stop("opt", "Opt"), 1).unwrap();
         assert!(dc.runtime().component("opt").is_none());
         dc.undo_step(&rec).unwrap();
         assert_eq!(dc.runtime().component("opt").unwrap().state, vec![3]);
@@ -239,7 +253,7 @@ mod tests {
     #[test]
     fn apply_step_surfaces_runtime_errors() {
         let mut dc = booted();
-        let err = dc.apply_step(&PlanStep::Stop("ghost".into(), "G".into()), 1);
+        let err = dc.apply_step(&PlanStep::Stop("ghost", "G"), 1);
         assert!(err.is_err());
     }
 
@@ -249,8 +263,8 @@ mod tests {
         dc.attach_store(StorageEngine::new(8));
         let opt_key = dc.store_key("opt");
         let records = vec![
-            dc.apply_step(&PlanStep::Stop("opt".into(), "Opt".into()), 1).unwrap(),
-            dc.apply_step(&PlanStep::Start("wopt".into(), "WOpt".into()), 1).unwrap(),
+            dc.apply_step(&PlanStep::Stop("opt", "Opt"), 1).unwrap(),
+            dc.apply_step(&PlanStep::Start("wopt", "WOpt"), 1).unwrap(),
         ];
         // opt was never in the store, so only the put lands.
         let n = dc.persist_steps(&records).unwrap();
@@ -269,5 +283,22 @@ mod tests {
         let a = DataComponent::new(ShardId(0));
         let b = DataComponent::new(ShardId(1));
         assert_ne!(a.store_key("codec"), b.store_key("codec"));
+    }
+
+    /// The streamed key is the hash of the formatted `s{id}/{name}` text,
+    /// so the durable key space (and every store digest) is unchanged.
+    #[test]
+    fn store_key_hashes_the_shard_qualified_name() {
+        for id in [0, 1, 7, 42, u32::MAX] {
+            for name in ["codec", "agent-123@wp1", "", "é/→"] {
+                let shard = ShardId(id);
+                assert_eq!(
+                    store_key(shard, name),
+                    obs::fnv1a(format!("{shard}/{name}").as_bytes()),
+                    "s{id}/{name}"
+                );
+            }
+        }
+        assert_eq!(DataComponent::new(ShardId(3)).store_key("x"), store_key(ShardId(3), "x"));
     }
 }

@@ -9,9 +9,11 @@
 //!   matrices, the system-table query results, and the cycle snapshot
 //!   `BENCH_adm.json`.
 //! * `scale` — run the scale tier in release: ~10.5M mega-crowd requests
-//!   through the event engine inside the wall-clock budget, and the
-//!   armed paper flash crowd inside a 40 ms budget that a tick paying
-//!   per queued request would blow (what the CI `scale` job runs).
+//!   through the event engine inside the wall-clock budget, the armed
+//!   paper flash crowd inside a 40 ms budget that a tick paying per
+//!   queued request would blow, and 8,000 cross-shard SWITCH commits
+//!   inside a 400 ms budget, each leaving an empty transaction log and
+//!   no held lock (what the CI `scale` job runs).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -55,8 +57,9 @@ fn update_goldens() {
     println!("goldens and BENCH_adm.json regenerated; review the diff before committing");
 }
 
-/// Run the scale tier (`tests/scale_e2e.rs`) in release — the mega-crowd
-/// and flash-crowd wall-clock budgets there assume optimised code.
+/// Run the scale tier (`tests/scale_e2e.rs`) in release — the mega-crowd,
+/// flash-crowd and cross-shard commit wall-clock budgets there assume
+/// optimised code.
 fn scale() {
     run_cargo(&["test", "-q", "--release", "-p", "adm-core", "--test", "scale_e2e"], &[]);
 }

@@ -1,6 +1,8 @@
 //! Scale tier: the full mega-crowd — ten million requests through the
-//! event engine inside a wall-clock budget — and the paper's flash crowd
-//! on the request-driven `tick` path inside a budget of its own.
+//! event engine inside a wall-clock budget — the paper's flash crowd on
+//! the request-driven `tick` path inside a budget of its own, and a long
+//! ping-pong of cross-shard SWITCH commits that must leave neither log
+//! records nor locks behind any commit.
 //!
 //! The unit tier runs a 1/100-rate miniature; this tier runs the real
 //! thing and holds the engine to its acceptance bar: at least
@@ -8,9 +10,16 @@
 //! run inside seconds of wall-clock (budgets relaxed under debug builds —
 //! CI runs this tier with `--release`).
 
+use adl::diff::ReconfigurationPlan;
 use adm_core::scenario::chaos::{paper_flash_crowd, run_observed};
 use adm_core::scenario::megacrowd::{mega_crowd, run};
+use adm_core::scenario::txnrep::{seeded_world, shard_handles};
+use compkit::NoFaults;
+use patia::atom::AtomId;
+use patia::shard::cross_shard_plans;
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
+use txn::{NoTxnCrash, TransactionCore};
 
 /// Wall-clock budget for the full run.
 fn budget_secs() -> u64 {
@@ -88,5 +97,60 @@ fn flash_crowd_ticks_do_not_scale_with_the_backlog() {
         elapsed < flash_budget(),
         "the armed flash crowd must run in under {:?} (took {elapsed:?})",
         flash_budget()
+    );
+}
+
+/// The per-shard plans that move `moves`' atoms between nodes of the
+/// three-shard world, merged into one transaction.
+fn merged_plans(moves: &[(AtomId, &str, &str)]) -> BTreeMap<u32, ReconfigurationPlan> {
+    let handles = shard_handles(3);
+    let mut plans: BTreeMap<u32, ReconfigurationPlan> = BTreeMap::new();
+    for &(atom, from, to) in moves {
+        for (id, p) in cross_shard_plans(&handles, atom, from, to) {
+            let merged = plans.entry(id).or_default();
+            merged.unbind.extend(p.unbind);
+            merged.stop.extend(p.stop);
+            merged.start.extend(p.start);
+            merged.bind.extend(p.bind);
+        }
+    }
+    plans
+}
+
+/// Commits in the cross-shard ping-pong.
+const PING_PONG_COMMITS: usize = 8_000;
+
+/// Wall-clock budget for the ping-pong: ~5x the ~80 ms the commits take
+/// in release on a 2-core x86-64 box (~0.6 s in debug).
+fn ping_pong_budget() -> Duration {
+    Duration::from_millis(if cfg!(debug_assertions) { 10_000 } else { 400 })
+}
+
+/// The guard for the cross-shard commit path: the `txn_switch` ping-pong
+/// (atoms 123 and 153 out to `wp1` and back home across the three shards
+/// of `seeded_world(42, 3)`). Every commit must leave the log empty and
+/// the lock table without a grant, so a step record or a lock that
+/// outlives its transaction fails here, as does a commit path whose cost
+/// grows with the number of transactions run.
+#[test]
+fn txn_ping_pong_leaves_no_log_or_locks_within_budget() {
+    let out = merged_plans(&[(AtomId(123), "node1", "wp1"), (AtomId(153), "node2", "wp1")]);
+    let back = merged_plans(&[(AtomId(123), "wp1", "node1"), (AtomId(153), "wp1", "node2")]);
+    let (mut shards, _) = seeded_world(42, 3);
+    let mut tc = TransactionCore::new();
+    let started = Instant::now();
+    for i in 0..PING_PONG_COMMITS {
+        let plans = if i % 2 == 0 { &out } else { &back };
+        let report = tc.execute_cross_shard(&mut shards, plans, 50, &mut NoFaults, &mut NoTxnCrash);
+        assert!(report.is_ok(), "commit {i}: {report:?}");
+        assert_eq!(tc.log().len(), 0, "commit {i} left log records behind");
+        assert_eq!(tc.locks().held_total(), 0, "commit {i} left locks behind");
+    }
+    let elapsed = started.elapsed();
+    assert_eq!(tc.committed(), PING_PONG_COMMITS as u64);
+    assert!(
+        elapsed < ping_pong_budget(),
+        "{PING_PONG_COMMITS} cross-shard commits must run in under {:?} (took {elapsed:?})",
+        ping_pong_budget()
     );
 }
