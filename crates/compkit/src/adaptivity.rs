@@ -20,8 +20,8 @@
 //! model.
 
 use crate::journal::{
-    CrashHook, CrashSite, NoCrash, PlanStep, RecoveryOutcome, RecoveryReport, ShardId, StepRecord,
-    TxnLog, TxnRecord,
+    self, Boundary, CrashHook, CrashSite, NoCrash, Participants, PlanStep, RecoveryOutcome,
+    RecoveryReport, ShardId, StepRecord, TxnLog, TxnRecord,
 };
 use crate::planlint::{PlanLintReport, PlanLinter};
 use crate::runtime::{ComponentFactory, Runtime};
@@ -163,6 +163,31 @@ pub struct SwitchReport {
     pub started: Vec<String>,
     /// Tick at which the switch completed.
     pub completed_at: u64,
+}
+
+/// The single-node runtime as the one participant (shard `s0`) of the
+/// compensation routine, consulting `hook` at its undo boundaries.
+struct Node<'a> {
+    runtime: &'a mut Runtime,
+    states: &'a mut StateManager,
+    hook: &'a mut dyn CrashHook,
+    recovering: bool,
+}
+
+impl Participants for Node<'_> {
+    fn undo(&mut self, _shard: ShardId, step: &StepRecord) -> Result<(), String> {
+        step.undo(self.runtime, self.states)
+    }
+
+    fn crash(&mut self, at: Boundary) -> bool {
+        let Boundary::Undone(_, undos) = at else { return false };
+        let site = if self.recovering {
+            CrashSite::AfterRecoveryUndo { undos }
+        } else {
+            CrashSite::AfterUndo { undos }
+        };
+        self.hook.crash(&site)
+    }
 }
 
 /// The Adaptivity Manager.
@@ -373,7 +398,11 @@ impl AdaptivityManager {
                     if crash.crash(&CrashSite::AfterCommit) {
                         return self.crash_out(&obs, span, "after-commit", applied.len(), 0);
                     }
-                    self.end(gtxn);
+                    // `End` and the checkpoint that reclaims it are not billed.
+                    if let Some(j) = self.journal.as_mut() {
+                        j.append(TxnRecord::End { gtxn });
+                        j.truncate_ended();
+                    }
                 }
                 self.switches_committed = self.switches_committed.saturating_add(1);
                 if let (Some(o), Some(span)) = (&obs, span) {
@@ -401,73 +430,69 @@ impl AdaptivityManager {
             }
             Err(e) => {
                 let rolled_steps = applied.len();
-                // Back off: undo the applied steps in reverse. Rollback steps
-                // undo operations that succeeded moments ago, so against a
-                // healthy runtime they cannot fail; injected rollback faults
-                // (and nothing else) land in `residue` instead of a panic.
-                let mut residue: Vec<String> = Vec::new();
-                let mut undos = 0usize;
-                for (index, step) in applied.into_iter().enumerate().rev() {
-                    let desc = step.undo_describe();
-                    if let Some(reason) = faults.fail_rollback(&desc) {
-                        residue.push(format!("{desc}: {reason}"));
-                        continue;
+                // Back off: recovery's rollback, run on the live switch with
+                // the caller's injector. Without a journal it runs over a
+                // scratch log holding this switch alone, unbilled and with
+                // no crash site. Against a healthy runtime no undo can fail;
+                // injected rollback faults (and nothing else) become residue.
+                let mut scratch = TxnLog::new();
+                let (log, gtxn) = self.journal.as_mut().zip(txn).unwrap_or_else(|| {
+                    let gtxn = scratch.begin(vec![SHARD], now);
+                    for (index, step) in applied.into_iter().enumerate() {
+                        scratch.append(TxnRecord::Applied { gtxn, shard: SHARD, index, step });
                     }
-                    if let Err(err) = step.undo(runtime, states) {
-                        residue.push(format!("{desc}: {err}"));
-                        continue;
-                    }
-                    undos += 1;
-                    if let Some(gtxn) = txn {
-                        self.log(TxnRecord::Undone { gtxn, shard: SHARD, index });
-                        if crash.crash(&CrashSite::AfterUndo { undos }) {
-                            return self.crash_out(&obs, span, "mid-rollback", rolled_steps, undos);
-                        }
-                    }
+                    (&mut scratch, gtxn)
+                });
+                let mut no_crash = NoCrash;
+                let hook = if txn.is_some() { crash } else { &mut no_crash };
+                let before = log.appended_total();
+                let mut node = Node { runtime, states, hook, recovering: false };
+                let report = journal::abort(log, gtxn, &mut node, faults);
+                // Each record but the closing `End` is billed, as forward.
+                let billed = log.appended_total() - before - report.back as u64;
+                if let Some(o) = obs.as_ref().filter(|_| txn.is_some()) {
+                    o.borrow_mut().charge_n(Primitive::Store, billed);
                 }
-                if residue.is_empty() {
-                    if let Some(gtxn) = txn {
-                        self.log(TxnRecord::ShardAborted { gtxn, shard: SHARD });
-                        self.end(gtxn);
-                    }
-                    self.switches_rolled_back = self.switches_rolled_back.saturating_add(1);
-                    if let (Some(o), Some(span)) = (&obs, span) {
-                        let mut o = o.borrow_mut();
-                        // The forward steps ran AND were undone: bill both.
-                        o.charge(Primitive::SchedSteps(2 * rolled_steps as u32));
-                        o.end_with(
-                            span,
-                            vec![
-                                ("outcome", "rolled_back".to_owned()),
-                                ("rolled_steps", rolled_steps.to_string()),
-                                ("cause", e.to_string()),
-                            ],
-                        );
-                        o.metrics.counter_add("compkit.switch.rolled_back", 1);
-                    }
-                    Err(e)
-                } else {
-                    // The rollback itself left residue: counted *only* as
-                    // incomplete, never also as rolled back. The log (if
-                    // any) stays open so a later recover() retries the
-                    // leftover undos.
+                if report.outcome == RecoveryOutcome::Crashed {
+                    let undos = report.undone;
+                    return self.crash_out(&obs, span, "mid-rollback", rolled_steps, undos);
+                }
+                // Residue is counted *only* as incomplete, never also as
+                // rolled back, and leaves the log open so a later recover()
+                // retries the undos.
+                let incomplete = report.outcome == RecoveryOutcome::Incomplete;
+                if incomplete {
                     self.rollbacks_incomplete = self.rollbacks_incomplete.saturating_add(1);
-                    if let (Some(o), Some(span)) = (&obs, span) {
-                        let mut o = o.borrow_mut();
-                        o.charge(Primitive::SchedSteps(2 * rolled_steps as u32));
-                        o.end_with(
-                            span,
-                            vec![
-                                ("outcome", "rollback_incomplete".to_owned()),
-                                ("rolled_steps", rolled_steps.to_string()),
-                                ("residue", residue.len().to_string()),
-                                ("cause", e.to_string()),
-                            ],
-                        );
-                        o.metrics.counter_add("compkit.switch.rollbacks_incomplete", 1);
-                    }
-                    Err(SwitchError::RollbackIncomplete { cause: e.to_string(), residue })
+                } else {
+                    self.switches_rolled_back = self.switches_rolled_back.saturating_add(1);
                 }
+                if let (Some(o), Some(span)) = (&obs, span) {
+                    let mut o = o.borrow_mut();
+                    // The forward steps ran AND were undone: bill both.
+                    o.charge(Primitive::SchedSteps(2 * rolled_steps as u32));
+                    let (outcome, counter) = if incomplete {
+                        ("rollback_incomplete", "compkit.switch.rollbacks_incomplete")
+                    } else {
+                        ("rolled_back", "compkit.switch.rolled_back")
+                    };
+                    let mut args = vec![
+                        ("outcome", outcome.to_owned()),
+                        ("rolled_steps", rolled_steps.to_string()),
+                    ];
+                    if incomplete {
+                        args.push(("residue", report.residue.len().to_string()));
+                    }
+                    args.push(("cause", e.to_string()));
+                    o.end_with(span, args);
+                    o.metrics.counter_add(counter, 1);
+                }
+                if !incomplete {
+                    return Err(e);
+                }
+                Err(SwitchError::RollbackIncomplete {
+                    cause: e.to_string(),
+                    residue: report.residue,
+                })
             }
         }
     }
@@ -477,7 +502,8 @@ impl AdaptivityManager {
     /// record made it to the log: roll forward) or fully rolled back
     /// (no commit record: every applied-not-yet-undone step is reversed)
     /// — and is idempotent: once settled, further calls scan an empty
-    /// log, touch nothing, and report [`RecoveryOutcome::Clean`].
+    /// log, touch nothing, and report [`RecoveryOutcome::Clean`]. The
+    /// replay is [`journal::replay`], the compensation every abort runs.
     ///
     /// The replay is cycle-billed when observability is armed: one
     /// [`Primitive::Load`] per scanned record, one [`Primitive::Store`]
@@ -495,87 +521,38 @@ impl AdaptivityManager {
         states: &mut StateManager,
         crash: &mut dyn CrashHook,
     ) -> RecoveryReport {
-        let mut report = RecoveryReport {
-            outcome: RecoveryOutcome::Clean,
-            records_scanned: 0,
-            undone: 0,
-            residue: Vec::new(),
+        let Some(journal) = self.journal.as_mut().filter(|j| !j.is_empty()) else {
+            return RecoveryReport::default();
         };
-        let Some(journal) = self.journal.as_ref().filter(|j| !j.is_empty()) else { return report };
-        report.records_scanned = journal.len();
-        // `execute_crashable` refuses to begin while the log is open, so
-        // at most one transaction is unsettled.
-        let open = journal.open_txns().pop();
         let obs = self.obs.clone();
         let span = obs.as_ref().map(|o| o.borrow_mut().begin("compkit", "recover"));
-        if let Some(o) = &obs {
-            let mut o = o.borrow_mut();
-            for _ in 0..report.records_scanned {
-                o.charge(Primitive::Load);
-            }
-        }
-        if let Some(mut t) = open {
-            if t.decided {
-                // Roll forward. Applied records are written *after* their
-                // runtime mutations and the commit record after the last
-                // step, so the runtime already holds the committed
-                // configuration; only the checkpoint was lost.
-                self.end(t.gtxn);
-                self.switches_committed = self.switches_committed.saturating_add(1);
-                report.outcome = RecoveryOutcome::RolledForward;
-            } else {
-                // No commit record: finish the rollback. (An abort record
-                // is always followed by `End` with no crash site between,
-                // so a live transaction has never logged one.)
-                let progress = t.progress.remove(&SHARD).unwrap_or_default();
-                let mut crashed = false;
-                for (index, step) in progress.pending_undo() {
-                    if let Err(e) = step.undo(runtime, states) {
-                        report.residue.push(format!("{}: {e}", step.undo_describe()));
-                        continue;
-                    }
-                    self.log(TxnRecord::Undone { gtxn: t.gtxn, shard: SHARD, index });
-                    if let Some(o) = &obs {
-                        o.borrow_mut().charge(Primitive::SchedSteps(1));
-                    }
-                    report.undone += 1;
-                    if crash.crash(&CrashSite::AfterRecoveryUndo { undos: report.undone }) {
-                        crashed = true;
-                        break;
-                    }
-                }
-                report.outcome = if crashed {
-                    // The log keeps the partial progress; the next
-                    // recover() resumes from it.
-                    RecoveryOutcome::Crashed
-                } else if report.residue.is_empty() {
-                    self.log(TxnRecord::ShardAborted { gtxn: t.gtxn, shard: SHARD });
-                    self.end(t.gtxn);
-                    self.switches_rolled_back = self.switches_rolled_back.saturating_add(1);
-                    RecoveryOutcome::RolledBack
-                } else {
-                    RecoveryOutcome::Incomplete
-                };
-            }
-        }
+        let before = journal.appended_total();
+        let report =
+            journal::replay(journal, &mut Node { runtime, states, hook: crash, recovering: true });
+        // Each record but a closing `End` is billed, as forward.
+        let billed = journal.appended_total() - before - (report.forward + report.back) as u64;
+        self.switches_committed = self.switches_committed.saturating_add(report.forward as u64);
+        self.switches_rolled_back = self.switches_rolled_back.saturating_add(report.back as u64);
         self.recoveries = self.recoveries.saturating_add(1);
         if let (Some(o), Some(span)) = (&obs, span) {
             let mut o = o.borrow_mut();
+            o.charge_n(Primitive::Load, report.scanned as u64);
+            o.charge_n(Primitive::Store, billed);
+            o.charge_n(Primitive::SchedSteps(1), report.undone as u64);
             o.end_with(
                 span,
                 vec![
                     ("outcome", report.outcome.to_string()),
-                    ("scanned", report.records_scanned.to_string()),
+                    ("scanned", report.scanned.to_string()),
                     ("undone", report.undone.to_string()),
                 ],
             );
             o.metrics.counter_add("compkit.recovery.runs", 1);
-            o.metrics
-                .counter_add("compkit.recovery.records_scanned", report.records_scanned as u64);
+            o.metrics.counter_add("compkit.recovery.records_scanned", report.scanned as u64);
             o.metrics.counter_add("compkit.recovery.steps_undone", report.undone as u64);
             // Mirrors `store.wal.replay_len`: the log length a replay
             // walked, whoever the log's owner is.
-            o.metrics.counter_add("compkit.recovery.replay_len", report.records_scanned as u64);
+            o.metrics.counter_add("compkit.recovery.replay_len", report.scanned as u64);
         }
         report
     }
@@ -593,15 +570,6 @@ impl AdaptivityManager {
             j.append(record);
         }
         self.bill_store();
-    }
-
-    /// Close transaction `gtxn` and checkpoint: its `End` record and the
-    /// truncation that reclaims it are not billed.
-    fn end(&mut self, gtxn: u64) {
-        if let Some(j) = self.journal.as_mut() {
-            j.append(TxnRecord::End { gtxn });
-            j.truncate_ended();
-        }
     }
 
     /// Bill the partial work, close the switch span as crashed, and
@@ -991,7 +959,7 @@ mod tests {
         let o = Obs::try_unwrap(obs).unwrap_or_else(|_| unreachable!("sole handle"));
         assert_eq!(
             o.metrics.counter("compkit.recovery.replay_len"),
-            report.records_scanned as u64,
+            report.scanned as u64,
             "replay_len mirrors store.wal.replay_len for the switch log"
         );
     }
@@ -1063,6 +1031,50 @@ mod tests {
         assert_eq!(rt, before, "recovery finishes the interrupted rollback");
         assert_eq!(am.rolled_back(), 1);
         assert!(am.recover(&mut rt, &mut sm, &mut NoCrash).noop());
+    }
+
+    /// The single-node twin of the `txn` core's test: an in-flight
+    /// rollback leaves the same records and runtime as a crash at the
+    /// failed step followed by recovery — frozen at the last undo, and
+    /// run to the end.
+    #[test]
+    fn an_in_flight_rollback_equals_a_crash_then_recovery() {
+        let (_, _, _, plan) = journalled_world();
+        let target = plan.bind.last().unwrap().to.instance.clone();
+        let failed = PlanStep::decompose(&plan)
+            .iter()
+            .position(|s| matches!(s, PlanStep::Bind(b) if b.to.instance == target))
+            .unwrap();
+        let mut faults = ScriptedFaults { bind_to: target, ..ScriptedFaults::default() };
+        let at_fault = CrashPoint::MidPlan { after_steps: failed };
+
+        let (mut rt, mut sm, mut am, _) = journalled_world();
+        let before = rt.clone();
+        let frozen = CrashPoint::MidRollback { after_undos: failed };
+        crash_at(&mut am, &mut rt, &mut sm, &plan, &mut faults, frozen).unwrap_err();
+        let (mut crt, mut csm, mut crashed, _) = journalled_world();
+        crash_at(&mut crashed, &mut crt, &mut csm, &plan, &mut NoFaults, at_fault).unwrap_err();
+        let mut frozen = PlannedCrash::new(CrashPoint::DuringRecovery { after_undos: failed });
+        crashed.recover(&mut crt, &mut csm, &mut frozen);
+        let (aj, cj) = (am.journal().unwrap(), crashed.journal().unwrap());
+        // Begin and the applied steps precede the fault; then the undos.
+        let tail: Vec<&str> = aj.records()[1 + failed..].iter().map(TxnRecord::tag).collect();
+        assert_eq!(tail, vec!["undone"; failed]);
+        assert_eq!((aj.render(), &rt), (cj.render(), &crt));
+
+        let (mut rt, mut sm, mut am, _) = journalled_world();
+        am.execute_with_faults(&mut rt, &plan, &mut BasicFactory, &mut sm, 5, &mut faults)
+            .unwrap_err();
+        let (mut crt, mut csm, mut crashed, _) = journalled_world();
+        crash_at(&mut crashed, &mut crt, &mut csm, &plan, &mut NoFaults, at_fault).unwrap_err();
+        let report = crashed.recover(&mut crt, &mut csm, &mut NoCrash);
+        assert_eq!((report.outcome, report.undone), (RecoveryOutcome::RolledBack, failed));
+        // Begin, the applied steps, their undos, shard-aborted and end.
+        let appended = (1 + 2 * failed + 2) as u64;
+        for (m, r) in [(&am, &rt), (&crashed, &crt)] {
+            assert_eq!((m.journal().unwrap().appended_total(), m.rolled_back()), (appended, 1));
+            assert_eq!((r, m.journal_len()), (&before, 0));
+        }
     }
 
     #[test]

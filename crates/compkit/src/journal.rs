@@ -35,6 +35,28 @@
 //! per-shard `Intent`, the `Prepared` votes and the `ShardCommitted`
 //! fan-out on top (see the `txn` crate's `core` module).
 //!
+//! # One compensation path
+//!
+//! Every abort and every recovery settles a transaction through one
+//! routine over this log, driving the shards through [`Participants`]:
+//! [`abort`] runs it on the live transaction when a step fails, [`replay`]
+//! on every open transaction after a crash. Each caller maps the
+//! routine's [`Boundary`]s onto its own crash sites and bills each
+//! appended record its own way.
+//!
+//! * Undecided: roll **back**, newest shard and newest step first — each
+//!   applied step not yet undone is undone and logged `Undone`, then each
+//!   shard named in `Begin` and not yet aborted is logged `ShardAborted`;
+//!   then `End`.
+//! * Decided: roll **forward** — every shard that voted and has not been
+//!   told persists its applied steps and is logged `ShardCommitted`; then
+//!   `End`. A one-phase single-node commit has no vote to answer, so
+//!   rolling it forward only ends it.
+//! * A step that will not undo or a shard not at hand leaves residue
+//!   (`s{shard} [{index}] {undo}: {reason}`, `s{shard} missing`): that
+//!   shard gets no fan-out record, and the transaction stays open for a
+//!   later pass to retry the idempotent work.
+//!
 //! # Crash model
 //!
 //! Crashes strike only at *record boundaries* ([`CrashSite`]s): record
@@ -45,7 +67,7 @@
 //! [`CrashPoint`]. The log is presumed-abort: recovery finding no
 //! `Commit` record rolls the transaction back.
 
-use crate::adaptivity::{StepFaults, SwitchError};
+use crate::adaptivity::{NoFaults, StepFaults, SwitchError};
 use crate::runtime::{ComponentFactory, LiveComponent, Runtime, RuntimeError};
 use crate::state::StateManager;
 use adl::ast::Binding;
@@ -405,9 +427,8 @@ pub struct ShardProgress {
 impl ShardProgress {
     /// Applied steps not yet compensated, newest first — the exact undo
     /// work recovery owes this shard.
-    #[must_use]
-    pub fn pending_undo(&self) -> Vec<(usize, StepRecord)> {
-        self.applied.iter().rev().filter(|(i, _)| !self.undone.contains(i)).cloned().collect()
+    pub fn pending_undo(&self) -> impl Iterator<Item = &(usize, StepRecord)> {
+        self.applied.iter().rev().filter(|(i, _)| !self.undone.contains(i))
     }
 }
 
@@ -426,19 +447,6 @@ pub struct OpenGlobalTxn {
     pub progress: BTreeMap<ShardId, ShardProgress>,
 }
 
-impl OpenGlobalTxn {
-    /// Shards that voted yes but have seen no fan-out — the in-doubt set
-    /// recovery must resolve by consulting the decision record.
-    #[must_use]
-    pub fn in_doubt(&self) -> Vec<ShardId> {
-        self.progress
-            .iter()
-            .filter(|(_, p)| p.prepared && !p.committed && !p.aborted)
-            .map(|(s, _)| *s)
-            .collect()
-    }
-}
-
 /// The shared, append-only transaction log. Resolved transactions are
 /// reclaimed by [`TxnLog::truncate_ended`]; live (open) records are what
 /// the `sys.txns` and `sys.switches` system tables serve.
@@ -448,6 +456,9 @@ pub struct TxnLog {
     next_gtxn: u64,
     appended_total: u64,
     truncations: u64,
+    /// Scratch for [`TxnLog::truncate_ended`]: the ended ids, kept so a
+    /// checkpoint reuses its capacity instead of allocating.
+    ended: Vec<u64>,
 }
 
 impl TxnLog {
@@ -504,18 +515,17 @@ impl TxnLog {
     /// Reclaim the records of every ended transaction. Open transactions
     /// keep their history; transaction ids never restart.
     pub fn truncate_ended(&mut self) {
-        let ended: BTreeSet<u64> = self
-            .records
-            .iter()
-            .filter_map(|r| match r {
-                TxnRecord::End { gtxn } => Some(*gtxn),
-                _ => None,
-            })
-            .collect();
+        let ended = &mut self.ended;
+        ended.clear();
+        ended.extend(self.records.iter().filter_map(|r| match r {
+            TxnRecord::End { gtxn } => Some(*gtxn),
+            _ => None,
+        }));
         if ended.is_empty() {
             return;
         }
-        self.records.retain(|r| !ended.contains(&r.gtxn()));
+        ended.sort_unstable();
+        self.records.retain(|r| ended.binary_search(&r.gtxn()).is_err());
         self.truncations = self.truncations.saturating_add(1);
     }
 
@@ -749,23 +759,24 @@ impl CrashHook for PlannedCrash {
     }
 }
 
-/// What a [`crate::adaptivity::AdaptivityManager::recover`] replay did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a recovery replay did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RecoveryOutcome {
-    /// The log was empty: nothing to recover, nothing was touched.
+    /// Nothing was open: nothing to recover, nothing was touched.
+    #[default]
     Clean,
-    /// A commit record was found: the runtime already held the committed
-    /// configuration; recovery checkpointed it.
+    /// A commit record was found and the transaction rolled forward
+    /// (forward dominates when a pass settles both kinds).
     RolledForward,
     /// No commit record: every applied-not-yet-undone step was reversed
     /// and the transaction aborted.
     RolledBack,
-    /// Recovery itself was killed mid-replay (a scripted
+    /// The compensation was killed mid-way (say, at a scripted
     /// [`CrashPoint::DuringRecovery`]); the log stays open and a
     /// further recovery finishes the job.
     Crashed,
-    /// The runtime refused an undo (unreachable against a healthy
-    /// runtime); the log stays open with the residue reported.
+    /// An undo, a persist or a participant was refused (unreachable in a
+    /// healthy world); the log stays open with the residue reported.
     Incomplete,
 }
 
@@ -781,16 +792,24 @@ impl fmt::Display for RecoveryOutcome {
     }
 }
 
-/// The receipt a recovery replay returns.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The receipt a recovery replay returns — and, for an in-flight abort,
+/// what the compensation did.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// What the replay did.
     pub outcome: RecoveryOutcome,
     /// Log records scanned.
-    pub records_scanned: usize,
-    /// Steps undone by this replay.
+    pub scanned: usize,
+    /// Steps undone.
     pub undone: usize,
-    /// Undo steps the runtime refused (empty on every healthy path).
+    /// Prepared participants resolved by the decision record (or its
+    /// absence), each counted once: on the pass that logs its fan-out.
+    pub in_doubt_resolved: usize,
+    /// Transactions rolled forward.
+    pub forward: usize,
+    /// Transactions rolled back.
+    pub back: usize,
+    /// What would not undo, persist or be found (empty when healthy).
     pub residue: Vec<String>,
 }
 
@@ -799,8 +818,161 @@ impl RecoveryReport {
     /// a second recovery must report this).
     #[must_use]
     pub fn noop(&self) -> bool {
-        self.outcome == RecoveryOutcome::Clean && self.undone == 0
+        self.outcome == RecoveryOutcome::Clean && self.undone == 0 && self.in_doubt_resolved == 0
     }
+}
+
+/// A record boundary the compensation routine just crossed: the record
+/// it names was appended. Callers map these onto their crash sites.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Boundary {
+    /// `Undone` on a shard: the report's n-th undo (1-based).
+    Undone(ShardId, usize),
+    /// `ShardAborted`.
+    Aborted(ShardId),
+    /// `ShardCommitted`.
+    Committed(ShardId),
+}
+
+/// The shards a transaction touched, as the compensation routine drives
+/// them: the Adaptivity Manager adapts its runtime (shard `s0`), the
+/// `txn` crate its data components.
+pub trait Participants {
+    /// Whether `shard` is at hand: a missing one leaves residue.
+    fn holds(&self, _shard: ShardId) -> bool {
+        true
+    }
+    /// Reverse one applied step on `shard`; an error becomes residue.
+    fn undo(&mut self, shard: ShardId, step: &StepRecord) -> Result<(), String>;
+    /// Make `shard`'s applied steps durable as a decided transaction rolls
+    /// forward (idempotent); a runtime without a store has nothing to do.
+    fn persist(&mut self, _shard: ShardId, _applied: &[(usize, StepRecord)]) -> Result<(), String> {
+        Ok(())
+    }
+    /// Does the node die at `at`?
+    fn crash(&mut self, _at: Boundary) -> bool {
+        false
+    }
+    /// Transaction `gtxn` ended: release what it held.
+    fn ended(&mut self, _gtxn: u64) {}
+}
+
+/// An in-flight abort: the recovery rollback run on the live transaction
+/// `gtxn`, with `faults` deciding which undo steps fail. The outcome is
+/// `RolledBack`, `Incomplete` (residue) or `Crashed`.
+pub fn abort<P: Participants + ?Sized>(
+    log: &mut TxnLog,
+    gtxn: u64,
+    parts: &mut P,
+    faults: &mut dyn StepFaults,
+) -> RecoveryReport {
+    let live: Vec<OpenGlobalTxn> = log.open_txns().into_iter().filter(|t| t.gtxn == gtxn).collect();
+    settle(log, live, parts, faults)
+}
+
+/// Recovery: settle every open transaction in `log`, oldest first.
+pub fn replay<P: Participants + ?Sized>(log: &mut TxnLog, parts: &mut P) -> RecoveryReport {
+    let open = log.open_txns();
+    settle(log, open, parts, &mut NoFaults)
+}
+
+/// Run [`compensate`] over `txns`, stopping at the first crash; then
+/// checkpoint.
+fn settle<P: Participants + ?Sized>(
+    log: &mut TxnLog,
+    txns: Vec<OpenGlobalTxn>,
+    parts: &mut P,
+    faults: &mut dyn StepFaults,
+) -> RecoveryReport {
+    let mut report = RecoveryReport { scanned: log.len(), ..RecoveryReport::default() };
+    for txn in &txns {
+        if !compensate(log, txn, parts, faults, &mut report) {
+            report.outcome = RecoveryOutcome::Crashed;
+            return report;
+        }
+    }
+    log.truncate_ended();
+    report.outcome = match (report.residue.is_empty(), report.forward, report.back) {
+        (false, ..) => RecoveryOutcome::Incomplete,
+        (true, 0, 0) => RecoveryOutcome::Clean,
+        (true, 0, _) => RecoveryOutcome::RolledBack,
+        _ => RecoveryOutcome::RolledForward,
+    };
+    report
+}
+
+/// The one compensation routine (see the module docs): settle `txn` —
+/// forward in shard order if it is decided, back newest shard first if
+/// not — into `report`. `false` when a crash boundary fired.
+fn compensate<P: Participants + ?Sized>(
+    log: &mut TxnLog,
+    txn: &OpenGlobalTxn,
+    parts: &mut P,
+    faults: &mut dyn StepFaults,
+    report: &mut RecoveryReport,
+) -> bool {
+    let (gtxn, decided, none) = (txn.gtxn, txn.decided, ShardProgress::default());
+    // Residue is this transaction's from `txn_mark` on: it keeps this
+    // transaction open without blocking another's `End`.
+    let (n, txn_mark) = (txn.shards.len(), report.residue.len());
+    for i in 0..n {
+        let shard = txn.shards[if decided { i } else { n - 1 - i }];
+        let p = txn.progress.get(&shard).unwrap_or(&none);
+        // Told already, or (one-phase) no vote to answer.
+        if p.aborted || p.committed || (decided && !p.prepared) {
+            continue;
+        }
+        if !parts.holds(shard) {
+            report.residue.push(format!("{shard} missing"));
+            continue;
+        }
+        let shard_mark = report.residue.len();
+        if decided {
+            if let Err(e) = parts.persist(shard, &p.applied) {
+                report.residue.push(format!("{shard} persist: {e}"));
+            }
+        } else {
+            for (index, step) in p.pending_undo() {
+                let desc = step.undo_describe();
+                let undone = match faults.fail_rollback(&desc) {
+                    Some(reason) => Err(reason),
+                    None => parts.undo(shard, step),
+                };
+                if let Err(reason) = undone {
+                    report.residue.push(format!("{shard} [{index}] {desc}: {reason}"));
+                    continue;
+                }
+                report.undone += 1;
+                log.append(TxnRecord::Undone { gtxn, shard, index: *index });
+                if parts.crash(Boundary::Undone(shard, report.undone)) {
+                    return false;
+                }
+            }
+        }
+        if report.residue.len() > shard_mark {
+            continue;
+        }
+        let (record, at) = if decided {
+            (TxnRecord::ShardCommitted { gtxn, shard }, Boundary::Committed(shard))
+        } else {
+            (TxnRecord::ShardAborted { gtxn, shard }, Boundary::Aborted(shard))
+        };
+        log.append(record);
+        report.in_doubt_resolved += usize::from(p.prepared);
+        if parts.crash(at) {
+            return false;
+        }
+    }
+    if report.residue.len() == txn_mark {
+        log.append(TxnRecord::End { gtxn });
+        parts.ended(gtxn);
+        if decided {
+            report.forward += 1;
+        } else {
+            report.back += 1;
+        }
+    }
+    true
 }
 
 #[cfg(test)]

@@ -22,11 +22,11 @@
 //! restart probes) under a node death, revival and partition timeline.
 
 use crate::scenario::chaos::ChaosParams;
-use crate::scenario::GOLDEN_SEEDS;
+use crate::scenario::{FailBindTo, GOLDEN_SEEDS};
 use adl::diff::{diff, ReconfigurationPlan};
 use adl::figures::{docked_session, fig4_document, wireless_session};
 use adm_rng::Pcg32;
-use compkit::adaptivity::{AdaptivityManager, NoFaults, StepFaults, SwitchError};
+use compkit::adaptivity::{AdaptivityManager, NoFaults, SwitchError};
 use compkit::journal::{CrashPoint, NoCrash, PlannedCrash, RecoveryOutcome};
 use compkit::runtime::{BasicFactory, Runtime};
 use compkit::state::StateManager;
@@ -156,19 +156,6 @@ fn reference_digests(seed: u64) -> (u64, u64) {
     (rt.digest(), rolled_back)
 }
 
-/// Fails the bind whose providing instance matches `target` — the
-/// forward failure that sends a mid-rollback cell into its rollback.
-#[derive(Debug)]
-struct FailBindTo {
-    target: Option<String>,
-}
-
-impl StepFaults for FailBindTo {
-    fn fail_bind(&mut self, b: &adl::ast::Binding) -> Option<String> {
-        (b.to.instance == self.target).then(|| "injected bind failure".to_owned())
-    }
-}
-
 /// Replay one (seed, crash point) cell without observability.
 #[must_use]
 pub fn run_cell(seed: u64, point: CrashPoint) -> CrashCellReport {
@@ -204,8 +191,8 @@ fn run_cell_inner(seed: u64, point: CrashPoint, obs: Option<ObsHandle>) -> Crash
     let mut planned_recovery_crash;
     let result = match point {
         CrashPoint::MidRollback { .. } => {
-            let target =
-                plan.bind.last().expect("switchover plan binds something").to.instance.clone();
+            // The Fig. 4 switchover's last bind always names its instance.
+            let target = plan.bind.last().and_then(|b| b.to.instance.clone());
             let mut faults = FailBindTo { target };
             let mut crash = PlannedCrash::new(point);
             am.execute_crashable(
@@ -304,7 +291,7 @@ fn settle(
         recovered_digest: rt.digest(),
         committed_digest,
         rolled_back_digest,
-        records_scanned: first.records_scanned,
+        records_scanned: first.scanned,
         undone,
         recover_calls,
         replay_noop: replay.noop(),

@@ -22,3 +22,20 @@ pub mod txnrep;
 /// the chaos storylines, the crash-replay, storage and transaction
 /// matrices, and the bench snapshot.
 pub const GOLDEN_SEEDS: [u64; 3] = [17, 42, 20_260_806];
+
+/// Fails every bind whose providing instance is `target` — the forward
+/// failure that puts a rollback in flight for the crash matrices'
+/// mid-rollback, mid-undo and mid-abort cells. With `None` it injects
+/// nothing.
+#[derive(Debug)]
+pub struct FailBindTo {
+    /// The instance whose binds fail.
+    pub target: Option<String>,
+}
+
+impl compkit::StepFaults for FailBindTo {
+    fn fail_bind(&mut self, b: &adl::ast::Binding) -> Option<String> {
+        (self.target.is_some() && b.to.instance == self.target)
+            .then(|| "injected bind failure".to_owned())
+    }
+}

@@ -24,13 +24,12 @@
 //! cycle-accounted `txn:*` traces the bench snapshot prices 2PC from.
 
 use crate::coverage::unfired;
-use crate::scenario::GOLDEN_SEEDS;
-use adl::ast::Binding;
+use crate::scenario::{FailBindTo, GOLDEN_SEEDS};
 use adl::diff::ReconfigurationPlan;
 use adm_rng::Pcg32;
 use compkit::journal::{RecoveryOutcome, StepRecord};
 use compkit::runtime::LiveComponent;
-use compkit::{NoFaults, StepFaults};
+use compkit::NoFaults;
 use obs::{Obs, ObsHandle};
 use patia::atom::AtomId;
 use patia::shard::{atom_instance, cross_shard_plans, host_instance, shard_of, ShardHandle};
@@ -269,21 +268,6 @@ pub(crate) fn reference_digests(seed: u64, topology: usize) -> (Vec<u64>, Vec<u6
         .execute_cross_shard(&mut shards, &plans, 50, &mut NoFaults, &mut NoTxnCrash)
         .expect("the crash-free reference transaction commits");
     (shard_digests(&mut shards), rolled_back)
-}
-
-/// Fails every bind landing on `target` — the forward failure that puts
-/// an abort in flight for the mid-undo / mid-abort-fan-out cells. With
-/// `None` it injects nothing.
-#[derive(Debug)]
-struct FailBindTo {
-    target: Option<String>,
-}
-
-impl StepFaults for FailBindTo {
-    fn fail_bind(&mut self, b: &Binding) -> Option<String> {
-        (self.target.is_some() && b.to.instance == self.target)
-            .then(|| "injected bind failure".to_owned())
-    }
 }
 
 /// Replay one (seed, topology, crash point) cell without observability.

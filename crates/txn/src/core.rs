@@ -8,18 +8,24 @@
 //!   lint ─ lock ─ Begin ─┬─ per shard: Intent, Applied*, Prepared(force)
 //!                        ├─ all voted: Commit(force)        ← commit point
 //!                        ├─ fan-out: ShardCommitted*, End    → committed
-//!                        └─ any failure before the decision:
-//!                           Undone*, ShardAborted*, End      → rolled back
+//!                        └─ any failure before the decision: the recovery
+//!                           rollback, run on the live transaction:
+//!                           (Undone*, ShardAborted)* per shard, End
+//!                                                            → rolled back
 //! ```
 //!
 //! Presumed abort: the only decision ever logged is `Commit`. A crash
 //! anywhere before it leaves prepared participants *in doubt*; on
 //! recovery they query the shared log, and the absence of a decision is
 //! the abort verdict — unresolved transactions roll back
-//! deterministically, newest step first, then the log is reclaimed.
-//! Recovery is idempotent (compensations are logged as `Undone`, so a
-//! second pass finds nothing left to do) and crash-safe (a crash during
-//! recovery keeps the partial progress; the next pass resumes).
+//! deterministically, newest shard and newest step first, then the log
+//! is reclaimed. The abort path and recovery run one compensation
+//! routine ([`compkit::journal::abort`] and [`compkit::journal::replay`]),
+//! so an abort ends with the records a crash at the failed step followed
+//! by recovery would have written. Recovery is idempotent (compensations
+//! are logged as `Undone`, so a second pass finds nothing left to do)
+//! and crash-safe (a crash during recovery keeps the partial progress;
+//! the next pass resumes).
 //!
 //! Everything is billed when an [`obs`] hub is armed: one `Store` per
 //! log append, one `LogForce` per forced record (`Prepared` votes and
@@ -29,10 +35,10 @@
 
 use crate::crash::{TxnCrashHook, TxnCrashSite};
 use crate::lock::{LockManager, LockMode, LockOutcome};
-use crate::log::{ShardId, ShardProgress, TxnLog, TxnRecord};
+use crate::log::{ShardId, TxnLog, TxnRecord};
 use crate::shard::{DataComponent, PlanStep};
 use adl::diff::ReconfigurationPlan;
-use compkit::journal::{RecoveryOutcome, StepRecord};
+use compkit::journal::{self, Boundary, Participants, RecoveryOutcome, RecoveryReport, StepRecord};
 use compkit::planlint::{PlanLintReport, PlanLinter};
 use compkit::StepFaults;
 use obs::{ObsHandle, Primitive};
@@ -145,37 +151,6 @@ pub struct CrossShardReport {
     pub completed_at: u64,
 }
 
-/// What one recovery pass did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TxnRecoveryReport {
-    /// How the pass ended (forward dominates if a pass settles both a
-    /// committed and an aborted transaction).
-    pub outcome: RecoveryOutcome,
-    /// Log records scanned.
-    pub scanned: usize,
-    /// Compensations performed.
-    pub undone: usize,
-    /// In-doubt participants (prepared, no fan-out) resolved by
-    /// consulting the decision record — or its absence. A participant
-    /// counts on the pass that logs its fan-out record, so a retried
-    /// transaction's participants are counted once.
-    pub in_doubt_resolved: usize,
-    /// Transactions rolled forward.
-    pub forward: usize,
-    /// Transactions rolled back.
-    pub back: usize,
-    /// Undo failures left behind (empty in every healthy run).
-    pub residue: Vec<String>,
-}
-
-impl TxnRecoveryReport {
-    /// True when the pass found nothing to do — the idempotence witness.
-    #[must_use]
-    pub fn noop(&self) -> bool {
-        self.outcome == RecoveryOutcome::Clean && self.undone == 0 && self.in_doubt_resolved == 0
-    }
-}
-
 /// One shard's part in a cross-shard switch: its data component, its
 /// sub-plan decomposed once into steps borrowed from the plan (they feed
 /// both the lock set and the prepare loop), and the log positions of the
@@ -273,6 +248,12 @@ impl TransactionCore {
     fn bill(&self, p: Primitive) {
         if let Some(o) = &self.obs {
             o.borrow_mut().charge(p);
+        }
+    }
+
+    fn bill_n(&self, p: Primitive, n: u64) {
+        if let Some(o) = &self.obs {
+            o.borrow_mut().charge_n(p, n);
         }
     }
 
@@ -392,8 +373,7 @@ impl TransactionCore {
 
         // Prepare phase: every shard applies its sub-plan and votes.
         let mut forward_steps = 0usize;
-        for i in 0..participants.len() {
-            let p = &mut participants[i];
+        for p in &mut participants {
             let id = p.id;
             self.log.append(TxnRecord::Intent { gtxn, shard: ShardId(id), steps: p.steps.len() });
             self.bill(Primitive::Store);
@@ -411,12 +391,10 @@ impl TransactionCore {
                 let record = match outcome {
                     Ok(record) => record,
                     Err(cause) => {
-                        // Every shard up to this one has logged its intent.
-                        let intents = &mut participants[..=i];
                         return self.abort_path(
                             span,
                             gtxn,
-                            intents,
+                            shards,
                             forward_steps,
                             cause,
                             faults,
@@ -510,96 +488,59 @@ impl TransactionCore {
         Ok(CrossShardReport { gtxn, shards: plans.len(), steps: forward_steps, completed_at: now })
     }
 
-    /// The abort path: compensate every applied step in reverse (newest
-    /// shard first, newest step first), log the abort fan-out to every
-    /// shard in `intents` (those whose intent is logged), end the
-    /// transaction. Presumed abort — no decision record is written.
+    /// The abort path: the recovery rollback run on the live transaction
+    /// ([`journal::abort`]) — every applied step undone, newest shard and
+    /// newest step first, every shard named in `Begin` logged aborted, the
+    /// transaction ended. Presumed abort: no decision record is written.
     #[allow(clippy::too_many_arguments)]
     fn abort_path(
         &mut self,
         span: Option<obs::SpanId>,
         gtxn: u64,
-        intents: &mut [Participant<'_, '_>],
+        shards: &mut BTreeMap<u32, DataComponent>,
         forward_steps: usize,
         cause: TxnError,
         faults: &mut dyn StepFaults,
         hook: &mut dyn TxnCrashHook,
     ) -> Result<CrossShardReport, TxnError> {
-        let mut undos = 0usize;
-        let mut residue: Vec<String> = Vec::new();
-        for p in intents.iter_mut().rev() {
-            let id = p.id;
-            let shard_mark = residue.len();
-            for &pos in p.applied.iter().rev() {
-                let Some((index, record)) = applied_at(&self.log, pos) else {
-                    continue;
-                };
-                let desc = record.undo_describe();
-                if let Some(reason) = faults.fail_rollback(&desc) {
-                    residue.push(format!("s{id} {desc}: {reason}"));
-                    continue;
-                }
-                if let Err(err) = p.dc.undo_step(record) {
-                    residue.push(format!("s{id} {desc}: {err}"));
-                    continue;
-                }
-                undos += 1;
-                self.log.append(TxnRecord::Undone { gtxn, shard: ShardId(id), index });
-                self.bill(Primitive::Store);
-                let site = TxnCrashSite::ShardUndone { shard: id, undos };
-                if hook.crash(&site) {
-                    return self.crash_out(span, &site, forward_steps, undos);
-                }
-            }
-            // As in recovery: a shard whose compensation left residue
-            // gets no abort fan-out record (and so no crash site).
-            if residue.len() != shard_mark {
-                continue;
-            }
-            self.log.append(TxnRecord::ShardAborted { gtxn, shard: ShardId(id) });
-            self.bill(Primitive::Store);
-            let site = TxnCrashSite::ShardAborted { shard: id };
-            if hook.crash(&site) {
-                return self.crash_out(span, &site, forward_steps, undos);
-            }
+        let before = self.log.appended_total();
+        let mut parts = Shards::new(shards, &mut self.locks, hook, false);
+        let report = journal::abort(&mut self.log, gtxn, &mut parts, faults);
+        let (site, released, undos) = (parts.site, parts.released, report.undone);
+        self.bill_n(Primitive::Store, self.log.appended_total() - before);
+        if let Some(site) = site.filter(|_| report.outcome == RecoveryOutcome::Crashed) {
+            return self.crash_out(span, &site, forward_steps, undos);
         }
-        if !residue.is_empty() {
-            // Leave the log open: recovery retries the leftover undos.
-            if let (Some(o), Some(span)) = (&self.obs, span) {
-                let mut o = o.borrow_mut();
-                o.charge(Primitive::SchedSteps((forward_steps + undos) as u32));
-                o.end_with(
-                    span,
-                    vec![
-                        ("outcome", "rollback_incomplete".to_owned()),
-                        ("residue", residue.len().to_string()),
-                    ],
-                );
-                o.metrics.counter_add("txn.switch.rollbacks_incomplete", 1);
-            }
-            return Err(TxnError::RollbackIncomplete { cause: cause.to_string(), residue });
+        let ended = report.outcome != RecoveryOutcome::Incomplete;
+        if ended {
+            self.aborted = self.aborted.saturating_add(1);
         }
-        self.log.append(TxnRecord::End { gtxn });
-        self.bill(Primitive::Store);
-        self.log.truncate_ended();
-        let released = self.locks.release_all(gtxn);
-        self.aborted = self.aborted.saturating_add(1);
         if let (Some(o), Some(span)) = (&self.obs, span) {
             let mut o = o.borrow_mut();
             // Forward steps ran AND were undone: bill both directions.
             o.charge(Primitive::SchedSteps((forward_steps + undos) as u32));
-            o.end_with(
-                span,
+            let args = if ended {
+                o.metrics.counter_add("txn.switch.rolled_back", 1);
+                o.metrics.counter_add("txn.lock.released", released as u64);
                 vec![
                     ("outcome", "rolled_back".to_owned()),
                     ("undos", undos.to_string()),
                     ("cause", cause.to_string()),
-                ],
-            );
-            o.metrics.counter_add("txn.switch.rolled_back", 1);
-            o.metrics.counter_add("txn.lock.released", released as u64);
+                ]
+            } else {
+                o.metrics.counter_add("txn.switch.rollbacks_incomplete", 1);
+                vec![
+                    ("outcome", "rollback_incomplete".to_owned()),
+                    ("residue", report.residue.len().to_string()),
+                ]
+            };
+            o.end_with(span, args);
         }
-        Err(cause)
+        if ended {
+            return Err(cause);
+        }
+        // Residue: the log stays open and recovery retries the undos.
+        Err(TxnError::RollbackIncomplete { cause: cause.to_string(), residue: report.residue })
     }
 
     /// A crash at `site`: no rollback, no lock release — the log is the
@@ -623,181 +564,110 @@ impl TransactionCore {
         Err(TxnError::Crashed { site: site.to_string() })
     }
 
-    /// Replay the shared log after a crash. Every open transaction lands
-    /// in exactly one of two global states: a decision record rolls it
-    /// *forward* (missing fan-out is completed, store persistence
-    /// replayed idempotently); no decision rolls it *back* (presumed
-    /// abort — every applied-not-yet-undone step is compensated, newest
-    /// first). In-doubt participants are resolved by that same log read,
-    /// each counted once, on the pass that logs its fan-out record.
-    /// Idempotent: a settled log scans clean and touches nothing. A
-    /// participant that still owes work but is missing from `shards` is
-    /// left as residue (`s1 missing`): its transaction stays open with its
-    /// locks, and a later pass that holds the shard settles it.
+    /// Replay the shared log after a crash ([`journal::replay`]). Every
+    /// open transaction lands in exactly one of two global states: a
+    /// decision record rolls it *forward* (missing fan-out is completed,
+    /// store persistence replayed idempotently); no decision rolls it
+    /// *back* (presumed abort — every applied-not-yet-undone step is
+    /// compensated, newest first). In-doubt participants are resolved by
+    /// that same log read, each counted once, on the pass that logs its
+    /// fan-out record. Idempotent: a settled log scans clean and touches
+    /// nothing. A participant that still owes work but is missing from
+    /// `shards` is left as residue (`s1 missing`): its transaction stays
+    /// open with its locks, and a later pass that holds the shard settles
+    /// it.
     pub fn recover(
         &mut self,
         shards: &mut BTreeMap<u32, DataComponent>,
         hook: &mut dyn TxnCrashHook,
-    ) -> TxnRecoveryReport {
-        let scanned = self.log.len();
-        if scanned == 0 {
-            return TxnRecoveryReport {
-                outcome: RecoveryOutcome::Clean,
-                scanned: 0,
-                undone: 0,
-                in_doubt_resolved: 0,
-                forward: 0,
-                back: 0,
-                residue: Vec::new(),
-            };
+    ) -> RecoveryReport {
+        if self.log.is_empty() {
+            return RecoveryReport::default();
         }
         let span = self.obs.as_ref().map(|o| o.borrow_mut().begin("txn", "recover"));
-        if let Some(o) = &self.obs {
-            let mut o = o.borrow_mut();
-            for _ in 0..scanned {
-                o.charge(Primitive::Load);
-            }
-        }
-        let mut undone = 0usize;
-        let mut resolved = 0usize;
-        let mut forward = 0usize;
-        let mut back = 0usize;
-        let mut residue: Vec<String> = Vec::new();
-        let mut crashed = false;
-        let no_progress = ShardProgress::default();
-        'txns: for t in self.log.open_txns() {
-            // An in-doubt participant is counted on the pass that logs its
-            // fan-out record, so a retried transaction counts it once.
-            let in_doubt = t.in_doubt();
-            // Residue is tracked per transaction (residue[txn_mark..] is
-            // this transaction's): one stuck undo must not block another
-            // transaction's End, and a failed persist must keep *this*
-            // transaction open — never appended as ended — so a later
-            // pass retries the idempotent persist from the live log.
-            let txn_mark = residue.len();
-            if t.decided {
-                // Roll forward: complete the commit fan-out.
-                for sid in &t.shards {
-                    let p = t.progress.get(sid).unwrap_or(&no_progress);
-                    if p.committed {
-                        continue;
-                    }
-                    let Some(dc) = shards.get_mut(&sid.0) else {
-                        residue.push(format!("{sid} missing"));
-                        continue;
-                    };
-                    if let Err(e) = dc.persist_steps(p.applied.iter().map(|(_, s)| s)) {
-                        residue.push(format!("{sid} persist: {e}"));
-                        continue;
-                    }
-                    self.log.append(TxnRecord::ShardCommitted { gtxn: t.gtxn, shard: *sid });
-                    self.bill(Primitive::Store);
-                    resolved += usize::from(in_doubt.contains(sid));
-                    let site = TxnCrashSite::ShardCommitted { shard: sid.0 };
-                    if hook.crash(&site) {
-                        crashed = true;
-                        break 'txns;
-                    }
-                }
-                if residue.len() == txn_mark {
-                    self.log.append(TxnRecord::End { gtxn: t.gtxn });
-                    self.bill(Primitive::Store);
-                    forward += 1;
-                    self.committed = self.committed.saturating_add(1);
-                }
-            } else {
-                // Presumed abort: the prepared shards queried the log and
-                // found no decision — roll everything back.
-                for sid in t.shards.iter().rev() {
-                    let p = t.progress.get(sid).unwrap_or(&no_progress);
-                    let shard_mark = residue.len();
-                    let pending = p.pending_undo();
-                    if p.aborted && pending.is_empty() {
-                        continue;
-                    }
-                    let Some(dc) = shards.get_mut(&sid.0) else {
-                        // A participant recovery was not given cannot be
-                        // settled: the transaction stays open, locks held.
-                        residue.push(format!("{sid} missing"));
-                        continue;
-                    };
-                    for (index, record) in pending {
-                        if let Err(e) = dc.undo_step(&record) {
-                            residue.push(format!("{sid} [{index}]: {e}"));
-                            continue;
-                        }
-                        undone += 1;
-                        self.log.append(TxnRecord::Undone { gtxn: t.gtxn, shard: *sid, index });
-                        self.bill(Primitive::Store);
-                        self.bill(Primitive::SchedSteps(1));
-                        if hook.crash(&TxnCrashSite::RecoveryUndo { undos: undone }) {
-                            crashed = true;
-                            break 'txns;
-                        }
-                    }
-                    // Abort fan-out reaches a shard only once its
-                    // compensation completed: a shard whose undo left
-                    // residue stays un-aborted in the log so the record
-                    // order never claims more than actually happened.
-                    if !p.aborted && residue.len() == shard_mark {
-                        self.log.append(TxnRecord::ShardAborted { gtxn: t.gtxn, shard: *sid });
-                        self.bill(Primitive::Store);
-                        resolved += usize::from(in_doubt.contains(sid));
-                    }
-                }
-                if residue.len() == txn_mark {
-                    self.log.append(TxnRecord::End { gtxn: t.gtxn });
-                    self.bill(Primitive::Store);
-                    back += 1;
-                    self.aborted = self.aborted.saturating_add(1);
-                }
-            }
-            if residue.len() == txn_mark {
-                self.locks.release_all(t.gtxn);
-            }
-        }
-        if !crashed {
-            self.log.truncate_ended();
-        }
-        let outcome = if crashed {
-            RecoveryOutcome::Crashed
-        } else if !residue.is_empty() {
-            RecoveryOutcome::Incomplete
-        } else if forward > 0 {
-            RecoveryOutcome::RolledForward
-        } else if back > 0 {
-            RecoveryOutcome::RolledBack
-        } else {
-            RecoveryOutcome::Clean
-        };
+        let before = self.log.appended_total();
+        let r =
+            journal::replay(&mut self.log, &mut Shards::new(shards, &mut self.locks, hook, true));
+        self.bill_n(Primitive::Store, self.log.appended_total() - before);
+        self.committed = self.committed.saturating_add(r.forward as u64);
+        self.aborted = self.aborted.saturating_add(r.back as u64);
         self.recoveries = self.recoveries.saturating_add(1);
-        self.in_doubt_resolved = self.in_doubt_resolved.saturating_add(resolved as u64);
+        self.in_doubt_resolved = self.in_doubt_resolved.saturating_add(r.in_doubt_resolved as u64);
         if let (Some(o), Some(span)) = (&self.obs, span) {
             let mut o = o.borrow_mut();
+            o.charge_n(Primitive::Load, r.scanned as u64);
+            o.charge_n(Primitive::SchedSteps(1), r.undone as u64);
             o.end_with(
                 span,
                 vec![
-                    ("outcome", outcome.to_string()),
-                    ("scanned", scanned.to_string()),
-                    ("undone", undone.to_string()),
-                    ("in_doubt_resolved", resolved.to_string()),
+                    ("outcome", r.outcome.to_string()),
+                    ("scanned", r.scanned.to_string()),
+                    ("undone", r.undone.to_string()),
+                    ("in_doubt_resolved", r.in_doubt_resolved.to_string()),
                 ],
             );
             o.metrics.counter_add("txn.recovery.runs", 1);
-            o.metrics.counter_add("txn.recovery.records_scanned", scanned as u64);
-            o.metrics.counter_add("txn.recovery.steps_undone", undone as u64);
-            o.metrics.counter_add("txn.recovery.in_doubt_resolved", resolved as u64);
-            o.metrics.counter_add("txn.log.replay_len", scanned as u64);
+            o.metrics.counter_add("txn.recovery.records_scanned", r.scanned as u64);
+            o.metrics.counter_add("txn.recovery.steps_undone", r.undone as u64);
+            o.metrics.counter_add("txn.recovery.in_doubt_resolved", r.in_doubt_resolved as u64);
+            o.metrics.counter_add("txn.log.replay_len", r.scanned as u64);
         }
-        TxnRecoveryReport {
-            outcome,
-            scanned,
-            undone,
-            in_doubt_resolved: resolved,
-            forward,
-            back,
-            residue,
-        }
+        r
+    }
+}
+
+/// The shards a compensation drives, as [`Participants`]: undo and
+/// persist go to each shard's [`DataComponent`], an ended transaction's
+/// locks are released, and the routine's boundaries map onto the abort
+/// path's or recovery's [`TxnCrashSite`]s (`site` keeps the last one).
+struct Shards<'a> {
+    map: &'a mut BTreeMap<u32, DataComponent>,
+    locks: &'a mut LockManager,
+    hook: &'a mut dyn TxnCrashHook,
+    recovering: bool,
+    site: Option<TxnCrashSite>,
+    released: usize,
+}
+
+impl<'a> Shards<'a> {
+    fn new(
+        map: &'a mut BTreeMap<u32, DataComponent>,
+        locks: &'a mut LockManager,
+        hook: &'a mut dyn TxnCrashHook,
+        recovering: bool,
+    ) -> Self {
+        Self { map, locks, hook, recovering, site: None, released: 0 }
+    }
+}
+
+impl Participants for Shards<'_> {
+    fn holds(&self, shard: ShardId) -> bool {
+        self.map.contains_key(&shard.0)
+    }
+
+    fn undo(&mut self, shard: ShardId, step: &StepRecord) -> Result<(), String> {
+        self.map.get_mut(&shard.0).ok_or_else(|| format!("{shard} missing"))?.undo_step(step)
+    }
+
+    fn persist(&mut self, shard: ShardId, applied: &[(usize, StepRecord)]) -> Result<(), String> {
+        let dc = self.map.get_mut(&shard.0).ok_or_else(|| format!("{shard} missing"))?;
+        dc.persist_steps(applied.iter().map(|(_, step)| step)).map(drop)
+    }
+
+    fn crash(&mut self, at: Boundary) -> bool {
+        let site = match (self.recovering, at) {
+            (false, Boundary::Undone(s, undos)) => TxnCrashSite::ShardUndone { shard: s.0, undos },
+            (false, Boundary::Aborted(s)) => TxnCrashSite::ShardAborted { shard: s.0 },
+            (true, Boundary::Undone(_, undos)) => TxnCrashSite::RecoveryUndo { undos },
+            (true, Boundary::Committed(s)) => TxnCrashSite::ShardCommitted { shard: s.0 },
+            _ => return false,
+        };
+        self.site = Some(site);
+        self.hook.crash(&site)
+    }
+
+    fn ended(&mut self, gtxn: u64) {
+        self.released += self.locks.release_all(gtxn);
     }
 }
 
@@ -806,6 +676,7 @@ mod tests {
     use super::*;
     use crate::crash::{NoTxnCrash, PlannedTxnCrash, TxnCrashPoint};
     use adl::ast::{Binding, PortRef};
+    use compkit::journal::RecoveryOutcome;
     use compkit::runtime::LiveComponent;
     use compkit::NoFaults;
 
@@ -957,6 +828,101 @@ mod tests {
         assert_eq!(digests(&shards), before);
         assert!(tc.log().is_empty());
         assert_eq!(tc.locks().held_total(), 0);
+    }
+
+    /// Three shards; s0 additionally starts a `relay` and binds it into
+    /// `route`, so a fault on binds into `route` strikes shard 0 at its
+    /// fourth step, before s1 and s2 have logged anything.
+    fn relay_world() -> (BTreeMap<u32, DataComponent>, BTreeMap<u32, ReconfigurationPlan>) {
+        let (mut shards, mut plans) = world();
+        let mut s2 = DataComponent::new(ShardId(2));
+        s2.runtime_mut()
+            .start("tap", LiveComponent { ty: "Tap".into(), state: vec![5], started_at: 0 })
+            .unwrap();
+        shards.insert(2, s2);
+        let s0 = plans.get_mut(&0).unwrap();
+        s0.start.push(("relay".into(), "Relay".into()));
+        s0.bind.push(binding("relay", "out", "route", "in"));
+        plans.insert(
+            2,
+            ReconfigurationPlan {
+                start: vec![("mirror".into(), "Mirror".into())],
+                bind: vec![binding("mirror", "out", "tap", "in")],
+                ..Default::default()
+            },
+        );
+        (shards, plans)
+    }
+
+    #[derive(Debug)]
+    struct FailBindToRoute;
+    impl StepFaults for FailBindToRoute {
+        fn fail_bind(&mut self, b: &Binding) -> Option<String> {
+            (b.to.instance.as_deref() == Some("route")).then(|| "injected".to_owned())
+        }
+    }
+
+    /// An in-flight abort is recovery's rollback: a bind fault striking
+    /// shard 0 of three leaves the same records and shard states as
+    /// crashing at that step and recovering. Each path is first frozen
+    /// at its last undo to read its records back, then run to the end.
+    #[test]
+    fn an_in_flight_abort_equals_a_crash_then_recovery() {
+        let (mut shards, plans) = relay_world();
+        let before = digests(&shards);
+        let at_fault = TxnCrashPoint::MidPrepare { shard: 0, after_steps: 3 };
+        // Begin, s0's intent and its three applied steps precede the fault.
+        let tail = |tc: &TransactionCore| -> Vec<&'static str> {
+            tc.log().records()[5..].iter().map(TxnRecord::tag).collect()
+        };
+
+        let mut aborting = TransactionCore::new();
+        let mut hook = PlannedTxnCrash::new(TxnCrashPoint::MidUndo { after_undos: 3 });
+        aborting
+            .execute_cross_shard(&mut shards, &plans, 40, &mut FailBindToRoute, &mut hook)
+            .unwrap_err();
+        assert!(hook.fired());
+        let (mut crashed_shards, _) = relay_world();
+        let mut crashed = TransactionCore::new();
+        let mut hook = PlannedTxnCrash::new(at_fault);
+        crashed
+            .execute_cross_shard(&mut crashed_shards, &plans, 40, &mut NoFaults, &mut hook)
+            .unwrap_err();
+        let mut hook = PlannedTxnCrash::new(TxnCrashPoint::DuringRecovery { after_undos: 3 });
+        assert_eq!(
+            crashed.recover(&mut crashed_shards, &mut hook).outcome,
+            RecoveryOutcome::Crashed
+        );
+        let want = ["shard-aborted", "shard-aborted", "undone", "undone", "undone"];
+        assert_eq!(tail(&aborting), want);
+        assert_eq!(tail(&crashed), want);
+        assert_eq!(aborting.log().render(), crashed.log().render());
+        assert_eq!(digests(&shards), digests(&crashed_shards));
+
+        // Run to the end: neither the abort nor recovery crashes.
+        let (mut shards, _) = relay_world();
+        let mut aborting = TransactionCore::new();
+        let err = aborting
+            .execute_cross_shard(&mut shards, &plans, 40, &mut FailBindToRoute, &mut NoTxnCrash)
+            .unwrap_err();
+        assert!(matches!(err, TxnError::Injected { shard: 0, .. }), "{err:?}");
+        let (mut crashed_shards, _) = relay_world();
+        let mut crashed = TransactionCore::new();
+        let mut hook = PlannedTxnCrash::new(at_fault);
+        crashed
+            .execute_cross_shard(&mut crashed_shards, &plans, 40, &mut NoFaults, &mut hook)
+            .unwrap_err();
+        let report = crashed.recover(&mut crashed_shards, &mut NoTxnCrash);
+        assert_eq!((report.outcome, report.undone), (RecoveryOutcome::RolledBack, 3));
+        // Both appended the prefix, then shard-aborted s2 and s1, three
+        // undone, shard-aborted s0 and end.
+        assert_eq!(aborting.log().appended_total(), 5 + 7);
+        assert_eq!(crashed.log().appended_total(), 5 + 7);
+        for (tc, s) in [(&aborting, &shards), (&crashed, &crashed_shards)] {
+            assert_eq!(digests(s), before);
+            assert_eq!((tc.aborted(), tc.log().len(), tc.locks().held_total()), (1, 0, 0));
+        }
+        assert_eq!(aborting.in_doubt_resolved(), 0, "in-doubt counts move only on recover()");
     }
 
     #[test]

@@ -77,9 +77,9 @@ mod tests {
         let p0 = &t.progress[&ShardId(0)];
         assert!(p0.prepared);
         assert_eq!(p0.intent_steps, Some(2));
-        assert_eq!(p0.pending_undo().len(), 2);
-        assert_eq!(p0.pending_undo()[0].0, 1, "undo newest first");
-        assert_eq!(t.in_doubt(), vec![ShardId(0)]);
+        assert_eq!(p0.pending_undo().count(), 2);
+        assert_eq!(p0.pending_undo().next().map(|(i, _)| *i), Some(1), "undo newest first");
+        assert!(!t.progress[&ShardId(1)].prepared, "only s0 voted");
     }
 
     #[test]
@@ -94,7 +94,7 @@ mod tests {
         });
         log.append(TxnRecord::Undone { gtxn: g, shard: ShardId(0), index: 0 });
         let open = log.open_txns();
-        assert!(open[0].progress[&ShardId(0)].pending_undo().is_empty());
+        assert_eq!(open[0].progress[&ShardId(0)].pending_undo().count(), 0);
     }
 
     #[test]
@@ -106,7 +106,7 @@ mod tests {
         log.append(TxnRecord::Commit { gtxn: g });
         let open = log.open_txns();
         assert!(open[0].decided);
-        assert_eq!(open[0].in_doubt(), vec![ShardId(0), ShardId(1)]);
+        assert!(open[0].progress.values().all(|p| p.prepared && !p.committed && !p.aborted));
     }
 
     #[test]
@@ -122,6 +122,27 @@ mod tests {
         assert_eq!(log.open_txns().len(), 1);
         // Ids never restart.
         assert_eq!(log.begin(vec![ShardId(0)], 2), 2);
+
+        // An open transaction between two ended ones keeps its records
+        // and their order; both ended ones go in one truncation.
+        let mut log = TxnLog::new();
+        let a = log.begin(vec![ShardId(0)], 0);
+        let b = log.begin(vec![ShardId(1)], 1);
+        let c = log.begin(vec![ShardId(2)], 2);
+        log.append(TxnRecord::Prepared { gtxn: b, shard: ShardId(1) });
+        log.append(TxnRecord::End { gtxn: c });
+        log.append(TxnRecord::End { gtxn: a });
+        log.truncate_ended();
+        assert_eq!(log.truncations(), 1);
+        let kept: Vec<String> = log.records().iter().map(ToString::to_string).collect();
+        assert_eq!(kept, ["begin gtxn=1 shards=[s1] at=1", "prepared gtxn=1 shard=s1"]);
+
+        // A call that finds nothing to reclaim changes nothing, and does
+        // not count as a truncation.
+        let before = log.render();
+        log.truncate_ended();
+        assert_eq!((log.render(), log.truncations()), (before, 1));
+        assert_eq!(log.open_txns().len(), 1);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Scale tier: the full mega-crowd — ten million requests through the
 //! event engine inside a wall-clock budget — the paper's flash crowd on
-//! the request-driven `tick` path inside a budget of its own, and a long
+//! the request-driven `tick` path inside a budget of its own, a long
 //! ping-pong of cross-shard SWITCH commits that must leave neither log
-//! records nor locks behind any commit.
+//! records nor locks behind any commit, and a long run of cross-shard
+//! aborts held to the same bar.
 //!
 //! The unit tier runs a 1/100-rate miniature; this tier runs the real
 //! thing and holds the engine to its acceptance bar: at least
@@ -13,13 +14,14 @@
 use adl::diff::ReconfigurationPlan;
 use adm_core::scenario::chaos::{paper_flash_crowd, run_observed};
 use adm_core::scenario::megacrowd::{mega_crowd, run};
-use adm_core::scenario::txnrep::{seeded_world, shard_handles};
+use adm_core::scenario::txnrep::{seeded_world, shard_digests, shard_handles};
+use adm_core::scenario::FailBindTo;
 use compkit::NoFaults;
 use patia::atom::AtomId;
-use patia::shard::cross_shard_plans;
+use patia::shard::{cross_shard_plans, host_instance};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
-use txn::{NoTxnCrash, TransactionCore};
+use txn::{NoTxnCrash, TransactionCore, TxnError};
 
 /// Wall-clock budget for the full run.
 fn budget_secs() -> u64 {
@@ -152,5 +154,48 @@ fn txn_ping_pong_leaves_no_log_or_locks_within_budget() {
         elapsed < ping_pong_budget(),
         "{PING_PONG_COMMITS} cross-shard commits must run in under {:?} (took {elapsed:?})",
         ping_pong_budget()
+    );
+}
+
+/// Aborts in the abort-path run.
+const ABORTS: usize = 8_000;
+
+/// Wall-clock budget for the aborts: ~5x the ~37 ms they take in
+/// release on a 2-core x86-64 box (~0.3 s in debug).
+fn abort_budget() -> Duration {
+    Duration::from_millis(if cfg!(debug_assertions) { 10_000 } else { 200 })
+}
+
+/// The guard for the abort path: with atoms 123 and 153 away on `wp1`,
+/// the way home fails at shard 0's bind into `host:node1` and rolls back
+/// through the compensation routine every time — s0's applied steps
+/// undone, all three shards logged aborted. Each abort must leave the
+/// log empty, the lock table without a grant and the shards where they
+/// were, so an undo record or a lock that outlives its transaction fails
+/// here, as does an abort path whose cost grows with the aborts run.
+#[test]
+fn txn_aborts_leave_no_log_or_locks_within_budget() {
+    let out = merged_plans(&[(AtomId(123), "node1", "wp1"), (AtomId(153), "node2", "wp1")]);
+    let back = merged_plans(&[(AtomId(123), "wp1", "node1"), (AtomId(153), "wp1", "node2")]);
+    let (mut shards, _) = seeded_world(42, 3);
+    let mut tc = TransactionCore::new();
+    let way_out = tc.execute_cross_shard(&mut shards, &out, 50, &mut NoFaults, &mut NoTxnCrash);
+    assert!(way_out.is_ok(), "{way_out:?}");
+    let away = shard_digests(&mut shards);
+    let mut faults = FailBindTo { target: Some(host_instance("node1")) };
+    let started = Instant::now();
+    for i in 0..ABORTS {
+        let run = tc.execute_cross_shard(&mut shards, &back, 50, &mut faults, &mut NoTxnCrash);
+        assert!(matches!(run, Err(TxnError::Injected { shard: 0, .. })), "abort {i}: {run:?}");
+        assert_eq!(tc.log().len(), 0, "abort {i} left log records behind");
+        assert_eq!(tc.locks().held_total(), 0, "abort {i} left locks behind");
+    }
+    let elapsed = started.elapsed();
+    assert_eq!(tc.aborted(), ABORTS as u64);
+    assert_eq!(shard_digests(&mut shards), away, "every abort restored the shards");
+    assert!(
+        elapsed < abort_budget(),
+        "{ABORTS} cross-shard aborts must run in under {:?} (took {elapsed:?})",
+        abort_budget()
     );
 }

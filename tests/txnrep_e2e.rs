@@ -256,7 +256,8 @@ const COMMITTED_LOCKS: [&str; 7] = [
 ];
 
 /// The way home, rolled back by a bind fault on `s1`, frozen at its last
-/// abort record.
+/// abort record. Like recovery, the abort tells every shard named in
+/// `Begin`, `s2` included, though `s2` never logged an intent.
 const ROLLED_BACK_LOG: &str = "\
 begin gtxn=1 shards=[s0,s1,s2] at=50
 intent gtxn=1 shard=s0 steps=2
@@ -265,6 +266,7 @@ applied gtxn=1 shard=s0 [1] bind atom:123.route -- host:node1.slot
 prepared gtxn=1 shard=s0
 intent gtxn=1 shard=s1 steps=2
 applied gtxn=1 shard=s1 [0] start atom:153
+shard-aborted gtxn=1 shard=s2
 undone gtxn=1 shard=s1 [0]
 shard-aborted gtxn=1 shard=s1
 undone gtxn=1 shard=s0 [1]
