@@ -7,16 +7,16 @@
 //! > goes wrong."
 //!
 //! [`AdaptivityManager::execute`] applies a plan step by step through
-//! [`PlanStep::apply`], keeping every completed step's undo record; on any
-//! failure it replays those records backwards, restoring the exact prior
-//! runtime (including the stopped components' state, which was archived in
-//! the State Manager before removal).
+//! [`PlanStep::apply`], logging each step's undo record in a [`TxnLog`] as
+//! a one-shard transaction over shard `s0`, and settles it with the routine
+//! every recovery runs ([`journal::resolve`]): on any failure it replays
+//! those records backwards, restoring the exact prior runtime (including
+//! the stopped components' state, archived in the State Manager).
 //!
-//! With [`AdaptivityManager::attach_journal`] every switch is also written
-//! through to a write-ahead [`TxnLog`] as a one-shard transaction over
-//! shard `s0` — the same log the `txn` crate's transaction core writes —
-//! and [`AdaptivityManager::recover`] replays it after a crash. See the
-//! [`crate::journal`] module docs for the record discipline and crash
+//! The log is the switch's own unless [`AdaptivityManager::attach_journal`]
+//! attached a write-ahead one — the log the `txn` crate's transaction core
+//! writes — that [`AdaptivityManager::recover`] replays after a crash. See
+//! the [`crate::journal`] module docs for the record discipline and crash
 //! model.
 
 use crate::journal::{
@@ -376,34 +376,54 @@ impl AdaptivityManager {
             }
             return Err(SwitchError::LintRejected(lint));
         }
-        let mut applied: Vec<StepRecord> = Vec::with_capacity(plan.len());
         let obs = self.obs.clone();
         let span = obs.as_ref().map(|o| o.borrow_mut().begin("compkit", "switch"));
-        let txn = self.journal.as_mut().map(|j| j.begin(vec![SHARD], now));
-        if txn.is_some() {
-            self.bill_store();
-            if crash.crash(&CrashSite::Intent) {
-                return self.crash_out(&obs, span, "intent", 0, 0);
-            }
+        // The switch is logged in the attached journal, or else in a log
+        // local to this call: crash sites and bills are the journal's.
+        let journalled = self.journal.is_some();
+        let billed = obs.as_ref().filter(|_| journalled);
+        let mut no_crash = NoCrash;
+        let crash = if journalled { crash } else { &mut no_crash };
+        let mut local = TxnLog::new();
+        let log = self.journal.as_mut().unwrap_or(&mut local);
+        let gtxn = log.begin(vec![SHARD], now);
+        bill_store(billed);
+        if crash.crash(&CrashSite::Intent) {
+            return crash_out(&obs, span, "intent", 0, 0);
         }
+        let first = log.appended_total();
         let result =
-            self.try_execute(runtime, plan, factory, states, now, &mut applied, faults, txn, crash);
-        match result {
+            try_execute(log, gtxn, runtime, plan, factory, states, now, faults, crash, billed);
+        let steps = (log.appended_total() - first) as usize;
+        let mut node = Node { runtime, states, hook: crash, recovering: false };
+        let outcome = match result {
+            // The node died mid-plan: no rollback, no outcome counter — the
+            // log is the ledger and recovery settles it.
+            Err(SwitchError::Crashed { site }) => return crash_out(&obs, span, &site, steps, 0),
+            Err(e) => Err(e),
             Ok(report) => {
-                if let Some(gtxn) = txn {
-                    if crash.crash(&CrashSite::BeforeCommit) {
-                        return self.crash_out(&obs, span, "before-commit", applied.len(), 0);
-                    }
-                    self.log(TxnRecord::Commit { gtxn });
-                    if crash.crash(&CrashSite::AfterCommit) {
-                        return self.crash_out(&obs, span, "after-commit", applied.len(), 0);
-                    }
-                    // `End` and the checkpoint that reclaims it are not billed.
-                    if let Some(j) = self.journal.as_mut() {
-                        j.append(TxnRecord::End { gtxn });
-                        j.truncate_ended();
-                    }
+                if node.hook.crash(&CrashSite::BeforeCommit) {
+                    return crash_out(&obs, span, "before-commit", steps, 0);
                 }
+                log.append(TxnRecord::Commit { gtxn });
+                bill_store(billed);
+                if node.hook.crash(&CrashSite::AfterCommit) {
+                    return crash_out(&obs, span, "after-commit", steps, 0);
+                }
+                Ok(report)
+            }
+        };
+        // Settle with recovery's routine: a one-phase commit only ends; a
+        // failure backs off, and only injected rollback faults leave
+        // residue. Each record but the closing `End` is billed, as forward.
+        let before = log.appended_total();
+        let settled = journal::resolve(log, gtxn, &mut node, faults);
+        let appended = log.appended_total() - before - (settled.forward + settled.back) as u64;
+        if let Some(o) = billed {
+            o.borrow_mut().charge_n(Primitive::Store, appended);
+        }
+        let e = match outcome {
+            Ok(report) => {
                 self.switches_committed = self.switches_committed.saturating_add(1);
                 if let (Some(o), Some(span)) = (&obs, span) {
                     let mut o = o.borrow_mut();
@@ -421,80 +441,44 @@ impl AdaptivityManager {
                     );
                     o.metrics.counter_add("compkit.switch.committed", 1);
                 }
-                Ok(report)
+                return Ok(report);
             }
-            Err(SwitchError::Crashed { site }) => {
-                // The node died mid-plan: no rollback, no outcome counter —
-                // the log is the ledger and recovery settles it.
-                self.crash_out(&obs, span, &site, applied.len(), 0)
-            }
-            Err(e) => {
-                let rolled_steps = applied.len();
-                // Back off: recovery's rollback, run on the live switch with
-                // the caller's injector. Without a journal it runs over a
-                // scratch log holding this switch alone, unbilled and with
-                // no crash site. Against a healthy runtime no undo can fail;
-                // injected rollback faults (and nothing else) become residue.
-                let mut scratch = TxnLog::new();
-                let (log, gtxn) = self.journal.as_mut().zip(txn).unwrap_or_else(|| {
-                    let gtxn = scratch.begin(vec![SHARD], now);
-                    for (index, step) in applied.into_iter().enumerate() {
-                        scratch.append(TxnRecord::Applied { gtxn, shard: SHARD, index, step });
-                    }
-                    (&mut scratch, gtxn)
-                });
-                let mut no_crash = NoCrash;
-                let hook = if txn.is_some() { crash } else { &mut no_crash };
-                let before = log.appended_total();
-                let mut node = Node { runtime, states, hook, recovering: false };
-                let report = journal::abort(log, gtxn, &mut node, faults);
-                // Each record but the closing `End` is billed, as forward.
-                let billed = log.appended_total() - before - report.back as u64;
-                if let Some(o) = obs.as_ref().filter(|_| txn.is_some()) {
-                    o.borrow_mut().charge_n(Primitive::Store, billed);
-                }
-                if report.outcome == RecoveryOutcome::Crashed {
-                    let undos = report.undone;
-                    return self.crash_out(&obs, span, "mid-rollback", rolled_steps, undos);
-                }
-                // Residue is counted *only* as incomplete, never also as
-                // rolled back, and leaves the log open so a later recover()
-                // retries the undos.
-                let incomplete = report.outcome == RecoveryOutcome::Incomplete;
-                if incomplete {
-                    self.rollbacks_incomplete = self.rollbacks_incomplete.saturating_add(1);
-                } else {
-                    self.switches_rolled_back = self.switches_rolled_back.saturating_add(1);
-                }
-                if let (Some(o), Some(span)) = (&obs, span) {
-                    let mut o = o.borrow_mut();
-                    // The forward steps ran AND were undone: bill both.
-                    o.charge(Primitive::SchedSteps(2 * rolled_steps as u32));
-                    let (outcome, counter) = if incomplete {
-                        ("rollback_incomplete", "compkit.switch.rollbacks_incomplete")
-                    } else {
-                        ("rolled_back", "compkit.switch.rolled_back")
-                    };
-                    let mut args = vec![
-                        ("outcome", outcome.to_owned()),
-                        ("rolled_steps", rolled_steps.to_string()),
-                    ];
-                    if incomplete {
-                        args.push(("residue", report.residue.len().to_string()));
-                    }
-                    args.push(("cause", e.to_string()));
-                    o.end_with(span, args);
-                    o.metrics.counter_add(counter, 1);
-                }
-                if !incomplete {
-                    return Err(e);
-                }
-                Err(SwitchError::RollbackIncomplete {
-                    cause: e.to_string(),
-                    residue: report.residue,
-                })
-            }
+            Err(e) => e,
+        };
+        if settled.outcome == RecoveryOutcome::Crashed {
+            return crash_out(&obs, span, "mid-rollback", steps, settled.undone);
         }
+        // Residue is counted *only* as incomplete, never also as rolled
+        // back, and leaves the log open so a later recover() retries the
+        // undos.
+        let incomplete = settled.outcome == RecoveryOutcome::Incomplete;
+        if incomplete {
+            self.rollbacks_incomplete = self.rollbacks_incomplete.saturating_add(1);
+        } else {
+            self.switches_rolled_back = self.switches_rolled_back.saturating_add(1);
+        }
+        if let (Some(o), Some(span)) = (&obs, span) {
+            let mut o = o.borrow_mut();
+            // The forward steps ran AND were undone: bill both.
+            o.charge(Primitive::SchedSteps(2 * steps as u32));
+            let (outcome, counter) = if incomplete {
+                ("rollback_incomplete", "compkit.switch.rollbacks_incomplete")
+            } else {
+                ("rolled_back", "compkit.switch.rolled_back")
+            };
+            let mut args =
+                vec![("outcome", outcome.to_owned()), ("rolled_steps", steps.to_string())];
+            if incomplete {
+                args.push(("residue", settled.residue.len().to_string()));
+            }
+            args.push(("cause", e.to_string()));
+            o.end_with(span, args);
+            o.metrics.counter_add(counter, 1);
+        }
+        if !incomplete {
+            return Err(e);
+        }
+        Err(SwitchError::RollbackIncomplete { cause: e.to_string(), residue: settled.residue })
     }
 
     /// Replay the attached log after a crash. Lands the runtime in
@@ -503,7 +487,7 @@ impl AdaptivityManager {
     /// (no commit record: every applied-not-yet-undone step is reversed)
     /// — and is idempotent: once settled, further calls scan an empty
     /// log, touch nothing, and report [`RecoveryOutcome::Clean`]. The
-    /// replay is [`journal::replay`], the compensation every abort runs.
+    /// replay is [`journal::replay`], the compensation every outcome runs.
     ///
     /// The replay is cycle-billed when observability is armed: one
     /// [`Primitive::Load`] per scanned record, one [`Primitive::Store`]
@@ -556,82 +540,72 @@ impl AdaptivityManager {
         }
         report
     }
+}
 
-    /// Bill one [`Primitive::Store`] when observability is armed.
-    fn bill_store(&self) {
-        if let Some(o) = &self.obs {
-            o.borrow_mut().charge(Primitive::Store);
+/// Bill one [`Primitive::Store`] to `obs`, if any.
+fn bill_store(obs: Option<&ObsHandle>) {
+    if let Some(o) = obs {
+        o.borrow_mut().charge(Primitive::Store);
+    }
+}
+
+/// Bill the partial work, close the switch span as crashed, and surface
+/// [`SwitchError::Crashed`]. The log is deliberately left open — it is
+/// the evidence recovery replays.
+fn crash_out(
+    obs: &Option<ObsHandle>,
+    span: Option<obs::SpanId>,
+    site: &str,
+    forward_steps: usize,
+    undos: usize,
+) -> Result<SwitchReport, SwitchError> {
+    if let (Some(o), Some(span)) = (obs, span) {
+        let mut o = o.borrow_mut();
+        let bill = (forward_steps + undos) as u32;
+        if bill > 0 {
+            o.charge(Primitive::SchedSteps(bill));
+        }
+        o.end_with(span, vec![("outcome", "crashed".to_owned()), ("site", site.to_owned())]);
+        o.metrics.counter_add("compkit.switch.crashed", 1);
+    }
+    Err(SwitchError::Crashed { site: site.to_owned() })
+}
+
+/// Apply `plan`'s steps in order (unbind first, never leaving a live
+/// binding to a stopping component; then stop, archiving state; start;
+/// bind last), appending each step's record to `log` under `gtxn` once
+/// it landed, billed to `billed`, with `crash` consulted after each.
+#[allow(clippy::too_many_arguments)]
+fn try_execute(
+    log: &mut TxnLog,
+    gtxn: u64,
+    runtime: &mut Runtime,
+    plan: &ReconfigurationPlan,
+    factory: &mut dyn ComponentFactory,
+    states: &mut StateManager,
+    now: u64,
+    faults: &mut dyn StepFaults,
+    crash: &mut dyn CrashHook,
+    billed: Option<&ObsHandle>,
+) -> Result<SwitchReport, SwitchError> {
+    let (mut stopped, mut started) = (Vec::new(), Vec::new());
+    for (index, step) in PlanStep::decompose(plan).into_iter().enumerate() {
+        if let Some((step, reason)) = step.injected(faults) {
+            return Err(SwitchError::Injected { step, reason });
+        }
+        let record = step.apply(runtime, states, factory, now)?;
+        match &record {
+            StepRecord::Stopped { name, .. } => stopped.push(name.clone()),
+            StepRecord::Started { name } => started.push(name.clone()),
+            StepRecord::Unbound(_) | StepRecord::Bound(_) => {}
+        }
+        log.append(TxnRecord::Applied { gtxn, shard: SHARD, index, step: record });
+        bill_store(billed);
+        if crash.crash(&CrashSite::AfterStep { index }) {
+            return Err(SwitchError::Crashed { site: format!("after step {}", index + 1) });
         }
     }
-
-    /// Append `record` to the attached log, billed one store.
-    fn log(&mut self, record: TxnRecord) {
-        if let Some(j) = self.journal.as_mut() {
-            j.append(record);
-        }
-        self.bill_store();
-    }
-
-    /// Bill the partial work, close the switch span as crashed, and
-    /// surface [`SwitchError::Crashed`]. The log is deliberately
-    /// left open — it is the evidence recovery replays.
-    fn crash_out(
-        &mut self,
-        obs: &Option<ObsHandle>,
-        span: Option<obs::SpanId>,
-        site: &str,
-        forward_steps: usize,
-        undos: usize,
-    ) -> Result<SwitchReport, SwitchError> {
-        if let (Some(o), Some(span)) = (obs, span) {
-            let mut o = o.borrow_mut();
-            let bill = (forward_steps + undos) as u32;
-            if bill > 0 {
-                o.charge(Primitive::SchedSteps(bill));
-            }
-            o.end_with(span, vec![("outcome", "crashed".to_owned()), ("site", site.to_owned())]);
-            o.metrics.counter_add("compkit.switch.crashed", 1);
-        }
-        Err(SwitchError::Crashed { site: site.to_owned() })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn try_execute(
-        &mut self,
-        runtime: &mut Runtime,
-        plan: &ReconfigurationPlan,
-        factory: &mut dyn ComponentFactory,
-        states: &mut StateManager,
-        now: u64,
-        applied: &mut Vec<StepRecord>,
-        faults: &mut dyn StepFaults,
-        txn: Option<u64>,
-        crash: &mut dyn CrashHook,
-    ) -> Result<SwitchReport, SwitchError> {
-        // Unbind first (never leave a live binding to a stopping
-        // component), then stop (archiving state), start, and bind last.
-        let (mut stopped, mut started) = (Vec::new(), Vec::new());
-        for step in PlanStep::decompose(plan) {
-            if let Some((step, reason)) = step.injected(faults) {
-                return Err(SwitchError::Injected { step, reason });
-            }
-            let record = step.apply(runtime, states, factory, now)?;
-            match &record {
-                StepRecord::Stopped { name, .. } => stopped.push(name.clone()),
-                StepRecord::Started { name } => started.push(name.clone()),
-                StepRecord::Unbound(_) | StepRecord::Bound(_) => {}
-            }
-            let index = applied.len();
-            if let Some(gtxn) = txn {
-                self.log(TxnRecord::Applied { gtxn, shard: SHARD, index, step: record.clone() });
-            }
-            applied.push(record);
-            if txn.is_some() && crash.crash(&CrashSite::AfterStep { index }) {
-                return Err(SwitchError::Crashed { site: format!("after step {}", index + 1) });
-            }
-        }
-        Ok(SwitchReport { steps: plan.len(), stopped, started, completed_at: now })
-    }
+    Ok(SwitchReport { steps: plan.len(), stopped, started, completed_at: now })
 }
 
 #[cfg(test)]

@@ -37,12 +37,12 @@
 //!
 //! # One compensation path
 //!
-//! Every abort and every recovery settles a transaction through one
+//! Every commit, abort and recovery settles a transaction through one
 //! routine over this log, driving the shards through [`Participants`]:
-//! [`abort`] runs it on the live transaction when a step fails, [`replay`]
-//! on every open transaction after a crash. Each caller maps the
-//! routine's [`Boundary`]s onto its own crash sites and bills each
-//! appended record its own way.
+//! [`resolve`] runs it on the live transaction, [`replay`] on every open
+//! transaction after a crash. Each caller maps the routine's
+//! [`Boundary`]s onto its own crash sites and bills each appended record
+//! its own way. Step records are read in place ([`OpenGlobalTxn::applied_at`]).
 //!
 //! * Undecided: roll **back**, newest shard and newest step first — each
 //!   applied step not yet undone is undone and logged `Undone`, then each
@@ -52,10 +52,13 @@
 //!   told persists its applied steps and is logged `ShardCommitted`; then
 //!   `End`. A one-phase single-node commit has no vote to answer, so
 //!   rolling it forward only ends it.
-//! * A step that will not undo or a shard not at hand leaves residue
-//!   (`s{shard} [{index}] {undo}: {reason}`, `s{shard} missing`): that
-//!   shard gets no fan-out record, and the transaction stays open for a
-//!   later pass to retry the idempotent work.
+//! * A step that will not undo, a persist that fails or a shard not at
+//!   hand leaves residue (`s{shard} [{index}] {undo}: {reason}`,
+//!   `s{shard} persist: {reason}`, `s{shard} missing`): that shard gets no
+//!   fan-out record, later shards are still settled, and the transaction
+//!   stays open for a later pass to retry the idempotent work.
+//! * A read-only shard (an empty sub-plan) is no participant: `Begin`
+//!   does not name it, so it is never told.
 //!
 //! # Crash model
 //!
@@ -74,6 +77,7 @@ use adl::ast::Binding;
 use adl::diff::ReconfigurationPlan;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Range;
 
 /// One applied plan step, carrying everything needed to undo it. This is
 /// the redo/undo payload of a [`TxnRecord::Applied`] record: the
@@ -412,8 +416,9 @@ impl fmt::Display for TxnRecord {
 pub struct ShardProgress {
     /// Declared step count, if the intent record landed.
     pub intent_steps: Option<usize>,
-    /// Applied steps in log order.
-    pub applied: Vec<(usize, StepRecord)>,
+    /// Log positions spanning its `Applied` records (valid until the next
+    /// truncation); [`OpenGlobalTxn::applied_at`] reads them in place.
+    pub applied: Range<usize>,
     /// Step indices already compensated.
     pub undone: BTreeSet<usize>,
     /// The shard voted yes.
@@ -424,14 +429,6 @@ pub struct ShardProgress {
     pub aborted: bool,
 }
 
-impl ShardProgress {
-    /// Applied steps not yet compensated, newest first — the exact undo
-    /// work recovery owes this shard.
-    pub fn pending_undo(&self) -> impl Iterator<Item = &(usize, StepRecord)> {
-        self.applied.iter().rev().filter(|(i, _)| !self.undone.contains(i))
-    }
-}
-
 /// A begun-but-not-ended transaction reconstructed from the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpenGlobalTxn {
@@ -439,12 +436,64 @@ pub struct OpenGlobalTxn {
     pub gtxn: u64,
     /// Virtual start time.
     pub at: u64,
-    /// Participating shards, ascending.
-    pub shards: Vec<ShardId>,
     /// Whether the commit decision landed (presumed abort otherwise).
     pub decided: bool,
-    /// Per-shard progress.
-    pub progress: BTreeMap<ShardId, ShardProgress>,
+    /// The progress of each shard `Begin` names, ascending (a short list:
+    /// it is searched, and built on every in-flight outcome).
+    pub progress: Vec<(ShardId, ShardProgress)>,
+}
+
+impl OpenGlobalTxn {
+    /// Fold the record at log position `pos` into `slot`, its transaction:
+    /// `Begin` opens it, `End` closes it, any other record updates it while
+    /// open (a shard outside `Begin`'s set is ignored).
+    fn fold(slot: &mut Option<Self>, pos: usize, r: &TxnRecord) {
+        let (t, shard) = match (r, slot.as_mut()) {
+            (TxnRecord::Begin { gtxn, shards, at }, _) => {
+                let progress = shards.iter().map(|s| (*s, ShardProgress::default())).collect();
+                *slot = Some(Self { gtxn: *gtxn, at: *at, decided: false, progress });
+                return;
+            }
+            (TxnRecord::End { .. }, _) => return *slot = None,
+            (TxnRecord::Commit { .. }, Some(t)) => return t.decided = true,
+            (
+                TxnRecord::Intent { shard, .. }
+                | TxnRecord::Applied { shard, .. }
+                | TxnRecord::Undone { shard, .. }
+                | TxnRecord::Prepared { shard, .. }
+                | TxnRecord::ShardCommitted { shard, .. }
+                | TxnRecord::ShardAborted { shard, .. },
+                Some(t),
+            ) => (t, shard),
+            _ => return,
+        };
+        let Some((_, p)) = t.progress.iter_mut().find(|(s, _)| s == shard) else { return };
+        match r {
+            TxnRecord::Intent { steps, .. } => p.intent_steps = Some(*steps),
+            TxnRecord::Applied { .. } if p.applied.is_empty() => p.applied = pos..pos + 1,
+            TxnRecord::Applied { .. } => p.applied.end = pos + 1,
+            TxnRecord::Undone { index, .. } => _ = p.undone.insert(*index),
+            TxnRecord::Prepared { .. } => p.prepared = true,
+            TxnRecord::ShardCommitted { .. } => p.committed = true,
+            _ => p.aborted = true,
+        }
+    }
+
+    /// `shard`'s `Applied` record at log position `pos` (one of the
+    /// positions [`ShardProgress::applied`] spans), if that is one: its
+    /// step index and the record that undoes the step, read in place.
+    #[must_use]
+    pub fn applied_at<'l>(
+        &self,
+        log: &'l TxnLog,
+        pos: usize,
+        s: ShardId,
+    ) -> Option<(usize, &'l StepRecord)> {
+        let TxnRecord::Applied { gtxn, shard, index, step } = log.records.get(pos)? else {
+            return None;
+        };
+        (*gtxn == self.gtxn && *shard == s).then_some((*index, step))
+    }
 }
 
 /// The shared, append-only transaction log. Resolved transactions are
@@ -533,66 +582,21 @@ impl TxnLog {
     /// id — the recovery work list.
     #[must_use]
     pub fn open_txns(&self) -> Vec<OpenGlobalTxn> {
-        let mut open: BTreeMap<u64, OpenGlobalTxn> = BTreeMap::new();
-        for r in &self.records {
-            match r {
-                TxnRecord::Begin { gtxn, shards, at } => {
-                    let mut progress = BTreeMap::new();
-                    for s in shards {
-                        progress.insert(*s, ShardProgress::default());
-                    }
-                    open.insert(
-                        *gtxn,
-                        OpenGlobalTxn {
-                            gtxn: *gtxn,
-                            at: *at,
-                            shards: shards.clone(),
-                            decided: false,
-                            progress,
-                        },
-                    );
-                }
-                TxnRecord::Intent { gtxn, shard, steps } => {
-                    if let Some(t) = open.get_mut(gtxn) {
-                        t.progress.entry(*shard).or_default().intent_steps = Some(*steps);
-                    }
-                }
-                TxnRecord::Applied { gtxn, shard, index, step } => {
-                    if let Some(t) = open.get_mut(gtxn) {
-                        t.progress.entry(*shard).or_default().applied.push((*index, step.clone()));
-                    }
-                }
-                TxnRecord::Undone { gtxn, shard, index } => {
-                    if let Some(t) = open.get_mut(gtxn) {
-                        t.progress.entry(*shard).or_default().undone.insert(*index);
-                    }
-                }
-                TxnRecord::Prepared { gtxn, shard } => {
-                    if let Some(t) = open.get_mut(gtxn) {
-                        t.progress.entry(*shard).or_default().prepared = true;
-                    }
-                }
-                TxnRecord::Commit { gtxn } => {
-                    if let Some(t) = open.get_mut(gtxn) {
-                        t.decided = true;
-                    }
-                }
-                TxnRecord::ShardCommitted { gtxn, shard } => {
-                    if let Some(t) = open.get_mut(gtxn) {
-                        t.progress.entry(*shard).or_default().committed = true;
-                    }
-                }
-                TxnRecord::ShardAborted { gtxn, shard } => {
-                    if let Some(t) = open.get_mut(gtxn) {
-                        t.progress.entry(*shard).or_default().aborted = true;
-                    }
-                }
-                TxnRecord::End { gtxn } => {
-                    open.remove(gtxn);
-                }
-            }
+        let mut open: BTreeMap<u64, Option<OpenGlobalTxn>> = BTreeMap::new();
+        for (pos, r) in self.records.iter().enumerate() {
+            OpenGlobalTxn::fold(open.entry(r.gtxn()).or_default(), pos, r);
         }
-        open.into_values().collect()
+        open.into_values().flatten().collect()
+    }
+
+    /// Reconstruct transaction `gtxn`, if it is begun and not ended.
+    #[must_use]
+    pub fn open_txn(&self, gtxn: u64) -> Option<OpenGlobalTxn> {
+        let mut txn = None;
+        for (pos, r) in self.records.iter().enumerate().filter(|(_, r)| r.gtxn() == gtxn) {
+            OpenGlobalTxn::fold(&mut txn, pos, r);
+        }
+        txn
     }
 
     /// The live log as stable text — one record per line.
@@ -792,7 +796,7 @@ impl fmt::Display for RecoveryOutcome {
     }
 }
 
-/// The receipt a recovery replay returns — and, for an in-flight abort,
+/// The receipt a recovery replay returns — and, for an in-flight outcome,
 /// what the compensation did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
@@ -844,9 +848,14 @@ pub trait Participants {
     }
     /// Reverse one applied step on `shard`; an error becomes residue.
     fn undo(&mut self, shard: ShardId, step: &StepRecord) -> Result<(), String>;
-    /// Make `shard`'s applied steps durable as a decided transaction rolls
-    /// forward (idempotent); a runtime without a store has nothing to do.
-    fn persist(&mut self, _shard: ShardId, _applied: &[(usize, StepRecord)]) -> Result<(), String> {
+    /// Make `shard`'s applied steps (borrowed from the log, oldest first)
+    /// durable as a decided transaction rolls forward (idempotent); a
+    /// runtime without a store has nothing to do.
+    fn persist(
+        &mut self,
+        _shard: ShardId,
+        _steps: &mut dyn Iterator<Item = &StepRecord>,
+    ) -> Result<(), String> {
         Ok(())
     }
     /// Does the node die at `at`?
@@ -857,17 +866,18 @@ pub trait Participants {
     fn ended(&mut self, _gtxn: u64) {}
 }
 
-/// An in-flight abort: the recovery rollback run on the live transaction
-/// `gtxn`, with `faults` deciding which undo steps fail. The outcome is
-/// `RolledBack`, `Incomplete` (residue) or `Crashed`.
-pub fn abort<P: Participants + ?Sized>(
+/// Settle the live transaction `gtxn` — an in-flight commit or abort —
+/// with recovery's routine: forward if its `Commit` is in the log, back
+/// if not, with `faults` deciding which undo steps fail. The outcome is
+/// `RolledForward`, `RolledBack`, `Incomplete` (residue) or `Crashed`.
+pub fn resolve<P: Participants + ?Sized>(
     log: &mut TxnLog,
     gtxn: u64,
     parts: &mut P,
     faults: &mut dyn StepFaults,
 ) -> RecoveryReport {
-    let live: Vec<OpenGlobalTxn> = log.open_txns().into_iter().filter(|t| t.gtxn == gtxn).collect();
-    settle(log, live, parts, faults)
+    let txn = log.open_txn(gtxn);
+    settle(log, txn, parts, faults)
 }
 
 /// Recovery: settle every open transaction in `log`, oldest first.
@@ -880,13 +890,13 @@ pub fn replay<P: Participants + ?Sized>(log: &mut TxnLog, parts: &mut P) -> Reco
 /// checkpoint.
 fn settle<P: Participants + ?Sized>(
     log: &mut TxnLog,
-    txns: Vec<OpenGlobalTxn>,
+    txns: impl IntoIterator<Item = OpenGlobalTxn>,
     parts: &mut P,
     faults: &mut dyn StepFaults,
 ) -> RecoveryReport {
     let mut report = RecoveryReport { scanned: log.len(), ..RecoveryReport::default() };
-    for txn in &txns {
-        if !compensate(log, txn, parts, faults, &mut report) {
+    for txn in txns {
+        if !compensate(log, &txn, parts, faults, &mut report) {
             report.outcome = RecoveryOutcome::Crashed;
             return report;
         }
@@ -911,13 +921,14 @@ fn compensate<P: Participants + ?Sized>(
     faults: &mut dyn StepFaults,
     report: &mut RecoveryReport,
 ) -> bool {
-    let (gtxn, decided, none) = (txn.gtxn, txn.decided, ShardProgress::default());
+    let (gtxn, decided) = (txn.gtxn, txn.decided);
     // Residue is this transaction's from `txn_mark` on: it keeps this
     // transaction open without blocking another's `End`.
-    let (n, txn_mark) = (txn.shards.len(), report.residue.len());
-    for i in 0..n {
-        let shard = txn.shards[if decided { i } else { n - 1 - i }];
-        let p = txn.progress.get(&shard).unwrap_or(&none);
+    let txn_mark = report.residue.len();
+    let mut shards = txn.progress.iter();
+    loop {
+        let next = if decided { shards.next() } else { shards.next_back() };
+        let Some(&(shard, ref p)) = next else { break };
         // Told already, or (one-phase) no vote to answer.
         if p.aborted || p.committed || (decided && !p.prepared) {
             continue;
@@ -928,11 +939,19 @@ fn compensate<P: Participants + ?Sized>(
         }
         let shard_mark = report.residue.len();
         if decided {
-            if let Err(e) = parts.persist(shard, &p.applied) {
+            let applied = p.applied.clone().filter_map(|pos| txn.applied_at(log, pos, shard));
+            let mut steps = applied.map(|(_, step)| step);
+            if let Err(e) = parts.persist(shard, &mut steps) {
                 report.residue.push(format!("{shard} persist: {e}"));
             }
         } else {
-            for (index, step) in p.pending_undo() {
+            // Newest step first, each read at its log position: the
+            // `Undone` records this loop appends lie past the span.
+            for pos in p.applied.clone().rev() {
+                let Some((index, step)) = txn.applied_at(log, pos, shard) else { continue };
+                if p.undone.contains(&index) {
+                    continue;
+                }
                 let desc = step.undo_describe();
                 let undone = match faults.fail_rollback(&desc) {
                     Some(reason) => Err(reason),
@@ -943,7 +962,7 @@ fn compensate<P: Participants + ?Sized>(
                     continue;
                 }
                 report.undone += 1;
-                log.append(TxnRecord::Undone { gtxn, shard, index: *index });
+                log.append(TxnRecord::Undone { gtxn, shard, index });
                 if parts.crash(Boundary::Undone(shard, report.undone)) {
                     return false;
                 }
@@ -1022,6 +1041,120 @@ mod tests {
         let mut j = TxnLog { appended_total: u64::MAX, ..TxnLog::new() };
         j.begin(vec![ShardId(0)], 0);
         assert_eq!(j.appended_total(), u64::MAX, "cumulative counters saturate, never wrap");
+    }
+
+    /// Records what the compensation routine asks of each shard.
+    #[derive(Default)]
+    struct Recording {
+        undone: Vec<(ShardId, String)>,
+        persisted: Vec<(ShardId, usize)>,
+        told: Vec<Boundary>,
+        ended: Vec<u64>,
+    }
+
+    impl Participants for Recording {
+        fn undo(&mut self, shard: ShardId, step: &StepRecord) -> Result<(), String> {
+            self.undone.push((shard, step.undo_describe()));
+            Ok(())
+        }
+        fn persist(
+            &mut self,
+            shard: ShardId,
+            steps: &mut dyn Iterator<Item = &StepRecord>,
+        ) -> Result<(), String> {
+            self.persisted.push((shard, steps.count()));
+            Ok(())
+        }
+        fn crash(&mut self, at: Boundary) -> bool {
+            self.told.push(at);
+            false
+        }
+        fn ended(&mut self, gtxn: u64) {
+            self.ended.push(gtxn);
+        }
+    }
+
+    /// Log that `shard` started instance `c{shard}{index}` as step `index`.
+    fn started(log: &mut TxnLog, gtxn: u64, shard: u32, index: usize) {
+        let step = StepRecord::Started { name: format!("c{shard}{index}") };
+        log.append(TxnRecord::Applied { gtxn, shard: ShardId(shard), index, step });
+    }
+
+    #[test]
+    fn roll_forward_neither_persists_nor_retells_a_committed_shard() {
+        let (s0, s1) = (ShardId(0), ShardId(1));
+        let mut log = TxnLog::new();
+        let g = log.begin(vec![s0, s1], 0);
+        started(&mut log, g, 0, 0);
+        log.append(TxnRecord::Prepared { gtxn: g, shard: s0 });
+        started(&mut log, g, 1, 0);
+        started(&mut log, g, 1, 1);
+        log.append(TxnRecord::Prepared { gtxn: g, shard: s1 });
+        log.append(TxnRecord::Commit { gtxn: g });
+        log.append(TxnRecord::ShardCommitted { gtxn: g, shard: s0 });
+        let mut parts = Recording::default();
+        let report = resolve(&mut log, g, &mut parts, &mut NoFaults);
+        assert_eq!(parts.persisted, [(s1, 2)], "s1's two steps, read from the log");
+        assert_eq!(parts.told, [Boundary::Committed(s1)]);
+        assert_eq!(report.outcome, RecoveryOutcome::RolledForward);
+        assert_eq!((report.forward, report.in_doubt_resolved), (1, 1));
+        assert_eq!(parts.ended, [g]);
+        assert!(log.is_empty(), "ended and reclaimed");
+    }
+
+    #[test]
+    fn a_decided_one_phase_transaction_only_ends() {
+        let mut log = TxnLog::new();
+        let g = log.begin(vec![ShardId(0)], 0);
+        started(&mut log, g, 0, 0);
+        log.append(TxnRecord::Commit { gtxn: g });
+        let before = log.appended_total();
+        let mut parts = Recording::default();
+        let report = resolve(&mut log, g, &mut parts, &mut NoFaults);
+        assert!(parts.persisted.is_empty() && parts.told.is_empty(), "no vote, nothing to tell");
+        assert_eq!(log.appended_total() - before, 1, "only `End`");
+        assert_eq!(report.outcome, RecoveryOutcome::RolledForward);
+        assert_eq!((report.forward, report.in_doubt_resolved), (1, 0));
+        assert_eq!(parts.ended, [g]);
+    }
+
+    #[test]
+    fn roll_back_sends_no_second_abort_to_an_aborted_shard() {
+        let (s0, s1) = (ShardId(0), ShardId(1));
+        let mut log = TxnLog::new();
+        let g = log.begin(vec![s0, s1], 0);
+        started(&mut log, g, 0, 0);
+        started(&mut log, g, 1, 0);
+        log.append(TxnRecord::Undone { gtxn: g, shard: s1, index: 0 });
+        log.append(TxnRecord::ShardAborted { gtxn: g, shard: s1 });
+        let mut parts = Recording::default();
+        let report = resolve(&mut log, g, &mut parts, &mut NoFaults);
+        assert_eq!(parts.undone, [(s0, "stop c00".to_owned())]);
+        assert_eq!(parts.told, [Boundary::Undone(s0, 1), Boundary::Aborted(s0)]);
+        assert_eq!(
+            (report.outcome, report.back, report.undone),
+            (RecoveryOutcome::RolledBack, 1, 1)
+        );
+        assert_eq!(parts.ended, [g]);
+    }
+
+    #[test]
+    fn roll_back_skips_undone_steps() {
+        let s0 = ShardId(0);
+        let mut log = TxnLog::new();
+        let g = log.begin(vec![s0], 0);
+        for index in 0..3 {
+            started(&mut log, g, 0, index);
+        }
+        log.append(TxnRecord::Undone { gtxn: g, shard: s0, index: 2 });
+        let mut parts = Recording::default();
+        let report = resolve(&mut log, g, &mut parts, &mut NoFaults);
+        assert_eq!(parts.undone, [(s0, "stop c01".to_owned()), (s0, "stop c00".to_owned())]);
+        assert_eq!(
+            parts.told,
+            [Boundary::Undone(s0, 1), Boundary::Undone(s0, 2), Boundary::Aborted(s0)]
+        );
+        assert_eq!((report.outcome, report.undone), (RecoveryOutcome::RolledBack, 2));
     }
 
     #[test]

@@ -7,25 +7,30 @@
 //! ```text
 //!   lint ─ lock ─ Begin ─┬─ per shard: Intent, Applied*, Prepared(force)
 //!                        ├─ all voted: Commit(force)        ← commit point
-//!                        ├─ fan-out: ShardCommitted*, End    → committed
-//!                        └─ any failure before the decision: the recovery
+//!                        │  then recovery's roll-forward, run on the live
+//!                        │  transaction: ShardCommitted*, End → committed
+//!                        └─ any failure before the decision: recovery's
 //!                           rollback, run on the live transaction:
 //!                           (Undone*, ShardAborted)* per shard, End
 //!                                                            → rolled back
 //! ```
+//!
+//! A shard whose sub-plan is empty is read-only, so no participant: it
+//! gets no `Begin` entry, lock, `Intent`, vote, force or fan-out.
 //!
 //! Presumed abort: the only decision ever logged is `Commit`. A crash
 //! anywhere before it leaves prepared participants *in doubt*; on
 //! recovery they query the shared log, and the absence of a decision is
 //! the abort verdict — unresolved transactions roll back
 //! deterministically, newest shard and newest step first, then the log
-//! is reclaimed. The abort path and recovery run one compensation
-//! routine ([`compkit::journal::abort`] and [`compkit::journal::replay`]),
-//! so an abort ends with the records a crash at the failed step followed
-//! by recovery would have written. Recovery is idempotent (compensations
-//! are logged as `Undone`, so a second pass finds nothing left to do)
-//! and crash-safe (a crash during recovery keeps the partial progress;
-//! the next pass resumes).
+//! is reclaimed. The commit fan-out, the abort path and recovery run one
+//! compensation routine ([`compkit::journal::resolve`] on the live
+//! transaction, [`compkit::journal::replay`] after a crash), so an
+//! in-flight outcome ends with the records a crash at its last boundary
+//! followed by recovery would have written. Recovery is idempotent
+//! (compensations are logged as `Undone`, so a second pass finds nothing
+//! left to do) and crash-safe (a crash during recovery keeps the partial
+//! progress; the next pass resumes).
 //!
 //! Everything is billed when an [`obs`] hub is armed: one `Store` per
 //! log append, one `LogForce` per forced record (`Prepared` votes and
@@ -143,7 +148,7 @@ impl fmt::Display for TxnError {
 pub struct CrossShardReport {
     /// The global transaction id.
     pub gtxn: u64,
-    /// Participating shards.
+    /// Participating shards (those with a non-empty sub-plan).
     pub shards: usize,
     /// Total steps applied across all shards.
     pub steps: usize,
@@ -151,25 +156,14 @@ pub struct CrossShardReport {
     pub completed_at: u64,
 }
 
-/// One shard's part in a cross-shard switch: its data component, its
+/// One shard's part in a cross-shard switch: its data component and its
 /// sub-plan decomposed once into steps borrowed from the plan (they feed
-/// both the lock set and the prepare loop), and the log positions of the
-/// `Applied` records of the steps it has applied so far: while the
-/// transaction runs, the log holds the only copy of a step record.
+/// both the lock set and the prepare loop). The record of each step it
+/// applies lives in the log alone.
 struct Participant<'a, 'p> {
     id: u32,
     dc: &'a mut DataComponent,
     steps: Vec<PlanStep<'p>>,
-    applied: Vec<usize>,
-}
-
-/// The `Applied` record at log position `pos`: its step index and the
-/// record that undoes the step.
-fn applied_at(log: &TxnLog, pos: usize) -> Option<(usize, &StepRecord)> {
-    match log.records().get(pos)? {
-        TxnRecord::Applied { index, step, .. } => Some((*index, step)),
-        _ => None,
-    }
 }
 
 /// The shared transactional component: lock manager + transaction log +
@@ -295,20 +289,18 @@ impl TransactionCore {
             return Err(TxnError::UnknownShard { shard });
         }
         // Every planned shard is held and both maps iterate in ascending
-        // id order, so the filtered shards pair up with the sub-plans.
+        // id order, so the filtered shards pair up with the sub-plans. A
+        // shard with an empty sub-plan is read-only: no participant.
         let mut participants: Vec<Participant<'_, '_>> = shards
             .iter_mut()
             .filter(|(id, _)| plans.contains_key(id))
             .zip(plans.values())
-            .map(|((&id, dc), plan)| Participant {
-                id,
-                dc,
-                steps: PlanStep::decompose(plan),
-                applied: Vec::new(),
-            })
+            .filter(|(_, plan)| !plan.is_empty())
+            .map(|((&id, dc), plan)| Participant { id, dc, steps: PlanStep::decompose(plan) })
             .collect();
+        let joined = participants.len();
 
-        let shard_ids: Vec<ShardId> = plans.keys().map(|id| ShardId(*id)).collect();
+        let shard_ids: Vec<ShardId> = participants.iter().map(|p| ShardId(p.id)).collect();
         let gtxn = self.log.begin(shard_ids, now);
         self.bill(Primitive::Store);
         let span = self.obs.as_ref().map(|o| o.borrow_mut().begin("txn", "cross_switch"));
@@ -391,18 +383,18 @@ impl TransactionCore {
                 let record = match outcome {
                     Ok(record) => record,
                     Err(cause) => {
-                        return self.abort_path(
+                        let reached = Err(cause);
+                        return self.settle(
                             span,
                             gtxn,
                             shards,
                             forward_steps,
-                            cause,
+                            reached,
                             faults,
                             hook,
                         );
                     }
                 };
-                p.applied.push(self.log.len());
                 self.log.append(TxnRecord::Applied {
                     gtxn,
                     shard: ShardId(id),
@@ -443,74 +435,69 @@ impl TransactionCore {
             return self.crash_out(span, &TxnCrashSite::AfterDecision, forward_steps, 0);
         }
 
-        // Commit fan-out, to every shard that applied a step.
-        for p in participants.iter_mut().filter(|p| !p.applied.is_empty()) {
-            let log = &self.log;
-            let records = p.applied.iter().filter_map(|&pos| applied_at(log, pos)).map(|(_, r)| r);
-            if let Err(reason) = p.dc.persist_steps(records) {
-                // Committed but not yet persisted everywhere: leave the log
-                // open, recovery finishes the fan-out.
+        let done =
+            CrossShardReport { gtxn, shards: joined, steps: forward_steps, completed_at: now };
+        self.settle(span, gtxn, shards, forward_steps, Ok(done), faults, hook)
+    }
+
+    /// Settle the live transaction `gtxn` with recovery's routine
+    /// ([`journal::resolve`]) from what the prepare phase `reached`: a
+    /// logged decision rolls forward, the failure that stopped it rolls
+    /// back. Each record the routine appends is billed one `Store`.
+    #[allow(clippy::too_many_arguments)]
+    fn settle(
+        &mut self,
+        span: Option<obs::SpanId>,
+        gtxn: u64,
+        shards: &mut BTreeMap<u32, DataComponent>,
+        forward_steps: usize,
+        reached: Result<CrossShardReport, TxnError>,
+        faults: &mut dyn StepFaults,
+        hook: &mut dyn TxnCrashHook,
+    ) -> Result<CrossShardReport, TxnError> {
+        let before = self.log.appended_total();
+        let mut parts = Shards::new(shards, &mut self.locks, hook, false);
+        let report = journal::resolve(&mut self.log, gtxn, &mut parts, faults);
+        let Shards { site, released, failed, .. } = parts;
+        self.bill_n(Primitive::Store, self.log.appended_total() - before);
+        let undos = report.undone;
+        if let Some(site) = site.filter(|_| report.outcome == RecoveryOutcome::Crashed) {
+            return self.crash_out(span, &site, forward_steps, undos);
+        }
+        let cause = match (reached, failed) {
+            (Ok(_), Some((shard, reason))) => {
+                // Committed but not yet persisted everywhere: the other
+                // shards were told, the log stays open, recovery finishes
+                // the fan-out.
                 self.crashes = self.crashes.saturating_add(1);
                 if let (Some(o), Some(span)) = (&self.obs, span) {
                     let mut o = o.borrow_mut();
                     o.end_with(span, vec![("outcome", "store_failed".to_owned())]);
                     o.metrics.counter_add("txn.switch.crashed", 1);
                 }
-                return Err(TxnError::Store { shard: p.id, reason });
+                return Err(TxnError::Store { shard, reason });
             }
-            self.log.append(TxnRecord::ShardCommitted { gtxn, shard: ShardId(p.id) });
-            self.bill(Primitive::Store);
-            let site = TxnCrashSite::ShardCommitted { shard: p.id };
-            if hook.crash(&site) {
-                return self.crash_out(span, &site, forward_steps, 0);
+            (Ok(done), None) => {
+                self.committed = self.committed.saturating_add(1);
+                if let (Some(o), Some(span)) = (&self.obs, span) {
+                    let mut o = o.borrow_mut();
+                    o.charge(Primitive::SchedSteps(forward_steps as u32));
+                    o.end_with(
+                        span,
+                        vec![
+                            ("outcome", "committed".to_owned()),
+                            ("shards", done.shards.to_string()),
+                            ("steps", forward_steps.to_string()),
+                        ],
+                    );
+                    o.metrics.counter_add("txn.switch.committed", 1);
+                    o.metrics.counter_add("txn.prepare.shards", done.shards as u64);
+                    o.metrics.counter_add("txn.lock.released", released as u64);
+                }
+                return Ok(done);
             }
-        }
-        self.log.append(TxnRecord::End { gtxn });
-        self.bill(Primitive::Store);
-        self.log.truncate_ended();
-        let released = self.locks.release_all(gtxn);
-        self.committed = self.committed.saturating_add(1);
-        if let (Some(o), Some(span)) = (&self.obs, span) {
-            let mut o = o.borrow_mut();
-            o.charge(Primitive::SchedSteps(forward_steps as u32));
-            o.end_with(
-                span,
-                vec![
-                    ("outcome", "committed".to_owned()),
-                    ("shards", plans.len().to_string()),
-                    ("steps", forward_steps.to_string()),
-                ],
-            );
-            o.metrics.counter_add("txn.switch.committed", 1);
-            o.metrics.counter_add("txn.prepare.shards", plans.len() as u64);
-            o.metrics.counter_add("txn.lock.released", released as u64);
-        }
-        Ok(CrossShardReport { gtxn, shards: plans.len(), steps: forward_steps, completed_at: now })
-    }
-
-    /// The abort path: the recovery rollback run on the live transaction
-    /// ([`journal::abort`]) — every applied step undone, newest shard and
-    /// newest step first, every shard named in `Begin` logged aborted, the
-    /// transaction ended. Presumed abort: no decision record is written.
-    #[allow(clippy::too_many_arguments)]
-    fn abort_path(
-        &mut self,
-        span: Option<obs::SpanId>,
-        gtxn: u64,
-        shards: &mut BTreeMap<u32, DataComponent>,
-        forward_steps: usize,
-        cause: TxnError,
-        faults: &mut dyn StepFaults,
-        hook: &mut dyn TxnCrashHook,
-    ) -> Result<CrossShardReport, TxnError> {
-        let before = self.log.appended_total();
-        let mut parts = Shards::new(shards, &mut self.locks, hook, false);
-        let report = journal::abort(&mut self.log, gtxn, &mut parts, faults);
-        let (site, released, undos) = (parts.site, parts.released, report.undone);
-        self.bill_n(Primitive::Store, self.log.appended_total() - before);
-        if let Some(site) = site.filter(|_| report.outcome == RecoveryOutcome::Crashed) {
-            return self.crash_out(span, &site, forward_steps, undos);
-        }
+            (Err(cause), _) => cause,
+        };
         let ended = report.outcome != RecoveryOutcome::Incomplete;
         if ended {
             self.aborted = self.aborted.saturating_add(1);
@@ -618,8 +605,9 @@ impl TransactionCore {
 
 /// The shards a compensation drives, as [`Participants`]: undo and
 /// persist go to each shard's [`DataComponent`], an ended transaction's
-/// locks are released, and the routine's boundaries map onto the abort
-/// path's or recovery's [`TxnCrashSite`]s (`site` keeps the last one).
+/// locks are released (`released` counts them), the first failed
+/// persist is kept, and the routine's boundaries map onto the in-flight
+/// or recovery [`TxnCrashSite`]s (`site` keeps the last one).
 struct Shards<'a> {
     map: &'a mut BTreeMap<u32, DataComponent>,
     locks: &'a mut LockManager,
@@ -627,6 +615,7 @@ struct Shards<'a> {
     recovering: bool,
     site: Option<TxnCrashSite>,
     released: usize,
+    failed: Option<(u32, String)>,
 }
 
 impl<'a> Shards<'a> {
@@ -636,7 +625,7 @@ impl<'a> Shards<'a> {
         hook: &'a mut dyn TxnCrashHook,
         recovering: bool,
     ) -> Self {
-        Self { map, locks, hook, recovering, site: None, released: 0 }
+        Self { map, locks, hook, recovering, site: None, released: 0, failed: None }
     }
 }
 
@@ -649,18 +638,26 @@ impl Participants for Shards<'_> {
         self.map.get_mut(&shard.0).ok_or_else(|| format!("{shard} missing"))?.undo_step(step)
     }
 
-    fn persist(&mut self, shard: ShardId, applied: &[(usize, StepRecord)]) -> Result<(), String> {
+    fn persist(
+        &mut self,
+        shard: ShardId,
+        steps: &mut dyn Iterator<Item = &StepRecord>,
+    ) -> Result<(), String> {
         let dc = self.map.get_mut(&shard.0).ok_or_else(|| format!("{shard} missing"))?;
-        dc.persist_steps(applied.iter().map(|(_, step)| step)).map(drop)
+        let persisted = dc.persist_steps(steps).map(drop);
+        if let Err(reason) = &persisted {
+            self.failed.get_or_insert_with(|| (shard.0, reason.clone()));
+        }
+        persisted
     }
 
     fn crash(&mut self, at: Boundary) -> bool {
         let site = match (self.recovering, at) {
+            (_, Boundary::Committed(s)) => TxnCrashSite::ShardCommitted { shard: s.0 },
             (false, Boundary::Undone(s, undos)) => TxnCrashSite::ShardUndone { shard: s.0, undos },
             (false, Boundary::Aborted(s)) => TxnCrashSite::ShardAborted { shard: s.0 },
             (true, Boundary::Undone(_, undos)) => TxnCrashSite::RecoveryUndo { undos },
-            (true, Boundary::Committed(s)) => TxnCrashSite::ShardCommitted { shard: s.0 },
-            _ => return false,
+            (true, Boundary::Aborted(_)) => return false,
         };
         self.site = Some(site);
         self.hook.crash(&site)
@@ -923,6 +920,133 @@ mod tests {
             assert_eq!((tc.aborted(), tc.log().len(), tc.locks().held_total()), (1, 0, 0));
         }
         assert_eq!(aborting.in_doubt_resolved(), 0, "in-doubt counts move only on recover()");
+    }
+
+    /// A commit in flight is recovery's roll-forward. Crashed after the
+    /// decision or after any participant's fan-out record and recovered,
+    /// the transaction appends the same records, reaches the same shard
+    /// states and releases every lock; only `recover()` counts in-doubt
+    /// resolutions. With `s2`'s sub-plan empty, `s2` is no participant
+    /// on either path.
+    #[test]
+    fn an_in_flight_commit_equals_a_crash_then_recovery() {
+        let (_, plans) = relay_world();
+        let mut read_only = plans.clone();
+        read_only.insert(2, ReconfigurationPlan::default());
+        let decided = |tc: &TransactionCore| -> Vec<&'static str> {
+            let records = tc.log().records().iter();
+            records
+                .skip_while(|r| !matches!(r, TxnRecord::Commit { .. }))
+                .map(TxnRecord::tag)
+                .collect()
+        };
+        for (plans, told, appended) in [(&plans, vec![0, 1, 2], 20), (&read_only, vec![0, 1], 15)] {
+            // The in-flight commit, frozen after its last fan-out record.
+            let freeze = TxnCrashPoint::MidCommitFanout { shard: *told.last().unwrap() };
+            let (mut flown, _) = relay_world();
+            let mut flying = TransactionCore::new();
+            let mut hook = PlannedTxnCrash::new(freeze);
+            flying
+                .execute_cross_shard(&mut flown, plans, 40, &mut NoFaults, &mut hook)
+                .unwrap_err();
+            assert!(hook.fired());
+            let mut want = vec!["commit"];
+            want.extend(told.iter().map(|_| "shard-committed"));
+            assert_eq!(decided(&flying), want);
+            assert_eq!(flying.log().render().contains("s2"), told.contains(&2));
+            // Run to the end.
+            let (mut committed, _) = relay_world();
+            let mut tc = TransactionCore::new();
+            let report = tc
+                .execute_cross_shard(&mut committed, plans, 40, &mut NoFaults, &mut NoTxnCrash)
+                .unwrap();
+            assert_eq!((report.shards, tc.log().appended_total()), (told.len(), appended));
+            assert_eq!(tc.in_doubt_resolved(), 0, "in-doubt counts move only on recover()");
+
+            let fanout = told.iter().map(|&shard| TxnCrashPoint::MidCommitFanout { shard });
+            for point in std::iter::once(TxnCrashPoint::AfterDecision).chain(fanout) {
+                // Crashed at `point`, then recovery frozen where the
+                // in-flight commit was.
+                let (mut shards, _) = relay_world();
+                let mut crashed = TransactionCore::new();
+                let mut hook = PlannedTxnCrash::new(point);
+                crashed
+                    .execute_cross_shard(&mut shards, plans, 40, &mut NoFaults, &mut hook)
+                    .unwrap_err();
+                assert!(hook.fired(), "{point}");
+                if point != freeze {
+                    let mut hook = PlannedTxnCrash::new(freeze);
+                    let r = crashed.recover(&mut shards, &mut hook);
+                    assert_eq!(r.outcome, RecoveryOutcome::Crashed, "{point}");
+                }
+                assert_eq!(crashed.log().render(), flying.log().render(), "{point}");
+                assert_eq!(digests(&shards), digests(&flown), "{point}");
+                // Crashed at `point` and recovered to the end.
+                let (mut shards, _) = relay_world();
+                let mut crashed = TransactionCore::new();
+                let mut hook = PlannedTxnCrash::new(point);
+                crashed
+                    .execute_cross_shard(&mut shards, plans, 40, &mut NoFaults, &mut hook)
+                    .unwrap_err();
+                let r = crashed.recover(&mut shards, &mut NoTxnCrash);
+                assert_eq!(r.outcome, RecoveryOutcome::RolledForward, "{point}");
+                assert_eq!(crashed.log().appended_total(), appended, "{point}");
+                assert_eq!(digests(&shards), digests(&committed), "{point}");
+                assert_eq!((crashed.log().len(), crashed.locks().held_total()), (0, 0));
+                let untold = match point {
+                    TxnCrashPoint::MidCommitFanout { shard } => {
+                        told.iter().filter(|&&s| s > shard).count()
+                    }
+                    _ => told.len(),
+                };
+                assert_eq!(crashed.in_doubt_resolved(), untold as u64, "{point}");
+            }
+        }
+    }
+
+    /// A persist that fails after the decision leaves the commit as
+    /// recovery leaves it: the other shards are told, the transaction
+    /// stays open with the residue, and one later recovery ends it.
+    #[test]
+    fn an_in_flight_store_failure_tells_the_other_shards_and_stays_open() {
+        use compkit::journal::NoCrash;
+        use store::StorageEngine;
+        // s0's engine is down before the transaction starts.
+        let down = || {
+            let (mut shards, plans) = world();
+            let s0 = shards.get_mut(&0).unwrap();
+            s0.attach_store(StorageEngine::new(8));
+            s0.store_mut().unwrap().crash();
+            (shards, plans)
+        };
+        let (mut shards, plans) = down();
+        let mut tc = TransactionCore::new();
+        let err = tc
+            .execute_cross_shard(&mut shards, &plans, 40, &mut NoFaults, &mut NoTxnCrash)
+            .unwrap_err();
+        let TxnError::Store { shard: 0, reason } = err else { panic!("{err:?}") };
+        let live = tc.log().render();
+        assert!(live.contains("shard-committed gtxn=0 shard=s1"), "{live}");
+        assert!(!live.contains("shard-committed gtxn=0 shard=s0") && !live.contains("end"));
+        assert_eq!(tc.committed(), 0);
+        assert!(tc.locks().held_total() > 0, "the open transaction keeps its locks");
+
+        let (mut twin_shards, _) = down();
+        let mut twin = TransactionCore::new();
+        let mut hook = PlannedTxnCrash::new(TxnCrashPoint::AfterDecision);
+        twin.execute_cross_shard(&mut twin_shards, &plans, 40, &mut NoFaults, &mut hook)
+            .unwrap_err();
+        let r = twin.recover(&mut twin_shards, &mut NoTxnCrash);
+        assert_eq!(r.outcome, RecoveryOutcome::Incomplete);
+        assert_eq!(r.residue, [format!("s0 persist: {reason}")]);
+        assert_eq!(twin.log().render(), live);
+
+        // The engine comes back; one recovery ends the transaction.
+        shards.get_mut(&0).unwrap().store_mut().unwrap().recover(&mut NoCrash).unwrap();
+        let r = tc.recover(&mut shards, &mut NoTxnCrash);
+        assert_eq!((r.outcome, r.in_doubt_resolved), (RecoveryOutcome::RolledForward, 1));
+        assert_eq!((tc.committed(), tc.log().len(), tc.locks().held_total()), (1, 0, 0));
+        assert!(tc.recover(&mut shards, &mut NoTxnCrash).noop());
     }
 
     #[test]

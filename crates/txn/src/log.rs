@@ -42,6 +42,16 @@ mod tests {
         Binding { from: PortRef::on(f[0], f[1]), to: PortRef::on(t[0], t[1]) }
     }
 
+    /// Shard `id`'s progress in `t`.
+    fn shard(t: &OpenGlobalTxn, id: u32) -> &ShardProgress {
+        &t.progress.iter().find(|(s, _)| s.0 == id).expect("named in `Begin`").1
+    }
+
+    /// Shard `id`'s applied steps in `t`, read from `log`: index and step.
+    fn applied<'l>(log: &'l TxnLog, t: &OpenGlobalTxn, id: u32) -> Vec<(usize, &'l StepRecord)> {
+        shard(t, id).applied.clone().filter_map(|pos| t.applied_at(log, pos, ShardId(id))).collect()
+    }
+
     #[test]
     fn begin_allocates_monotonic_gtxns() {
         let mut log = TxnLog::new();
@@ -73,13 +83,40 @@ mod tests {
         assert_eq!(open.len(), 1);
         let t = &open[0];
         assert!(!t.decided);
-        assert_eq!(t.shards, vec![ShardId(0), ShardId(1)]);
-        let p0 = &t.progress[&ShardId(0)];
+        let shards: Vec<ShardId> = t.progress.iter().map(|(s, _)| *s).collect();
+        assert_eq!(shards, [ShardId(0), ShardId(1)]);
+        let p0 = shard(t, 0);
         assert!(p0.prepared);
         assert_eq!(p0.intent_steps, Some(2));
-        assert_eq!(p0.pending_undo().count(), 2);
-        assert_eq!(p0.pending_undo().next().map(|(i, _)| *i), Some(1), "undo newest first");
-        assert!(!t.progress[&ShardId(1)].prepared, "only s0 voted");
+        let indices: Vec<usize> = applied(&log, t, 0).iter().map(|(i, _)| *i).collect();
+        assert_eq!(indices, [0, 1], "steps are read from the log, oldest first");
+        assert!(applied(&log, t, 1).is_empty());
+        assert!(!shard(t, 1).prepared, "only s0 voted");
+    }
+
+    #[test]
+    fn open_txn_reads_one_transaction_as_open_txns_does() {
+        let mut log = TxnLog::new();
+        let a = log.begin(vec![ShardId(0)], 0);
+        let b = log.begin(vec![ShardId(1), ShardId(2)], 1);
+        log.append(TxnRecord::Applied {
+            gtxn: b,
+            shard: ShardId(2),
+            index: 0,
+            step: StepRecord::Started { name: "x".into() },
+        });
+        // A record naming a shard outside `Begin`'s set is ignored.
+        log.append(TxnRecord::Prepared { gtxn: b, shard: ShardId(0) });
+        log.append(TxnRecord::End { gtxn: a });
+        assert_eq!(log.open_txn(a), None, "an ended transaction is not open");
+        let t = log.open_txn(b).unwrap();
+        assert_eq!(log.open_txns(), std::slice::from_ref(&t));
+        assert_eq!((t.at, shard(&t, 2).applied.clone()), (1, 2..3));
+        assert!(t.progress.iter().all(|(s, _)| *s != ShardId(0)), "not named in `Begin`");
+        let shards: Vec<ShardId> = t.progress.iter().map(|(s, _)| *s).collect();
+        assert_eq!(shards, [ShardId(1), ShardId(2)]);
+        assert_eq!(applied(&log, &t, 2), [(0, &StepRecord::Started { name: "x".into() })]);
+        assert_eq!(log.open_txn(7), None, "never begun");
     }
 
     #[test]
@@ -94,7 +131,8 @@ mod tests {
         });
         log.append(TxnRecord::Undone { gtxn: g, shard: ShardId(0), index: 0 });
         let open = log.open_txns();
-        assert_eq!(open[0].progress[&ShardId(0)].pending_undo().count(), 0);
+        assert_eq!(applied(&log, &open[0], 0).len(), 1);
+        assert!(shard(&open[0], 0).undone.contains(&0), "its step is compensated");
     }
 
     #[test]
@@ -106,7 +144,7 @@ mod tests {
         log.append(TxnRecord::Commit { gtxn: g });
         let open = log.open_txns();
         assert!(open[0].decided);
-        assert!(open[0].progress.values().all(|p| p.prepared && !p.committed && !p.aborted));
+        assert!(open[0].progress.iter().all(|(_, p)| p.prepared && !p.committed && !p.aborted));
     }
 
     #[test]
