@@ -6,12 +6,13 @@
 //! > style properties. That is, the switch can be backed off if something
 //! > goes wrong."
 //!
-//! [`AdaptivityManager::execute`] applies a plan step by step through
-//! [`PlanStep::apply`], logging each step's undo record in a [`TxnLog`] as
-//! a one-shard transaction over shard `s0`, and settles it with the routine
-//! every recovery runs ([`journal::resolve`]): on any failure it replays
-//! those records backwards, restoring the exact prior runtime (including
-//! the stopped components' state, archived in the State Manager).
+//! [`AdaptivityManager::execute`] runs a plan through the one executor,
+//! [`journal::execute`], as a one-phase transaction over shard `s0` of a
+//! [`TxnLog`]: each step applied through [`PlanStep::apply`] and its undo
+//! record logged, then settled with the routine every recovery runs — on
+//! any failure it replays those records backwards, restoring the exact
+//! prior runtime (including the stopped components' state, archived in
+//! the State Manager).
 //!
 //! The log is the switch's own unless [`AdaptivityManager::attach_journal`]
 //! attached a write-ahead one — the log the `txn` crate's transaction core
@@ -20,11 +21,11 @@
 //! model.
 
 use crate::journal::{
-    self, Boundary, CrashHook, CrashSite, NoCrash, Participants, PlanStep, RecoveryOutcome,
-    RecoveryReport, ShardId, StepRecord, TxnLog, TxnRecord,
+    self, Boundary, CrashHook, NoCrash, Participants, PlanStep, RecoveryOutcome, RecoveryReport,
+    ShardId, StepRecord, TxnLog,
 };
 use crate::planlint::{PlanLintReport, PlanLinter};
-use crate::runtime::{ComponentFactory, Runtime};
+use crate::runtime::{BasicFactory, ComponentFactory, Runtime};
 use crate::state::StateManager;
 use adl::ast::Binding;
 use adl::diff::ReconfigurationPlan;
@@ -165,28 +166,37 @@ pub struct SwitchReport {
     pub completed_at: u64,
 }
 
-/// The single-node runtime as the one participant (shard `s0`) of the
-/// compensation routine, consulting `hook` at its undo boundaries.
+/// The single-node runtime as the one participant (shard `s0`) of a
+/// switch and of its recovery: starts ask `factory`, at tick `now`.
 struct Node<'a> {
     runtime: &'a mut Runtime,
     states: &'a mut StateManager,
-    hook: &'a mut dyn CrashHook,
-    recovering: bool,
+    factory: &'a mut dyn ComponentFactory,
+    now: u64,
 }
 
 impl Participants for Node<'_> {
-    fn undo(&mut self, _shard: ShardId, step: &StepRecord) -> Result<(), String> {
-        step.undo(self.runtime, self.states)
+    type Error = SwitchError;
+
+    /// A runtime persists nothing after the decision: one phase.
+    fn votes(&self) -> bool {
+        false
     }
 
-    fn crash(&mut self, at: Boundary) -> bool {
-        let Boundary::Undone(_, undos) = at else { return false };
-        let site = if self.recovering {
-            CrashSite::AfterRecoveryUndo { undos }
-        } else {
-            CrashSite::AfterUndo { undos }
-        };
-        self.hook.crash(&site)
+    fn apply(
+        &mut self,
+        _shard: ShardId,
+        step: &PlanStep<'_>,
+        faults: &mut dyn StepFaults,
+    ) -> Result<StepRecord, SwitchError> {
+        if let Some((step, reason)) = step.injected(faults) {
+            return Err(SwitchError::Injected { step, reason });
+        }
+        step.apply(self.runtime, self.states, self.factory, self.now)
+    }
+
+    fn undo(&mut self, _shard: ShardId, step: &StepRecord) -> Result<(), String> {
+        step.undo(self.runtime, self.states)
     }
 }
 
@@ -194,8 +204,9 @@ impl Participants for Node<'_> {
 ///
 /// The three outcome counters are **mutually exclusive** per transaction:
 /// a switch is counted exactly once as committed, rolled back, or
-/// rollback-incomplete (a crash defers the count to the recovery that
-/// settles it). All cumulative counters saturate instead of wrapping.
+/// rollback-incomplete (a crash before `End` defers the count to the
+/// recovery that settles it). All cumulative counters saturate instead of
+/// wrapping.
 #[derive(Debug, Default)]
 pub struct AdaptivityManager {
     switches_committed: u64,
@@ -321,14 +332,15 @@ impl AdaptivityManager {
 
     /// [`AdaptivityManager::execute_with_faults`] with a [`CrashHook`]
     /// deciding, at every log-record boundary, whether the executing
-    /// node dies there. Crash sites are only consulted when a log is
+    /// node dies there. The hook is only consulted when a log is
     /// attached — without one there is nothing for recovery to replay,
     /// so a "crash" would be indistinguishable from silent data loss.
     ///
     /// On a crash the transaction is abandoned exactly as a real node
-    /// death would leave it: no rollback runs, no outcome counter moves,
-    /// and the log stays open. [`AdaptivityManager::recover`] then
-    /// settles the transaction; until it has, every switch is refused.
+    /// death would leave it: no rollback runs, no outcome counter moves
+    /// (unless the transaction had ended), and the log stays open.
+    /// [`AdaptivityManager::recover`] then settles the transaction; until
+    /// it has, every switch is refused.
     ///
     /// # Errors
     /// As [`AdaptivityManager::execute_with_faults`], plus
@@ -361,9 +373,7 @@ impl AdaptivityManager {
         if let Some(o) = &self.obs {
             let mut o = o.borrow_mut();
             // One ALU op per examined step: the lint is linear in plan size.
-            for _ in 0..plan.len() {
-                o.charge(Primitive::Alu);
-            }
+            o.charge_n(Primitive::Alu, plan.len() as u64);
             o.metrics.counter_add("compkit.lint.plans", 1);
             o.metrics.counter_add("compkit.lint.diagnostics", lint.diagnostics.len() as u64);
         }
@@ -379,7 +389,7 @@ impl AdaptivityManager {
         let obs = self.obs.clone();
         let span = obs.as_ref().map(|o| o.borrow_mut().begin("compkit", "switch"));
         // The switch is logged in the attached journal, or else in a log
-        // local to this call: crash sites and bills are the journal's.
+        // local to this call: crash boundaries and bills are the journal's.
         let journalled = self.journal.is_some();
         let billed = obs.as_ref().filter(|_| journalled);
         let mut no_crash = NoCrash;
@@ -387,75 +397,60 @@ impl AdaptivityManager {
         let mut local = TxnLog::new();
         let log = self.journal.as_mut().unwrap_or(&mut local);
         let gtxn = log.begin(vec![SHARD], now);
-        bill_store(billed);
-        if crash.crash(&CrashSite::Intent) {
-            return crash_out(&obs, span, "intent", 0, 0);
-        }
-        let first = log.appended_total();
-        let result =
-            try_execute(log, gtxn, runtime, plan, factory, states, now, faults, crash, billed);
-        let steps = (log.appended_total() - first) as usize;
-        let mut node = Node { runtime, states, hook: crash, recovering: false };
-        let outcome = match result {
-            // The node died mid-plan: no rollback, no outcome counter — the
-            // log is the ledger and recovery settles it.
-            Err(SwitchError::Crashed { site }) => return crash_out(&obs, span, &site, steps, 0),
-            Err(e) => Err(e),
-            Ok(report) => {
-                if node.hook.crash(&CrashSite::BeforeCommit) {
-                    return crash_out(&obs, span, "before-commit", steps, 0);
-                }
-                log.append(TxnRecord::Commit { gtxn });
-                bill_store(billed);
-                if node.hook.crash(&CrashSite::AfterCommit) {
-                    return crash_out(&obs, span, "after-commit", steps, 0);
-                }
-                Ok(report)
-            }
-        };
-        // Settle with recovery's routine: a one-phase commit only ends; a
-        // failure backs off, and only injected rollback faults leave
-        // residue. Each record but the closing `End` is billed, as forward.
-        let before = log.appended_total();
-        let settled = journal::resolve(log, gtxn, &mut node, faults);
-        let appended = log.appended_total() - before - (settled.forward + settled.back) as u64;
         if let Some(o) = billed {
-            o.borrow_mut().charge_n(Primitive::Store, appended);
+            o.borrow_mut().charge(Primitive::Store);
         }
-        let e = match outcome {
-            Ok(report) => {
-                self.switches_committed = self.switches_committed.saturating_add(1);
-                if let (Some(o), Some(span)) = (&obs, span) {
-                    let mut o = o.borrow_mut();
-                    o.charge(Primitive::SchedSteps(report.steps as u32));
-                    o.end_with(
-                        span,
-                        vec![
-                            ("outcome", "committed".to_owned()),
-                            ("steps", report.steps.to_string()),
-                            ("stopped", report.stopped.len().to_string()),
-                            ("started", report.started.len().to_string()),
-                            ("unbinds", plan.unbind.len().to_string()),
-                            ("binds", plan.bind.len().to_string()),
-                        ],
-                    );
-                    o.metrics.counter_add("compkit.switch.committed", 1);
-                }
-                return Ok(report);
+        if crash.crash(&Boundary::Begun) {
+            return crash_out(&obs, span, Boundary::Begun, 0, 0);
+        }
+        let before = log.appended_total();
+        let steps = [(SHARD, PlanStep::decompose(plan))];
+        let mut node = Node { runtime, states, factory, now };
+        let run = journal::execute(log, gtxn, &steps, &mut node, faults, crash);
+        let settled = run.settled;
+        // Each record but the closing `End` is billed one store.
+        let ended = (settled.forward + settled.back) as u64;
+        if let Some(o) = billed {
+            o.borrow_mut().charge_n(Primitive::Store, log.appended_total() - before - ended);
+        }
+        // A node that died after `End` has settled its transaction.
+        self.switches_committed = self.switches_committed.saturating_add(settled.forward as u64);
+        self.switches_rolled_back = self.switches_rolled_back.saturating_add(settled.back as u64);
+        let steps = run.applied;
+        if let Some(at) = run.crashed {
+            return crash_out(&obs, span, at, steps, settled.undone);
+        }
+        let Some(e) = run.failed else {
+            let report = SwitchReport {
+                steps,
+                stopped: plan.stop.iter().map(|(name, _)| name.clone()).collect(),
+                started: plan.start.iter().map(|(name, _)| name.clone()).collect(),
+                completed_at: now,
+            };
+            if let (Some(o), Some(span)) = (&obs, span) {
+                let mut o = o.borrow_mut();
+                o.charge(Primitive::SchedSteps(report.steps as u32));
+                o.end_with(
+                    span,
+                    vec![
+                        ("outcome", "committed".to_owned()),
+                        ("steps", report.steps.to_string()),
+                        ("stopped", report.stopped.len().to_string()),
+                        ("started", report.started.len().to_string()),
+                        ("unbinds", plan.unbind.len().to_string()),
+                        ("binds", plan.bind.len().to_string()),
+                    ],
+                );
+                o.metrics.counter_add("compkit.switch.committed", 1);
             }
-            Err(e) => e,
+            return Ok(report);
         };
-        if settled.outcome == RecoveryOutcome::Crashed {
-            return crash_out(&obs, span, "mid-rollback", steps, settled.undone);
-        }
         // Residue is counted *only* as incomplete, never also as rolled
         // back, and leaves the log open so a later recover() retries the
         // undos.
         let incomplete = settled.outcome == RecoveryOutcome::Incomplete;
         if incomplete {
             self.rollbacks_incomplete = self.rollbacks_incomplete.saturating_add(1);
-        } else {
-            self.switches_rolled_back = self.switches_rolled_back.saturating_add(1);
         }
         if let (Some(o), Some(span)) = (&obs, span) {
             let mut o = o.borrow_mut();
@@ -511,8 +506,9 @@ impl AdaptivityManager {
         let obs = self.obs.clone();
         let span = obs.as_ref().map(|o| o.borrow_mut().begin("compkit", "recover"));
         let before = journal.appended_total();
-        let report =
-            journal::replay(journal, &mut Node { runtime, states, hook: crash, recovering: true });
+        // Recovery applies no step: any factory will do.
+        let mut node = Node { runtime, states, factory: &mut BasicFactory, now: 0 };
+        let report = journal::replay(journal, &mut node, crash);
         // Each record but a closing `End` is billed, as forward.
         let billed = journal.appended_total() - before - (report.forward + report.back) as u64;
         self.switches_committed = self.switches_committed.saturating_add(report.forward as u64);
@@ -542,70 +538,27 @@ impl AdaptivityManager {
     }
 }
 
-/// Bill one [`Primitive::Store`] to `obs`, if any.
-fn bill_store(obs: Option<&ObsHandle>) {
-    if let Some(o) = obs {
-        o.borrow_mut().charge(Primitive::Store);
-    }
-}
-
-/// Bill the partial work, close the switch span as crashed, and surface
-/// [`SwitchError::Crashed`]. The log is deliberately left open — it is
-/// the evidence recovery replays.
+/// Bill the partial work, close the switch span as crashed at `at`, and
+/// surface [`SwitchError::Crashed`]. The log is deliberately left open —
+/// it is the evidence recovery replays.
 fn crash_out(
     obs: &Option<ObsHandle>,
     span: Option<obs::SpanId>,
-    site: &str,
+    at: Boundary,
     forward_steps: usize,
     undos: usize,
 ) -> Result<SwitchReport, SwitchError> {
+    let site = at.to_string();
     if let (Some(o), Some(span)) = (obs, span) {
         let mut o = o.borrow_mut();
         let bill = (forward_steps + undos) as u32;
         if bill > 0 {
             o.charge(Primitive::SchedSteps(bill));
         }
-        o.end_with(span, vec![("outcome", "crashed".to_owned()), ("site", site.to_owned())]);
+        o.end_with(span, vec![("outcome", "crashed".to_owned()), ("site", site.clone())]);
         o.metrics.counter_add("compkit.switch.crashed", 1);
     }
-    Err(SwitchError::Crashed { site: site.to_owned() })
-}
-
-/// Apply `plan`'s steps in order (unbind first, never leaving a live
-/// binding to a stopping component; then stop, archiving state; start;
-/// bind last), appending each step's record to `log` under `gtxn` once
-/// it landed, billed to `billed`, with `crash` consulted after each.
-#[allow(clippy::too_many_arguments)]
-fn try_execute(
-    log: &mut TxnLog,
-    gtxn: u64,
-    runtime: &mut Runtime,
-    plan: &ReconfigurationPlan,
-    factory: &mut dyn ComponentFactory,
-    states: &mut StateManager,
-    now: u64,
-    faults: &mut dyn StepFaults,
-    crash: &mut dyn CrashHook,
-    billed: Option<&ObsHandle>,
-) -> Result<SwitchReport, SwitchError> {
-    let (mut stopped, mut started) = (Vec::new(), Vec::new());
-    for (index, step) in PlanStep::decompose(plan).into_iter().enumerate() {
-        if let Some((step, reason)) = step.injected(faults) {
-            return Err(SwitchError::Injected { step, reason });
-        }
-        let record = step.apply(runtime, states, factory, now)?;
-        match &record {
-            StepRecord::Stopped { name, .. } => stopped.push(name.clone()),
-            StepRecord::Started { name } => started.push(name.clone()),
-            StepRecord::Unbound(_) | StepRecord::Bound(_) => {}
-        }
-        log.append(TxnRecord::Applied { gtxn, shard: SHARD, index, step: record });
-        bill_store(billed);
-        if crash.crash(&CrashSite::AfterStep { index }) {
-            return Err(SwitchError::Crashed { site: format!("after step {}", index + 1) });
-        }
-    }
-    Ok(SwitchReport { steps: plan.len(), stopped, started, completed_at: now })
+    Err(SwitchError::Crashed { site })
 }
 
 #[cfg(test)]
@@ -877,7 +830,7 @@ mod tests {
 
     // ----- crash / recovery -----
 
-    use crate::journal::{CrashPoint, PlannedCrash, RecoveryOutcome};
+    use crate::journal::{CrashPoint, PlannedCrash, RecoveryOutcome, TxnRecord};
 
     /// Boot the docked session on a journalled manager and hand back the
     /// docked→wireless switchover plan.

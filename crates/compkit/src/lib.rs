@@ -18,8 +18,8 @@
 //! * [`adaptivity`] — the Adaptivity Manager: executes a reconfiguration
 //!   plan **transactionally** ("the switch can be backed off if something
 //!   goes wrong");
-//! * [`journal`] — the transaction log every switch writes, the one step
-//!   applier both switch paths share, and the crash model: makes the
+//! * [`journal`] — the transaction log every switch writes, the one
+//!   executor both switch paths share, and the crash model: makes the
 //!   transactional promise survive a node crash, with a `recover()`
 //!   replay that lands in committed-or-rolled-back, never a hybrid;
 //! * [`session`] — the Session Manager: watches gauges, consults the rules,
@@ -50,7 +50,7 @@ pub mod state;
 pub use adaptivity::{AdaptivityManager, NoFaults, StepFaults, SwitchError, SwitchReport};
 pub use gauge::{Gauge, GaugeBoard, GaugeKind};
 pub use journal::{
-    CrashHook, CrashPoint, CrashSite, NoCrash, PlannedCrash, RecoveryOutcome, StepRecord,
+    Boundary, CrashHook, CrashPoint, NoCrash, PlannedCrash, RecoveryOutcome, StepRecord,
 };
 pub use monitor::Monitor;
 pub use planlint::{PlanLintReport, PlanLinter, Severity};

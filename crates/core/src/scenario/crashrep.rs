@@ -21,12 +21,13 @@
 //! the patia supervision layer (failure detector, circuit breaker,
 //! restart probes) under a node death, revival and partition timeline.
 
+use crate::coverage::unfired;
 use crate::scenario::chaos::ChaosParams;
 use crate::scenario::{FailBindTo, GOLDEN_SEEDS};
 use adl::diff::{diff, ReconfigurationPlan};
 use adl::figures::{docked_session, fig4_document, wireless_session};
 use adm_rng::Pcg32;
-use compkit::adaptivity::{AdaptivityManager, NoFaults, SwitchError};
+use compkit::adaptivity::{AdaptivityManager, SwitchError};
 use compkit::journal::{CrashPoint, NoCrash, PlannedCrash, RecoveryOutcome};
 use compkit::runtime::{BasicFactory, Runtime};
 use compkit::state::StateManager;
@@ -76,6 +77,9 @@ pub struct CrashCellReport {
     /// Whether one further `recover()` after settling was a no-op — the
     /// idempotence witness.
     pub replay_noop: bool,
+    /// Unfired crash hooks at teardown (empty in every healthy cell — an
+    /// armed-but-unreached point means the cell tested nothing).
+    pub unfired: Vec<String>,
 }
 
 impl CrashCellReport {
@@ -92,10 +96,11 @@ impl CrashCellReport {
     }
 
     /// The never-hybrid invariant: recovery landed on exactly one of the
-    /// two references, and replaying recovery changed nothing.
+    /// two references, replaying recovery changed nothing, and every
+    /// armed crash fired.
     #[must_use]
     pub fn consistent(&self) -> bool {
-        (self.committed() != self.rolled_back()) && self.replay_noop
+        (self.committed() != self.rolled_back()) && self.replay_noop && self.unfired.is_empty()
     }
 
     /// One golden-transcript line for this cell.
@@ -187,93 +192,33 @@ fn run_cell_inner(seed: u64, point: CrashPoint, obs: Option<ObsHandle>) -> Crash
     // in flight for the crash to strike; during-recovery cells crash at
     // the commit edge so the journal is left fully applied, then crash
     // *again* inside the first recovery pass.
-    let mut recovery_hook = NoCrash;
-    let mut planned_recovery_crash;
-    let result = match point {
-        CrashPoint::MidRollback { .. } => {
-            // The Fig. 4 switchover's last bind always names its instance.
-            let target = plan.bind.last().and_then(|b| b.to.instance.clone());
-            let mut faults = FailBindTo { target };
-            let mut crash = PlannedCrash::new(point);
-            am.execute_crashable(
-                &mut rt,
-                &plan,
-                &mut BasicFactory,
-                &mut sm,
-                1,
-                &mut faults,
-                &mut crash,
-            )
-        }
-        CrashPoint::DuringRecovery { .. } => {
-            planned_recovery_crash = PlannedCrash::new(point);
-            let mut crash = PlannedCrash::new(CrashPoint::BeforeCommit);
-            let r = am.execute_crashable(
-                &mut rt,
-                &plan,
-                &mut BasicFactory,
-                &mut sm,
-                1,
-                &mut NoFaults,
-                &mut crash,
-            );
-            return settle(
-                seed,
-                point,
-                committed_digest,
-                rolled_back_digest,
-                rt,
-                sm,
-                am,
-                r,
-                &mut planned_recovery_crash,
-            );
-        }
-        _ => {
-            let mut crash = PlannedCrash::new(point);
-            am.execute_crashable(
-                &mut rt,
-                &plan,
-                &mut BasicFactory,
-                &mut sm,
-                1,
-                &mut NoFaults,
-                &mut crash,
-            )
-        }
-    };
-    settle(
-        seed,
-        point,
-        committed_digest,
-        rolled_back_digest,
-        rt,
-        sm,
-        am,
-        result,
-        &mut recovery_hook,
-    )
-}
-
-/// Recover (repeatedly, if recovery itself crashes) until the outcome
-/// settles, then witness idempotence with one more no-op recovery.
-#[allow(clippy::too_many_arguments)]
-fn settle(
-    seed: u64,
-    point: CrashPoint,
-    committed_digest: u64,
-    rolled_back_digest: u64,
-    mut rt: Runtime,
-    mut sm: StateManager,
-    mut am: AdaptivityManager,
-    result: Result<compkit::adaptivity::SwitchReport, SwitchError>,
-    first_hook: &mut dyn compkit::journal::CrashHook,
-) -> CrashCellReport {
+    let needs_abort = matches!(point, CrashPoint::MidRollback { .. });
+    let in_recovery = matches!(point, CrashPoint::DuringRecovery { .. });
+    // The Fig. 4 switchover's last bind always names its instance.
+    let target = plan.bind.last().and_then(|b| b.to.instance.clone()).filter(|_| needs_abort);
+    let mut hook = PlannedCrash::new(if in_recovery { CrashPoint::BeforeCommit } else { point });
+    let result = am.execute_crashable(
+        &mut rt,
+        &plan,
+        &mut BasicFactory,
+        &mut sm,
+        1,
+        &mut FailBindTo { target },
+        &mut hook,
+    );
     debug_assert!(
         matches!(result, Err(SwitchError::Crashed { .. })),
         "every cell's switchover must end in a crash, got {result:?}"
     );
-    let first = am.recover(&mut rt, &mut sm, first_hook);
+
+    // Recover (repeatedly, if recovery itself crashes) until the outcome
+    // settles, then witness idempotence with one more no-op recovery.
+    let mut recovery_hook = PlannedCrash::new(point);
+    let first = if in_recovery {
+        am.recover(&mut rt, &mut sm, &mut recovery_hook)
+    } else {
+        am.recover(&mut rt, &mut sm, &mut NoCrash)
+    };
     let mut recover_calls = 1;
     let mut undone = first.undone;
     let mut outcome = first.outcome;
@@ -284,6 +229,12 @@ fn settle(
         outcome = next.outcome;
     }
     let replay = am.recover(&mut rt, &mut sm, &mut NoCrash);
+
+    // Teardown coverage audit: every armed hook must have fired.
+    let mut armed = vec![("switch", &hook)];
+    if in_recovery {
+        armed.push(("recovery", &recovery_hook));
+    }
     CrashCellReport {
         seed,
         point,
@@ -295,6 +246,7 @@ fn settle(
         undone,
         recover_calls,
         replay_noop: replay.noop(),
+        unfired: unfired(&armed),
     }
 }
 
@@ -376,6 +328,16 @@ mod tests {
         assert_eq!(cell.recover_calls, 2, "the crashed recovery must be resumed");
         assert!(cell.rolled_back());
         assert!(cell.replay_noop);
+    }
+
+    #[test]
+    fn every_armed_hook_fires_and_an_unfired_one_fails_the_cell() {
+        let clean = run_cell(7, CrashPoint::DuringRecovery { after_undos: 1 });
+        assert!(clean.unfired.is_empty(), "both hooks fired: {:?}", clean.unfired);
+        let line = clean.render_line();
+        let cell = CrashCellReport { unfired: vec!["switch: after-commit".to_owned()], ..clean };
+        assert!(!cell.consistent(), "an unreached point fails the cell");
+        assert_eq!(cell.render_line(), line, "the golden line format is unchanged");
     }
 
     #[test]

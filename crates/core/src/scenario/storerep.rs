@@ -22,6 +22,7 @@
 //! cycle-billed trace (`store.wal.replay_len`, `store.page.io_cycles`)
 //! the bench snapshot prices recovery from.
 
+use crate::coverage::unfired;
 use crate::scenario::GOLDEN_SEEDS;
 use adm_rng::Pcg32;
 use obs::Obs;
@@ -75,6 +76,9 @@ pub struct StoreCellReport {
     /// Whether one further recovery after settling changed nothing — the
     /// idempotence witness.
     pub replay_noop: bool,
+    /// Unfired crash hooks at teardown (empty in every healthy cell — an
+    /// armed-but-unreached point means the cell tested nothing).
+    pub unfired: Vec<String>,
 }
 
 impl StoreCellReport {
@@ -90,11 +94,11 @@ impl StoreCellReport {
         self.recovered_digest == self.rolled_back_digest
     }
 
-    /// The never-hybrid invariant: exactly one reference matched, and
-    /// replaying recovery changed nothing.
+    /// The never-hybrid invariant: exactly one reference matched,
+    /// replaying recovery changed nothing, and every armed crash fired.
     #[must_use]
     pub fn consistent(&self) -> bool {
-        (self.committed() != self.rolled_back()) && self.replay_noop
+        (self.committed() != self.rolled_back()) && self.replay_noop && self.unfired.is_empty()
     }
 
     /// One golden-transcript line for this cell.
@@ -248,19 +252,12 @@ fn run_cell_full(
     // explicit-abort path so an undo chain is in flight for the crash to
     // strike; during-recovery cells crash at the commit edge (ops logged,
     // no commit record) and then crash *again* inside the recovery scan.
-    let result = match point {
-        CrashPoint::MidRollback { .. } => {
-            let mut hook = PlannedCrash::new(point);
-            eng.apply_then_abort_crashable(&victim, &mut hook)
-        }
-        CrashPoint::DuringRecovery { .. } => {
-            let mut hook = PlannedCrash::new(CrashPoint::BeforeCommit);
-            eng.apply_crashable(&victim, &mut hook)
-        }
-        _ => {
-            let mut hook = PlannedCrash::new(point);
-            eng.apply_crashable(&victim, &mut hook)
-        }
+    let in_recovery = matches!(point, CrashPoint::DuringRecovery { .. });
+    let mut hook = PlannedCrash::new(if in_recovery { CrashPoint::BeforeCommit } else { point });
+    let result = if matches!(point, CrashPoint::MidRollback { .. }) {
+        eng.apply_then_abort_crashable(&victim, &mut hook)
+    } else {
+        eng.apply_crashable(&victim, &mut hook)
     };
     debug_assert_eq!(
         result,
@@ -273,17 +270,13 @@ fn run_cell_full(
     // is back up, then witness idempotence with one more recovery. The
     // settling pass always rescans the full WAL, so its stats subsume
     // any prefix a crashed pass managed before dying.
-    let mut first_hook = PlannedCrash::new(point);
-    let mut nocrash = NoCrash;
+    let mut recovery_hook = PlannedCrash::new(point);
     let mut recover_calls = 1u32;
     let settled: RecoveryStats = loop {
-        let hook: &mut dyn store::CrashHook =
-            if recover_calls == 1 && matches!(point, CrashPoint::DuringRecovery { .. }) {
-                &mut first_hook
-            } else {
-                &mut nocrash
-            };
-        match eng.recover(hook) {
+        let first = recover_calls == 1 && in_recovery;
+        let recovered =
+            if first { eng.recover(&mut recovery_hook) } else { eng.recover(&mut NoCrash) };
+        match recovered {
             Ok(stats) => break stats,
             Err(e) => {
                 debug_assert_eq!(e, StoreError::Crashed, "recovery only fails by crashing");
@@ -298,6 +291,11 @@ fn run_cell_full(
     let replay_noop =
         replay == settled && eng.state_digest().expect("engine stays up") == recovered_digest;
 
+    // Teardown coverage audit: every armed hook must have fired.
+    let mut armed = vec![("victim", &hook)];
+    if in_recovery {
+        armed.push(("recovery", &recovery_hook));
+    }
     let report = StoreCellReport {
         seed,
         point,
@@ -310,6 +308,7 @@ fn run_cell_full(
         pages_rebuilt: settled.pages_rebuilt,
         recover_calls,
         replay_noop,
+        unfired: unfired(&armed),
     };
     (report, eng)
 }
@@ -376,6 +375,16 @@ mod tests {
         assert_eq!(cell.recover_calls, 2, "the crashed recovery must be resumed");
         assert!(cell.rolled_back());
         assert!(cell.replay_noop);
+    }
+
+    #[test]
+    fn every_armed_hook_fires_and_an_unfired_one_fails_the_cell() {
+        let clean = run_cell(7, CrashPoint::DuringRecovery { after_undos: 1 });
+        assert!(clean.unfired.is_empty(), "both hooks fired: {:?}", clean.unfired);
+        let line = clean.render_line();
+        let cell = StoreCellReport { unfired: vec!["victim: after-commit".to_owned()], ..clean };
+        assert!(!cell.consistent(), "an unreached point fails the cell");
+        assert_eq!(cell.render_line(), line, "the golden line format is unchanged");
     }
 
     #[test]

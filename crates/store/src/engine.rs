@@ -14,7 +14,7 @@
 //! * Recovery replays the whole log: committed transactions' ops are
 //!   redone in log order, uncommitted ones are discarded (each discard is
 //!   an undo in the stats and a
-//!   [`CrashSite::AfterRecoveryUndo`] crash site), and the surviving
+//!   [`Boundary::RecoveryUndone`] crash boundary), and the surviving
 //!   state is rebuilt into fresh pages. The replay length is exported as
 //!   `store.wal.replay_len` and golden-gated by the crash matrix.
 //!
@@ -30,10 +30,14 @@
 use crate::btree::BTree;
 use crate::page::{PageId, RecordId, MAX_RECORD};
 use crate::pool::{Access, BufferPool, PolicyKind, PoolStats};
-use crate::wal::{CrashHook, CrashSite, NoCrash, Wal, WalRecord};
+use crate::wal::{Boundary, CrashHook, NoCrash, Wal, WalRecord};
+use compkit::journal::ShardId;
 use obs::{ObsHandle, Primitive};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+
+/// The store as the one shard of its crash boundaries.
+const SHARD: ShardId = ShardId(0);
 
 /// Bytes of key prefix in every record body.
 const KEY_BYTES: usize = 8;
@@ -389,8 +393,8 @@ impl StorageEngine {
         self.apply_crashable(ops, &mut NoCrash)
     }
 
-    /// Apply `ops` as one transaction under a crash hook. Each WAL record
-    /// boundary is a [`CrashSite`]; if the hook fires, the engine crashes
+    /// Apply `ops` as one transaction under a crash hook, consulted at
+    /// each WAL record [`Boundary`]; if the hook fires, the engine crashes
     /// (volatile state gone) and `Err(Crashed)` is returned.
     ///
     /// # Errors
@@ -406,33 +410,21 @@ impl StorageEngine {
         }
         self.validate(ops)?;
         let txn = self.wal.begin();
-        if hook.crash(&CrashSite::Intent) {
-            self.crash();
-            return Err(StoreError::Crashed);
-        }
+        self.crash_at(hook, Boundary::Begun)?;
         for (i, op) in ops.iter().enumerate() {
             self.apply_one(txn, op);
-            if hook.crash(&CrashSite::AfterStep { index: i }) {
-                self.crash();
-                return Err(StoreError::Crashed);
-            }
+            self.crash_at(hook, Boundary::Applied(SHARD, i))?;
         }
-        if hook.crash(&CrashSite::BeforeCommit) {
-            self.crash();
-            return Err(StoreError::Crashed);
-        }
+        self.crash_at(hook, Boundary::BeforeDecision)?;
         self.wal.append(WalRecord::Commit { txn });
         self.bill_log_force();
-        if hook.crash(&CrashSite::AfterCommit) {
-            self.crash();
-            return Err(StoreError::Crashed);
-        }
+        self.crash_at(hook, Boundary::AfterDecision)?;
         Ok(TxnSummary { txn, applied: ops.len() })
     }
 
     /// Apply `ops`, then roll the transaction back in-place (before
     /// images restored in reverse order) and append its abort record.
-    /// Each undo is a [`CrashSite::AfterUndo`] site.
+    /// Each undo is a [`Boundary::Undone`] boundary.
     ///
     /// # Errors
     /// [`StoreError::Crashed`] when the hook fires, plus the [`Self::apply`]
@@ -447,17 +439,11 @@ impl StorageEngine {
         }
         self.validate(ops)?;
         let txn = self.wal.begin();
-        if hook.crash(&CrashSite::Intent) {
-            self.crash();
-            return Err(StoreError::Crashed);
-        }
+        self.crash_at(hook, Boundary::Begun)?;
         let mut undo: Vec<(u64, Option<Vec<u8>>)> = Vec::with_capacity(ops.len());
         for (i, op) in ops.iter().enumerate() {
             undo.push((op.key(), self.apply_one(txn, op)));
-            if hook.crash(&CrashSite::AfterStep { index: i }) {
-                self.crash();
-                return Err(StoreError::Crashed);
-            }
+            self.crash_at(hook, Boundary::Applied(SHARD, i))?;
         }
         for (undos, (key, before)) in undo.into_iter().rev().enumerate() {
             match before {
@@ -466,13 +452,19 @@ impl StorageEngine {
                     self.phys_delete(key);
                 }
             }
-            if hook.crash(&CrashSite::AfterUndo { undos: undos + 1 }) {
-                self.crash();
-                return Err(StoreError::Crashed);
-            }
+            self.crash_at(hook, Boundary::Undone(SHARD, undos + 1))?;
         }
         self.wal.append(WalRecord::Abort { txn });
         Ok(TxnSummary { txn, applied: ops.len() })
+    }
+
+    /// Consult `hook` at `at`: if it fires, the engine crashes.
+    fn crash_at(&mut self, hook: &mut dyn CrashHook, at: Boundary) -> Result<(), StoreError> {
+        if hook.crash(&at) {
+            self.crash();
+            return Err(StoreError::Crashed);
+        }
+        Ok(())
     }
 
     /// Journal one op (before image captured first — write-ahead), then
@@ -520,7 +512,7 @@ impl StorageEngine {
     ///
     /// # Errors
     /// [`StoreError::Crashed`] when the hook kills recovery itself (at an
-    /// [`CrashSite::AfterRecoveryUndo`] site); the engine stays down and
+    /// [`Boundary::RecoveryUndone`] boundary); the engine stays down and
     /// a further recovery finishes the job.
     pub fn recover(&mut self, hook: &mut dyn CrashHook) -> Result<RecoveryStats, StoreError> {
         let committed: BTreeSet<u64> = self.wal.committed_txns().into_iter().collect();
@@ -542,10 +534,7 @@ impl StorageEngine {
                 }
                 WalRecord::Put { .. } | WalRecord::Delete { .. } => {
                     stats.undone += 1;
-                    if hook.crash(&CrashSite::AfterRecoveryUndo { undos: stats.undone }) {
-                        self.crash();
-                        return Err(StoreError::Crashed);
-                    }
+                    self.crash_at(hook, Boundary::RecoveryUndone(SHARD, stats.undone))?;
                 }
                 WalRecord::Begin { .. } | WalRecord::Commit { .. } | WalRecord::Abort { .. } => {}
             }

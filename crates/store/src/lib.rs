@@ -32,7 +32,7 @@ pub use btree::BTree;
 pub use engine::{RecoveryStats, StorageEngine, StoreError, StoreOp, TxnSummary};
 pub use page::{Page, PageId, RecordId, PAGE_SIZE};
 pub use pool::{BufferPool, PolicyKind, PoolStats};
-pub use wal::{CrashHook, CrashPoint, CrashSite, NoCrash, PlannedCrash, Wal, WalRecord};
+pub use wal::{Boundary, CrashHook, CrashPoint, NoCrash, PlannedCrash, Wal, WalRecord};
 
 /// Differential oracle suites (satellite of the test tier): seeded op
 /// streams replayed against both the real structure and a trivially

@@ -1,22 +1,22 @@
 //! The write-ahead log: redo/undo records for the page store.
 //!
-//! The record taxonomy mirrors compkit's adaptation journal — `Begin →
+//! The record taxonomy mirrors compkit's transaction log — `Begin →
 //! per-op redo/undo records → Commit/Abort` — and the crash model is
-//! *shared with it outright*: the WAL re-uses
-//! [`compkit::journal::CrashSite`], [`CrashPoint`], [`CrashHook`] and
-//! [`PlannedCrash`], so the same scripted-crash harness that drives the
-//! adaptation-journal conformance matrix drives the store's. The site
-//! mapping (the unbundling seam Lomet et al. argue for — one transactional
-//! component, many data components):
+//! *shared with it outright*: the engine consults the one boundary list,
+//! [`Boundary`], through the same [`CrashHook`], so the [`PlannedCrash`]
+//! at a [`CrashPoint`] that drives the adaptation-journal conformance
+//! matrix drives the store's. The boundaries (the unbundling seam Lomet
+//! et al. argue for — one transactional component, many data components;
+//! the store is its one shard `s0`):
 //!
-//! | WAL boundary                 | [`CrashSite`]              |
-//! |------------------------------|----------------------------|
-//! | `Begin` appended             | `Intent`                   |
-//! | op record `i` appended       | `AfterStep { index: i }`   |
-//! | about to append `Commit`     | `BeforeCommit`             |
-//! | `Commit` appended            | `AfterCommit`              |
-//! | rollback undid `n` ops       | `AfterUndo { undos: n }`   |
-//! | recovery skipped `n` ops     | `AfterRecoveryUndo { .. }` |
+//! | WAL boundary              | [`Boundary`]              |
+//! |---------------------------|---------------------------|
+//! | `Begin` appended          | `Begun`                   |
+//! | op record `i` appended    | `Applied(s0, i)`          |
+//! | about to append `Commit`  | `BeforeDecision`          |
+//! | `Commit` appended         | `AfterDecision`           |
+//! | rollback undid `n` ops    | `Undone(s0, n)`           |
+//! | recovery skipped `n` ops  | `RecoveryUndone(s0, n)`   |
 //!
 //! Op records carry both images: `after` is the redo (applied for
 //! committed transactions on replay), `before` is the undo (restored when
@@ -25,7 +25,7 @@
 //! construction: "set key to after" and "restore key to before" land the
 //! same state no matter how many times recovery runs.
 
-pub use compkit::journal::{CrashHook, CrashPoint, CrashSite, NoCrash, PlannedCrash};
+pub use compkit::journal::{Boundary, CrashHook, CrashPoint, NoCrash, PlannedCrash};
 
 /// One WAL record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -180,16 +180,6 @@ mod tests {
         w.append(WalRecord::Delete { txn: b, key: 1, before: vec![1] });
         w.append(WalRecord::Abort { txn: b });
         assert_eq!(w.committed_txns(), vec![a]);
-    }
-
-    #[test]
-    fn shared_crash_model_fires_at_wal_boundaries() {
-        // The compkit crash machinery drives WAL sites unchanged.
-        let mut hook = PlannedCrash::new(CrashPoint::MidPlan { after_steps: 2 });
-        assert!(!hook.crash(&CrashSite::Intent));
-        assert!(!hook.crash(&CrashSite::AfterStep { index: 0 }));
-        assert!(hook.crash(&CrashSite::AfterStep { index: 1 }));
-        assert!(!hook.crash(&CrashSite::AfterStep { index: 1 }), "fires once");
     }
 
     #[test]

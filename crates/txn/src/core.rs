@@ -1,11 +1,12 @@
 //! The transactional component: one shared [`TransactionCore`] driving
 //! presumed-abort two-phase commit over per-shard [`DataComponent`]s.
 //!
-//! The coordinator (the adaptivity manager's cross-shard face) runs the
-//! protocol:
+//! The coordinator (the adaptivity manager's cross-shard face) lints the
+//! sub-plans, begins the transaction, locks, and hands the rest to the
+//! one executor every SWITCH runs, [`compkit::journal::execute`]:
 //!
 //! ```text
-//!   lint ─ lock ─ Begin ─┬─ per shard: Intent, Applied*, Prepared(force)
+//!   lint ─ Begin ─ lock ─┬─ per shard: Intent, Applied*, Prepared(force)
 //!                        ├─ all voted: Commit(force)        ← commit point
 //!                        │  then recovery's roll-forward, run on the live
 //!                        │  transaction: ShardCommitted*, End → committed
@@ -24,10 +25,10 @@
 //! the abort verdict — unresolved transactions roll back
 //! deterministically, newest shard and newest step first, then the log
 //! is reclaimed. The commit fan-out, the abort path and recovery run one
-//! compensation routine ([`compkit::journal::resolve`] on the live
-//! transaction, [`compkit::journal::replay`] after a crash), so an
-//! in-flight outcome ends with the records a crash at its last boundary
-//! followed by recovery would have written. Recovery is idempotent
+//! compensation routine (in the executor on the live transaction,
+//! [`compkit::journal::replay`] after a crash), so an in-flight outcome
+//! ends with the records a crash at its last boundary followed by
+//! recovery would have written. Recovery is idempotent
 //! (compensations are logged as `Undone`, so a second pass finds nothing
 //! left to do) and crash-safe (a crash during recovery keeps the partial
 //! progress; the next pass resumes).
@@ -38,12 +39,13 @@
 //! for executed/undone work, under `txn:cross_switch` / `txn:recover`
 //! spans and `txn.*` metrics.
 
-use crate::crash::{TxnCrashHook, TxnCrashSite};
 use crate::lock::{LockManager, LockMode, LockOutcome};
 use crate::log::{ShardId, TxnLog, TxnRecord};
 use crate::shard::{DataComponent, PlanStep};
 use adl::diff::ReconfigurationPlan;
-use compkit::journal::{self, Boundary, Participants, RecoveryOutcome, RecoveryReport, StepRecord};
+use compkit::journal::{
+    self, Boundary, CrashHook, Participants, RecoveryOutcome, RecoveryReport, StepRecord,
+};
 use compkit::planlint::{PlanLintReport, PlanLinter};
 use compkit::StepFaults;
 use obs::{ObsHandle, Primitive};
@@ -156,16 +158,6 @@ pub struct CrossShardReport {
     pub completed_at: u64,
 }
 
-/// One shard's part in a cross-shard switch: its data component and its
-/// sub-plan decomposed once into steps borrowed from the plan (they feed
-/// both the lock set and the prepare loop). The record of each step it
-/// applies lives in the log alone.
-struct Participant<'a, 'p> {
-    id: u32,
-    dc: &'a mut DataComponent,
-    steps: Vec<PlanStep<'p>>,
-}
-
 /// The shared transactional component: lock manager + transaction log +
 /// the 2PC coordinator logic, unbundled from any one shard.
 #[derive(Debug, Default)]
@@ -239,13 +231,7 @@ impl TransactionCore {
         self.in_doubt_resolved
     }
 
-    fn bill(&self, p: Primitive) {
-        if let Some(o) = &self.obs {
-            o.borrow_mut().charge(p);
-        }
-    }
-
-    fn bill_n(&self, p: Primitive, n: u64) {
+    fn bill(&self, p: Primitive, n: u64) {
         if let Some(o) = &self.obs {
             o.borrow_mut().charge_n(p, n);
         }
@@ -254,14 +240,14 @@ impl TransactionCore {
     /// Execute `plans` (shard id → sub-plan) atomically across `shards`
     /// as one presumed-abort two-phase commit. `faults` injects step
     /// failures (driving the abort path); `hook` is consulted at every
-    /// protocol boundary (driving the crash matrix).
+    /// record boundary (driving the crash matrix).
     pub fn execute_cross_shard(
         &mut self,
         shards: &mut BTreeMap<u32, DataComponent>,
         plans: &BTreeMap<u32, ReconfigurationPlan>,
         now: u64,
         faults: &mut dyn StepFaults,
-        hook: &mut dyn TxnCrashHook,
+        hook: &mut dyn CrashHook,
     ) -> Result<CrossShardReport, TxnError> {
         // Static gate first: nothing is locked or logged for a plan the
         // linter rejects or one that names a shard the caller lacks.
@@ -269,9 +255,7 @@ impl TransactionCore {
         let total_steps: usize = plans.values().map(ReconfigurationPlan::len).sum();
         if let Some(o) = &self.obs {
             let mut o = o.borrow_mut();
-            for _ in 0..total_steps {
-                o.charge(Primitive::Alu);
-            }
+            o.charge_n(Primitive::Alu, total_steps as u64);
             o.metrics.counter_add("txn.lint.plans", plans.len() as u64);
         }
         for plan in plans.values() {
@@ -288,22 +272,21 @@ impl TransactionCore {
         if let Some(&shard) = plans.keys().find(|id| !shards.contains_key(id)) {
             return Err(TxnError::UnknownShard { shard });
         }
-        // Every planned shard is held and both maps iterate in ascending
-        // id order, so the filtered shards pair up with the sub-plans. A
-        // shard with an empty sub-plan is read-only: no participant.
-        let mut participants: Vec<Participant<'_, '_>> = shards
-            .iter_mut()
-            .filter(|(id, _)| plans.contains_key(id))
-            .zip(plans.values())
+        // Each sub-plan decomposed once into steps borrowed from the plan
+        // (they feed both the lock set and the executor). A shard with an
+        // empty sub-plan is read-only: no participant.
+        let plan: Vec<(ShardId, Vec<PlanStep<'_>>)> = plans
+            .iter()
             .filter(|(_, plan)| !plan.is_empty())
-            .map(|((&id, dc), plan)| Participant { id, dc, steps: PlanStep::decompose(plan) })
+            .map(|(&id, plan)| (ShardId(id), PlanStep::decompose(plan)))
             .collect();
-        let joined = participants.len();
 
-        let shard_ids: Vec<ShardId> = participants.iter().map(|p| ShardId(p.id)).collect();
-        let gtxn = self.log.begin(shard_ids, now);
-        self.bill(Primitive::Store);
+        let gtxn = self.log.begin(plan.iter().map(|(s, _)| *s).collect(), now);
+        self.bill(Primitive::Store, 1);
         let span = self.obs.as_ref().map(|o| o.borrow_mut().begin("txn", "cross_switch"));
+        if hook.crash(&Boundary::Begun) {
+            return self.crash_out(span, Boundary::Begun, 0, 0);
+        }
 
         // Growing phase: lock every touched instance, shard-qualified, in
         // global sorted order of the names so the coordinator itself
@@ -311,10 +294,10 @@ impl TransactionCore {
         // interned; only a name the lock table has never seen is copied.
         let mut resources: Vec<u32> = Vec::new();
         let mut name = String::new();
-        for p in &participants {
-            for inst in p.steps.iter().flat_map(PlanStep::instances) {
+        for (shard, steps) in &plan {
+            for inst in steps.iter().flat_map(PlanStep::instances) {
                 name.clear();
-                let _ = write!(name, "s{}/{inst}", p.id);
+                let _ = write!(name, "s{}/{inst}", shard.0);
                 resources.push(self.locks.intern(&name));
             }
         }
@@ -322,7 +305,7 @@ impl TransactionCore {
         resources.sort_unstable_by(|a, b| locks.name(*a).cmp(locks.name(*b)));
         resources.dedup();
         for &r in &resources {
-            self.bill(Primitive::Branch);
+            self.bill(Primitive::Branch, 1);
             match self.locks.acquire_id(gtxn, r, LockMode::Exclusive) {
                 LockOutcome::Granted => {}
                 LockOutcome::Waiting { holders } => {
@@ -333,10 +316,13 @@ impl TransactionCore {
                     let verdict = self.locks.detect_deadlock();
                     self.locks.release_all(gtxn);
                     let resource = self.locks.name(r).to_owned();
-                    self.log.append(TxnRecord::End { gtxn });
-                    self.bill(Primitive::Store);
-                    self.log.truncate_ended();
                     self.aborted = self.aborted.saturating_add(1);
+                    let ended = self.log.append_at(TxnRecord::End { gtxn }, Boundary::Ended, hook);
+                    self.bill(Primitive::Store, 1);
+                    if let Err(at) = ended {
+                        return self.crash_out(span, at, 0, 0);
+                    }
+                    self.log.truncate_ended();
                     if let (Some(o), Some(span)) = (&self.obs, span) {
                         let mut o = o.borrow_mut();
                         o.end_with(
@@ -359,113 +345,29 @@ impl TransactionCore {
             o.borrow_mut().metrics.counter_add("txn.lock.granted", resources.len() as u64);
         }
 
-        if hook.crash(&TxnCrashSite::BeforePrepare) {
-            return self.crash_out(span, &TxnCrashSite::BeforePrepare, 0, 0);
-        }
-
-        // Prepare phase: every shard applies its sub-plan and votes.
-        let mut forward_steps = 0usize;
-        for p in &mut participants {
-            let id = p.id;
-            self.log.append(TxnRecord::Intent { gtxn, shard: ShardId(id), steps: p.steps.len() });
-            self.bill(Primitive::Store);
-            for (index, step) in p.steps.iter().enumerate() {
-                let outcome = match step.injected(faults) {
-                    Some((desc, reason)) => {
-                        Err(TxnError::Injected { shard: id, step: desc, reason })
-                    }
-                    None => p.dc.apply_step(step, now).map_err(|reason| TxnError::StepFailed {
-                        shard: id,
-                        step: format!("{step:?}"),
-                        reason,
-                    }),
-                };
-                let record = match outcome {
-                    Ok(record) => record,
-                    Err(cause) => {
-                        let reached = Err(cause);
-                        return self.settle(
-                            span,
-                            gtxn,
-                            shards,
-                            forward_steps,
-                            reached,
-                            faults,
-                            hook,
-                        );
-                    }
-                };
-                self.log.append(TxnRecord::Applied {
-                    gtxn,
-                    shard: ShardId(id),
-                    index,
-                    step: record,
-                });
-                self.bill(Primitive::Store);
-                forward_steps += 1;
-                let site = TxnCrashSite::ShardStep { shard: id, index };
-                if hook.crash(&site) {
-                    return self.crash_out(span, &site, forward_steps, 0);
-                }
-            }
-            // The vote is forced: a prepared shard must survive a crash.
-            self.log.append(TxnRecord::Prepared { gtxn, shard: ShardId(id) });
-            self.bill(Primitive::Store);
-            self.bill(Primitive::LogForce);
-            if let Some(o) = &self.obs {
-                o.borrow_mut().metrics.counter_add("txn.log.force", 1);
-            }
-            let site = TxnCrashSite::ShardPrepared { shard: id };
-            if hook.crash(&site) {
-                return self.crash_out(span, &site, forward_steps, 0);
-            }
-        }
-
-        // The commit point.
-        if hook.crash(&TxnCrashSite::BeforeDecision) {
-            return self.crash_out(span, &TxnCrashSite::BeforeDecision, forward_steps, 0);
-        }
-        self.log.append(TxnRecord::Commit { gtxn });
-        self.bill(Primitive::Store);
-        self.bill(Primitive::LogForce);
-        if let Some(o) = &self.obs {
-            o.borrow_mut().metrics.counter_add("txn.log.force", 1);
-        }
-        if hook.crash(&TxnCrashSite::AfterDecision) {
-            return self.crash_out(span, &TxnCrashSite::AfterDecision, forward_steps, 0);
-        }
-
-        let done =
-            CrossShardReport { gtxn, shards: joined, steps: forward_steps, completed_at: now };
-        self.settle(span, gtxn, shards, forward_steps, Ok(done), faults, hook)
-    }
-
-    /// Settle the live transaction `gtxn` with recovery's routine
-    /// ([`journal::resolve`]) from what the prepare phase `reached`: a
-    /// logged decision rolls forward, the failure that stopped it rolls
-    /// back. Each record the routine appends is billed one `Store`.
-    #[allow(clippy::too_many_arguments)]
-    fn settle(
-        &mut self,
-        span: Option<obs::SpanId>,
-        gtxn: u64,
-        shards: &mut BTreeMap<u32, DataComponent>,
-        forward_steps: usize,
-        reached: Result<CrossShardReport, TxnError>,
-        faults: &mut dyn StepFaults,
-        hook: &mut dyn TxnCrashHook,
-    ) -> Result<CrossShardReport, TxnError> {
+        // Prepare, decide and settle: each appended record is billed one
+        // `Store`, each forced one (the votes and the decision) a
+        // `LogForce`.
         let before = self.log.appended_total();
-        let mut parts = Shards::new(shards, &mut self.locks, hook, false);
-        let report = journal::resolve(&mut self.log, gtxn, &mut parts, faults);
-        let Shards { site, released, failed, .. } = parts;
-        self.bill_n(Primitive::Store, self.log.appended_total() - before);
-        let undos = report.undone;
-        if let Some(site) = site.filter(|_| report.outcome == RecoveryOutcome::Crashed) {
-            return self.crash_out(span, &site, forward_steps, undos);
+        let mut parts =
+            Shards { map: shards, locks: &mut self.locks, now, released: 0, failed: None };
+        let run = journal::execute(&mut self.log, gtxn, &plan, &mut parts, faults, hook);
+        let Shards { released, failed, .. } = parts;
+        self.bill(Primitive::Store, self.log.appended_total() - before);
+        self.bill(Primitive::LogForce, run.forced as u64);
+        if let Some(o) = self.obs.as_ref().filter(|_| run.forced > 0) {
+            o.borrow_mut().metrics.counter_add("txn.log.force", run.forced as u64);
         }
-        let cause = match (reached, failed) {
-            (Ok(_), Some((shard, reason))) => {
+        let (forward_steps, undos) = (run.applied, run.settled.undone);
+        let settled = run.settled;
+        // A coordinator that died after `End` has settled its transaction.
+        self.committed = self.committed.saturating_add(settled.forward as u64);
+        self.aborted = self.aborted.saturating_add(settled.back as u64);
+        if let Some(at) = run.crashed {
+            return self.crash_out(span, at, forward_steps, undos);
+        }
+        let cause = match (run.failed, failed) {
+            (None, Some((shard, reason))) => {
                 // Committed but not yet persisted everywhere: the other
                 // shards were told, the log stays open, recovery finishes
                 // the fan-out.
@@ -477,8 +379,8 @@ impl TransactionCore {
                 }
                 return Err(TxnError::Store { shard, reason });
             }
-            (Ok(done), None) => {
-                self.committed = self.committed.saturating_add(1);
+            (None, None) => {
+                let (joined, steps) = (plan.len(), forward_steps);
                 if let (Some(o), Some(span)) = (&self.obs, span) {
                     let mut o = o.borrow_mut();
                     o.charge(Primitive::SchedSteps(forward_steps as u32));
@@ -486,22 +388,19 @@ impl TransactionCore {
                         span,
                         vec![
                             ("outcome", "committed".to_owned()),
-                            ("shards", done.shards.to_string()),
+                            ("shards", joined.to_string()),
                             ("steps", forward_steps.to_string()),
                         ],
                     );
                     o.metrics.counter_add("txn.switch.committed", 1);
-                    o.metrics.counter_add("txn.prepare.shards", done.shards as u64);
+                    o.metrics.counter_add("txn.prepare.shards", joined as u64);
                     o.metrics.counter_add("txn.lock.released", released as u64);
                 }
-                return Ok(done);
+                return Ok(CrossShardReport { gtxn, shards: joined, steps, completed_at: now });
             }
-            (Err(cause), _) => cause,
+            (Some(cause), _) => cause,
         };
-        let ended = report.outcome != RecoveryOutcome::Incomplete;
-        if ended {
-            self.aborted = self.aborted.saturating_add(1);
-        }
+        let ended = settled.outcome != RecoveryOutcome::Incomplete;
         if let (Some(o), Some(span)) = (&self.obs, span) {
             let mut o = o.borrow_mut();
             // Forward steps ran AND were undone: bill both directions.
@@ -518,7 +417,7 @@ impl TransactionCore {
                 o.metrics.counter_add("txn.switch.rollbacks_incomplete", 1);
                 vec![
                     ("outcome", "rollback_incomplete".to_owned()),
-                    ("residue", report.residue.len().to_string()),
+                    ("residue", settled.residue.len().to_string()),
                 ]
             };
             o.end_with(span, args);
@@ -527,28 +426,29 @@ impl TransactionCore {
             return Err(cause);
         }
         // Residue: the log stays open and recovery retries the undos.
-        Err(TxnError::RollbackIncomplete { cause: cause.to_string(), residue: report.residue })
+        Err(TxnError::RollbackIncomplete { cause: cause.to_string(), residue: settled.residue })
     }
 
-    /// A crash at `site`: no rollback, no lock release — the log is the
+    /// A crash at `at`: no rollback, no lock release — the log is the
     /// ledger and recovery settles it.
     fn crash_out(
         &mut self,
         span: Option<obs::SpanId>,
-        site: &TxnCrashSite,
+        at: Boundary,
         forward: usize,
         undos: usize,
     ) -> Result<CrossShardReport, TxnError> {
         self.crashes = self.crashes.saturating_add(1);
+        let site = at.to_string();
         if let (Some(o), Some(span)) = (&self.obs, span) {
             let mut o = o.borrow_mut();
             if forward + undos > 0 {
                 o.charge(Primitive::SchedSteps((forward + undos) as u32));
             }
-            o.end_with(span, vec![("outcome", "crashed".to_owned()), ("site", site.to_string())]);
+            o.end_with(span, vec![("outcome", "crashed".to_owned()), ("site", site.clone())]);
             o.metrics.counter_add("txn.switch.crashed", 1);
         }
-        Err(TxnError::Crashed { site: site.to_string() })
+        Err(TxnError::Crashed { site })
     }
 
     /// Replay the shared log after a crash ([`journal::replay`]). Every
@@ -566,16 +466,17 @@ impl TransactionCore {
     pub fn recover(
         &mut self,
         shards: &mut BTreeMap<u32, DataComponent>,
-        hook: &mut dyn TxnCrashHook,
+        hook: &mut dyn CrashHook,
     ) -> RecoveryReport {
         if self.log.is_empty() {
             return RecoveryReport::default();
         }
         let span = self.obs.as_ref().map(|o| o.borrow_mut().begin("txn", "recover"));
         let before = self.log.appended_total();
-        let r =
-            journal::replay(&mut self.log, &mut Shards::new(shards, &mut self.locks, hook, true));
-        self.bill_n(Primitive::Store, self.log.appended_total() - before);
+        let mut parts =
+            Shards { map: shards, locks: &mut self.locks, now: 0, released: 0, failed: None };
+        let r = journal::replay(&mut self.log, &mut parts, hook);
+        self.bill(Primitive::Store, self.log.appended_total() - before);
         self.committed = self.committed.saturating_add(r.forward as u64);
         self.aborted = self.aborted.saturating_add(r.back as u64);
         self.recoveries = self.recoveries.saturating_add(1);
@@ -603,39 +504,52 @@ impl TransactionCore {
     }
 }
 
-/// The shards a compensation drives, as [`Participants`]: undo and
-/// persist go to each shard's [`DataComponent`], an ended transaction's
-/// locks are released (`released` counts them), the first failed
-/// persist is kept, and the routine's boundaries map onto the in-flight
-/// or recovery [`TxnCrashSite`]s (`site` keeps the last one).
+/// The shards a transaction runs on, as [`Participants`]: steps apply at
+/// tick `now` and undo and persist on each shard's [`DataComponent`], an
+/// ended transaction's locks are released (`released` counts them), and
+/// the first failed persist is kept.
 struct Shards<'a> {
     map: &'a mut BTreeMap<u32, DataComponent>,
     locks: &'a mut LockManager,
-    hook: &'a mut dyn TxnCrashHook,
-    recovering: bool,
-    site: Option<TxnCrashSite>,
+    now: u64,
     released: usize,
     failed: Option<(u32, String)>,
 }
 
-impl<'a> Shards<'a> {
-    fn new(
-        map: &'a mut BTreeMap<u32, DataComponent>,
-        locks: &'a mut LockManager,
-        hook: &'a mut dyn TxnCrashHook,
-        recovering: bool,
-    ) -> Self {
-        Self { map, locks, hook, recovering, site: None, released: 0, failed: None }
+impl Shards<'_> {
+    fn get(&mut self, shard: ShardId) -> Result<&mut DataComponent, String> {
+        self.map.get_mut(&shard.0).ok_or_else(|| format!("{shard} missing"))
     }
 }
 
 impl Participants for Shards<'_> {
+    type Error = TxnError;
+
     fn holds(&self, shard: ShardId) -> bool {
         self.map.contains_key(&shard.0)
     }
 
+    fn apply(
+        &mut self,
+        shard: ShardId,
+        step: &PlanStep<'_>,
+        faults: &mut dyn StepFaults,
+    ) -> Result<StepRecord, TxnError> {
+        let id = shard.0;
+        if let Some((step, reason)) = step.injected(faults) {
+            return Err(TxnError::Injected { shard: id, step, reason });
+        }
+        let now = self.now;
+        let applied = self.get(shard).and_then(|dc| dc.apply_step(step, now));
+        applied.map_err(|reason| TxnError::StepFailed {
+            shard: id,
+            step: format!("{step:?}"),
+            reason,
+        })
+    }
+
     fn undo(&mut self, shard: ShardId, step: &StepRecord) -> Result<(), String> {
-        self.map.get_mut(&shard.0).ok_or_else(|| format!("{shard} missing"))?.undo_step(step)
+        self.get(shard)?.undo_step(step)
     }
 
     fn persist(
@@ -643,24 +557,11 @@ impl Participants for Shards<'_> {
         shard: ShardId,
         steps: &mut dyn Iterator<Item = &StepRecord>,
     ) -> Result<(), String> {
-        let dc = self.map.get_mut(&shard.0).ok_or_else(|| format!("{shard} missing"))?;
-        let persisted = dc.persist_steps(steps).map(drop);
+        let persisted = self.get(shard)?.persist_steps(steps).map(drop);
         if let Err(reason) = &persisted {
             self.failed.get_or_insert_with(|| (shard.0, reason.clone()));
         }
         persisted
-    }
-
-    fn crash(&mut self, at: Boundary) -> bool {
-        let site = match (self.recovering, at) {
-            (_, Boundary::Committed(s)) => TxnCrashSite::ShardCommitted { shard: s.0 },
-            (false, Boundary::Undone(s, undos)) => TxnCrashSite::ShardUndone { shard: s.0, undos },
-            (false, Boundary::Aborted(s)) => TxnCrashSite::ShardAborted { shard: s.0 },
-            (true, Boundary::Undone(_, undos)) => TxnCrashSite::RecoveryUndo { undos },
-            (true, Boundary::Aborted(_)) => return false,
-        };
-        self.site = Some(site);
-        self.hook.crash(&site)
     }
 
     fn ended(&mut self, gtxn: u64) {
@@ -674,6 +575,7 @@ mod tests {
     use crate::crash::{NoTxnCrash, PlannedTxnCrash, TxnCrashPoint};
     use adl::ast::{Binding, PortRef};
     use compkit::journal::RecoveryOutcome;
+    use compkit::runtime::ComponentFactory;
     use compkit::runtime::LiveComponent;
     use compkit::NoFaults;
 
@@ -721,6 +623,68 @@ mod tests {
 
     fn digests(shards: &BTreeMap<u32, DataComponent>) -> Vec<u64> {
         shards.values().map(DataComponent::digest).collect()
+    }
+
+    /// Counts the hook's calls: after each append, and before the
+    /// decision.
+    #[derive(Debug, Default)]
+    struct Counting {
+        after: u64,
+        before: u64,
+    }
+
+    impl CrashHook for Counting {
+        fn crash(&mut self, at: &Boundary) -> bool {
+            match at {
+                Boundary::BeforeDecision => self.before += 1,
+                _ => self.after += 1,
+            }
+            false
+        }
+    }
+
+    /// Every `TxnLog` append is a crash boundary: on a three-shard commit,
+    /// a three-shard abort (bind fault on s0), and a single-node commit
+    /// and rollback, the hook is consulted once after each record
+    /// appended, and once before each decision.
+    #[test]
+    fn the_hook_is_consulted_once_after_every_append() {
+        use adl::diff::diff;
+        use adl::figures::{docked_session, fig4_document, wireless_session};
+        use compkit::runtime::{BasicFactory, FlakyFactory, Runtime};
+        use compkit::{AdaptivityManager, StateManager};
+
+        for (faults, appended, decided) in [
+            (&mut NoFaults as &mut dyn StepFaults, 20, 1),
+            (&mut FailBindToRoute as &mut dyn StepFaults, 12, 0),
+        ] {
+            let (mut shards, plans) = relay_world();
+            let (mut tc, mut hook) = (TransactionCore::new(), Counting::default());
+            let _ = tc.execute_cross_shard(&mut shards, &plans, 40, faults, &mut hook);
+            assert_eq!(tc.log().appended_total(), appended);
+            assert_eq!((hook.after, hook.before), (appended, decided));
+        }
+
+        let doc = fig4_document();
+        let (mut rt, mut sm, mut am) =
+            (Runtime::new(), StateManager::new(), AdaptivityManager::new());
+        am.attach_journal();
+        let boot = diff(&rt.configuration(), &docked_session(&doc));
+        let switch = diff(&docked_session(&doc), &wireless_session(&doc));
+        let mut commit = BasicFactory;
+        let mut refuse = FlakyFactory::failing(["wopt"]);
+        for (plan, factory, decided) in [
+            (&boot, &mut commit as &mut dyn ComponentFactory, 1),
+            (&switch, &mut refuse as &mut dyn ComponentFactory, 0),
+        ] {
+            let mut hook = Counting::default();
+            let before = am.journal().unwrap().appended_total();
+            let _ =
+                am.execute_crashable(&mut rt, plan, factory, &mut sm, 5, &mut NoFaults, &mut hook);
+            let appended = am.journal().unwrap().appended_total() - before;
+            assert_eq!((hook.after, hook.before), (appended, decided));
+        }
+        assert_eq!((am.committed(), am.rolled_back()), (1, 1));
     }
 
     #[test]

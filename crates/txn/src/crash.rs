@@ -1,96 +1,33 @@
-//! Coordinator/participant crash model for cross-shard transactions.
+//! The named crash points of cross-shard transactions.
 //!
-//! The model extends [`compkit::journal`]'s one-shard discipline to
-//! the two-phase-commit protocol: crashes strike only at *record
-//! boundaries* of the shared transaction log, appends are atomic, and a
-//! crash kills the in-flight control flow (coordinator and fan-out
+//! The crash model is [`compkit::journal`]'s, unchanged: crashes strike
+//! only at the record boundaries of the shared transaction log
+//! ([`Boundary`], the one list every log consults), appends are atomic,
+//! and a crash kills the in-flight control flow (coordinator and fan-out
 //! alike) while the log and the shard runtimes survive. Recovery reads
 //! the log back and finishes the protocol.
 //!
-//! [`TxnCrashSite`] enumerates every boundary the protocol crosses;
 //! [`TxnCrashPoint`] is the plan-level vocabulary a scenario arms
 //! (before-prepare, mid-prepare, after-prepare, before/after the commit
-//! decision, mid commit/abort fan-out, mid rollback, during recovery).
-//! [`PlannedTxnCrash`] fires its point exactly once, and exposes
-//! [`PlannedTxnCrash::fired`] so scenario teardown can assert the point
-//! was actually reached — an unreached crash site fails the matrix
-//! instead of silently passing.
+//! decision, mid commit/abort fan-out, mid rollback, during recovery):
+//! each names the boundary it fires at. [`PlannedTxnCrash`] fires its
+//! point exactly once, and exposes [`PlannedCrash::fired`] so scenario
+//! teardown can assert the point was actually reached — an unreached
+//! crash point fails the matrix instead of silently passing.
 
+use compkit::journal::{Boundary, CrashPlan, PlannedCrash};
 use std::fmt;
 
-/// A protocol boundary the executing transaction just crossed. The
-/// coordinator consults the crash hook at each one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnCrashSite {
-    /// `Begin` appended; no shard has done any work.
-    BeforePrepare,
-    /// Shard `shard` applied (and logged) step `index` of its sub-plan.
-    ShardStep {
-        /// The shard.
-        shard: u32,
-        /// Zero-based step index.
-        index: usize,
-    },
-    /// Shard `shard`'s `Prepared` vote was logged and forced.
-    ShardPrepared {
-        /// The voting shard.
-        shard: u32,
-    },
-    /// All shards voted yes; the decision record is not yet written.
-    BeforeDecision,
-    /// The commit decision is logged and forced — the transaction is
-    /// committed, but no shard has been told.
-    AfterDecision,
-    /// Commit fan-out reached shard `shard` (its record is logged).
-    ShardCommitted {
-        /// The shard.
-        shard: u32,
-    },
-    /// Rollback compensated its `undos`-th step overall (1-based,
-    /// counted across shards in rollback order).
-    ShardUndone {
-        /// The shard whose step was undone.
-        shard: u32,
-        /// Total undo count so far.
-        undos: usize,
-    },
-    /// Abort fan-out reached shard `shard`.
-    ShardAborted {
-        /// The shard.
-        shard: u32,
-    },
-    /// Recovery compensated its `undos`-th step overall (1-based).
-    RecoveryUndo {
-        /// Total recovery undo count so far.
-        undos: usize,
-    },
-}
+pub use compkit::journal::NoCrash as NoTxnCrash;
 
-impl fmt::Display for TxnCrashSite {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TxnCrashSite::BeforePrepare => write!(f, "before-prepare"),
-            TxnCrashSite::ShardStep { shard, index } => {
-                write!(f, "shard-step s{shard}[{index}]")
-            }
-            TxnCrashSite::ShardPrepared { shard } => write!(f, "shard-prepared s{shard}"),
-            TxnCrashSite::BeforeDecision => write!(f, "before-decision"),
-            TxnCrashSite::AfterDecision => write!(f, "after-decision"),
-            TxnCrashSite::ShardCommitted { shard } => write!(f, "shard-committed s{shard}"),
-            TxnCrashSite::ShardUndone { shard, undos } => {
-                write!(f, "shard-undone s{shard} undos={undos}")
-            }
-            TxnCrashSite::ShardAborted { shard } => write!(f, "shard-aborted s{shard}"),
-            TxnCrashSite::RecoveryUndo { undos } => write!(f, "recovery-undo undos={undos}"),
-        }
-    }
-}
+/// A [`PlannedCrash`] armed at a [`TxnCrashPoint`].
+pub type PlannedTxnCrash = PlannedCrash<TxnCrashPoint>;
 
 /// A crash point a scenario plans ahead of time — one per protocol
 /// boundary class. Nine points cover every seam of presumed-abort 2PC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TxnCrashPoint {
-    /// Die right after `Begin`, before any prepare work.
+    /// Die right after `Begin`, before any lock or prepare work.
     BeforePrepare,
     /// Die once shard `shard` has applied `after_steps` steps.
     MidPrepare {
@@ -131,31 +68,22 @@ pub enum TxnCrashPoint {
     },
 }
 
-impl TxnCrashPoint {
-    /// Does this planned point fire at `site`?
-    #[must_use]
-    pub fn matches(&self, site: &TxnCrashSite) -> bool {
-        match (self, site) {
-            (TxnCrashPoint::BeforePrepare, TxnCrashSite::BeforePrepare)
-            | (TxnCrashPoint::BeforeDecision, TxnCrashSite::BeforeDecision)
-            | (TxnCrashPoint::AfterDecision, TxnCrashSite::AfterDecision) => true,
-            (
-                TxnCrashPoint::MidPrepare { shard, after_steps },
-                TxnCrashSite::ShardStep { shard: s, index },
-            ) => shard == s && index + 1 == *after_steps,
-            (TxnCrashPoint::AfterPrepare { shard }, TxnCrashSite::ShardPrepared { shard: s })
-            | (
-                TxnCrashPoint::MidCommitFanout { shard },
-                TxnCrashSite::ShardCommitted { shard: s },
-            )
-            | (TxnCrashPoint::MidAbortFanout { shard }, TxnCrashSite::ShardAborted { shard: s }) => {
-                shard == s
+impl CrashPlan for TxnCrashPoint {
+    fn matches(&self, at: &Boundary) -> bool {
+        match (self, at) {
+            (TxnCrashPoint::BeforePrepare, Boundary::Begun)
+            | (TxnCrashPoint::BeforeDecision, Boundary::BeforeDecision)
+            | (TxnCrashPoint::AfterDecision, Boundary::AfterDecision) => true,
+            (TxnCrashPoint::MidPrepare { shard, after_steps }, Boundary::Applied(s, index)) => {
+                s.0 == *shard && index + 1 == *after_steps
             }
-            (TxnCrashPoint::MidUndo { after_undos }, TxnCrashSite::ShardUndone { undos, .. })
-            | (
-                TxnCrashPoint::DuringRecovery { after_undos },
-                TxnCrashSite::RecoveryUndo { undos },
-            ) => undos == after_undos,
+            (TxnCrashPoint::AfterPrepare { shard }, Boundary::Prepared(s))
+            | (TxnCrashPoint::MidCommitFanout { shard }, Boundary::Committed(s))
+            | (TxnCrashPoint::MidAbortFanout { shard }, Boundary::Aborted(s)) => s.0 == *shard,
+            (TxnCrashPoint::MidUndo { after_undos }, Boundary::Undone(_, n))
+            | (TxnCrashPoint::DuringRecovery { after_undos }, Boundary::RecoveryUndone(_, n)) => {
+                n == after_undos
+            }
             _ => false,
         }
     }
@@ -181,71 +109,95 @@ impl fmt::Display for TxnCrashPoint {
     }
 }
 
-/// Consulted at every [`TxnCrashSite`]. Returning `true` kills the
-/// in-flight protocol step there.
-pub trait TxnCrashHook: fmt::Debug {
-    /// Crash at `site`?
-    fn crash(&mut self, _site: &TxnCrashSite) -> bool {
-        false
-    }
-}
-
-/// The default hook: never crashes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoTxnCrash;
-
-impl TxnCrashHook for NoTxnCrash {}
-
-/// Fires its planned point exactly once, and remembers whether it did —
-/// the coverage witness scenario teardown asserts on.
-#[derive(Debug, Clone)]
-pub struct PlannedTxnCrash {
-    point: TxnCrashPoint,
-    fired: bool,
-}
-
-impl PlannedTxnCrash {
-    /// Arm `point`.
-    #[must_use]
-    pub fn new(point: TxnCrashPoint) -> Self {
-        Self { point, fired: false }
-    }
-
-    /// The armed point.
-    #[must_use]
-    pub fn point(&self) -> TxnCrashPoint {
-        self.point
-    }
-
-    /// Whether the point was reached and the crash delivered.
-    #[must_use]
-    pub fn fired(&self) -> bool {
-        self.fired
-    }
-}
-
-impl TxnCrashHook for PlannedTxnCrash {
-    fn crash(&mut self, site: &TxnCrashSite) -> bool {
-        if !self.fired && self.point.matches(site) {
-            self.fired = true;
-            return true;
-        }
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use compkit::journal::{CrashHook, CrashPoint, ShardId};
 
+    /// `point` fires at `at`, once, and at neither neighbour in `next`.
+    fn fires_once_at<P: CrashPlan + fmt::Display>(point: P, at: Boundary, next: [Boundary; 2]) {
+        let mut hook = PlannedCrash::new(point);
+        for b in next {
+            assert!(!hook.crash(&b) && !hook.fired(), "{point} must not fire at {b}");
+        }
+        assert!(hook.crash(&at) && hook.fired(), "{point} must fire at {at}");
+        assert!(!hook.crash(&at), "{point} fires once");
+        for b in [Boundary::Intent(ShardId(0)), Boundary::Ended] {
+            assert!(!point.matches(&b), "no named point fires at {b}");
+        }
+    }
+
+    /// Every named point of both vocabularies, with the boundary it fires
+    /// at and two neighbouring ones it must not: the one table the store's
+    /// WAL, the single-node switch and the two-phase commit all share.
+    /// No named point fires at a boundary only the executor added.
     #[test]
-    fn planned_crash_fires_once_at_its_site() {
-        let mut hook = PlannedTxnCrash::new(TxnCrashPoint::MidPrepare { shard: 1, after_steps: 2 });
-        assert!(!hook.crash(&TxnCrashSite::ShardStep { shard: 1, index: 0 }));
-        assert!(!hook.crash(&TxnCrashSite::ShardStep { shard: 0, index: 1 }));
-        assert!(hook.crash(&TxnCrashSite::ShardStep { shard: 1, index: 1 }));
-        assert!(hook.fired());
-        assert!(!hook.crash(&TxnCrashSite::ShardStep { shard: 1, index: 1 }), "fires once");
+    fn every_point_fires_at_its_boundary_and_not_its_neighbour() {
+        use Boundary as B;
+        let (s0, s1, s2) = (ShardId(0), ShardId(1), ShardId(2));
+        for (point, at, next) in [
+            (
+                CrashPoint::MidPlan { after_steps: 0 },
+                B::Begun,
+                [B::Applied(s0, 0), B::BeforeDecision],
+            ),
+            (
+                CrashPoint::MidPlan { after_steps: 2 },
+                B::Applied(s0, 1),
+                [B::Applied(s0, 0), B::Applied(s0, 2)],
+            ),
+            (CrashPoint::BeforeCommit, B::BeforeDecision, [B::AfterDecision, B::Applied(s0, 0)]),
+            (CrashPoint::AfterCommit, B::AfterDecision, [B::BeforeDecision, B::Committed(s0)]),
+            (
+                CrashPoint::MidRollback { after_undos: 1 },
+                B::Undone(s0, 1),
+                [B::RecoveryUndone(s0, 1), B::Undone(s0, 2)],
+            ),
+            (
+                CrashPoint::DuringRecovery { after_undos: 1 },
+                B::RecoveryUndone(s0, 1),
+                [B::Undone(s0, 1), B::RecoveryUndone(s0, 2)],
+            ),
+        ] {
+            fires_once_at(point, at, next);
+        }
+        for (point, at, next) in [
+            (TxnCrashPoint::BeforePrepare, B::Begun, [B::Intent(s0), B::Applied(s0, 0)]),
+            (
+                TxnCrashPoint::MidPrepare { shard: 1, after_steps: 2 },
+                B::Applied(s1, 1),
+                [B::Applied(s0, 1), B::Applied(s1, 0)],
+            ),
+            (
+                TxnCrashPoint::AfterPrepare { shard: 0 },
+                B::Prepared(s0),
+                [B::Prepared(s1), B::Committed(s0)],
+            ),
+            (TxnCrashPoint::BeforeDecision, B::BeforeDecision, [B::AfterDecision, B::Prepared(s0)]),
+            (TxnCrashPoint::AfterDecision, B::AfterDecision, [B::BeforeDecision, B::Committed(s0)]),
+            (
+                TxnCrashPoint::MidCommitFanout { shard: 2 },
+                B::Committed(s2),
+                [B::Committed(s1), B::Aborted(s2)],
+            ),
+            (
+                TxnCrashPoint::MidUndo { after_undos: 3 },
+                B::Undone(s1, 3),
+                [B::RecoveryUndone(s1, 3), B::Undone(s1, 2)],
+            ),
+            (
+                TxnCrashPoint::MidAbortFanout { shard: 0 },
+                B::Aborted(s0),
+                [B::Aborted(s1), B::Committed(s0)],
+            ),
+            (
+                TxnCrashPoint::DuringRecovery { after_undos: 1 },
+                B::RecoveryUndone(s2, 1),
+                [B::Undone(s2, 1), B::RecoveryUndone(s2, 2)],
+            ),
+        ] {
+            fires_once_at(point, at, next);
+        }
     }
 
     #[test]
@@ -271,13 +223,5 @@ mod tests {
         let rendered: std::collections::BTreeSet<String> =
             points.iter().map(ToString::to_string).collect();
         assert_eq!(rendered.len(), points.len());
-    }
-
-    #[test]
-    fn fanout_points_match_their_shard_only() {
-        let p = TxnCrashPoint::MidCommitFanout { shard: 2 };
-        assert!(p.matches(&TxnCrashSite::ShardCommitted { shard: 2 }));
-        assert!(!p.matches(&TxnCrashSite::ShardCommitted { shard: 1 }));
-        assert!(!p.matches(&TxnCrashSite::ShardAborted { shard: 2 }));
     }
 }

@@ -22,10 +22,11 @@
 //! on recovery ([`TransactionCore::recover`]) — participants that
 //! prepared but lost the coordinator query the shared log, and the
 //! absence of a decision record *is* the deterministic abort verdict.
-//! The [`crash`] module models coordinator/participant crashes at every
-//! protocol boundary; `scenario::txnrep` (in `adm-core`) sweeps them as
-//! a conformance matrix proving the never-hybrid guarantee holds across
-//! shards.
+//! Both run through the one SWITCH executor in [`compkit::journal`], the
+//! single-node switch's too; the [`crash`] module names the protocol's
+//! crash points over its one boundary list, and `scenario::txnrep` (in
+//! `adm-core`) sweeps them as a conformance matrix proving the
+//! never-hybrid guarantee holds across shards.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +38,7 @@ pub mod log;
 pub mod shard;
 
 pub use crate::core::{CrossShardReport, TransactionCore, TxnError};
-pub use crash::{NoTxnCrash, PlannedTxnCrash, TxnCrashHook, TxnCrashPoint, TxnCrashSite};
+pub use crash::{NoTxnCrash, PlannedTxnCrash, TxnCrashPoint};
 pub use lock::{LockManager, LockMode};
 pub use log::{OpenGlobalTxn, ShardId, ShardProgress, TxnLog, TxnRecord};
 pub use shard::{DataComponent, PlanStep};

@@ -87,7 +87,6 @@ mod tests {
         assert_eq!(shards, [ShardId(0), ShardId(1)]);
         let p0 = shard(t, 0);
         assert!(p0.prepared);
-        assert_eq!(p0.intent_steps, Some(2));
         let indices: Vec<usize> = applied(&log, t, 0).iter().map(|(i, _)| *i).collect();
         assert_eq!(indices, [0, 1], "steps are read from the log, oldest first");
         assert!(applied(&log, t, 1).is_empty());
@@ -111,7 +110,7 @@ mod tests {
         assert_eq!(log.open_txn(a), None, "an ended transaction is not open");
         let t = log.open_txn(b).unwrap();
         assert_eq!(log.open_txns(), std::slice::from_ref(&t));
-        assert_eq!((t.at, shard(&t, 2).applied.clone()), (1, 2..3));
+        assert_eq!(shard(&t, 2).applied, 2..3);
         assert!(t.progress.iter().all(|(s, _)| *s != ShardId(0)), "not named in `Begin`");
         let shards: Vec<ShardId> = t.progress.iter().map(|(s, _)| *s).collect();
         assert_eq!(shards, [ShardId(1), ShardId(2)]);
