@@ -786,6 +786,109 @@ mod tests {
         }
     }
 
+    /// An ORB booted the way the Database Machine boots its own: stub
+    /// (`Halt`-only) texts for caller and callee.
+    fn stub_orb(arg_words: u16) -> (Orb, ComponentId, InterfaceId) {
+        let stub = machine::isa::Program::new(vec![Instr::Halt]).to_bytes();
+        orb_with_pair(stub, arg_words)
+    }
+
+    /// The Figure 6 anatomy of a null call (EXPERIMENTS.md): labels, order
+    /// and values.
+    const NULL_CALL_ANATOMY: [(&str, Cycles); 6] = [
+        ("branch", 2),
+        ("load", 28),
+        ("alu", 8),
+        ("store", 16),
+        ("seg-reg-load", 6),
+        ("branch-indirect", 10),
+    ];
+
+    #[test]
+    fn null_call_anatomy_is_pinned_on_the_first_and_thousandth_call() {
+        let (mut orb, caller, iface) = stub_orb(0);
+        let first = orb.invoke(caller, iface, &[]).unwrap();
+        assert_eq!(first.breakdown, NULL_CALL_ANATOMY);
+        assert_eq!(first.cycles, 70);
+        for _ in 1..999 {
+            orb.invoke(caller, iface, &[]).unwrap();
+        }
+        let thousandth = orb.invoke(caller, iface, &[]).unwrap();
+        assert_eq!(thousandth.breakdown, NULL_CALL_ANATOMY);
+        assert_eq!(thousandth.cycles, 70);
+        assert_eq!(orb.cycles(), 70_000);
+        assert_eq!(orb.invocations(), 1_000);
+    }
+
+    #[test]
+    fn a_three_word_call_copies_the_word_past_the_registers() {
+        let (mut orb, caller, iface) = stub_orb(3);
+        let out = orb.invoke(caller, iface, &[1, 2, 3]).unwrap();
+        assert_eq!(
+            out.breakdown,
+            [
+                ("branch", 2),
+                ("load", 28),
+                ("alu", 8),
+                ("store", 16),
+                ("copy", 3),
+                ("seg-reg-load", 6),
+                ("branch-indirect", 10),
+            ]
+        );
+        assert_eq!(out.cycles, 73);
+    }
+
+    /// `orb.cycles()` charged by one failing `invoke`.
+    fn failed_call_cycles(
+        orb: &mut Orb,
+        caller: ComponentId,
+        iface: InterfaceId,
+        args: &[u32],
+    ) -> (OrbError, Cycles) {
+        let before = orb.cycles();
+        let err = orb.invoke(caller, iface, args).unwrap_err();
+        (err, orb.cycles() - before)
+    }
+
+    #[test]
+    fn every_error_return_charges_exactly_its_share_of_the_path() {
+        // Refused before the rights check: the indirect plus the
+        // descriptor fetch.
+        let (mut orb, caller, iface) = stub_orb(0);
+        let (err, cycles) = failed_call_cycles(&mut orb, caller, InterfaceId(99), &[]);
+        assert_eq!((err, cycles), (OrbError::NoSuchInterface(InterfaceId(99)), 9));
+        // Refused at the rights check: + four compares and a branch.
+        let (err, cycles) = failed_call_cycles(&mut orb, ComponentId(99), iface, &[]);
+        assert_eq!((err, cycles), (OrbError::NoSuchComponent(ComponentId(99)), 14));
+        let (err, cycles) = failed_call_cycles(&mut orb, caller, iface, &[1]);
+        assert_eq!((err, cycles), (OrbError::BadArity { expected: 0, got: 1 }, 14));
+        let sealed = orb.publish(ComponentId(1), 0, Rights::BOUND_ONLY, 0).unwrap();
+        let (err, cycles) = failed_call_cycles(&mut orb, caller, sealed, &[]);
+        assert_eq!((err, cycles), (OrbError::AccessDenied { caller, iface: sealed }, 14));
+
+        // A contained fault pays the whole round trip; the faulting store
+        // itself is refused before it is charged.
+        let wild = machine::isa::Program::new(vec![Instr::Store(0, 1), Instr::Halt]).to_bytes();
+        let (mut orb, caller, iface) = orb_with_pair(wild, 1);
+        let (err, cycles) = failed_call_cycles(&mut orb, caller, iface, &[100_000]);
+        assert!(matches!(err, OrbError::CalleeFault(CpuError::Segment(_))), "{err:?}");
+        assert_eq!(cycles, 70);
+
+        // A runaway pays the round trip plus every branch of its fuel.
+        let spin = machine::isa::Program::new(vec![Instr::Jmp(0)]).to_bytes();
+        let (mut orb, caller, iface) = orb_with_pair(spin, 0);
+        let (err, cycles) = failed_call_cycles(&mut orb, caller, iface, &[]);
+        assert_eq!((err, cycles), (OrbError::CalleeRunaway, 70 + Cycles::from(CALL_FUEL)));
+
+        // An injected failure is refused before the thread migrates.
+        let (mut orb, caller, iface) = stub_orb(0);
+        orb.arm_faults(Box::new(DropCalls([0].into())));
+        let (err, cycles) = failed_call_cycles(&mut orb, caller, iface, &[]);
+        assert!(matches!(err, OrbError::Injected { .. }), "{err:?}");
+        assert_eq!(cycles, 0);
+    }
+
     #[test]
     fn seg_load_cost_is_six_per_round_trip() {
         // 3 loads in, 3 loads back — the paper's "3 cycles" context switch,

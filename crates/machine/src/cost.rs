@@ -361,6 +361,38 @@ mod tests {
     }
 
     #[test]
+    fn breakdown_keeps_first_charge_order_under_interleaved_kinds() {
+        let m = CostModel::pentium();
+        let mut c = CycleCounter::new();
+        c.charge_all(
+            &[
+                Primitive::Store,
+                Primitive::CopyWords(2),
+                Primitive::Alu,
+                Primitive::Store,
+                Primitive::CopyWords(5),
+                Primitive::TrapEnter,
+                Primitive::Alu,
+                Primitive::Store,
+            ],
+            &m,
+        );
+        assert_eq!(c.breakdown(), [("store", 6), ("copy", 21), ("alu", 2), ("trap-enter", 70)]);
+        assert_eq!(c.total(), 99);
+    }
+
+    #[test]
+    fn reset_forgets_the_first_charge_order() {
+        let m = CostModel::pentium();
+        let mut c = CycleCounter::new();
+        c.charge_all(&[Primitive::Load, Primitive::Alu, Primitive::Load], &m);
+        c.reset();
+        c.charge_all(&[Primitive::Alu, Primitive::Branch, Primitive::Load], &m);
+        assert_eq!(c.breakdown(), [("alu", 1), ("branch", 1), ("load", 2)]);
+        assert_eq!(c.total(), 4);
+    }
+
+    #[test]
     fn reset_clears_everything() {
         let m = CostModel::pentium();
         let mut c = CycleCounter::new();
