@@ -81,6 +81,9 @@ struct OperatorComponent {
 /// The assembled Database Machine.
 #[derive(Debug)]
 pub struct DatabaseMachine {
+    /// The model the machine booted under; it also prices the trap-based
+    /// boundaries a query is compared against.
+    model: CostModel,
     orb: Orb,
     client: ComponentId,
     scan_comp: OperatorComponent,
@@ -99,7 +102,7 @@ impl DatabaseMachine {
     /// Never: boot uses known-good verified programs.
     #[must_use]
     pub fn boot(model: CostModel) -> Self {
-        let mut orb = Orb::new(16 << 20, model);
+        let mut orb = Orb::new(16 << 20, model.clone());
         let stub = Program::new(vec![Instr::Halt]).to_bytes();
         let mut component = |name: &str| {
             let ty = orb.load_type(name, &stub).expect("stub verifies");
@@ -112,6 +115,7 @@ impl DatabaseMachine {
         let client_ty = orb.load_type("query-client", &stub).expect("stub verifies");
         let client = orb.instantiate(client_ty).expect("arena");
         Self {
+            model,
             orb,
             client,
             scan_comp: OperatorComponent { iface: scan },
@@ -202,7 +206,7 @@ impl DatabaseMachine {
         let rows = query::op::drain(&mut join, 0);
 
         let work_cycles = self.work.snapshot().total_ops();
-        let m = CostModel::pentium();
+        let m = &self.model;
         // One BSD-style boundary per activation: trap pair + context switch
         // with its TLB/cache refill (the Table 1 dominant terms).
         let bsd_per_crossing = m.trap_enter
@@ -305,6 +309,36 @@ mod tests {
                 cost.boundary_cycles
             );
             last = cost.boundary_cycles;
+        }
+    }
+
+    #[test]
+    fn trap_equivalent_is_priced_under_the_boot_model() {
+        let m = CostModel::deep_pipeline();
+        let mut dbm = DatabaseMachine::boot(m.clone());
+        dbm.register("orders", table(500, 20));
+        dbm.register("customers", table(200, 20));
+        let (_, cost) = dbm.run_spj("orders", "customers", &Pred::True, 64).unwrap();
+        let bsd_per_crossing = m.trap_enter
+            + m.trap_exit
+            + m.regfile_save * 2
+            + m.fpu_save
+            + m.page_table_switch
+            + m.tlb_refill_entry * 250
+            + m.cache_miss * 900;
+        assert_eq!(cost.trap_equivalent_cycles, cost.activations * bsd_per_crossing);
+    }
+
+    #[test]
+    fn every_activation_is_one_orb_invocation() {
+        let mut dbm = machine();
+        for batch in [1, 64, 512] {
+            let before = dbm.orb.invocations();
+            let (_, cost) = dbm.run_spj("orders", "customers", &Pred::True, batch).unwrap();
+            assert_eq!(dbm.orb.invocations() - before, cost.activations, "batch {batch}");
+            // Scan both inputs, filter the left, join both.
+            let calls = |rows: u64| rows.div_ceil(batch).max(1);
+            assert_eq!(cost.activations, calls(500) + calls(200) + calls(500) + calls(700));
         }
     }
 

@@ -137,46 +137,46 @@ impl MonolithicKernel {
 
     /// `sendto()` — trap, socket layer, UDP/IP over loopback, wakeup.
     fn syscall_sendto(&mut self, to_sock: usize, payload: &[u8]) {
-        let m = self.model.clone();
-        TrapVector::charge_enter(&mut self.counter, &m);
+        let m = &self.model;
+        TrapVector::charge_enter(&mut self.counter, m);
         // Syscall dispatch + fd validation.
-        self.counter.charge_all(&[Primitive::Load; 6], &m);
-        self.counter.charge_all(&[Primitive::Alu; 4], &m);
+        self.counter.charge_all(&[Primitive::Load; 6], m);
+        self.counter.charge_all(&[Primitive::Alu; 4], m);
         // sockaddr copyin.
-        self.counter.charge(Primitive::CopyWords(4), &m);
+        self.counter.charge(Primitive::CopyWords(4), m);
         // mbuf allocation (pool get: pointer chases and header init).
-        self.counter.charge_all(&[Primitive::Load; 12], &m);
-        self.counter.charge_all(&[Primitive::Store; 12], &m);
+        self.counter.charge_all(&[Primitive::Load; 12], m);
+        self.counter.charge_all(&[Primitive::Store; 12], m);
         // Payload copyin.
-        self.counter.charge(Primitive::CopyWords(payload.len() as u32 / 4), &m);
+        self.counter.charge(Primitive::CopyWords(payload.len() as u32 / 4), m);
         // UDP checksum over the payload.
-        self.counter.charge_all(&[Primitive::Alu; 8], &m);
-        self.counter.charge_all(&[Primitive::Load; 8], &m);
+        self.counter.charge_all(&[Primitive::Alu; 8], m);
+        self.counter.charge_all(&[Primitive::Load; 8], m);
         // IP output: route lookup.
-        self.counter.charge_all(&[Primitive::Load; 10], &m);
-        self.counter.charge_all(&[Primitive::Alu; 5], &m);
+        self.counter.charge_all(&[Primitive::Load; 10], m);
+        self.counter.charge_all(&[Primitive::Alu; 5], m);
         // Loopback: immediate IP input + UDP input + PCB hash lookup.
-        self.counter.charge_all(&[Primitive::Load; 15], &m);
-        self.counter.charge_all(&[Primitive::Alu; 8], &m);
+        self.counter.charge_all(&[Primitive::Load; 15], m);
+        self.counter.charge_all(&[Primitive::Alu; 8], m);
         // Append to the destination socket buffer (real queue op).
         self.socks[to_sock].queue.push_back(payload.to_vec());
-        self.counter.charge_all(&[Primitive::Store; 6], &m);
+        self.counter.charge_all(&[Primitive::Store; 6], m);
         // sowakeup: mark reader runnable.
-        self.counter.charge(Primitive::SchedSteps(4), &m);
-        TrapVector::charge_exit(&mut self.counter, &m);
+        self.counter.charge(Primitive::SchedSteps(4), m);
+        TrapVector::charge_exit(&mut self.counter, m);
     }
 
     /// `recvfrom()` returning immediately (data already queued).
     fn syscall_recvfrom(&mut self, from_sock: usize) -> Vec<u8> {
-        let m = self.model.clone();
-        TrapVector::charge_enter(&mut self.counter, &m);
-        self.counter.charge_all(&[Primitive::Load; 6], &m);
+        let m = &self.model;
+        TrapVector::charge_enter(&mut self.counter, m);
+        self.counter.charge_all(&[Primitive::Load; 6], m);
         let payload = self.socks[from_sock].queue.pop_front().unwrap_or_default();
         // mbuf dequeue + copyout + free.
-        self.counter.charge_all(&[Primitive::Load; 10], &m);
-        self.counter.charge(Primitive::CopyWords(payload.len() as u32 / 4), &m);
-        self.counter.charge_all(&[Primitive::Store; 10], &m);
-        TrapVector::charge_exit(&mut self.counter, &m);
+        self.counter.charge_all(&[Primitive::Load; 10], m);
+        self.counter.charge(Primitive::CopyWords(payload.len() as u32 / 4), m);
+        self.counter.charge_all(&[Primitive::Store; 10], m);
+        TrapVector::charge_exit(&mut self.counter, m);
         payload
     }
 
@@ -184,22 +184,22 @@ impl MonolithicKernel {
     /// scheduler scans the run queue, and the other process's address space
     /// and cache working set are faulted back in.
     fn context_switch(&mut self, to: usize) {
-        let m = self.model.clone();
+        let m = &self.model;
         // Save integer + FPU state.
-        self.counter.charge(Primitive::RegfileSave, &m);
-        self.counter.charge(Primitive::FpuSave, &m);
+        self.counter.charge(Primitive::RegfileSave, m);
+        self.counter.charge(Primitive::FpuSave, m);
         // Scheduler: scan the run queue, recompute priorities.
-        self.counter.charge(Primitive::SchedSteps(self.runq_len), &m);
+        self.counter.charge(Primitive::SchedSteps(self.runq_len), m);
         // Signal-pending and resource-limit checks on the way out.
-        self.counter.charge_all(&[Primitive::Load; 6], &m);
-        self.counter.charge_all(&[Primitive::Alu; 4], &m);
+        self.counter.charge_all(&[Primitive::Load; 6], m);
+        self.counter.charge_all(&[Primitive::Alu; 4], m);
         // Address-space switch + TLB refill of the incoming working set.
-        self.counter.charge(Primitive::PageTableSwitch, &m);
-        self.counter.charge(Primitive::TlbRefill(self.procs[to].tlb_working_set), &m);
+        self.counter.charge(Primitive::PageTableSwitch, m);
+        self.counter.charge(Primitive::TlbRefill(self.procs[to].tlb_working_set), m);
         // Cold kernel + user cache footprint.
-        self.counter.charge(Primitive::CacheMisses(self.procs[to].kernel_cache_lines), &m);
+        self.counter.charge(Primitive::CacheMisses(self.procs[to].kernel_cache_lines), m);
         // Restore incoming state.
-        self.counter.charge(Primitive::RegfileSave, &m);
+        self.counter.charge(Primitive::RegfileSave, m);
     }
 }
 
@@ -224,9 +224,9 @@ impl Kernel for MonolithicKernel {
     }
 
     fn breakdown(&mut self, msg_words: u32) -> Vec<(&'static str, Cycles)> {
-        let before = self.counter.breakdown().to_vec();
+        let mark = self.counter.mark();
         self.rpc(msg_words);
-        diff_breakdown(&before, self.counter.breakdown())
+        self.counter.breakdown_since(&mark)
     }
 }
 
@@ -269,34 +269,34 @@ impl MachKernel {
     /// One `mach_msg` transfer: trap, translate, check, copy, enqueue,
     /// switch to the receiver.
     fn msg_transfer(&mut self, port: usize, msg: Vec<u32>) {
-        let m = self.model.clone();
-        TrapVector::charge_enter(&mut self.counter, &m);
+        let m = &self.model;
+        TrapVector::charge_enter(&mut self.counter, m);
         // Message header validation.
-        self.counter.charge_all(&[Primitive::Load; 6], &m);
-        self.counter.charge_all(&[Primitive::Alu; 4], &m);
+        self.counter.charge_all(&[Primitive::Load; 6], m);
+        self.counter.charge_all(&[Primitive::Alu; 4], m);
         // Port name translation (hash into the task's IPC space).
-        self.counter.charge_all(&[Primitive::Load; 8], &m);
-        self.counter.charge_all(&[Primitive::Alu; 4], &m);
+        self.counter.charge_all(&[Primitive::Load; 8], m);
+        self.counter.charge_all(&[Primitive::Alu; 4], m);
         // Send-rights check.
-        self.counter.charge_all(&[Primitive::Load; 4], &m);
-        self.counter.charge_all(&[Primitive::Alu; 2], &m);
+        self.counter.charge_all(&[Primitive::Load; 4], m);
+        self.counter.charge_all(&[Primitive::Alu; 2], m);
         // Copy the message into kernel space, rewrite the header.
-        self.counter.charge(Primitive::CopyWords(msg.len() as u32), &m);
-        self.counter.charge_all(&[Primitive::Store; 4], &m);
+        self.counter.charge(Primitive::CopyWords(msg.len() as u32), m);
+        self.counter.charge_all(&[Primitive::Store; 4], m);
         // Enqueue and hand off to the receiving thread.
         self.ports[port].queue.push_back(msg);
-        self.counter.charge_all(&[Primitive::Store; 4], &m);
-        self.counter.charge(Primitive::SchedSteps(3), &m);
+        self.counter.charge_all(&[Primitive::Store; 4], m);
+        self.counter.charge(Primitive::SchedSteps(3), m);
         // Task switch: registers, address space, working sets.
-        self.counter.charge(Primitive::RegfileSave, &m);
-        self.counter.charge(Primitive::PageTableSwitch, &m);
-        self.counter.charge(Primitive::TlbRefill(self.tlb_working_set), &m);
-        self.counter.charge(Primitive::CacheMisses(self.ipc_cache_lines), &m);
+        self.counter.charge(Primitive::RegfileSave, m);
+        self.counter.charge(Primitive::PageTableSwitch, m);
+        self.counter.charge(Primitive::TlbRefill(self.tlb_working_set), m);
+        self.counter.charge(Primitive::CacheMisses(self.ipc_cache_lines), m);
         // Receiver-side dequeue + copyout.
         let got = self.ports[port].queue.pop_front().unwrap_or_default();
-        self.counter.charge_all(&[Primitive::Load; 4], &m);
-        self.counter.charge(Primitive::CopyWords(got.len() as u32), &m);
-        TrapVector::charge_exit(&mut self.counter, &m);
+        self.counter.charge_all(&[Primitive::Load; 4], m);
+        self.counter.charge(Primitive::CopyWords(got.len() as u32), m);
+        TrapVector::charge_exit(&mut self.counter, m);
     }
 }
 
@@ -314,9 +314,9 @@ impl Kernel for MachKernel {
     }
 
     fn breakdown(&mut self, msg_words: u32) -> Vec<(&'static str, Cycles)> {
-        let before = self.counter.breakdown().to_vec();
+        let mark = self.counter.mark();
         self.rpc(msg_words);
-        diff_breakdown(&before, self.counter.breakdown())
+        self.counter.breakdown_since(&mark)
     }
 }
 
@@ -357,22 +357,22 @@ impl L4Kernel {
     /// One IPC: trap, locate partner TCB directly, switch without touching
     /// a scheduler, message stays in registers.
     fn ipc(&mut self, to: usize, msg_words: u32) {
-        let m = self.model.clone();
-        TrapVector::charge_enter(&mut self.counter, &m);
+        let m = &self.model;
+        TrapVector::charge_enter(&mut self.counter, m);
         // Direct TCB lookup from the thread id (no hash, no search).
-        self.counter.charge_all(&[Primitive::Load; 2], &m);
+        self.counter.charge_all(&[Primitive::Load; 2], m);
         // Validate partner state (waiting? right thread?).
-        self.counter.charge_all(&[Primitive::Load; 2], &m);
-        self.counter.charge_all(&[Primitive::Alu; 2], &m);
+        self.counter.charge_all(&[Primitive::Load; 2], m);
+        self.counter.charge_all(&[Primitive::Alu; 2], m);
         // Long messages spill out of registers.
         if msg_words > self.register_words {
-            self.counter.charge(Primitive::CopyWords(msg_words - self.register_words), &m);
+            self.counter.charge(Primitive::CopyWords(msg_words - self.register_words), m);
         }
         // Direct process switch: address space + the partner's tiny refill.
-        self.counter.charge(Primitive::PageTableSwitch, &m);
-        self.counter.charge(Primitive::TlbRefill(self.tcbs[to].tlb_working_set), &m);
-        self.counter.charge(Primitive::CacheMisses(1), &m);
-        TrapVector::charge_exit(&mut self.counter, &m);
+        self.counter.charge(Primitive::PageTableSwitch, m);
+        self.counter.charge(Primitive::TlbRefill(self.tcbs[to].tlb_working_set), m);
+        self.counter.charge(Primitive::CacheMisses(1), m);
+        TrapVector::charge_exit(&mut self.counter, m);
     }
 }
 
@@ -389,9 +389,9 @@ impl Kernel for L4Kernel {
     }
 
     fn breakdown(&mut self, msg_words: u32) -> Vec<(&'static str, Cycles)> {
-        let before = self.counter.breakdown().to_vec();
+        let mark = self.counter.mark();
         self.rpc(msg_words);
-        diff_breakdown(&before, self.counter.breakdown())
+        self.counter.breakdown_since(&mark)
     }
 }
 
@@ -497,10 +497,10 @@ impl ExtensibleKernel {
     /// Download another extension (load-time verification is charged as a
     /// linear scan, like SISR's — the designs share that idea).
     fn download(&mut self, id: u32, instructions: u32) {
-        let m = self.model.clone();
+        let m = &self.model;
         for _ in 0..instructions {
-            self.counter.charge(Primitive::Load, &m);
-            self.counter.charge(Primitive::Alu, &m);
+            self.counter.charge(Primitive::Load, m);
+            self.counter.charge(Primitive::Alu, m);
         }
         if !self.extensions.contains(&id) {
             self.extensions.push(id);
@@ -514,16 +514,16 @@ impl ExtensibleKernel {
     /// If the extension was never downloaded.
     fn invoke_extension(&mut self, id: u32) -> Cycles {
         assert!(self.extensions.contains(&id), "extension {id} not downloaded");
-        let m = self.model.clone();
+        let m = &self.model;
         let start = self.counter.total();
-        TrapVector::charge_enter(&mut self.counter, &m);
+        TrapVector::charge_enter(&mut self.counter, m);
         // Guarded dispatch: bounds-check the extension id, load its entry.
-        self.counter.charge_all(&[Primitive::Load, Primitive::Load, Primitive::Alu], &m);
-        self.counter.charge(Primitive::BranchIndirect, &m);
+        self.counter.charge_all(&[Primitive::Load, Primitive::Load, Primitive::Alu], m);
+        self.counter.charge(Primitive::BranchIndirect, m);
         // The extension runs in the kernel: a couple of cache lines cold.
-        self.counter.charge(Primitive::CacheMisses(2), &m);
-        self.counter.charge(Primitive::BranchIndirect, &m);
-        TrapVector::charge_exit(&mut self.counter, &m);
+        self.counter.charge(Primitive::CacheMisses(2), m);
+        self.counter.charge(Primitive::BranchIndirect, m);
+        TrapVector::charge_exit(&mut self.counter, m);
         self.counter.since(start)
     }
 }
@@ -539,20 +539,6 @@ pub fn all_kernels(model: &CostModel) -> Vec<Box<dyn Kernel>> {
         Box::new(L4Kernel::new(model.clone())),
         Box::new(GoKernel::new(model.clone())),
     ]
-}
-
-fn diff_breakdown(
-    before: &[(&'static str, Cycles)],
-    after: &[(&'static str, Cycles)],
-) -> Vec<(&'static str, Cycles)> {
-    let mut out = Vec::new();
-    for &(label, total) in after {
-        let prev = before.iter().find(|(l, _)| *l == label).map_or(0, |(_, v)| *v);
-        if total > prev {
-            out.push((label, total - prev));
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -12,14 +12,17 @@
 //! segment-register loads, the indirect jump — and then really executes the
 //! callee's verified text on the simulated CPU. Summing the charges for a
 //! null call yields Go!'s Table 1 row (~73 cycles); the per-step anatomy is
-//! available via [`RpcOutcome::breakdown`] for the Figure 6 bench.
+//! available via [`RpcOutcome::breakdown`] for the Figure 6 bench. The
+//! fixed steps are charged as per-primitive sums computed once from the
+//! model, equal cycle-for-cycle to the primitive sequence they stand for,
+//! so a crossing's host cost tracks the handful of steps it bills.
 
 use crate::component::{
     ComponentId, ComponentInstance, ComponentType, InterfaceDescriptor, InterfaceId, Rights,
     TypeId, DESCRIPTOR_BYTES,
 };
 use crate::sisr::{Limits, SisrVerifier, VerifiedImage, VerifyReport};
-use machine::cost::{CostModel, Cycles, Primitive};
+use machine::cost::{Bill, CostModel, Cycles, Primitive};
 use machine::cpu::{Cpu, CpuError, Mode, Stop};
 use machine::seg::{SegReg, Segment, SegmentKind, SegmentTable};
 use obs::ObsHandle;
@@ -130,6 +133,45 @@ pub struct Orb {
     faults: Option<Box<dyn InvokeFaults>>,
     obs: Option<ObsHandle>,
     invocations: u64,
+    bills: InvokeBills,
+}
+
+/// The fixed path of [`Orb::invoke`], pre-summed per primitive under the
+/// ORB's model and split where its error returns sit, so every outcome
+/// charges exactly the primitive sequence it reached.
+#[derive(Debug)]
+struct InvokeBills {
+    /// The caller's indirect into the ORB, then the descriptor fetch: four
+    /// loads (the descriptor is four words of protection state —
+    /// selectors+entry, type, iface, rights). All an unknown interface
+    /// costs.
+    fetch: Bill,
+    /// Rights + type check: compares and a conditional branch. A refused
+    /// call pays `fetch` and `check`.
+    check: Bill,
+    /// Entry-point limit check against the callee's code segment, then the
+    /// saved continuation (return selectors + pc): 4 stores.
+    enter: Bill,
+    /// Thread-migration record — which instance the thread is in, the
+    /// borrowed stack's bounds for the return check — and the indirect
+    /// jump to the entry point.
+    migrate: Bill,
+    /// Return validation (the migration record must match), then the
+    /// continuation restore: 4 loads.
+    ret: Bill,
+}
+
+impl InvokeBills {
+    fn new(m: &CostModel) -> Self {
+        use Primitive::{Alu, Branch, BranchIndirect, Load, Store};
+        Self {
+            fetch: Bill::new(&[Branch, Load, Load, Load, Load], m),
+            check: Bill::new(&[Alu, Alu, Alu, Alu, Branch], m),
+            enter: Bill::new(&[Load, Load, Alu, Store, Store, Store, Store], m),
+            migrate: Bill::new(&[Store, Store, Load, Load, Store, Store, Alu, BranchIndirect], m),
+            ret: Bill::new(&[Load, Load, Alu, Alu, Load, Load, Load, Load], m),
+        }
+    }
 }
 
 /// Default per-instance data segment size.
@@ -143,6 +185,7 @@ impl Orb {
     /// An ORB managing `mem_bytes` of simulated physical memory.
     #[must_use]
     pub fn new(mem_bytes: u32, model: CostModel) -> Self {
+        let bills = InvokeBills::new(&model);
         Self {
             segs: SegmentTable::new(),
             types: Vec::new(),
@@ -168,6 +211,7 @@ impl Orb {
             faults: None,
             obs: None,
             invocations: 0,
+            bills,
         }
     }
 
@@ -406,27 +450,15 @@ impl Orb {
                 return Err(OrbError::Injected { reason });
             }
         }
-        let model = self.cpu.model().clone();
         let start = self.cpu.cycles();
-        let start_bd: Vec<(&'static str, Cycles)> = self.cpu.counter().breakdown().to_vec();
+        let mark = self.cpu.counter().mark();
 
-        // -- caller side: indirect into the ORB --------------------------
-        self.cpu.counter_mut().charge(Primitive::Branch, &model);
-
-        // Descriptor fetch: four loads (the descriptor is four words of
-        // protection state — selectors+entry, type, iface, rights).
-        self.cpu.counter_mut().charge_all(
-            &[Primitive::Load, Primitive::Load, Primitive::Load, Primitive::Load],
-            &model,
-        );
+        // -- caller side: indirect into the ORB, fetch the descriptor -----
+        self.cpu.charge_bill(&self.bills.fetch);
         let (desc, _owner) =
             *self.descriptors.get(iface.0 as usize).ok_or(OrbError::NoSuchInterface(iface))?;
 
-        // Rights + type check: compares and a conditional branch.
-        self.cpu.counter_mut().charge_all(
-            &[Primitive::Alu, Primitive::Alu, Primitive::Alu, Primitive::Alu, Primitive::Branch],
-            &model,
-        );
+        self.cpu.charge_bill(&self.bills.check);
         let caller_inst =
             self.instances.get(caller.0 as usize).ok_or(OrbError::NoSuchComponent(caller))?.clone();
         let bound = self.bindings.contains(&(caller, iface));
@@ -437,20 +469,11 @@ impl Orb {
             return Err(OrbError::BadArity { expected: desc.arg_words, got: args.len() });
         }
 
-        // Entry-point limit check against the callee's code segment.
-        self.cpu
-            .counter_mut()
-            .charge_all(&[Primitive::Load, Primitive::Load, Primitive::Alu], &model);
-
-        // Save the caller's continuation (return selectors + pc): 4 stores.
-        self.cpu.counter_mut().charge_all(
-            &[Primitive::Store, Primitive::Store, Primitive::Store, Primitive::Store],
-            &model,
-        );
+        self.cpu.charge_bill(&self.bills.enter);
 
         // Arguments travel in registers; extra words are copied.
         if args.len() > 2 {
-            self.cpu.counter_mut().charge(Primitive::CopyWords(args.len() as u32 - 2), &model);
+            self.cpu.charge(Primitive::CopyWords(args.len() as u32 - 2));
         }
         for (i, &a) in args.iter().enumerate().take(machine::isa::NUM_REGS) {
             self.cpu.regs[i] = a;
@@ -461,37 +484,19 @@ impl Orb {
         self.cpu.load_selector(SegReg::Ds, desc.data_sel);
         self.cpu.load_selector(SegReg::Ss, desc.stack_sel);
 
-        // Thread-migration record: note which instance the thread is in,
-        // and record the borrowed stack's bounds for the return check.
-        self.cpu.counter_mut().charge_all(&[Primitive::Store, Primitive::Store], &model);
-        self.cpu.counter_mut().charge_all(
-            &[Primitive::Load, Primitive::Load, Primitive::Store, Primitive::Store, Primitive::Alu],
-            &model,
-        );
-
-        // Indirect jump to the entry point.
-        self.cpu.counter_mut().charge(Primitive::BranchIndirect, &model);
+        self.cpu.charge_bill(&self.bills.migrate);
 
         // -- callee executes its verified text ----------------------------
-        let program = self.types[desc.type_id.0 as usize].image.program().clone();
-        let run = self.cpu.run_from(&program, &self.segs, desc.entry, CALL_FUEL);
+        let program = self.types[desc.type_id.0 as usize].image.program();
+        let run = self.cpu.run_from(program, &self.segs, desc.entry, CALL_FUEL);
 
         // -- return path: migrate the thread back -------------------------
-        // Return validation: the migration record must match.
-        self.cpu.counter_mut().charge_all(
-            &[Primitive::Load, Primitive::Load, Primitive::Alu, Primitive::Alu],
-            &model,
-        );
-        // Restore continuation: 4 loads.
-        self.cpu.counter_mut().charge_all(
-            &[Primitive::Load, Primitive::Load, Primitive::Load, Primitive::Load],
-            &model,
-        );
+        self.cpu.charge_bill(&self.bills.ret);
         // Switch back: three segment loads + indirect return.
         self.cpu.load_selector(SegReg::Cs, self.types[caller_inst.type_id.0 as usize].code_sel);
         self.cpu.load_selector(SegReg::Ds, caller_inst.data_sel);
         self.cpu.load_selector(SegReg::Ss, caller_inst.stack_sel);
-        self.cpu.counter_mut().charge(Primitive::BranchIndirect, &model);
+        self.cpu.charge(Primitive::BranchIndirect);
 
         let cycles = self.cpu.cycles() - start;
         if let Some(obs) = self.obs.clone() {
@@ -519,16 +524,11 @@ impl Orb {
             o.metrics.observe("orb.invoke.cycles", cycles);
         }
         match run {
-            Ok(Stop::Halted) | Ok(Stop::Trap(_)) => {
-                let mut breakdown = Vec::new();
-                for &(label, total) in self.cpu.counter().breakdown() {
-                    let before = start_bd.iter().find(|(l, _)| *l == label).map_or(0, |(_, v)| *v);
-                    if total > before {
-                        breakdown.push((label, total - before));
-                    }
-                }
-                Ok(RpcOutcome { result: self.cpu.regs[0], cycles, breakdown })
-            }
+            Ok(Stop::Halted) | Ok(Stop::Trap(_)) => Ok(RpcOutcome {
+                result: self.cpu.regs[0],
+                cycles,
+                breakdown: self.cpu.counter().breakdown_since(&mark),
+            }),
             Ok(Stop::OutOfFuel) => Err(OrbError::CalleeRunaway),
             Err(e) => Err(OrbError::CalleeFault(e)),
         }

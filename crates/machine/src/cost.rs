@@ -174,6 +174,33 @@ pub enum Primitive {
 }
 
 impl Primitive {
+    /// Number of primitive kinds: the range of [`Primitive::kind`].
+    pub(crate) const KINDS: usize = 17;
+
+    /// A dense index of this primitive's kind, parameters ignored: one per
+    /// [`Primitive::label`].
+    pub(crate) fn kind(self) -> usize {
+        match self {
+            Primitive::Alu => 0,
+            Primitive::Load => 1,
+            Primitive::Store => 2,
+            Primitive::Branch => 3,
+            Primitive::BranchIndirect => 4,
+            Primitive::CopyWords(_) => 5,
+            Primitive::TrapEnter => 6,
+            Primitive::TrapExit => 7,
+            Primitive::SegRegLoad => 8,
+            Primitive::PageTableSwitch => 9,
+            Primitive::TlbRefill(_) => 10,
+            Primitive::RegfileSave => 11,
+            Primitive::FpuSave => 12,
+            Primitive::SchedSteps(_) => 13,
+            Primitive::CacheMisses(_) => 14,
+            Primitive::PageIo(_) => 15,
+            Primitive::LogForce => 16,
+        }
+    }
+
     /// The cost of this primitive under a model.
     #[must_use]
     pub fn cost(self, m: &CostModel) -> Cycles {
@@ -201,34 +228,76 @@ impl Primitive {
     /// A short label for breakdown reports.
     #[must_use]
     pub fn label(self) -> &'static str {
-        match self {
-            Primitive::Alu => "alu",
-            Primitive::Load => "load",
-            Primitive::Store => "store",
-            Primitive::Branch => "branch",
-            Primitive::BranchIndirect => "branch-indirect",
-            Primitive::CopyWords(_) => "copy",
-            Primitive::TrapEnter => "trap-enter",
-            Primitive::TrapExit => "trap-exit",
-            Primitive::SegRegLoad => "seg-reg-load",
-            Primitive::PageTableSwitch => "page-table-switch",
-            Primitive::TlbRefill(_) => "tlb-refill",
-            Primitive::RegfileSave => "regfile-save",
-            Primitive::FpuSave => "fpu-save",
-            Primitive::SchedSteps(_) => "sched",
-            Primitive::CacheMisses(_) => "cache-miss",
-            Primitive::PageIo(_) => "page-io",
-            Primitive::LogForce => "log-force",
-        }
+        LABELS[self.kind()]
     }
 }
 
+/// Breakdown labels, by [`Primitive::kind`].
+const LABELS: [&str; Primitive::KINDS] = [
+    "alu",
+    "load",
+    "store",
+    "branch",
+    "branch-indirect",
+    "copy",
+    "trap-enter",
+    "trap-exit",
+    "seg-reg-load",
+    "page-table-switch",
+    "tlb-refill",
+    "regfile-save",
+    "fpu-save",
+    "sched",
+    "cache-miss",
+    "page-io",
+    "log-force",
+];
+
+/// A primitive sequence pre-summed per primitive under one model. Charging
+/// a bill adds the same cycles to the same breakdown entries, in the same
+/// first-charge order, as charging the sequence one primitive at a time —
+/// so a fixed path (the ORB's invoke) is billed cycle-for-cycle at the cost
+/// of one counter update per distinct primitive.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Bill {
+    /// `(kind, cycles)` per distinct primitive kind.
+    parts: Vec<(usize, Cycles)>,
+}
+
+impl Bill {
+    /// Sum `seq` per primitive kind under `model`, in first-appearance order.
+    #[must_use]
+    pub fn new(seq: &[Primitive], model: &CostModel) -> Self {
+        let mut parts: Vec<(usize, Cycles)> = Vec::new();
+        for &p in seq {
+            let c = p.cost(model);
+            match parts.iter_mut().find(|(kind, _)| *kind == p.kind()) {
+                Some(part) => part.1 += c,
+                None => parts.push((p.kind(), c)),
+            }
+        }
+        Self { parts }
+    }
+}
+
+/// A heap-free snapshot of a counter's breakdown, for
+/// [`CycleCounter::breakdown_since`]. Meaningful until the next
+/// [`CycleCounter::reset`].
+#[derive(Debug, Clone, Copy)]
+pub struct Mark {
+    values: [Cycles; Primitive::KINDS],
+}
+
 /// A cycle counter that records both the running total and a per-primitive
-/// breakdown, so a Table 1 row can be decomposed and audited.
+/// breakdown, so a Table 1 row can be decomposed and audited. A charge is
+/// O(1): each primitive kind maps straight to its breakdown slot.
 #[derive(Debug, Clone, Default)]
 pub struct CycleCounter {
     total: Cycles,
     breakdown: Vec<(&'static str, Cycles)>,
+    /// `slot[kind]` is one past the kind's position in `breakdown`; 0
+    /// until the kind's first charge.
+    slot: [u8; Primitive::KINDS],
 }
 
 impl CycleCounter {
@@ -240,20 +309,31 @@ impl CycleCounter {
 
     /// Charge one primitive under the given model.
     pub fn charge(&mut self, p: Primitive, model: &CostModel) {
-        let c = p.cost(model);
-        self.total += c;
-        let label = p.label();
-        if let Some(slot) = self.breakdown.iter_mut().find(|(l, _)| *l == label) {
-            slot.1 += c;
-        } else {
-            self.breakdown.push((label, c));
-        }
+        self.add(p.kind(), p.cost(model));
     }
 
     /// Charge many primitives.
     pub fn charge_all(&mut self, ps: &[Primitive], model: &CostModel) {
         for &p in ps {
             self.charge(p, model);
+        }
+    }
+
+    /// Charge a pre-summed bill.
+    pub fn charge_bill(&mut self, bill: &Bill) {
+        for &(kind, c) in &bill.parts {
+            self.add(kind, c);
+        }
+    }
+
+    fn add(&mut self, kind: usize, c: Cycles) {
+        self.total += c;
+        match self.slot[kind] {
+            0 => {
+                self.breakdown.push((LABELS[kind], c));
+                self.slot[kind] = self.breakdown.len() as u8;
+            }
+            s => self.breakdown[usize::from(s) - 1].1 += c,
         }
     }
 
@@ -273,12 +353,36 @@ impl CycleCounter {
     pub fn reset(&mut self) {
         self.total = 0;
         self.breakdown.clear();
+        self.slot = [0; Primitive::KINDS];
     }
 
     /// Cycles elapsed since a snapshot taken with [`Self::total`].
     #[must_use]
     pub fn since(&self, snapshot: Cycles) -> Cycles {
         self.total - snapshot
+    }
+
+    /// Snapshot the breakdown for a later [`Self::breakdown_since`].
+    #[must_use]
+    pub fn mark(&self) -> Mark {
+        let mut values = [0; Primitive::KINDS];
+        for (v, &(_, c)) in values.iter_mut().zip(&self.breakdown) {
+            *v = c;
+        }
+        Mark { values }
+    }
+
+    /// The per-primitive cycles charged since `mark`, in first-charge
+    /// order, primitives charged nothing since left out.
+    #[must_use]
+    pub fn breakdown_since(&self, mark: &Mark) -> Vec<(&'static str, Cycles)> {
+        let mut out = Vec::with_capacity(self.breakdown.len());
+        for (&(label, now), &before) in self.breakdown.iter().zip(&mark.values) {
+            if now > before {
+                out.push((label, now - before));
+            }
+        }
+        out
     }
 }
 
@@ -390,6 +494,36 @@ mod tests {
         c.charge_all(&[Primitive::Alu, Primitive::Branch, Primitive::Load], &m);
         assert_eq!(c.breakdown(), [("alu", 1), ("branch", 1), ("load", 2)]);
         assert_eq!(c.total(), 4);
+    }
+
+    #[test]
+    fn a_bill_charges_what_its_sequence_charges() {
+        use Primitive::{Alu, CopyWords, Load, SegRegLoad, Store, TrapEnter};
+        let seq = [Load, Alu, Load, CopyWords(3), Store, Alu, CopyWords(1), SegRegLoad];
+        for m in [CostModel::pentium(), CostModel::deep_pipeline()] {
+            let bill = Bill::new(&seq, &m);
+            // On a fresh counter and on one whose first kinds differ.
+            for warm in [&[][..], &[Store, TrapEnter][..]] {
+                let (mut one_by_one, mut billed) = (CycleCounter::new(), CycleCounter::new());
+                one_by_one.charge_all(warm, &m);
+                billed.charge_all(warm, &m);
+                one_by_one.charge_all(&seq, &m);
+                billed.charge_bill(&bill);
+                assert_eq!(billed.total(), one_by_one.total());
+                assert_eq!(billed.breakdown(), one_by_one.breakdown());
+            }
+        }
+    }
+
+    #[test]
+    fn breakdown_since_a_mark_keeps_order_and_drops_idle_kinds() {
+        let m = CostModel::pentium();
+        let mut c = CycleCounter::new();
+        c.charge_all(&[Primitive::Load, Primitive::Alu], &m);
+        let mark = c.mark();
+        assert!(c.breakdown_since(&mark).is_empty());
+        c.charge_all(&[Primitive::Branch, Primitive::Alu, Primitive::Branch], &m);
+        assert_eq!(c.breakdown_since(&mark), [("alu", 1), ("branch", 2)]);
     }
 
     #[test]

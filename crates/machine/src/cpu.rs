@@ -11,7 +11,7 @@
 //! * `Trap(n)` suspends execution and reports the trap to the caller (the
 //!   kernel being simulated).
 
-use crate::cost::{CostModel, CycleCounter, Cycles, Primitive};
+use crate::cost::{Bill, CostModel, CycleCounter, Cycles, Primitive};
 use crate::isa::{Instr, Program, NUM_REGS};
 use crate::seg::{SegError, SegReg, SegmentTable, Selector};
 
@@ -110,7 +110,7 @@ impl Cpu {
     /// instruction — used by kernels when setting up a domain. Charges the
     /// descriptor-load cost.
     pub fn load_selector(&mut self, reg: SegReg, sel: Selector) {
-        self.counter.charge(Primitive::SegRegLoad, &self.model);
+        self.charge(Primitive::SegRegLoad);
         match reg {
             SegReg::Cs => self.cs = Some(sel),
             SegReg::Ds => self.ds = Some(sel),
@@ -132,6 +132,16 @@ impl Cpu {
     #[must_use]
     pub fn cycles(&self) -> Cycles {
         self.counter.total()
+    }
+
+    /// Charge one primitive under this CPU's model.
+    pub fn charge(&mut self, p: Primitive) {
+        self.counter.charge(p, &self.model);
+    }
+
+    /// Charge a bill pre-summed under this CPU's model.
+    pub fn charge_bill(&mut self, bill: &Bill) {
+        self.counter.charge_bill(bill);
     }
 
     /// Mutable access to the cycle counter (kernels charge primitives here).
@@ -164,7 +174,7 @@ impl Cpu {
         if phys + 4 > self.mem.len() {
             return Err(CpuError::Segment(SegError::LimitViolation { selector: sel, offset: off }));
         }
-        self.counter.charge(Primitive::Load, &self.model);
+        self.charge(Primitive::Load);
         Ok(u32::from_le_bytes([
             self.mem[phys],
             self.mem[phys + 1],
@@ -184,7 +194,7 @@ impl Cpu {
         if phys + 4 > self.mem.len() {
             return Err(CpuError::Segment(SegError::LimitViolation { selector: sel, offset: off }));
         }
-        self.counter.charge(Primitive::Store, &self.model);
+        self.charge(Primitive::Store);
         self.mem[phys..phys + 4].copy_from_slice(&val.to_le_bytes());
         Ok(())
     }
@@ -244,28 +254,27 @@ impl Cpu {
     }
 
     fn step(&mut self, instr: Instr, pc: u32, segs: &SegmentTable) -> Result<u32, CpuError> {
-        let m = self.model.clone();
         let mut next = pc.wrapping_add(1);
         match instr {
-            Instr::Nop => self.counter.charge(Primitive::Alu, &m),
+            Instr::Nop => self.charge(Primitive::Alu),
             Instr::MovImm(d, i) => {
-                self.counter.charge(Primitive::Alu, &m);
+                self.charge(Primitive::Alu);
                 self.regs[d as usize] = i;
             }
             Instr::MovReg(d, s) => {
-                self.counter.charge(Primitive::Alu, &m);
+                self.charge(Primitive::Alu);
                 self.regs[d as usize] = self.regs[s as usize];
             }
             Instr::Add(d, s) => {
-                self.counter.charge(Primitive::Alu, &m);
+                self.charge(Primitive::Alu);
                 self.regs[d as usize] = self.regs[d as usize].wrapping_add(self.regs[s as usize]);
             }
             Instr::Sub(d, s) => {
-                self.counter.charge(Primitive::Alu, &m);
+                self.charge(Primitive::Alu);
                 self.regs[d as usize] = self.regs[d as usize].wrapping_sub(self.regs[s as usize]);
             }
             Instr::Xor(d, s) => {
-                self.counter.charge(Primitive::Alu, &m);
+                self.charge(Primitive::Alu);
                 self.regs[d as usize] ^= self.regs[s as usize];
             }
             Instr::Load(d, a) => {
@@ -280,11 +289,11 @@ impl Cpu {
                 self.write_u32(segs, sel, off, val)?;
             }
             Instr::Jmp(off) => {
-                self.counter.charge(Primitive::Branch, &m);
+                self.charge(Primitive::Branch);
                 next = add_signed(pc, off);
             }
             Instr::Jz(r, off) => {
-                self.counter.charge(Primitive::Branch, &m);
+                self.charge(Primitive::Branch);
                 if self.regs[r as usize] == 0 {
                     next = add_signed(pc, off);
                 }
@@ -306,12 +315,12 @@ impl Cpu {
                 self.regs[r as usize] = self.read_u32(segs, sel, off)?;
             }
             Instr::Call(t) => {
-                self.counter.charge(Primitive::Branch, &m);
+                self.charge(Primitive::Branch);
                 self.call_stack.push(next);
                 next = t;
             }
             Instr::Ret => {
-                self.counter.charge(Primitive::BranchIndirect, &m);
+                self.charge(Primitive::BranchIndirect);
                 next = self.call_stack.pop().ok_or(CpuError::StackUnderflow)?;
             }
             Instr::Trap(n) => {
@@ -325,14 +334,14 @@ impl Cpu {
                 let sel = Selector(self.regs[r as usize] as u16);
                 self.load_selector(sr, sel);
             }
-            Instr::Cli | Instr::Sti => self.counter.charge(Primitive::Alu, &m),
-            Instr::LoadPageTable(_) => self.counter.charge(Primitive::PageTableSwitch, &m),
+            Instr::Cli | Instr::Sti => self.charge(Primitive::Alu),
+            Instr::LoadPageTable(_) => self.charge(Primitive::PageTableSwitch),
             Instr::IoIn(r, _) => {
-                self.counter.charge(Primitive::Load, &m);
+                self.charge(Primitive::Load);
                 self.regs[r as usize] = 0;
             }
-            Instr::IoOut(_, _) => self.counter.charge(Primitive::Store, &m),
-            Instr::Iret => self.counter.charge(Primitive::TrapExit, &m),
+            Instr::IoOut(_, _) => self.charge(Primitive::Store),
+            Instr::Iret => self.charge(Primitive::TrapExit),
         }
         Ok(next)
     }

@@ -13,7 +13,10 @@
 //!   paper flash crowd inside a 40 ms budget that a tick paying per
 //!   queued request would blow, and 8,000 cross-shard SWITCH commits
 //!   inside a 400 ms budget, each leaving an empty transaction log and
-//!   no held lock (what the CI `scale` job runs).
+//!   no held lock, and the 64,000 ORB crossings of a batch-1 Database
+//!   Machine query inside a 15 ms budget that the ORB's former
+//!   per-call label searches and copies blew (what the CI `scale` job
+//!   runs).
 //! * `loc` — per crate under `crates/`, the non-test lines (each `.rs`
 //!   file under `src/` cut at its `#[cfg(test)] mod`) and the test lines
 //!   (the rest of those files, plus every `.rs` file outside `src/`), then
@@ -62,8 +65,8 @@ fn update_goldens() {
 }
 
 /// Run the scale tier (`tests/scale_e2e.rs`) in release — the mega-crowd,
-/// flash-crowd and cross-shard commit wall-clock budgets there assume
-/// optimised code.
+/// flash-crowd, cross-shard commit and ORB-crossing wall-clock budgets
+/// there assume optimised code.
 fn scale() {
     run_cargo(&["test", "-q", "--release", "-p", "adm-core", "--test", "scale_e2e"], &[]);
 }

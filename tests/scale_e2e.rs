@@ -2,8 +2,9 @@
 //! event engine inside a wall-clock budget — the paper's flash crowd on
 //! the request-driven `tick` path inside a budget of its own, a long
 //! ping-pong of cross-shard SWITCH commits that must leave neither log
-//! records nor locks behind any commit, and a long run of cross-shard
-//! aborts held to the same bar.
+//! records nor locks behind any commit, a long run of cross-shard
+//! aborts held to the same bar, and the Database Machine's batch-1 run of
+//! ORB crossings inside a budget sized to the crossing's own work.
 //!
 //! The unit tier runs a 1/100-rate miniature; this tier runs the real
 //! thing and holds the engine to its acceptance bar: at least
@@ -17,6 +18,10 @@ use adm_core::scenario::megacrowd::{mega_crowd, run};
 use adm_core::scenario::txnrep::{seeded_world, shard_digests, shard_handles};
 use adm_core::scenario::FailBindTo;
 use compkit::NoFaults;
+use gokernel::component::Rights;
+use gokernel::orb::Orb;
+use machine::cost::CostModel;
+use machine::isa::{Instr, Program};
 use patia::atom::AtomId;
 use patia::shard::{cross_shard_plans, host_instance};
 use std::collections::BTreeMap;
@@ -197,5 +202,50 @@ fn txn_aborts_leave_no_log_or_locks_within_budget() {
         elapsed < abort_budget(),
         "{ABORTS} cross-shard aborts must run in under {:?} (took {elapsed:?})",
         abort_budget()
+    );
+}
+
+/// ORB crossings in one batch-1 `dbm_spj` round: 20,000 orders and 2,000
+/// customers scanned, the orders filtered, both joined.
+const CROSSINGS: u64 = 64_000;
+
+/// Wall-clock budget for the crossings: ~3x the ~5 ms they take in
+/// release on a 2-core x86-64 box. The invoke that charged ~35 single
+/// primitives into a counter searching its labels, snapshot the breakdown
+/// to the heap, cloned the callee's program and diffed the breakdown in
+/// O(k²) took ~28 ms and fails; any one of those alone stays inside.
+fn crossing_budget() -> Duration {
+    Duration::from_millis(if cfg!(debug_assertions) { 2_000 } else { 15 })
+}
+
+/// The guard for the ORB's hot path: 64,000 null invokes on an ORB booted
+/// the way `DatabaseMachine::boot` boots its own (stub texts, one
+/// operator published, one client), each billed its 70 cycles. The best
+/// of three runs is held to the budget, so one descheduled run does not
+/// fail it.
+#[test]
+fn orb_crossings_of_a_batch_one_query_run_within_budget() {
+    let mut orb = Orb::new(16 << 20, CostModel::pentium());
+    let stub = Program::new(vec![Instr::Halt]).to_bytes();
+    let ty = orb.load_type("scan-operator", &stub).expect("the stub verifies");
+    let inst = orb.instantiate(ty).expect("the arena has room");
+    let iface = orb.publish(inst, 0, Rights::PUBLIC, 0).expect("a fresh instance publishes");
+    let client_ty = orb.load_type("query-client", &stub).expect("the stub verifies");
+    let client = orb.instantiate(client_ty).expect("the arena has room");
+    let mut best = Duration::MAX;
+    for _ in 0..3 {
+        let started = Instant::now();
+        for _ in 0..CROSSINGS {
+            let out = orb.invoke(client, iface, &[]).expect("the published stub is callable");
+            assert_eq!(out.cycles, 70);
+        }
+        best = best.min(started.elapsed());
+    }
+    assert_eq!(orb.invocations(), 3 * CROSSINGS);
+    assert_eq!(orb.cycles(), 3 * CROSSINGS * 70);
+    assert!(
+        best < crossing_budget(),
+        "{CROSSINGS} ORB crossings must run in under {:?} (best of 3 took {best:?})",
+        crossing_budget()
     );
 }
