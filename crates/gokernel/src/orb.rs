@@ -454,11 +454,11 @@ impl Orb {
         let mark = self.cpu.counter().mark();
 
         // -- caller side: indirect into the ORB, fetch the descriptor -----
-        self.cpu.charge_bill(&self.bills.fetch);
+        self.cpu.counter_mut().charge_bill(&self.bills.fetch);
         let (desc, _owner) =
             *self.descriptors.get(iface.0 as usize).ok_or(OrbError::NoSuchInterface(iface))?;
 
-        self.cpu.charge_bill(&self.bills.check);
+        self.cpu.counter_mut().charge_bill(&self.bills.check);
         let caller_inst =
             self.instances.get(caller.0 as usize).ok_or(OrbError::NoSuchComponent(caller))?.clone();
         let bound = self.bindings.contains(&(caller, iface));
@@ -469,7 +469,7 @@ impl Orb {
             return Err(OrbError::BadArity { expected: desc.arg_words, got: args.len() });
         }
 
-        self.cpu.charge_bill(&self.bills.enter);
+        self.cpu.counter_mut().charge_bill(&self.bills.enter);
 
         // Arguments travel in registers; extra words are copied.
         if args.len() > 2 {
@@ -484,14 +484,14 @@ impl Orb {
         self.cpu.load_selector(SegReg::Ds, desc.data_sel);
         self.cpu.load_selector(SegReg::Ss, desc.stack_sel);
 
-        self.cpu.charge_bill(&self.bills.migrate);
+        self.cpu.counter_mut().charge_bill(&self.bills.migrate);
 
         // -- callee executes its verified text ----------------------------
         let program = self.types[desc.type_id.0 as usize].image.program();
         let run = self.cpu.run_from(program, &self.segs, desc.entry, CALL_FUEL);
 
         // -- return path: migrate the thread back -------------------------
-        self.cpu.charge_bill(&self.bills.ret);
+        self.cpu.counter_mut().charge_bill(&self.bills.ret);
         // Switch back: three segment loads + indirect return.
         self.cpu.load_selector(SegReg::Cs, self.types[caller_inst.type_id.0 as usize].code_sel);
         self.cpu.load_selector(SegReg::Ds, caller_inst.data_sel);

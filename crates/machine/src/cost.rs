@@ -258,7 +258,7 @@ const LABELS: [&str; Primitive::KINDS] = [
 /// first-charge order, as charging the sequence one primitive at a time —
 /// so a fixed path (the ORB's invoke) is billed cycle-for-cycle at the cost
 /// of one counter update per distinct primitive.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct Bill {
     /// `(kind, cycles)` per distinct primitive kind.
     parts: Vec<(usize, Cycles)>,

@@ -11,7 +11,7 @@
 //! * `Trap(n)` suspends execution and reports the trap to the caller (the
 //!   kernel being simulated).
 
-use crate::cost::{Bill, CostModel, CycleCounter, Cycles, Primitive};
+use crate::cost::{CostModel, CycleCounter, Cycles, Primitive};
 use crate::isa::{Instr, Program, NUM_REGS};
 use crate::seg::{SegError, SegReg, SegmentTable, Selector};
 
@@ -137,11 +137,6 @@ impl Cpu {
     /// Charge one primitive under this CPU's model.
     pub fn charge(&mut self, p: Primitive) {
         self.counter.charge(p, &self.model);
-    }
-
-    /// Charge a bill pre-summed under this CPU's model.
-    pub fn charge_bill(&mut self, bill: &Bill) {
-        self.counter.charge_bill(bill);
     }
 
     /// Mutable access to the cycle counter (kernels charge primitives here).
