@@ -136,6 +136,8 @@ impl std::hash::Hash for Value {
             }
             Value::Float(f) => {
                 2u8.hash(state);
+                // -0.0 == 0.0, so both hash as +0.0.
+                let f = if *f == 0.0 { 0.0 } else { *f };
                 f.to_bits().hash(state);
             }
             Value::Str(s) => {
@@ -209,6 +211,42 @@ mod tests {
     fn equal_numerics_hash_equal() {
         assert_eq!(h(&Value::Int(7)), h(&Value::Float(7.0)));
         assert_ne!(h(&Value::Int(7)), h(&Value::Int(8)));
+    }
+
+    #[test]
+    fn values_that_compare_equal_hash_equal() {
+        let grid = [
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(-1),
+            Value::Int(2),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(1.0),
+            Value::Float(-1.0),
+            Value::Float(2.0),
+            Value::Float(0.5),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::str(""),
+            Value::str("0"),
+        ];
+        let mut equal_pairs = 0;
+        for a in &grid {
+            for b in &grid {
+                if a == b {
+                    equal_pairs += 1;
+                    assert_eq!(h(a), h(b), "{a:?} == {b:?} but they hash apart");
+                }
+            }
+        }
+        // Every value equals itself; the signed zeros also equal each other.
+        assert_eq!(equal_pairs, grid.len() + 2);
     }
 
     #[test]

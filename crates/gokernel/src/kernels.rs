@@ -459,7 +459,8 @@ impl Kernel for GoKernel {
     }
 
     fn breakdown(&mut self, _msg_words: u32) -> Vec<(&'static str, Cycles)> {
-        self.invoke().expect("null service cannot fault").breakdown
+        self.invoke().expect("null service cannot fault");
+        self.orb.last_breakdown()
     }
 }
 

@@ -12,7 +12,7 @@
 //! segment-register loads, the indirect jump — and then really executes the
 //! callee's verified text on the simulated CPU. Summing the charges for a
 //! null call yields Go!'s Table 1 row (~73 cycles); the per-step anatomy is
-//! available via [`RpcOutcome::breakdown`] for the Figure 6 bench. The
+//! available on demand via [`Orb::last_breakdown`] for the Figure 6 bench. The
 //! fixed steps are charged as per-primitive sums computed once from the
 //! model, equal cycle-for-cycle to the primitive sequence they stand for,
 //! so a crossing's host cost tracks the handful of steps it bills.
@@ -22,7 +22,7 @@ use crate::component::{
     TypeId, DESCRIPTOR_BYTES,
 };
 use crate::sisr::{Limits, SisrVerifier, VerifiedImage, VerifyReport};
-use machine::cost::{Bill, CostModel, Cycles, Primitive};
+use machine::cost::{Bill, CostModel, Cycles, Mark, Primitive};
 use machine::cpu::{Cpu, CpuError, Mode, Stop};
 use machine::seg::{SegReg, Segment, SegmentKind, SegmentTable};
 use obs::ObsHandle;
@@ -102,9 +102,8 @@ pub struct RpcOutcome {
     /// Value left in register 0 by the callee.
     pub result: u32,
     /// Cycles the whole call/return consumed (overhead + callee body).
+    /// [`Orb::last_breakdown`] splits them per primitive.
     pub cycles: Cycles,
-    /// Per-primitive breakdown of those cycles.
-    pub breakdown: Vec<(&'static str, Cycles)>,
 }
 
 /// Invocation-level fault injection: consulted (when armed) at the top of
@@ -134,6 +133,8 @@ pub struct Orb {
     obs: Option<ObsHandle>,
     invocations: u64,
     bills: InvokeBills,
+    /// The CPU's breakdown as the last `invoke` began.
+    last_mark: Mark,
 }
 
 /// The fixed path of [`Orb::invoke`], pre-summed per primitive under the
@@ -186,6 +187,8 @@ impl Orb {
     #[must_use]
     pub fn new(mem_bytes: u32, model: CostModel) -> Self {
         let bills = InvokeBills::new(&model);
+        let cpu = Cpu::new(mem_bytes as usize, Mode::Kernel, model.clone());
+        let last_mark = cpu.counter().mark();
         Self {
             segs: SegmentTable::new(),
             types: Vec::new(),
@@ -195,7 +198,7 @@ impl Orb {
             // The verifier checks static segment discipline against the
             // exact grants instances will receive.
             verifier: SisrVerifier::with_limits(
-                model.clone(),
+                model,
                 Limits {
                     data_bytes: DATA_SEG_BYTES,
                     stack_bytes: STACK_SEG_BYTES,
@@ -205,13 +208,14 @@ impl Orb {
             // Go! has no kernel mode: everything, ORB included, runs in the
             // single processor mode. Mode::Kernel here only means the
             // simulated CPU permits segment loads, which the ORB alone issues.
-            cpu: Cpu::new(mem_bytes as usize, Mode::Kernel, model),
+            cpu,
             next_base: 0,
             mem_limit: mem_bytes,
             faults: None,
             obs: None,
             invocations: 0,
             bills,
+            last_mark,
         }
     }
 
@@ -238,6 +242,16 @@ impl Orb {
     #[must_use]
     pub fn invocations(&self) -> u64 {
         self.invocations
+    }
+
+    /// The per-primitive anatomy of the last [`Orb::invoke`], in
+    /// first-charge order (the Figure 6 breakdown): every cycle the ORB's
+    /// CPU was charged since that invoke began, so read it before the ORB
+    /// does anything else. Computed on demand; the invoke itself only
+    /// marks where it started.
+    #[must_use]
+    pub fn last_breakdown(&self) -> Vec<(&'static str, Cycles)> {
+        self.cpu.counter().breakdown_since(&self.last_mark)
     }
 
     fn alloc(&mut self, bytes: u32) -> Result<u32, OrbError> {
@@ -440,6 +454,7 @@ impl Orb {
     ) -> Result<RpcOutcome, OrbError> {
         let call_index = self.invocations;
         self.invocations += 1;
+        self.last_mark = self.cpu.counter().mark();
         if let Some(f) = self.faults.as_mut() {
             if let Some(reason) = f.deny(call_index, caller, iface) {
                 if let Some(obs) = self.obs.as_ref() {
@@ -451,7 +466,6 @@ impl Orb {
             }
         }
         let start = self.cpu.cycles();
-        let mark = self.cpu.counter().mark();
 
         // -- caller side: indirect into the ORB, fetch the descriptor -----
         self.cpu.counter_mut().charge_bill(&self.bills.fetch);
@@ -524,11 +538,9 @@ impl Orb {
             o.metrics.observe("orb.invoke.cycles", cycles);
         }
         match run {
-            Ok(Stop::Halted) | Ok(Stop::Trap(_)) => Ok(RpcOutcome {
-                result: self.cpu.regs[0],
-                cycles,
-                breakdown: self.cpu.counter().breakdown_since(&mark),
-            }),
+            Ok(Stop::Halted) | Ok(Stop::Trap(_)) => {
+                Ok(RpcOutcome { result: self.cpu.regs[0], cycles })
+            }
             Ok(Stop::OutOfFuel) => Err(OrbError::CalleeRunaway),
             Err(e) => Err(OrbError::CalleeFault(e)),
         }
@@ -743,9 +755,10 @@ mod tests {
     fn breakdown_sums_to_cycles() {
         let (mut orb, caller, iface) = orb_with_pair(null_service(), 0);
         let out = orb.invoke(caller, iface, &[]).unwrap();
-        let sum: Cycles = out.breakdown.iter().map(|(_, v)| v).sum();
+        let breakdown = orb.last_breakdown();
+        let sum: Cycles = breakdown.iter().map(|(_, v)| v).sum();
         assert_eq!(sum, out.cycles);
-        assert!(out.breakdown.iter().any(|(l, _)| *l == "seg-reg-load"));
+        assert!(breakdown.iter().any(|(l, _)| *l == "seg-reg-load"));
     }
 
     #[test]
@@ -808,13 +821,13 @@ mod tests {
     fn null_call_anatomy_is_pinned_on_the_first_and_thousandth_call() {
         let (mut orb, caller, iface) = stub_orb(0);
         let first = orb.invoke(caller, iface, &[]).unwrap();
-        assert_eq!(first.breakdown, NULL_CALL_ANATOMY);
+        assert_eq!(orb.last_breakdown(), NULL_CALL_ANATOMY);
         assert_eq!(first.cycles, 70);
         for _ in 1..999 {
             orb.invoke(caller, iface, &[]).unwrap();
         }
         let thousandth = orb.invoke(caller, iface, &[]).unwrap();
-        assert_eq!(thousandth.breakdown, NULL_CALL_ANATOMY);
+        assert_eq!(orb.last_breakdown(), NULL_CALL_ANATOMY);
         assert_eq!(thousandth.cycles, 70);
         assert_eq!(orb.cycles(), 70_000);
         assert_eq!(orb.invocations(), 1_000);
@@ -825,7 +838,7 @@ mod tests {
         let (mut orb, caller, iface) = stub_orb(3);
         let out = orb.invoke(caller, iface, &[1, 2, 3]).unwrap();
         assert_eq!(
-            out.breakdown,
+            orb.last_breakdown(),
             [
                 ("branch", 2),
                 ("load", 28),
@@ -858,6 +871,7 @@ mod tests {
         let (mut orb, caller, iface) = stub_orb(0);
         let (err, cycles) = failed_call_cycles(&mut orb, caller, InterfaceId(99), &[]);
         assert_eq!((err, cycles), (OrbError::NoSuchInterface(InterfaceId(99)), 9));
+        assert_eq!(orb.last_breakdown(), [("branch", 1), ("load", 8)], "a failure's own anatomy");
         // Refused at the rights check: + four compares and a branch.
         let (err, cycles) = failed_call_cycles(&mut orb, ComponentId(99), iface, &[]);
         assert_eq!((err, cycles), (OrbError::NoSuchComponent(ComponentId(99)), 14));
@@ -887,6 +901,7 @@ mod tests {
         let (err, cycles) = failed_call_cycles(&mut orb, caller, iface, &[]);
         assert!(matches!(err, OrbError::Injected { .. }), "{err:?}");
         assert_eq!(cycles, 0);
+        assert!(orb.last_breakdown().is_empty());
     }
 
     #[test]
@@ -894,9 +909,9 @@ mod tests {
         // 3 loads in, 3 loads back — the paper's "3 cycles" context switch,
         // twice.
         let (mut orb, caller, iface) = orb_with_pair(null_service(), 0);
-        let out = orb.invoke(caller, iface, &[]).unwrap();
+        orb.invoke(caller, iface, &[]).unwrap();
         let seg: Cycles =
-            out.breakdown.iter().filter(|(l, _)| *l == "seg-reg-load").map(|(_, v)| v).sum();
+            orb.last_breakdown().iter().filter(|(l, _)| *l == "seg-reg-load").map(|(_, v)| v).sum();
         assert_eq!(seg, 6);
     }
 }

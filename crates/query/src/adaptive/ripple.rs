@@ -12,7 +12,7 @@
 //! [`RippleJoin::estimate`] scales the running aggregate by the unexplored
 //! fraction, and reports the explored fraction as a confidence proxy.
 
-use crate::basic::key_of;
+use crate::join_table::keys_eq;
 use crate::op::{Operator, Poll, WorkCounter};
 use datacomp::{concat, Row, Schema};
 
@@ -155,11 +155,10 @@ impl RippleJoin {
                     } else {
                         (&self.right_keys, &self.left_rows, &self.left_keys)
                     };
-                    let key = key_of(&row, new_keys);
                     let mut produced = Vec::new();
                     for other in other_rows {
                         self.work.compare(1);
-                        if key_of(other, other_keys) == key {
+                        if keys_eq(other, other_keys, &row, new_keys) {
                             let out =
                                 if left_side { concat(&row, other) } else { concat(other, &row) };
                             produced.push(out);

@@ -8,10 +8,9 @@
 //! progress on the other. That is exactly the property the paper's
 //! inter-device queries need on wireless links.
 
-use crate::basic::key_of;
+use crate::join_table::{Cursor, JoinTable};
 use crate::op::{Operator, Poll, WorkCounter};
-use datacomp::{concat, Row, Schema, Value};
-use std::collections::HashMap;
+use datacomp::{concat, Row, Schema};
 
 /// The symmetric hash join.
 #[derive(Debug)]
@@ -20,11 +19,13 @@ pub struct SymmetricHashJoin {
     right: Box<dyn Operator>,
     left_keys: Vec<usize>,
     right_keys: Vec<usize>,
-    left_table: HashMap<Vec<Value>, Vec<Row>>,
-    right_table: HashMap<Vec<Value>, Vec<Row>>,
+    left_table: JoinTable,
+    right_table: JoinTable,
     left_done: bool,
     right_done: bool,
-    pending: Vec<Row>,
+    /// The last absorbed row, whether it came from the left, and its next
+    /// match in the other side's table; `None` once no match is left.
+    current: Option<(Row, bool, Cursor)>,
     /// Alternate which side we poll first, for fairness.
     poll_left_first: bool,
     schema: Schema,
@@ -47,11 +48,11 @@ impl SymmetricHashJoin {
             right,
             left_keys,
             right_keys,
-            left_table: HashMap::new(),
-            right_table: HashMap::new(),
+            left_table: JoinTable::default(),
+            right_table: JoinTable::default(),
             left_done: false,
             right_done: false,
-            pending: Vec::new(),
+            current: None,
             poll_left_first: true,
             schema,
             work,
@@ -61,30 +62,22 @@ impl SymmetricHashJoin {
     /// Tuples currently held in memory (both hash tables).
     #[cfg(test)]
     fn buffered(&self) -> usize {
-        self.left_table.values().map(Vec::len).sum::<usize>()
-            + self.right_table.values().map(Vec::len).sum::<usize>()
+        self.left_table.len() + self.right_table.len()
     }
 
+    /// Insert `row` into its side's table and aim `current` at its
+    /// matches in the other side's, newest first.
     fn absorb(&mut self, from_left: bool, row: Row) {
         self.work.hash_insert();
         self.work.hash_probe(1);
-        if from_left {
-            let key = key_of(&row, &self.left_keys);
-            if let Some(matches) = self.right_table.get(&key) {
-                for r in matches {
-                    self.pending.push(concat(&row, r));
-                }
-            }
-            self.left_table.entry(key).or_default().push(row);
+        let at = if from_left {
+            self.left_table.insert(row.clone(), &self.left_keys);
+            self.right_table.probe(&row, &self.left_keys)
         } else {
-            let key = key_of(&row, &self.right_keys);
-            if let Some(matches) = self.left_table.get(&key) {
-                for l in matches {
-                    self.pending.push(concat(l, &row));
-                }
-            }
-            self.right_table.entry(key).or_default().push(row);
-        }
+            self.right_table.insert(row.clone(), &self.right_keys);
+            self.left_table.probe(&row, &self.right_keys)
+        };
+        self.current = (!at.is_done()).then_some((row, from_left, at));
     }
 }
 
@@ -95,9 +88,13 @@ impl Operator for SymmetricHashJoin {
 
     fn poll(&mut self) -> Poll {
         loop {
-            if let Some(r) = self.pending.pop() {
-                self.work.moved(1);
-                return Poll::Ready(r);
+            if let Some((row, from_left, at)) = &mut self.current {
+                let other = if *from_left { &self.right_table } else { &self.left_table };
+                if let Some(m) = other.step(at) {
+                    self.work.moved(1);
+                    return Poll::Ready(if *from_left { concat(row, m) } else { concat(m, row) });
+                }
+                self.current = None;
             }
             if self.left_done && self.right_done {
                 return Poll::Done;
@@ -126,11 +123,11 @@ impl Operator for SymmetricHashJoin {
                         progressed = true;
                     }
                 }
-                if !self.pending.is_empty() {
+                if self.current.is_some() {
                     break;
                 }
             }
-            if !progressed && self.pending.is_empty() {
+            if !progressed && self.current.is_none() {
                 return Poll::Pending;
             }
         }
@@ -143,7 +140,7 @@ mod tests {
     use crate::basic::HashJoin;
     use crate::op::drain;
     use crate::source::{ArrivalPattern, DelayedScan, TableScan};
-    use datacomp::{ColumnType, Table};
+    use datacomp::{ColumnType, Table, Value};
 
     fn table(pairs: &[(i64, i64)]) -> Table {
         let schema = Schema::new(&[("k", ColumnType::Int), ("v", ColumnType::Int)]).unwrap();

@@ -12,9 +12,9 @@
 //! result size — fine at simulation scale, and it keeps the three-stage
 //! structure (the part the paper's argument needs) faithful.
 
-use crate::basic::key_of;
+use crate::join_table::keys_eq;
 use crate::op::{Operator, Poll, WorkCounter};
-use datacomp::{concat, Row, Schema, Value};
+use datacomp::{concat, Row, Schema};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
@@ -22,9 +22,14 @@ use std::hash::{Hash, Hasher};
 /// Number of hash buckets (partitions) per side.
 const BUCKETS: usize = 16;
 
-fn bucket_of(key: &[Value]) -> usize {
+/// The bucket of `row`'s `cols`, hashed as the slice of those values
+/// hashes (length, then each value) without collecting it.
+fn bucket_of(row: &Row, cols: &[usize]) -> usize {
     let mut h = DefaultHasher::new();
-    key.hash(&mut h);
+    h.write_usize(cols.len());
+    for &c in cols {
+        row[c].hash(&mut h);
+    }
     (h.finish() as usize) % BUCKETS
 }
 
@@ -164,15 +169,14 @@ impl XJoin {
     fn absorb(&mut self, side: usize, row: Row) {
         let seq = self.sides[side].next_seq;
         self.sides[side].next_seq += 1;
-        let key = key_of(&row, self.keys(side));
-        let b = bucket_of(&key);
+        let other = 1 - side;
+        let (keys, other_keys) = (self.keys(side), self.keys(other));
+        let b = bucket_of(&row, keys);
         self.work.hash_insert();
         self.work.hash_probe(1);
-        let other = 1 - side;
-        let other_keys: Vec<usize> = self.keys(other).to_vec();
         let matches: Vec<(u64, Row)> = self.sides[other].mem[b]
             .iter()
-            .filter(|t| key_of(&t.row, &other_keys) == key)
+            .filter(|t| keys_eq(&t.row, other_keys, &row, keys))
             .map(|t| (t.seq, t.row.clone()))
             .collect();
         self.work.compare(self.sides[other].mem[b].len() as u64);
@@ -214,10 +218,9 @@ impl XJoin {
             self.work.unspill(disk.len() as u64);
             let mem: Vec<Tagged> = self.sides[other].mem[b].clone();
             for d in &disk {
-                let dkey = key_of(&d.row, &side_keys);
                 for m in &mem {
                     self.work.compare(1);
-                    if key_of(&m.row, &other_keys) == dkey {
+                    if keys_eq(&m.row, &other_keys, &d.row, &side_keys) {
                         let ok = if side == 0 {
                             self.emit(d.seq, &d.row, m.seq, &m.row)
                         } else {
@@ -251,10 +254,9 @@ impl XJoin {
             self.work.unspill(self.sides[0].disk[b].len() as u64);
             self.work.unspill(self.sides[1].disk[b].len() as u64);
             for l in &lefts {
-                let lkey = key_of(&l.row, &left_keys);
                 for r in &rights {
                     self.work.compare(1);
-                    if key_of(&r.row, &right_keys) == lkey
+                    if keys_eq(&l.row, &left_keys, &r.row, &right_keys)
                         && self.emit(l.seq, &l.row, r.seq, &r.row)
                     {
                         self.stats.stage3_results += 1;
@@ -314,7 +316,7 @@ mod tests {
     use crate::basic::HashJoin;
     use crate::op::drain;
     use crate::source::{ArrivalPattern, DelayedScan, TableScan};
-    use datacomp::{ColumnType, Table};
+    use datacomp::{ColumnType, Table, Value};
 
     fn table(n: i64, dup_every: i64) -> Table {
         let schema = Schema::new(&[("k", ColumnType::Int), ("v", ColumnType::Int)]).unwrap();
@@ -356,6 +358,19 @@ mod tests {
         let mut rows = drain(&mut xj, 100_000);
         rows.sort();
         (rows, xj.stats())
+    }
+
+    #[test]
+    fn a_bucket_is_the_hash_of_the_collected_key() {
+        for (row, cols) in [
+            (table(1, 1).rows()[0].clone(), vec![0]),
+            (Row::from([Value::Int(4), Value::str("a"), Value::float(0.5)]), vec![2, 0, 1]),
+        ] {
+            let key: Vec<Value> = cols.iter().map(|&c| row[c].clone()).collect();
+            let mut h = DefaultHasher::new();
+            key.hash(&mut h);
+            assert_eq!(bucket_of(&row, &cols), (h.finish() as usize) % BUCKETS);
+        }
     }
 
     #[test]

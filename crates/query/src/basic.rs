@@ -4,9 +4,9 @@
 //! or add an index to one of the tables").
 
 use crate::expr::Pred;
+use crate::join_table::{keys_eq, Cursor, JoinTable};
 use crate::op::{Operator, Poll, WorkCounter};
-use datacomp::{concat, Row, Schema, Table, Value};
-use std::collections::HashMap;
+use datacomp::{concat, Row, Schema, Table};
 
 /// Filter: passes rows satisfying a predicate.
 #[derive(Debug)]
@@ -84,11 +84,6 @@ impl Operator for Project {
     }
 }
 
-/// The values of `cols` in `row`: a join's hash or comparison key.
-pub(crate) fn key_of(row: &Row, cols: &[usize]) -> Vec<Value> {
-    cols.iter().map(|&i| row[i].clone()).collect()
-}
-
 /// Block nested-loop equijoin: materialises the **inner** side, then loops
 /// it per outer row. The pre-optimiser's choice of which side is inner is
 /// exactly Scenario 3's "change the join's inner-loop to the outer-loop".
@@ -154,7 +149,7 @@ impl Operator for NestedLoopJoin {
                     let irow = &self.inner_rows[*idx];
                     *idx += 1;
                     self.work.compare(1);
-                    if key_of(orow, &self.outer_keys) == key_of(irow, &self.inner_keys) {
+                    if keys_eq(orow, &self.outer_keys, irow, &self.inner_keys) {
                         let out = concat(orow, irow);
                         return Poll::Ready(out);
                     }
@@ -178,9 +173,10 @@ impl Operator for NestedLoopJoin {
 #[derive(Debug)]
 pub struct IndexNestedLoopJoin {
     outer: Box<dyn Operator>,
-    index: HashMap<Vec<Value>, Vec<Row>>,
+    index: JoinTable,
     outer_keys: Vec<usize>,
-    pending: Vec<Row>,
+    /// The outer row being joined and its next index match.
+    current: Option<(Row, Cursor)>,
     schema: Schema,
     work: WorkCounter,
 }
@@ -197,12 +193,12 @@ impl IndexNestedLoopJoin {
         work: WorkCounter,
     ) -> Self {
         let schema = outer.schema().join(inner.schema());
-        let mut index: HashMap<Vec<Value>, Vec<Row>> = HashMap::new();
+        let mut index = JoinTable::default();
         for row in inner.rows() {
             work.hash_insert();
-            index.entry(key_of(row, inner_keys)).or_default().push(row.clone());
+            index.insert(row.clone(), inner_keys);
         }
-        Self { outer, index, outer_keys, pending: Vec::new(), schema, work }
+        Self { outer, index, outer_keys, current: None, schema, work }
     }
 }
 
@@ -213,18 +209,17 @@ impl Operator for IndexNestedLoopJoin {
 
     fn poll(&mut self) -> Poll {
         loop {
-            if let Some(r) = self.pending.pop() {
-                return Poll::Ready(r);
+            if let Some((orow, at)) = &mut self.current {
+                if let Some(irow) = self.index.step(at) {
+                    return Poll::Ready(concat(orow, irow));
+                }
             }
             match self.outer.poll() {
                 Poll::Ready(orow) => {
                     self.work.moved(1);
                     self.work.hash_probe(1);
-                    if let Some(matches) = self.index.get(&key_of(&orow, &self.outer_keys)) {
-                        for irow in matches {
-                            self.pending.push(concat(&orow, irow));
-                        }
-                    }
+                    let at = self.index.probe(&orow, &self.outer_keys);
+                    self.current = Some((orow, at));
                 }
                 other => return other,
             }
@@ -241,9 +236,10 @@ pub struct HashJoin {
     probe: Box<dyn Operator>,
     build_keys: Vec<usize>,
     probe_keys: Vec<usize>,
-    table: HashMap<Vec<Value>, Vec<Row>>,
+    table: JoinTable,
     build_done: bool,
-    pending: Vec<Row>,
+    /// The probe row being joined and its next build match.
+    current: Option<(Row, Cursor)>,
     schema: Schema,
     work: WorkCounter,
     /// Whether the build side is the left (schema order) side.
@@ -272,9 +268,9 @@ impl HashJoin {
             probe,
             build_keys,
             probe_keys,
-            table: HashMap::new(),
+            table: JoinTable::default(),
             build_done: false,
-            pending: Vec::new(),
+            current: None,
             schema,
             work,
             build_is_left,
@@ -292,30 +288,26 @@ impl Operator for HashJoin {
             match self.build.poll() {
                 Poll::Ready(r) => {
                     self.work.hash_insert();
-                    self.table.entry(key_of(&r, &self.build_keys)).or_default().push(r);
+                    self.table.insert(r, &self.build_keys);
                 }
                 Poll::Pending => return Poll::Pending,
                 Poll::Done => self.build_done = true,
             }
         }
         loop {
-            if let Some(r) = self.pending.pop() {
-                return Poll::Ready(r);
+            if let Some((prow, at)) = &mut self.current {
+                if let Some(brow) = self.table.step(at) {
+                    let out =
+                        if self.build_is_left { concat(brow, prow) } else { concat(prow, brow) };
+                    return Poll::Ready(out);
+                }
             }
             match self.probe.poll() {
                 Poll::Ready(prow) => {
                     self.work.moved(1);
                     self.work.hash_probe(1);
-                    if let Some(matches) = self.table.get(&key_of(&prow, &self.probe_keys)) {
-                        for brow in matches {
-                            let out = if self.build_is_left {
-                                concat(brow, &prow)
-                            } else {
-                                concat(&prow, brow)
-                            };
-                            self.pending.push(out);
-                        }
-                    }
+                    let at = self.table.probe(&prow, &self.probe_keys);
+                    self.current = Some((prow, at));
                 }
                 other => return other,
             }
@@ -328,7 +320,7 @@ mod tests {
     use super::*;
     use crate::op::drain;
     use crate::source::TableScan;
-    use datacomp::ColumnType;
+    use datacomp::{ColumnType, Value};
 
     fn orders() -> Table {
         let schema = Schema::new(&[("oid", ColumnType::Int), ("cust", ColumnType::Int)]).unwrap();
@@ -447,6 +439,35 @@ mod tests {
         });
         assert_eq!(nl, hj);
         assert_eq!(nl, ij);
+    }
+
+    #[test]
+    fn hash_and_nested_loop_joins_agree_on_signed_zero_keys() {
+        let schema = Schema::new(&[("x", ColumnType::Float)]).unwrap();
+        let one = |x: f64| {
+            let mut t = Table::new(schema.clone());
+            t.insert(vec![Value::Float(x)]).unwrap();
+            t
+        };
+        let w = WorkCounter::new();
+        let mut nl = NestedLoopJoin::new(
+            scan(one(-0.0), &w),
+            scan(one(0.0), &w),
+            vec![0],
+            vec![0],
+            w.clone(),
+        );
+        let mut hj = HashJoin::new(
+            scan(one(-0.0), &w),
+            scan(one(0.0), &w),
+            vec![0],
+            vec![0],
+            true,
+            w.clone(),
+        );
+        let nl_rows = drain(&mut nl, 0);
+        assert_eq!(nl_rows.len(), 1, "-0.0 == 0.0");
+        assert_eq!(drain(&mut hj, 0), nl_rows);
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //! part of the switch — its cost lands in the same work counter, so the
 //! adaptive-vs-static comparison is fair.
 
+use crate::join_table::JoinTable;
 use crate::op::{Work, WorkCounter};
 use crate::optimizer::{Catalog, JoinAlgo, JoinPlan, Optimizer};
-use datacomp::{concat, Row, Table, Value};
-use std::collections::HashMap;
+use datacomp::{concat, Row, Table};
 use std::fmt;
 
 /// Execution errors.
@@ -81,7 +81,7 @@ enum AlgoState {
     /// Inner side fully materialised; loop it per outer row.
     NestedLoop { inner: Vec<Row> },
     /// Hash table over the inner/build side; probe per outer row.
-    Hashed { table: HashMap<Vec<Value>, Vec<Row>> },
+    Hashed { table: JoinTable },
 }
 
 /// Which catalog side plays "outer" for a given algorithm.
@@ -139,8 +139,7 @@ impl AdaptiveJoinExec {
             let end = (outer_pos + self.safe_point_interval as usize).min(outer.rows().len());
             for row in &outer.rows()[outer_pos..end] {
                 work.moved(1);
-                let key: Vec<Value> = vec![row[outer_key].clone()];
-                match &state {
+                match &mut state {
                     AlgoState::NestedLoop { inner } => {
                         let inner_key = if outer_is_left(plan.algo) { right_key } else { left_key };
                         work.compare(inner.len() as u64);
@@ -152,10 +151,9 @@ impl AdaptiveJoinExec {
                     }
                     AlgoState::Hashed { table } => {
                         work.hash_probe(1);
-                        if let Some(matches) = table.get(&key) {
-                            for irow in matches {
-                                out.push(Self::emit(plan.algo, row, irow));
-                            }
+                        let mut at = table.probe(row, &[outer_key]);
+                        while let Some(irow) = table.step(&mut at) {
+                            out.push(Self::emit(plan.algo, row, irow));
                         }
                     }
                 }
@@ -266,10 +264,12 @@ impl AdaptiveJoinExec {
                 AlgoState::NestedLoop { inner: inner.rows().to_vec() }
             }
             JoinAlgo::HashBuildLeft | JoinAlgo::HashBuildRight | JoinAlgo::IndexInnerRight => {
-                let mut table: HashMap<Vec<Value>, Vec<Row>> = HashMap::new();
-                for row in inner.rows() {
+                // Built last row first, so each key's chain, which runs
+                // newest first, yields its rows in table order.
+                let mut table = JoinTable::default();
+                for row in inner.rows().iter().rev() {
                     work.hash_insert();
-                    table.entry(vec![row[inner_key].clone()]).or_default().push(row.clone());
+                    table.insert(row.clone(), &[inner_key]);
                 }
                 AlgoState::Hashed { table }
             }
@@ -280,7 +280,7 @@ impl AdaptiveJoinExec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datacomp::{ColumnType, Schema};
+    use datacomp::{ColumnType, Schema, Value};
 
     fn table(n: i64, dup_every: i64) -> Table {
         let schema = Schema::new(&[("k", ColumnType::Int), ("v", ColumnType::Int)]).unwrap();

@@ -66,6 +66,7 @@ pub mod adaptive;
 pub mod basic;
 pub mod exec;
 pub mod expr;
+pub(crate) mod join_table;
 pub mod op;
 pub mod optimizer;
 pub mod source;

@@ -11,7 +11,7 @@
 //! deterministic, machine-independent cost measure.
 
 use datacomp::{Row, Schema};
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::rc::Rc;
 
 /// Result of polling an operator.
@@ -25,10 +25,27 @@ pub enum Poll {
     Done,
 }
 
-/// A shared work counter: every operator charges the work it does.
+/// A shared work counter: every operator charges the work it does. Each
+/// category is its own cell, so a charge is one add with no borrow flag.
 #[derive(Debug, Clone, Default)]
 pub struct WorkCounter {
-    inner: Rc<RefCell<Work>>,
+    inner: Rc<Counts>,
+}
+
+/// The cells behind a [`WorkCounter`], one per [`Work`] category.
+#[derive(Debug, Default)]
+struct Counts {
+    tuples_moved: Cell<u64>,
+    hash_inserts: Cell<u64>,
+    hash_probes: Cell<u64>,
+    comparisons: Cell<u64>,
+    spills: Cell<u64>,
+    unspills: Cell<u64>,
+    stalls: Cell<u64>,
+}
+
+fn add(cell: &Cell<u64>, n: u64) {
+    cell.set(cell.get() + n);
 }
 
 /// The work categories.
@@ -74,47 +91,67 @@ impl WorkCounter {
     /// Snapshot the counters.
     #[must_use]
     pub fn snapshot(&self) -> Work {
-        *self.inner.borrow()
+        let c = &*self.inner;
+        Work {
+            tuples_moved: c.tuples_moved.get(),
+            hash_inserts: c.hash_inserts.get(),
+            hash_probes: c.hash_probes.get(),
+            comparisons: c.comparisons.get(),
+            spills: c.spills.get(),
+            unspills: c.unspills.get(),
+            stalls: c.stalls.get(),
+        }
     }
 
     /// Reset all counters to zero.
     pub fn reset(&self) {
-        *self.inner.borrow_mut() = Work::default();
+        let c = &*self.inner;
+        for cell in [
+            &c.tuples_moved,
+            &c.hash_inserts,
+            &c.hash_probes,
+            &c.comparisons,
+            &c.spills,
+            &c.unspills,
+            &c.stalls,
+        ] {
+            cell.set(0);
+        }
     }
 
     /// Charge `n` tuple moves.
     pub fn moved(&self, n: u64) {
-        self.inner.borrow_mut().tuples_moved += n;
+        add(&self.inner.tuples_moved, n);
     }
 
     /// Charge one hash-table insert.
     pub(crate) fn hash_insert(&self) {
-        self.inner.borrow_mut().hash_inserts += 1;
+        add(&self.inner.hash_inserts, 1);
     }
 
     /// Charge `n` hash-table probes.
     pub fn hash_probe(&self, n: u64) {
-        self.inner.borrow_mut().hash_probes += n;
+        add(&self.inner.hash_probes, n);
     }
 
     /// Charge `n` comparisons.
     pub fn compare(&self, n: u64) {
-        self.inner.borrow_mut().comparisons += n;
+        add(&self.inner.comparisons, n);
     }
 
     /// Charge `n` tuples spilled to disk.
     pub(crate) fn spill(&self, n: u64) {
-        self.inner.borrow_mut().spills += n;
+        add(&self.inner.spills, n);
     }
 
     /// Charge `n` tuples read back from disk.
     pub(crate) fn unspill(&self, n: u64) {
-        self.inner.borrow_mut().unspills += n;
+        add(&self.inner.unspills, n);
     }
 
     /// Charge one pending (stalled) poll.
     pub(crate) fn stall(&self) {
-        self.inner.borrow_mut().stalls += 1;
+        add(&self.inner.stalls, 1);
     }
 }
 

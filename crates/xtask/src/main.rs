@@ -13,10 +13,12 @@
 //!   paper flash crowd inside a 40 ms budget that a tick paying per
 //!   queued request would blow, and 8,000 cross-shard SWITCH commits
 //!   inside a 400 ms budget, each leaving an empty transaction log and
-//!   no held lock, and the 64,000 ORB crossings of a batch-1 Database
+//!   no held lock, the 64,000 ORB crossings of a batch-1 Database
 //!   Machine query inside a 15 ms budget that the ORB's former
-//!   per-call label searches and copies blew (what the CI `scale` job
-//!   runs).
+//!   per-call label searches and copies blew, and the Database Machine's
+//!   batch-512 select-project-join on the `dbm_spj` shape (6 ms) and over
+//!   distinct keys (12 ms), the second blown by a join hasher without a
+//!   64-bit finaliser (what the CI `scale` job runs).
 //! * `loc` — per crate under `crates/`, the non-test lines (each `.rs`
 //!   file under `src/` cut at its `#[cfg(test)] mod`) and the test lines
 //!   (the rest of those files, plus every `.rs` file outside `src/`), then
@@ -65,8 +67,8 @@ fn update_goldens() {
 }
 
 /// Run the scale tier (`tests/scale_e2e.rs`) in release — the mega-crowd,
-/// flash-crowd, cross-shard commit and ORB-crossing wall-clock budgets
-/// there assume optimised code.
+/// flash-crowd, cross-shard commit, ORB-crossing and SPJ wall-clock
+/// budgets there assume optimised code.
 fn scale() {
     run_cargo(&["test", "-q", "--release", "-p", "adm-core", "--test", "scale_e2e"], &[]);
 }
@@ -140,7 +142,7 @@ fn main() {
                 "usage: cargo xtask <task>\n\n\
                  tasks:\n  \
                  update-goldens  regenerate tests/goldens/ and BENCH_adm.json\n  \
-                 scale           run the mega- and flash-crowd scale tier (release, wall-clock budgets)\n  \
+                 scale           run the scale tier (release, wall-clock budgets)\n  \
                  loc             non-test and test lines per crate"
             );
             std::process::exit(2);
